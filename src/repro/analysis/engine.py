@@ -73,7 +73,7 @@ from repro.api.execution import Execution, PreparedSimulation
 from repro.api.report import RunReport
 from repro.api.scenario import Scenario, canonical_json
 from repro.chain.assets import Asset
-from repro.chain.ledger import _BLOCK_HEADER_BYTES, Record
+from repro.chain.ledger import _BLOCK_HEADER_BYTES, canonical_encode
 from repro.chain.network import chain_id_for_arc
 from repro.core.contract import SwapContract
 from repro.core.spec import SwapSpec
@@ -375,9 +375,9 @@ def _synthesize(scenario: Scenario, prediction: Prediction) -> RunReport:
 
     def append(kind: str, author: str, payload: dict[str, Any]) -> None:
         nonlocal published_bytes, record_count
-        published_bytes += Record(
-            kind=kind, author=author, payload=payload
-        ).encoded_size_bytes()
+        published_bytes += len(
+            canonical_encode({"kind": kind, "author": author, "payload": payload})
+        )
         record_count += 1
 
     refund_watches = 0

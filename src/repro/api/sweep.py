@@ -171,7 +171,9 @@ def smoke_sweep() -> Sweep:
 
 def synthesize_entry(engine_name: str, scenario: Scenario) -> dict | None:
     """A closed-form store entry for a fully covered scenario, or
-    ``None`` when the analyzer cannot certify it (the caller simulates).
+    ``None`` when the analyzer cannot certify it or the replay refuses
+    (the caller simulates, as :class:`~repro.analysis.engine.AnalyticEngine`
+    does).
 
     This is the fast path :func:`run_sweep` and the fleet worker share:
     the synthesized report carries the ``extra["path"] = "analytic"``
@@ -185,13 +187,17 @@ def synthesize_entry(engine_name: str, scenario: Scenario) -> dict | None:
         fast_path_eligible,
         synthesize_report,
     )
+    from repro.errors import AnalysisError
 
     analysis = analyze_for_fast_path(scenario, engine_name)
     if analysis is None or not fast_path_eligible(analysis):
         return None
     item_start = time.perf_counter()
     assert analysis.prediction is not None
-    report = synthesize_report(scenario, analysis.prediction)
+    try:
+        report = synthesize_report(scenario, analysis.prediction)
+    except AnalysisError:
+        return None
     report.wall_seconds = time.perf_counter() - item_start
     report.extra[PATH_KEY] = PATH_ANALYTIC
     return {

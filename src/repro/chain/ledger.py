@@ -25,25 +25,29 @@ GENESIS_HASH = bytes(32)
 _BLOCK_HEADER_BYTES = 8 + 8 + 32 + 32  # index, timestamp, prev_hash, hash
 
 
+def _encode_bytes(value: object) -> dict[str, str]:
+    if isinstance(value, (bytes, bytearray)):
+        return {"__bytes__": value.hex()}
+    raise LedgerError(f"cannot encode {type(value).__name__} in a ledger record")
+
+
+_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True, default=_encode_bytes)
+
+
 def canonical_encode(payload: dict) -> bytes:
     """Canonical JSON encoding used for hashing and size accounting.
 
-    Bytes values are hex-encoded with a marker so encoding is injective for
-    the payload shapes the library produces.
+    Compact separators, keys sorted, ASCII-only output, one pass of the
+    C JSON encoder.  Payload keys must be ``str`` at every depth: the
+    encoder sorts keys, so a mix of key types fails and a lone non-str
+    key would be converted by JSON's rules rather than rejected.  Tuples
+    encode as lists.  ``bytes``/``bytearray`` values at any depth encode
+    as ``{"__bytes__": "<hex>"}``; a payload dict that itself holds
+    exactly that one key and a hex string encodes to the same bytes, so
+    the marker is only injective over the shapes the library produces.
+    Any other unsupported value raises :class:`LedgerError`.
     """
-    return json.dumps(_encode_value(payload), separators=(",", ":"), sort_keys=True).encode()
-
-
-def _encode_value(value):
-    if isinstance(value, (bytes, bytearray)):
-        return {"__bytes__": bytes(value).hex()}
-    if isinstance(value, dict):
-        return {str(k): _encode_value(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_encode_value(v) for v in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    raise LedgerError(f"cannot encode {type(value).__name__} in a ledger record")
+    return _ENCODER.encode(payload).encode()
 
 
 @dataclass(frozen=True)
@@ -53,7 +57,8 @@ class Record:
     Attributes:
         kind: Record type, e.g. ``contract_published`` or ``contract_call``.
         author: Address of the party that submitted the record.
-        payload: JSON-compatible body (bytes values allowed, hex-encoded).
+        payload: JSON-compatible body with ``str`` keys (bytes values
+            allowed, hex-encoded; see :func:`canonical_encode`).
     """
 
     kind: str
@@ -63,14 +68,13 @@ class Record:
     def encoded(self) -> bytes:
         """The record's canonical encoding, computed once and cached.
 
-        A record is logically immutable from construction (the dataclass
-        is frozen and the ledger never rewrites payloads), but every
-        record used to be re-encoded three times on its way into a block
-        — hash, block sizing, ledger accounting — which dominated the
-        simulated hot path.  The cache rides on the frozen instance via
-        ``object.__setattr__``; forging is still detected because a
-        forged record is a *fresh* instance whose encoding is computed
-        from its own (tampered) payload.
+        The block hash, block sizing and ledger accounting all read it.
+        A record is logically immutable (the dataclass is frozen and the
+        ledger never rewrites payloads), so the cache rides on the
+        instance via ``object.__setattr__``; a forged record is a fresh
+        instance whose encoding comes from its own tampered payload.
+        The payload follows :func:`canonical_encode`'s contract: ``str``
+        keys, and ``bytes`` values marked as ``{"__bytes__": hex}``.
         """
         cached: bytes | None = getattr(self, "_encoded", None)
         if cached is None:

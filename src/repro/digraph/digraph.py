@@ -23,7 +23,7 @@ Arc = tuple[Vertex, Vertex]
 class Digraph:
     """An immutable simple digraph with deterministic iteration order."""
 
-    __slots__ = ("_vertices", "_arcs", "_out", "_in", "_arc_set", "_hash")
+    __slots__ = ("_vertices", "_arcs", "_out", "_in", "_arc_set", "_hash", "_topology_key")
 
     def __init__(self, vertices: Iterable[Vertex], arcs: Iterable[Arc]) -> None:
         vertex_list: list[Vertex] = []
@@ -65,6 +65,7 @@ class Digraph:
         self._out = {v: tuple(ws) for v, ws in out.items()}
         self._in = {v: tuple(ws) for v, ws in in_.items()}
         self._hash: int | None = None
+        self._topology_key: str | None = None
 
     # -- basic accessors ----------------------------------------------------
 
@@ -180,6 +181,23 @@ class Digraph:
         contract; this canonical encoding makes the bound measurable.
         """
         return len(json.dumps(self.to_dict(), separators=(",", ":")).encode())
+
+    def topology_key(self) -> str:
+        """The ordered vertex and arc lists as one short string, computed once.
+
+        ``==`` and ``hash`` compare vertex and arc *sets*; two digraphs
+        share this key only when they list the same vertices and arcs in
+        the same order, which order-sensitive results (the first minimum
+        FVS in vertex order) need.  The vertex tuple's ``repr`` is followed
+        by the arcs as vertex-index pairs, so the key is injective and
+        holds no reference to this digraph.
+        """
+        if self._topology_key is None:
+            index = {v: i for i, v in enumerate(self._vertices)}
+            self._topology_key = repr(self._vertices) + "".join(
+                f"{index[u]}>{index[v]};" for u, v in self._arcs
+            )
+        return self._topology_key
 
     # -- dunder --------------------------------------------------------------
 

@@ -11,7 +11,8 @@ FVS (Theorem 4.12) and remarks that finding a *minimum* FVS is NP-complete
 * :func:`greedy_feedback_vertex_set` — a fast heuristic (pick the vertex
   with maximum in-degree x out-degree product until acyclic, then prune to a
   minimal set), benchmarked against the exact algorithm in E16;
-* :func:`feedback_vertex_set` — picks exact vs greedy by graph size.
+* :func:`feedback_vertex_set` — picks exact vs greedy by graph size and
+  remembers the answer per topology (:func:`repro.digraph.paths.topology_memo`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from repro.digraph.digraph import Digraph, Vertex
-from repro.digraph.paths import is_acyclic
+from repro.digraph.paths import is_acyclic, topology_memo
 from repro.errors import DigraphError, NotFeedbackVertexSetError
 
 EXACT_FVS_LIMIT = 14
@@ -99,7 +100,22 @@ def greedy_feedback_vertex_set(digraph: Digraph) -> set[Vertex]:
 
 
 def feedback_vertex_set(digraph: Digraph, exact_limit: int = EXACT_FVS_LIMIT) -> set[Vertex]:
-    """A valid FVS: exact minimum for small digraphs, greedy beyond."""
-    if len(digraph.vertices) <= exact_limit:
-        return minimum_feedback_vertex_set(digraph, exact_limit)
-    return greedy_feedback_vertex_set(digraph)
+    """A valid FVS: exact minimum for small digraphs, greedy beyond.
+
+    Memoised per topology and branch; every call returns a fresh ``set``.
+    """
+    entry = topology_memo(digraph)
+    vertices = digraph.vertices
+    if len(vertices) <= exact_limit:
+        if entry.fvs_exact is None:
+            entry.fvs_exact = _mask(vertices, minimum_feedback_vertex_set(digraph, exact_limit))
+        mask = entry.fvs_exact
+    else:
+        if entry.fvs_greedy is None:
+            entry.fvs_greedy = _mask(vertices, greedy_feedback_vertex_set(digraph))
+        mask = entry.fvs_greedy
+    return {v for i, v in enumerate(vertices) if mask >> i & 1}
+
+
+def _mask(vertices: tuple[Vertex, ...], chosen: set[Vertex]) -> int:
+    return sum(1 << i for i, v in enumerate(vertices) if v in chosen)

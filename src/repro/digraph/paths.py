@@ -7,10 +7,24 @@ compute it exactly with a memoised subset DP up to a configurable size and
 fall back to the safe upper bound ``|V| - 1`` beyond it.  Timeouts derived
 from an upper bound remain safe and live — they only lengthen deadlines —
 which is why the fallback is acceptable (DESIGN.md §2).
+
+Exact answers are also remembered per topology.  Every scenario of a
+sweep rebuilds its digraph, and the harness, the timelock ladder and the
+analyzer each ask for ``diam(D)``, ``D(u, v)`` and the leader FVS again,
+so :func:`topology_memo` keeps one compact :class:`TopologyInvariants`
+entry per ordered ``(vertices, arcs)`` pair
+(:meth:`~repro.digraph.digraph.Digraph.topology_key`): the exact
+diameter, the exact ``D(u, v)`` table, and the exact and greedy FVS
+(:mod:`repro.digraph.feedback`).  Vertex order is part of the key
+because the exact FVS is the first minimum subset in vertex order.  The
+memo is one LRU of at most :data:`TOPOLOGY_MEMO_LIMIT` entries.
 """
 
 from __future__ import annotations
 
+import threading
+from array import array
+from collections import OrderedDict
 from typing import Iterator
 
 from repro.digraph.digraph import Arc, Digraph, Vertex
@@ -18,6 +32,9 @@ from repro.errors import DigraphError
 
 EXACT_LONGEST_PATH_LIMIT = 14
 """Largest vertex count for which longest paths are computed exactly."""
+
+TOPOLOGY_MEMO_LIMIT = 256
+"""LRU bound of the per-topology memo (a serve process lives for days)."""
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +202,55 @@ def shortest_path_length(digraph: Digraph, source: Vertex, target: Vertex) -> in
 
 
 # ---------------------------------------------------------------------------
+# The per-topology memo
+# ---------------------------------------------------------------------------
+
+_UNKNOWN = -2
+_UNREACHABLE = -1
+
+
+class TopologyInvariants:
+    """The exact invariants of one topology, filled in as they are asked for.
+
+    ``longest`` is the row-major ``|V| x |V|`` table of exact ``D(u, v)``
+    in vertex order, allocated on the first exact query: :data:`_UNKNOWN`
+    until searched, :data:`_UNREACHABLE` when no path exists.
+    ``fvs_exact``/``fvs_greedy`` are bitmasks over vertex positions of
+    :func:`~repro.digraph.feedback.feedback_vertex_set`'s answer on each
+    branch; callers get a fresh ``set`` built from them.  Nothing here
+    refers to a digraph or its vertex strings, so an entry stays a few
+    hundred bytes.
+    """
+
+    __slots__ = ("diameter", "longest", "fvs_exact", "fvs_greedy")
+
+    def __init__(self) -> None:
+        self.diameter: int | None = None
+        self.longest: array[int] | None = None
+        self.fvs_exact: int | None = None
+        self.fvs_greedy: int | None = None
+
+
+_MEMO: OrderedDict[str, TopologyInvariants] = OrderedDict()
+_MEMO_LOCK = threading.Lock()
+
+
+def topology_memo(digraph: Digraph) -> TopologyInvariants:
+    """The memo entry for ``digraph``'s :meth:`~Digraph.topology_key`
+    (LRU order)."""
+    key = digraph.topology_key()
+    with _MEMO_LOCK:
+        entry = _MEMO.get(key)
+        if entry is not None:
+            _MEMO.move_to_end(key)
+            return entry
+        entry = _MEMO[key] = TopologyInvariants()
+        if len(_MEMO) > TOPOLOGY_MEMO_LIMIT:
+            _MEMO.popitem(last=False)
+        return entry
+
+
+# ---------------------------------------------------------------------------
 # Longest simple paths (the paper's D(u, v) and diam(D))
 # ---------------------------------------------------------------------------
 
@@ -197,9 +263,9 @@ def longest_path_length(
 ) -> int:
     """The paper's ``D(u, v)``: longest simple-path length from ``u`` to ``v``.
 
-    Exact (memoised subset DP) when ``|V| <= exact_limit``; otherwise the
-    safe upper bound ``|V| - 1``.  Raises :class:`DigraphError` if ``target``
-    is unreachable from ``source``.
+    Exact (subset DP, memoised per topology) when ``|V| <= exact_limit``;
+    otherwise the safe upper bound ``|V| - 1``.  Raises
+    :class:`DigraphError` if ``target`` is unreachable from ``source``.
     """
     if not digraph.has_vertex(source) or not digraph.has_vertex(target):
         raise DigraphError("unknown vertex")
@@ -213,6 +279,24 @@ def longest_path_length(
 
 
 def _longest_exact(digraph: Digraph, source: Vertex, target: Vertex) -> int:
+    """Exact ``D(source, target)`` for ``source != target``, memoised."""
+    vertices = digraph.vertices
+    entry = topology_memo(digraph)
+    table = entry.longest
+    if table is None:
+        table = entry.longest = array("h", [_UNKNOWN]) * (len(vertices) * len(vertices))
+    slot = vertices.index(source) * len(vertices) + vertices.index(target)
+    length = table[slot]
+    if length == _UNKNOWN:
+        length = table[slot] = _search_longest(digraph, source, target)
+    if length == _UNREACHABLE:
+        raise DigraphError(f"{target!r} is not reachable from {source!r}")
+    return length
+
+
+def _search_longest(digraph: Digraph, source: Vertex, target: Vertex) -> int:
+    """The subset DP behind :func:`_longest_exact`; :data:`_UNREACHABLE`
+    when ``target`` cannot be reached."""
     index = {v: i for i, v in enumerate(digraph.vertices)}
     memo: dict[tuple[Vertex, int], int] = {}
 
@@ -240,21 +324,27 @@ def _longest_exact(digraph: Digraph, source: Vertex, target: Vertex) -> int:
         return best
 
     result = best_from(source, 1 << index[source])
-    if result < 0:
-        raise DigraphError(f"{target!r} is not reachable from {source!r}")
-    return result
+    return result if result >= 0 else _UNREACHABLE
 
 
 def diameter(digraph: Digraph, exact_limit: int = EXACT_LONGEST_PATH_LIMIT) -> int:
     """The paper's ``diam(D)``: the longest path between any ordered pair.
 
-    Exact up to ``exact_limit`` vertices, else the safe upper bound
-    ``|V| - 1`` (see module docstring).  Requires at least one arc.
+    Exact up to ``exact_limit`` vertices (memoised per topology), else the
+    safe upper bound ``|V| - 1`` (see module docstring).  Requires at
+    least one arc.
     """
     if digraph.arc_count() == 0:
         raise DigraphError("diameter is undefined for an arcless digraph")
     if len(digraph.vertices) > exact_limit:
         return diameter_upper_bound(digraph)
+    entry = topology_memo(digraph)
+    if entry.diameter is None:
+        entry.diameter = _exact_diameter(digraph)
+    return entry.diameter
+
+
+def _exact_diameter(digraph: Digraph) -> int:
     best = 0
     for source in digraph.vertices:
         for target in digraph.vertices:

@@ -45,7 +45,7 @@ from typing import Any, AsyncIterator, Mapping
 from repro.api.engine import get_engine
 from repro.api.scenario import Scenario
 from repro.api.sweep import run_key
-from repro.errors import AdmissionError, ReproError, ServeError, WireError
+from repro.errors import AdmissionError, AnalysisError, ReproError, ServeError, WireError
 from repro.lab.store import MemoryStore, RunStore
 from repro.serve.events import TERMINAL_EVENTS, WIRE_SCHEMA, envelope, milestone_to_wire
 
@@ -317,11 +317,12 @@ class SwapService:
 
             analysis = analyze_for_fast_path(scenario, engine_name)
             if analysis is not None and fast_path_eligible(analysis):
-                self._counters["analytic"] += 1
                 job = self._analytic_job(
                     key, engine_name, scenario, client, analysis, now
                 )
-                return SubmitResult("analytic", key, job, self._queue.qsize())
+                if job is not None:
+                    self._counters["analytic"] += 1
+                    return SubmitResult("analytic", key, job, self._queue.qsize())
 
         if self._queue.full():
             self._counters["rejected_queue_full"] += 1
@@ -393,16 +394,22 @@ class SwapService:
         client: str,
         analysis: Any,
         now: float,
-    ) -> Job:
+    ) -> Job | None:
         """Settle a fully-covered submission from the closed-form path.
 
         The synthesized report is stored in the standard entry format
         (stamped ``extra["path"] = "analytic"``), so the run key answers
-        as a warm hit everywhere — ``lab`` sweeps included."""
+        as a warm hit everywhere — ``lab`` sweeps included.  ``None``
+        when the replay refuses: the caller queues the submission for
+        simulation, as :class:`~repro.analysis.engine.AnalyticEngine`
+        falls back."""
         from repro.analysis.engine import PATH_ANALYTIC, PATH_KEY, synthesize_report
 
         begun = time.perf_counter()
-        report = synthesize_report(scenario, analysis.prediction)
+        try:
+            report = synthesize_report(scenario, analysis.prediction)
+        except AnalysisError:
+            return None
         report.wall_seconds = time.perf_counter() - begun
         report.extra[PATH_KEY] = PATH_ANALYTIC
         entry: dict[str, Any] = {"ok": True, "report": report.to_dict()}

@@ -3,20 +3,35 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pytest
+from ledger_reference import reference_encode
+
 from repro.chain.ledger import Block, Ledger, Record, canonical_encode
 from repro.errors import TamperError
 
-import pytest
+scalars = st.one_of(
+    st.integers(min_value=-(2**40), max_value=2**40),
+    st.floats(),
+    st.text(max_size=16),
+    st.binary(max_size=16),
+    st.binary(max_size=16).map(bytearray),
+    st.booleans(),
+    st.none(),
+)
+
+values = st.recursive(
+    scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.text(min_size=1, max_size=8), children, max_size=3),
+    ),
+    max_leaves=8,
+)
 
 payloads = st.dictionaries(
     keys=st.text(min_size=1, max_size=8),
-    values=st.one_of(
-        st.integers(min_value=-(2**40), max_value=2**40),
-        st.text(max_size=16),
-        st.binary(max_size=16),
-        st.booleans(),
-        st.none(),
-    ),
+    values=values,
     max_size=4,
 )
 
@@ -83,6 +98,12 @@ def test_any_block_mutation_is_detected(record_list, victim_index, new_payload):
 @given(payloads)
 def test_canonical_encoding_is_stable(payload):
     assert canonical_encode(payload) == canonical_encode(payload)
+
+
+@settings(max_examples=200, deadline=None)
+@given(payloads)
+def test_canonical_encoding_matches_reference(payload):
+    assert canonical_encode(payload) == reference_encode(payload)
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,13 +3,22 @@
 Each test pins a concrete failure mode so it cannot silently return.
 """
 
+import asyncio
+
 import pytest
 
+import repro.analysis.engine as analysis_engine
+from repro.api import RunReport, Scenario, Sweep, run_sweep
+from repro.api.sweep import run_key
 from repro.core.protocol import SwapConfig, run_swap
 from repro.core.timelocks import run_single_leader_swap
 from repro.digraph.digraph import Digraph
-from repro.digraph.generators import random_strongly_connected
+from repro.digraph.generators import random_strongly_connected, triangle
 from repro.digraph.paths import all_simple_paths
+from repro.errors import AnalysisError
+from repro.fleet import FleetCoordinator, FleetWorker
+from repro.lab.store import MemoryStore, open_store
+from repro.serve.service import ServiceConfig, SwapService
 from repro.sim import trace as tr
 
 TWO_CYCLE = Digraph(["A", "B"], [("A", "B"), ("B", "A")])
@@ -109,3 +118,57 @@ class TestWholeGraphEdgeCases:
             for record in chain.records():
                 if record.kind == "contract_call":
                     assert record.payload["ok"], record
+
+
+class TestReplayRefusalFallsBack:
+    """A closed-form replay that refuses (``AnalysisError`` from
+    ``synthesize_report``) used to escape ``synthesize_entry`` and
+    ``SwapService._analytic_job``, killing a sweep chunk, a fleet worker
+    or a serve submission.  Every front end now simulates instead, as
+    ``AnalyticEngine.run`` always did."""
+
+    def test_sweep_fleet_and_serve_store_a_simulated_report(self, monkeypatch, tmp_path):
+        def refuse(scenario, prediction):
+            raise AnalysisError("analytic replay: forced refusal")
+
+        monkeypatch.setattr(analysis_engine, "synthesize_report", refuse)
+        scenario = Scenario(topology=triangle(), seed=3, name="replay-refusal")
+        key = run_key("herlihy", scenario)
+
+        def simulated(entry):
+            """The entry's report, checked to be a simulated all-Deal run."""
+            assert entry["ok"], entry
+            report = RunReport.from_dict(entry["report"])
+            assert report.extra.get("path") != "analytic"
+            assert report.all_deal()
+            return report
+
+        sweep = Sweep("refusal").add("herlihy", scenario)
+        store = MemoryStore()
+        report = run_sweep(sweep, store=store, parallel=False, fast_path=True)
+        assert not report.failures and report.analytic == 0
+        swept = simulated(store.get(key))
+        assert swept.extra["path"] == "simulated"
+
+        path = tmp_path / "fleet.sqlite"
+        with FleetCoordinator(path) as coordinator:
+            coordinator.enqueue(sweep.items())
+        with FleetWorker(path, worker_id="refusal-w0", fast_path=True) as worker:
+            worker.run()
+        with open_store(str(path)) as drained:
+            assert simulated(drained.get(key)).extra["path"] == "simulated"
+
+        async def serve():
+            service = SwapService(ServiceConfig(rate=0.0, fast_path=True))
+            await service.start()
+            result = service.submit(scenario)
+            assert result.status == "accepted"
+            await service.wait(result.key, timeout=30)
+            assert service._counters["analytic"] == 0
+            assert service._counters["executed"] == 1
+            entry = simulated(service.store.get(key))
+            await service.stop()
+            return entry
+
+        served = asyncio.run(serve())
+        assert served.outcomes == swept.outcomes

@@ -1,0 +1,151 @@
+"""The per-topology memo behind diam(D), D(u, v) and the leader FVS.
+
+Memoised answers must equal fresh computations, stay distinct for
+digraphs that differ only in vertex order, survive callers mutating
+what they were handed, and never hold more than the LRU bound.
+"""
+
+import sys
+import threading
+from random import Random
+
+import pytest
+
+from repro.digraph import paths
+from repro.digraph.digraph import Digraph
+from repro.digraph.feedback import (
+    feedback_vertex_set,
+    greedy_feedback_vertex_set,
+    minimum_feedback_vertex_set,
+)
+from repro.digraph.generators import (
+    cycle_digraph,
+    not_strongly_connected_example,
+    random_strongly_connected,
+)
+from repro.digraph.paths import (
+    TOPOLOGY_MEMO_LIMIT,
+    diameter,
+    longest_path,
+    longest_path_length,
+    topology_memo,
+)
+from repro.errors import DigraphError
+
+SEEDED = [
+    random_strongly_connected(n, p, Random(seed))
+    for seed, (n, p) in enumerate(
+        [(3, 0.3), (4, 0.2), (5, 0.3), (6, 0.2), (6, 0.5), (7, 0.15), (7, 0.3), (8, 0.2)]
+    )
+]
+
+
+def uncached_longest(digraph, source, target):
+    """D(u, v) by enumerating every simple path (no memo involved)."""
+    return len(longest_path(digraph, source, target)) - 1
+
+
+@pytest.mark.parametrize("digraph", SEEDED, ids=lambda d: f"n{len(d.vertices)}a{d.arc_count()}")
+def test_memoised_answers_equal_uncached(digraph):
+    pairs = [(u, v) for u in digraph.vertices for v in digraph.vertices if u != v]
+    expected = {pair: uncached_longest(digraph, *pair) for pair in pairs}
+    for _ in range(2):  # cold, then served from the memo
+        assert diameter(digraph) == max(expected.values())
+        for pair, length in expected.items():
+            assert longest_path_length(digraph, *pair) == length
+        assert feedback_vertex_set(digraph) == minimum_feedback_vertex_set(digraph)
+        assert feedback_vertex_set(digraph, exact_limit=2) == greedy_feedback_vertex_set(digraph)
+        assert diameter(digraph, exact_limit=2) == len(digraph.vertices) - 1
+
+
+def test_vertex_order_is_part_of_the_key():
+    forward = Digraph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
+    shuffled = Digraph(["b", "a", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
+    assert forward == shuffled  # equal as digraphs, distinct as memo keys
+    assert forward.topology_key() != shuffled.topology_key()
+    assert feedback_vertex_set(forward) == {"a"}
+    assert feedback_vertex_set(shuffled) == {"b"}
+    assert feedback_vertex_set(forward) == {"a"}
+    assert topology_memo(forward) is not topology_memo(shuffled)
+
+
+def test_mutating_a_returned_fvs_does_not_poison_the_memo():
+    digraph = SEEDED[4]
+    first = feedback_vertex_set(digraph)
+    expected = set(first)
+    first.clear()
+    first.add("nobody")
+    assert feedback_vertex_set(digraph) == expected
+    greedy = feedback_vertex_set(digraph, exact_limit=1)
+    greedy_expected = set(greedy)
+    greedy.add("nobody")
+    assert feedback_vertex_set(digraph, exact_limit=1) == greedy_expected
+
+
+def test_unreachable_pair_raises_from_cold_and_warm_memo():
+    digraph = not_strongly_connected_example()
+    for _ in range(2):
+        with pytest.raises(DigraphError, match="not reachable"):
+            longest_path_length(digraph, "Y0", "X0")
+        with pytest.raises(DigraphError, match="not reachable"):
+            paths._longest_exact(digraph, "Y0", "X0")
+    assert longest_path_length(digraph, "X1", "Y1") == 3
+
+
+def test_memo_never_grows_past_its_bound():
+    keep = cycle_digraph(3, prefix="keep")
+    diameter(keep)
+    for i in range(TOPOLOGY_MEMO_LIMIT + 40):
+        digraph = cycle_digraph(3, prefix=f"bound{i}-")
+        assert diameter(digraph) == 2
+        feedback_vertex_set(digraph)
+        assert len(paths._MEMO) <= TOPOLOGY_MEMO_LIMIT
+        if i % 16 == 0:
+            diameter(keep)  # recently used entries survive eviction
+    assert keep.topology_key() in paths._MEMO
+    assert len(paths._MEMO) == TOPOLOGY_MEMO_LIMIT
+
+
+def test_topology_key_is_injective_over_awkward_names():
+    tricky = [
+        Digraph(["a", "b"], [("a", "b"), ("b", "a")]),
+        Digraph(["a'", "b"], [("a'", "b"), ("b", "a'")]),
+        Digraph(["a)0>1;", "b"], [("a)0>1;", "b"), ("b", "a)0>1;")]),
+        Digraph(["a", "b", "0>1;"], [("a", "b"), ("b", "a")]),
+        Digraph(["a", "b"], [("b", "a"), ("a", "b")]),
+    ]
+    assert len({d.topology_key() for d in tricky}) == len(tricky)
+    rebuilt = Digraph(list(tricky[2].vertices), list(tricky[2].arcs))
+    assert rebuilt.topology_key() == tricky[2].topology_key()
+
+
+def test_concurrent_callers_under_constant_eviction():
+    """More threads than cores hammer the memo with more topologies than
+    it holds, so lookups, inserts and evictions interleave."""
+    graphs = [cycle_digraph(3 + i % 4, prefix=f"race{i}-") for i in range(TOPOLOGY_MEMO_LIMIT + 64)]
+    errors: list[BaseException] = []
+
+    def hammer(offset: int) -> None:
+        try:
+            for i in range(len(graphs)):
+                digraph = graphs[(i * 7 + offset) % len(graphs)]
+                n = len(digraph.vertices)
+                assert diameter(digraph) == n - 1
+                assert longest_path_length(digraph, digraph.vertices[0], digraph.vertices[-1]) == n - 1
+                assert feedback_vertex_set(digraph) == {digraph.vertices[0]}
+        except BaseException as error:  # noqa: BLE001 - reported below
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=hammer, args=(k,)) for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors[:3]
+    assert len(paths._MEMO) <= TOPOLOGY_MEMO_LIMIT
