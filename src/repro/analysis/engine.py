@@ -29,9 +29,12 @@ diverged from):
     independent of tick values (no timestamps inside payloads), and
     every registered signature scheme has a fixed ``signature_size``,
     so placeholder signatures of the right length reproduce the exact
-    canonical-encoding byte counts.  Stored bytes add one
-    80-byte block header per record (the ledger seals one record per
-    block).
+    canonical-encoding byte counts.  Secrets and placeholder
+    signatures enter the payloads already wrapped by
+    :func:`~repro.chain.ledger.bytes_marker`, which the ledger encodes
+    byte-identically to the raw ``bytes`` (the format stays the
+    ledger's).  Stored bytes add one 80-byte block header per record
+    (the ledger seals one record per block).
 
 ``events_fired``
     A census of the conforming schedule: ``|V|`` party starts,
@@ -60,6 +63,7 @@ hashing so warm stores stay warm).
 from __future__ import annotations
 
 import heapq
+import itertools
 import time
 from collections import OrderedDict
 from dataclasses import replace
@@ -67,13 +71,18 @@ from typing import Any
 
 from repro.analysis.outcomes import Outcome
 from repro.analysis.predict import Prediction, resolve_leaders
-from repro.analysis.protocol import COVERAGE_FULL, ScenarioAnalysis, analyze_scenario
+from repro.analysis.protocol import (
+    COVERAGE_FULL,
+    ScenarioAnalysis,
+    analyze_scenario,
+    coverage_ceiling,
+)
 from repro.api.engine import Engine, get_engine, register_engine
 from repro.api.execution import Execution, PreparedSimulation
 from repro.api.report import RunReport
-from repro.api.scenario import Scenario, canonical_json
+from repro.api.scenario import Scenario
 from repro.chain.assets import Asset
-from repro.chain.ledger import _BLOCK_HEADER_BYTES, canonical_encode
+from repro.chain.ledger import _BLOCK_HEADER_BYTES, bytes_marker, canonical_encoded_total
 from repro.chain.network import chain_id_for_arc
 from repro.core.contract import SwapContract
 from repro.core.spec import SwapSpec
@@ -107,12 +116,15 @@ def fast_path_eligible(analysis: ScenarioAnalysis) -> bool:
 
 
 def analyze_for_fast_path(scenario: Scenario, engine: str) -> ScenarioAnalysis | None:
-    """The analysis gating the fast path, or ``None`` when ``engine``
-    is not the one the closed form reproduces (non-``herlihy`` engines
-    always simulate — cheaper than analyzing what we cannot use).
+    """The analysis gating the fast path, or ``None`` when the closed
+    form can never answer: ``engine`` is not the one it reproduces
+    (non-``herlihy`` engines always simulate), or the scenario's run
+    model is outside it (:func:`~repro.analysis.protocol.coverage_ceiling`
+    below ``full``: non-default timing, strategies, crashes, broadcast).
+    Both are cheaper to test than analyzing what we cannot use.
 
-    Memoized by scenario *shape* (see :func:`_shape_key`), so a seed
-    grid over one topology analyzes once.  Callers must treat the
+    Memoized by scenario *shape* (:meth:`Scenario.shape_text`), so a
+    seed grid over one topology analyzes once.  Callers must treat the
     result as shape-level: use it for eligibility, and — only when
     coverage is full — its prediction, which is seed-independent by the
     same argument the report memo rests on.  Per-scenario diagnostics
@@ -120,7 +132,9 @@ def analyze_for_fast_path(scenario: Scenario, engine: str) -> ScenarioAnalysis |
     """
     if engine not in (FALLBACK_ENGINE, AnalyticEngine.name):
         return None
-    key = _shape_key(scenario)
+    if coverage_ceiling(scenario, FALLBACK_ENGINE) != COVERAGE_FULL:
+        return None
+    key = scenario.shape_text()
     analysis = _lru_get(_ANALYSES, key)
     if analysis is None:
         analysis = analyze_scenario(scenario, engine=FALLBACK_ENGINE)
@@ -147,13 +161,6 @@ def analyze_for_fast_path(scenario: Scenario, engine: str) -> ScenarioAnalysis |
 _MEMO_LIMIT = 256
 _ANALYSES: OrderedDict[str, ScenarioAnalysis] = OrderedDict()
 _TEMPLATES: OrderedDict[str, RunReport] = OrderedDict()
-
-
-def _shape_key(scenario: Scenario) -> str:
-    """The scenario's canonical content with the seed masked out."""
-    data = scenario.canonical_dict()
-    data.pop("seed", None)
-    return canonical_json(data)
 
 
 def _lru_get(memo: OrderedDict[str, Any], key: str) -> Any | None:
@@ -213,15 +220,18 @@ def _phase_schedule(
     nlock = len(leaders)
     diam, slack = prediction.diam, scenario.timeout_slack
 
-    def lag(u: Vertex, v: Vertex) -> int:
-        return scenario.chain_delays.get(f"{u}->{v}", 0)
+    # Contract and unlock observations on an arc's chain land one
+    # reaction plus that chain's extra lag later.
+    latency = {
+        arc: reaction + scenario.chain_delays.get(f"{arc[0]}->{arc[1]}", 0)
+        for arc in digraph.arcs
+    }
+    heap: list[tuple[Any, ...]] = []
+    order = itertools.count()
 
-    heap: list[tuple[int, int]] = []
-    actions: list[Any] = []
-
-    def at(when: int, fn: Any) -> None:
-        heapq.heappush(heap, (when, len(actions)))
-        actions.append(fn)
+    def at(when: int, fn: Any, *args: Any) -> None:
+        # (when, insertion order) is unique, so fn is never compared.
+        heapq.heappush(heap, (when, next(order), fn, args))
 
     entering = {v: digraph.in_arcs(v) for v in digraph.vertices}
     leaving = {v: digraph.out_arcs(v) for v in digraph.vertices}
@@ -239,9 +249,7 @@ def _phase_schedule(
             return
         published.add(v)
         for arc in leaving[v]:
-            tail = arc[1]
-            at(now + reaction + lag(*arc),
-               lambda t, w=tail, a=arc: observe_contract(w, a, t))
+            at(now + latency[arc], observe_contract, arc[1], arc)
 
     def observe_contract(v: Vertex, arc: Arc, now: int) -> None:
         if arc in seen[v]:
@@ -256,7 +264,7 @@ def _phase_schedule(
             if v in lead:
                 begin_phase_two(v, now)
             elif v not in published:
-                at(now + action, lambda t, w=v: publish_outgoing(w, t))
+                at(now + action, publish_outgoing, v)
 
     def begin_phase_two(v: Vertex, now: int) -> None:
         i = lock_of[v]
@@ -267,7 +275,7 @@ def _phase_schedule(
     def schedule_unlock(v: Vertex, arc: Arc, i: int, now: int) -> None:
         if arc not in seen[v] or i in unlocked[arc]:
             return
-        at(now + action, lambda t, w=v, a=arc, li=i: send_unlock(w, a, li, t))
+        at(now + action, send_unlock, v, arc, i)
 
     def send_unlock(v: Vertex, arc: Arc, i: int, now: int) -> None:
         if i in unlocked[arc]:
@@ -285,9 +293,7 @@ def _phase_schedule(
             )
         unlocked[arc].add(i)
         schedule[arc].append((i, path, now))
-        head = arc[0]
-        at(now + reaction + lag(*arc),
-           lambda t, w=head, li=i, p=path: observe_unlock(w, li, p, t))
+        at(now + latency[arc], observe_unlock, arc[0], i, path)
 
     def observe_unlock(w: Vertex, i: int, path: tuple[Vertex, ...], now: int) -> None:
         if i in known[w] or w in path:
@@ -298,11 +304,10 @@ def _phase_schedule(
 
     for v in digraph.vertices:
         if v in lead:
-            at(start, lambda t, w=v: publish_outgoing(w, t))
+            at(start, publish_outgoing, v)
     while heap:
-        when, index = heapq.heappop(heap)
-        actions[index](when)
-        actions[index] = None  # free the closure
+        when, _, fn, args = heapq.heappop(heap)
+        fn(*args, when)
 
     if any(len(schedule[arc]) != nlock for arc in digraph.arcs):
         raise AnalysisError(
@@ -333,7 +338,7 @@ def synthesize_report(scenario: Scenario, prediction: Prediction) -> RunReport:
     notes above).  Always returns a fresh top-level object (private
     ``extra``/``outcomes``), so callers may stamp and mutate freely.
     """
-    key = _shape_key(scenario)
+    key = scenario.shape_text()
     template = _lru_get(_TEMPLATES, key)
     if template is None:
         template = _synthesize(scenario, prediction)
@@ -354,31 +359,31 @@ def _synthesize(scenario: Scenario, prediction: Prediction) -> RunReport:
     nlock = len(leaders)
     action = ticks(scenario.delta, scenario.action_fraction)
     scheme = get_scheme(scenario.scheme_name)
-    placeholder_sig = b"\x00" * scheme.signature_size
+    # Secrets and signatures go into the payloads pre-marked, so the
+    # encoder never calls back into Python for them.
+    placeholder_sig = bytes_marker(b"\x00" * scheme.signature_size)
 
-    secrets = {
-        leader: derive_secret("secret", scenario.seed, leader) for leader in leaders
-    }
+    secrets = [derive_secret("secret", scenario.seed, leader) for leader in leaders]
+    marked_secrets = [bytes_marker(secret) for secret in secrets]
     spec = SwapSpec(
         digraph=digraph,
         leaders=leaders,
-        hashlocks=tuple(hash_secret(secrets[leader]) for leader in leaders),
+        hashlocks=tuple(hash_secret(secret) for secret in secrets),
         start_time=prediction.start_time,
         delta=scenario.delta,
         diam=prediction.diam,
         timeout_slack=scenario.timeout_slack,
     )
     unlock_schedule = _phase_schedule(scenario, digraph, leaders, prediction)
+    final_timeouts = {
+        arc: [spec.lock_final_timeout(arc, i) for i in range(nlock)]
+        for arc in digraph.arcs
+    }
 
-    published_bytes = 0
-    record_count = 0
+    records: list[dict[str, Any]] = []
 
     def append(kind: str, author: str, payload: dict[str, Any]) -> None:
-        nonlocal published_bytes, record_count
-        published_bytes += len(
-            canonical_encode({"kind": kind, "author": author, "payload": payload})
-        )
-        record_count += 1
+        records.append({"kind": kind, "author": author, "payload": payload})
 
     refund_watches = 0
     escrow_milestones: list[Milestone] = []
@@ -417,7 +422,7 @@ def _synthesize(scenario: Scenario, prediction: Prediction) -> RunReport:
                     "method": "unlock",
                     "args": {
                         "lock_index": i,
-                        "secret": secrets[leaders[i]],
+                        "secret": marked_secrets[i],
                         "path": list(path),
                         "sig_layers": [placeholder_sig] * len(path),
                     },
@@ -444,9 +449,9 @@ def _synthesize(scenario: Scenario, prediction: Prediction) -> RunReport:
             contract_id,
             {"asset_id": asset_id, "from": contract_id, "to": v},
         )
-        refund_watches += len(
-            {spec.lock_final_timeout(arc, i) for i in range(nlock)}
-        )
+        refund_watches += len(set(final_timeouts[arc]))
+
+    published_bytes = canonical_encoded_total(records)
 
     # Event census of the conforming schedule (see the module docstring).
     vertex_count = len(digraph.vertices)
@@ -460,14 +465,7 @@ def _synthesize(scenario: Scenario, prediction: Prediction) -> RunReport:
         + refund_watches
     )
 
-    settled_time = (
-        max(
-            spec.lock_final_timeout(arc, i)
-            for arc in digraph.arcs
-            for i in range(nlock)
-        )
-        + action
-    )
+    settled_time = max(max(row) for row in final_timeouts.values()) + action
     milestones: list[Milestone] = [
         Milestone(index=0, time=prediction.start_time, kind=PHASE1_START)
     ]
@@ -502,7 +500,7 @@ def _synthesize(scenario: Scenario, prediction: Prediction) -> RunReport:
         completion_time=prediction.completion_time,
         phase_two_bound=prediction.phase_two_bound,
         events_fired=events_fired,
-        stored_bytes=published_bytes + _BLOCK_HEADER_BYTES * record_count,
+        stored_bytes=published_bytes + _BLOCK_HEADER_BYTES * len(records),
         contract_storage_bytes=prediction.contract_storage_bytes,
         published_bytes=published_bytes,
         unlock_calls=prediction.unlock_calls,
@@ -543,8 +541,7 @@ class AnalyticEngine(Engine):
     def run(self, scenario: Scenario) -> RunReport:
         started = time.perf_counter()
         analysis = analyze_for_fast_path(scenario, FALLBACK_ENGINE)
-        assert analysis is not None
-        if fast_path_eligible(analysis):
+        if analysis is not None and fast_path_eligible(analysis):
             assert analysis.prediction is not None
             try:
                 report = synthesize_report(scenario, analysis.prediction)

@@ -109,6 +109,33 @@ def _engine_diagnostics(scenario: Scenario, engine: str) -> tuple[Diagnostic, ..
     return ()
 
 
+def coverage_ceiling(scenario: Scenario, engine: str = "herlihy") -> str:
+    """The best coverage :func:`analyze_scenario` can give ``scenario``.
+
+    A cheap test of the scenario's run model only — no structural
+    checks: :data:`COVERAGE_NONE` when the Fig. 3 model does not describe
+    how ``engine`` runs it (an engine outside :data:`PREDICTABLE_ENGINES`,
+    non-default timing, broadcast, deviating strategies, or a crash at a
+    fixed time), :data:`COVERAGE_VERDICT` when every crash halts at a
+    protocol milestone, else :data:`COVERAGE_FULL`.  The analysis itself
+    may still come out lower (invalid structure, infeasible deadlines),
+    never higher.
+    """
+    if (
+        engine not in PREDICTABLE_ENGINES
+        or not is_default_timing(scenario.timing)
+        or scenario.use_broadcast
+        or scenario.strategies
+    ):
+        return COVERAGE_NONE
+    crashes = scenario.faults.crashes.values()
+    if not crashes:
+        return COVERAGE_FULL
+    if all(crash.at_point is not None and crash.at_time is None for crash in crashes):
+        return COVERAGE_VERDICT
+    return COVERAGE_NONE
+
+
 def analyze_scenario(scenario: Scenario, engine: str = "herlihy") -> ScenarioAnalysis:
     """Statically analyze ``scenario`` as ``engine`` would run it.
 
@@ -126,18 +153,8 @@ def analyze_scenario(scenario: Scenario, engine: str = "herlihy") -> ScenarioAna
             diagnostics=tuple(diagnostics),
             prediction=None,
         )
-    crashes = scenario.faults.crashes
-    phase_crash_only = bool(crashes) and all(
-        crash.at_point is not None and crash.at_time is None
-        for crash in crashes.values()
-    )
-    supported = (
-        engine in PREDICTABLE_ENGINES
-        and is_default_timing(scenario.timing)
-        and not scenario.use_broadcast
-        and not scenario.strategies
-    )
-    if not supported or (crashes and not phase_crash_only):
+    ceiling = coverage_ceiling(scenario, engine)
+    if ceiling == COVERAGE_NONE:
         return ScenarioAnalysis(
             engine=engine,
             coverage=COVERAGE_NONE,
@@ -145,7 +162,7 @@ def analyze_scenario(scenario: Scenario, engine: str = "herlihy") -> ScenarioAna
             diagnostics=tuple(diagnostics),
             prediction=None,
         )
-    if phase_crash_only:
+    if ceiling == COVERAGE_VERDICT:
         # A party that halts at a protocol milestone can never end Deal,
         # so the all-Deal verdict is decidable even though event times
         # depend on which milestone the victim dies at.

@@ -381,6 +381,22 @@ class Scenario:
             object.__setattr__(self, "_canonical_text", cached)
         return cached
 
+    def shape_text(self) -> str:
+        """:meth:`canonical_text` with the seed masked out, cached the same way.
+
+        The key of the analytic engine's shape memo
+        (:mod:`repro.analysis.engine`): the seed only varies the leader
+        secrets, so every seed of one shape shares its analysis and
+        report template.
+        """
+        cached: str | None = getattr(self, "_shape_text", None)
+        if cached is None:
+            data = self.canonical_dict()
+            data.pop("seed", None)
+            cached = canonical_json(data)
+            object.__setattr__(self, "_shape_text", cached)
+        return cached
+
     def content_hash(self) -> str:
         """A stable SHA-256 hex digest of :meth:`canonical_dict`.
 

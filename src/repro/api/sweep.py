@@ -169,17 +169,33 @@ def smoke_sweep() -> Sweep:
 # ---------------------------------------------------------------------------
 
 
-def synthesize_entry(engine_name: str, scenario: Scenario) -> dict | None:
-    """A closed-form store entry for a fully covered scenario, or
-    ``None`` when the analyzer cannot certify it or the replay refuses
-    (the caller simulates, as :class:`~repro.analysis.engine.AnalyticEngine`
-    does).
+def store_entry(report: RunReport, path: str | None = None) -> dict:
+    """The store entry for a report an engine or the closed form just
+    produced: ``{"ok": True, "report": ..., "milestones": ...}``.
 
-    This is the fast path :func:`run_sweep` and the fleet worker share:
-    the synthesized report carries the ``extra["path"] = "analytic"``
-    provenance stamp and its milestone counts ride beside the report,
-    exactly as an executed entry's would.
+    :func:`run_sweep`, the fleet worker and the swap service all make
+    their fresh entries here.  ``path`` stamps ``extra["path"]``
+    provenance unless the report already carries one.  Milestones ride
+    *beside* the report, not inside it: the report dict stays
+    byte-identical to releases that predate milestones while the store
+    still learns the lifecycle shape of every fresh run; a report with
+    no milestone sequence (one that crossed a process boundary) gets no
+    ``milestones`` key.
     """
+    if path is not None:
+        report.extra.setdefault("path", path)
+    entry = {"ok": True, "report": report.to_dict()}
+    counts = report.milestone_counts()
+    if counts is not None:
+        entry["milestones"] = counts
+    return entry
+
+
+def synthesize_run(engine_name: str, scenario: Scenario) -> RunReport | None:
+    """The closed-form report for a fully covered scenario, stamped
+    ``extra["path"] = "analytic"``, or ``None`` when the analyzer cannot
+    certify it or the replay refuses (the caller simulates, as
+    :class:`~repro.analysis.engine.AnalyticEngine` does)."""
     from repro.analysis.engine import (
         PATH_ANALYTIC,
         PATH_KEY,
@@ -200,11 +216,14 @@ def synthesize_entry(engine_name: str, scenario: Scenario) -> dict | None:
         return None
     report.wall_seconds = time.perf_counter() - item_start
     report.extra[PATH_KEY] = PATH_ANALYTIC
-    return {
-        "ok": True,
-        "report": report.to_dict(),
-        "milestones": report.milestone_counts(),
-    }
+    return report
+
+
+def synthesize_entry(engine_name: str, scenario: Scenario) -> dict | None:
+    """:func:`synthesize_run` as a store entry (the fleet worker's fast
+    path, through :func:`execute_payload`), or ``None``."""
+    report = synthesize_run(engine_name, scenario)
+    return None if report is None else store_entry(report)
 
 
 def execute_payload(payload: tuple[str, dict], fast_path: bool = False) -> dict:
@@ -244,16 +263,7 @@ def execute_payload(payload: tuple[str, dict], fast_path: bool = False) -> dict:
             "error_type": type(error).__name__,
             "message": str(error),
         }
-    entry = {"ok": True, "report": report.to_dict()}
-    if fast_path:
-        entry["report"].setdefault("extra", {}).setdefault("path", "simulated")
-    counts = report.milestone_counts()
-    if counts is not None:
-        # Milestones ride *beside* the report, not inside it: the report
-        # dict stays byte-identical to pre-session releases while the
-        # store still learns the lifecycle shape of every fresh run.
-        entry["milestones"] = counts
-    return entry
+    return store_entry(report, "simulated" if fast_path else None)
 
 
 def _run_payload(payload: tuple[str, dict]) -> dict:
@@ -539,6 +549,8 @@ def run_sweep(
             flush()
 
     analytic_total = 0
+    # Reports synthesized in this process, handed to _assemble as is.
+    inline: dict[int, RunReport] = {}
     if fast_path and pending:
         # Partition the residue by analyzer eligibility before chunking:
         # fully-covered scenarios are answered in closed form right here
@@ -547,11 +559,12 @@ def run_sweep(
         synthesized: list[int] = []
         for index in pending:
             engine_name, scenario = items[index]
-            entry = synthesize_entry(engine_name, scenario)
-            if entry is None:
+            report = synthesize_run(engine_name, scenario)
+            if report is None:
                 residue.append(index)
                 continue
-            record(index, entry)
+            record(index, store_entry(report))
+            inline[index] = report
             synthesized.append(index)
         if synthesized:
             flush_store()
@@ -616,7 +629,7 @@ def run_sweep(
         mode = "analytic"
 
     return _assemble(
-        entries, start, mode, workers,
+        entries, start, mode, workers, inline,
         executed=len(pending), cached=cached_total, analytic=analytic_total,
     )
 
@@ -626,15 +639,25 @@ def _assemble(
     start: float,
     mode: str,
     workers: int,
+    inline: dict[int, RunReport],
     executed: int = 0,
     cached: int = 0,
     analytic: int = 0,
 ) -> SweepReport:
+    """The :class:`SweepReport` over every entry, in sweep order.
+
+    Entries from the store or a worker process are decoded; the
+    reports in ``inline`` (synthesized here, already equal to their
+    entries' decoding) are used as they are.
+    """
     reports: list[RunReport] = []
     failures: list[FailedRun] = []
-    for entry in dicts:
+    for index, entry in enumerate(dicts):
         if entry["ok"]:
-            reports.append(RunReport.from_dict(entry["report"]))
+            report = inline.get(index)
+            if report is None:
+                report = RunReport.from_dict(entry["report"])
+            reports.append(report)
         else:
             failures.append(
                 FailedRun(

@@ -25,9 +25,19 @@ GENESIS_HASH = bytes(32)
 _BLOCK_HEADER_BYTES = 8 + 8 + 32 + 32  # index, timestamp, prev_hash, hash
 
 
+def bytes_marker(value: bytes | bytearray) -> dict[str, str]:
+    """The JSON form :func:`canonical_encode` gives a ``bytes`` value.
+
+    A payload may carry this marker in place of the raw bytes and
+    encodes to the same bytes, without the encoder's ``default=`` hook
+    firing for it.
+    """
+    return {"__bytes__": value.hex()}
+
+
 def _encode_bytes(value: object) -> dict[str, str]:
     if isinstance(value, (bytes, bytearray)):
-        return {"__bytes__": value.hex()}
+        return bytes_marker(value)
     raise LedgerError(f"cannot encode {type(value).__name__} in a ledger record")
 
 
@@ -45,9 +55,25 @@ def canonical_encode(payload: dict) -> bytes:
     as ``{"__bytes__": "<hex>"}``; a payload dict that itself holds
     exactly that one key and a hex string encodes to the same bytes, so
     the marker is only injective over the shapes the library produces.
-    Any other unsupported value raises :class:`LedgerError`.
+    That same equality lets a caller pre-mark values with
+    :func:`bytes_marker` (the analytic transcript synthesis does) and
+    skip the per-value ``default=`` call; the ledger stays the one owner
+    of the format.  Any other unsupported value raises
+    :class:`LedgerError`.
     """
     return _ENCODER.encode(payload).encode()
+
+
+def canonical_encoded_total(payloads: list[dict]) -> int:
+    """``sum(len(canonical_encode(p)) for p in payloads)``, in one pass.
+
+    The compact encoding of a list is its items' encodings joined by
+    ``,`` inside ``[`` ``]``, and the output is ASCII, so the sum is the
+    list's encoded length less those ``len(payloads) + 1`` bytes.
+    """
+    if not payloads:
+        return 0
+    return len(_ENCODER.encode(payloads)) - len(payloads) - 1
 
 
 @dataclass(frozen=True)

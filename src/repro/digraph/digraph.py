@@ -23,7 +23,10 @@ Arc = tuple[Vertex, Vertex]
 class Digraph:
     """An immutable simple digraph with deterministic iteration order."""
 
-    __slots__ = ("_vertices", "_arcs", "_out", "_in", "_arc_set", "_hash", "_topology_key")
+    __slots__ = (
+        "_vertices", "_arcs", "_out", "_in", "_arc_set", "_hash", "_topology_key",
+        "_encoded_size",
+    )
 
     def __init__(self, vertices: Iterable[Vertex], arcs: Iterable[Arc]) -> None:
         vertex_list: list[Vertex] = []
@@ -66,6 +69,7 @@ class Digraph:
         self._in = {v: tuple(ws) for v, ws in in_.items()}
         self._hash: int | None = None
         self._topology_key: str | None = None
+        self._encoded_size: int | None = None
 
     # -- basic accessors ----------------------------------------------------
 
@@ -179,8 +183,13 @@ class Digraph:
 
         Theorem 4.10's ``O(|A|^2)`` space bound counts one digraph copy per
         contract; this canonical encoding makes the bound measurable.
+        Computed once: every contract published on this digraph asks.
         """
-        return len(json.dumps(self.to_dict(), separators=(",", ":")).encode())
+        if self._encoded_size is None:
+            self._encoded_size = len(
+                json.dumps(self.to_dict(), separators=(",", ":")).encode()
+            )
+        return self._encoded_size
 
     def topology_key(self) -> str:
         """The ordered vertex and arc lists as one short string, computed once.

@@ -20,7 +20,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from repro.digraph.digraph import Digraph, Vertex
-from repro.digraph.paths import is_acyclic, topology_memo
+from repro.digraph.paths import is_acyclic, out_masks, topology_memo
 from repro.errors import DigraphError, NotFeedbackVertexSetError
 
 EXACT_FVS_LIMIT = 14
@@ -50,8 +50,15 @@ def minimum_feedback_vertex_set(
 ) -> set[Vertex]:
     """An exact minimum FVS by exhaustive search over subset sizes.
 
-    Exponential in ``|V|``; raises :class:`DigraphError` when the digraph
-    exceeds ``exact_limit`` vertices (use the greedy heuristic there).
+    Candidates are tried smallest first and, within a size, in
+    ``combinations`` order over vertex positions, so the answer is the
+    first minimum subset in vertex order.  Each candidate is tested on
+    position bitmasks (:func:`~repro.digraph.paths.out_masks`): the
+    vertices left after removing it are acyclic iff repeatedly peeling
+    off every vertex without an out-neighbour among them empties them.
+    Exponential in ``|V|``; raises :class:`DigraphError` when the
+    digraph exceeds ``exact_limit`` vertices (use the greedy heuristic
+    there).
     """
     vertices = digraph.vertices
     if len(vertices) > exact_limit:
@@ -59,13 +66,30 @@ def minimum_feedback_vertex_set(
             f"exact minimum FVS limited to {exact_limit} vertices "
             f"(got {len(vertices)}); use greedy_feedback_vertex_set"
         )
-    if is_acyclic(digraph):
-        return set()
-    for size in range(1, len(vertices) + 1):
-        for subset in combinations(vertices, size):
-            if is_feedback_vertex_set(digraph, set(subset)):
-                return set(subset)
+    masks = out_masks(digraph)
+    everyone = (1 << len(vertices)) - 1
+    for size in range(len(vertices) + 1):
+        for subset in combinations(range(len(vertices)), size):
+            if _acyclic_within(masks, everyone ^ sum(1 << i for i in subset)):
+                return {vertices[i] for i in subset}
     raise AssertionError("unreachable: V(D) itself is always an FVS")
+
+
+def _acyclic_within(masks: list[int], keep: int) -> bool:
+    """True iff the subdigraph induced by the positions in ``keep`` has
+    no cycle: peel off its sinks until nothing or only cycles remain."""
+    while keep:
+        sinks = 0
+        rest = keep
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            if not masks[bit.bit_length() - 1] & keep:
+                sinks |= bit
+        if not sinks:
+            return False
+        keep ^= sinks
+    return True
 
 
 def greedy_feedback_vertex_set(digraph: Digraph) -> set[Vertex]:

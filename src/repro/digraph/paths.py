@@ -3,10 +3,17 @@
 The paper's ``D(u, v)`` is the length of the *longest* (simple) path from
 ``u`` to ``v``, and ``diam(D)`` the longest path between any ordered pair.
 Longest simple path is NP-hard in general; swap digraphs are small, so we
-compute it exactly with a memoised subset DP up to a configurable size and
-fall back to the safe upper bound ``|V| - 1`` beyond it.  Timeouts derived
-from an upper bound remain safe and live — they only lengthen deadlines —
-which is why the fallback is acceptable (DESIGN.md §2).
+compute it exactly up to a configurable size and fall back to the safe
+upper bound ``|V| - 1`` beyond it.  Timeouts derived from an upper bound
+remain safe and live — they only lengthen deadlines — which is why the
+fallback is acceptable (DESIGN.md §2).
+
+The exact answer comes a row at a time: one sweep from a source ``u``
+over ``(visited mask, end vertex)`` states, advanced level by level so a
+state's level is its path length, yields ``D(u, v)`` for every ``v`` at
+once.  A ``v`` no state ever ends at is unreachable from ``u``, so on
+the exact branch reachability is read from the same row and no separate
+search runs; only the ``|V| > exact_limit`` branch keeps a BFS.
 
 Exact answers are also remembered per topology.  Every scenario of a
 sweep rebuilds its digraph, and the harness, the timelock ladder and the
@@ -25,7 +32,7 @@ from __future__ import annotations
 import threading
 from array import array
 from collections import OrderedDict
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.digraph.digraph import Arc, Digraph, Vertex
 from repro.errors import DigraphError
@@ -213,8 +220,9 @@ class TopologyInvariants:
     """The exact invariants of one topology, filled in as they are asked for.
 
     ``longest`` is the row-major ``|V| x |V|`` table of exact ``D(u, v)``
-    in vertex order, allocated on the first exact query: :data:`_UNKNOWN`
-    until searched, :data:`_UNREACHABLE` when no path exists.
+    in vertex order, allocated on the first exact query.  A row is
+    filled whole by one sweep from its source: :data:`_UNKNOWN` until
+    then, :data:`_UNREACHABLE` where no path exists.
     ``fvs_exact``/``fvs_greedy`` are bitmasks over vertex positions of
     :func:`~repro.digraph.feedback.feedback_vertex_set`'s answer on each
     branch; callers get a fresh ``set`` built from them.  Nothing here
@@ -263,97 +271,112 @@ def longest_path_length(
 ) -> int:
     """The paper's ``D(u, v)``: longest simple-path length from ``u`` to ``v``.
 
-    Exact (subset DP, memoised per topology) when ``|V| <= exact_limit``;
-    otherwise the safe upper bound ``|V| - 1``.  Raises
-    :class:`DigraphError` if ``target`` is unreachable from ``source``.
+    Exact (one sweep per source, memoised per topology) when
+    ``|V| <= exact_limit``; otherwise the safe upper bound ``|V| - 1``.
+    Raises :class:`DigraphError` if ``target`` is unreachable from
+    ``source``.
     """
     if not digraph.has_vertex(source) or not digraph.has_vertex(target):
         raise DigraphError("unknown vertex")
     if source == target:
         return 0
-    if shortest_path_length(digraph, source, target) is None:
-        raise DigraphError(f"{target!r} is not reachable from {source!r}")
-    if len(digraph.vertices) > exact_limit:
-        return len(digraph.vertices) - 1
+    vertices = digraph.vertices
+    if len(vertices) > exact_limit:
+        if shortest_path_length(digraph, source, target) is None:
+            raise DigraphError(f"{target!r} is not reachable from {source!r}")
+        return len(vertices) - 1
     return _longest_exact(digraph, source, target)
 
 
 def _longest_exact(digraph: Digraph, source: Vertex, target: Vertex) -> int:
-    """Exact ``D(source, target)`` for ``source != target``, memoised."""
+    """Exact ``D(source, target)`` for ``source != target``, from the
+    memoised table; unreachability is read from the same row."""
     vertices = digraph.vertices
-    entry = topology_memo(digraph)
-    table = entry.longest
-    if table is None:
-        table = entry.longest = array("h", [_UNKNOWN]) * (len(vertices) * len(vertices))
-    slot = vertices.index(source) * len(vertices) + vertices.index(target)
-    length = table[slot]
-    if length == _UNKNOWN:
-        length = table[slot] = _search_longest(digraph, source, target)
+    row = vertices.index(source)
+    length = _longest_table(digraph, (row,))[row * len(vertices) + vertices.index(target)]
     if length == _UNREACHABLE:
         raise DigraphError(f"{target!r} is not reachable from {source!r}")
     return length
 
 
-def _search_longest(digraph: Digraph, source: Vertex, target: Vertex) -> int:
-    """The subset DP behind :func:`_longest_exact`; :data:`_UNREACHABLE`
-    when ``target`` cannot be reached."""
+def out_masks(digraph: Digraph) -> list[int]:
+    """Per vertex position, its out-neighbours as a bitmask over positions."""
     index = {v: i for i, v in enumerate(digraph.vertices)}
-    memo: dict[tuple[Vertex, int], int] = {}
+    masks = [0] * len(index)
+    for u, v in digraph.arcs:
+        masks[index[u]] |= 1 << index[v]
+    return masks
 
-    def best_from(v: Vertex, visited: int) -> int:
-        """Longest path length from ``v`` to ``target`` avoiding ``visited``.
 
-        ``visited`` includes ``v`` itself.  Returns a negative sentinel when
-        ``target`` cannot be reached without revisiting.
-        """
-        if v == target:
-            return 0
-        key = (v, visited)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        best = -(10**9)
-        for w in digraph.out_neighbors(v):
-            bit = 1 << index[w]
-            if visited & bit:
-                continue
-            candidate = best_from(w, visited | bit)
-            if candidate >= 0 and candidate + 1 > best:
-                best = candidate + 1
-        memo[key] = best
-        return best
+def _longest_table(digraph: Digraph, sources: Iterable[int]) -> array[int]:
+    """The memoised ``D(u, v)`` table with the rows of ``sources`` filled."""
+    n = len(digraph.vertices)
+    entry = topology_memo(digraph)
+    table = entry.longest
+    if table is None:
+        table = entry.longest = array("h", [_UNKNOWN]) * (n * n)
+    masks: list[int] | None = None
+    for source in sources:
+        if table[source * n] == _UNKNOWN:
+            if masks is None:
+                masks = out_masks(digraph)
+            table[source * n : (source + 1) * n] = _longest_row(masks, source)
+    return table
 
-    result = best_from(source, 1 << index[source])
-    return result if result >= 0 else _UNREACHABLE
+
+def _longest_row(masks: list[int], source: int) -> array[int]:
+    """``D(source, v)`` for every position ``v``, by one subset sweep.
+
+    Level ``k`` holds every simple path of length ``k`` from ``source``
+    as a ``visited mask -> end vertices`` map (a mask's end set is a
+    bitmask too), so each ``(mask, end)`` state is kept once and the
+    last level that reaches ``v`` is ``D(source, v)``.  The source's own
+    slot is 0; vertices never reached are :data:`_UNREACHABLE`.
+    """
+    row = array("h", [_UNREACHABLE]) * len(masks)
+    row[source] = 0
+    start = 1 << source
+    level: dict[int, int] = {start: start}
+    length = 0
+    while level:
+        length += 1
+        grown: dict[int, int] = {}
+        reached = 0
+        for visited, ends in level.items():
+            while ends:
+                end = ends & -ends
+                ends ^= end
+                step = masks[end.bit_length() - 1] & ~visited
+                reached |= step
+                while step:
+                    bit = step & -step
+                    step ^= bit
+                    key = visited | bit
+                    grown[key] = grown.get(key, 0) | bit
+        while reached:
+            bit = reached & -reached
+            reached ^= bit
+            row[bit.bit_length() - 1] = length
+        level = grown
+    return row
 
 
 def diameter(digraph: Digraph, exact_limit: int = EXACT_LONGEST_PATH_LIMIT) -> int:
     """The paper's ``diam(D)``: the longest path between any ordered pair.
 
-    Exact up to ``exact_limit`` vertices (memoised per topology), else the
-    safe upper bound ``|V| - 1`` (see module docstring).  Requires at
-    least one arc.
+    Exact up to ``exact_limit`` vertices (the maximum of the memoised
+    ``D(u, v)`` table, every row filled), else the safe upper bound
+    ``|V| - 1`` (see module docstring).  Requires at least one arc.
     """
     if digraph.arc_count() == 0:
         raise DigraphError("diameter is undefined for an arcless digraph")
-    if len(digraph.vertices) > exact_limit:
+    n = len(digraph.vertices)
+    if n > exact_limit:
         return diameter_upper_bound(digraph)
     entry = topology_memo(digraph)
     if entry.diameter is None:
-        entry.diameter = _exact_diameter(digraph)
+        entry.diameter = max(_longest_table(digraph, range(n)))
     return entry.diameter
-
-
-def _exact_diameter(digraph: Digraph) -> int:
-    best = 0
-    for source in digraph.vertices:
-        for target in digraph.vertices:
-            if source == target:
-                continue
-            if shortest_path_length(digraph, source, target) is None:
-                continue
-            best = max(best, _longest_exact(digraph, source, target))
-    return best
 
 
 def diameter_upper_bound(digraph: Digraph) -> int:

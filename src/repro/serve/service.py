@@ -42,10 +42,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, AsyncIterator, Mapping
 
+from repro.analysis.engine import PATH_SIMULATED
 from repro.api.engine import get_engine
 from repro.api.scenario import Scenario
-from repro.api.sweep import run_key
-from repro.errors import AdmissionError, AnalysisError, ReproError, ServeError, WireError
+from repro.api.report import RunReport
+from repro.api.sweep import run_key, store_entry, synthesize_run
+from repro.errors import AdmissionError, ReproError, ServeError, WireError
 from repro.lab.store import MemoryStore, RunStore
 from repro.serve.events import TERMINAL_EVENTS, WIRE_SCHEMA, envelope, milestone_to_wire
 
@@ -313,16 +315,11 @@ class SwapService:
         # slot, no worker, no engine.  The entry lands in the store, so
         # every later submission of this key is a plain cache hit.
         if self.config.fast_path:
-            from repro.analysis.engine import analyze_for_fast_path, fast_path_eligible
-
-            analysis = analyze_for_fast_path(scenario, engine_name)
-            if analysis is not None and fast_path_eligible(analysis):
-                job = self._analytic_job(
-                    key, engine_name, scenario, client, analysis, now
-                )
-                if job is not None:
-                    self._counters["analytic"] += 1
-                    return SubmitResult("analytic", key, job, self._queue.qsize())
+            report = synthesize_run(engine_name, scenario)
+            if report is not None:
+                job = self._analytic_job(key, engine_name, scenario, client, report, now)
+                self._counters["analytic"] += 1
+                return SubmitResult("analytic", key, job, self._queue.qsize())
 
         if self._queue.full():
             self._counters["rejected_queue_full"] += 1
@@ -392,30 +389,18 @@ class SwapService:
         engine: str,
         scenario: Scenario,
         client: str,
-        analysis: Any,
+        report: RunReport,
         now: float,
-    ) -> Job | None:
-        """Settle a fully-covered submission from the closed-form path.
+    ) -> Job:
+        """Settle a fully-covered submission from its closed-form report
+        (:func:`~repro.api.sweep.synthesize_run`; when the replay
+        refuses, the caller queues the submission for simulation, as
+        :class:`~repro.analysis.engine.AnalyticEngine` falls back).
 
-        The synthesized report is stored in the standard entry format
-        (stamped ``extra["path"] = "analytic"``), so the run key answers
-        as a warm hit everywhere — ``lab`` sweeps included.  ``None``
-        when the replay refuses: the caller queues the submission for
-        simulation, as :class:`~repro.analysis.engine.AnalyticEngine`
-        falls back."""
-        from repro.analysis.engine import PATH_ANALYTIC, PATH_KEY, synthesize_report
-
-        begun = time.perf_counter()
-        try:
-            report = synthesize_report(scenario, analysis.prediction)
-        except AnalysisError:
-            return None
-        report.wall_seconds = time.perf_counter() - begun
-        report.extra[PATH_KEY] = PATH_ANALYTIC
-        entry: dict[str, Any] = {"ok": True, "report": report.to_dict()}
-        counts = report.milestone_counts()
-        if counts:
-            entry["milestones"] = counts
+        The report is stored in the standard entry format (stamped
+        ``extra["path"] = "analytic"``), so the run key answers as a
+        warm hit everywhere — ``lab`` sweeps included."""
+        entry = store_entry(report)
         self.store.put(key, entry)
         self._flush_store()
         job = Job(
@@ -559,11 +544,8 @@ class SwapService:
                     loop.call_soon_threadsafe(self._publish_milestone, job, wire)
                 if execution.quiesced:
                     report = execution.run_to_completion()
-                    entry: dict[str, Any] = {"ok": True, "report": report.to_dict()}
-                    counts = report.milestone_counts()
-                    if counts:
-                        entry["milestones"] = counts
-                    return entry, "settled"
+                    path = PATH_SIMULATED if self.config.fast_path else None
+                    return store_entry(report, path), "settled"
         except ReproError as error:
             return (
                 {

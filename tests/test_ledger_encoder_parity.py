@@ -10,7 +10,7 @@ import pytest
 from ledger_reference import record_corpus, reference_encode
 
 from repro.api import list_engines
-from repro.chain.ledger import canonical_encode
+from repro.chain.ledger import bytes_marker, canonical_encode, canonical_encoded_total
 from repro.errors import LedgerError
 
 
@@ -53,3 +53,41 @@ def test_bytes_marker_at_depth():
         b'{"a":[{"__bytes__":"00ff"},{"b":{"__bytes__":"10"}}],"c":[{"__bytes__":""}]}'
     )
     assert canonical_encode(payload) == reference_encode(payload)
+
+
+def _premarked(value):
+    """``value`` with every ``bytes``/``bytearray`` replaced by its marker."""
+    if isinstance(value, (bytes, bytearray)):
+        return bytes_marker(value)
+    if isinstance(value, dict):
+        return {k: _premarked(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_premarked(v) for v in value]
+    return value
+
+
+def test_premarked_payloads_encode_identically(corpus):
+    payloads, _ = corpus
+    with_bytes = [p for p in payloads if b"__bytes__" in canonical_encode(p)]
+    assert len(with_bytes) > 100
+    mismatched = [p for p in with_bytes if canonical_encode(_premarked(p)) != canonical_encode(p)]
+    assert not mismatched, mismatched[:3]
+
+
+def test_bytes_marker_matches_raw_bytes():
+    for raw in (b"", b"\x00\xff", bytearray(b"\x10\x20"), bytes(range(256))):
+        payload = {"secret": raw, "sig_layers": [raw, raw], "nested": {"x": (raw,)}}
+        marked = {
+            "secret": bytes_marker(raw),
+            "sig_layers": [bytes_marker(raw)] * 2,
+            "nested": {"x": [bytes_marker(raw)]},
+        }
+        assert canonical_encode(marked) == canonical_encode(payload) == reference_encode(payload)
+
+
+def test_encoded_total_is_the_sum_of_encodings(corpus):
+    payloads, _ = corpus
+    assert canonical_encoded_total(payloads) == sum(len(canonical_encode(p)) for p in payloads)
+    for size in (0, 1, 2, 7):
+        chunk = payloads[:size]
+        assert canonical_encoded_total(chunk) == sum(len(canonical_encode(p)) for p in chunk)
