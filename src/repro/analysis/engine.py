@@ -6,12 +6,16 @@ report is already known in closed form: :mod:`repro.analysis.predict`
 computes the Fig. 3 end states, the §4 deadline ladder, completion
 time, unlock-call counts, and the Theorem 4.10 contract bytes, and
 :mod:`repro.analysis.protocol` defines exactly which scenarios that
-model covers (``coverage="full"``).  This module closes the loop: the
-``analytic`` engine *synthesizes* the simulator's ``RunReport`` —
-byte-identical ``to_dict()`` output, same run keys — without firing a
-single scheduler event, and falls back transparently to the real
+model covers (``coverage="full"``).  This module closes the loop: it
+*synthesizes* the simulator's ``RunReport`` — byte-identical
+``to_dict()`` output, same run keys — without firing a single scheduler
+event, and falls back to the real
 :class:`~repro.sim.harness.SimulationHarness` whenever the analyzer
-cannot certify the scenario (``coverage="verdict"``/``"none"``).
+cannot certify the scenario (``coverage="verdict"``/``"none"``) or the
+replay refuses.  That decision is written once, in
+:func:`resolve_report` (with :func:`synthesize_run` as its closed-form
+half): the ``analytic`` engine, sweeps, the fleet worker, the swap
+service and ``lab check --verify --fast-path`` all call it.
 
 Three report fields are not in :class:`~repro.analysis.predict.
 Prediction` and are reconstructed here by **transcript synthesis** —
@@ -327,7 +331,7 @@ def synthesize_report(scenario: Scenario, prediction: Prediction) -> RunReport:
 
     Precondition: ``analyze_scenario(scenario)`` returned
     ``coverage="full"`` with this ``prediction`` attached (the caller's
-    responsibility — :meth:`AnalyticEngine.run` checks it).  The result
+    responsibility — :func:`synthesize_run` checks it).  The result
     carries ``engine="herlihy"`` — the engine whose run it reproduces —
     so run keys and serialized bytes match the simulated report;
     ``wall_seconds`` is left at ``0.0`` for the caller to stamp.
@@ -511,17 +515,62 @@ def _synthesize(scenario: Scenario, prediction: Prediction) -> RunReport:
 
 
 # ---------------------------------------------------------------------------
+# the resolution policy: closed form if certified, else simulate
+# ---------------------------------------------------------------------------
+
+
+def synthesize_run(engine_name: str, scenario: Scenario) -> RunReport | None:
+    """The closed-form report for a fully covered scenario, stamped
+    ``extra["path"] = "analytic"``, or ``None`` when the analyzer cannot
+    certify it or the replay refuses (the caller simulates).  Front ends
+    with a tier of their own between the two (the swap service settles
+    on the submit path and queues the rest) call this directly; the rest
+    go through :func:`resolve_report`."""
+    analysis = analyze_for_fast_path(scenario, engine_name)
+    if analysis is None or not fast_path_eligible(analysis):
+        return None
+    started = time.perf_counter()
+    assert analysis.prediction is not None
+    try:
+        report = synthesize_report(scenario, analysis.prediction)
+    except AnalysisError:
+        # The replay refused (e.g. a hashkey expiry the feasibility
+        # gate missed): simulate rather than guess.
+        return None
+    report.wall_seconds = time.perf_counter() - started
+    report.extra[PATH_KEY] = PATH_ANALYTIC
+    return report
+
+
+def resolve_report(engine_name: str, scenario: Scenario, fast_path: bool) -> RunReport:
+    """The report for one run: the closed form when ``fast_path`` is on
+    and :func:`synthesize_run` certifies the scenario, else the engine's
+    own ``run``.  Under ``fast_path`` a simulated report is stamped
+    ``extra["path"] = "simulated"``; without it the plain run comes back
+    unstamped.  A :class:`~repro.errors.ReproError` from the engine
+    propagates."""
+    if fast_path:
+        report = synthesize_run(engine_name, scenario)
+        if report is not None:
+            return report
+    report = get_engine(engine_name).run(scenario)
+    if fast_path:
+        report.extra[PATH_KEY] = PATH_SIMULATED
+    return report
+
+
+# ---------------------------------------------------------------------------
 # the engine
 # ---------------------------------------------------------------------------
 
 
 class AnalyticEngine(Engine):
-    """Closed-form fast path for ``coverage="full"`` scenarios.
+    """The ``herlihy`` engine with the fast path always on.
 
-    ``run()`` synthesizes the ``herlihy`` report without simulating when
-    the analyzer fully covers the scenario, and silently falls back to
-    the real simulation otherwise; either way the report records its
-    provenance in ``extra["path"]``.  ``open()`` always returns a real
+    ``run()`` is :func:`resolve_report` for ``herlihy`` with
+    ``fast_path`` set: the closed form when the analyzer fully covers
+    the scenario, the real simulation otherwise, with the provenance in
+    ``extra["path"]`` either way.  ``open()`` always returns a real
     (simulated) execution session — stepping, probes, and interventions
     have no closed form by definition.
     """
@@ -539,23 +588,7 @@ class AnalyticEngine(Engine):
         return get_engine(FALLBACK_ENGINE).open(scenario)
 
     def run(self, scenario: Scenario) -> RunReport:
-        started = time.perf_counter()
-        analysis = analyze_for_fast_path(scenario, FALLBACK_ENGINE)
-        if analysis is not None and fast_path_eligible(analysis):
-            assert analysis.prediction is not None
-            try:
-                report = synthesize_report(scenario, analysis.prediction)
-            except AnalysisError:
-                # The replay refused (e.g. a hashkey expiry the
-                # feasibility gate missed): simulate rather than guess.
-                pass
-            else:
-                report.wall_seconds = time.perf_counter() - started
-                report.extra[PATH_KEY] = PATH_ANALYTIC
-                return report
-        report = get_engine(FALLBACK_ENGINE).run(scenario)
-        report.extra[PATH_KEY] = PATH_SIMULATED
-        return report
+        return resolve_report(FALLBACK_ENGINE, scenario, fast_path=True)
 
 
 # Self-registration (rather than construction inside repro.api.engines)

@@ -244,7 +244,7 @@ class ServeThreadSafetyRule(LintRule):
     THREAD_SIDE = frozenset({"_drive"})
     #: Methods only the loop thread may invoke.
     LOOP_AFFINE = frozenset(
-        {"_publish", "_publish_milestone", "_remember", "_flush_store"}
+        {"_publish", "_publish_milestone", "_remember", "_record", "_settle"}
     )
 
     def check(self, module: LintModule) -> Iterator[LintViolation]:

@@ -67,7 +67,6 @@ from repro.api.sweep import (
     derive_seed,
     execute_chunk,
     execute_payload,
-    run_item,
     run_key,
     run_sweep,
     smoke_sweep,
@@ -111,7 +110,6 @@ __all__ = [
     "derive_seed",
     "execute_chunk",
     "execute_payload",
-    "run_item",
     "run_key",
     "run_sweep",
     "smoke_sweep",

@@ -23,6 +23,12 @@ served from the store without executing an engine, and fresh results
 are persisted (and flushed) as each worker chunk completes — even
 chunks that finish out of sweep order — so an interrupted sweep picks
 up where it left off and a warm re-run executes zero engines.
+
+The entry format is owned here: :func:`store_entry` builds every
+success and :func:`failure_entry` every refusal that ``run_sweep``, the
+fleet worker and the swap service record.  Which report an entry holds
+(closed form or simulation) is decided in one place,
+:func:`repro.analysis.engine.resolve_report`.
 """
 
 from __future__ import annotations
@@ -173,14 +179,16 @@ def store_entry(report: RunReport, path: str | None = None) -> dict:
     """The store entry for a report an engine or the closed form just
     produced: ``{"ok": True, "report": ..., "milestones": ...}``.
 
-    :func:`run_sweep`, the fleet worker and the swap service all make
-    their fresh entries here.  ``path`` stamps ``extra["path"]``
-    provenance unless the report already carries one.  Milestones ride
-    *beside* the report, not inside it: the report dict stays
-    byte-identical to releases that predate milestones while the store
-    still learns the lifecycle shape of every fresh run; a report with
-    no milestone sequence (one that crossed a process boundary) gets no
-    ``milestones`` key.
+    Every fresh success the sweep, the fleet worker and the swap service
+    record is made here; every failure by :func:`failure_entry`.
+    ``path`` stamps ``extra["path"]`` provenance on the report unless it
+    already carries one (the swap service's stepped runs, which never
+    pass through :func:`~repro.analysis.engine.resolve_report`).
+    Milestones ride *beside* the report, not inside it: the report dict
+    stays byte-identical to releases that predate milestones while the
+    store still learns the lifecycle shape of every fresh run; a report
+    with no milestone sequence (one that crossed a process boundary)
+    gets no ``milestones`` key.
     """
     if path is not None:
         report.extra.setdefault("path", path)
@@ -191,89 +199,65 @@ def store_entry(report: RunReport, path: str | None = None) -> dict:
     return entry
 
 
-def synthesize_run(engine_name: str, scenario: Scenario) -> RunReport | None:
-    """The closed-form report for a fully covered scenario, stamped
-    ``extra["path"] = "analytic"``, or ``None`` when the analyzer cannot
-    certify it or the replay refuses (the caller simulates, as
-    :class:`~repro.analysis.engine.AnalyticEngine` does)."""
-    from repro.analysis.engine import (
-        PATH_ANALYTIC,
-        PATH_KEY,
-        analyze_for_fast_path,
-        fast_path_eligible,
-        synthesize_report,
-    )
-    from repro.errors import AnalysisError
+def failure_entry(engine_name: str, scenario_dict: dict, error: BaseException) -> dict:
+    """The store entry for a run the engine refused or could not finish.
 
-    analysis = analyze_for_fast_path(scenario, engine_name)
-    if analysis is None or not fast_path_eligible(analysis):
-        return None
-    item_start = time.perf_counter()
-    assert analysis.prediction is not None
-    try:
-        report = synthesize_report(scenario, analysis.prediction)
-    except AnalysisError:
-        return None
-    report.wall_seconds = time.perf_counter() - item_start
-    report.extra[PATH_KEY] = PATH_ANALYTIC
-    return report
+    Failures are cacheable knowledge: a warm store answers them without
+    re-running, exactly as it answers successes."""
+    return {
+        "ok": False,
+        "engine": engine_name,
+        "scenario": scenario_dict,
+        "error_type": type(error).__name__,
+        "message": str(error),
+    }
 
 
 def synthesize_entry(engine_name: str, scenario: Scenario) -> dict | None:
-    """:func:`synthesize_run` as a store entry (the fleet worker's fast
-    path, through :func:`execute_payload`), or ``None``."""
+    """:func:`~repro.analysis.engine.synthesize_run` as a store entry,
+    or ``None`` when the scenario must be simulated."""
+    from repro.analysis.engine import synthesize_run
+
     report = synthesize_run(engine_name, scenario)
     return None if report is None else store_entry(report)
 
 
 def execute_payload(payload: tuple[str, dict], fast_path: bool = False) -> dict:
-    """Execute one ``(engine_name, scenario_dict)`` payload into a store
+    """Resolve one ``(engine_name, scenario_dict)`` payload into a store
     entry dict — the single unit of sweep work, reusable by anything
     that drains scenarios outside :func:`run_sweep` (the
     :mod:`repro.fleet` worker loop drives exactly this function).
+
+    The report comes from :func:`~repro.analysis.engine.resolve_report`:
+    with ``fast_path=True`` a fully covered scenario is answered in
+    closed form and a simulated one is stamped ``extra["path"] =
+    "simulated"``, so ``lab stats --by path`` partitions fleet-drained
+    runs the same way it partitions ``run_sweep(fast_path=True)`` ones.
 
     Must stay module-level so it pickles under both fork and spawn
     start methods.  Domain errors (:class:`ReproError` — e.g. a
     single-leader engine on a digraph with no single-vertex feedback
     vertex set) are expected in cartesian sweeps and come back as
-    failure records instead of killing the whole batch; genuine bugs
-    still propagate.
-
-    With ``fast_path=True``, fully covered scenarios are answered in
-    closed form via :func:`synthesize_entry`; everything an engine
-    actually produced is stamped ``extra["path"] = "simulated"`` so
-    ``lab stats --by path`` partitions fleet-drained runs the same way
-    it partitions ``run_sweep(fast_path=True)`` ones.
+    :func:`failure_entry` records instead of killing the whole batch;
+    genuine bugs still propagate.
     """
+    from repro.analysis.engine import resolve_report
     from repro.errors import ReproError
 
     engine_name, scenario_dict = payload
     scenario = Scenario.from_dict(scenario_dict)
-    if fast_path:
-        synthesized = synthesize_entry(engine_name, scenario)
-        if synthesized is not None:
-            return synthesized
     try:
-        report = get_engine(engine_name).run(scenario)
+        report = resolve_report(engine_name, scenario, fast_path)
     except ReproError as error:
-        return {
-            "ok": False,
-            "engine": engine_name,
-            "scenario": scenario_dict,
-            "error_type": type(error).__name__,
-            "message": str(error),
-        }
-    return store_entry(report, "simulated" if fast_path else None)
-
-
-def _run_payload(payload: tuple[str, dict]) -> dict:
-    return execute_payload(payload)
+        return failure_entry(engine_name, scenario_dict, error)
+    return store_entry(report)
 
 
 def execute_chunk(
     payloads: Sequence[tuple[str, dict]], fast_path: bool = False
 ) -> list[dict]:
-    """Execute one chunk of payloads into entry dicts, in order.
+    """Execute one chunk of payloads into entry dicts, in order — the
+    pickled process-pool entry point.
 
     Chunks are the unit of persistence: :func:`run_sweep` records every
     entry of a chunk the moment its future completes (so a chunk
@@ -282,17 +266,6 @@ def execute_chunk(
     commits a chunk's entries atomically with its lease release.
     """
     return [execute_payload(payload, fast_path=fast_path) for payload in payloads]
-
-
-def _run_chunk(payloads: Sequence[tuple[str, dict]]) -> list[dict]:
-    """Pickled process-pool entry point for one submitted chunk."""
-    return execute_chunk(payloads)
-
-
-def run_item(item: SweepItem) -> RunReport:
-    """Run one (engine, scenario) pair in-process."""
-    engine_name, scenario = item
-    return get_engine(engine_name).run(scenario)
 
 
 @dataclass
@@ -486,9 +459,11 @@ def run_sweep(
     eligibility *before* chunking: scenarios the static verifier covers
     with ``coverage="full"`` (see :mod:`repro.analysis.engine`) get
     their reports synthesized inline — closed form, no engine, no
-    worker slot — and only the remainder ships to the pool.  Every
-    report produced under ``fast_path`` carries its provenance in
-    ``extra["path"]`` (``"analytic"`` or ``"simulated"``); run keys are
+    worker slot — and only the remainder ships to the pool, carrying
+    the flag into :func:`execute_chunk`.  Every report produced under
+    ``fast_path`` carries its provenance in ``extra["path"]``
+    (``"analytic"`` or ``"simulated"``, stamped by
+    :func:`~repro.analysis.engine.resolve_report`); run keys are
     unaffected (the path stamp is not part of the key preimage), so
     fast-path and plain sweeps share one warm store.
     """
@@ -529,12 +504,6 @@ def run_sweep(
 
     def record(index: int, entry: dict) -> None:
         nonlocal completed
-        if fast_path and entry.get("ok"):
-            # Provenance stamp: entries synthesized inline already carry
-            # "analytic"; everything an engine produced is "simulated".
-            entry["report"].setdefault("extra", {}).setdefault(
-                "path", "simulated"
-            )
         entries[index] = entry
         completed += 1
         if store is not None:
@@ -552,6 +521,8 @@ def run_sweep(
     # Reports synthesized in this process, handed to _assemble as is.
     inline: dict[int, RunReport] = {}
     if fast_path and pending:
+        from repro.analysis.engine import synthesize_run
+
         # Partition the residue by analyzer eligibility before chunking:
         # fully-covered scenarios are answered in closed form right here
         # (cheaper than shipping them to a worker), the rest simulate.
@@ -601,8 +572,8 @@ def run_sweep(
             try:
                 with pool:
                     futures = {
-                        pool.submit(_run_chunk, chunk_payloads): chunk_indices
-                        for chunk_indices, chunk_payloads in chunks
+                        pool.submit(execute_chunk, chunk, fast_path): chunk_indices
+                        for chunk_indices, chunk in chunks
                     }
                     for future in as_completed(futures):
                         chunk_indices = futures[future]
@@ -621,7 +592,7 @@ def run_sweep(
     if mode in ("serial", "serial-fallback"):
         for index, payload in zip(pending, payloads):
             if entries[index] is None:
-                record(index, _run_payload(payload))
+                record(index, execute_payload(payload, fast_path))
                 flush_store()
                 notify((index,))
 

@@ -8,25 +8,18 @@
   (atomic, fast, but not trust-free).
 """
 
-from repro.baselines.naive_timelock import (
-    LastMomentSingleLeaderParty,
-    run_naive_timelock_swap,
-)
-from repro.baselines.pairwise_htlc import SequentialParty, run_sequential_trust_swap
+from repro.baselines.naive_timelock import LastMomentSingleLeaderParty
+from repro.baselines.pairwise_htlc import SequentialParty
 from repro.baselines.two_phase_commit import (
     COORDINATOR,
     CoordinatedEscrowContract,
     Coordinator,
-    run_two_phase_commit_swap,
 )
 
 __all__ = [
     "LastMomentSingleLeaderParty",
-    "run_naive_timelock_swap",
     "SequentialParty",
-    "run_sequential_trust_swap",
     "COORDINATOR",
     "CoordinatedEscrowContract",
     "Coordinator",
-    "run_two_phase_commit_swap",
 ]

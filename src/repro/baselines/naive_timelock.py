@@ -18,8 +18,6 @@ with the hashkey protocol, where the same behaviour is harmless
 
 from __future__ import annotations
 
-import warnings
-
 from repro.core.protocol import SwapConfig, SwapResult
 from repro.core.timelocks import (
     SingleLeaderParty,
@@ -89,27 +87,3 @@ def _run_naive_timelock_swap(
         timeout_multiple=timeout_multiple,
     ).run()
 
-
-def run_naive_timelock_swap(
-    digraph: Digraph,
-    leader: Vertex | None = None,
-    attacker: Vertex | None = None,
-    config: SwapConfig | None = None,
-    faults: FaultPlan | None = None,
-    timeout_multiple: int | None = None,
-) -> SwapResult:
-    """Deprecated shim; use ``repro.api.get_engine("naive-timelock")``."""
-    warnings.warn(
-        "run_naive_timelock_swap is deprecated; use "
-        "repro.api.get_engine('naive-timelock').run(scenario) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _run_naive_timelock_swap(
-        digraph,
-        leader=leader,
-        attacker=attacker,
-        config=config,
-        faults=faults,
-        timeout_multiple=timeout_multiple,
-    )

@@ -18,7 +18,6 @@ comparable.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from repro.chain.blockchain import Blockchain
@@ -187,20 +186,3 @@ def _run_sequential_trust_swap(
     )
     return finalize(harness.run_to_quiescence(start))
 
-
-def run_sequential_trust_swap(
-    digraph: Digraph,
-    first_mover: Vertex | None = None,
-    defectors: set[Vertex] | None = None,
-    config: SwapConfig | None = None,
-) -> SwapResult:
-    """Deprecated shim; use ``repro.api.get_engine("sequential-trust")``."""
-    warnings.warn(
-        "run_sequential_trust_swap is deprecated; use "
-        "repro.api.get_engine('sequential-trust').run(scenario) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _run_sequential_trust_swap(
-        digraph, first_mover=first_mover, defectors=defectors, config=config
-    )

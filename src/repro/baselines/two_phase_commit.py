@@ -18,7 +18,6 @@ Underwater, something no coalition can do to the hashkey protocol
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any
 
@@ -347,23 +346,3 @@ def _run_two_phase_commit_swap(
     )
     return finalize(harness.run_to_quiescence(start))
 
-
-def run_two_phase_commit_swap(
-    digraph: Digraph,
-    config: SwapConfig | None = None,
-    byzantine_commit_only: set[Arc] | None = None,
-    coordinator_crashes: bool = False,
-) -> SwapResult:
-    """Deprecated shim; use ``repro.api.get_engine("2pc")``."""
-    warnings.warn(
-        "run_two_phase_commit_swap is deprecated; use "
-        "repro.api.get_engine('2pc').run(scenario) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _run_two_phase_commit_swap(
-        digraph,
-        config=config,
-        byzantine_commit_only=byzantine_commit_only,
-        coordinator_crashes=coordinator_crashes,
-    )

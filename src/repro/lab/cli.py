@@ -423,11 +423,14 @@ def _verify_prediction(
     exists under the same run key: a successful entry's report is
     cross-checked as-is instead of re-executing the engine, and a
     failure entry *is* the refusal an invalid scenario demands.
-    ``fast_path`` lets full-coverage residue come from the closed-form
-    synthesizer instead of the simulator.  ``source`` says which route
-    produced the evidence: ``stored``, ``analytic``, ``executed``, or
-    ``-`` (nothing ran).
+    Otherwise the report comes from
+    :func:`~repro.analysis.engine.resolve_report`, so ``fast_path``
+    answers full-coverage residue in closed form and simulates whatever
+    the closed form refuses, as every other front end does.  ``source``
+    says which route produced the evidence: ``stored``, ``analytic``,
+    ``executed``, or ``-`` (nothing ran).
     """
+    from repro.analysis.engine import PATH_ANALYTIC, PATH_KEY, resolve_report
     from repro.analysis.protocol import (
         COVERAGE_FULL,
         COVERAGE_VERDICT,
@@ -448,14 +451,10 @@ def _verify_prediction(
     if stored is not None and stored.get("ok"):
         report = RunReport.from_dict(stored["report"])
         source = "stored"
-    elif fast_path and analysis.coverage == COVERAGE_FULL:
-        from repro.analysis.engine import synthesize_report
-
-        report = synthesize_report(scenario, analysis.prediction)
-        source = "analytic"
     else:
-        report = get_engine(engine).run(scenario)
-        source = "executed"
+        report = resolve_report(engine, scenario, fast_path)
+        analytic = fast_path and report.extra.get(PATH_KEY) == PATH_ANALYTIC
+        source = "analytic" if analytic else "executed"
     if analysis.coverage == COVERAGE_VERDICT:
         if report.all_deal():
             return (

@@ -18,11 +18,14 @@ The content-addressed run store doubles as the warm cache: submissions
 are keyed by :func:`repro.api.sweep.run_key`, a seen scenario returns
 the stored entry instantly (zero engines executed), and duplicate
 in-flight submissions coalesce onto the single live execution.  With
-``ServiceConfig.fast_path`` on, a *fully-covered* scenario
-(:mod:`repro.analysis.engine`) is settled from the closed-form
-synthesizer on the submit path itself — a third tier between the warm
-hit and the cold run that never occupies an execution slot.  Settled
-and failed runs are recorded in exactly the ``run_sweep`` entry format,
+``ServiceConfig.fast_path`` on, a *fully-covered* scenario is settled
+on the submit path itself by
+:func:`~repro.analysis.engine.synthesize_run`, the closed-form half of
+the one resolution policy every front end shares — a third tier
+between the warm hit and the cold run that never occupies an execution
+slot.  Settled and failed runs are recorded through
+:func:`~repro.api.sweep.store_entry` and
+:func:`~repro.api.sweep.failure_entry`, the ``run_sweep`` entry format,
 so a store warmed by the daemon warms ``lab`` sweeps and vice versa.
 Aborted runs are *never* recorded — a partial report must not poison
 the cache.
@@ -42,11 +45,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, AsyncIterator, Mapping
 
-from repro.analysis.engine import PATH_SIMULATED
+from repro.analysis.engine import PATH_SIMULATED, synthesize_run
 from repro.api.engine import get_engine
 from repro.api.scenario import Scenario
-from repro.api.report import RunReport
-from repro.api.sweep import run_key, store_entry, synthesize_run
+from repro.api.sweep import failure_entry, run_key, store_entry
 from repro.errors import AdmissionError, ReproError, ServeError, WireError
 from repro.lab.store import MemoryStore, RunStore
 from repro.serve.events import TERMINAL_EVENTS, WIRE_SCHEMA, envelope, milestone_to_wire
@@ -79,12 +81,14 @@ class ServiceConfig:
     latency_window: int = 4096
     """Settled-latency samples kept for the p50/p99 metrics."""
     fast_path: bool = False
-    """Answer fully-covered submissions from the closed-form analytic
-    synthesizer (:mod:`repro.analysis.engine`) without occupying an
-    execution slot — a third tier between the warm-cache hit and the
+    """Answer fully-covered submissions in closed form
+    (:func:`~repro.analysis.engine.synthesize_run`) without occupying
+    an execution slot — a third tier between the warm-cache hit and the
     cold run.  The synthesized report is byte-identical to what the
     simulator would produce and is stored under the same run key, so
-    the cache stays coherent across both paths."""
+    the cache stays coherent across both paths.  Runs that still
+    simulate are stamped ``extra["path"] = "simulated"``, as sweeps and
+    fleet workers stamp theirs under the same flag."""
 
 
 class TokenBucket:
@@ -307,7 +311,9 @@ class SwapService:
         stored = self.store.get(key)
         if stored is not None:
             self._counters["cache_hits"] += 1
-            job = self._cached_job(key, engine_name, scenario, client, stored, now)
+            job = self._answered_job(
+                key, engine_name, scenario, client, now, stored, "cached"
+            )
             return SubmitResult("cached", key, job, self._queue.qsize())
 
         # Analytic tier: a fully-covered scenario is answered from the
@@ -317,7 +323,11 @@ class SwapService:
         if self.config.fast_path:
             report = synthesize_run(engine_name, scenario)
             if report is not None:
-                job = self._analytic_job(key, engine_name, scenario, client, report, now)
+                entry = store_entry(report)
+                self._record(key, entry)
+                job = self._answered_job(
+                    key, engine_name, scenario, client, now, entry, "analytic"
+                )
                 self._counters["analytic"] += 1
                 return SubmitResult("analytic", key, job, self._queue.qsize())
 
@@ -341,84 +351,49 @@ class SwapService:
         self._counters["accepted"] += 1
         return SubmitResult("accepted", key, job, self._queue.qsize())
 
-    def _cached_job(
+    def _answered_job(
         self,
         key: str,
         engine: str,
         scenario: Scenario,
         client: str,
-        stored: dict,
         now: float,
+        entry: dict,
+        tier: str,
     ) -> Job:
-        """Materialise a warm hit as an already-terminal job so cache
-        and fresh submissions expose one subscription surface."""
+        """Materialise a submission answered on the submit path — a warm
+        hit (``tier="cached"``) or a closed-form report
+        (``tier="analytic"``, already recorded) — as an already-terminal
+        job, so it exposes the same subscription surface as a fresh run."""
+        cached = tier == "cached"
         job = Job(
             key=key,
             engine=engine,
             scenario=scenario,
             client=client,
             submitted_at=now,
-            cached=True,
+            cached=cached,
         )
-        job.entry = stored
-        self._publish(job, "accepted", {"engine": engine, "cached": True})
-        if stored.get("ok"):
+        self._publish(job, "accepted", {"engine": engine, tier: True})
+        job.settled_at = now
+        self._settle(
+            job, entry, {"cached": True} if cached else {"cached": False, "analytic": True}
+        )
+        self._remember(job)
+        return job
+
+    def _settle(self, job: Job, entry: dict, data: dict[str, Any]) -> None:
+        """Attach a recorded entry and publish its terminal event:
+        ``settled`` with the report or ``failed`` with the error, after
+        the tier's own ``data`` keys."""
+        job.entry = entry
+        if entry["ok"]:
             job.status = "settled"
-            job.settled_at = now
-            self._publish(
-                job, "settled", {"cached": True, "report": stored["report"]}
-            )
+            self._publish(job, "settled", {**data, "report": entry["report"]})
         else:
             job.status = "failed"
-            job.settled_at = now
-            self._publish(
-                job,
-                "failed",
-                {
-                    "cached": True,
-                    "error_type": stored.get("error_type"),
-                    "message": stored.get("message"),
-                },
-            )
-        self._remember(job)
-        return job
-
-    def _analytic_job(
-        self,
-        key: str,
-        engine: str,
-        scenario: Scenario,
-        client: str,
-        report: RunReport,
-        now: float,
-    ) -> Job:
-        """Settle a fully-covered submission from its closed-form report
-        (:func:`~repro.api.sweep.synthesize_run`; when the replay
-        refuses, the caller queues the submission for simulation, as
-        :class:`~repro.analysis.engine.AnalyticEngine` falls back).
-
-        The report is stored in the standard entry format (stamped
-        ``extra["path"] = "analytic"``), so the run key answers as a
-        warm hit everywhere — ``lab`` sweeps included."""
-        entry = store_entry(report)
-        self.store.put(key, entry)
-        self._flush_store()
-        job = Job(
-            key=key,
-            engine=engine,
-            scenario=scenario,
-            client=client,
-            submitted_at=now,
-        )
-        job.entry = entry
-        self._publish(job, "accepted", {"engine": engine, "analytic": True})
-        job.status = "settled"
-        job.settled_at = now
-        self._publish(
-            job, "settled", {"cached": False, "analytic": True, "report": entry["report"]}
-        )
-        self._remember(job)
-        return job
+            error = {"error_type": entry.get("error_type"), "message": entry.get("message")}
+            self._publish(job, "failed", {**data, **error})
 
     def _retry_after(self) -> float:
         """Advisory back-off when the queue is full: the mean observed
@@ -468,45 +443,27 @@ class SwapService:
                 self._executor, self._drive, job, self._loop
             )
         except Exception as error:  # engine bug: report, don't kill the pool
-            entry = {
-                "ok": False,
-                "engine": job.engine,
-                "scenario": job.scenario.to_dict(),
-                "error_type": type(error).__name__,
-                "message": str(error),
-            }
+            entry = failure_entry(job.engine, job.scenario.to_dict(), error)
             outcome = "failed"
-        job.entry = entry
-        job.status = outcome
         job.settled_at = time.monotonic()
         self._counters[outcome] += 1
-        if outcome == "settled":
-            self._counters["executed"] += 1
-            self._latencies.append(job.settled_at - job.submitted_at)
-            self.store.put(job.key, entry)
-            self._flush_store()
-            self._publish(job, "settled", {"cached": False, "report": entry["report"]})
-        elif outcome == "failed":
+        if outcome == "aborted":
+            # Never stored: a partial report would poison the cache.
+            job.entry, job.status = entry, outcome
+            self._publish(job, "aborted", {"reason": job.abort_reason or "evicted"})
+        else:
             # Failures are cacheable knowledge, exactly as in run_sweep.
             self._counters["executed"] += 1
-            self.store.put(job.key, entry)
-            self._flush_store()
-            self._publish(
-                job,
-                "failed",
-                {
-                    "cached": False,
-                    "error_type": entry.get("error_type"),
-                    "message": entry.get("message"),
-                },
-            )
-        else:  # aborted: never stored — a partial report would poison the cache
-            self._publish(job, "aborted", {"reason": job.abort_reason or "evicted"})
+            if outcome == "settled":
+                self._latencies.append(job.settled_at - job.submitted_at)
+            self._record(job.key, entry)
+            self._settle(job, entry, {"cached": False})
         self._remember(job)
 
-    def _flush_store(self) -> None:
-        """Make the just-recorded run crash-durable (the per-chunk
-        discipline ``run_sweep`` uses, applied per settled job)."""
+    def _record(self, key: str, entry: dict) -> None:
+        """Store a fresh entry and make it crash-durable (the per-chunk
+        discipline ``run_sweep`` uses, applied per job)."""
+        self.store.put(key, entry)
         flush = getattr(self.store, "flush", None)
         if flush is not None:
             flush()
@@ -547,16 +504,7 @@ class SwapService:
                     path = PATH_SIMULATED if self.config.fast_path else None
                     return store_entry(report, path), "settled"
         except ReproError as error:
-            return (
-                {
-                    "ok": False,
-                    "engine": job.engine,
-                    "scenario": job.scenario.to_dict(),
-                    "error_type": type(error).__name__,
-                    "message": str(error),
-                },
-                "failed",
-            )
+            return failure_entry(job.engine, job.scenario.to_dict(), error), "failed"
 
     # -- the event stream ----------------------------------------------------
 

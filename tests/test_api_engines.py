@@ -3,12 +3,10 @@
 Covers the contract the rest of the repo now builds on:
 
 * ``get_engine(name).run(scenario)`` works for all six adapters and
-  agrees exactly with the legacy entry points on the same seed;
+  agrees exactly with the legacy runners on the same seed;
 * unknown engine/strategy names fail loudly with the registered names
   in the message;
 * ``Scenario`` and ``RunReport`` survive a JSON round-trip;
-* the deprecated baseline entry points warn and still return identical
-  results;
 * ``run_sweep`` executes 20+ scenarios with process-pool fan-out,
   preserving order and determinism.
 """
@@ -33,9 +31,9 @@ from repro import (
     triangle,
 )
 from repro.api import RunReport, derive_seed, register_engine
-from repro.baselines.naive_timelock import run_naive_timelock_swap
-from repro.baselines.pairwise_htlc import run_sequential_trust_swap
-from repro.baselines.two_phase_commit import run_two_phase_commit_swap
+from repro.baselines.naive_timelock import _run_naive_timelock_swap
+from repro.baselines.pairwise_htlc import _run_sequential_trust_swap
+from repro.baselines.two_phase_commit import _run_two_phase_commit_swap
 from repro.core.multiswap import run_multigraph_swap
 from repro.core.timelocks import run_single_leader_swap
 from repro.digraph.generators import cycle_digraph
@@ -217,10 +215,9 @@ class TestLegacyParity:
         report = get_engine("naive-timelock").run(
             Scenario(topology=triangle(), seed=23, params={"attacker": "Carol"})
         )
-        with pytest.warns(DeprecationWarning):
-            legacy = run_naive_timelock_swap(
-                triangle(), attacker="Carol", config=SwapConfig(seed=23)
-            )
+        legacy = _run_naive_timelock_swap(
+            triangle(), attacker="Carol", config=SwapConfig(seed=23)
+        )
         self.assert_parity(report, legacy)
         assert not report.conforming_acceptable()  # the §1 attack lands
 
@@ -231,11 +228,10 @@ class TestLegacyParity:
                 params={"first_mover": "Alice", "defectors": ["Carol"]},
             )
         )
-        with pytest.warns(DeprecationWarning):
-            legacy = run_sequential_trust_swap(
-                triangle(), first_mover="Alice", defectors={"Carol"},
-                config=SwapConfig(seed=23),
-            )
+        legacy = _run_sequential_trust_swap(
+            triangle(), first_mover="Alice", defectors={"Carol"},
+            config=SwapConfig(seed=23),
+        )
         self.assert_parity(report, legacy)
         assert not report.conforming_acceptable()
 
@@ -246,35 +242,12 @@ class TestLegacyParity:
                 params={"byzantine_commit_only": [["Alice", "Bob"]]},
             )
         )
-        with pytest.warns(DeprecationWarning):
-            legacy = run_two_phase_commit_swap(
-                triangle(), byzantine_commit_only={("Alice", "Bob")},
-                config=SwapConfig(seed=23),
-            )
+        legacy = _run_two_phase_commit_swap(
+            triangle(), byzantine_commit_only={("Alice", "Bob")},
+            config=SwapConfig(seed=23),
+        )
         self.assert_parity(report, legacy)
         assert not report.conforming_acceptable()
-
-
-# ---------------------------------------------------------------------------
-# deprecation shims
-# ---------------------------------------------------------------------------
-
-
-class TestDeprecationShims:
-    @pytest.mark.parametrize(
-        "shim, engine",
-        [
-            (run_naive_timelock_swap, "naive-timelock"),
-            (run_sequential_trust_swap, "sequential-trust"),
-            (run_two_phase_commit_swap, "2pc"),
-        ],
-    )
-    def test_shim_warns_and_matches_engine(self, shim, engine):
-        with pytest.warns(DeprecationWarning, match="repro.api.get_engine"):
-            legacy = shim(triangle())
-        report = get_engine(engine).run(Scenario(topology=triangle()))
-        assert report.outcomes == legacy.outcomes
-        assert set(report.triggered) == set(legacy.triggered)
 
 
 # ---------------------------------------------------------------------------

@@ -422,10 +422,10 @@ class TestSweepStoreIntegration:
         store = JsonlStore(tmp_path / "runs.jsonl")
         cold = run_sweep(_sweep(), parallel=False, store=store)
 
-        def explode(payload):
+        def explode(payload, fast_path=False):
             raise AssertionError("an engine executed on a warm store")
 
-        monkeypatch.setattr(sweep_mod, "_run_payload", explode)
+        monkeypatch.setattr(sweep_mod, "execute_payload", explode)
         warm = run_sweep(_sweep(), parallel=False, store=store)
         assert warm.mode == "cached"
         assert warm.executed == 0 and warm.cached == 4
@@ -439,13 +439,13 @@ class TestSweepStoreIntegration:
         run_sweep(items[:2], parallel=False, store=store)  # "interrupted" half
 
         executed = []
-        real = sweep_mod._run_payload
+        real = sweep_mod.execute_payload
 
-        def counting(payload):
+        def counting(payload, fast_path=False):
             executed.append(payload[0])
-            return real(payload)
+            return real(payload, fast_path)
 
-        monkeypatch.setattr(sweep_mod, "_run_payload", counting)
+        monkeypatch.setattr(sweep_mod, "execute_payload", counting)
         resumed = run_sweep(items, parallel=False, store=store)
         assert len(executed) == 2  # only the missing half ran
         assert resumed.executed == 2 and resumed.cached == 2
@@ -459,8 +459,8 @@ class TestSweepStoreIntegration:
         assert len(cold.failures) == 1 and len(store) == 1
 
         monkeypatch.setattr(
-            sweep_mod, "_run_payload",
-            lambda payload: (_ for _ in ()).throw(AssertionError("executed")),
+            sweep_mod, "execute_payload",
+            lambda *args: (_ for _ in ()).throw(AssertionError("executed")),
         )
         warm = run_sweep(items, parallel=False, store=store)
         assert warm.mode == "cached" and warm.executed == 0
@@ -509,14 +509,14 @@ class TestOutOfOrderPersistence:
         # in-memory event; run_sweep's pool protocol is identical.
         monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", ThreadPoolExecutor)
         unblock = threading.Event()
-        real_chunk = sweep_mod._run_chunk
+        real_chunk = sweep_mod.execute_chunk
 
-        def stall_first_item(payloads):
+        def stall_first_item(payloads, fast_path=False):
             if payloads[0][1]["name"].endswith("#0"):
                 unblock.wait(timeout=30)
-            return real_chunk(payloads)
+            return real_chunk(payloads, fast_path)
 
-        monkeypatch.setattr(sweep_mod, "_run_chunk", stall_first_item)
+        monkeypatch.setattr(sweep_mod, "execute_chunk", stall_first_item)
 
         crash_after = 3
         store = CrashingStore(crash_after, unblock)
@@ -543,14 +543,14 @@ class TestOutOfOrderPersistence:
         )
         monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", ThreadPoolExecutor)
         unblock = threading.Event()
-        real_chunk = sweep_mod._run_chunk
+        real_chunk = sweep_mod.execute_chunk
 
-        def stall_first_item(payloads):
+        def stall_first_item(payloads, fast_path=False):
             if payloads[0][1]["name"].endswith("#0"):
                 unblock.wait(timeout=30)
-            return real_chunk(payloads)
+            return real_chunk(payloads, fast_path)
 
-        monkeypatch.setattr(sweep_mod, "_run_chunk", stall_first_item)
+        monkeypatch.setattr(sweep_mod, "execute_chunk", stall_first_item)
         crashing = CrashingStore(3, unblock)
         with pytest.raises(SimulatedCrash):
             run_sweep(

@@ -4,10 +4,12 @@ Each test pins a concrete failure mode so it cannot silently return.
 """
 
 import asyncio
+import json
 
 import pytest
 
 import repro.analysis.engine as analysis_engine
+from repro.__main__ import main
 from repro.api import RunReport, Scenario, Sweep, run_sweep
 from repro.api.sweep import run_key
 from repro.core.protocol import SwapConfig, run_swap
@@ -122,10 +124,11 @@ class TestWholeGraphEdgeCases:
 
 class TestReplayRefusalFallsBack:
     """A closed-form replay that refuses (``AnalysisError`` from
-    ``synthesize_report``) used to escape ``synthesize_entry`` and
-    ``SwapService._analytic_job``, killing a sweep chunk, a fleet worker
-    or a serve submission.  Every front end now simulates instead, as
-    ``AnalyticEngine.run`` always did."""
+    ``synthesize_report``) used to escape the sweep, fleet and serve
+    fast paths, killing a sweep chunk, a fleet worker or a serve
+    submission, and later aborted ``lab check --verify --fast-path``.
+    Every front end now simulates instead, as ``AnalyticEngine.run``
+    always did."""
 
     def test_sweep_fleet_and_serve_store_a_simulated_report(self, monkeypatch, tmp_path):
         def refuse(scenario, prediction):
@@ -172,3 +175,18 @@ class TestReplayRefusalFallsBack:
 
         served = asyncio.run(serve())
         assert served.outcomes == swept.outcomes
+
+    def test_lab_check_verify_fast_path_simulates(self, monkeypatch, capsys):
+        def refuse(scenario, prediction):
+            raise AnalysisError("analytic replay: forced refusal")
+
+        monkeypatch.setattr(analysis_engine, "synthesize_report", refuse)
+        code = main([
+            "lab", "check", "--verify", "--fast-path", "--store", ":memory:",
+            "--family", "clique", "--grid", "n=3", "--json",
+        ])
+        assert code == 0
+        (check,) = json.loads(capsys.readouterr().out)["checks"]
+        assert check["analysis"]["coverage"] == "full"
+        assert check["verify"]["status"] == "ok"
+        assert check["verify"]["source"] == "executed"

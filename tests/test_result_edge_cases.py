@@ -5,7 +5,7 @@ import pytest
 from repro.chain.network import ChainNetwork
 from repro.core.protocol import SwapConfig, run_swap
 from repro.core.timelocks import SingleLeaderSimulation
-from repro.baselines.pairwise_htlc import run_sequential_trust_swap
+from repro.baselines.pairwise_htlc import _run_sequential_trust_swap
 from repro.digraph.generators import triangle, two_leader_triangle
 from repro.errors import SimulationError
 from repro.sim.faults import CrashPoint, FaultPlan
@@ -77,7 +77,7 @@ class TestRunnerGuards:
             sim.run()
 
     def test_sequential_baseline_default_first_mover(self):
-        result = run_sequential_trust_swap(triangle())
+        result = _run_sequential_trust_swap(triangle())
         # Default first mover is the first vertex; the run completes.
         assert result.all_deal()
         assert result.spec.leaders == ("Alice",)

@@ -7,12 +7,15 @@ test does between two awaits observes a frozen service.
 """
 
 import asyncio
+import json
 
 import pytest
 
 from repro.api.scenario import Scenario
-from repro.digraph.generators import triangle
+from repro.api.sweep import run_sweep
+from repro.digraph.generators import triangle, two_leader_triangle
 from repro.errors import AdmissionError, ReproError, ServeError, WireError
+from repro.lab.store import MemoryStore
 from repro.serve.events import check_envelope
 from repro.serve.service import ServiceConfig, SwapService, TokenBucket
 from repro.sim.milestones import MILESTONE_KINDS
@@ -394,6 +397,97 @@ class TestAnalyticTier:
             await service.stop()
 
         asyncio.run(run())
+
+
+class TestEventData:
+    """The exact ``data`` of every non-milestone event, per tier: keys,
+    values and key order (compared as ``json.dumps`` text)."""
+
+    REFUSED = Scenario(topology=two_leader_triangle(), seed=7, name="serve-test:refused")
+
+    @staticmethod
+    def _events(config, engine, scenario, store=None):
+        async def run():
+            service = await started(config, store=store)
+            result = service.submit(scenario, engine=engine)
+            await service.wait(result.key, timeout=30)
+            events = [
+                (e["event"], e.get("data"))
+                for e in service.job(result.key).events
+                if e["event"] != "milestone"
+            ]
+            await service.stop()
+            return result.status, events, result.job.entry
+
+        return asyncio.run(run())
+
+    @staticmethod
+    def _warm(engine, scenario):
+        store = MemoryStore()
+        run_sweep([(engine, scenario)], parallel=False, store=store)
+        return store
+
+    def test_cached_success(self):
+        store = self._warm("herlihy", scenario())
+        status, events, entry = self._events(no_rate(), "herlihy", scenario(), store)
+        assert status == "cached"
+        assert json.dumps(events) == json.dumps([
+            ("accepted", {"engine": "herlihy", "cached": True}),
+            ("settled", {"cached": True, "report": entry["report"]}),
+        ])
+
+    def test_cached_failure(self):
+        store = self._warm("single-leader", self.REFUSED)
+        status, events, entry = self._events(
+            no_rate(), "single-leader", self.REFUSED, store
+        )
+        assert status == "cached" and not entry["ok"]
+        assert json.dumps(events) == json.dumps([
+            ("accepted", {"engine": "single-leader", "cached": True}),
+            ("failed", {
+                "cached": True,
+                "error_type": entry["error_type"],
+                "message": entry["message"],
+            }),
+        ])
+
+    def test_analytic(self):
+        status, events, entry = self._events(
+            no_rate(fast_path=True), "herlihy", scenario()
+        )
+        assert status == "analytic"
+        assert json.dumps(events) == json.dumps([
+            ("accepted", {"engine": "herlihy", "analytic": True}),
+            ("settled", {"cached": False, "analytic": True, "report": entry["report"]}),
+        ])
+
+    @pytest.mark.parametrize("fast_path", [False, True])
+    def test_simulated_settled(self, fast_path):
+        jittered = Scenario(topology=triangle(), seed=7, timing="jittered")
+        status, events, entry = self._events(
+            no_rate(fast_path=fast_path), "herlihy", jittered
+        )
+        assert status == "accepted"
+        assert entry["report"]["extra"] == ({"path": "simulated"} if fast_path else {})
+        assert json.dumps(events) == json.dumps([
+            ("accepted", {"engine": "herlihy", "client": "anonymous"}),
+            ("started", {"engine": "herlihy"}),
+            ("settled", {"cached": False, "report": entry["report"]}),
+        ])
+
+    def test_simulated_failed(self):
+        status, events, entry = self._events(no_rate(), "single-leader", self.REFUSED)
+        assert status == "accepted"
+        assert list(entry) == ["ok", "engine", "scenario", "error_type", "message"]
+        assert json.dumps(events) == json.dumps([
+            ("accepted", {"engine": "single-leader", "client": "anonymous"}),
+            ("started", {"engine": "single-leader"}),
+            ("failed", {
+                "cached": False,
+                "error_type": entry["error_type"],
+                "message": entry["message"],
+            }),
+        ])
 
 
 class TestMetrics:

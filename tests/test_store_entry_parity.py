@@ -1,9 +1,10 @@
 """Fresh store entries are built once, the same way, by every front end.
 
 ``run_sweep``, the fleet worker and the swap service all store a fresh
-run through :func:`repro.api.sweep.store_entry`: an analytic and a
-simulate-only scenario must come out as the same entry JSON (modulo
-``wall_seconds``) whichever front end resolved them.  ``run_sweep``
+run through :func:`repro.api.sweep.store_entry` and a refused one
+through :func:`repro.api.sweep.failure_entry`: an analytic, a
+simulate-only and a refused scenario must come out as the same entry
+JSON (modulo ``wall_seconds``) whichever front end resolved them.  ``run_sweep``
 hands the reports it synthesized inline straight back instead of
 decoding their entries, so those reports must equal that decoding.
 The fast path's cheap gate (:func:`coverage_ceiling`) must agree with
@@ -30,7 +31,7 @@ from repro.api.report import RunReport
 from repro.api.scenario import Scenario
 from repro.api.sweep import Sweep, run_key, run_sweep
 from repro.digraph.digraph import Digraph
-from repro.digraph.generators import cycle_digraph, triangle
+from repro.digraph.generators import cycle_digraph, triangle, two_leader_triangle
 from repro.digraph.paths import is_strongly_connected
 from repro.fleet import FleetCoordinator, FleetWorker
 from repro.lab.registry import get_family, list_families
@@ -40,17 +41,23 @@ from repro.sim.faults import Crash, CrashPoint, FaultPlan
 
 ANALYTIC = Scenario(triangle(), seed=5, name="entries:analytic")
 SIMULATED = Scenario(cycle_digraph(4), seed=5, name="entries:jittered", timing="jittered")
+# No single vertex is a feedback vertex set: the engine refuses it.
+FAILING = Scenario(two_leader_triangle(), seed=5, name="entries:refused")
+ITEMS = [("herlihy", ANALYTIC), ("herlihy", SIMULATED), ("single-leader", FAILING)]
 
 
 def _normalised(entry: dict) -> str:
     data = json.loads(json.dumps(entry))
-    data["report"]["wall_seconds"] = 0.0
+    if data["ok"]:
+        data["report"]["wall_seconds"] = 0.0
     return json.dumps(data, sort_keys=True)
 
 
 def _swept() -> dict[str, dict]:
     store = MemoryStore()
-    sweep = Sweep("entries").add("herlihy", ANALYTIC).add("herlihy", SIMULATED)
+    sweep = Sweep("entries")
+    for engine, scenario in ITEMS:
+        sweep.add(engine, scenario)
     run_sweep(sweep, store=store, parallel=False, fast_path=True)
     return {key: store.get(key) for key in _keys()}
 
@@ -58,7 +65,7 @@ def _swept() -> dict[str, dict]:
 def _drained(tmp_path) -> dict[str, dict]:
     path = tmp_path / "fleet.sqlite"
     with FleetCoordinator(path) as coordinator:
-        coordinator.enqueue([("herlihy", ANALYTIC), ("herlihy", SIMULATED)])
+        coordinator.enqueue(ITEMS)
     with FleetWorker(path, worker_id="entries-w0", fast_path=True) as worker:
         worker.run()
     with open_store(str(path)) as store:
@@ -69,8 +76,8 @@ def _served() -> dict[str, dict]:
     async def serve() -> dict[str, dict]:
         service = SwapService(ServiceConfig(rate=0.0, fast_path=True))
         await service.start()
-        for scenario in (ANALYTIC, SIMULATED):
-            result = service.submit(scenario)
+        for engine, scenario in ITEMS:
+            result = service.submit(scenario, engine=engine)
             await service.wait(result.key, timeout=30)
         entries = {key: service.store.get(key) for key in _keys()}
         await service.stop()
@@ -80,16 +87,20 @@ def _served() -> dict[str, dict]:
 
 
 def _keys() -> list[str]:
-    return [run_key("herlihy", ANALYTIC), run_key("herlihy", SIMULATED)]
+    return [run_key(engine, scenario) for engine, scenario in ITEMS]
 
 
 def test_every_front_end_stores_the_same_entries(tmp_path):
     swept, drained, served = _swept(), _drained(tmp_path), _served()
-    analytic_key, simulated_key = _keys()
+    analytic_key, simulated_key, failing_key = _keys()
     assert swept[analytic_key]["report"]["extra"] == {"path": "analytic"}
     assert swept[simulated_key]["report"]["extra"] == {"path": "simulated"}
-    for key in _keys():
+    assert list(swept[failing_key]) == ["ok", "engine", "scenario", "error_type", "message"]
+    assert swept[failing_key]["ok"] is False
+    assert swept[failing_key]["engine"] == "single-leader"
+    for key in (analytic_key, simulated_key):
         assert set(swept[key]) == {"ok", "report", "milestones"}
+    for key in _keys():
         assert _normalised(drained[key]) == _normalised(swept[key]), key
         assert _normalised(served[key]) == _normalised(swept[key]), key
 
