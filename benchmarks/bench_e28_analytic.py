@@ -27,7 +27,7 @@ This bench measures both halves of the tentpole on the E22 grid:
 Byte parity is asserted here on every workload — including the sparse
 random graphs whose Phase One publication gates and same-tick route
 ties are exactly the regime where a naive closed form diverges from
-the scheduler (see ``_phase_schedule``).
+the scheduler (see ``repro.analysis.predict._replay``).
 """
 
 import json

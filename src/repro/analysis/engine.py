@@ -49,12 +49,11 @@ diverged from):
     refund watch per *distinct* lock timeout per arc.
 
 The key-propagation schedule (which lock unlocks when, in what order,
-and the hashkey path it carries) comes from :func:`_phase_schedule` — a
-minimal FIFO replay of the conforming cascade.  ``predict``'s gated
-Dijkstra pins every *time* in that schedule, but when two routes
-deliver a secret at the same tick the simulator's scheduler order picks
-the surviving path, so the replay mirrors that ordering rule instead of
-approximating it with a tie-break heuristic.
+and the hashkey path it carries) is
+:attr:`~repro.analysis.predict.Prediction.unlock_schedule`: ``predict``
+derives every time, and deadline feasibility, from one FIFO replay of
+the conforming cascade that mirrors the simulator's same-tick ordering
+rule, and synthesis only reads what that replay recorded.
 
 Parity is CI-gated: ``tests/test_analysis_engine.py`` sweeps every
 registered family and every conforming variant, asserting
@@ -66,15 +65,13 @@ hashing so warm stores stay warm).
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import time
 from collections import OrderedDict
 from dataclasses import replace
 from typing import Any
 
 from repro.analysis.outcomes import Outcome
-from repro.analysis.predict import Prediction, resolve_leaders
+from repro.analysis.predict import Prediction
 from repro.analysis.protocol import (
     COVERAGE_FULL,
     ScenarioAnalysis,
@@ -92,7 +89,7 @@ from repro.core.contract import SwapContract
 from repro.core.spec import SwapSpec
 from repro.crypto.hashing import hash_secret
 from repro.crypto.signatures import get_scheme
-from repro.digraph.digraph import Arc, Digraph, Vertex
+from repro.digraph.digraph import Arc, Vertex
 from repro.errors import AnalysisError
 from repro.sim.clock import ticks
 from repro.sim.harness import derive_secret
@@ -181,147 +178,6 @@ def _lru_put(memo: OrderedDict[str, Any], key: str, value: Any) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the key-propagation schedule
-# ---------------------------------------------------------------------------
-
-#: One synthesized unlock: (lock index, hashkey path, landing tick).
-Unlock = tuple[int, tuple[Vertex, ...], int]
-
-
-def _phase_schedule(
-    scenario: Scenario,
-    digraph: Digraph,
-    leaders: tuple[Vertex, ...],
-    prediction: Prediction,
-) -> dict[Arc, list[Unlock]]:
-    """Per arc, the unlocks that land on its chain — in landing order,
-    with the hashkey path each one carries.
-
-    A faithful replay of the conforming two-phase cascade on a
-    minimal FIFO event queue — times, paths, and same-tick ordering
-    only; no contracts, signatures, or ledger records.  A closed-form
-    relaxation (the gated Dijkstra :func:`repro.analysis.predict.
-    predict` runs) pins every *time* in this schedule, but not every
-    *path*: when two routes deliver a secret at the same tick, the
-    simulator keeps whichever observation its scheduler fires first,
-    and that order recurses through the whole cascade back to the
-    iteration order of ``_schedule_unlocks`` over entering arcs.
-    Replaying the cascade with the scheduler's own ordering rule
-    (FIFO by insertion within a tick — all protocol steps share the
-    WAKE priority band) reproduces those choices by construction.
-
-    Only order-relevant events are replayed; deliveries the parties
-    ignore (a head observing its own published contract, a tail
-    observing its own unlock, claim observations) shift insertion
-    sequence numbers uniformly and never change relative order.
-    """
-    delta = scenario.delta
-    reaction = ticks(delta, scenario.reaction_fraction)
-    action = ticks(delta, scenario.action_fraction)
-    start = prediction.start_time
-    lead = set(leaders)
-    lock_of = {leader: i for i, leader in enumerate(leaders)}
-    nlock = len(leaders)
-    diam, slack = prediction.diam, scenario.timeout_slack
-
-    # Contract and unlock observations on an arc's chain land one
-    # reaction plus that chain's extra lag later.
-    latency = {
-        arc: reaction + scenario.chain_delays.get(f"{arc[0]}->{arc[1]}", 0)
-        for arc in digraph.arcs
-    }
-    heap: list[tuple[Any, ...]] = []
-    order = itertools.count()
-
-    def at(when: int, fn: Any, *args: Any) -> None:
-        # (when, insertion order) is unique, so fn is never compared.
-        heapq.heappush(heap, (when, next(order), fn, args))
-
-    entering = {v: digraph.in_arcs(v) for v in digraph.vertices}
-    leaving = {v: digraph.out_arcs(v) for v in digraph.vertices}
-    seen: dict[Vertex, set[Arc]] = {v: set() for v in digraph.vertices}
-    #: lock -> hashkey path, in learn order (dict preserves insertion).
-    known: dict[Vertex, dict[int, tuple[Vertex, ...]]] = {
-        v: {} for v in digraph.vertices
-    }
-    unlocked: dict[Arc, set[int]] = {arc: set() for arc in digraph.arcs}
-    published: set[Vertex] = set()
-    schedule: dict[Arc, list[Unlock]] = {arc: [] for arc in digraph.arcs}
-
-    def publish_outgoing(v: Vertex, now: int) -> None:
-        if v in published:
-            return
-        published.add(v)
-        for arc in leaving[v]:
-            at(now + latency[arc], observe_contract, arc[1], arc)
-
-    def observe_contract(v: Vertex, arc: Arc, now: int) -> None:
-        if arc in seen[v]:
-            return
-        seen[v].add(arc)
-        # A late-arriving contract releases already-known keys first...
-        for i in known[v]:
-            schedule_unlock(v, arc, i, now)
-        # ... then advances the phase (leaders synchronously, followers
-        # one action later), exactly as _on_contract_published does.
-        if len(seen[v]) == len(entering[v]):
-            if v in lead:
-                begin_phase_two(v, now)
-            elif v not in published:
-                at(now + action, publish_outgoing, v)
-
-    def begin_phase_two(v: Vertex, now: int) -> None:
-        i = lock_of[v]
-        known[v][i] = (v,)
-        for arc in entering[v]:
-            schedule_unlock(v, arc, i, now)
-
-    def schedule_unlock(v: Vertex, arc: Arc, i: int, now: int) -> None:
-        if arc not in seen[v] or i in unlocked[arc]:
-            return
-        at(now + action, send_unlock, v, arc, i)
-
-    def send_unlock(v: Vertex, arc: Arc, i: int, now: int) -> None:
-        if i in unlocked[arc]:
-            return
-        path = known[v][i]
-        if now >= start + (diam + len(path) - 1 + slack) * delta:
-            # A rational party does not submit an expired hashkey.  The
-            # analyzer's feasibility gate is conservative, so a fully
-            # covered scenario never reaches this; fail loudly if the
-            # two models ever disagree rather than synthesize a report
-            # the simulator would contradict.
-            raise AnalysisError(
-                f"analytic replay: hashkey for lock {i} on arc {arc} "
-                f"expired before its unlock at t={now}"
-            )
-        unlocked[arc].add(i)
-        schedule[arc].append((i, path, now))
-        at(now + latency[arc], observe_unlock, arc[0], i, path)
-
-    def observe_unlock(w: Vertex, i: int, path: tuple[Vertex, ...], now: int) -> None:
-        if i in known[w] or w in path:
-            return
-        known[w][i] = (w, *path)
-        for arc in entering[w]:
-            schedule_unlock(w, arc, i, now)
-
-    for v in digraph.vertices:
-        if v in lead:
-            at(start, publish_outgoing, v)
-    while heap:
-        when, _, fn, args = heapq.heappop(heap)
-        fn(*args, when)
-
-    if any(len(schedule[arc]) != nlock for arc in digraph.arcs):
-        raise AnalysisError(
-            "analytic replay: conforming cascade quiesced with locked "
-            "hashlocks remaining — prediction and replay disagree"
-        )
-    return schedule
-
-
-# ---------------------------------------------------------------------------
 # transcript synthesis
 # ---------------------------------------------------------------------------
 
@@ -358,8 +214,14 @@ def synthesize_report(scenario: Scenario, prediction: Prediction) -> RunReport:
 
 def _synthesize(scenario: Scenario, prediction: Prediction) -> RunReport:
     """The uncached transcript synthesis behind :func:`synthesize_report`."""
+    if not prediction.deadline_feasible:
+        # A hashkey expires before its unlock: the simulator refunds
+        # there, so there is no all-Deal report to synthesize.
+        raise AnalysisError(
+            "analytic replay: a hashkey expires before its unlock lands"
+        )
     digraph = scenario.digraph()
-    leaders = resolve_leaders(scenario, digraph)
+    leaders = prediction.leaders
     nlock = len(leaders)
     action = ticks(scenario.delta, scenario.action_fraction)
     scheme = get_scheme(scenario.scheme_name)
@@ -378,7 +240,6 @@ def _synthesize(scenario: Scenario, prediction: Prediction) -> RunReport:
         diam=prediction.diam,
         timeout_slack=scenario.timeout_slack,
     )
-    unlock_schedule = _phase_schedule(scenario, digraph, leaders, prediction)
     final_timeouts = {
         arc: [spec.lock_final_timeout(arc, i) for i in range(nlock)]
         for arc in digraph.arcs
@@ -416,7 +277,7 @@ def _synthesize(scenario: Scenario, prediction: Prediction) -> RunReport:
                 kind=CONTRACT_ESCROWED, party=u, arc=arc,
             )
         )
-        for i, path, landed in unlock_schedule[arc]:
+        for i, path, landed in prediction.unlock_schedule[arc]:
             contract.unlocked[i] = True
             append(
                 "contract_call",
@@ -534,8 +395,9 @@ def synthesize_run(engine_name: str, scenario: Scenario) -> RunReport | None:
     try:
         report = synthesize_report(scenario, analysis.prediction)
     except AnalysisError:
-        # The replay refused (e.g. a hashkey expiry the feasibility
-        # gate missed): simulate rather than guess.
+        # Defence only: the analyzer certifies only deadline-feasible
+        # predictions, so synthesis should never refuse one; if it
+        # does, simulate rather than guess.
         return None
     report.wall_seconds = time.perf_counter() - started
     report.extra[PATH_KEY] = PATH_ANALYTIC

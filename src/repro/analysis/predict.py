@@ -1,9 +1,10 @@
 """Closed-form predictions for conforming scenarios (Fig. 3 quantities).
 
 Everything the simulator measures on an all-conforming uniform-timing
-run is computable from the swap digraph alone — without firing a single
-event.  With ``r = reaction`` and ``a = action`` ticks, start time ``T``
-and per-arc chain lag ``lag(u, v)``:
+run is computable from the swap digraph alone — without running the
+simulator.  With ``r = reaction`` and ``a = action`` ticks, start time
+``T`` and per-arc chain lag ``lag(u, v)``, one replay of the conforming
+cascade (:func:`_replay`) yields every time in the profile:
 
 * **Phase One escrow times** — leaders publish at ``T``; a follower
   ``v`` publishes once every entering contract is observed:
@@ -13,23 +14,25 @@ and per-arc chain lag ``lag(u, v)``:
 
 * **Phase Two key propagation** — leader ``L`` enters Phase Two at
   ``o(L) = max over arcs (u, L) of [p(u) + r + lag(u, L)]`` and unlocks
-  its own entering arcs; a party ``v`` learns secret ``i`` at the
-  cheapest moment any of its out-arc counterparties' unlocks become
-  observable — a shortest-path (Dijkstra) relaxation over
-  ``know(v, i) = min over arcs (v, x) of
-  [max(know(x, i), p(v) + r + lag(v, x)) + a + r + lag(v, x)]``
-  (the inner ``max`` is the Phase One gate: ``x`` cannot unlock chain
-  ``(v, x)`` before observing that chain's contract).
+  its own entering arcs.  A party ``x`` that knows secret ``i`` unlocks
+  chain ``(v, x)`` one action after it both knows the secret and has
+  observed that chain's contract (the Phase One gate), and ``v`` learns
+  the secret, with ``x``'s hashkey path extended by itself, once that
+  unlock is observable.  When two routes deliver a secret at the same
+  tick the simulator keeps whichever observation its scheduler fires
+  first, so the replay runs the cascade on a FIFO event queue with the
+  scheduler's own ordering rule rather than as a shortest-path pass.
 
-* **Completion** — an arc ``(w, v)`` is claimed ``2a`` after its last
-  unlock lands, each unlock gated by the arc's own contract:
-  ``completion = max over arcs (w, v) of
-  [max(max_i know(v, i), p(w) + r + lag(w, v)) + 2a]``, which
+* **Deadline feasibility** (§4.1, Theorem 4.2) — a hashkey carrying a
+  path of ``ℓ`` arcs expires at ``T + (diam + ℓ + slack)·Δ``; the
+  deadline ladder is the table of those expiries for ``ℓ = 0 .. diam``.
+  The replay checks every unlock against the expiry of the path it
+  actually carries, so the profile is feasible exactly when no unlock
+  is sent at or past its expiry.
+
+* **Completion** — an arc is claimed one action after its last unlock
+  lands: ``completion = max over arcs of [last landing] + a``, which
   Theorem 4.7 bounds by ``T + (2·diam + slack)·Δ``.
-
-* **Deadline ladder** (§4.1) — a hashkey carrying a path of length
-  ``ℓ`` expires at ``T + (diam + ℓ + slack)·Δ``; the ladder is the
-  table of those expiries for ``ℓ = 0 .. diam``.
 
 * **Counts and bytes** — ``|A|`` escrows, ``|A|·|L|`` unlock calls and
   ``secret-released`` milestones, and the Theorem 4.10 storage bill:
@@ -40,21 +43,22 @@ and per-arc chain lag ``lag(u, v)``:
 These formulas are cross-validated byte-for-byte against the full
 simulator over every strongly connected topology family in
 ``tests/test_analysis_parity.py`` (and in CI via ``lab check
---verify``) — that parity is the contract a future analytic fast-path
-`Engine` must match.
+--verify``) — that parity is the contract the analytic fast-path
+`Engine` (:mod:`repro.analysis.engine`) must match.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.analysis.diagnostics import Diagnostic, warning
 from repro.api.scenario import Scenario
-from repro.digraph.digraph import Digraph, Vertex
+from repro.digraph.digraph import Arc, Digraph, Vertex
 from repro.digraph.feedback import feedback_vertex_set
-from repro.digraph.paths import diameter, shortest_path_length
+from repro.digraph.paths import diameter
 from repro.errors import AnalysisError
 from repro.sim.clock import ticks
 from repro.sim.milestones import (
@@ -65,6 +69,9 @@ from repro.sim.milestones import (
     SETTLED,
 )
 
+#: One replayed unlock: (lock index, hashkey path, landing tick).
+Unlock = tuple[int, tuple[Vertex, ...], int]
+
 
 @dataclass(frozen=True)
 class Prediction:
@@ -72,7 +79,10 @@ class Prediction:
 
     Times are absolute ticks (the simulator's model time); the
     quantities mirror :class:`repro.api.report.RunReport` so parity is
-    a field-by-field comparison.
+    a field-by-field comparison.  ``unlock_schedule`` holds, per arc,
+    the unlocks that land on its chain in landing order with the
+    hashkey path each carries; report synthesis reads it, and it stays
+    out of :meth:`to_dict` and equality.
     """
 
     leaders: tuple[Vertex, ...]
@@ -89,6 +99,7 @@ class Prediction:
     milestone_counts: dict[str, int]
     contract_storage_bytes: int
     deadline_feasible: bool
+    unlock_schedule: dict[Arc, list[Unlock]] = field(compare=False, repr=False)
 
     def completion_in_delta(self) -> float:
         """Completion time expressed in Δ units past the start."""
@@ -135,14 +146,142 @@ def _stored_fields_bytes(
     return digraph_bytes + leaders_bytes + hashlock_bytes + timelock_bytes + scalars
 
 
+def _replay(
+    digraph: Digraph,
+    leaders: tuple[Vertex, ...],
+    latency: dict[Arc, int],
+    action: int,
+    start: int,
+    delta: int,
+    expiry: int,
+) -> tuple[
+    dict[Vertex, int],
+    dict[Vertex, int],
+    dict[Arc, list[Unlock]],
+    dict[tuple[Vertex, int], tuple[int, int]],
+]:
+    """Replay the conforming two-phase cascade on a FIFO event queue.
+
+    ``latency`` is each chain's observation delay (one reaction plus
+    its lag) and a hashkey with a path of ``ℓ`` arcs expires at
+    ``expiry + ℓ·delta``.  Returns the publish time of every
+    party, the Phase Two start of every leader, per arc the unlocks that
+    land on it (in landing order, with the hashkey path each carries),
+    and the first late send per ``(party, lock)`` with the expiry it
+    missed.  A late send is recorded and the replay carries on, so an
+    infeasible profile still gets every time as a best static estimate.
+
+    Times, paths and same-tick order only; no contracts, signatures or
+    ledger records.  When two routes deliver a secret at the same tick,
+    the simulator keeps whichever observation its scheduler fires
+    first, and that order recurses through the whole cascade back to
+    the iteration order of ``_schedule_unlocks`` over entering arcs.
+    Replaying with the scheduler's own rule (FIFO by insertion within a
+    tick — all protocol steps share the WAKE priority band) reproduces
+    those choices by construction.  Deliveries the parties ignore (a
+    head observing its own published contract, a tail observing its
+    own unlock, claim observations) shift insertion sequence numbers
+    uniformly and never change relative order, so they are skipped.
+    """
+    lead = set(leaders)
+    lock_of = {leader: i for i, leader in enumerate(leaders)}
+    heap: list[tuple[Any, ...]] = []
+    order = itertools.count()
+
+    def at(when: int, fn: Any, *args: Any) -> None:
+        # (when, insertion order) is unique, so fn is never compared.
+        heapq.heappush(heap, (when, next(order), fn, args))
+
+    entering = {v: digraph.in_arcs(v) for v in digraph.vertices}
+    leaving = {v: digraph.out_arcs(v) for v in digraph.vertices}
+    seen: dict[Vertex, set[Arc]] = {v: set() for v in digraph.vertices}
+    #: lock -> hashkey path, in learn order (dict preserves insertion).
+    known: dict[Vertex, dict[int, tuple[Vertex, ...]]] = {
+        v: {} for v in digraph.vertices
+    }
+    unlocked: dict[Arc, set[int]] = {arc: set() for arc in digraph.arcs}
+    publish: dict[Vertex, int] = {}
+    phase_two: dict[Vertex, int] = {}
+    schedule: dict[Arc, list[Unlock]] = {arc: [] for arc in digraph.arcs}
+    late: dict[tuple[Vertex, int], tuple[int, int]] = {}
+
+    def publish_outgoing(v: Vertex, now: int) -> None:
+        publish[v] = now
+        for arc in leaving[v]:
+            at(now + latency[arc], observe_contract, arc[1], arc)
+
+    def observe_contract(v: Vertex, arc: Arc, now: int) -> None:
+        if arc in seen[v]:
+            return
+        seen[v].add(arc)
+        # A late-arriving contract releases already-known keys first...
+        for i in known[v]:
+            schedule_unlock(v, arc, i, now)
+        # ... then advances the phase (leaders synchronously, followers
+        # one action later), exactly as _on_contract_published does.
+        if len(seen[v]) == len(entering[v]):
+            if v in lead:
+                begin_phase_two(v, now)
+            else:
+                at(now + action, publish_outgoing, v)
+
+    def begin_phase_two(v: Vertex, now: int) -> None:
+        phase_two[v] = now
+        i = lock_of[v]
+        known[v][i] = (v,)
+        for arc in entering[v]:
+            schedule_unlock(v, arc, i, now)
+
+    def schedule_unlock(v: Vertex, arc: Arc, i: int, now: int) -> None:
+        if arc not in seen[v] or i in unlocked[arc]:
+            return
+        at(now + action, send_unlock, v, arc, i)
+
+    def send_unlock(v: Vertex, arc: Arc, i: int, now: int) -> None:
+        if i in unlocked[arc]:
+            return
+        path = known[v][i]
+        expires = expiry + (len(path) - 1) * delta
+        if now >= expires:
+            # A rational party does not submit an expired hashkey: the
+            # simulator refunds here instead of reaching all-Deal.
+            late.setdefault((v, i), (now, expires))
+        unlocked[arc].add(i)
+        schedule[arc].append((i, path, now))
+        at(now + latency[arc], observe_unlock, arc[0], i, path)
+
+    def observe_unlock(w: Vertex, i: int, path: tuple[Vertex, ...], now: int) -> None:
+        if i in known[w] or w in path:
+            return
+        known[w][i] = (w, *path)
+        for arc in entering[w]:
+            schedule_unlock(w, arc, i, now)
+
+    for v in digraph.vertices:
+        if v in lead:
+            at(start, publish_outgoing, v)
+    while heap:
+        when, _, fn, args = heapq.heappop(heap)
+        fn(*args, when)
+
+    if any(len(schedule[arc]) != len(leaders) for arc in digraph.arcs):
+        raise AnalysisError(
+            "analytic replay: conforming cascade quiesced with locked "
+            "hashlocks remaining"
+        )
+    return publish, phase_two, schedule, late
+
+
 def predict(scenario: Scenario) -> tuple[Prediction, tuple[Diagnostic, ...]]:
     """Compute the closed-form run profile of a conforming scenario.
 
     Precondition: the scenario passed :func:`~repro.analysis.structure
     .check_scenario` with no errors (strongly connected digraph,
     non-empty feedback vertex set of leaders).  The returned diagnostics
-    are advisory — currently only the deadline-feasibility warning when
-    chain delays push a predicted unlock past its hashkey expiry.
+    are advisory — one deadline-feasibility warning per party and lock
+    whose replayed unlock is sent at or past its hashkey's expiry, in
+    which case the profile is the best static estimate and
+    ``deadline_feasible`` is false.
     """
     digraph = scenario.digraph()
     leaders = resolve_leaders(scenario, digraph)
@@ -151,88 +290,10 @@ def predict(scenario: Scenario) -> tuple[Prediction, tuple[Diagnostic, ...]]:
             "predict() needs a non-empty leader set; run check_scenario() "
             "first and only predict structurally conforming scenarios"
         )
-    lead = set(leaders)
     delta = scenario.delta
     reaction = ticks(delta, scenario.reaction_fraction)
     action = ticks(delta, scenario.action_fraction)
     start = scenario.start_time if scenario.start_time is not None else delta
-
-    def lag(u: Vertex, v: Vertex) -> int:
-        return scenario.chain_delays.get(f"{u}->{v}", 0)
-
-    # Phase One: leaders escrow at T; followers react to the last
-    # entering contract.  The recursion terminates because the follower
-    # subgraph is acyclic (leaders form a feedback vertex set).
-    publish: dict[Vertex, int] = {}
-
-    def publish_time(v: Vertex) -> int:
-        cached = publish.get(v)
-        if cached is not None:
-            return cached
-        if v in lead:
-            publish[v] = start
-            return start
-        when = (
-            max(
-                publish_time(u) + reaction + lag(u, v)
-                for u in digraph.in_neighbors(v)
-            )
-            + action
-        )
-        publish[v] = when
-        return when
-
-    for v in digraph.vertices:
-        publish_time(v)
-
-    # Phase Two entry: a leader releases its secret once every entering
-    # contract is observable.
-    phase_two_start: dict[Vertex, int] = {
-        leader: max(
-            publish[u] + reaction + lag(u, leader)
-            for u in digraph.in_neighbors(leader)
-        )
-        for leader in leaders
-    }
-
-    # Key propagation: know(v, i) via Dijkstra over the min-relaxation.
-    # Phase One gates Phase Two per arc: x cannot unlock chain (v, x)
-    # before observing that chain's *contract*, so the unlock lands at
-    # max(know(x, i), publish(v) + observe) + a — not know(x, i) + a —
-    # and v then learns at land + observe.  Dense topologies never bind
-    # the gate (publishing finishes before keys travel back), but sparse
-    # graphs with deep Phase One chains do, and the ungated relaxation
-    # would predict knowledge times the simulator cannot achieve.
-    know: dict[tuple[Vertex, int], int] = {}
-    for i, leader in enumerate(leaders):
-        dist: dict[Vertex, int] = {leader: phase_two_start[leader]}
-        heap: list[tuple[int, Vertex]] = [(phase_two_start[leader], leader)]
-        while heap:
-            when, x = heapq.heappop(heap)
-            if when > dist.get(x, when):
-                continue
-            for v in digraph.in_neighbors(x):
-                observe = reaction + lag(v, x)
-                candidate = max(when, publish[v] + observe) + action + observe
-                best = dist.get(v)
-                if best is None or candidate < best:
-                    dist[v] = candidate
-                    heapq.heappush(heap, (candidate, v))
-        for v, when in dist.items():
-            know[(v, i)] = when
-
-    # Completion: per arc (u, v), the claim fires one action after the
-    # last unlock lands, and each unlock is gated by v's observation of
-    # that arc's contract (published by u) exactly as above.
-    indices = range(len(leaders))
-    completion = max(
-        max(
-            max(know[(v, i)] for i in indices),
-            publish[u] + reaction + lag(u, v),
-        )
-        + 2 * action
-        for (u, v) in digraph.arcs
-    )
     diam = scenario.diam_override or diameter(
         digraph, exact_limit=scenario.exact_limit
     )
@@ -243,37 +304,28 @@ def predict(scenario: Scenario) -> tuple[Prediction, tuple[Diagnostic, ...]]:
         for length in range(diam + 1)
     }
 
-    # Conservative deadline feasibility: the hashkey a party presents for
-    # secret i carries a path from itself to leader i, so its expiry is
-    # at least T + (diam + hops(v, L_i) + slack)·Δ where hops is the
-    # *shortest* path length; the unlock lands know(v, i) + a.  Chain
-    # delays can push the unlock past that floor — flag it, because the
-    # all-Deal prediction is then no longer certain.
-    feasible = True
-    diagnostics: list[Diagnostic] = []
-    for i, leader in enumerate(leaders):
-        for v in digraph.vertices:
-            hops = (
-                0
-                if v == leader
-                else shortest_path_length(digraph, v, leader)
-            )
-            if hops is None:
-                continue
-            expiry = start + (diam + hops + slack) * delta
-            if know[(v, i)] + action >= expiry:
-                feasible = False
-                diagnostics.append(
-                    warning(
-                        "predict/deadline-at-risk",
-                        "/chain_delays",
-                        f"party {v!r} is predicted to unlock secret of "
-                        f"{leader!r} at t={know[(v, i)] + action}, at or "
-                        f"past the ladder floor {expiry} (§4.1): the "
-                        "all-Deal prediction is not certain under these "
-                        "chain delays",
-                    )
-                )
+    # Contract and unlock observations on an arc's chain land one
+    # reaction plus that chain's extra lag later.
+    latency = {
+        arc: reaction + scenario.chain_delays.get(f"{arc[0]}->{arc[1]}", 0)
+        for arc in digraph.arcs
+    }
+    publish, phase_two_start, schedule, late = _replay(
+        digraph, leaders, latency, action, start, delta, ladder[0]
+    )
+    # Each arc is claimed one action after its last unlock lands.
+    completion = max(unlocks[-1][2] for unlocks in schedule.values()) + action
+
+    diagnostics = tuple(
+        warning(
+            "predict/deadline-at-risk",
+            "/chain_delays",
+            f"party {v!r} is predicted to unlock secret of {leaders[i]!r} "
+            f"at t={when}, at or past its hashkey expiry {expires} (§4.1): "
+            "all-Deal is not certified under these chain delays",
+        )
+        for (v, i), (when, expires) in late.items()
+    )
 
     arc_count = digraph.arc_count()
     base = _stored_fields_bytes(digraph, leaders)
@@ -302,6 +354,7 @@ def predict(scenario: Scenario) -> tuple[Prediction, tuple[Diagnostic, ...]]:
         unlock_calls=arc_count * len(leaders),
         milestone_counts=milestone_counts,
         contract_storage_bytes=storage,
-        deadline_feasible=feasible,
+        deadline_feasible=not late,
+        unlock_schedule=schedule,
     )
-    return prediction, tuple(diagnostics)
+    return prediction, diagnostics

@@ -176,9 +176,9 @@ def analyze_scenario(scenario: Scenario, engine: str = "herlihy") -> ScenarioAna
     prediction, advisories = predict(scenario)
     diagnostics.extend(advisories)
     if not prediction.deadline_feasible:
-        # The profile is still the best static estimate, but a predicted
-        # unlock at/past its ladder floor means the simulator may refund
-        # instead — don't certify the verdict.
+        # The profile is still the best static estimate, but the replay
+        # sends an unlock at or past its hashkey's expiry, where the
+        # simulator refunds instead — don't certify the verdict.
         return ScenarioAnalysis(
             engine=engine,
             coverage=COVERAGE_NONE,

@@ -87,8 +87,8 @@ class TestByteParity:
         # Sparse topologies with deep Phase One chains are where the
         # closed form earns its keep: contract publication gates key
         # propagation per arc, and same-tick route ties are broken by
-        # scheduler order (the _phase_schedule replay).  Regression for
-        # both — dense families never exercise either.
+        # scheduler order (the FIFO replay in repro.analysis.predict).
+        # Regression for both — dense families never exercise either.
         digraph = random_strongly_connected(n, p, Random(gseed))
         assert_byte_parity(Scenario(digraph, seed=5, exact_limit=12))
 

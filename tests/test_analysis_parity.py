@@ -21,6 +21,8 @@ from repro.analysis.protocol import (
 )
 from repro.api.engine import get_engine
 from repro.api.scenario import Scenario
+from repro.analysis.engine import synthesize_report
+from repro.digraph.digraph import Digraph
 from repro.digraph.generators import cycle_digraph, triangle
 from repro.errors import ReproError
 from repro.lab.registry import get_family, list_families
@@ -104,9 +106,9 @@ class TestVariantParity:
         assert_full_parity(Scenario(cycle_digraph(4), delta=5000))
 
     def test_deadline_at_risk_scenarios_really_do_fail(self):
-        # Where the analyzer declines to certify (predicted unlock at or
-        # past a ladder floor), the engine genuinely misses all-Deal —
-        # the conservatism is load-bearing, not cosmetic.
+        # Where the analyzer declines to certify (the replay sends an
+        # unlock at or past its hashkey's expiry), the engine genuinely
+        # misses all-Deal: the replay's expiry check is what refuses.
         scenario = Scenario(
             triangle(), delta=50, reaction_fraction=0.4, action_fraction=0.5
         )
@@ -114,6 +116,29 @@ class TestVariantParity:
         assert analysis.coverage != COVERAGE_FULL
         assert not analysis.prediction.deadline_feasible
         assert not get_engine("herlihy").run(scenario).all_deal()
+
+    def test_replay_certifies_what_a_shortest_hop_floor_refused(self):
+        # know(v, i) + a crosses the *shortest-hop* expiry floor for two
+        # parties here, but every unlock goes out before the expiry of
+        # the path it really carries: full coverage, all-Deal at 6558,
+        # and the synthesized report is the simulated one byte for byte.
+        digraph = Digraph(
+            ["P00", "P01", "P02", "P03"],
+            [("P00", "P01"), ("P00", "P03"), ("P01", "P02"),
+             ("P02", "P00"), ("P02", "P03"), ("P03", "P00")],
+        )
+        scenario = Scenario(
+            digraph, chain_delays={"P02->P03": 173, "P02->P00": 885},
+            delta=1000, reaction_fraction=0.4, action_fraction=0.3, seed=894,
+        )
+        assert_full_parity(scenario)
+        prediction = analyze_scenario(scenario).prediction
+        assert prediction.completion_time == 6558
+        simulated = get_engine("herlihy").run(scenario).to_dict()
+        synthesized = synthesize_report(scenario, prediction).to_dict()
+        simulated.pop("wall_seconds")
+        synthesized.pop("wall_seconds")
+        assert synthesized == simulated
 
     def test_phase_crash_verdict_matches_engine(self):
         from repro.sim.faults import CrashPoint, FaultPlan

@@ -14,6 +14,11 @@ check`` does:
 verdict, the diagnostic codes and ``prediction.to_dict()``.  Any change
 to a prediction, a feasibility decision or a diagnostic shows up here.
 
+``FLIPS`` names the scenarios the analyzer certifies since deadline
+feasibility is read off the Phase Two replay (the expiry of the path
+each unlock really carries) instead of a shortest-hop floor; each must
+simulate all-Deal, byte for byte with its synthesized report.
+
 Regenerate only when a change to the analysis is intended::
 
     PYTHONPATH=src python tests/test_golden_check.py --write
@@ -28,15 +33,22 @@ from random import Random
 
 import pytest
 
-from repro.analysis.protocol import analyze_scenario
+from repro.analysis.engine import PATH_ANALYTIC, PATH_KEY
+from repro.analysis.protocol import COVERAGE_FULL, VERDICT_ALL_DEAL, analyze_scenario
+from repro.api.engine import get_engine
 from repro.api.scenario import Scenario
 from repro.digraph.generators import random_strongly_connected
 from repro.lab.registry import get_family, list_families
 from repro.lab.workloads import Workload, build_sweep
+from test_analysis_engine import comparable
 
 GOLDEN = Path(__file__).with_name("golden_check.json")
 SPARSE_COUNT = 200
 DELTA = 1000
+
+#: Sparse scenarios the shortest-hop feasibility floor refused and the
+#: replay certifies (``none``/``unsupported`` -> ``full``/``all-deal``).
+FLIPS = ("sparse-023",)
 
 
 def family_items() -> list[tuple[str, Scenario]]:
@@ -124,6 +136,18 @@ def test_check_entries_match(observed, golden, label):
     ]
     assert len(observed[label]) == len(golden[label])
     assert not shifted, f"{len(shifted)} {label} entries shifted: {shifted[:5]}"
+
+
+@pytest.mark.parametrize("name", FLIPS)
+def test_flip_simulates_all_deal_with_byte_parity(golden, name):
+    (pinned,) = [e for e in golden["sparse"] if e["name"] == name]
+    assert (pinned["coverage"], pinned["verdict"]) == (COVERAGE_FULL, VERDICT_ALL_DEAL)
+    scenario = sparse_scenario(int(name.rsplit("-", 1)[1]))
+    analytic = get_engine("analytic").run(scenario)
+    simulated = get_engine("herlihy").run(scenario)
+    assert analytic.extra[PATH_KEY] == PATH_ANALYTIC
+    assert simulated.all_deal()
+    assert comparable(analytic) == comparable(simulated)
 
 
 if __name__ == "__main__":
