@@ -8,11 +8,11 @@ emitter (``src`` must be importable), so benches, the lab CLI, and
 ad-hoc scripts all render the same table shape.
 
 Benches additionally record their runs through the :mod:`repro.lab`
-content-addressed store (``benchmarks/results/bench_runs.jsonl``) and
+content-addressed store (``benchmarks/results/bench_runs.sqlite``) and
 emit machine-readable ``benchmarks/results/BENCH_<exp_id>.json`` files —
 :func:`emit_bench_json` — giving the performance trajectory a stable,
 parseable shape.  Because the store is content-addressed, re-running a
-bench only appends runs it has not seen before.
+bench only records runs it has not seen before.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import json
 from pathlib import Path
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
-BENCH_STORE_PATH = RESULTS_DIR / "bench_runs.jsonl"
+BENCH_STORE_PATH = RESULTS_DIR / "bench_runs.sqlite"
 
 
 def format_table(title: str, headers: list[str], rows: list[list[object]]) -> str:
@@ -54,10 +54,9 @@ def delta_units(ticks: int | None, delta: int) -> str:
 
 def bench_store():
     """The shared content-addressed store benches record through."""
-    from repro.lab.store import JsonlStore
+    from repro.lab.store import SqliteStore
 
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return JsonlStore(BENCH_STORE_PATH)
+    return SqliteStore(BENCH_STORE_PATH)
 
 
 def emit_bench_json(

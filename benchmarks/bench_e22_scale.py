@@ -9,7 +9,7 @@ protocol would actually take, since exact longest-path is NP-hard.
 The whole grid executes as one :func:`repro.api.run_sweep` call with
 process-pool fan-out, recorded through the :mod:`repro.lab` bench store —
 a warm re-run of this bench serves every scenario from
-``results/bench_runs.jsonl`` and executes zero engines.  The table is
+``results/bench_runs.sqlite`` and executes zero engines.  The table is
 read off the resulting :class:`~repro.api.SweepReport`.
 """
 

@@ -83,7 +83,7 @@ from repro.digraph.generators import (
 )
 from repro.digraph.multigraph import MultiDigraph
 from repro.errors import ReproError, ScenarioError, UnknownEngineError
-from repro.lab import RunStore, Workload, build_sweep, open_store
+from repro.lab import Workload, build_sweep, open_store
 from repro.sim.faults import Crash, CrashPoint, FaultPlan
 
 __version__ = "1.9.0"
@@ -123,7 +123,6 @@ __all__ = [
     "ReproError",
     "ScenarioError",
     "UnknownEngineError",
-    "RunStore",
     "Workload",
     "build_sweep",
     "open_store",

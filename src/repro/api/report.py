@@ -159,7 +159,10 @@ class RunReport:
         return {
             "engine": self.engine,
             "scenario": self.scenario.to_dict(),
-            "outcomes": {v: o.value for v, o in self.outcomes.items()},
+            # Sorted by party, like __str__: insertion order depends on
+            # where the report came from (a family's construction order
+            # vs a sort_keys-decoded entry), and to_dict must not.
+            "outcomes": {v: o.value for v, o in sorted(self.outcomes.items())},
             "conforming": list(self.conforming),
             "leaders": list(self.leaders),
             "triggered": [list(a) for a in self.triggered],

@@ -16,8 +16,7 @@ sweep degrades to serial execution rather than failing.
 tables: run counts, all-Deal and Theorem-4.9 safety rates, mean model
 and wall time, and byte totals.
 
-Passing ``store=`` (any object with ``get(key) -> dict | None`` and
-``put(key, dict)`` — see :mod:`repro.lab.store`) makes sweeps
+Passing ``store=`` (a :class:`repro.lab.store.SqliteStore`) makes sweeps
 *resumable*: scenarios whose :func:`run_key` is already stored are
 served from the store without executing an engine, and fresh results
 are persisted (and flushed) as each worker chunk completes — even
@@ -440,14 +439,13 @@ def run_sweep(
     and parallel execution produce identical reports (modulo wall
     time).
 
-    With ``store=`` (a :class:`repro.lab.store.RunStore` or anything
-    with the same ``get``/``put`` contract) the sweep is incremental:
-    scenarios whose :func:`run_key` the store already holds are served
-    from it (``SweepReport.cached``) and never reach an engine, while
-    fresh results are persisted chunk by chunk as workers complete — an
-    interrupted sweep keeps every chunk recorded before the kill, and a
-    fully warm re-run reports ``mode == "cached"`` with zero engine
-    executions.
+    With ``store=`` (a :class:`repro.lab.store.SqliteStore`) the sweep
+    is incremental: scenarios whose :func:`run_key` the store already
+    holds are served from it (``SweepReport.cached``) and never reach
+    an engine, while fresh results are persisted chunk by chunk as
+    workers complete — an interrupted sweep keeps every chunk recorded
+    before the kill, and a fully warm re-run reports ``mode ==
+    "cached"`` with zero engine executions.
 
     ``progress=`` streams per-item completion through the session layer:
     the callback receives a :class:`SweepProgress` per recorded chunk
@@ -510,12 +508,9 @@ def run_sweep(
             store.put(keys[index], entry)
 
     def flush_store() -> None:
-        # Backends that batch writes (SqliteStore) make everything
-        # recorded so far crash-durable; the rest no-op.  Guarded by
-        # getattr because store= accepts any get/put duck type.
-        flush = getattr(store, "flush", None)
-        if flush is not None:
-            flush()
+        # Make everything recorded so far crash-durable.
+        if store is not None:
+            store.flush()
 
     analytic_total = 0
     # Reports synthesized in this process, handed to _assemble as is.

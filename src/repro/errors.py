@@ -197,13 +197,13 @@ class FleetError(LabError):
 
 
 class UnsafeFleetStoreError(FleetError):
-    """The store backend cannot host fleet coordination.
+    """The store path cannot host fleet coordination.
 
-    Fleet workers are concurrent writers; only the SQLite backend (WAL
-    journal + busy timeout + transactional lease table) is safe against
-    them.  JSONL stores interleave appends from multiple processes into
-    corrupt lines, and ``:memory:`` stores are per-process — each would
-    silently lose or mangle runs, so they are refused up front.
+    Fleet workers are concurrent writers sharing one file-backed SQLite
+    store (WAL journal + busy timeout + transactional lease table).  A
+    ``:memory:`` store is private to one connection in one process, and
+    a JSON-lines path is an interchange file, not a store — workers
+    would silently lose their runs, so both are refused up front.
 
     ``path`` and ``backend`` identify the refused store; ``suggestion``
     names the safe alternative (machine-usable for callers that want to

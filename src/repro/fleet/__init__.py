@@ -22,10 +22,12 @@ locally) drain one grid without duplicating work:
   driver: enqueues a grid, spawns local worker processes, monitors
   their liveness, and reports the drained store.
 
-Only :class:`~repro.lab.store.SqliteStore` paths are accepted
-(``RunStore.concurrent_safe``); JSONL and in-memory backends are
-refused with :class:`~repro.errors.UnsafeFleetStoreError` before any
-worker can corrupt them.
+The fleet coordinates over a file-backed
+:class:`~repro.lab.store.SqliteStore` (WAL + busy timeout +
+transactions, safe for concurrent writers).  ``":memory:"`` (one
+connection per process, nothing shared) and JSON-lines paths (an
+interchange format, not a store) are refused with
+:class:`~repro.errors.UnsafeFleetStoreError` before any worker starts.
 """
 
 from repro.errors import FleetError, LeaseLostError, UnsafeFleetStoreError

@@ -78,12 +78,11 @@ CHUNK_STATE_DONE = "done"
 def ensure_fleet_path(path: str | Path) -> Path:
     """The store path, validated as a concurrent-writer-safe backend.
 
-    Mirrors :func:`repro.lab.store.open_store`'s suffix routing: paths
-    it would route to :class:`~repro.lab.store.JsonlStore` (no
-    concurrent-writer safety — parallel appends tear each other's
-    lines) and ``":memory:"`` (per-process, nothing shared) are refused
-    with a structured :class:`~repro.errors.UnsafeFleetStoreError`
-    naming the SQLite alternative.
+    Mirrors :func:`repro.lab.store.open_store`'s suffix check: JSON-lines
+    paths (an interchange format, not a store) and ``":memory:"`` (one
+    connection per process, nothing shared) are refused with a
+    structured :class:`~repro.errors.UnsafeFleetStoreError` naming the
+    file-backed SQLite alternative.
     """
     text = str(path)
     if text == ":memory:":

@@ -132,7 +132,7 @@ def run_fleet(
     (surviving workers are terminated first in both cases).
 
     ``into`` optionally folds the drained store into another store via
-    :meth:`~repro.lab.store.RunStore.merge_from` — the sharded-sweep
+    :meth:`~repro.lab.store.SqliteStore.merge_from` — the sharded-sweep
     merge path, unchanged.
     """
     if workers < 1:
@@ -169,7 +169,7 @@ def run_fleet(
     merged: int | None = None
     if into is not None:
         with open_store(str(into)) as dest, open_store(str(store_path)) as src:
-            merged = dest.merge_from(src)
+            merged = dest.merge_from(src.records())
     return FleetReport(
         store=str(store_path),
         workers=workers,

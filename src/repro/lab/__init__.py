@@ -6,10 +6,11 @@ The lab turns the :mod:`repro.api` pipeline into an experiment factory:
   adversary mixes expand into deterministic scenario grids
   (:mod:`repro.lab.workloads`, :mod:`repro.lab.registry`);
 * **Store** — every run is content-addressed by
-  :func:`repro.api.sweep.run_key` and persisted to JSONL or SQLite
+  :func:`repro.api.sweep.run_key` and persisted to one SQLite store
   (:mod:`repro.lab.store`), so ``run_sweep(..., store=...)`` skips
   everything it has already computed and interrupted sweeps resume;
-  sharded stores combine via :meth:`RunStore.merge_from`;
+  sharded stores combine via :meth:`SqliteStore.merge_from`, and JSON
+  lines carry runs between stores (``lab export``/``lab merge``);
 * **Analytics** — stored runs aggregate into per-engine × per-family ×
   per-mix rate tables and engine head-to-heads
   (:mod:`repro.lab.analytics`; ``python -m repro lab stats``).
@@ -27,7 +28,7 @@ Quickstart::
         assert again.executed == 0
 
 The same flows are scriptable via
-``python -m repro lab run|ls|show|diff|stats|merge``.
+``python -m repro lab run|ls|show|diff|stats|merge|export``.
 """
 
 from repro.lab.analytics import (
@@ -61,13 +62,7 @@ from repro.lab.registry import (
     register_timing,
 )
 from repro.lab.bisect import BisectResult, bisect_all_deal_boundary
-from repro.lab.store import (
-    JsonlStore,
-    MemoryStore,
-    RunStore,
-    SqliteStore,
-    open_store,
-)
+from repro.lab.store import SqliteStore, open_store
 from repro.lab.workloads import (
     AdversaryMix,
     TimingProfile,
@@ -114,9 +109,6 @@ __all__ = [
     "register_timing",
     "BisectResult",
     "bisect_all_deal_boundary",
-    "JsonlStore",
-    "MemoryStore",
-    "RunStore",
     "SqliteStore",
     "open_store",
 ]

@@ -39,7 +39,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from repro.analysis.outcomes import ACCEPTABLE_OUTCOMES, Outcome
 from repro.errors import LabError, ReproError
-from repro.lab.store import RunStore
+from repro.lab.store import SqliteStore
 from repro.sim import milestones
 
 #: The group-by dimensions every stored run exposes.
@@ -237,7 +237,7 @@ def entry_facts(key: str, entry: dict) -> RunFacts:
 
 
 def collect_facts(
-    store: RunStore,
+    store: SqliteStore,
     engines: Sequence[str] | None = None,
     families: Sequence[str] | None = None,
     mixes: Sequence[str] | None = None,

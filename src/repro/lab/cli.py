@@ -13,8 +13,8 @@ Subcommands::
     lab work      run one fleet worker loop against a shared SQLite
                   store: claim a chunk, execute it (fast path
                   honoured), heartbeat, commit atomically; exits when
-                  the queue drains.  Refuses JSONL/:memory: stores
-                  (no concurrent-writer safety)
+                  the queue drains.  Refuses :memory: stores (one
+                  connection per process) and JSON-lines paths
     lab fleet     inspect fleet coordination state (`fleet status`:
                   chunk claim/lease table, worker heartbeat ages;
                   --json for the machine-readable snapshot)
@@ -32,7 +32,8 @@ Subcommands::
     lab diff      field-by-field comparison of two stored runs
     lab stats     cross-sweep aggregates (rates, percentiles, failure
                   taxonomy) grouped by engine/family/mix/timing/path
-    lab merge     absorb shard stores into one (newest record wins)
+    lab merge     absorb shard stores and *.jsonl files (newest wins)
+    lab export    write the store's runs to a *.jsonl file for merge
     lab families  the registered topology families and their params
     lab mixes     the registered adversary mixes
     lab timings   the registered timing profiles
@@ -60,12 +61,14 @@ Examples::
     python -m repro lab stats --by verdict         # predicted vs observed
     python -m repro lab stats --compare herlihy naive-timelock --json
     python -m repro lab merge all.sqlite shard1.jsonl shard2.sqlite
+    python -m repro lab export shard1.jsonl --store shard1.sqlite
     python -m repro lab run --preset smoke --fleet 4 --store fleet.sqlite
     python -m repro lab work --store fleet.sqlite --lease-ttl 10
     python -m repro lab fleet status --store fleet.sqlite --json
 
 The store defaults to ``.lab/runs.sqlite`` under the current directory;
-``--store`` accepts any ``*.sqlite``/``*.jsonl`` path or ``:memory:``.
+``--store`` takes a SQLite path or ``:memory:``; ``*.jsonl`` files are
+not stores, only ``lab export``/``lab merge`` interchange.
 Errors go to stderr with exit status 1.
 """
 
@@ -74,9 +77,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import ExitStack
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.api.report import RunReport
 from repro.api.sweep import run_key, run_sweep
@@ -101,7 +105,15 @@ from repro.lab.registry import (
     list_presets,
     list_timings,
 )
-from repro.lab.store import JsonlStore, RunStore, _entry_identity, open_store
+from repro.lab.store import (
+    _JSONL_SUFFIXES,
+    Record,
+    SqliteStore,
+    _entry_identity,
+    open_store,
+    read_jsonl,
+    write_jsonl,
+)
 from repro.lab.workloads import Workload, build_sweep
 
 DEFAULT_STORE = ".lab/runs.sqlite"
@@ -134,7 +146,7 @@ def _parse_atom(text: str) -> Any:
 _format_rows = format_rows
 
 
-def _open_existing(path: str) -> RunStore:
+def _open_existing(path: str) -> SqliteStore:
     """Open a store that must already exist.
 
     Read-only subcommands go through this instead of
@@ -146,7 +158,7 @@ def _open_existing(path: str) -> RunStore:
     return open_store(path)
 
 
-def _resolve_key(store: RunStore, prefix: str) -> str:
+def _resolve_key(store: SqliteStore, prefix: str) -> str:
     matches = store.find(prefix)
     if not matches:
         raise LabError(f"no stored run matches key prefix {prefix!r}")
@@ -496,7 +508,7 @@ def _verify_prediction(
     return ("FAIL", mismatches, source) if mismatches else ("ok", [], source)
 
 
-def _check_store(args: argparse.Namespace) -> RunStore | None:
+def _check_store(args: argparse.Namespace) -> SqliteStore | None:
     """The store ``lab check --verify`` reuses reports from, or ``None``.
 
     A missing *default* store just means a cold verify (check must work
@@ -825,45 +837,41 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_merge(args: argparse.Namespace) -> int:
-    # Every shard is opened — and so validated — before any merging
-    # starts, so a typo'd, missing, or corrupt shard never causes a
-    # partial merge.
+    # Every shard is opened or read — and so validated — before any
+    # merging starts, so a typo'd, missing, or corrupt shard never
+    # causes a partial merge.
     missing = [src for src in args.sources if not Path(src).exists()]
     if missing:
         raise LabError(f"no such shard store: {', '.join(missing)}")
-    shards: list[tuple[str, RunStore]] = []
-    try:
-        for src in args.sources:
-            shard = open_store(src)
-            shards.append((src, shard))
-            # A corrupt SQLite shard raises on open; a corrupt JSONL
-            # shard "opens" because undecodable lines are skipped by
-            # design (torn-tail tolerance).  Distinguish garbage from a
-            # legitimate crash artifact: a shard killed during its very
-            # first write holds one torn line with no newline, while
-            # *complete* lines that all failed to decode are not a run
-            # store at all.
-            if isinstance(shard, JsonlStore) and not len(shard):
-                complete = Path(src).read_bytes().split(b"\n")[:-1]
-                if any(line.strip() for line in complete):
-                    raise LabError(
-                        f"shard {src} holds no decodable runs despite "
-                        "being non-empty (corrupt, or not a run store?)"
-                    )
+    with ExitStack() as stack:
+        shards: list[tuple[str, Iterable[Record]]] = [
+            (src, read_jsonl(src) if Path(src).suffix in _JSONL_SUFFIXES
+             else stack.enter_context(open_store(src)).records())
+            for src in args.sources
+        ]
+        dest = stack.enter_context(open_store(args.dest))
+        before = len(dest)
         written_total = 0
-        with open_store(args.dest) as dest:
-            before = len(dest)
-            for src, shard in shards:
-                written = dest.merge_from(shard)
-                written_total += written
-                print(f"merged {src}: {written} record(s) written")
-            print(
-                f"{args.dest}: {before} -> {len(dest)} run(s) "
-                f"({written_total} written)"
-            )
-    finally:
-        for _, shard in shards:
-            shard.close()
+        for src, records in shards:
+            written = dest.merge_from(records)
+            written_total += written
+            print(f"merged {src}: {written} record(s) written")
+        print(
+            f"{args.dest}: {before} -> {len(dest)} run(s) "
+            f"({written_total} written)"
+        )
+    return 0
+
+
+def _cmd_export(args: argparse.Namespace) -> int:
+    if Path(args.dest).suffix not in _JSONL_SUFFIXES:
+        raise LabError(
+            f"export writes JSON lines: DEST must end in "
+            f"{' or '.join(_JSONL_SUFFIXES)}, got {args.dest}"
+        )
+    with _open_existing(args.store) as store:
+        written = write_jsonl(store, args.dest)
+    print(f"exported {written} run(s) from {args.store} to {args.dest}")
     return 0
 
 
@@ -915,7 +923,7 @@ def _add_store_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--store",
         default=DEFAULT_STORE,
-        help=f"run-store path (*.sqlite, *.jsonl, :memory:); default {DEFAULT_STORE}",
+        help=f"run-store path (*.sqlite or :memory:); default {DEFAULT_STORE}",
     )
 
 
@@ -1151,11 +1159,24 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_status.set_defaults(func=_cmd_fleet_status)
 
     merge = sub.add_parser(
-        "merge", help="absorb shard stores into DEST (newest record wins)"
+        "merge",
+        help="absorb shard stores and *.jsonl exports into DEST "
+             "(newest record wins)",
     )
     merge.add_argument("dest", help="destination store path")
-    merge.add_argument("sources", nargs="+", help="shard store path(s)")
+    merge.add_argument(
+        "sources", nargs="+", help="shard store or *.jsonl export path(s)"
+    )
     merge.set_defaults(func=_cmd_merge)
+
+    export = sub.add_parser(
+        "export",
+        help="write the store's runs to DEST as JSON lines "
+             "(import them with `lab merge`)",
+    )
+    export.add_argument("dest", help="output *.jsonl path (overwritten)")
+    _add_store_arg(export)
+    export.set_defaults(func=_cmd_export)
 
     sub.add_parser("families", help="list topology families").set_defaults(
         func=_cmd_families

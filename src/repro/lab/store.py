@@ -8,22 +8,13 @@ stores exactly the worker-side entry dict ``run_sweep`` produces:
 Storing failures too means a warm re-run skips *everything* it already
 learned, including which scenarios are infeasible.
 
-Three backends share the :class:`RunStore` contract:
-
-* :class:`MemoryStore` — a dict; per-process caching and tests;
-* :class:`JsonlStore` — append-only JSON lines; crash-tolerant (a torn
-  final line from an interrupted run is ignored on reload), diffable,
-  and trivially merge-able with ``cat``;
-* :class:`SqliteStore` — an indexed ``sqlite3`` table; the default for
-  the ``python -m repro lab`` CLI, scales to large sweeps.
-
-:func:`open_store` picks a backend from the path suffix.  Stores plug
-straight into :func:`repro.api.run_sweep` via its ``store=`` parameter.
-
-Sharded sweeps on different machines produce several stores; any store
-absorbs another via :meth:`RunStore.merge_from` (key-idempotent, the
-newest ``recorded_at`` wins a conflict), so JSONL and SQLite shards
-combine into one analyzable store for :mod:`repro.lab.analytics`.
+The one store is :class:`SqliteStore` — on disk, or
+``SqliteStore(":memory:")`` for per-process caching and tests — opened
+by path with :func:`open_store` and passed to :func:`repro.api.run_sweep`
+as ``store=``.  Shard stores combine via :meth:`SqliteStore.merge_from`
+(key-idempotent, newest ``recorded_at`` wins).  JSON lines are an
+interchange file, not a store: :func:`write_jsonl` exports one (``lab
+export``), :func:`read_jsonl` reads one for ``merge_from`` (``lab merge``).
 """
 
 from __future__ import annotations
@@ -32,258 +23,14 @@ import json
 import sqlite3
 import time
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.api.report import RunReport
 from repro.errors import StoreError
 
-
-class RunStore:
-    """The storage contract ``run_sweep(store=...)`` relies on.
-
-    ``get`` returns the stored entry dict for a key (or ``None``),
-    ``put`` persists one before returning.  Everything else is
-    convenience built on those two.
-
-    **Iteration-order contract** (pinned, honored by every backend):
-    ``keys()``/``entries()``/``index()`` iterate in *recording order* —
-    the order runs were last recorded.  Re-recording an existing key
-    moves it to the end, exactly as if it had been deleted and stored
-    afresh.  Persistent backends preserve this order across reopen.
-    """
-
-    concurrent_safe = False
-    """Whether several *processes* may write this store at once without
-    corrupting it.  Only :class:`SqliteStore` (WAL + busy timeout +
-    transactions) earns ``True``; :mod:`repro.fleet` refuses to
-    coordinate over anything else (see
-    :class:`~repro.errors.UnsafeFleetStoreError`)."""
-
-    def get(self, key: str) -> dict | None:
-        raise NotImplementedError
-
-    def put(self, key: str, entry: dict, recorded_at: float | None = None) -> None:
-        """Persist ``entry`` under ``key``.
-
-        ``recorded_at`` defaults to now; :meth:`merge_from` passes the
-        source store's timestamp through so provenance survives merging.
-        """
-        raise NotImplementedError
-
-    def keys(self) -> tuple[str, ...]:
-        raise NotImplementedError
-
-    def recorded_at(self, key: str) -> float | None:
-        """When ``key`` was last recorded (epoch seconds), if known."""
-        raise NotImplementedError
-
-    def flush(self) -> None:  # pragma: no cover - default no-op
-        """Make every ``put`` so far crash-durable.
-
-        ``run_sweep`` calls this after recording each completed worker
-        chunk, so a killed sweep keeps everything that was recorded
-        even on backends that batch their writes (:class:`SqliteStore`).
-        """
-
-    def entries(self) -> Iterator[tuple[str, dict]]:
-        for key, entry, _ in self.records():
-            yield key, entry
-
-    def records(self) -> Iterator[tuple[str, dict, float | None]]:
-        """``(key, entry, recorded_at)`` triples in recording order."""
-        for key in self.keys():
-            entry = self.get(key)
-            if entry is not None:
-                yield key, entry, self.recorded_at(key)
-
-    def close(self) -> None:  # pragma: no cover - default no-op
-        pass
-
-    def __contains__(self, key: str) -> bool:
-        return self.get(key) is not None
-
-    def __len__(self) -> int:
-        return len(self.keys())
-
-    def __enter__(self) -> "RunStore":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    # -- sharding ------------------------------------------------------------
-
-    def merge_from(self, other: "RunStore") -> int:
-        """Absorb every run of ``other`` into this store.
-
-        Key-idempotent: a key this store already holds is only replaced
-        when the incoming record is strictly newer (``recorded_at``), so
-        merging the same shard twice — or two shards of one sharded
-        sweep in either order — converges to the same store.  A record
-        whose timestamp is unknown merges as oldest (epoch 0) so order
-        still converges.  Returns the number of records written.
-        """
-        written = 0
-        for key, entry, theirs in other.records():
-            theirs = 0.0 if theirs is None else theirs
-            mine = self.recorded_at(key)
-            if key in self and not (mine is None or theirs > mine):
-                if theirs != mine or not _tiebreak_wins(entry, self.get(key)):
-                    continue
-            self.put(key, entry, recorded_at=theirs)
-            written += 1
-        return written
-
-    # -- lookups -------------------------------------------------------------
-
-    def find(self, key_prefix: str) -> list[str]:
-        """All stored keys starting with ``key_prefix`` (hex)."""
-        return [k for k in self.keys() if k.startswith(key_prefix)]
-
-    def index(self) -> list[tuple[str, str, str, bool]]:
-        """One ``(key, engine, scenario_name, ok)`` row per stored run.
-
-        Cheap by contract — no :class:`RunReport` deserialization — so
-        listings can filter and slice before touching any report blob;
-        :class:`SqliteStore` serves it straight from its denormalised
-        columns.
-        """
-        return [
-            (key, *_entry_identity(entry), bool(entry.get("ok")))
-            for key, entry in self.entries()
-        ]
-
-    def report(self, key: str) -> RunReport:
-        """The stored :class:`RunReport` for ``key``.
-
-        Raises :class:`StoreError` if the key is absent or holds a
-        failure record rather than a successful run.
-        """
-        entry = self.get(key)
-        if entry is None:
-            raise StoreError(f"no run stored under key {key!r}")
-        if not entry.get("ok"):
-            raise StoreError(
-                f"run {key[:12]} is a recorded failure: "
-                f"{entry.get('error_type')}: {entry.get('message')}"
-            )
-        return RunReport.from_dict(entry["report"])
-
-    def reports(self) -> list[RunReport]:
-        """Every successfully stored run, in storage order."""
-        return [
-            RunReport.from_dict(entry["report"])
-            for _, entry in self.entries()
-            if entry.get("ok")
-        ]
-
-
-class MemoryStore(RunStore):
-    """An in-process store; nothing survives the interpreter."""
-
-    def __init__(self) -> None:
-        self._entries: dict[str, dict] = {}
-        self._recorded: dict[str, float] = {}
-
-    def get(self, key: str) -> dict | None:
-        return self._entries.get(key)
-
-    def put(self, key: str, entry: dict, recorded_at: float | None = None) -> None:
-        # pop-then-set keeps the recording-order contract: a re-recorded
-        # key moves to the end of iteration.
-        self._entries.pop(key, None)
-        self._entries[key] = dict(entry)
-        self._recorded[key] = time.time() if recorded_at is None else recorded_at
-
-    def keys(self) -> tuple[str, ...]:
-        return tuple(self._entries)
-
-    def recorded_at(self, key: str) -> float | None:
-        return self._recorded.get(key)
-
-
-class JsonlStore(RunStore):
-    """Append-only JSON-lines persistence.
-
-    Each ``put`` appends one ``{"key", "recorded_at", "entry"}`` line
-    and flushes, so a killed sweep loses at most the line being written.
-    On open, undecodable lines (the torn tail of an interrupted write)
-    are skipped; later lines for a key shadow earlier ones — and take
-    over the earlier line's position *at the tail*, honoring the
-    recording-order contract — making re-recording an overwrite without
-    any rewriting of history.
-    """
-
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._entries: dict[str, dict] = {}
-        self._recorded: dict[str, float] = {}
-        torn_tail = False
-        if self.path.exists():
-            with self.path.open("rb") as raw:
-                content = raw.read()
-            torn_tail = bool(content) and not content.endswith(b"\n")
-            for line in content.decode("utf-8", errors="replace").splitlines():
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                    key, entry = record["key"], record["entry"]
-                except (json.JSONDecodeError, KeyError, TypeError):
-                    continue  # torn write from an interrupted run
-                self._entries.pop(key, None)  # shadowed line moves to the end
-                self._entries[key] = entry
-                # An unstamped shadowing line also sheds the shadowed
-                # line's stamp — the entry it belonged to is gone.
-                self._recorded.pop(key, None)
-                if isinstance(record.get("recorded_at"), (int, float)):
-                    self._recorded[key] = float(record["recorded_at"])
-        self._torn_tail = torn_tail
-        self._handle = None
-
-    def _writer(self):
-        # Opened lazily so read-only consumers (lab stats, merge
-        # sources, possibly on read-only mounts) never touch the file.
-        if self._handle is None:
-            try:
-                self._handle = self.path.open("a", encoding="utf-8")
-            except OSError as error:
-                raise StoreError(
-                    f"cannot write to jsonl store {self.path}: {error}"
-                ) from error
-            if self._torn_tail:
-                # Seal the torn line so the next append starts fresh.
-                self._handle.write("\n")
-                self._handle.flush()
-                self._torn_tail = False
-        return self._handle
-
-    def get(self, key: str) -> dict | None:
-        return self._entries.get(key)
-
-    def put(self, key: str, entry: dict, recorded_at: float | None = None) -> None:
-        stamp = time.time() if recorded_at is None else recorded_at
-        record = {"key": key, "recorded_at": stamp, "entry": entry}
-        writer = self._writer()
-        writer.write(json.dumps(record, sort_keys=True) + "\n")
-        writer.flush()
-        self._entries.pop(key, None)
-        self._entries[key] = dict(entry)
-        self._recorded[key] = stamp
-
-    def keys(self) -> tuple[str, ...]:
-        return tuple(self._entries)
-
-    def recorded_at(self, key: str) -> float | None:
-        return self._recorded.get(key)
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
+#: One ``(key, entry, recorded_at)`` triple, as :meth:`SqliteStore.records`
+#: yields and :meth:`SqliteStore.merge_from` absorbs them.
+Record = tuple[str, dict, float | None]
 
 #: The ``runs`` table DDL, shared with :class:`repro.fleet.coordinator.
 #: FleetCoordinator` — the fleet lays its lease tables beside this one
@@ -319,7 +66,7 @@ def entry_row(
     )
 
 
-class SqliteStore(RunStore):
+class SqliteStore:
     """One ``runs`` table in a ``sqlite3`` database.
 
     Keys are primary; ``put`` is an upsert.  Commits are batched: at
@@ -332,7 +79,7 @@ class SqliteStore(RunStore):
     ``engine`` and ``scenario_name`` columns are denormalised out of
     the entry to keep ``lab ls`` queries from parsing every report
     blob.  Iteration follows rowid, which ``INSERT OR REPLACE``
-    reassigns on overwrite — exactly the recording-order contract.
+    reassigns on overwrite: recording order, a re-recorded key last.
 
     Concurrency: the store opens in WAL journal mode with a
     ``busy_timeout`` (default 5 s), so a long-lived writer — the
@@ -342,12 +89,9 @@ class SqliteStore(RunStore):
     write transaction is open, and a second writer waits out the busy
     timeout instead of failing immediately.  Filesystems that cannot
     take WAL (some network mounts) silently keep the default journal —
-    the store works, just without concurrent readers.
+    the store works, just without concurrent readers.  ``":memory:"``
+    is private to this connection, so :mod:`repro.fleet` refuses it.
     """
-
-    _SCHEMA = RUNS_SCHEMA
-
-    concurrent_safe = True
 
     def __init__(
         self,
@@ -362,7 +106,13 @@ class SqliteStore(RunStore):
         self.commit_every = commit_every
         self._uncommitted = 0
         try:
-            self._db = sqlite3.connect(str(self.path))
+            # check_same_thread=False: a store may be opened on one
+            # thread and used on another (BackgroundServer drives the
+            # service on its own loop thread).  Safe because this
+            # sqlite3 is built serialized (sqlite3.threadsafety == 3)
+            # and each user keeps its store access on one thread at a
+            # time — the service on its loop thread.
+            self._db = sqlite3.connect(str(self.path), check_same_thread=False)
             self._db.execute(f"PRAGMA busy_timeout = {int(busy_timeout_ms)}")
             # Best-effort: journal_mode returns the mode actually in
             # force; a filesystem that refuses WAL answers with the
@@ -370,7 +120,7 @@ class SqliteStore(RunStore):
             self.journal_mode = self._db.execute(
                 "PRAGMA journal_mode = WAL"
             ).fetchone()[0]
-            self._db.execute(self._SCHEMA)
+            self._db.execute(RUNS_SCHEMA)
             self._db.commit()
         except sqlite3.Error as error:
             # e.g. an existing file that is not a database; surface it
@@ -380,9 +130,6 @@ class SqliteStore(RunStore):
                 f"cannot open sqlite store {self.path}: {error}"
             ) from error
 
-    def _row(self, key: str, entry: dict, recorded_at: float | None) -> tuple:
-        return entry_row(key, entry, recorded_at)
-
     def get(self, key: str) -> dict | None:
         row = self._db.execute(
             "SELECT entry FROM runs WHERE key = ?", (key,)
@@ -390,42 +137,52 @@ class SqliteStore(RunStore):
         return None if row is None else json.loads(row[0])
 
     def put(self, key: str, entry: dict, recorded_at: float | None = None) -> None:
+        """Persist ``entry`` under ``key``.
+
+        ``recorded_at`` defaults to now; :meth:`merge_from` passes the
+        source's timestamp through so provenance survives merging.
+        """
         self._db.execute(
             "INSERT OR REPLACE INTO runs VALUES (?, ?, ?, ?, ?, ?)",
-            self._row(key, entry, recorded_at),
+            entry_row(key, entry, recorded_at),
         )
         self._uncommitted += 1
         if self._uncommitted >= self.commit_every:
-            self.commit()
-
-    def commit(self) -> None:
-        """Flush any deferred puts to disk."""
-        self._db.commit()
-        self._uncommitted = 0
+            self.flush()
 
     def flush(self) -> None:
+        """Make every ``put`` so far crash-durable."""
         if self._uncommitted:
-            self.commit()
+            self._db.commit()
+            self._uncommitted = 0
 
-    def merge_from(self, other: RunStore) -> int:
-        """Absorb ``other`` in a single ``executemany`` transaction."""
+    def merge_from(self, records: Iterable[Record]) -> int:
+        """Absorb another store's :meth:`records` (or :func:`read_jsonl`)
+        in one transaction; returns the number of records written.
+
+        Key-idempotent: a held key is only replaced by a strictly newer
+        ``recorded_at`` (unknown stamps merge as epoch 0; equal ones go
+        to :func:`_tiebreak_wins`), so merging shards twice or in any
+        order converges to the same store.
+        """
         # One scan of the destination, not a recorded_at() SELECT per
         # incoming record.
         held = dict(
             self._db.execute("SELECT key, recorded_at FROM runs").fetchall()
         )
         rows = []
-        for key, entry, theirs in other.records():
+        for key, entry, theirs in records:
             theirs = 0.0 if theirs is None else theirs
             mine = held.get(key)
             if mine is not None and not theirs > mine:
                 if theirs != mine or not _tiebreak_wins(entry, self.get(key)):
                     continue
-            rows.append(self._row(key, entry, theirs))
+            rows.append(entry_row(key, entry, theirs))
         self._db.executemany(
             "INSERT OR REPLACE INTO runs VALUES (?, ?, ?, ?, ?, ?)", rows
         )
-        self.commit()
+        self._uncommitted += len(rows)
+        self.flush()
         return len(rows)
 
     def keys(self) -> tuple[str, ...]:
@@ -433,12 +190,14 @@ class SqliteStore(RunStore):
         return tuple(row[0] for row in rows)
 
     def recorded_at(self, key: str) -> float | None:
+        """When ``key`` was last recorded (epoch seconds), if held."""
         row = self._db.execute(
             "SELECT recorded_at FROM runs WHERE key = ?", (key,)
         ).fetchone()
         return None if row is None else row[0]
 
     def find(self, key_prefix: str) -> list[str]:
+        """All stored keys starting with ``key_prefix`` (hex)."""
         rows = self._db.execute(
             "SELECT key FROM runs WHERE key GLOB ? ORDER BY key",
             (key_prefix + "*",),
@@ -446,12 +205,16 @@ class SqliteStore(RunStore):
         return [row[0] for row in rows]
 
     def index(self) -> list[tuple[str, str, str, bool]]:
+        """One ``(key, engine, scenario_name, ok)`` row per stored run,
+        served from the denormalised columns — no report is decoded, so
+        listings can filter and slice before touching any blob."""
         rows = self._db.execute(
             "SELECT key, engine, scenario_name, ok FROM runs ORDER BY rowid"
         ).fetchall()
         return [(key, engine, name, bool(ok)) for key, engine, name, ok in rows]
 
-    def records(self) -> Iterator[tuple[str, dict, float | None]]:
+    def records(self) -> Iterator[Record]:
+        """``(key, entry, recorded_at)`` triples in recording order."""
         # One scan, not one SELECT per key — analytics and merges walk
         # whole stores, where N+1 lookups would dominate.
         cursor = self._db.execute(
@@ -460,12 +223,49 @@ class SqliteStore(RunStore):
         for key, raw, stamp in cursor:  # streamed, not fetchall'd
             yield key, json.loads(raw), stamp
 
+    def entries(self) -> Iterator[tuple[str, dict]]:
+        for key, entry, _ in self.records():
+            yield key, entry
+
+    def report(self, key: str) -> RunReport:
+        """The stored :class:`RunReport` for ``key``.
+
+        Raises :class:`StoreError` if the key is absent or holds a
+        failure record rather than a successful run.
+        """
+        entry = self.get(key)
+        if entry is None:
+            raise StoreError(f"no run stored under key {key!r}")
+        if not entry.get("ok"):
+            raise StoreError(
+                f"run {key[:12]} is a recorded failure: "
+                f"{entry.get('error_type')}: {entry.get('message')}"
+            )
+        return RunReport.from_dict(entry["report"])
+
+    def reports(self) -> list[RunReport]:
+        """Every successfully stored run, in storage order."""
+        return [
+            RunReport.from_dict(entry["report"])
+            for _, entry in self.entries()
+            if entry.get("ok")
+        ]
+
+    def __contains__(self, key: str) -> bool:
+        return self.get(key) is not None
+
     def __len__(self) -> int:
         return self._db.execute("SELECT COUNT(*) FROM runs").fetchone()[0]
 
+    def __enter__(self) -> "SqliteStore":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
+
     def close(self) -> None:
-        # flush(), not commit(): it no-ops when nothing is pending, so
-        # close() stays idempotent (sqlite3's own close already is).
+        # flush() no-ops when nothing is pending, so close() stays
+        # idempotent (sqlite3's own close already is).
         self.flush()
         self._db.close()
 
@@ -497,20 +297,66 @@ def _entry_identity(entry: dict) -> tuple[str, str]:
     return entry.get("engine", "?"), entry.get("scenario", {}).get("name", "")
 
 
-#: Path suffixes routed to :class:`JsonlStore`.
+#: Suffixes of JSON-lines interchange files, never opened as a store.
 _JSONL_SUFFIXES = (".jsonl", ".ndjson")
 
 
-def open_store(path: str | Path) -> RunStore:
-    """Open (creating if needed) the store at ``path``.
+def read_jsonl(path: str | Path) -> list[Record]:
+    """The records of a JSON-lines file, in recording order.
 
-    ``":memory:"`` gives a :class:`MemoryStore`; ``*.jsonl`` and
-    ``*.ndjson`` give a :class:`JsonlStore`; everything else (``*.sqlite``,
-    ``*.db``, ...) is a :class:`SqliteStore`.
+    One ``{"key", "recorded_at", "entry"}`` object per line, as
+    :func:`write_jsonl` and the old append-only JSONL stores wrote.
+    Undecodable lines (a torn tail) are skipped; a later line for a key
+    shadows an earlier one, moves it to the end, and — if unstamped —
+    drops the old stamp with the entry it belonged to.  Complete lines
+    none of which decodes raise :class:`StoreError`: that is garbage,
+    while a file killed in its first write holds one unterminated line.
     """
-    if str(path) == ":memory:":
-        return MemoryStore()
-    path = Path(path)
-    if path.suffix in _JSONL_SUFFIXES:
-        return JsonlStore(path)
+    content = Path(path).read_bytes().decode("utf-8", errors="replace")
+    entries: dict[str, dict] = {}
+    stamps: dict[str, float] = {}
+    lines = content.split("\n")
+    for line in lines:
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+            key, entry = record["key"], record["entry"]
+        except (json.JSONDecodeError, KeyError, TypeError):
+            continue  # torn write from an interrupted run
+        if not isinstance(key, str) or not isinstance(entry, dict):
+            continue
+        entries.pop(key, None)  # a shadowed line moves to the end
+        entries[key] = entry
+        stamps.pop(key, None)
+        if isinstance(record.get("recorded_at"), (int, float)):
+            stamps[key] = float(record["recorded_at"])
+    if not entries and any(line.strip() for line in lines[:-1]):
+        raise StoreError(
+            f"{path} holds no decodable runs despite being non-empty "
+            "(corrupt, or not a run export?)"
+        )
+    return [(key, entry, stamps.get(key)) for key, entry in entries.items()]
+
+
+def write_jsonl(store: SqliteStore, path: str | Path) -> int:
+    """Overwrite ``path`` with ``store``'s records as ``sort_keys`` JSON
+    lines (the :func:`read_jsonl` format); returns the line count."""
+    written = 0
+    with Path(path).open("w", encoding="utf-8") as out:
+        for key, entry, stamp in store.records():
+            record = {"key": key, "recorded_at": stamp, "entry": entry}
+            out.write(json.dumps(record, sort_keys=True) + "\n")
+            written += 1
+    return written
+
+
+def open_store(path: str | Path) -> SqliteStore:
+    """The :class:`SqliteStore` at ``path`` (created if needed), or
+    ``":memory:"``; a JSON-lines path raises :class:`StoreError`."""
+    if Path(path).suffix in _JSONL_SUFFIXES:
+        raise StoreError(
+            f"{path} is a JSON-lines file, not a run store: import it with "
+            f"`lab merge DEST {path}`, write one with `lab export`"
+        )
     return SqliteStore(path)

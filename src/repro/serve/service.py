@@ -50,7 +50,7 @@ from repro.api.engine import get_engine
 from repro.api.scenario import Scenario
 from repro.api.sweep import failure_entry, run_key, store_entry
 from repro.errors import AdmissionError, ReproError, ServeError, WireError
-from repro.lab.store import MemoryStore, RunStore
+from repro.lab.store import SqliteStore
 from repro.serve.events import TERMINAL_EVENTS, WIRE_SCHEMA, envelope, milestone_to_wire
 
 #: Job lifecycle states; the last three are terminal.
@@ -185,10 +185,10 @@ class SwapService:
     """The admission-controlled, multiplexing execution service."""
 
     def __init__(
-        self, config: ServiceConfig | None = None, store: RunStore | None = None
+        self, config: ServiceConfig | None = None, store: SqliteStore | None = None
     ) -> None:
         self.config = config or ServiceConfig()
-        self.store = store if store is not None else MemoryStore()
+        self.store = store if store is not None else SqliteStore(":memory:")
         self._jobs: dict[str, Job] = {}
         self._terminal_order: deque[str] = deque()
         self._buckets: dict[str, TokenBucket] = {}
@@ -251,9 +251,7 @@ class SwapService:
             )
             self._executor = None
         self._queue = None
-        flush = getattr(self.store, "flush", None)
-        if flush is not None:
-            flush()
+        self.store.flush()
 
     # -- admission -----------------------------------------------------------
 
@@ -464,9 +462,7 @@ class SwapService:
         """Store a fresh entry and make it crash-durable (the per-chunk
         discipline ``run_sweep`` uses, applied per job)."""
         self.store.put(key, entry)
-        flush = getattr(self.store, "flush", None)
-        if flush is not None:
-            flush()
+        self.store.flush()
 
     def _drive(self, job: Job, loop: asyncio.AbstractEventLoop) -> tuple[dict, str]:
         """Thread-side: step one execution, forwarding milestones live.

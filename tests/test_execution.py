@@ -523,10 +523,10 @@ class TestSweepProgress:
         assert all(t.milestones.get(SETTLED) == 1 for t in ticks)
 
     def test_warm_store_emits_cached_tick(self):
-        from repro.lab.store import MemoryStore
+        from repro.lab.store import SqliteStore
 
         items = [("herlihy", Scenario(topology=triangle(), seed=5, name="warm"))]
-        store = MemoryStore()
+        store = SqliteStore(":memory:")
         run_sweep(items, parallel=False, store=store)
         ticks: list[SweepProgress] = []
         report = run_sweep(items, parallel=False, store=store, progress=ticks.append)
@@ -534,9 +534,9 @@ class TestSweepProgress:
         assert ticks and ticks[0].cached == 1 and ticks[0].fresh == 0
 
     def test_milestone_counts_persisted_beside_report(self):
-        from repro.lab.store import MemoryStore
+        from repro.lab.store import SqliteStore
 
-        store = MemoryStore()
+        store = SqliteStore(":memory:")
         items = [("herlihy", Scenario(topology=triangle(), seed=9, name="ms"))]
         run_sweep(items, parallel=False, store=store)
         (key, entry), = store.entries()

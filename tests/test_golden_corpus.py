@@ -26,7 +26,7 @@ import pytest
 from repro.api.sweep import run_key, run_sweep
 from repro.crypto.hashing import sha256
 from repro.lab.registry import get_family, list_families, list_mixes, list_timings
-from repro.lab.store import MemoryStore
+from repro.lab.store import SqliteStore
 from repro.lab.workloads import Workload, build_sweep
 
 CORPUS = Path(__file__).with_name("golden_corpus.json")
@@ -66,7 +66,7 @@ def build_corpus() -> dict:
         ],
     }
     for label, fast_path in (("plain", False), ("fast_path", True)):
-        store = MemoryStore()
+        store = SqliteStore(":memory:")
         run_sweep(items, parallel=False, store=store, fast_path=fast_path)
         corpus[label] = [_digest(store.get(key)) for key in keys]
     return corpus

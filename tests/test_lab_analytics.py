@@ -34,7 +34,7 @@ from repro.lab.analytics import (
     stats_payload,
     stats_table,
 )
-from repro.lab.store import MemoryStore
+from repro.lab.store import SqliteStore
 from repro.lab.workloads import Workload, build_sweep
 
 
@@ -143,7 +143,7 @@ class TestFacts:
         assert fact.family == "-"
 
     def test_collect_facts_filters(self):
-        store = MemoryStore()
+        store = SqliteStore(":memory:")
         store.put("k1", ok_entry(engine="herlihy"))
         store.put("k2", ok_entry(
             engine="2pc", name="lab:star(points=3):points=3:free-ride:2pc#1"
@@ -282,7 +282,7 @@ class TestTableEmitters:
 
 class TestEndToEnd:
     def test_real_sweep_aggregates(self):
-        store = MemoryStore()
+        store = SqliteStore(":memory:")
         sweep = build_sweep(
             [
                 Workload(
@@ -308,7 +308,7 @@ class TestEndToEnd:
         assert all(row["safety_delta"] == 0.0 for row in rows)
 
     def test_failures_feed_the_taxonomy(self):
-        store = MemoryStore()
+        store = SqliteStore(":memory:")
         sweep = Sweep("t")
         # single-leader on K3: no single-vertex FVS -> recorded failure
         from repro.api import Scenario

@@ -87,13 +87,40 @@ class TestRun:
         assert "disabled (--no-store)" in out
         assert not path.exists() and not path.parent.exists()
 
-    def test_jsonl_store_works_too(self, tmp_path, capsys):
-        path = str(tmp_path / "runs.jsonl")
+    def test_export_merge_round_trip(self, store_path, tmp_path, capsys):
+        exported = str(tmp_path / "runs.jsonl")
+        copy = str(tmp_path / "copy.sqlite")
+        assert _run(["run", "--family", "cycle", "--grid", "n=3,4",
+                     "--mix", "all-conforming", "--mix", "phase-crash",
+                     "--serial", "--store", store_path]) == 0
+        capsys.readouterr()
+        assert _run(["export", exported, "--store", store_path]) == 0
+        assert "exported 4 run(s)" in capsys.readouterr().out
+        assert _run(["merge", copy, exported]) == 0
+        assert "0 -> 4 run(s)" in capsys.readouterr().out
+        with open_store(store_path) as original, open_store(copy) as imported:
+            assert list(imported.records()) == list(original.records())
+        stats = []
+        for path in (store_path, copy):
+            assert _run(["stats", "--json", "--store", path]) == 0
+            stats.append(json.loads(capsys.readouterr().out))
+        assert stats[0] == stats[1]
+
+    def test_jsonl_store_path_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "runs.jsonl"
         assert _run(["run", "--family", "cycle", "--grid", "n=3",
-                     "--serial", "--store", path]) == 0
-        assert _run(["run", "--family", "cycle", "--grid", "n=3",
-                     "--serial", "--store", path]) == 0
-        assert "executed 0, cached 1" in capsys.readouterr().out
+                     "--serial", "--store", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "lab merge" in err and "lab export" in err
+        assert not path.exists()
+
+    def test_export_requires_a_jsonl_destination(self, store_path, tmp_path,
+                                                 capsys):
+        open_store(store_path).close()
+        dest = tmp_path / "out.sqlite"
+        assert _run(["export", str(dest), "--store", store_path]) == 1
+        assert ".jsonl" in capsys.readouterr().err
+        assert not dest.exists()
 
 
 class TestInspection:
@@ -296,13 +323,14 @@ class TestStats:
 class TestMerge:
     def test_merge_shards_matches_single_store(self, tmp_path, capsys):
         shard_a = str(tmp_path / "a.sqlite")
-        shard_b = str(tmp_path / "b.jsonl")  # mixed backends merge too
+        shard_b = str(tmp_path / "b.jsonl")  # stores and exports merge alike
         whole = str(tmp_path / "whole.sqlite")
         merged = str(tmp_path / "merged.sqlite")
         _run(["run", "--family", "cycle", "--grid", "n=3", "--serial",
               "--store", shard_a])
         _run(["run", "--family", "cycle", "--grid", "n=4", "--serial",
-              "--store", shard_b])
+              "--store", str(tmp_path / "b.sqlite")])
+        _run(["export", shard_b, "--store", str(tmp_path / "b.sqlite")])
         _run(["run", "--family", "cycle", "--grid", "n=3,4", "--serial",
               "--store", whole])
         capsys.readouterr()

@@ -2,8 +2,8 @@
 
 The load-bearing guarantees:
 
-* every backend round-trips entries and survives reopen (where it
-  persists at all);
+* the store round-trips entries in memory and on disk, and survives
+  reopen; JSON-lines exports import back to the same records;
 * ``run_sweep(store=...)`` serves warm scenarios without executing a
   single engine (asserted by making execution impossible);
 * interrupted sweeps resume — only the missing scenarios run;
@@ -26,18 +26,14 @@ from repro.digraph.digraph import Digraph
 from repro.digraph.generators import cycle_digraph, triangle, two_leader_triangle
 from repro.errors import StoreError
 from repro.lab.analytics import collect_facts, stats_payload
-from repro.lab.store import JsonlStore, MemoryStore, SqliteStore, open_store
+from repro.lab.store import SqliteStore, open_store, read_jsonl, write_jsonl
 
 ENTRY = {"ok": False, "engine": "x", "scenario": {"name": "s"},
          "error_type": "E", "message": "m"}
 
 
 def _make_stores(tmp_path):
-    return [
-        MemoryStore(),
-        JsonlStore(tmp_path / "runs.jsonl"),
-        SqliteStore(tmp_path / "runs.sqlite"),
-    ]
+    return [SqliteStore(":memory:"), SqliteStore(tmp_path / "runs.sqlite")]
 
 
 class TestBackends:
@@ -52,7 +48,7 @@ class TestBackends:
             assert store.keys() == ("k",)
             store.close()
 
-    @pytest.mark.parametrize("filename", ["runs.jsonl", "runs.sqlite"])
+    @pytest.mark.parametrize("filename", ["runs.db", "runs.sqlite"])
     def test_persistence_across_reopen(self, tmp_path, filename):
         path = tmp_path / filename
         with open_store(path) as store:
@@ -75,55 +71,62 @@ class TestBackends:
 
     def test_jsonl_tolerates_torn_tail(self, tmp_path):
         path = tmp_path / "runs.jsonl"
-        with JsonlStore(path) as store:
-            store.put("good", ENTRY)
+        with SqliteStore(":memory:") as store:
+            store.put("good", ENTRY, recorded_at=1.0)
+            write_jsonl(store, path)
         with path.open("a") as handle:
             handle.write('{"key": "torn", "entry": {"ok"')  # killed mid-write
-        with JsonlStore(path) as store:
-            assert store.keys() == ("good",)
-            store.put("after", ENTRY)  # appending again still works
-        with JsonlStore(path) as store:
-            assert sorted(store.keys()) == ["after", "good"]
+        assert read_jsonl(path) == [("good", ENTRY, 1.0)]
 
-    def test_jsonl_read_only_access_never_touches_the_file(self, tmp_path):
-        # Read-only consumers (lab stats, merge sources) must not open
-        # the file for append — not even to seal a torn tail.
+    def test_jsonl_later_line_shadows_and_moves_to_the_end(self, tmp_path):
         path = tmp_path / "runs.jsonl"
-        with JsonlStore(path) as store:
-            store.put("k", ENTRY)
-        with path.open("a") as handle:
-            handle.write('{"key": "torn"')  # interrupted write, no newline
-        before = path.read_bytes()
-        with JsonlStore(path) as store:
-            assert store.keys() == ("k",)
-            list(store.entries())
-        assert path.read_bytes() == before  # byte-for-byte untouched
-        with JsonlStore(path) as store:
-            store.put("after", ENTRY)  # first write seals the torn tail
-        with JsonlStore(path) as store:
-            assert sorted(store.keys()) == ["after", "k"]
+        lines = [
+            {"key": "a", "recorded_at": 1.0, "entry": ENTRY},
+            {"key": "b", "recorded_at": 2.0, "entry": ENTRY},
+            {"key": "a", "recorded_at": 3.0, "entry": OK_ENTRY},
+        ]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        assert read_jsonl(path) == [("b", ENTRY, 2.0), ("a", OK_ENTRY, 3.0)]
 
     def test_jsonl_unstamped_shadowing_line_sheds_old_stamp(self, tmp_path):
         # A later line for a key without recorded_at must not keep the
         # shadowed line's stamp — the entry that stamp belonged to is
         # gone, and merge_from would trust the stale timestamp.
         path = tmp_path / "runs.jsonl"
-        with JsonlStore(path) as store:
+        with SqliteStore(":memory:") as store:
             store.put("k", ENTRY, recorded_at=100.0)
+            write_jsonl(store, path)
         with path.open("a") as handle:
             handle.write(json.dumps({"key": "k", "entry": {"ok": True,
                                                            "report": {}}}))
             handle.write("\n")
-        with JsonlStore(path) as store:
-            assert store.get("k")["ok"] is True
-            assert store.recorded_at("k") is None
+        (record,) = read_jsonl(path)
+        assert record == ("k", {"ok": True, "report": {}}, None)
+
+    def test_jsonl_export_keeps_the_append_only_line_format(self, tmp_path):
+        # Pre-existing *.jsonl stores wrote one sort_keys line per put;
+        # the export writes exactly those bytes, so old files import
+        # unchanged and an export round-trips to the same records.
+        path = tmp_path / "runs.jsonl"
+        with SqliteStore(tmp_path / "runs.sqlite") as store:
+            store.put("k1", ENTRY, recorded_at=1.5)
+            store.put("k2", OK_ENTRY, recorded_at=2.5)
+            assert write_jsonl(store, path) == 2
+            assert read_jsonl(path) == list(store.records())
+        assert path.read_text() == "".join(
+            json.dumps({"key": key, "recorded_at": stamp, "entry": entry},
+                       sort_keys=True) + "\n"
+            for key, entry, stamp in [("k1", ENTRY, 1.5), ("k2", OK_ENTRY, 2.5)]
+        )
 
     def test_open_store_dispatch(self, tmp_path):
-        assert isinstance(open_store(":memory:"), MemoryStore)
-        assert isinstance(open_store(tmp_path / "a.jsonl"), JsonlStore)
-        assert isinstance(open_store(tmp_path / "a.ndjson"), JsonlStore)
+        assert isinstance(open_store(":memory:"), SqliteStore)
         assert isinstance(open_store(tmp_path / "a.sqlite"), SqliteStore)
         assert isinstance(open_store(tmp_path / "a.db"), SqliteStore)
+        for name in ("a.jsonl", "a.ndjson"):
+            with pytest.raises(StoreError, match="lab merge.*lab export"):
+                open_store(tmp_path / name)
+            assert not (tmp_path / name).exists()
 
     def test_index_matches_entries_without_parsing_reports(self, tmp_path):
         ok_entry = {
@@ -146,7 +149,7 @@ class TestBackends:
             SqliteStore(path)
 
     def test_report_accessor(self, tmp_path):
-        store = MemoryStore()
+        store = SqliteStore(":memory:")
         with pytest.raises(StoreError):
             store.report("missing")
         store.put("f", ENTRY)
@@ -158,12 +161,8 @@ OK_ENTRY = {"ok": True, "report": {"engine": "e", "scenario": {"name": "n"}}}
 
 
 class TestIterationOrder:
-    """The pinned RunStore contract: recording order, re-record at the end.
-
-    JSONL used to keep a re-recorded key at its *first* position while
-    SQLite reordered by ``recorded_at`` — ``lab ls`` listings disagreed
-    depending on the backend.  All backends now agree.
-    """
+    """The pinned store contract: recording order, re-record at the end,
+    in memory and on disk alike."""
 
     def test_rerecord_moves_key_to_the_end_everywhere(self, tmp_path):
         for store in _make_stores(tmp_path):
@@ -178,7 +177,7 @@ class TestIterationOrder:
             ] == list(store.entries())
             store.close()
 
-    @pytest.mark.parametrize("filename", ["runs.jsonl", "runs.sqlite"])
+    @pytest.mark.parametrize("filename", ["runs.db", "runs.sqlite"])
     def test_order_survives_reopen(self, tmp_path, filename):
         path = tmp_path / filename
         with open_store(path) as store:
@@ -191,59 +190,63 @@ class TestIterationOrder:
 
 class TestMergeFrom:
     def test_merge_between_any_backends(self, tmp_path):
+        # Sources: an in-memory store, a file store, and their exports.
         for i, src in enumerate(_make_stores(tmp_path / "src")):
             src.put("k1", ENTRY, recorded_at=10.0)
             src.put("k2", OK_ENTRY, recorded_at=20.0)
-            for j, dest in enumerate(_make_stores(tmp_path / f"dest{i}")):
-                assert dest.merge_from(src) == 2
-                assert dest.get("k1") == ENTRY
-                assert dest.get("k2") == OK_ENTRY
-                # provenance: the source timestamps survive the merge
-                assert dest.recorded_at("k1") == 10.0
-                assert dest.recorded_at("k2") == 20.0
-                dest.close()
+            write_jsonl(src, tmp_path / f"src{i}.jsonl")
+            exported = read_jsonl(tmp_path / f"src{i}.jsonl")
+            for j, records in enumerate([list(src.records()), exported]):
+                for dest in _make_stores(tmp_path / f"dest{i}{j}"):
+                    assert dest.merge_from(records) == 2
+                    assert dest.get("k1") == ENTRY
+                    assert dest.get("k2") == OK_ENTRY
+                    # provenance: the source timestamps survive the merge
+                    assert dest.recorded_at("k1") == 10.0
+                    assert dest.recorded_at("k2") == 20.0
+                    dest.close()
             src.close()
 
     def test_newest_recorded_at_wins(self, tmp_path):
         dest = SqliteStore(tmp_path / "dest.sqlite")
         dest.put("k", ENTRY, recorded_at=100.0)
-        newer = MemoryStore()
+        newer = SqliteStore(":memory:")
         newer.put("k", OK_ENTRY, recorded_at=200.0)
-        assert dest.merge_from(newer) == 1
+        assert dest.merge_from(newer.records()) == 1
         assert dest.get("k") == OK_ENTRY
 
-        older = MemoryStore()
+        older = SqliteStore(":memory:")
         older.put("k", ENTRY, recorded_at=50.0)
-        assert dest.merge_from(older) == 0  # stale shard changes nothing
+        assert dest.merge_from(older.records()) == 0  # stale shard: no change
         assert dest.get("k") == OK_ENTRY
         assert dest.recorded_at("k") == 200.0
 
     def test_merge_is_idempotent(self, tmp_path):
-        shard = JsonlStore(tmp_path / "shard.jsonl")
+        shard = SqliteStore(tmp_path / "shard.sqlite")
         shard.put("k1", ENTRY, recorded_at=1.0)
         shard.put("k2", OK_ENTRY, recorded_at=2.0)
+        write_jsonl(shard, tmp_path / "shard.jsonl")
         dest = SqliteStore(tmp_path / "dest.sqlite")
-        assert dest.merge_from(shard) == 2
-        assert dest.merge_from(shard) == 0  # same shard again: no writes
+        assert dest.merge_from(shard.records()) == 2
+        assert dest.merge_from(shard.records()) == 0  # same shard: no writes
+        assert dest.merge_from(read_jsonl(tmp_path / "shard.jsonl")) == 0
         assert len(dest) == 2
 
     def test_unknown_timestamp_merges_as_oldest_and_converges(self, tmp_path):
-        # A JSONL line without recorded_at (tolerated on load) must not
+        # A JSONL line without recorded_at (tolerated on import) must not
         # win conflicts just because it was merged first.
-        unknown = JsonlStore(tmp_path / "unknown.jsonl")
-        unknown.put("k", ENTRY)
         (tmp_path / "unknown.jsonl").write_text(
             json.dumps({"key": "k", "entry": ENTRY}) + "\n"
         )
-        unknown = JsonlStore(tmp_path / "unknown.jsonl")  # reload: no stamp
-        assert unknown.recorded_at("k") is None
-        stamped = MemoryStore()
+        unknown = read_jsonl(tmp_path / "unknown.jsonl")
+        assert unknown == [("k", ENTRY, None)]
+        stamped = SqliteStore(":memory:")
         stamped.put("k", OK_ENTRY, recorded_at=100.0)
 
         first = SqliteStore(tmp_path / "first.sqlite")
-        first.merge_from(unknown), first.merge_from(stamped)
+        first.merge_from(unknown), first.merge_from(stamped.records())
         second = SqliteStore(tmp_path / "second.sqlite")
-        second.merge_from(stamped), second.merge_from(unknown)
+        second.merge_from(stamped.records()), second.merge_from(unknown)
         assert first.get("k") == OK_ENTRY == second.get("k")
         assert first.recorded_at("k") == 100.0 == second.recorded_at("k")
 
@@ -253,29 +256,29 @@ class TestMergeFrom:
         # decide the winner.
         entry_a = {"ok": True, "report": {"wall_seconds": 0.25}}
         entry_b = {"ok": True, "report": {"wall_seconds": 0.75}}
-        a, b = MemoryStore(), MemoryStore()
+        a, b = SqliteStore(":memory:"), SqliteStore(":memory:")
         a.put("k", entry_a, recorded_at=100.0)
         b.put("k", entry_b, recorded_at=100.0)
 
         ab = SqliteStore(tmp_path / "ab.sqlite")
-        ab.merge_from(a), ab.merge_from(b)
-        ba = JsonlStore(tmp_path / "ba.jsonl")
-        ba.merge_from(b), ba.merge_from(a)
+        ab.merge_from(a.records()), ab.merge_from(b.records())
+        ba = SqliteStore(":memory:")
+        ba.merge_from(b.records()), ba.merge_from(a.records())
         assert ab.get("k") == ba.get("k")
 
     def test_merge_order_converges(self, tmp_path):
         """Shards of one sweep merge to the same store in either order."""
-        a = MemoryStore()
+        a = SqliteStore(":memory:")
         a.put("shared", ENTRY, recorded_at=1.0)
         a.put("only-a", OK_ENTRY, recorded_at=2.0)
-        b = MemoryStore()
+        b = SqliteStore(":memory:")
         b.put("shared", OK_ENTRY, recorded_at=3.0)  # b re-ran it later
         b.put("only-b", ENTRY, recorded_at=4.0)
 
         ab = SqliteStore(tmp_path / "ab.sqlite")
-        ab.merge_from(a), ab.merge_from(b)
+        ab.merge_from(a.records()), ab.merge_from(b.records())
         ba = SqliteStore(tmp_path / "ba.sqlite")
-        ba.merge_from(b), ba.merge_from(a)
+        ba.merge_from(b.records()), ba.merge_from(a.records())
 
         def content(store):
             return {
@@ -411,7 +414,7 @@ class TestWalConcurrency:
 
 class TestSweepStoreIntegration:
     def test_cold_run_populates_store(self, tmp_path):
-        store = MemoryStore()
+        store = SqliteStore(":memory:")
         report = run_sweep(_sweep(), parallel=False, store=store)
         assert report.executed == 4 and report.cached == 0
         assert len(store) == 4
@@ -419,7 +422,7 @@ class TestSweepStoreIntegration:
             assert run_key(engine, scenario) in store
 
     def test_warm_run_executes_zero_engines(self, tmp_path, monkeypatch):
-        store = JsonlStore(tmp_path / "runs.jsonl")
+        store = SqliteStore(tmp_path / "runs.sqlite")
         cold = run_sweep(_sweep(), parallel=False, store=store)
 
         def explode(payload, fast_path=False):
@@ -452,7 +455,7 @@ class TestSweepStoreIntegration:
         assert len(resumed.reports) == 4
 
     def test_failures_are_cached_too(self, monkeypatch):
-        store = MemoryStore()
+        store = SqliteStore(":memory:")
         # single-leader on K3: no single-vertex FVS -> recorded failure.
         items = [("single-leader", Scenario(topology=two_leader_triangle()))]
         cold = run_sweep(items, parallel=False, store=store)
@@ -477,19 +480,19 @@ class SimulatedCrash(Exception):
     """Stands in for the process dying mid-sweep."""
 
 
-class CrashingStore(MemoryStore):
+class CrashingStore(SqliteStore):
     """Raises after ``crash_after`` puts, then releases ``unblock``."""
 
     def __init__(self, crash_after: int, unblock: threading.Event) -> None:
-        super().__init__()
+        super().__init__(":memory:")
         self.crash_after = crash_after
         self.unblock = unblock
 
     def put(self, key, entry, recorded_at=None):
         super().put(key, entry, recorded_at)
-        if len(self._entries) >= self.crash_after:
+        if len(self) >= self.crash_after:
             self.unblock.set()
-            raise SimulatedCrash(f"crashed after {len(self._entries)} puts")
+            raise SimulatedCrash(f"crashed after {len(self)} puts")
 
 
 class TestOutOfOrderPersistence:
@@ -558,7 +561,7 @@ class TestOutOfOrderPersistence:
             )
 
         # Resume into a fresh store seeded with what survived the crash.
-        survivor = MemoryStore()
+        survivor = SqliteStore(":memory:")
         for key in crashing.keys():
             survivor.put(key, crashing.get(key))
         resumed = run_sweep(sweep, parallel=False, store=survivor)
@@ -570,18 +573,21 @@ class TestOutOfOrderPersistence:
 class TestShardedStatsParity:
     def test_merged_shards_report_identical_aggregates(self, tmp_path):
         """lab stats over a merged two-shard store == the single store."""
-        whole = MemoryStore()
+        whole = SqliteStore(":memory:")
         run_sweep(_sweep(), parallel=False, store=whole)
         assert len(whole) == 4
 
-        shard_a = JsonlStore(tmp_path / "a.jsonl")
+        shard_a = SqliteStore(":memory:")  # shipped as a JSONL export
         shard_b = SqliteStore(tmp_path / "b.sqlite")
         for i, (key, entry) in enumerate(whole.entries()):
             shard = shard_a if i % 2 else shard_b
             shard.put(key, entry, recorded_at=whole.recorded_at(key))
+        write_jsonl(shard_a, tmp_path / "a.jsonl")
 
         merged = SqliteStore(tmp_path / "merged.sqlite")
-        assert merged.merge_from(shard_a) + merged.merge_from(shard_b) == 4
+        assert merged.merge_from(read_jsonl(tmp_path / "a.jsonl")) + merged.merge_from(
+            shard_b.records()
+        ) == 4
         by = ("engine", "family", "mix")
         assert stats_payload(collect_facts(merged), by) == stats_payload(
             collect_facts(whole), by

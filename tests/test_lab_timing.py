@@ -29,7 +29,7 @@ from repro.lab import (
     register_timing,
     timing_of,
 )
-from repro.lab.store import MemoryStore
+from repro.lab.store import SqliteStore
 
 
 def _lab(args):
@@ -136,7 +136,7 @@ class TestWorkloadTimings:
 
 class TestTimingAnalytics:
     def _store_with_timings(self):
-        store = MemoryStore()
+        store = SqliteStore(":memory:")
         sweep = build_sweep(
             Workload("cycle", {"n": 4},
                      timings=("uniform", "jittered", "stragglers"))

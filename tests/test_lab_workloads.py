@@ -16,7 +16,7 @@ from repro.digraph.multigraph import MultiDigraph
 from repro.digraph.paths import is_strongly_connected
 from repro.errors import LabError, UnknownWorkloadError
 from repro.lab import (
-    MemoryStore,
+    SqliteStore,
     Workload,
     build_sweep,
     expand_grid,
@@ -198,7 +198,7 @@ class TestEndToEnd:
                 mixes=("all-conforming", "phase-crash", "last-moment", "free-ride"),
             )
         )
-        report = run_sweep(sweep, parallel=False, store=MemoryStore())
+        report = run_sweep(sweep, parallel=False, store=SqliteStore(":memory:"))
         assert not report.failures
         assert len(report.reports) == 4
         # Theorem 4.9 holds across every adversary mix.

@@ -19,7 +19,7 @@ from repro.digraph.generators import random_strongly_connected, triangle
 from repro.digraph.paths import all_simple_paths
 from repro.errors import AnalysisError
 from repro.fleet import FleetCoordinator, FleetWorker
-from repro.lab.store import MemoryStore, open_store
+from repro.lab.store import SqliteStore, open_store
 from repro.serve.service import ServiceConfig, SwapService
 from repro.sim import trace as tr
 
@@ -147,7 +147,7 @@ class TestReplayRefusalFallsBack:
             return report
 
         sweep = Sweep("refusal").add("herlihy", scenario)
-        store = MemoryStore()
+        store = SqliteStore(":memory:")
         report = run_sweep(sweep, store=store, parallel=False, fast_path=True)
         assert not report.failures and report.analytic == 0
         swept = simulated(store.get(key))

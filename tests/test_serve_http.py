@@ -15,6 +15,7 @@ import socket
 import pytest
 
 from repro.errors import ServeError
+from repro.lab.store import SqliteStore
 from repro.serve.client import BackgroundServer, ServeClient, sample_scenarios
 from repro.serve.events import TERMINAL_EVENTS, check_envelope
 from repro.serve.service import ServiceConfig, SwapService
@@ -54,6 +55,21 @@ class TestRoutes:
         assert doc["engines_executed"] == 0
         assert "report" in doc
         assert server.client().status()["executed"] == 1
+
+    def test_file_store_opened_off_the_loop_thread_serves_warm(self, tmp_path):
+        # The store is opened here, on the test thread; BackgroundServer
+        # drives the service (and so every store call) on its own loop
+        # thread.
+        store = SqliteStore(tmp_path / "runs.sqlite")
+        service = SwapService(ServiceConfig(rate=0.0), store=store)
+        with BackgroundServer(service) as bg:
+            client = bg.client()
+            payload = sample_scenarios(1)[0]
+            assert submit_and_settle(client, payload)["status"] == "settled"
+            status, doc = client.submit(payload)
+            assert (status, doc["status"]) == (200, "cached")
+            assert client.status()["executed"] == 1
+        store.close()
 
     def test_unknown_job_is_404(self, server):
         status, _, doc = server.client().request("GET", "/v1/runs/feedface")

@@ -15,7 +15,7 @@ from repro.api.scenario import Scenario
 from repro.api.sweep import run_sweep
 from repro.digraph.generators import triangle, two_leader_triangle
 from repro.errors import AdmissionError, ReproError, ServeError, WireError
-from repro.lab.store import MemoryStore
+from repro.lab.store import SqliteStore
 from repro.serve.events import check_envelope
 from repro.serve.service import ServiceConfig, SwapService, TokenBucket
 from repro.sim.milestones import MILESTONE_KINDS
@@ -423,7 +423,7 @@ class TestEventData:
 
     @staticmethod
     def _warm(engine, scenario):
-        store = MemoryStore()
+        store = SqliteStore(":memory:")
         run_sweep([(engine, scenario)], parallel=False, store=store)
         return store
 

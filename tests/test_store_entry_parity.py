@@ -35,7 +35,7 @@ from repro.digraph.generators import cycle_digraph, triangle, two_leader_triangl
 from repro.digraph.paths import is_strongly_connected
 from repro.fleet import FleetCoordinator, FleetWorker
 from repro.lab.registry import get_family, list_families
-from repro.lab.store import MemoryStore, open_store
+from repro.lab.store import SqliteStore, open_store
 from repro.serve.service import ServiceConfig, SwapService
 from repro.sim.faults import Crash, CrashPoint, FaultPlan
 
@@ -54,7 +54,7 @@ def _normalised(entry: dict) -> str:
 
 
 def _swept() -> dict[str, dict]:
-    store = MemoryStore()
+    store = SqliteStore(":memory:")
     sweep = Sweep("entries")
     for engine, scenario in ITEMS:
         sweep.add(engine, scenario)
@@ -95,7 +95,7 @@ def test_every_front_end_stores_the_same_entries(tmp_path):
     analytic_key, simulated_key, failing_key = _keys()
     assert swept[analytic_key]["report"]["extra"] == {"path": "analytic"}
     assert swept[simulated_key]["report"]["extra"] == {"path": "simulated"}
-    assert list(swept[failing_key]) == ["ok", "engine", "scenario", "error_type", "message"]
+    assert set(swept[failing_key]) == {"ok", "engine", "scenario", "error_type", "message"}
     assert swept[failing_key]["ok"] is False
     assert swept[failing_key]["engine"] == "single-leader"
     for key in (analytic_key, simulated_key):
@@ -119,7 +119,7 @@ def _family_sweep() -> Sweep:
 
 
 def test_inline_reports_equal_their_decoded_entries():
-    store = MemoryStore()
+    store = SqliteStore(":memory:")
     sweep = _family_sweep()
     report = run_sweep(sweep, store=store, parallel=False, fast_path=True)
     assert report.analytic > 10 and report.executed >= 2 and not report.failures
