@@ -114,16 +114,11 @@ def _seed_style_run(digraph: Digraph, config: SwapConfig):
             party.wake_after(
                 party.profile.reaction_delay,
                 lambda p=party, c=chain, r=record, t=now: p.on_chain_record(c, r, t),
-                label=f"{party.address}:observe",
             )
 
     network.subscribe_all(on_record)
-    for vertex, party in parties.items():
-        scheduler.at(
-            spec.start_time,
-            lambda p=party: None if p.is_halted else p.start(),
-            label=f"{vertex}:start",
-        )
+    for party in parties.values():
+        scheduler.at(spec.start_time, lambda p=party: None if p.is_halted else p.start())
     events = scheduler.run()
     return collect_result(
         spec=spec,

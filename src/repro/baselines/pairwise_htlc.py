@@ -81,7 +81,7 @@ class SequentialParty(Process):
 
     def start(self) -> None:
         if self.is_first_mover and not self.defects:
-            self.wake_after(self.profile.action_delay, self._pay, label=f"{self.address}:pay")
+            self.wake_after(self.profile.action_delay, self._pay)
 
     def on_chain_record(self, chain: Blockchain, record: Record, landed_at: int) -> None:
         if record.kind != "asset_transfer":
@@ -96,7 +96,7 @@ class SequentialParty(Process):
         if len(self.received) == len(self.entering) and not self.paid:
             if self.defects:
                 return  # take the money and run
-            self.wake_after(self.profile.action_delay, self._pay, label=f"{self.address}:pay")
+            self.wake_after(self.profile.action_delay, self._pay)
 
     def _pay(self) -> None:
         if self.paid:

@@ -151,7 +151,7 @@ class EscrowParty(Process):
         self.contract_ids: dict[Arc, str] = {}
 
     def start(self) -> None:
-        self.wake_after(self.profile.action_delay, self._escrow_all, label=f"{self.address}:escrow")
+        self.wake_after(self.profile.action_delay, self._escrow_all)
 
     def _escrow_all(self) -> None:
         now = self.scheduler.now
@@ -169,7 +169,6 @@ class EscrowParty(Process):
             self.wake_after(
                 max(0, self.timeout - now) + self.profile.action_delay,
                 lambda a=arc, cid=contract_id: self._try_refund(a, cid),
-                label=f"{self.address}:refund-watch",
             )
 
     def _try_refund(self, arc: Arc, contract_id: str) -> None:
@@ -228,7 +227,7 @@ class Coordinator(Process):
                 self.halt()
                 self.trace.record(self.scheduler.now, tr.PARTY_CRASHED, COORDINATOR)
                 return
-            self.wake_after(self.profile.action_delay, self._decide, label="coordinator:decide")
+            self.wake_after(self.profile.action_delay, self._decide)
 
     def _decide(self) -> None:
         if self.decided:

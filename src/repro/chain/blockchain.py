@@ -35,8 +35,7 @@ class Blockchain:
         self.ledger = Ledger(chain_id)
         self.assets = AssetRegistry(chain_id)
         self._contracts: dict[str, Contract] = {}
-        self._subscribers: list[ChainEventCallback] = []
-        self._published_bytes = 0
+        self._subscribers: tuple[ChainEventCallback, ...] = ()
 
     # -- subscription (wired to the simulator's observation delays) ----------
 
@@ -46,12 +45,11 @@ class Blockchain:
         The discrete-event runner uses this to schedule each party's
         *delayed* observation; parties never subscribe directly.
         """
-        self._subscribers.append(callback)
+        self._subscribers += (callback,)
 
     def _record(self, record: Record, now: int) -> None:
         self.ledger.append(record, now)
-        self._published_bytes += record.encoded_size_bytes()
-        for callback in list(self._subscribers):
+        for callback in self._subscribers:
             callback(self, record, now)
 
     # -- assets -----------------------------------------------------------------
@@ -216,12 +214,13 @@ class Blockchain:
         return self.ledger.records()
 
     def stored_bytes(self) -> int:
-        """Total bytes persisted on this chain (ledger blocks)."""
+        """Total bytes persisted on this chain: the published record
+        bytes plus one block header per record."""
         return self.ledger.total_size_bytes()
 
     def published_bytes(self) -> int:
         """Total record bytes ever published (communication accounting)."""
-        return self._published_bytes
+        return self.ledger.record_bytes()
 
     def contract_storage_bytes(self) -> int:
         """Long-lived contract storage only (the Theorem 4.10 measure)."""

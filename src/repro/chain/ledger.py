@@ -7,6 +7,14 @@ irrevocable, and stored bytes can be counted (for Theorem 4.10).  A
 wrapped in blocks whose headers chain by SHA-256, so any retroactive
 mutation is detectable by :meth:`Ledger.verify_integrity`.
 
+Blocks are sealed on first read, not on append: :meth:`Ledger.append`
+only checks the timestamp and queues the record, and the first call to
+:meth:`Ledger.blocks`, iteration or :meth:`Ledger.verify_integrity`
+seals every queued record into its block (index, ``prev_hash``, SHA-256
+``block_hash``) in append order.  A simulated run reads records and
+byte totals, never blocks, so it encodes each record once for the byte
+count and hashes nothing.
+
 Visibility timing is *not* the ledger's job — the discrete-event simulator
 (:mod:`repro.sim`) delivers observations with the configured delays.
 """
@@ -15,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.crypto.hashing import sha256
 from repro.errors import LedgerError, TamperError
@@ -104,11 +112,13 @@ class Record:
         """
         cached: bytes | None = getattr(self, "_encoded", None)
         if cached is None:
-            cached = canonical_encode(
-                {"kind": self.kind, "author": self.author, "payload": self.payload}
-            )
+            cached = canonical_encode(self.body())
             object.__setattr__(self, "_encoded", cached)
         return cached
+
+    def body(self) -> dict:
+        """The dict :meth:`encoded` encodes: kind, author and payload."""
+        return {"kind": self.kind, "author": self.author, "payload": self.payload}
 
     def encoded_size_bytes(self) -> int:
         return len(self.encoded())
@@ -141,58 +151,64 @@ class Block:
 
 
 class Ledger:
-    """An append-only chain of blocks.
+    """An append-only chain of blocks, sealed on first read.
 
-    Each :meth:`append` seals one block containing one record — a
-    simplification (real chains batch) that keeps the simulator's
-    publish/observe timing exact while preserving hash-chaining and
-    byte-accounting semantics.  Timestamps must be non-decreasing.
+    Each record gets its own block — a simplification (real chains
+    batch) that keeps the simulator's publish/observe timing exact while
+    preserving hash-chaining and byte-accounting semantics.  Timestamps
+    must be non-decreasing.  :meth:`append` queues ``(record,
+    timestamp)``; :meth:`blocks`, iteration and :meth:`verify_integrity`
+    seal the queue onto the chain tip first, so a block's hashes are the
+    ones an eager seal at append time would have produced — provided no
+    payload is mutated after it is appended.
     """
 
     def __init__(self, ledger_id: str) -> None:
         self.ledger_id = ledger_id
         self._blocks: list[Block] = []
-        self._observers: list[Callable[[Block], None]] = []
+        self._pending: list[tuple[Record, int]] = []
+        self._tip_timestamp: int | None = None
+        self._counted = 0
+        self._record_bytes = 0
 
-    def append(self, record: Record, timestamp: int) -> Block:
-        """Seal ``record`` into a new block at ``timestamp``."""
-        if self._blocks and timestamp < self._blocks[-1].timestamp:
+    def append(self, record: Record, timestamp: int) -> None:
+        """Queue ``record`` for its own block at ``timestamp``."""
+        tip = self._tip_timestamp
+        if tip is not None and timestamp < tip:
             raise LedgerError(
-                f"timestamp {timestamp} is earlier than the chain tip "
-                f"({self._blocks[-1].timestamp})"
+                f"timestamp {timestamp} is earlier than the chain tip ({tip})"
             )
-        index = len(self._blocks)
-        prev_hash = self._blocks[-1].block_hash if self._blocks else GENESIS_HASH
-        block_hash = Block.compute_hash(index, timestamp, prev_hash, (record,))
-        block = Block(
-            index=index,
-            timestamp=timestamp,
-            prev_hash=prev_hash,
-            records=(record,),
-            block_hash=block_hash,
-        )
-        self._blocks.append(block)
-        for observer in self._observers:
-            observer(block)
-        return block
+        self._tip_timestamp = timestamp
+        self._pending.append((record, timestamp))
 
-    def add_observer(self, callback: Callable[[Block], None]) -> None:
-        """Register a callback fired synchronously on every new block."""
-        self._observers.append(callback)
+    def _seal(self) -> list[Block]:
+        """Seal every queued record onto the chain tip; returns the chain."""
+        blocks = self._blocks
+        if self._pending:
+            prev_hash = blocks[-1].block_hash if blocks else GENESIS_HASH
+            for record, timestamp in self._pending:
+                index = len(blocks)
+                records = (record,)
+                block_hash = Block.compute_hash(index, timestamp, prev_hash, records)
+                blocks.append(Block(index, timestamp, prev_hash, records, block_hash))
+                prev_hash = block_hash
+            self._pending.clear()
+        return blocks
 
     # -- reading -------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._blocks)
+        return len(self._blocks) + len(self._pending)
 
     def __iter__(self) -> Iterator[Block]:
-        return iter(self._blocks)
+        return iter(self._seal())
 
     def blocks(self) -> tuple[Block, ...]:
-        return tuple(self._blocks)
+        return tuple(self._seal())
 
     def records(self) -> list[Record]:
-        return [record for block in self._blocks for record in block.records]
+        sealed = [record for block in self._blocks for record in block.records]
+        return sealed + [record for record, _ in self._pending]
 
     def records_of_kind(self, kind: str) -> list[Record]:
         return [record for record in self.records() if record.kind == kind]
@@ -202,7 +218,7 @@ class Ledger:
     def verify_integrity(self) -> None:
         """Raise :class:`TamperError` if any block fails hash validation."""
         prev_hash = GENESIS_HASH
-        for position, block in enumerate(self._blocks):
+        for position, block in enumerate(self._seal()):
             if block.index != position:
                 raise TamperError(
                     f"{self.ledger_id}: block at position {position} claims "
@@ -223,6 +239,20 @@ class Ledger:
                 )
             prev_hash = block.block_hash
 
+    def record_bytes(self) -> int:
+        """Total canonical-encoding bytes of every record on this ledger.
+
+        One :func:`canonical_encoded_total` pass over the records not yet
+        counted; the ledger is append-only, so the running total is
+        cached by record count.  Reads no block.
+        """
+        if len(self) > self._counted:
+            fresh = self.records()[self._counted:]
+            self._record_bytes += canonical_encoded_total([record.body() for record in fresh])
+            self._counted += len(fresh)
+        return self._record_bytes
+
     def total_size_bytes(self) -> int:
-        """Total bytes stored on this ledger (Theorem 4.10 accounting)."""
-        return sum(block.encoded_size_bytes() for block in self._blocks)
+        """Total bytes stored on this ledger (Theorem 4.10 accounting):
+        every record's encoding plus one block header per record."""
+        return self.record_bytes() + _BLOCK_HEADER_BYTES * len(self)

@@ -217,11 +217,7 @@ class SwapParty(Process):
                 self._begin_phase_two()
         elif not self.published:
             # Phase One, follower step 2: all entering arcs verified.
-            self.wake_after(
-                self.profile.action_delay,
-                self._publish_outgoing,
-                label=f"{self.address}:publish",
-            )
+            self.wake_after(self.profile.action_delay, self._publish_outgoing)
 
     # -- Phase Two: secret dissemination ----------------------------------------------------
 
@@ -240,7 +236,6 @@ class SwapParty(Process):
             self.wake_after(
                 self.profile.action_delay,
                 lambda: self._broadcast_secret(hashkey),
-                label=f"{self.address}:broadcast",
             )
         self._schedule_unlocks(lock_index)
 
@@ -339,7 +334,6 @@ class SwapParty(Process):
             self.wake_after(
                 self.unlock_delay(arc, lock_index),
                 lambda a=arc, cid=contract_id, hk=hashkey: self._send_unlock(a, cid, hk),
-                label=f"{self.address}:unlock",
             )
 
     def should_unlock(self, arc: Arc, lock_index: int) -> bool:
@@ -384,7 +378,6 @@ class SwapParty(Process):
             self.wake_after(
                 self.profile.action_delay,
                 lambda a=arc, cid=contract_id: self._send_claim(a, cid),
-                label=f"{self.address}:claim",
             )
 
     def _send_claim(self, arc: Arc, contract_id: str) -> None:
@@ -419,7 +412,6 @@ class SwapParty(Process):
             self.wake_after(
                 delay,
                 lambda a=arc, cid=contract_id: self._try_refund(a, cid),
-                label=f"{self.address}:refund-watch",
             )
 
     def _try_refund(self, arc: Arc, contract_id: str) -> None:

@@ -72,11 +72,7 @@ class PrematureRevealParty(SwapParty):
         if self.is_leader:
             # Begin Phase Two immediately, without waiting for contracts on
             # entering arcs.
-            self.wake_after(
-                self.profile.action_delay,
-                self._premature_phase_two,
-                label=f"{self.address}:premature",
-            )
+            self.wake_after(self.profile.action_delay, self._premature_phase_two)
 
     def _premature_phase_two(self) -> None:
         if not self.phase_two_started:
@@ -109,11 +105,7 @@ class PrematureRevealParty(SwapParty):
         if len(self.verified_incoming) != len(self.entering):
             return
         if not self.is_leader and not self.published:
-            self.wake_after(
-                self.profile.action_delay,
-                self._publish_outgoing,
-                label=f"{self.address}:publish",
-            )
+            self.wake_after(self.profile.action_delay, self._publish_outgoing)
 
 
 class SelectiveUnlockParty(SwapParty):

@@ -373,7 +373,6 @@ class SingleLeaderParty(Process):
             self.wake_after(
                 delay,
                 lambda a=arc, cid=contract_id: self._try_refund(a, cid),
-                label=f"{self.address}:refund-watch",
             )
         self._maybe_crash(CrashPoint.AFTER_PHASE_ONE_PUBLISH)
 
@@ -433,9 +432,7 @@ class SingleLeaderParty(Process):
             for arc in self.entering:
                 self._schedule_unlock(arc)
         elif not self.published:
-            self.wake_after(
-                self.profile.action_delay, self._publish_outgoing, label=f"{self.address}:publish"
-            )
+            self.wake_after(self.profile.action_delay, self._publish_outgoing)
 
     def _on_unlock_observed(self, record: Record) -> None:
         state = record.payload.get("state", {})
@@ -463,7 +460,6 @@ class SingleLeaderParty(Process):
         self.wake_after(
             self.unlock_delay(arc),
             lambda a=arc: self._send_unlock(a),
-            label=f"{self.address}:unlock",
         )
 
     def should_unlock(self, arc: Arc) -> bool:
@@ -496,7 +492,6 @@ class SingleLeaderParty(Process):
         self.wake_after(
             self.profile.action_delay,
             lambda a=arc, cid=contract_id: self._send_claim(a, cid),
-            label=f"{self.address}:claim",
         )
 
     def _send_claim(self, arc: Arc, contract_id: str) -> None:

@@ -7,7 +7,7 @@ protocol runner builds on.
 """
 
 from repro.sim.clock import DEFAULT_DELTA, Clock, ticks
-from repro.sim.events import Event, Priority
+from repro.sim.events import Priority
 from repro.sim.faults import Crash, CrashPoint, FaultPlan
 from repro.sim.harness import (
     SimulationHarness,
@@ -51,7 +51,6 @@ __all__ = [
     "DEFAULT_DELTA",
     "Clock",
     "ticks",
-    "Event",
     "Priority",
     "Crash",
     "CrashPoint",

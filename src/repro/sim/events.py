@@ -1,16 +1,15 @@
-"""Event types for the discrete-event scheduler.
+"""Priority bands for the discrete-event scheduler.
 
-Events are ordered by ``(time, priority, seq)``: time first, then an
-explicit priority band (chain records land before party wake-ups at the
-same tick), then the global insertion sequence number — which makes every
-simulation a deterministic function of its inputs and seed.
+The scheduler orders its entries by ``(time, priority, seq)``: time
+first, then an explicit priority band (chain records land before party
+wake-ups at the same tick), then the global insertion sequence number —
+which makes every simulation a deterministic function of its inputs and
+seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Callable
 
 
 class Priority(IntEnum):
@@ -24,21 +23,3 @@ class Priority(IntEnum):
 
     CONTROL = 2
     """Bookkeeping (horizon checks, trace flushes) runs last."""
-
-
-@dataclass(frozen=True, order=True)
-class Event:
-    """A scheduled callback.
-
-    The ordering tuple is ``(time, priority, seq)``; ``action`` and
-    ``label`` are excluded from comparisons.
-    """
-
-    time: int
-    priority: int
-    seq: int
-    action: Callable[[], None] = field(compare=False)
-    label: str = field(compare=False, default="")
-
-    def fire(self) -> None:
-        self.action()

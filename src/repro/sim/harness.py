@@ -32,6 +32,7 @@ Typical runner shape::
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 from repro.chain.blockchain import Blockchain
@@ -236,7 +237,7 @@ class SimulationHarness:
                             t, tr.PARTY_CRASHED, p.address, at_time=t
                         )
 
-                self.scheduler.at(when, crash_now, label=f"{vertex}:crash")
+                self.scheduler.at(when, crash_now)
 
     # -- observation wiring -----------------------------------------------------------
 
@@ -276,8 +277,7 @@ class SimulationHarness:
                     continue
                 watcher.wake_after(
                     watcher.profile.reaction_delay + lag,
-                    lambda w=watcher, c=chain, r=record, t=now: w.on_chain_record(c, r, t),
-                    label=f"{getattr(watcher, 'address', watcher.name)}:observe",
+                    partial(watcher.on_chain_record, chain, record, now),
                 )
 
         self.network.subscribe_all(on_record)
@@ -291,12 +291,8 @@ class SimulationHarness:
         if self._ran:
             raise SimulationError("a SimulationHarness instance runs once")
         self._ran = True
-        for vertex, party in self.parties.items():
-            self.scheduler.at(
-                start_time,
-                lambda p=party: None if p.is_halted else p.start(),
-                label=f"{vertex}:start",
-            )
+        for party in self.parties.values():
+            self.scheduler.at(start_time, lambda p=party: None if p.is_halted else p.start())
 
     def run_to_quiescence(self, start_time: int) -> int:
         """Schedule every party's ``start`` at ``start_time`` and drain

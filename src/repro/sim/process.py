@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 from repro.errors import SimulationError
 from repro.sim.clock import ticks
-from repro.sim.events import Priority
 from repro.sim.scheduler import Scheduler
 
 DEFAULT_REACTION_FRACTION = 0.25
@@ -73,7 +72,7 @@ class Process:
     """Base class for simulated parties and services.
 
     Subclasses receive the shared scheduler and use :meth:`wake_after` /
-    :meth:`act_after` to schedule their own callbacks with the right
+    :meth:`observe_after` to schedule their own callbacks with the right
     latency semantics.  A halted process never fires queued callbacks.
     """
 
@@ -98,25 +97,18 @@ class Process:
 
     # -- scheduling helpers --------------------------------------------------------
 
-    def wake_after(self, delay: int, action, label: str = "") -> None:
+    def wake_after(self, delay: int, action) -> None:
         """Schedule ``action`` after ``delay`` ticks unless halted by then."""
-        self.scheduler.after(
-            delay,
-            self._guarded(action),
-            priority=Priority.WAKE,
-            label=label or f"{self.name}:wake",
-        )
 
-    def observe_after(self, action, label: str = "") -> None:
-        """Schedule ``action`` one reaction delay from now."""
-        self.wake_after(self.profile.reaction_delay, action, label or f"{self.name}:observe")
-
-    def _guarded(self, action):
         def run() -> None:
             if not self._halted:
                 action()
 
-        return run
+        self.scheduler.after(delay, run)
+
+    def observe_after(self, action) -> None:
+        """Schedule ``action`` one reaction delay from now."""
+        self.wake_after(self.profile.reaction_delay, action)
 
     def __repr__(self) -> str:
         status = "halted" if self._halted else "live"

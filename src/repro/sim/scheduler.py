@@ -3,18 +3,23 @@
 A thin, deterministic priority-queue engine: callers schedule callbacks at
 absolute times or after delays, and :meth:`Scheduler.run` fires them in
 ``(time, priority, seq)`` order, advancing the shared :class:`Clock`.
+Queue entries are plain ``(time, priority, seq, action)`` tuples; ``seq``
+is unique, so the heap's tuple comparison never reaches ``action``.
 An event budget guards against runaway simulations (a deviating-strategy
 bug could otherwise loop forever).
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Callable
 
 from repro.errors import SchedulerError
 from repro.sim.clock import Clock
-from repro.sim.events import Event, Priority
+from repro.sim.events import Priority
+
+#: One queued event: ``(time, priority, seq, action)``.
+Entry = tuple[int, int, int, Callable[[], None]]
 
 
 class Scheduler:
@@ -22,7 +27,7 @@ class Scheduler:
 
     def __init__(self, clock: Clock | None = None, max_events: int = 2_000_000) -> None:
         self.clock = clock if clock is not None else Clock()
-        self._queue: list[Event] = []
+        self._queue: list[Entry] = []
         self._seq = 0
         self._fired = 0
         self._max_events = max_events
@@ -31,57 +36,36 @@ class Scheduler:
     # -- scheduling -------------------------------------------------------------
 
     def at(
-        self,
-        when: int,
-        action: Callable[[], None],
-        priority: int = Priority.WAKE,
-        label: str = "",
-    ) -> Event:
+        self, when: int, action: Callable[[], None], priority: int = Priority.WAKE
+    ) -> None:
         """Schedule ``action`` at absolute tick ``when``."""
         if when < self.clock.now:
             raise SchedulerError(
-                f"cannot schedule {label or 'event'} at {when}, "
-                f"clock is already at {self.clock.now}"
+                f"cannot schedule an event at tick {when} in priority band "
+                f"{Priority(priority).name}: the clock is already at {self.clock.now}"
             )
-        event = Event(time=when, priority=priority, seq=self._seq, action=action, label=label)
+        heappush(self._queue, (when, priority, self._seq, action))
         self._seq += 1
-        heapq.heappush(self._queue, event)
-        return event
 
     def after(
-        self,
-        delay: int,
-        action: Callable[[], None],
-        priority: int = Priority.WAKE,
-        label: str = "",
-    ) -> Event:
+        self, delay: int, action: Callable[[], None], priority: int = Priority.WAKE
+    ) -> None:
         """Schedule ``action`` ``delay`` ticks from now."""
         if delay < 0:
             raise SchedulerError("delay must be non-negative")
-        return self.at(self.clock.now + delay, action, priority, label)
+        heappush(self._queue, (self.clock.now + delay, priority, self._seq, action))
+        self._seq += 1
 
     # -- running -----------------------------------------------------------------
 
-    def _fire_next(self) -> Event:
-        """Pop, clock-advance, budget-check, and fire the next event.
+    def _budget_exceeded(self) -> SchedulerError:
+        return SchedulerError(
+            f"event budget exceeded ({self._max_events}); "
+            "likely a livelock in a party strategy"
+        )
 
-        The single firing core shared by :meth:`run` and :meth:`step` —
-        one implementation is what guarantees a stepped session fires
-        the byte-identical event sequence of a wholesale run.
-        """
-        event = heapq.heappop(self._queue)
-        self.clock.advance_to(event.time)
-        self._fired += 1
-        if self._fired > self._max_events:
-            raise SchedulerError(
-                f"event budget exceeded ({self._max_events}); "
-                "likely a livelock in a party strategy"
-            )
-        event.fire()
-        return event
-
-    def step(self) -> Event | None:
-        """Fire exactly the next event; returns it (``None`` when drained).
+    def step(self) -> Entry | None:
+        """Fire exactly the next event; returns its entry (``None`` when drained).
 
         Shares the clock, ordering, and event budget with :meth:`run` —
         a run driven step-by-step fires the identical event sequence.
@@ -92,11 +76,17 @@ class Scheduler:
             raise SchedulerError("scheduler is not re-entrant")
         if not self._queue:
             return None
+        if self._fired >= self._max_events:
+            raise self._budget_exceeded()
         self._running = True
         try:
-            return self._fire_next()
+            entry = heappop(self._queue)
+            self.clock.advance_to(entry[0])
+            self._fired += 1
+            entry[3]()
         finally:
             self._running = False
+        return entry
 
     def run(self, horizon: int | None = None) -> int:
         """Fire events in order until the queue drains or ``horizon`` passes.
@@ -108,13 +98,12 @@ class Scheduler:
             raise SchedulerError("scheduler is not re-entrant")
         self._running = True
         fired = 0
+        budget = self._max_events - self._fired
         queue = self._queue
-        heappop = heapq.heappop
         clock = self.clock
-        max_events = self._max_events
         try:
             while queue:
-                tick = queue[0].time
+                tick = queue[0][0]
                 if horizon is not None and tick > horizon:
                     break
                 # Batched same-tick dispatch: advance the clock once,
@@ -126,18 +115,15 @@ class Scheduler:
                 # order is byte-identical to the one-pop-per-iteration
                 # loop (and to a step()-driven session).
                 clock.advance_to(tick)
-                while queue and queue[0].time == tick:
-                    self._fired += 1
-                    if self._fired > max_events:
-                        raise SchedulerError(
-                            f"event budget exceeded ({max_events}); "
-                            "likely a livelock in a party strategy"
-                        )
-                    heappop(queue).fire()
+                while queue and queue[0][0] == tick:
+                    if fired == budget:
+                        raise self._budget_exceeded()
                     fired += 1
+                    heappop(queue)[3]()
             if horizon is not None and clock.now < horizon and not queue:
                 clock.advance_to(horizon)
         finally:
+            self._fired += fired
             self._running = False
         return fired
 

@@ -41,33 +41,44 @@ def _reference_value(value: Any) -> Any:
 
 @contextmanager
 def capturing_encodes() -> Iterator[list[dict]]:
-    """Record every payload passed to ``canonical_encode`` in the block.
+    """Record every payload passed to ``canonical_encode`` in the block,
+    and every item of a list passed to ``canonical_encoded_total``.
 
-    The wrapper replaces the function in every loaded ``repro`` module
-    that holds it by name, so ledger records, contract-call sizing and
-    the analytic synthesizer's byte counts are all seen.
+    The wrappers replace the functions in every loaded ``repro`` module
+    that holds them by name, so ledger records (encoded by the ledger's
+    byte total, or one at a time when a block is sealed), contract-call
+    sizing and the analytic synthesizer's byte counts are all seen.
     """
     import repro.chain.ledger as ledger
 
-    original = ledger.canonical_encode
     seen: list[dict] = []
+    original_encode = ledger.canonical_encode
+    original_total = ledger.canonical_encoded_total
 
     def capture(payload: dict) -> bytes:
         seen.append(payload)
-        return original(payload)
+        return original_encode(payload)
 
-    holders = [
-        module
-        for name, module in list(sys.modules.items())
-        if name.startswith("repro") and getattr(module, "canonical_encode", None) is original
+    def capture_total(payloads: list[dict]) -> int:
+        seen.extend(payloads)
+        return original_total(payloads)
+
+    patches = [
+        (module, name, original, wrapper)
+        for name, original, wrapper in (
+            ("canonical_encode", original_encode, capture),
+            ("canonical_encoded_total", original_total, capture_total),
+        )
+        for module_name, module in list(sys.modules.items())
+        if module_name.startswith("repro") and getattr(module, name, None) is original
     ]
-    for module in holders:
-        module.canonical_encode = capture
+    for module, name, _, wrapper in patches:
+        setattr(module, name, wrapper)
     try:
         yield seen
     finally:
-        for module in holders:
-            module.canonical_encode = original
+        for module, name, original, _ in patches:
+            setattr(module, name, original)
 
 
 def corpus_sweep():

@@ -64,6 +64,7 @@ def test_any_block_mutation_is_detected(record_list, victim_index, new_payload):
     for t, record in enumerate(record_list):
         ledger.append(record, t)
     index = victim_index % len(ledger)
+    ledger.blocks()
     original = ledger._blocks[index]
     mutated_record = Record(kind="mutated", author="mallory", payload=new_payload)
     # Mutate and recompute the hash so only the chain linkage can catch it
@@ -121,6 +122,6 @@ def test_sizes_are_additive(record_list):
     ledger = Ledger("prop")
     running = 0
     for t, record in enumerate(record_list):
-        block = ledger.append(record, t)
-        running += block.encoded_size_bytes()
+        ledger.append(record, t)
+        running += ledger.blocks()[-1].encoded_size_bytes()
     assert ledger.total_size_bytes() == running

@@ -33,8 +33,9 @@ class TestCanonicalEncode:
 class TestAppend:
     def test_chain_links(self):
         ledger = Ledger("test")
-        b0 = ledger.append(record(0), 10)
-        b1 = ledger.append(record(1), 20)
+        ledger.append(record(0), 10)
+        ledger.append(record(1), 20)
+        b0, b1 = ledger.blocks()
         assert b1.prev_hash == b0.block_hash
         assert b0.index == 0 and b1.index == 1
 
@@ -50,12 +51,26 @@ class TestAppend:
         ledger.append(record(1), 10)
         assert len(ledger) == 2
 
-    def test_observers_fire(self):
+    def test_append_after_read_chains_to_sealed_tip(self):
         ledger = Ledger("test")
-        seen = []
-        ledger.add_observer(seen.append)
-        block = ledger.append(record(), 1)
-        assert seen == [block]
+        ledger.append(record(0), 1)
+        ledger.append(record(1), 2)
+        sealed = ledger.blocks()
+        ledger.append(record(2), 3)
+        assert len(ledger) == 3
+        blocks = ledger.blocks()
+        assert blocks[0] is sealed[0] and blocks[1] is sealed[1]
+        assert blocks[2].index == 2
+        assert blocks[2].prev_hash == sealed[1].block_hash
+        ledger.verify_integrity()
+
+    def test_sealing_on_read_matches_sealing_per_append(self):
+        lazy, eager = Ledger("test"), Ledger("test")
+        for i in range(4):
+            lazy.append(record(i), i)
+            eager.append(record(i), i)
+            eager.blocks()
+        assert lazy.blocks() == eager.blocks()
 
 
 class TestQueries:
@@ -88,6 +103,7 @@ class TestIntegrity:
         ledger = Ledger("test")
         ledger.append(record(0), 1)
         ledger.append(record(1), 2)
+        ledger.blocks()
         # Forge block 0's contents.
         original = ledger._blocks[0]
         ledger._blocks[0] = Block(
@@ -106,6 +122,7 @@ class TestIntegrity:
         ledger = Ledger("test")
         ledger.append(record(0), 1)
         ledger.append(record(1), 2)
+        ledger.blocks()
         original = ledger._blocks[0]
         forged_records = (Record(kind="test", author="mallory", payload={"n": 99}),)
         forged_hash = Block.compute_hash(0, original.timestamp, original.prev_hash, forged_records)
@@ -123,6 +140,7 @@ class TestIntegrity:
         ledger = Ledger("test")
         ledger.append(record(0), 1)
         ledger.append(record(1), 1)
+        ledger.blocks()
         ledger._blocks.reverse()
         with pytest.raises(TamperError):
             ledger.verify_integrity()
@@ -139,5 +157,6 @@ class TestSizes:
 
     def test_block_size_includes_header(self):
         ledger = Ledger("test")
-        block = ledger.append(record(), 1)
+        ledger.append(record(), 1)
+        (block,) = ledger.blocks()
         assert block.encoded_size_bytes() > record().encoded_size_bytes()

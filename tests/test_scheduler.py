@@ -1,4 +1,4 @@
-"""Unit tests for the clock, events, and scheduler."""
+"""Unit tests for the clock, priority bands, and scheduler."""
 
 import pytest
 
@@ -90,6 +90,13 @@ class TestSchedulerGuards:
         scheduler.run()
         with pytest.raises(SchedulerError):
             scheduler.at(5, lambda: None)
+
+    def test_past_time_error_names_tick_clock_and_band(self):
+        scheduler = Scheduler()
+        scheduler.at(10, lambda: None)
+        scheduler.run()
+        with pytest.raises(SchedulerError, match=r"tick 5 in priority band CHAIN.* at 10"):
+            scheduler.at(5, lambda: None, priority=Priority.CHAIN)
 
     def test_negative_delay_rejected(self):
         with pytest.raises(SchedulerError):
