@@ -19,11 +19,11 @@ service and ``lab check --verify --fast-path`` all call it.
 
 Three report fields are not in :class:`~repro.analysis.predict.
 Prediction` and are reconstructed here by **transcript synthesis** —
-re-enacting the ledger's record sequence on real
-:class:`~repro.core.contract.SwapContract` objects instead of
-re-deriving byte formulas (so any change to ``state_view()`` or the
-canonical record encoding is picked up automatically, not silently
-diverged from):
+taking every state view from a real
+:class:`~repro.core.contract.SwapContract` and every encoding from the
+ledger's encoder instead of re-deriving them as byte formulas (so any
+change to ``state_view()`` or the canonical record encoding is picked
+up automatically, not silently diverged from):
 
 ``published_bytes`` / ``stored_bytes``
     Per arc, the chain appends exactly ``asset_registered``,
@@ -31,14 +31,28 @@ diverged from):
     (in landing order — the key-propagation schedule below), one claim
     ``contract_call`` and one ``asset_transfer``.  Payload bytes are
     independent of tick values (no timestamps inside payloads), and
-    every registered signature scheme has a fixed ``signature_size``,
-    so placeholder signatures of the right length reproduce the exact
-    canonical-encoding byte counts.  Secrets and placeholder
-    signatures enter the payloads already wrapped by
+    every registered signature scheme has a fixed ``signature_size``.
+    Four records per arc are built for real — registration,
+    publication and claim carry state views of a real contract, and
+    the transfer — and one ``canonical_encoded_total`` pass counts
+    them.  A second pass counts one unlock *skeleton* per arc (lock 0,
+    a marked secret, empty path and signature lists, the
+    unlocked-nothing state), ``|L|`` times.  The ``|L|`` unlocks
+    follow from the skeleton, because compact sorted-key JSON
+    is compositional and their keys never change: the ``k``-th unlock
+    to land (lock ``i``, path ``p``) encodes to ``len(skeleton) +
+    (len(str(i)) - 1) + Σ_{w∈p} enc(w) + (|p| - 1) + |p|·enc(sig) +
+    (|p| - 1) - k``, where ``enc`` is the ledger's own encoded length
+    (so escaped and non-ASCII names count right), every secret has the
+    same width, and ``- k`` is the ``k`` flipped ``unlocked`` flags
+    (``true`` is a byte shorter than ``false``).  Secrets and the
+    placeholder signature are wrapped by
     :func:`~repro.chain.ledger.bytes_marker`, which the ledger encodes
     byte-identically to the raw ``bytes`` (the format stays the
     ledger's).  Stored bytes add one 80-byte block header per record
     (the ledger seals one record per block).
+    ``tests/test_transcript_bytes.py`` holds the count to the full
+    record list (``tests/transcript_reference.py``) and the simulator.
 
 ``events_fired``
     A census of the conforming schedule: ``|V|`` party starts,
@@ -83,7 +97,12 @@ from repro.api.execution import Execution, PreparedSimulation
 from repro.api.report import RunReport
 from repro.api.scenario import Scenario
 from repro.chain.assets import Asset
-from repro.chain.ledger import _BLOCK_HEADER_BYTES, bytes_marker, canonical_encoded_total
+from repro.chain.ledger import (
+    _BLOCK_HEADER_BYTES,
+    bytes_marker,
+    canonical_encode,
+    canonical_encoded_total,
+)
 from repro.chain.network import chain_id_for_arc
 from repro.core.contract import SwapContract
 from repro.core.spec import SwapSpec
@@ -212,6 +231,11 @@ def synthesize_report(scenario: Scenario, prediction: Prediction) -> RunReport:
     )
 
 
+def _record(kind: str, author: str, payload: dict[str, Any]) -> dict[str, Any]:
+    """One ledger record body, as :meth:`~repro.chain.ledger.Record.body`."""
+    return {"kind": kind, "author": author, "payload": payload}
+
+
 def _synthesize(scenario: Scenario, prediction: Prediction) -> RunReport:
     """The uncached transcript synthesis behind :func:`synthesize_report`."""
     if not prediction.deadline_feasible:
@@ -225,12 +249,12 @@ def _synthesize(scenario: Scenario, prediction: Prediction) -> RunReport:
     nlock = len(leaders)
     action = ticks(scenario.delta, scenario.action_fraction)
     scheme = get_scheme(scenario.scheme_name)
-    # Secrets and signatures go into the payloads pre-marked, so the
-    # encoder never calls back into Python for them.
-    placeholder_sig = bytes_marker(b"\x00" * scheme.signature_size)
 
     secrets = [derive_secret("secret", scenario.seed, leader) for leader in leaders]
-    marked_secrets = [bytes_marker(secret) for secret in secrets]
+    # Every secret has the same width, so one stands in for all of them
+    # in the unlock skeleton; it goes in pre-marked, so the encoder never
+    # calls back into Python for it.
+    marked_secret = bytes_marker(secrets[0])
     spec = SwapSpec(
         digraph=digraph,
         leaders=leaders,
@@ -240,16 +264,29 @@ def _synthesize(scenario: Scenario, prediction: Prediction) -> RunReport:
         diam=prediction.diam,
         timeout_slack=scenario.timeout_slack,
     )
-    final_timeouts = {
-        arc: [spec.lock_final_timeout(arc, i) for i in range(nlock)]
-        for arc in digraph.arcs
-    }
+    # A lock's final timeout on an arc depends only on its counterparty.
+    final_timeouts: dict[Vertex, set[int]] = {}
+    for arc in digraph.arcs:
+        if arc[1] not in final_timeouts:
+            final_timeouts[arc[1]] = {
+                spec.lock_final_timeout(arc, i) for i in range(nlock)
+            }
 
-    records: list[dict[str, Any]] = []
+    # Unlock bytes follow from each arc's skeleton by the identity in the
+    # module docstring.  Every arc unlocks each lock once, so the index
+    # and flag terms are the same on every arc; per hop, a path adds its
+    # name, one signature and two commas.
+    name_bytes = {v: len(canonical_encode(v)) for v in digraph.vertices}
+    hop_bytes = len(canonical_encode(bytes_marker(b"\x00" * scheme.signature_size))) + 2
+    arc_unlock_bytes = (
+        sum(len(str(i)) - 1 for i in range(nlock))
+        - nlock * (nlock + 1) // 2
+        - 2 * nlock
+    )
 
-    def append(kind: str, author: str, payload: dict[str, Any]) -> None:
-        records.append({"kind": kind, "author": author, "payload": payload})
-
+    fixed: list[dict[str, Any]] = []
+    skeletons: list[dict[str, Any]] = []
+    path_bytes = 0
     refund_watches = 0
     escrow_milestones: list[Milestone] = []
     release_times: list[tuple[int, Arc, Vertex]] = []
@@ -259,17 +296,20 @@ def _synthesize(scenario: Scenario, prediction: Prediction) -> RunReport:
         asset_id = f"asset@{u}->{v}"
         asset = Asset(asset_id=asset_id, description=f"asset {u} owes {v}", value=1)
         contract = SwapContract(spec, arc, asset)
-        append("asset_registered", u, {"asset_id": asset_id, "owner": u})
-        append(
-            "contract_published",
-            u,
-            {
-                "contract_id": contract_id,
-                "contract_type": "SwapContract",
-                "asset_id": asset_id,
-                "storage_bytes": contract.storage_size_bytes(),
-                "state": contract.state_view(),
-            },
+        state0 = contract.state_view()
+        fixed.append(_record("asset_registered", u, {"asset_id": asset_id, "owner": u}))
+        fixed.append(
+            _record(
+                "contract_published",
+                u,
+                {
+                    "contract_id": contract_id,
+                    "contract_type": "SwapContract",
+                    "asset_id": asset_id,
+                    "storage_bytes": contract.storage_size_bytes(),
+                    "state": state0,
+                },
+            )
         )
         escrow_milestones.append(
             Milestone(
@@ -277,50 +317,62 @@ def _synthesize(scenario: Scenario, prediction: Prediction) -> RunReport:
                 kind=CONTRACT_ESCROWED, party=u, arc=arc,
             )
         )
-        for i, path, landed in prediction.unlock_schedule[arc]:
-            contract.unlocked[i] = True
-            append(
+        skeletons.append(
+            _record(
                 "contract_call",
                 v,
                 {
                     "contract_id": contract_id,
                     "method": "unlock",
                     "args": {
-                        "lock_index": i,
-                        "secret": marked_secrets[i],
-                        "path": list(path),
-                        "sig_layers": [placeholder_sig] * len(path),
+                        "lock_index": 0,
+                        "secret": marked_secret,
+                        "path": [],
+                        "sig_layers": [],
                     },
+                    "ok": True,
+                    "state": state0,
+                },
+            )
+        )
+        for _, path, landed in prediction.unlock_schedule[arc]:
+            path_bytes += sum(name_bytes[w] for w in path) + hop_bytes * len(path)
+            release_times.append((landed, arc, v))
+        contract.unlocked = [True] * nlock
+        contract.claimed = True
+        contract._halt()
+        fixed.append(
+            _record(
+                "contract_call",
+                v,
+                {
+                    "contract_id": contract_id,
+                    "method": "claim",
+                    "args": {},
                     "ok": True,
                     "state": contract.state_view(),
                 },
             )
-            release_times.append((landed, arc, v))
-        contract.claimed = True
-        contract._halt()
-        append(
-            "contract_call",
-            v,
-            {
-                "contract_id": contract_id,
-                "method": "claim",
-                "args": {},
-                "ok": True,
-                "state": contract.state_view(),
-            },
         )
-        append(
-            "asset_transfer",
-            contract_id,
-            {"asset_id": asset_id, "from": contract_id, "to": v},
+        fixed.append(
+            _record(
+                "asset_transfer",
+                contract_id,
+                {"asset_id": asset_id, "from": contract_id, "to": v},
+            )
         )
-        refund_watches += len(set(final_timeouts[arc]))
+        refund_watches += len(final_timeouts[v])
 
-    published_bytes = canonical_encoded_total(records)
+    arc_count = digraph.arc_count()
+    published_bytes = (
+        canonical_encoded_total(fixed)
+        + nlock * canonical_encoded_total(skeletons)
+        + arc_count * arc_unlock_bytes
+        + path_bytes
+    )
 
     # Event census of the conforming schedule (see the module docstring).
     vertex_count = len(digraph.vertices)
-    arc_count = digraph.arc_count()
     events_fired = (
         vertex_count                      # party starts
         + (vertex_count - nlock)          # follower publish wakes
@@ -365,7 +417,7 @@ def _synthesize(scenario: Scenario, prediction: Prediction) -> RunReport:
         completion_time=prediction.completion_time,
         phase_two_bound=prediction.phase_two_bound,
         events_fired=events_fired,
-        stored_bytes=published_bytes + _BLOCK_HEADER_BYTES * len(records),
+        stored_bytes=published_bytes + _BLOCK_HEADER_BYTES * arc_count * (nlock + 4),
         contract_storage_bytes=prediction.contract_storage_bytes,
         published_bytes=published_bytes,
         unlock_calls=prediction.unlock_calls,

@@ -329,8 +329,10 @@ def predict(scenario: Scenario) -> tuple[Prediction, tuple[Diagnostic, ...]]:
 
     arc_count = digraph.arc_count()
     base = _stored_fields_bytes(digraph, leaders)
+    # Endpoint and asset names count as UTF-8 bytes, as the contract does.
     storage = sum(
-        base + len(u) + len(v) + len(f"asset@{u}->{v}") + len(leaders)
+        base + len(u.encode()) + len(v.encode()) + len(f"asset@{u}->{v}".encode())
+        + len(leaders)
         for (u, v) in digraph.arcs
     )
     milestone_counts = {

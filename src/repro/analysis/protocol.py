@@ -37,9 +37,10 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.analysis.diagnostics import Diagnostic, error, has_errors
-from repro.analysis.predict import Prediction, predict
+from repro.analysis.predict import Prediction, predict, resolve_leaders
 from repro.analysis.structure import check_payload, check_scenario
 from repro.api.scenario import Scenario
+from repro.crypto.signatures import scheme_names
 from repro.digraph.multigraph import MultiDigraph
 from repro.errors import ReproError
 from repro.sim.timing import is_default_timing
@@ -93,20 +94,49 @@ class ScenarioAnalysis:
         }
 
 
+#: Engines that sign hashkeys with ``scenario.scheme_name``, and so
+#: refuse a scheme they cannot provision keys for.
+_SIGNING_ENGINES: frozenset[str] = frozenset({"herlihy", "analytic", "multiswap"})
+
+
 def _engine_diagnostics(scenario: Scenario, engine: str) -> tuple[Diagnostic, ...]:
     """Structural facts that are only problems for a specific engine."""
+    out: list[Diagnostic] = []
     if engine != "multiswap" and isinstance(scenario.topology, MultiDigraph):
         if scenario.topology.arc_count() > scenario.digraph().arc_count():
-            return (
+            out.append(
                 error(
                     "engine/parallel-arcs",
                     "/topology/arcs",
                     f"engine {engine!r} runs on simple digraphs; this "
                     "multigraph has parallel arcs — use the 'multiswap' "
                     "engine (§5)",
-                ),
+                )
             )
-    return ()
+    if engine in _SIGNING_ENGINES:
+        if scenario.scheme_name not in scheme_names():
+            out.append(
+                error(
+                    "engine/unknown-scheme",
+                    "/scheme_name",
+                    f"unknown signature scheme {scenario.scheme_name!r}; "
+                    f"known schemes: {', '.join(scheme_names())}",
+                )
+            )
+        elif (
+            scenario.scheme_name == "lamport"
+            and len(resolve_leaders(scenario, scenario.digraph())) > 1
+        ):
+            out.append(
+                error(
+                    "engine/one-time-scheme",
+                    "/scheme_name",
+                    "Lamport keys are one-time, but a multi-leader swap "
+                    "makes each party sign one hashkey extension per lock; "
+                    "use a multi-use scheme or a single-leader digraph",
+                )
+            )
+    return tuple(out)
 
 
 def coverage_ceiling(scenario: Scenario, engine: str = "herlihy") -> str:

@@ -52,11 +52,13 @@ def _encode_bytes(value: object) -> dict[str, str]:
 _ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True, default=_encode_bytes)
 
 
-def canonical_encode(payload: dict) -> bytes:
+def canonical_encode(payload: object) -> bytes:
     """Canonical JSON encoding used for hashing and size accounting.
 
     Compact separators, keys sorted, ASCII-only output, one pass of the
-    C JSON encoder.  Payload keys must be ``str`` at every depth: the
+    C JSON encoder.  Records are dicts; any value nested in one (a bare
+    name, a marked signature) encodes on its own to the bytes it takes
+    inside a record.  Payload keys must be ``str`` at every depth: the
     encoder sorts keys, so a mix of key types fails and a lone non-str
     key would be converted by JSON's rules rather than rejected.  Tuples
     encode as lists.  ``bytes``/``bytearray`` values at any depth encode

@@ -16,6 +16,7 @@ warm store.
 
 from __future__ import annotations
 
+import asyncio
 from random import Random
 
 import pytest
@@ -32,13 +33,16 @@ from repro.analysis.protocol import COVERAGE_FULL, analyze_scenario
 from repro.api.engine import get_engine, list_engines
 from repro.api.scenario import Scenario, canonical_json
 from repro.api.sweep import Sweep, run_key, run_sweep
+from repro.digraph.digraph import Digraph
 from repro.digraph.generators import (
+    complete_digraph,
     cycle_digraph,
     random_strongly_connected,
     triangle,
 )
 from repro.lab.registry import get_family, list_families
 from repro.lab.store import open_store
+from repro.serve.service import ServiceConfig, SwapService
 from repro.sim.faults import Crash, CrashPoint, FaultPlan
 
 FAMILIES = sorted(list_families())
@@ -123,6 +127,17 @@ class TestByteParity:
     def test_larger_delta(self):
         assert_byte_parity(Scenario(cycle_digraph(4), delta=5000))
 
+    def test_non_ascii_party_names(self):
+        # Contracts count their endpoint and asset names as UTF-8 bytes,
+        # so "é" is two bytes in contract_storage_bytes, not one.
+        scenario = Scenario(
+            Digraph(["é", "b", "c"], [("é", "b"), ("b", "c"), ("c", "é")])
+        )
+        simulated = get_engine("herlihy").run(scenario)
+        prediction = analyze_scenario(scenario).prediction
+        assert prediction.contract_storage_bytes == simulated.contract_storage_bytes
+        assert_byte_parity(scenario)
+
     def test_synthesized_report_wall_seconds_left_for_caller(self):
         scenario = Scenario(triangle())
         analysis = analyze_scenario(scenario)
@@ -196,6 +211,72 @@ class TestFallback:
     def test_eligibility_requires_full_coverage(self):
         analysis = analyze_scenario(Scenario(triangle(), timing="jittered"))
         assert not fast_path_eligible(analysis)
+
+
+# ---------------------------------------------------------------------------
+# signature schemes the simulator refuses are refused by the fast path too
+# ---------------------------------------------------------------------------
+
+
+def stripped(entry: dict) -> dict:
+    """A store entry minus the report's wall time and path stamp."""
+    if entry["ok"]:
+        report = dict(entry["report"])
+        report.pop("wall_seconds")
+        report["extra"] = {
+            k: v for k, v in report["extra"].items() if k != PATH_KEY
+        }
+        entry = {**entry, "report": report}
+    return entry
+
+
+class TestRefusedSchemes:
+    REFUSED = (
+        Scenario(complete_digraph(4), scheme_name="lamport", name="refused:lamport"),
+        Scenario(triangle(), scheme_name="no-such-scheme", name="refused:unknown"),
+    )
+    #: Lamport keys sign once, which a single-leader swap allows.
+    ALLOWED = Scenario(cycle_digraph(4), scheme_name="lamport", name="allowed:lamport")
+
+    def test_analyzer_flags_the_refusals(self):
+        codes = [
+            [d.code for d in analyze_scenario(s).diagnostics] for s in self.REFUSED
+        ]
+        assert codes == [["engine/one-time-scheme"], ["engine/unknown-scheme"]]
+        for scenario in self.REFUSED:
+            assert analyze_for_fast_path(scenario, "herlihy").coverage != COVERAGE_FULL
+        assert fast_path_eligible(analyze_scenario(self.ALLOWED))
+
+    def test_sweep_records_the_same_entries_either_way(self):
+        entries = []
+        for fast_path in (False, True):
+            sweep = Sweep("schemes")
+            for scenario in (*self.REFUSED, self.ALLOWED):
+                sweep.add("herlihy", scenario)
+            with open_store(":memory:") as store:
+                run_sweep(sweep, parallel=False, fast_path=fast_path, store=store)
+                entries.append({k: stripped(e) for k, e in store.entries()})
+        assert entries[0] == entries[1]
+        failures = [e for e in entries[0].values() if not e["ok"]]
+        assert [e["error_type"] for e in failures] == ["SignatureError"] * 2
+
+    def test_serve_records_the_same_entries_either_way(self):
+        async def entries(fast_path):
+            service = SwapService(
+                ServiceConfig(rate=0.0, fast_path=fast_path),
+                store=open_store(":memory:"),
+            )
+            await service.start()
+            for scenario in (*self.REFUSED, self.ALLOWED):
+                result = service.submit(scenario)
+                await service.wait(result.key, timeout=30)
+            recorded = {k: stripped(e) for k, e in service.store.entries()}
+            await service.stop()
+            return recorded
+
+        plain, fast = (asyncio.run(entries(flag)) for flag in (False, True))
+        assert plain == fast
+        assert sorted(e["ok"] for e in plain.values()) == [False, False, True]
 
 
 # ---------------------------------------------------------------------------
