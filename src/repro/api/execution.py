@@ -9,6 +9,9 @@ controllable process:
 
 * :meth:`Execution.step` — fire exactly one scheduler event, returning
   any protocol milestones it produced;
+* :meth:`Execution.advance` — fire events until one produces milestones
+  (or the run settles) and return them: one slice per milestone batch,
+  the driving primitive for callers that pause at milestones;
 * :meth:`Execution.run_until` — advance to the next matching milestone
   (``phase1-start``, ``contract-escrowed``, ``secret-released``,
   ``phase2-complete``, ``settled`` — see :mod:`repro.sim.milestones`),
@@ -35,9 +38,9 @@ Determinism contract: milestones are *derived* from the simulation
 trace, so an uninstrumented session (no probes, no interventions)
 drains the scheduler wholesale and produces a byte-identical report —
 ``open()`` + ``run_to_completion()`` equals ``run()``, run keys and
-warm stores untouched.  A stepped session fires the identical event
-sequence one event at a time, so pausing cannot change outcomes either;
-only registered interventions can.
+warm stores untouched.  A stepped or advanced session fires the
+identical event sequence, pausing after the same events, so pausing
+cannot change outcomes either; only registered interventions can.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from repro.sim.milestones import (
     MilestoneTracker,
     check_milestone_kind,
 )
+from repro.sim.scheduler import SLICE_EVENTS
 
 Arc = tuple[str, str]
 
@@ -321,6 +325,41 @@ class Execution:
             fresh = fresh + terminal
         return tuple(initial + fresh)
 
+    def advance(self) -> tuple[Milestone, ...]:
+        """Fire events until one produces milestones or the run settles;
+        returns those milestones.
+
+        The session pauses right after that event, as :meth:`step` does,
+        so over the same events the concatenated results — and what
+        probes and interventions see — equal successive ``step()``
+        calls.  The first call begins the run and returns
+        ``phase1-start`` before any event fires.  A stretch of
+        :data:`~repro.sim.scheduler.SLICE_EVENTS` or more events without
+        a milestone returns an empty tuple, so a caller regains control
+        on a milestone-free stretch; so does a call after the terminal
+        ``settled`` milestone.  Drive a session with ``while not
+        session.quiesced: session.advance()``.
+        """
+        if self._report is not None:
+            raise ExecutionError("this execution is finalised; open a new one")
+        scheduler = self.harness.scheduler
+        fresh: list[Milestone] = []
+        if not self._began:
+            self._begin()
+            fresh.extend(self._tracker.milestones)
+        fired = 0
+        while not fresh and fired < SLICE_EVENTS and scheduler.pending():
+            count = scheduler.run(watch=self.harness.trace)
+            fired += count
+            self._events_fired += count
+            fresh = self._tracker.poll()
+            self._dispatch(fresh)
+        if not scheduler.pending():
+            terminal = self._tracker.finish(scheduler.now)
+            self._dispatch(terminal)
+            fresh += terminal
+        return tuple(fresh)
+
     def run_until(
         self,
         kind: str,
@@ -336,7 +375,7 @@ class Execution:
         if self._report is not None:
             raise ExecutionError("this execution is finalised; open a new one")
         while True:
-            fresh = self.step() or ()
+            fresh = self.advance()
             for milestone in fresh:
                 if milestone.kind != kind:
                     continue
@@ -397,9 +436,9 @@ class Execution:
 
         Idempotent: repeated calls return the same report.  Without
         probes or interventions the queue drains wholesale (no per-event
-        overhead); instrumented sessions step so hooks fire between
-        events.  Either way the event sequence — and therefore the
-        report — is identical.
+        overhead); instrumented sessions :meth:`advance` so hooks fire
+        between events.  Either way the event sequence — and therefore
+        the report — is identical.
         """
         if self._report is not None:
             return self._report
@@ -407,7 +446,7 @@ class Execution:
         scheduler = self.harness.scheduler
         if self._instrumented():
             while scheduler.pending():
-                self.step()
+                self.advance()
         else:
             self._events_fired += scheduler.run()
         self._dispatch(self._tracker.finish(scheduler.now))

@@ -3,9 +3,10 @@
 The service turns the execution-session API into a long-lived,
 admission-controlled server: submissions arrive as ``(engine, scenario)``
 pairs, pass a per-client token bucket and a bounded admission queue, and
-are multiplexed over a pool of worker slots that each drive one
-:class:`~repro.api.execution.Execution` event-by-event — milestones are
-forwarded to subscribers *as they fire*, not after quiescence.
+are multiplexed over worker slots that each drive one
+:class:`~repro.api.execution.Execution` milestone by milestone —
+milestones are forwarded to subscribers *as they fire*, not after
+quiescence.
 
 Everything observable about a job is an ordered stream of envelope
 events (:mod:`repro.serve.events`): ``accepted`` → ``started`` →
@@ -30,10 +31,15 @@ so a store warmed by the daemon warms ``lab`` sweeps and vice versa.
 Aborted runs are *never* recorded — a partial report must not poison
 the cache.
 
-Concurrency model: the service lives on one asyncio event loop; engine
-stepping happens in a thread pool (one slot per concurrent session) and
-milestones hop back to the loop via ``call_soon_threadsafe``.  All
-store access stays on the loop thread.
+Concurrency model: the service lives on one asyncio event loop and
+there is no drive thread.  Each worker slot is a task on that loop that
+drives its execution in cooperative slices: one
+:meth:`~repro.api.execution.Execution.advance` fires events up to the
+next milestone batch (or a bounded milestone-free stretch), the worker
+publishes that batch, then yields to the loop with ``sleep(0)``.  Slices
+of concurrent jobs interleave with submissions, subscribers and HTTP
+requests, and the wall deadline and abort requests are checked between
+slices.  Store access, streams and counters have one owner: the loop.
 """
 
 from __future__ import annotations
@@ -41,12 +47,12 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, AsyncIterator, Mapping
 
 from repro.analysis.engine import PATH_SIMULATED, synthesize_run
 from repro.api.engine import get_engine
+from repro.api.execution import Execution
 from repro.api.scenario import Scenario
 from repro.api.sweep import failure_entry, run_key, store_entry
 from repro.errors import AdmissionError, ReproError, ServeError, WireError
@@ -132,6 +138,8 @@ class Job:
     abort_requested: bool = False
     abort_reason: str = ""
     waker: asyncio.Event = field(default_factory=asyncio.Event)
+    finished: asyncio.Event = field(default_factory=asyncio.Event)
+    """Set once, when the terminal event is published."""
 
     @property
     def terminal(self) -> bool:
@@ -195,9 +203,7 @@ class SwapService:
         self._latencies: deque[float] = deque(maxlen=self.config.latency_window)
         self._milestone_counts: dict[str, int] = {}
         self._queue: asyncio.Queue[Job] | None = None
-        self._executor: ThreadPoolExecutor | None = None
         self._workers: list[asyncio.Task] = []
-        self._loop: asyncio.AbstractEventLoop | None = None
         self._started_at: float | None = None
         self._counters = {
             "submitted": 0,
@@ -216,40 +222,39 @@ class SwapService:
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> None:
-        """Bring up the worker pool; must run on the serving loop."""
+        """Bring up the worker slots; must run on the serving loop."""
         if self._queue is not None:
             raise ServeError("service already started")
-        self._loop = asyncio.get_running_loop()
         self._queue = asyncio.Queue(maxsize=self.config.max_pending)
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.config.max_concurrency,
-            thread_name_prefix="repro-serve",
-        )
         self._workers = [
-            self._loop.create_task(self._worker(), name=f"serve-worker-{i}")
+            asyncio.create_task(self._worker(), name=f"serve-worker-{i}")
             for i in range(self.config.max_concurrency)
         ]
         self._started_at = time.monotonic()
 
     async def stop(self) -> None:
-        """Evict every live job, drain the pool, flush the store."""
-        if self._queue is None:
+        """Evict every live job, stop the workers, flush the store.
+
+        Every job that is not yet terminal ends with ``aborted``: queued
+        jobs here, running ones at the start of their next slice, so
+        every follower's stream ends.
+        """
+        queue = self._queue
+        if queue is None:
             return
         for job in self._jobs.values():
             if not job.terminal:
                 job.abort_requested = True
                 job.abort_reason = job.abort_reason or "service shutdown"
+        while not queue.empty():
+            self._abort_queued(queue.get_nowait())
+            queue.task_done()
+        # Each taken job is marked done when its worker finishes it.
+        await queue.join()
         for task in self._workers:
             task.cancel()
         await asyncio.gather(*self._workers, return_exceptions=True)
         self._workers = []
-        if self._executor is not None:
-            # In-flight drive threads notice abort_requested between
-            # steps and finish promptly; join them before flushing.
-            await asyncio.get_running_loop().run_in_executor(
-                None, self._executor.shutdown
-            )
-            self._executor = None
         self._queue = None
         self.store.flush()
 
@@ -423,24 +428,37 @@ class SwapService:
             finally:
                 self._queue.task_done()
 
+    def _abort_queued(self, job: Job) -> None:
+        """End a job that was evicted before it reached an engine."""
+        job.status = "aborted"
+        job.settled_at = time.monotonic()
+        self._counters["aborted"] += 1
+        self._publish(job, "aborted", {"reason": job.abort_reason or "evicted"})
+        self._remember(job)
+
     async def _run_job(self, job: Job) -> None:
-        assert self._loop is not None and self._executor is not None
         if job.abort_requested:
-            # Evicted while still queued: never reached an engine.
-            job.status = "aborted"
-            job.settled_at = time.monotonic()
-            self._counters["aborted"] += 1
-            self._publish(job, "aborted", {"reason": job.abort_reason or "evicted"})
-            self._remember(job)
+            self._abort_queued(job)
             return
         job.status = "running"
         job.started_at = time.monotonic()
         self._publish(job, "started", {"engine": job.engine})
         try:
-            entry, outcome = await self._loop.run_in_executor(
-                self._executor, self._drive, job, self._loop
+            execution = get_engine(job.engine).open(job.scenario)
+            deadline = (
+                None
+                if self.config.max_run_seconds is None
+                else time.monotonic() + self.config.max_run_seconds
             )
-        except Exception as error:  # engine bug: report, don't kill the pool
+            while True:
+                wires, ended = self._drive(job, execution, deadline)
+                for wire in wires:
+                    self._publish_milestone(job, wire)
+                if ended is not None:
+                    entry, outcome = ended
+                    break
+                await asyncio.sleep(0)
+        except Exception as error:  # engine bug: report, don't kill the worker
             entry = failure_entry(job.engine, job.scenario.to_dict(), error)
             outcome = "failed"
         job.settled_at = time.monotonic()
@@ -464,43 +482,39 @@ class SwapService:
         self.store.put(key, entry)
         self.store.flush()
 
-    def _drive(self, job: Job, loop: asyncio.AbstractEventLoop) -> tuple[dict, str]:
-        """Thread-side: step one execution, forwarding milestones live.
+    def _drive(
+        self, job: Job, execution: Execution, deadline: float | None
+    ) -> tuple[list[dict], tuple[dict, str] | None]:
+        """Advance ``job``'s execution by one slice; publishes nothing.
 
-        Returns the store-format entry dict plus the job outcome.  Runs
-        entirely off the event loop; every milestone hops back via
-        ``call_soon_threadsafe``.
+        Returns the slice's milestones in wire form, plus the
+        store-format entry and the job outcome once the run has ended
+        (settled, failed, or aborted by request or by ``deadline``).
         """
-        execution = get_engine(job.engine).open(job.scenario)
-        deadline = (
-            None
-            if self.config.max_run_seconds is None
-            else time.monotonic() + self.config.max_run_seconds
-        )
+        if job.abort_requested or (
+            deadline is not None and time.monotonic() > deadline
+        ):
+            reason = job.abort_reason or "deadline exceeded"
+            job.abort_reason = reason
+            report = execution.abort(reason)
+            # The partial report is observable on the job but is never
+            # stored: ok=False keeps it out of report paths.
+            return [], (
+                {"ok": False, "aborted": reason, "report": report.to_dict()},
+                "aborted",
+            )
         try:
-            while True:
-                if job.abort_requested or (
-                    deadline is not None and time.monotonic() > deadline
-                ):
-                    reason = job.abort_reason or "deadline exceeded"
-                    job.abort_reason = reason
-                    report = execution.abort(reason)
-                    # The partial report is observable on the job but is
-                    # never stored: ok=False keeps it out of report paths.
-                    return (
-                        {"ok": False, "aborted": reason, "report": report.to_dict()},
-                        "aborted",
-                    )
-                fresh = execution.step()
-                for milestone in fresh or ():
-                    wire = milestone_to_wire(milestone)
-                    loop.call_soon_threadsafe(self._publish_milestone, job, wire)
-                if execution.quiesced:
-                    report = execution.run_to_completion()
-                    path = PATH_SIMULATED if self.config.fast_path else None
-                    return store_entry(report, path), "settled"
+            wires = [milestone_to_wire(milestone) for milestone in execution.advance()]
+            if not execution.quiesced:
+                return wires, None
+            report = execution.run_to_completion()
         except ReproError as error:
-            return failure_entry(job.engine, job.scenario.to_dict(), error), "failed"
+            return [], (
+                failure_entry(job.engine, job.scenario.to_dict(), error),
+                "failed",
+            )
+        path = PATH_SIMULATED if self.config.fast_path else None
+        return wires, (store_entry(report, path), "settled")
 
     # -- the event stream ----------------------------------------------------
 
@@ -508,6 +522,8 @@ class SwapService:
         job.events.append(envelope(len(job.events), event, job.key, data))
         waker, job.waker = job.waker, asyncio.Event()
         waker.set()
+        if event in TERMINAL_EVENTS:
+            job.finished.set()
 
     def _publish_milestone(self, job: Job, wire: dict) -> None:
         kind = wire["kind"]
@@ -567,21 +583,21 @@ class SwapService:
             job.subscribers -= 1
 
     async def wait(self, key: str, timeout: float | None = None) -> Job:
-        """Block until ``key``'s job is terminal (long-poll primitive)."""
+        """Block until ``key``'s job is terminal (long-poll primitive).
+
+        Resumes once, when the terminal event is published; a spent
+        ``timeout`` returns the job as it stands without yielding.
+        """
         job = self.job(key)
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while not job.terminal:
-            waker = job.waker
-            if deadline is None:
-                await waker.wait()
-            else:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                try:
-                    await asyncio.wait_for(waker.wait(), remaining)
-                except asyncio.TimeoutError:
-                    break
+        if job.terminal or (timeout is not None and timeout <= 0):
+            return job
+        if timeout is None:
+            await job.finished.wait()
+        else:
+            try:
+                await asyncio.wait_for(job.finished.wait(), timeout)
+            except asyncio.TimeoutError:
+                pass
         return job
 
     # -- metrics -------------------------------------------------------------

@@ -7,12 +7,19 @@ Queue entries are plain ``(time, priority, seq, action)`` tuples; ``seq``
 is unique, so the heap's tuple comparison never reaches ``action``.
 An event budget guards against runaway simulations (a deviating-strategy
 bug could otherwise loop forever).
+
+:meth:`Scheduler.run` can also fire a *slice*: given a ``watch``ed
+sequence, it returns right after the first event that grows it, or
+after :data:`SLICE_EVENTS` events, whichever comes first.  The
+execution-session layer watches the simulation trace this way, so a
+caller can pause at every protocol milestone without paying a call per
+event.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Callable
+from typing import Callable, Sized
 
 from repro.errors import SchedulerError
 from repro.sim.clock import Clock
@@ -20,6 +27,11 @@ from repro.sim.events import Priority
 
 #: One queued event: ``(time, priority, seq, action)``.
 Entry = tuple[int, int, int, Callable[[], None]]
+
+#: The most events one watched :meth:`Scheduler.run` call fires.  A
+#: stretch of events that never grows the watched sequence still hands
+#: control back this often, so a caller's deadline and abort checks run.
+SLICE_EVENTS = 256
 
 
 class Scheduler:
@@ -88,11 +100,16 @@ class Scheduler:
             self._running = False
         return entry
 
-    def run(self, horizon: int | None = None) -> int:
+    def run(self, horizon: int | None = None, watch: Sized | None = None) -> int:
         """Fire events in order until the queue drains or ``horizon`` passes.
 
         Events scheduled exactly at ``horizon`` still fire.  Returns the
         number of events fired.  New events may be scheduled while running.
+
+        With ``watch`` given, also return right after the first event that
+        changes ``len(watch)``, or once :data:`SLICE_EVENTS` events have
+        fired.  Either stop can fall inside a tick; the next call fires
+        the rest of that tick in the same order.
         """
         if self._running:
             raise SchedulerError("scheduler is not re-entrant")
@@ -101,6 +118,7 @@ class Scheduler:
         budget = self._max_events - self._fired
         queue = self._queue
         clock = self.clock
+        mark = len(watch) if watch is not None else 0
         try:
             while queue:
                 tick = queue[0][0]
@@ -120,6 +138,10 @@ class Scheduler:
                         raise self._budget_exceeded()
                     fired += 1
                     heappop(queue)[3]()
+                    if watch is not None and (
+                        len(watch) != mark or fired == SLICE_EVENTS
+                    ):
+                        return fired
             if horizon is not None and clock.now < horizon and not queue:
                 clock.advance_to(horizon)
         finally:

@@ -18,8 +18,10 @@ The contract under test (ISSUE 5 acceptance):
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
+from ledger_reference import corpus_sweep
 
 from repro.api import (
     MILESTONE_KINDS,
@@ -37,6 +39,7 @@ from repro.digraph.generators import cycle_digraph, triangle, wheel_digraph
 from repro.errors import (
     EngineError,
     ExecutionError,
+    ReproError,
     ScenarioError,
     SimulationError,
     TimingError,
@@ -84,6 +87,57 @@ class TestSessionEqualsOneShot:
             session.step()
         assert _comparable(session.run_to_completion()) == _comparable(one_shot)
         assert session.events_fired == one_shot.events_fired
+
+    @pytest.mark.parametrize("engine_name", sorted(list_engines()) + ["adaptive"])
+    def test_advancing_equals_stepping(self, engine_name):
+        """``advance()`` pauses after the same events ``step()`` does:
+        equal milestones, probe views, event counts and report bytes, on
+        every engine's corpus items and on an adaptive-stragglers run
+        with a probe and an intervention."""
+        if engine_name == "adaptive":
+            engine_name, intervene = "herlihy", True
+            scenarios = [
+                Scenario(
+                    topology=topology, seed=7,
+                    timing={"kind": "adaptive-stragglers", "violation": 2.0},
+                )
+                for topology in (cycle_digraph(4), wheel_digraph(4))
+            ]
+        else:
+            intervene = False
+            scenarios = [s for name, s in corpus_sweep().items() if name == engine_name]
+
+        def slow_one(execution, milestone):
+            party = execution.harness.parties[milestone.party]
+            party.profile = dataclasses.replace(
+                party.profile, reaction_delay=2 * execution.harness.delta
+            )
+
+        def driven(scenario, advancing):
+            session = get_engine(engine_name).open(scenario)
+            views: list = []
+            session.add_probe(lambda m, view: views.append(
+                (m, view.now, view.events_fired, view.pending_events,
+                 dict(view.milestone_counts))
+            ))
+            if intervene:
+                session.intervene(CONTRACT_ESCROWED, slow_one)
+            seen: list[Milestone] = []
+            while not session.quiesced:
+                seen.extend(session.advance() if advancing else session.step())
+            report = json.dumps(_comparable(session.run_to_completion()), sort_keys=True)
+            return seen, views, session.events_fired, report
+
+        compared = 0
+        for scenario in scenarios:
+            try:
+                stepped = driven(scenario, advancing=False)
+            except ReproError:
+                continue
+            assert driven(scenario, advancing=True) == stepped, scenario.name
+            assert stepped[0][-1].kind == SETTLED
+            compared += 1
+        assert compared > 0
 
     def test_uniform_run_key_unchanged_by_session_fields(self):
         """The 1.5 fields (chain_delays, session machinery) must not

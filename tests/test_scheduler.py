@@ -5,7 +5,7 @@ import pytest
 from repro.errors import SchedulerError, SimulationError
 from repro.sim.clock import Clock, ticks
 from repro.sim.events import Priority
-from repro.sim.scheduler import Scheduler
+from repro.sim.scheduler import SLICE_EVENTS, Scheduler
 
 
 class TestClock:
@@ -259,3 +259,37 @@ class TestHorizon:
         for i in range(4):
             scheduler.at(i, lambda: None)
         assert scheduler.run() == 4
+
+
+class TestWatchedRun:
+    def test_stops_after_the_growing_event_and_resumes_the_tick(self):
+        scheduler = Scheduler()
+        fired, watched = [], []
+        scheduler.at(1, lambda: fired.append("a"))
+        scheduler.at(1, lambda: (fired.append("b"), watched.append("b")))
+        scheduler.at(1, lambda: fired.append("c"))
+        scheduler.at(2, lambda: fired.append("d"))
+        assert scheduler.run(watch=watched) == 2
+        assert fired == ["a", "b"] and scheduler.now == 1
+        # The rest of tick 1 fires first, in its original order.
+        assert scheduler.run(watch=watched) == 2
+        assert fired == ["a", "b", "c", "d"]
+        assert scheduler.pending() == 0
+
+    def test_budget_still_raises(self):
+        scheduler = Scheduler(max_events=50)
+
+        def reschedule():
+            scheduler.after(0, reschedule)  # same-tick livelock
+
+        scheduler.at(0, reschedule)
+        with pytest.raises(SchedulerError, match="event budget"):
+            scheduler.run(watch=[])
+
+    def test_cap_returns_without_growth(self):
+        scheduler = Scheduler()
+        for i in range(SLICE_EVENTS + 10):
+            scheduler.at(i // 3, lambda: None)
+        assert scheduler.run(watch=[]) == SLICE_EVENTS
+        assert scheduler.pending() == 10
+        assert scheduler.run(watch=[]) == 10

@@ -16,6 +16,7 @@ import pytest
 
 from repro.errors import ServeError
 from repro.lab.store import SqliteStore
+from repro.lab.workloads import Workload, build_sweep
 from repro.serve.client import BackgroundServer, ServeClient, sample_scenarios
 from repro.serve.events import TERMINAL_EVENTS, check_envelope
 from repro.serve.service import ServiceConfig, SwapService
@@ -141,6 +142,18 @@ class TestRoutes:
         doc = client.status()
         assert doc["submitted"] >= 1 and doc["executed"] == 1
         assert "latency" in doc and "milestones" in doc
+
+    def test_status_answers_while_a_long_job_runs(self, server):
+        """Simulation slices leave the loop free to answer requests."""
+        (_, long_run), = build_sweep(
+            [Workload("clique", {"n": 12}, mixes=("phase-crash",), timings=("stragglers",))],
+            name="serve-status",
+        ).items()
+        client = server.client()
+        status, doc = client.submit(long_run.to_dict())
+        assert status == 202
+        assert client.status()["in_flight"] == 1
+        assert client.wait_settled(doc["key"], timeout=60)["status"] == "settled"
 
 
 class TestBackpressure:

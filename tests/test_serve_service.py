@@ -11,12 +11,14 @@ import json
 
 import pytest
 
+from repro.api.engine import get_engine
 from repro.api.scenario import Scenario
 from repro.api.sweep import run_sweep
 from repro.digraph.generators import triangle, two_leader_triangle
 from repro.errors import AdmissionError, ReproError, ServeError, WireError
 from repro.lab.store import SqliteStore
-from repro.serve.events import check_envelope
+from repro.lab.workloads import Workload, build_sweep
+from repro.serve.events import check_envelope, milestone_to_wire
 from repro.serve.service import ServiceConfig, SwapService, TokenBucket
 from repro.sim.milestones import MILESTONE_KINDS
 
@@ -252,6 +254,38 @@ class TestAbort:
 
         asyncio.run(run())
 
+    def test_stop_aborts_running_and_queued_jobs(self):
+        """Stopping the service ends every live job's stream."""
+        (_, long_run), = build_sweep(
+            [Workload("clique", {"n": 10}, mixes=("phase-crash",), timings=("stragglers",))],
+            name="serve-stop",
+        ).items()
+
+        async def follow(service, key):
+            return [event async for event in service.subscribe(key)]
+
+        async def first_milestone(job):
+            while not any(event["event"] == "milestone" for event in job.events):
+                await asyncio.sleep(0)
+
+        async def run():
+            service = await started(no_rate(max_concurrency=1))
+            running = service.submit(long_run).key
+            queued = service.submit(scenario()).key
+            followers = [
+                asyncio.ensure_future(follow(service, key)) for key in (running, queued)
+            ]
+            await asyncio.wait_for(first_milestone(service.job(running)), timeout=30)
+            assert service.job(running).status == "running"
+            assert service.job(queued).status == "queued"
+            await asyncio.wait_for(service.stop(), timeout=30)
+            streams = await asyncio.wait_for(asyncio.gather(*followers), timeout=10)
+            assert [stream[-1]["event"] for stream in streams] == ["aborted", "aborted"]
+            assert service.job(running).entry["aborted"] == "service shutdown"
+            assert service._counters["aborted"] == 2
+
+        asyncio.run(run())
+
     def test_abort_of_a_terminal_job_is_a_noop(self):
         async def run():
             service = await started()
@@ -291,6 +325,11 @@ class TestEventStream:
                     assert checked["data"]["kind"] in MILESTONE_KINDS
             # Sequence numbers are dense from zero.
             assert [event["seq"] for event in events] == list(range(len(events)))
+            # The milestones are the session's own, in wire form.
+            session = get_engine("herlihy").open(scenario())
+            assert [e["data"] for e in events if e["event"] == "milestone"] == [
+                milestone_to_wire(m) for m in session.run_to_completion().milestones
+            ]
             await service.stop()
 
         asyncio.run(run())
