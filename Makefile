@@ -4,7 +4,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test smoke bench-smoke bench lab-smoke fleet-smoke serve serve-bench lint check
+.PHONY: test smoke bench-smoke bench lab-smoke fleet-smoke serve serve-bench lint check parity
 
 test:            ## full tier-1 suite
 	$(PY) -m pytest -x -q
@@ -14,6 +14,15 @@ lint:            ## the repo's own AST lint pass over src/ (repro.analysis.lint)
 
 check:           ## static scenario verification, cross-validated against the engines
 	$(PY) -m repro lab check --verify
+
+PARITY_TESTS = tests/test_analysis_parity.py tests/test_analysis_protocol.py \
+	tests/test_golden_check.py tests/test_analysis_differential.py \
+	tests/test_ledger_lazy_bytes.py tests/test_transcript_bytes.py \
+	tests/test_golden_corpus.py tests/test_store_entry_parity.py
+
+parity:          ## the byte-parity suites: analyzer vs simulator, golden corpus, stored entries
+	$(PY) -m pytest $(PARITY_TESTS) -q
+	$(MAKE) check
 
 smoke:           ## the pytest smoke lane (one tiny sweep per engine)
 	$(PY) -m pytest -q -m smoke

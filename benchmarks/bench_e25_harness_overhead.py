@@ -13,7 +13,8 @@ Both paths execute identical simulations (same keys, same events, same
 results), so any wall-time difference is pure harness overhead.  The
 assertion allows 5% on the summed min-of-rounds times (min is the
 stable estimator for "how fast can this go"; means absorb scheduler
-noise).
+noise).  Each round runs the seed path and then the harness path, so
+drift across the rounds lands on both sides.
 """
 
 from __future__ import annotations
@@ -135,14 +136,21 @@ def _harness_run(digraph: Digraph, config: SwapConfig):
     return SwapSimulation(digraph, config=config).run()
 
 
-def _min_time(fn, digraph, config) -> tuple[float, object]:
-    best = float("inf")
-    result = None
+def _min_times(digraph: Digraph, config: SwapConfig) -> dict:
+    """Min-of-rounds wall time and last result for each path.
+
+    Every round times the seed path and then the harness path, so
+    cache, frequency and allocator drift over the rounds hits both
+    alike instead of landing on whichever path ran second.
+    """
+    best = {fn: float("inf") for fn in (_seed_style_run, _harness_run)}
+    results = {}
     for _ in range(ROUNDS):
-        start = time.perf_counter()
-        result = fn(digraph, config)
-        best = min(best, time.perf_counter() - start)
-    return best, result
+        for fn in best:
+            start = time.perf_counter()
+            results[fn] = fn(digraph, config)
+            best[fn] = min(best[fn], time.perf_counter() - start)
+    return {fn: (best[fn], results[fn]) for fn in best}
 
 
 def test_harness_overhead_within_budget():
@@ -152,9 +160,9 @@ def test_harness_overhead_within_budget():
     seed_total = harness_total = 0.0
     for n in CYCLE_GRID:
         digraph = cycle_digraph(n)
-        # Interleave the two paths so cache/frequency drift hits both.
-        seed_t, seed_result = _min_time(_seed_style_run, digraph, config)
-        harness_t, harness_result = _min_time(_harness_run, digraph, config)
+        timed = _min_times(digraph, config)
+        seed_t, seed_result = timed[_seed_style_run]
+        harness_t, harness_result = timed[_harness_run]
         # Identical simulations first — otherwise the timing is vacuous.
         assert harness_result.all_deal() and seed_result.all_deal()
         assert harness_result.events_fired == seed_result.events_fired
@@ -178,7 +186,7 @@ def test_harness_overhead_within_budget():
     emit_table(
         "E25",
         "Harness overhead: seed-style inline assembly vs SimulationHarness "
-        f"(E01 cycle grid, min of {ROUNDS} rounds)",
+        f"(E01 cycle grid, min of {ROUNDS} alternating rounds)",
         ["cycle n", "seed ms", "harness ms", "overhead"],
         rows,
         notes=(

@@ -5,7 +5,8 @@ assembling its simulation through the shared
 :class:`~repro.sim.harness.SimulationHarness` and handing the prepared
 run to the execution-session layer (:mod:`repro.api.execution`) — so
 ``Engine.run``, ``Engine.open``, probes, and milestone interventions
-all drive the very same assembly the legacy one-shot runners used.
+all drive the very same assembly a direct runner (``run_swap``,
+``run_single_leader_swap``, ``run_multigraph_swap``) runs.
 
 ================ ==================================================== ==============================
 name             protocol                                             ``Scenario.timing`` applies to

@@ -71,7 +71,8 @@ class PreparedSimulation:
 
     ``finalize(events_fired)`` classifies final chain state into the
     engine's native result object (``SwapResult``/``MultiSwapResult``),
-    exactly as the legacy one-shot runners did after quiescence.
+    exactly as a direct ``run()`` of the same assembly does after
+    quiescence.
     """
 
     harness: SimulationHarness

@@ -18,7 +18,7 @@ with the hashkey protocol, where the same behaviour is harmless
 
 from __future__ import annotations
 
-from repro.core.protocol import SwapConfig, SwapResult
+from repro.core.protocol import SwapConfig
 from repro.core.timelocks import (
     SingleLeaderParty,
     SingleLeaderSimulation,
@@ -62,28 +62,3 @@ def _prepare_naive_timelock_swap(
         strategies=strategies,
         timeouts=timeouts,
     )
-
-
-def _run_naive_timelock_swap(
-    digraph: Digraph,
-    leader: Vertex | None = None,
-    attacker: Vertex | None = None,
-    config: SwapConfig | None = None,
-    faults: FaultPlan | None = None,
-    timeout_multiple: int | None = None,
-) -> SwapResult:
-    """Run a swap whose every contract expires at the same moment.
-
-    With ``attacker`` set, that party plays the last-moment reveal; the
-    parties upstream of it (who learn the secret only after the shared
-    deadline) end up Underwater.
-    """
-    return _prepare_naive_timelock_swap(
-        digraph,
-        leader=leader,
-        attacker=attacker,
-        config=config,
-        faults=faults,
-        timeout_multiple=timeout_multiple,
-    ).run()
-

@@ -19,11 +19,12 @@ comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from repro.chain.blockchain import Blockchain
 from repro.chain.ledger import Record
 from repro.chain.network import ChainNetwork
-from repro.core.protocol import SwapConfig, SwapResult
+from repro.core.protocol import SwapConfig
 from repro.digraph.digraph import Arc, Digraph, Vertex
 from repro.errors import AssetError, SimulationError
 from repro.sim import trace as tr
@@ -158,31 +159,4 @@ def _prepare_sequential_trust_swap(
         diam=len(digraph.vertices) - 1,
     )
     conforming = frozenset(v for v in digraph.vertices if v not in defectors)
-
-    def finalize(events_fired: int) -> SwapResult:
-        return harness.collect(
-            spec=spec,
-            config=config,
-            conforming=conforming,
-            events_fired=events_fired,
-        )
-
-    return harness, start, finalize
-
-
-def _run_sequential_trust_swap(
-    digraph: Digraph,
-    first_mover: Vertex | None = None,
-    defectors: set[Vertex] | None = None,
-    config: SwapConfig | None = None,
-) -> SwapResult:
-    """Execute the cycle by trust, optionally with defecting parties.
-
-    Returns the same :class:`SwapResult` shape as the real protocol so the
-    benches can print both in one table.
-    """
-    harness, start, finalize = _prepare_sequential_trust_swap(
-        digraph, first_mover=first_mover, defectors=defectors, config=config
-    )
-    return finalize(harness.run_to_quiescence(start))
-
+    return harness, start, partial(harness.collect, spec, config, conforming)

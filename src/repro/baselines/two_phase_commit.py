@@ -19,6 +19,7 @@ Underwater, something no coalition can do to the hashkey protocol
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any
 
 from repro.chain.assets import Asset
@@ -26,7 +27,7 @@ from repro.chain.blockchain import Blockchain
 from repro.chain.contracts import Contract
 from repro.chain.ledger import Record
 from repro.chain.network import ChainNetwork
-from repro.core.protocol import SwapConfig, SwapResult
+from repro.core.protocol import SwapConfig
 from repro.digraph.digraph import Arc, Digraph, Vertex
 from repro.errors import (
     AssetError,
@@ -313,35 +314,4 @@ def _prepare_two_phase_commit_swap(
         diam=1,
     )
     conforming = frozenset(digraph.vertices)
-
-    def finalize(events_fired: int) -> SwapResult:
-        return harness.collect(
-            spec=spec,
-            config=config,
-            conforming=conforming,
-            events_fired=events_fired,
-        )
-
-    return harness, start, finalize
-
-
-def _run_two_phase_commit_swap(
-    digraph: Digraph,
-    config: SwapConfig | None = None,
-    byzantine_commit_only: set[Arc] | None = None,
-    coordinator_crashes: bool = False,
-) -> SwapResult:
-    """Run the trusted-coordinator exchange.
-
-    ``byzantine_commit_only`` switches the coordinator to a partial commit
-    (the trust failure); ``coordinator_crashes`` exercises the timeout
-    path (everyone refunds; NoDeal).
-    """
-    harness, start, finalize = _prepare_two_phase_commit_swap(
-        digraph,
-        config=config,
-        byzantine_commit_only=byzantine_commit_only,
-        coordinator_crashes=coordinator_crashes,
-    )
-    return finalize(harness.run_to_quiescence(start))
-
+    return harness, start, partial(harness.collect, spec, config, conforming)

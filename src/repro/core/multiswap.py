@@ -136,12 +136,12 @@ def run_multigraph_swap(
     ``multiarc_values`` prices each keyed arc; a pair's bundle value is
     the sum over its parallel arcs.
     """
-    base = SwapSimulation(
-        multigraph.underlying_simple(),
+    harness, start_time, finalize = prepare_multigraph_swap(
+        multigraph,
         leaders=leaders,
         config=config,
         faults=faults,
         strategies=strategies,
-        asset_values=bundle_values(multigraph, multiarc_values),
-    ).run()
-    return project_result(multigraph, base)
+        multiarc_values=multiarc_values,
+    )
+    return finalize(harness.run_to_quiescence(start_time))

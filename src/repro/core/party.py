@@ -19,16 +19,20 @@ hashkey ``(s, p, σ)``, it extends the key to ``(s, v+p, sig(σ, v))`` and
 unlocks all of its entering arcs.  Fully unlocked entering contracts are
 claimed; leaving contracts whose hashlocks time out are refunded.
 
+The escrow lifecycle lives in :class:`HTLCParty`, which §4.6's
+:class:`~repro.core.timelocks.SingleLeaderParty` shares.
+
 Deviating behaviours subclass this and override the small hook methods —
 see :mod:`repro.core.strategies`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.chain.assets import Asset
 from repro.chain.blockchain import Blockchain
+from repro.chain.contracts import Contract
 from repro.chain.ledger import Record
 from repro.chain.network import BROADCAST_CHAIN_ID, ChainNetwork
 from repro.core.contract import SwapContract, is_correct_contract_state
@@ -48,56 +52,54 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.trace import Trace
 
 
-class SwapParty(Process):
-    """A conforming participant (leader or follower, per the spec)."""
+class HTLCParty(Process):
+    """The escrow lifecycle both hashed-timelock protocols share.
+
+    §4.6 is §4.5 with one plain secret in place of hashkeys, so the two
+    parties are one automaton that differs in a few transitions: which
+    contract is published (:meth:`make_contract`), how an entering
+    contract is checked (:meth:`_is_correct_contract`), what a verified
+    entering arc triggers (:meth:`_on_entering_verified`), how the leader
+    opens Phase Two (:meth:`_begin_phase_two`), when refunds are watched
+    (:meth:`refund_deadlines`), and when a contract is claimable or
+    refundable (:meth:`_claimable`, :meth:`_refundable`).  Everything
+    else — crash hooks, start, publication, the Phase One follower step,
+    claim and refund — lives here once.  Subclasses supply their own
+    unlock paths and ``on_chain_record``.
+    """
 
     def __init__(
         self,
-        keypair: KeyPair,
-        spec: SwapSpec,
+        name: str,
+        spec: Any,
         network: ChainNetwork,
         assets: dict[Arc, Asset],
         trace: "Trace",
         scheduler: Scheduler,
         profile: ReactionProfile,
         secret: bytes | None = None,
-        use_broadcast: bool = False,
     ) -> None:
-        super().__init__(keypair.address, scheduler, profile)
-        self.keypair = keypair
+        super().__init__(name, scheduler, profile)
+        self.address = name
         self.spec = spec
         self.network = network
         self.assets = assets
         self.trace = trace
         self.secret = secret
-        self.use_broadcast = use_broadcast
-
-        self.address = keypair.address
-        self.is_leader = spec.is_leader(self.address)
-        if self.is_leader and secret is None:
-            raise ContractError(f"leader {self.address} needs its secret")
-        self.entering: tuple[Arc, ...] = spec.digraph.in_arcs(self.address)
-        self.leaving: tuple[Arc, ...] = spec.digraph.out_arcs(self.address)
+        self.is_leader = name in spec.leaders
+        self.entering: tuple[Arc, ...] = spec.digraph.in_arcs(name)
+        self.leaving: tuple[Arc, ...] = spec.digraph.out_arcs(name)
 
         # Protocol state.
         self.verified_incoming: set[Arc] = set()
         self.incoming_contract_ids: dict[Arc, str] = {}
         self.outgoing_contract_ids: dict[Arc, str] = {}
-        self.known_hashkeys: dict[int, Hashkey] = {}
-        self.unlocked_incoming: dict[Arc, set[int]] = {arc: set() for arc in self.entering}
         self.claimed: set[Arc] = set()
         self.refunded: set[Arc] = set()
         self.abandoned = False
         self.phase_two_started = False
         self.published = False
         self.crash_plan: Crash | None = None
-        self._unlock_calls_sent = 0
-
-    # -- scheme helpers -----------------------------------------------------------
-
-    @property
-    def scheme(self) -> SignatureScheme:
-        return self.spec.schemes[self.keypair.scheme]
 
     # -- crash hooks ----------------------------------------------------------------
 
@@ -159,26 +161,12 @@ class SwapParty(Process):
         """Strategy hook: conforming parties publish on every leaving arc."""
         return True
 
-    def make_contract(self, arc: Arc) -> SwapContract:
-        """Strategy hook: conforming parties build spec-correct contracts."""
-        return SwapContract(self.spec, arc, self.assets[arc])
+    def make_contract(self, arc: Arc) -> Contract:
+        raise NotImplementedError
 
-    # -- observation dispatch (wired by the runner) -----------------------------------------
+    # -- Phase One: observing entering contracts -------------------------------------------
 
-    def on_chain_record(self, chain: Blockchain, record: Record, landed_at: int) -> None:
-        """Handle one observed ledger record (already delayed by the runner)."""
-        if self.abandoned and record.kind != "contract_published":
-            return
-        if record.kind == "contract_published":
-            self._on_contract_published(chain, record)
-        elif record.kind == "contract_call" and record.payload.get("ok"):
-            method = record.payload.get("method")
-            if method == "unlock":
-                self._on_unlock_observed(record)
-        elif record.kind == "secret_broadcast" and chain.chain_id == BROADCAST_CHAIN_ID:
-            self._on_secret_broadcast(record)
-
-    def _on_contract_published(self, chain: Blockchain, record: Record) -> None:
+    def _on_contract_published(self, record: Record) -> None:
         payload = record.payload
         state = payload.get("state", {})
         arc_value = state.get("arc")
@@ -187,8 +175,7 @@ class SwapParty(Process):
         arc: Arc = (arc_value[0], arc_value[1])
         if arc not in self.entering or arc in self.incoming_contract_ids:
             return
-        expected_asset = self.assets[arc].asset_id
-        if not is_correct_contract_state(state, self.spec, arc, expected_asset):
+        if not self._is_correct_contract(state, arc):
             # §4.5: "verifies that contract is a correct swap contract, and
             # abandons the protocol otherwise".
             self.abandoned = True
@@ -202,10 +189,14 @@ class SwapParty(Process):
             return
         self.incoming_contract_ids[arc] = payload["contract_id"]
         self.verified_incoming.add(arc)
-        # A late-arriving contract can still be unlocked with known keys.
-        for lock_index in list(self.known_hashkeys):
-            self._schedule_unlocks(lock_index, only_arc=arc)
+        self._on_entering_verified(arc)
         self._maybe_advance_phase()
+
+    def _is_correct_contract(self, state: dict[str, Any], arc: Arc) -> bool:
+        raise NotImplementedError
+
+    def _on_entering_verified(self, arc: Arc) -> None:
+        raise NotImplementedError
 
     def _maybe_advance_phase(self) -> None:
         if self.abandoned:
@@ -218,6 +209,126 @@ class SwapParty(Process):
         elif not self.published:
             # Phase One, follower step 2: all entering arcs verified.
             self.wake_after(self.profile.action_delay, self._publish_outgoing)
+
+    def _begin_phase_two(self) -> None:
+        raise NotImplementedError
+
+    # -- claims ----------------------------------------------------------------------
+
+    def _send_claim(self, arc: Arc, contract_id: str) -> None:
+        if arc in self.claimed:
+            return
+        now = self.scheduler.now
+        chain = self.network.chain_for_arc(arc)
+        contract = chain.contract(contract_id)
+        if contract.is_halted or not self._claimable(contract):
+            return
+        try:
+            chain.call(contract_id, "claim", self.address, now)
+        except ContractError:
+            return
+        self.claimed.add(arc)
+        self.trace.record(now, tr.ARC_TRIGGERED, self.address, arc=list(arc))
+
+    def _claimable(self, contract: Contract) -> bool:
+        raise NotImplementedError
+
+    # -- refunds -------------------------------------------------------------------
+
+    def _schedule_refund_watches(self, arc: Arc, contract_id: str) -> None:
+        """Wake at each refund deadline to refund if still locked."""
+        for deadline in self.refund_deadlines(arc):
+            delay = max(0, deadline - self.scheduler.now) + self.profile.action_delay
+            self.wake_after(
+                delay,
+                lambda a=arc, cid=contract_id: self._try_refund(a, cid),
+            )
+
+    def refund_deadlines(self, arc: Arc) -> Iterable[int]:
+        """Ascending times after which a leaving arc may be refundable."""
+        raise NotImplementedError
+
+    def _try_refund(self, arc: Arc, contract_id: str) -> None:
+        if arc in self.refunded:
+            return
+        now = self.scheduler.now
+        chain = self.network.chain_for_arc(arc)
+        contract = chain.contract(contract_id)
+        if contract.is_halted or not self._refundable(contract, arc, now):
+            return
+        try:
+            chain.call(contract_id, "refund", self.address, now)
+        except ContractError:
+            return
+        self.refunded.add(arc)
+        self.trace.record(now, tr.ARC_REFUNDED, self.address, arc=list(arc))
+
+    def _refundable(self, contract: Contract, arc: Arc, now: int) -> bool:
+        raise NotImplementedError
+
+
+class SwapParty(HTLCParty):
+    """A conforming participant (leader or follower, per the spec)."""
+
+    def __init__(
+        self,
+        keypair: KeyPair,
+        spec: SwapSpec,
+        network: ChainNetwork,
+        assets: dict[Arc, Asset],
+        trace: "Trace",
+        scheduler: Scheduler,
+        profile: ReactionProfile,
+        secret: bytes | None = None,
+        use_broadcast: bool = False,
+    ) -> None:
+        super().__init__(
+            keypair.address, spec, network, assets, trace, scheduler, profile, secret
+        )
+        if self.is_leader and secret is None:
+            raise ContractError(f"leader {self.address} needs its secret")
+        self.keypair = keypair
+        self.use_broadcast = use_broadcast
+        self.known_hashkeys: dict[int, Hashkey] = {}
+        self.unlocked_incoming: dict[Arc, set[int]] = {arc: set() for arc in self.entering}
+        self._unlock_calls_sent = 0
+
+    # -- scheme helpers -----------------------------------------------------------
+
+    @property
+    def scheme(self) -> SignatureScheme:
+        return self.spec.schemes[self.keypair.scheme]
+
+    # -- Phase One ---------------------------------------------------------------------
+
+    def make_contract(self, arc: Arc) -> SwapContract:
+        """Strategy hook: conforming parties build spec-correct contracts."""
+        return SwapContract(self.spec, arc, self.assets[arc])
+
+    # -- observation dispatch (wired by the runner) -----------------------------------------
+
+    def on_chain_record(self, chain: Blockchain, record: Record, landed_at: int) -> None:
+        """Handle one observed ledger record (already delayed by the runner)."""
+        if self.abandoned and record.kind != "contract_published":
+            return
+        if record.kind == "contract_published":
+            self._on_contract_published(record)
+        elif record.kind == "contract_call" and record.payload.get("ok"):
+            method = record.payload.get("method")
+            if method == "unlock":
+                self._on_unlock_observed(record)
+        elif record.kind == "secret_broadcast" and chain.chain_id == BROADCAST_CHAIN_ID:
+            self._on_secret_broadcast(record)
+
+    def _is_correct_contract(self, state: dict[str, Any], arc: Arc) -> bool:
+        return is_correct_contract_state(
+            state, self.spec, arc, self.assets[arc].asset_id
+        )
+
+    def _on_entering_verified(self, arc: Arc) -> None:
+        # A late-arriving contract can still be unlocked with known keys.
+        for lock_index in list(self.known_hashkeys):
+            self._schedule_unlocks(lock_index, only_arc=arc)
 
     # -- Phase Two: secret dissemination ----------------------------------------------------
 
@@ -380,56 +491,23 @@ class SwapParty(Process):
                 lambda a=arc, cid=contract_id: self._send_claim(a, cid),
             )
 
-    def _send_claim(self, arc: Arc, contract_id: str) -> None:
-        if arc in self.claimed:
-            return
-        now = self.scheduler.now
-        chain = self.network.chain_for_arc(arc)
-        contract = chain.contract(contract_id)
-        if contract.is_halted or not isinstance(contract, SwapContract):
-            return
-        if not contract.all_unlocked():
-            return
-        try:
-            chain.call(contract_id, "claim", self.address, now)
-        except ContractError:
-            return
-        self.claimed.add(arc)
-        self.trace.record(now, tr.ARC_TRIGGERED, self.address, arc=list(arc))
+    def _claimable(self, contract: Contract) -> bool:
+        return isinstance(contract, SwapContract) and contract.all_unlocked()
 
     # -- refunds -------------------------------------------------------------------
 
-    def _schedule_refund_watches(self, arc: Arc, contract_id: str) -> None:
-        """Wake at each lock's final timeout to refund if still locked."""
-        deadlines = sorted(
+    def refund_deadlines(self, arc: Arc) -> Iterable[int]:
+        """Each lock's final timeout on ``arc`` (Fig. 5)."""
+        return sorted(
             {
                 self.spec.lock_final_timeout(arc, i)
                 for i in range(self.spec.lock_count())
             }
         )
-        for deadline in deadlines:
-            delay = max(0, deadline - self.scheduler.now) + self.profile.action_delay
-            self.wake_after(
-                delay,
-                lambda a=arc, cid=contract_id: self._try_refund(a, cid),
-            )
 
-    def _try_refund(self, arc: Arc, contract_id: str) -> None:
-        if arc in self.refunded:
-            return
-        now = self.scheduler.now
-        chain = self.network.chain_for_arc(arc)
-        contract = chain.contract(contract_id)
-        if contract.is_halted or not isinstance(contract, SwapContract):
-            return
-        if not contract._refundable(now):  # noqa: SLF001 - free public read
-            return
-        try:
-            chain.call(contract_id, "refund", self.address, now)
-        except ContractError:
-            return
-        self.refunded.add(arc)
-        self.trace.record(now, tr.ARC_REFUNDED, self.address, arc=list(arc))
+    def _refundable(self, contract: Contract, arc: Arc, now: int) -> bool:
+        # A free public read of the contract's own refund rule.
+        return isinstance(contract, SwapContract) and contract._refundable(now)  # noqa: SLF001
 
     def __repr__(self) -> str:
         role = "leader" if self.is_leader else "follower"

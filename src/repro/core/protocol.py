@@ -5,7 +5,8 @@
 specific to the hashkey protocol — leaders, keys, secrets, the §4.2
 spec, and one :class:`SwapParty` per vertex — while the harness owns the
 chains, the observation wiring, the timing-model profiles, and the
-run-to-quiescence loop.  The result is a :class:`SwapResult` with the
+run-to-quiescence loop; what it shares with the §4.6 runner is
+:class:`HTLCSimulation`.  The result is a :class:`SwapResult` with the
 triggered/refunded arc sets, per-party outcomes (Fig. 3), timing, and
 byte-level metrics for the complexity theorems.
 
@@ -31,7 +32,7 @@ from repro.analysis.outcomes import (
 )
 from repro.chain.assets import Asset
 from repro.chain.network import ChainNetwork
-from repro.core.party import SwapParty
+from repro.core.party import HTLCParty, SwapParty
 from repro.core.spec import SwapSpec, compute_diameter_for_spec
 from repro.crypto.hashing import hash_secret
 from repro.crypto.signatures import DEFAULT_SCHEME_NAME, get_scheme
@@ -187,17 +188,29 @@ class SwapResult:
         return "\n".join(lines)
 
 
-class SwapSimulation:
-    """Builds and runs one atomic cross-chain swap."""
+class HTLCSimulation:
+    """The assembly both hashed-timelock runners share (§4.5, §4.6).
+
+    Owns the config/fault/strategy defaults, the harness, the
+    unknown-party checks, strategy resolution, party wiring and the run
+    itself.  A subclass builds its published ``spec`` and then calls
+    :meth:`_wire_parties`; it supplies :attr:`party_class` (the
+    conforming party), :attr:`include_broadcast` (whether the shared
+    broadcast chain exists and reaches every party), and
+    :meth:`_party_kwargs` (each party's identity and secret).
+    """
+
+    party_class: type[HTLCParty] = HTLCParty
+    include_broadcast = False
+    connectivity_message = "swap digraphs must be strongly connected"
+    spec: Any
 
     def __init__(
         self,
         digraph: Digraph,
-        leaders: tuple[Vertex, ...] | list[Vertex] | None = None,
         config: SwapConfig | None = None,
         faults: FaultPlan | None = None,
-        strategies: dict[Vertex, StrategySpec] | None = None,
-        profiles: dict[Vertex, ReactionProfile] | None = None,
+        strategies: dict[Vertex, Any] | None = None,
         asset_values: dict[Arc, int] | None = None,
     ) -> None:
         self.config = config or SwapConfig()
@@ -206,13 +219,9 @@ class SwapSimulation:
         self.harness = SimulationHarness.for_config(
             digraph,
             self.config,
-            include_broadcast=True,
+            include_broadcast=self.include_broadcast,
             asset_values=asset_values,
-            connectivity_message=(
-                "SwapSimulation requires a strongly connected digraph "
-                "(Theorem 3.5; see repro.analysis.attacks for the "
-                "impossibility constructions)"
-            ),
+            connectivity_message=self.connectivity_message,
         )
         self.digraph = digraph
         self.network = self.harness.network
@@ -226,6 +235,89 @@ class SwapSimulation:
         for vertex in self.faults.crashes:
             if not digraph.has_vertex(vertex):
                 raise SimulationError(f"fault for unknown party {vertex!r}")
+
+    # -- construction helpers --------------------------------------------------------
+
+    def _party_kwargs(self, vertex: Vertex) -> dict[str, Any]:
+        """Constructor arguments that identify ``vertex``'s party."""
+        raise NotImplementedError
+
+    def _wire_parties(self, profiles: dict[Vertex, ReactionProfile] | None = None) -> None:
+        """One party per vertex (profiles from the timing model unless
+        ``profiles`` pins one), then crash faults and observations."""
+        explicit = profiles or {}
+
+        def build_party(vertex: Vertex, profile: ReactionProfile) -> HTLCParty:
+            # A strategy is a party class, or ``(class, extra kwargs)``.
+            entry = self.strategies.get(vertex) or self.party_class
+            cls, extra = entry if isinstance(entry, tuple) else (entry, {})
+            return cls(
+                spec=self.spec,
+                network=self.network,
+                assets=self.assets,
+                trace=self.trace,
+                scheduler=self.scheduler,
+                profile=explicit.get(vertex, profile),
+                **self._party_kwargs(vertex),
+                **extra,
+            )
+
+        self.parties: dict[Vertex, HTLCParty] = self.harness.build_parties(build_party)
+        self.harness.install_faults(self.faults)
+        self.harness.wire_observations(broadcast_to_all=self.include_broadcast)
+
+    # -- running ------------------------------------------------------------------------
+
+    def prepared(self):
+        """``(harness, start_time, finalize)`` for the execution-session
+        layer (:mod:`repro.api.execution`): the session drives the
+        harness itself and calls ``finalize(events_fired)`` once
+        quiesced."""
+        return self.harness, self.spec.start_time, self._collect
+
+    def run(self) -> SwapResult:
+        """Run to quiescence and classify the outcome (once: the harness
+        refuses a second run)."""
+        events = self.harness.run_to_quiescence(self.spec.start_time)
+        return self._collect(events)
+
+    def _collect(self, events_fired: int) -> SwapResult:
+        conforming = frozenset(
+            v
+            for v in self.digraph.vertices
+            if type(self.parties[v]) is self.party_class
+            and v not in self.faults.crashes
+        )
+        return self.harness.collect(
+            spec=self.spec,
+            config=self.config,
+            conforming=conforming,
+            events_fired=events_fired,
+        )
+
+
+class SwapSimulation(HTLCSimulation):
+    """Builds and runs one atomic cross-chain swap."""
+
+    party_class = SwapParty
+    include_broadcast = True
+    connectivity_message = (
+        "SwapSimulation requires a strongly connected digraph "
+        "(Theorem 3.5; see repro.analysis.attacks for the "
+        "impossibility constructions)"
+    )
+
+    def __init__(
+        self,
+        digraph: Digraph,
+        leaders: tuple[Vertex, ...] | list[Vertex] | None = None,
+        config: SwapConfig | None = None,
+        faults: FaultPlan | None = None,
+        strategies: dict[Vertex, StrategySpec] | None = None,
+        profiles: dict[Vertex, ReactionProfile] | None = None,
+        asset_values: dict[Arc, int] | None = None,
+    ) -> None:
+        super().__init__(digraph, config, faults, strategies, asset_values)
 
         # -- leaders ---------------------------------------------------------
         if leaders is None:
@@ -272,70 +364,14 @@ class SwapSimulation:
             schemes={scheme.name: scheme},
             broadcast_unlock_enabled=self.config.use_broadcast,
         )
+        self._wire_parties(profiles)
 
-        # -- parties (profiles come from the scenario's timing model) ---------
-        explicit_profiles = profiles or {}
-
-        def build_party(vertex: Vertex, profile: ReactionProfile) -> SwapParty:
-            cls, extra = self._resolve_strategy(vertex)
-            return cls(
-                keypair=self.keypairs[vertex],
-                spec=self.spec,
-                network=self.network,
-                assets=self.assets,
-                trace=self.trace,
-                scheduler=self.scheduler,
-                profile=explicit_profiles.get(vertex, profile),
-                secret=self.secrets.get(vertex),
-                use_broadcast=self.config.use_broadcast,
-                **extra,
-            )
-
-        self.parties: dict[Vertex, SwapParty] = self.harness.build_parties(build_party)
-        self.harness.install_faults(self.faults)
-        self.harness.wire_observations(broadcast_to_all=True)
-        self._ran = False
-
-    # -- construction helpers --------------------------------------------------------
-
-    def _resolve_strategy(self, vertex: Vertex) -> tuple[type[SwapParty], dict[str, Any]]:
-        entry = self.strategies.get(vertex)
-        if entry is None:
-            return SwapParty, {}
-        if isinstance(entry, tuple):
-            cls, extra = entry
-            return cls, dict(extra)
-        return entry, {}
-
-    # -- running ------------------------------------------------------------------------
-
-    def prepared(self):
-        """``(harness, start_time, finalize)`` for the execution-session
-        layer (:mod:`repro.api.execution`): the session drives the
-        harness itself and calls ``finalize(events_fired)`` once
-        quiesced."""
-        return self.harness, self.spec.start_time, self._collect
-
-    def run(self) -> SwapResult:
-        """Run to quiescence and classify the outcome."""
-        if self._ran:
-            raise SimulationError("a SwapSimulation instance runs once")
-        self._ran = True
-        events = self.harness.run_to_quiescence(self.spec.start_time)
-        return self._collect(events)
-
-    def _collect(self, events_fired: int) -> SwapResult:
-        conforming = frozenset(
-            v
-            for v in self.digraph.vertices
-            if type(self.parties[v]) is SwapParty and v not in self.faults.crashes
-        )
-        return self.harness.collect(
-            spec=self.spec,
-            config=self.config,
-            conforming=conforming,
-            events_fired=events_fired,
-        )
+    def _party_kwargs(self, vertex: Vertex) -> dict[str, Any]:
+        return {
+            "keypair": self.keypairs[vertex],
+            "secret": self.secrets.get(vertex),
+            "use_broadcast": self.config.use_broadcast,
+        }
 
 
 def collect_result(

@@ -14,25 +14,30 @@ feedback vertex set; otherwise :class:`TimeoutAssignmentError` explains
 which cycle blocks it.
 
 The module also provides the simulated party (:class:`SingleLeaderParty`)
-and runner (:class:`SingleLeaderSimulation`) for this variant.  Both are
-deliberately independent of the hashkey machinery so the two protocols can
-be compared head-to-head; the runner additionally accepts an arbitrary
-timeout assignment, which the *naive* baseline abuses to demonstrate the
-attack that motivates hashkeys (see
+and runner (:class:`SingleLeaderSimulation`) for this variant.  They are
+the §4.5 escrow lifecycle (:class:`~repro.core.party.HTLCParty`,
+:class:`~repro.core.protocol.HTLCSimulation`) with a plain secret in place
+of hashkeys.  What stays independent of the hashkey machinery is what
+bench E15 compares head-to-head: the contract
+(:class:`SimpleTimelockContract`), the spec (:class:`SingleLeaderSpec`)
+and the absence of signatures.  The runner additionally accepts an
+arbitrary timeout assignment, which the *naive* baseline abuses to
+demonstrate the attack that motivates hashkeys (see
 :mod:`repro.baselines.naive_timelock`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable
 
 from repro.chain.assets import Asset
 from repro.chain.blockchain import Blockchain
 from repro.chain.contracts import Contract
 from repro.chain.ledger import Record
 from repro.chain.network import ChainNetwork
-from repro.core.protocol import SwapConfig, SwapResult
+from repro.core.party import HTLCParty
+from repro.core.protocol import HTLCSimulation, SwapConfig, SwapResult
 from repro.crypto.hashing import hash_secret, matches
 from repro.digraph.digraph import Arc, Digraph, Vertex
 from repro.digraph.paths import (
@@ -42,7 +47,6 @@ from repro.digraph.paths import (
     longest_path_length,
 )
 from repro.errors import (
-    AssetError,
     AuthorizationError,
     ContractError,
     ContractStateError,
@@ -52,8 +56,8 @@ from repro.errors import (
 )
 from repro.sim import trace as tr
 from repro.sim.faults import CrashPoint, FaultPlan
-from repro.sim.harness import SimulationHarness, derive_secret
-from repro.sim.process import Process, ReactionProfile
+from repro.sim.harness import derive_secret
+from repro.sim.process import ReactionProfile
 from repro.sim.scheduler import Scheduler
 from repro.sim.trace import Trace
 
@@ -290,7 +294,7 @@ class SingleLeaderSpec:
 # ---------------------------------------------------------------------------
 
 
-class SingleLeaderParty(Process):
+class SingleLeaderParty(HTLCParty):
     """Conforming participant of the single-leader timeout protocol."""
 
     def __init__(
@@ -304,80 +308,12 @@ class SingleLeaderParty(Process):
         profile: ReactionProfile,
         secret: bytes | None = None,
     ) -> None:
-        super().__init__(name, scheduler, profile)
-        self.address = name
-        self.spec = spec
-        self.network = network
-        self.assets = assets
-        self.trace = trace
-        self.secret = secret
-        self.is_leader = name == spec.leader
+        super().__init__(name, spec, network, assets, trace, scheduler, profile, secret)
         if self.is_leader and secret is None:
             raise SimulationError(f"leader {name} needs its secret")
-        self.entering = spec.digraph.in_arcs(name)
-        self.leaving = spec.digraph.out_arcs(name)
-
-        self.verified_incoming: set[Arc] = set()
-        self.incoming_contract_ids: dict[Arc, str] = {}
-        self.outgoing_contract_ids: dict[Arc, str] = {}
         self.known_secret: bytes | None = secret if self.is_leader else None
-        self.claimed: set[Arc] = set()
-        self.refunded: set[Arc] = set()
-        self.published = False
-        self.abandoned = False
-        self.crash_plan = None
-
-    # -- crash hook (same contract points as the general party) ---------------------
-
-    def _maybe_crash(self, point: CrashPoint) -> bool:
-        if self.crash_plan is not None and self.crash_plan.at_point is point:
-            self.halt()
-            self.trace.record(
-                self.scheduler.now, tr.PARTY_CRASHED, self.address, point=point.value
-            )
-            return True
-        return False
 
     # -- Phase One --------------------------------------------------------------------
-
-    def start(self) -> None:
-        # Leaders publish at T with contracts prepared in advance (§4.2
-        # gives them at least Δ of warning) — see SwapParty.start.
-        if self._maybe_crash(CrashPoint.AT_START):
-            return
-        if self.is_leader:
-            self._publish_outgoing()
-
-    def _publish_outgoing(self) -> None:
-        if self.abandoned or self.published:
-            return
-        self.published = True
-        now = self.scheduler.now
-        for arc in self.leaving:
-            if not self.should_publish(arc):
-                continue
-            contract = self.make_contract(arc)
-            chain = self.network.chain_for_arc(arc)
-            try:
-                contract_id = chain.publish_contract(contract, self.address, now)
-            except (AssetError, ContractError) as error:
-                self.trace.record(
-                    now, tr.CONTRACT_REJECTED, self.address, arc=list(arc), error=str(error)
-                )
-                continue
-            self.outgoing_contract_ids[arc] = contract_id
-            self.trace.record(
-                now, tr.CONTRACT_PUBLISHED, self.address, arc=list(arc), contract_id=contract_id
-            )
-            delay = max(0, self.spec.timeouts[arc] - now) + self.profile.action_delay
-            self.wake_after(
-                delay,
-                lambda a=arc, cid=contract_id: self._try_refund(a, cid),
-            )
-        self._maybe_crash(CrashPoint.AFTER_PHASE_ONE_PUBLISH)
-
-    def should_publish(self, arc: Arc) -> bool:
-        return True
 
     def make_contract(self, arc: Arc) -> SimpleTimelockContract:
         return SimpleTimelockContract(
@@ -391,48 +327,29 @@ class SingleLeaderParty(Process):
     # -- observation dispatch -------------------------------------------------------------
 
     def on_chain_record(self, chain: Blockchain, record: Record, landed_at: int) -> None:
+        # Unlike §4.5's party, this one keeps observing after abandoning;
+        # its unlock path checks ``abandoned`` instead.
         if record.kind == "contract_published":
             self._on_contract_published(record)
         elif record.kind == "contract_call" and record.payload.get("ok"):
             if record.payload.get("method") == "unlock":
                 self._on_unlock_observed(record)
 
-    def _on_contract_published(self, record: Record) -> None:
-        state = record.payload.get("state", {})
-        arc_value = state.get("arc")
-        if not arc_value:
-            return
-        arc: Arc = (arc_value[0], arc_value[1])
-        if arc not in self.entering or arc in self.incoming_contract_ids:
-            return
+    def _is_correct_contract(self, state: dict[str, Any], arc: Arc) -> bool:
         expected = self.spec.expected_contract_state(arc, self.assets[arc].asset_id)
-        if not all(state.get(k) == v for k, v in expected.items()):
-            self.abandoned = True
-            self.trace.record(
-                self.scheduler.now,
-                tr.PROTOCOL_ABANDONED,
-                self.address,
-                arc=list(arc),
-                reason="incorrect contract",
-            )
-            return
-        self.incoming_contract_ids[arc] = record.payload["contract_id"]
-        self.verified_incoming.add(arc)
+        return all(state.get(k) == v for k, v in expected.items())
+
+    def _on_entering_verified(self, arc: Arc) -> None:
         if self.known_secret is not None:
             self._schedule_unlock(arc)
-        self._maybe_advance_phase()
 
-    def _maybe_advance_phase(self) -> None:
-        if self.abandoned or len(self.verified_incoming) != len(self.entering):
+    def _begin_phase_two(self) -> None:
+        if self._maybe_crash(CrashPoint.BEFORE_PHASE_TWO):
             return
-        if self.is_leader:
-            if self._maybe_crash(CrashPoint.BEFORE_PHASE_TWO):
-                return
-            self.trace.record(self.scheduler.now, tr.PHASE_STARTED, self.address, phase=2)
-            for arc in self.entering:
-                self._schedule_unlock(arc)
-        elif not self.published:
-            self.wake_after(self.profile.action_delay, self._publish_outgoing)
+        self.phase_two_started = True
+        self.trace.record(self.scheduler.now, tr.PHASE_STARTED, self.address, phase=2)
+        for arc in self.entering:
+            self._schedule_unlock(arc)
 
     def _on_unlock_observed(self, record: Record) -> None:
         state = record.payload.get("state", {})
@@ -494,37 +411,16 @@ class SingleLeaderParty(Process):
             lambda a=arc, cid=contract_id: self._send_claim(a, cid),
         )
 
-    def _send_claim(self, arc: Arc, contract_id: str) -> None:
-        if arc in self.claimed:
-            return
-        now = self.scheduler.now
-        chain = self.network.chain_for_arc(arc)
-        contract = chain.contract(contract_id)
-        if contract.is_halted or not getattr(contract, "unlocked", False):
-            return
-        try:
-            chain.call(contract_id, "claim", self.address, now)
-        except ContractError:
-            return
-        self.claimed.add(arc)
-        self.trace.record(now, tr.ARC_TRIGGERED, self.address, arc=list(arc))
+    def _claimable(self, contract: Contract) -> bool:
+        return getattr(contract, "unlocked", False)
 
-    def _try_refund(self, arc: Arc, contract_id: str) -> None:
-        if arc in self.refunded:
-            return
-        now = self.scheduler.now
-        chain = self.network.chain_for_arc(arc)
-        contract = chain.contract(contract_id)
-        if contract.is_halted or getattr(contract, "unlocked", False):
-            return
-        if now < self.spec.timeouts[arc]:
-            return
-        try:
-            chain.call(contract_id, "refund", self.address, now)
-        except ContractError:
-            return
-        self.refunded.add(arc)
-        self.trace.record(now, tr.ARC_REFUNDED, self.address, arc=list(arc))
+    # -- refunds -------------------------------------------------------------------
+
+    def refund_deadlines(self, arc: Arc) -> Iterable[int]:
+        return (self.spec.timeouts[arc],)
+
+    def _refundable(self, contract: Contract, arc: Arc, now: int) -> bool:
+        return not getattr(contract, "unlocked", False) and now >= self.spec.timeouts[arc]
 
 
 # ---------------------------------------------------------------------------
@@ -532,12 +428,14 @@ class SingleLeaderParty(Process):
 # ---------------------------------------------------------------------------
 
 
-class SingleLeaderSimulation:
+class SingleLeaderSimulation(HTLCSimulation):
     """Build and run a §4.6 single-leader, signature-free swap.
 
     ``timeouts`` defaults to the safe §4.6 assignment; baselines pass a
     different (broken) assignment to reproduce the attacks.
     """
+
+    party_class = SingleLeaderParty
 
     def __init__(
         self,
@@ -547,22 +445,8 @@ class SingleLeaderSimulation:
         faults: FaultPlan | None = None,
         strategies: dict[Vertex, Any] | None = None,
         timeouts: dict[Arc, int] | None = None,
-        party_class: type[SingleLeaderParty] = SingleLeaderParty,
     ) -> None:
-        self.config = config or SwapConfig()
-        self.faults = faults or FaultPlan.none()
-        self.strategies = strategies or {}
-        self.harness = SimulationHarness.for_config(
-            digraph,
-            self.config,
-            include_broadcast=False,
-            connectivity_message="swap digraphs must be strongly connected",
-        )
-        self.digraph = digraph
-        self.network = self.harness.network
-        self.assets = self.harness.assets
-        self.scheduler = self.harness.scheduler
-        self.trace = self.harness.trace
+        super().__init__(digraph, config, faults, strategies)
         start = self.config.resolved_start()
 
         if leader is None:
@@ -574,70 +458,23 @@ class SingleLeaderSimulation:
                 digraph, leader, self.config.delta, start, self.config.exact_limit
             )
         diam = diameter(digraph, exact_limit=self.config.exact_limit)
-        secret = derive_secret("sl-secret", self.config.seed, leader)
-        self.secret = secret
+        self.secret = derive_secret("sl-secret", self.config.seed, leader)
         self.spec = SingleLeaderSpec(
             digraph=digraph,
             leader=leader,
-            hashlock=hash_secret(secret),
+            hashlock=hash_secret(self.secret),
             timeouts=timeouts,
             start_time=start,
             delta=self.config.delta,
             diam=diam,
         )
+        self._wire_parties()
 
-        def build_party(vertex: Vertex, profile: ReactionProfile) -> SingleLeaderParty:
-            entry = self.strategies.get(vertex)
-            if entry is None:
-                cls, extra = party_class, {}
-            elif isinstance(entry, tuple):
-                cls, extra = entry[0], dict(entry[1])
-            else:
-                cls, extra = entry, {}
-            return cls(
-                name=vertex,
-                spec=self.spec,
-                network=self.network,
-                assets=self.assets,
-                trace=self.trace,
-                scheduler=self.scheduler,
-                profile=profile,
-                secret=secret if vertex == leader else None,
-                **extra,
-            )
-
-        self.parties: dict[Vertex, SingleLeaderParty] = self.harness.build_parties(
-            build_party
-        )
-        self.harness.install_faults(self.faults)
-        self.harness.wire_observations()
-        self._ran = False
-
-    def prepared(self):
-        """``(harness, start_time, finalize)`` for the execution-session
-        layer (:mod:`repro.api.execution`)."""
-        return self.harness, self.spec.start_time, self._collect
-
-    def run(self) -> SwapResult:
-        if self._ran:
-            raise SimulationError("a SingleLeaderSimulation instance runs once")
-        self._ran = True
-        events = self.harness.run_to_quiescence(self.spec.start_time)
-        return self._collect(events)
-
-    def _collect(self, events_fired: int) -> SwapResult:
-        conforming = frozenset(
-            v
-            for v in self.digraph.vertices
-            if type(self.parties[v]) is SingleLeaderParty
-            and v not in self.faults.crashes
-        )
-        return self.harness.collect(
-            spec=self.spec,
-            config=self.config,
-            conforming=conforming,
-            events_fired=events_fired,
-        )
+    def _party_kwargs(self, vertex: Vertex) -> dict[str, Any]:
+        return {
+            "name": vertex,
+            "secret": self.secret if vertex == self.leader else None,
+        }
 
 
 def _find_single_leader(digraph: Digraph) -> Vertex:

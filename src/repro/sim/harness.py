@@ -1,15 +1,15 @@
 """The shared simulation harness every protocol runner builds on.
 
-Before this module existed, :class:`repro.core.protocol.SwapSimulation`,
-:class:`repro.core.timelocks.SingleLeaderSimulation`, and the three
-baselines each re-implemented the same assembly: construct a
+Every runner needs the same assembly: construct a
 :class:`~repro.chain.network.ChainNetwork` with one asset per arc, build
 one party process per vertex, subscribe chain records as delayed party
 observations, install crash faults, schedule every party's ``start`` at
 the protocol starting time, and run the discrete-event scheduler to
 quiescence.  :class:`SimulationHarness` owns all of that once, so a
 protocol runner is reduced to what actually differs between protocols:
-the published spec, the party class, and the contract machinery.
+the published spec, the party class, and the contract machinery.  The
+§4.5 and §4.6 runners share one more layer on top of it,
+:class:`repro.core.protocol.HTLCSimulation`.
 
 The harness is also where the :mod:`repro.sim.timing` models plug in:
 party processes receive per-vertex :class:`ReactionProfile`\\ s from the
@@ -17,17 +17,18 @@ scenario's :class:`~repro.sim.timing.TimingModel` instead of one
 hard-coded profile, making the paper's Δ assumption a first-class,
 sweepable scenario axis.
 
-Typical runner shape::
+Typical runner shape — assemble, then hand ``(harness, start_time,
+finalize)`` to the execution-session layer (:mod:`repro.api.execution`),
+which drives the scheduler and calls ``finalize(events_fired)`` once the
+run quiesces (a direct run is ``finalize(harness.run_to_quiescence(T))``)::
 
-    harness = SimulationHarness.for_config(digraph, config,
-                                           include_broadcast=True)
-    parties = harness.build_parties(
+    harness = SimulationHarness.for_config(digraph, config)
+    harness.build_parties(
         lambda vertex, profile: MyParty(..., profile=profile))
     harness.install_faults(faults)
-    harness.wire_observations(broadcast_to_all=True)
-    events = harness.run_to_quiescence(spec.start_time)
-    result = harness.collect(spec=spec, config=config,
-                             conforming=conforming, events_fired=events)
+    harness.wire_observations()
+    return harness, spec.start_time, partial(
+        harness.collect, spec, config, conforming)
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 Covers the contract the rest of the repo now builds on:
 
 * ``get_engine(name).run(scenario)`` works for all six adapters and
-  agrees exactly with the legacy runners on the same seed;
+  agrees exactly with the direct runners (or, for the baselines, their
+  assemblies run to quiescence) on the same seed;
 * unknown engine/strategy names fail loudly with the registered names
   in the message;
 * ``Scenario`` and ``RunReport`` survive a JSON round-trip;
@@ -31,9 +32,9 @@ from repro import (
     triangle,
 )
 from repro.api import RunReport, derive_seed, register_engine
-from repro.baselines.naive_timelock import _run_naive_timelock_swap
-from repro.baselines.pairwise_htlc import _run_sequential_trust_swap
-from repro.baselines.two_phase_commit import _run_two_phase_commit_swap
+from repro.baselines.naive_timelock import _prepare_naive_timelock_swap
+from repro.baselines.pairwise_htlc import _prepare_sequential_trust_swap
+from repro.baselines.two_phase_commit import _prepare_two_phase_commit_swap
 from repro.core.multiswap import run_multigraph_swap
 from repro.core.timelocks import run_single_leader_swap
 from repro.digraph.generators import cycle_digraph
@@ -147,6 +148,13 @@ class TestCrossEngineAgreement:
         assert len(report.triggered) == triangle().arc_count()
 
 
+def _run_to_quiescence(prepared):
+    """Drive a baseline's ``(harness, start, finalize)`` assembly directly,
+    bypassing the execution session."""
+    harness, start, finalize = prepared
+    return finalize(harness.run_to_quiescence(start))
+
+
 class TestLegacyParity:
     """Same seed, same scenario -> identical per-party outcomes."""
 
@@ -215,9 +223,9 @@ class TestLegacyParity:
         report = get_engine("naive-timelock").run(
             Scenario(topology=triangle(), seed=23, params={"attacker": "Carol"})
         )
-        legacy = _run_naive_timelock_swap(
+        legacy = _prepare_naive_timelock_swap(
             triangle(), attacker="Carol", config=SwapConfig(seed=23)
-        )
+        ).run()
         self.assert_parity(report, legacy)
         assert not report.conforming_acceptable()  # the §1 attack lands
 
@@ -228,10 +236,10 @@ class TestLegacyParity:
                 params={"first_mover": "Alice", "defectors": ["Carol"]},
             )
         )
-        legacy = _run_sequential_trust_swap(
+        legacy = _run_to_quiescence(_prepare_sequential_trust_swap(
             triangle(), first_mover="Alice", defectors={"Carol"},
             config=SwapConfig(seed=23),
-        )
+        ))
         self.assert_parity(report, legacy)
         assert not report.conforming_acceptable()
 
@@ -242,10 +250,10 @@ class TestLegacyParity:
                 params={"byzantine_commit_only": [["Alice", "Bob"]]},
             )
         )
-        legacy = _run_two_phase_commit_swap(
+        legacy = _run_to_quiescence(_prepare_two_phase_commit_swap(
             triangle(), byzantine_commit_only={("Alice", "Bob")},
             config=SwapConfig(seed=23),
-        )
+        ))
         self.assert_parity(report, legacy)
         assert not report.conforming_acceptable()
 

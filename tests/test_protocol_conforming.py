@@ -10,7 +10,12 @@ from random import Random
 import pytest
 
 from repro.analysis.outcomes import Outcome
+from repro.api import Scenario
+from repro.api.sweep import execute_payload
+from repro.baselines.naive_timelock import LastMomentSingleLeaderParty
 from repro.core.protocol import SwapConfig, SwapSimulation, run_swap
+from repro.core.strategies import RefuseToPublishParty
+from repro.core.timelocks import run_single_leader_swap
 from repro.digraph.generators import (
     complete_digraph,
     cycle_digraph,
@@ -23,8 +28,16 @@ from repro.digraph.generators import (
 )
 from repro.errors import NotStronglyConnectedError, SimulationError
 from repro.sim import trace as tr
+from repro.sim.faults import CrashPoint, FaultPlan
 
 DELTA = 1000
+
+# Both hashed-timelock runners share one assembly, so one guard each.
+RUNNERS = [
+    (run_swap, RefuseToPublishParty),
+    (run_single_leader_swap, LastMomentSingleLeaderParty),
+]
+RUNNER_IDS = ["herlihy", "single-leader"]
 
 FAMILIES = [
     triangle(),
@@ -169,17 +182,28 @@ class TestGuards:
         with pytest.raises(NotStronglyConnectedError):
             run_swap(chain_digraph(3))
 
-    def test_unknown_strategy_party_rejected(self):
-        from repro.core.strategies import RefuseToPublishParty
+    @pytest.mark.parametrize("runner", RUNNERS, ids=RUNNER_IDS)
+    def test_unknown_strategy_party_rejected(self, runner):
+        run, party_class = runner
+        with pytest.raises(SimulationError, match="strategy for unknown party 'Zoe'"):
+            run(triangle(), strategies={"Zoe": party_class})
 
-        with pytest.raises(SimulationError):
-            run_swap(triangle(), strategies={"Zoe": RefuseToPublishParty})
+    @pytest.mark.parametrize("runner", RUNNERS, ids=RUNNER_IDS)
+    def test_unknown_fault_party_rejected(self, runner):
+        run, _ = runner
+        with pytest.raises(SimulationError, match="fault for unknown party 'Zoe'"):
+            run(triangle(), faults=FaultPlan().crash("Zoe", at_time=5))
 
-    def test_unknown_fault_party_rejected(self):
-        from repro.sim.faults import FaultPlan
-
-        with pytest.raises(SimulationError):
-            run_swap(triangle(), faults=FaultPlan().crash("Zoe", at_time=5))
+    @pytest.mark.parametrize(
+        "engine", ["herlihy", "multiswap", "single-leader", "naive-timelock"]
+    )
+    def test_unknown_fault_party_is_a_sweep_failure_entry(self, engine):
+        scenario = Scenario(
+            topology=triangle(), faults=FaultPlan().crash("Zoe", at_point=CrashPoint.AT_START)
+        )
+        entry = execute_payload((engine, scenario.to_dict()))
+        assert not entry["ok"]
+        assert entry["error_type"] == "SimulationError"
 
     def test_simulation_runs_once(self):
         sim = SwapSimulation(triangle())

@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.api import Scenario, get_engine
 from repro.chain.network import ChainNetwork
 from repro.core.protocol import SwapConfig, run_swap
 from repro.core.timelocks import SingleLeaderSimulation
-from repro.baselines.pairwise_htlc import _run_sequential_trust_swap
 from repro.digraph.generators import triangle, two_leader_triangle
 from repro.errors import SimulationError
 from repro.sim.faults import CrashPoint, FaultPlan
@@ -77,7 +77,7 @@ class TestRunnerGuards:
             sim.run()
 
     def test_sequential_baseline_default_first_mover(self):
-        result = _run_sequential_trust_swap(triangle())
+        result = get_engine("sequential-trust").run(Scenario(topology=triangle())).raw
         # Default first mover is the first vertex; the run completes.
         assert result.all_deal()
         assert result.spec.leaders == ("Alice",)
