@@ -32,9 +32,12 @@
   latency.
 """
 
+import importlib
 import sys
+from typing import Callable
 
 from repro import CrashPoint, FaultPlan, run_swap, triangle
+from repro.errors import ReproError
 
 
 def demo() -> int:
@@ -76,96 +79,33 @@ def bench_smoke() -> int:
     return 0
 
 
-def serve_bench(argv: list[str]) -> int:
-    """Boot an in-process daemon and measure its service envelope."""
-    import argparse
-    import json
+def _entry(module: str, function: str = "main") -> Callable[[list[str]], int]:
+    """An entry point imported only when its subcommand runs."""
+    return lambda argv: getattr(importlib.import_module(module), function)(argv)
 
-    from repro.lab.store import open_store
-    from repro.serve.client import BackgroundServer, run_load, sample_scenarios
-    from repro.serve.service import ServiceConfig, SwapService
 
-    parser = argparse.ArgumentParser(
-        prog="repro serve-bench",
-        description="load-generate against an in-process repro serve daemon",
-    )
-    parser.add_argument("--scenarios", type=int, default=64)
-    parser.add_argument("--clients", type=int, default=4)
-    parser.add_argument("--concurrency", type=int, default=4)
-    parser.add_argument("--queue-depth", type=int, default=64)
-    parser.add_argument("--rate", type=float, default=0.0,
-                        help="per-client rate limit (0 = unlimited)")
-    parser.add_argument("--engine", default="herlihy")
-    parser.add_argument("--store", default=":memory:")
-    parser.add_argument("--json", dest="json_path", default="",
-                        help="also write the results document to this path")
-    args = parser.parse_args(argv)
-
-    config = ServiceConfig(
-        max_pending=args.queue_depth,
-        max_concurrency=args.concurrency,
-        rate=args.rate,
-        default_engine=args.engine,
-    )
-    scenarios = sample_scenarios(args.scenarios)
-    with BackgroundServer(SwapService(config, store=open_store(args.store))) as bg:
-        results = run_load(
-            bg.host, bg.port, scenarios, engine=args.engine, clients=args.clients
-        )
-        # Warm resubmission: every scenario is now stored, so a second
-        # pass must be served entirely from cache (zero engines).
-        before = bg.client().status()["executed"]
-        warm = run_load(
-            bg.host, bg.port, scenarios, engine=args.engine, clients=args.clients
-        )
-        results["warm"] = {
-            "outcomes": warm["outcomes"],
-            "throughput_per_sec": warm["throughput_per_sec"],
-            "engines_executed": bg.client().status()["executed"] - before,
-        }
-    latency = results["latency_seconds"]
-    print(
-        f"serve-bench: {results['scenarios']} scenarios, "
-        f"{results['clients']} client(s): "
-        f"{results['throughput_per_sec']:.1f}/s sustained, "
-        f"p50 {latency['p50'] * 1000:.1f}ms, p99 {latency['p99'] * 1000:.1f}ms"
-    )
-    print(
-        f"warm resubmission: {warm['outcomes']['cached']} cached, "
-        f"{results['warm']['engines_executed']} engine(s) executed, "
-        f"{results['warm']['throughput_per_sec']:.1f}/s"
-    )
-    if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as handle:
-            json.dump(results, handle, indent=2, sort_keys=True)
-        print(f"wrote {args.json_path}")
-    if results["warm"]["engines_executed"] != 0:
-        print("FAILED: warm resubmission executed an engine")
-        return 1
-    return 0
+#: ``python -m repro NAME ARGS...`` calls ``COMMANDS[NAME](ARGS)``.
+COMMANDS: dict[str, Callable[[list[str]], int]] = {
+    "bench-smoke": lambda argv: bench_smoke(),
+    "lab": _entry("repro.lab.cli"),
+    "lint": _entry("repro.analysis.lint"),
+    "serve": _entry("repro.serve.http"),
+    "serve-bench": _entry("repro.serve.client", "bench_main"),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
     # Unrecognised arguments fall through to the demo so the module stays
     # runnable under harnesses (runpy, pytest) that leave their own argv.
     args = sys.argv[1:] if argv is None else argv
-    if args and args[0] == "bench-smoke":
-        return bench_smoke()
-    if args and args[0] == "lab":
-        from repro.lab.cli import main as lab_main
-
-        return lab_main(args[1:])
-    if args and args[0] == "lint":
-        from repro.analysis.lint import main as lint_main
-
-        return lint_main(args[1:])
-    if args and args[0] == "serve":
-        from repro.serve.http import main as serve_main
-
-        return serve_main(args[1:])
-    if args and args[0] == "serve-bench":
-        return serve_bench(args[1:])
-    return demo()
+    command = COMMANDS.get(args[0]) if args else None
+    if command is None:
+        return demo()
+    try:
+        return command(args[1:])
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -70,6 +70,15 @@ The store defaults to ``.lab/runs.sqlite`` under the current directory;
 ``--store`` takes a SQLite path or ``:memory:``; ``*.jsonl`` files are
 not stores, only ``lab export``/``lab merge`` interchange.
 Errors go to stderr with exit status 1.
+
+Every subcommand is one row of :data:`COMMANDS` at the bottom of this
+module: its name, help, handler, whether it takes ``--store`` and
+``--json``, and its other arguments.  A new subcommand is registered
+by adding a row there; ``lab run`` and ``lab check`` share one
+workload-target group (``--preset/--family/--grid/--mix/--engine/
+--timing/--seed``), ``lab run`` and ``lab work`` one lease group.
+Read-only subcommands open their store through :func:`_open_existing`
+and print ``--json`` documents through :func:`_print_json`.
 """
 
 from __future__ import annotations
@@ -77,13 +86,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import ExitStack
+from collections import Counter
+from contextlib import ExitStack, nullcontext
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, ContextManager, Iterable, NamedTuple, Sequence
 
 from repro.api.report import RunReport
-from repro.api.sweep import run_key, run_sweep
+from repro.api.sweep import Sweep, run_key, run_sweep
 from repro.errors import LabError, ReproError
 from repro.lab.analytics import (
     aggregate,
@@ -142,20 +152,89 @@ def _parse_atom(text: str) -> Any:
     return text
 
 
-# One table emitter for the whole repo (CLI, benches, scripts).
-_format_rows = format_rows
+def _target_sweep(args: argparse.Namespace, check: bool = False) -> Sweep:
+    """The sweep named by the shared workload-target arguments.
+
+    ``lab run`` needs ``--preset`` or ``--family`` and titles the sweep
+    after it; ``lab check`` (``check=True``) covers every family at its
+    defaults when neither is given.  ``--timing`` and ``--seed`` replace
+    every workload's timing axis and seed (timing names are validated
+    up front so typos fail before any engine runs).
+    """
+    if args.preset:
+        workloads = list(get_preset(args.preset))
+        title = f"preset:{args.preset}"
+    elif args.family:
+        workloads = [
+            Workload(
+                args.family,
+                _parse_grid(args.grid),
+                mixes=tuple(args.mix) if args.mix else ("all-conforming",),
+                engines=tuple(args.engine) if args.engine else ("herlihy",),
+            )
+        ]
+        title = f"family:{args.family}"
+    elif check:
+        workloads = [
+            Workload(name, dict(get_family(name).defaults))
+            for name in list_families()
+        ]
+    else:
+        raise LabError("lab run needs --preset or --family")
+    if args.timing:
+        for name in args.timing:
+            get_timing(name)
+        workloads = [replace(w, timings=tuple(args.timing)) for w in workloads]
+    return build_sweep(
+        workloads, name="check" if check else title, base_seed=args.seed
+    )
 
 
-def _open_existing(path: str) -> SqliteStore:
+def _open_existing(
+    path: str,
+    opener: Callable[[Path], Any] = open_store,
+    resolve: Callable[[str], Path] = Path,
+    missing: str = "no such store: {}",
+) -> Any:
     """Open a store that must already exist.
 
     Read-only subcommands go through this instead of
     :func:`open_store`, which would silently create an empty store for
     a typo'd path — a false "empty" answer plus a junk file on disk.
+    The fleet subcommands pass ``resolve=ensure_fleet_path``, which
+    refuses JSONL/:memory: *before* the existence check so the
+    unsafe-backend error names the real problem, and their own
+    ``opener`` and ``missing`` message.
     """
-    if str(path) != ":memory:" and not Path(path).exists():
-        raise LabError(f"no such store: {path}")
-    return open_store(path)
+    target = resolve(path)
+    if path != ":memory:" and not target.exists():
+        raise LabError(missing.format(path))
+    return opener(target)
+
+
+def _print_json(payload: Any) -> int:
+    """Print a subcommand's ``--json`` document; exit status 0."""
+    print(json.dumps(payload, indent=2, sort_keys=True))
+    return 0
+
+
+def _print_no_rows(total: int, store: str) -> int:
+    """Distinguish a store with no runs from a filter matching none."""
+    if total:
+        print(f"no runs match the filters ({total} in store)")
+    else:
+        print(f"store {store}: empty")
+    return 0
+
+
+def _fleet_config(args: argparse.Namespace) -> Any:
+    from repro.fleet import FleetConfig
+
+    return FleetConfig(
+        lease_ttl=args.lease_ttl,
+        skew_grace=args.skew_grace,
+        chunk_size=args.chunk_size,
+    )
 
 
 def _resolve_key(store: SqliteStore, prefix: str) -> str:
@@ -194,53 +273,23 @@ def _entry_row(key: str, entry: dict) -> list[object]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.preset:
-        workloads = list(get_preset(args.preset))
-        title = f"preset:{args.preset}"
-    elif args.family:
-        workloads = [
-            Workload(
-                args.family,
-                _parse_grid(args.grid),
-                mixes=tuple(args.mix) if args.mix else ("all-conforming",),
-                engines=tuple(args.engine) if args.engine else ("herlihy",),
-            )
-        ]
-        title = f"family:{args.family}"
-    else:
-        raise LabError("lab run needs --preset or --family")
-    if args.timing:
-        # Like --seed, --timing replaces every workload's timing axis
-        # (names validated up front so typos fail before any engine runs).
-        for name in args.timing:
-            get_timing(name)
-        workloads = [
-            replace(w, timings=tuple(args.timing)) for w in workloads
-        ]
-    # --seed replaces every workload's seed; unset keeps their defaults.
-    sweep = build_sweep(workloads, name=title, base_seed=args.seed)
+    sweep = _target_sweep(args)
     if args.fleet:
         return _run_fleet_drain(args, sweep)
-    progress = _progress_printer() if args.progress else None
-    if args.no_store:
-        report = run_sweep(
-            sweep, parallel=not args.serial, max_workers=args.workers,
-            progress=progress, fast_path=args.fast_path,
-        )
-        print(report.summary())
-        print(f"store: disabled (--no-store) — executed {report.executed}")
-        return 0
-    with open_store(args.store) as store:
+    with (nullcontext() if args.no_store else open_store(args.store)) as store:
         report = run_sweep(
             sweep,
             parallel=not args.serial,
             max_workers=args.workers,
             store=store,
-            progress=progress,
+            progress=_print_progress if args.progress else None,
             fast_path=args.fast_path,
         )
-        total = len(store)
+        total = 0 if store is None else len(store)
     print(report.summary())
+    if store is None:
+        print(f"store: disabled (--no-store) — executed {report.executed}")
+        return 0
     print(
         f"store: {args.store} — executed {report.executed}, "
         f"cached {report.cached}, analytic {report.analytic}, "
@@ -249,7 +298,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_fleet_drain(args: argparse.Namespace, sweep) -> int:
+def _run_fleet_drain(args: argparse.Namespace, sweep: Sweep) -> int:
     """``lab run --fleet N``: drain the sweep with N worker processes.
 
     The claim/lease coordination lives in the SQLite store itself (see
@@ -257,23 +306,18 @@ def _run_fleet_drain(args: argparse.Namespace, sweep) -> int:
     a serial ``lab run`` against the same store would hold — ``lab
     stats``/``lab merge`` work on it unchanged.
     """
-    from repro.fleet import FleetConfig, run_fleet
+    from repro.fleet import run_fleet
 
     if args.no_store:
         raise LabError(
             "--fleet coordinates workers through the store; "
             "it cannot be combined with --no-store"
         )
-    config = FleetConfig(
-        lease_ttl=args.lease_ttl,
-        skew_grace=args.skew_grace,
-        chunk_size=args.chunk_size,
-    )
     fleet_report = run_fleet(
         sweep,
         args.store,
         workers=args.fleet,
-        config=config,
+        config=_fleet_config(args),
         fast_path=args.fast_path,
     )
     receipt = fleet_report.receipt
@@ -294,31 +338,23 @@ def _run_fleet_drain(args: argparse.Namespace, sweep) -> int:
 def _cmd_work(args: argparse.Namespace) -> int:
     """One worker loop: claim → execute → heartbeat → commit, until
     the shared queue drains.  This is what ``--fleet`` spawns N of."""
-    from repro.fleet import FleetConfig, FleetWorker, ensure_fleet_path
+    from repro.fleet import FleetWorker, ensure_fleet_path
 
-    # ensure_fleet_path refuses JSONL/:memory: *before* the existence
-    # check so the unsafe-backend error names the real problem.
-    resolved = ensure_fleet_path(args.store)
-    if not resolved.exists():
-        raise LabError(
-            f"no such fleet store: {args.store} (the driver — `lab run "
-            "--fleet` — creates and fills it before workers start)"
-        )
-    config = FleetConfig(
-        lease_ttl=args.lease_ttl,
-        skew_grace=args.skew_grace,
-        chunk_size=args.chunk_size,
-    )
-    with FleetWorker(
-        resolved,
-        config=config,
-        worker_id=args.worker_id,
-        fast_path=args.fast_path,
+    with _open_existing(
+        args.store,
+        lambda path: FleetWorker(
+            path,
+            config=_fleet_config(args),
+            worker_id=args.worker_id,
+            fast_path=args.fast_path,
+        ),
+        resolve=ensure_fleet_path,
+        missing="no such fleet store: {} (the driver — `lab run "
+        "--fleet` — creates and fills it before workers start)",
     ) as worker:
         stats = worker.run(max_chunks=args.max_chunks)
     if args.json:
-        print(json.dumps(stats.to_dict(), indent=2, sort_keys=True))
-        return 0
+        return _print_json(stats.to_dict())
     print(
         f"worker {stats.worker_id}: {stats.chunks_committed} chunk(s), "
         f"{stats.items_committed} item(s) committed in "
@@ -331,14 +367,12 @@ def _cmd_work(args: argparse.Namespace) -> int:
 def _cmd_fleet_status(args: argparse.Namespace) -> int:
     from repro.fleet import FleetCoordinator, ensure_fleet_path
 
-    resolved = ensure_fleet_path(args.store)
-    if not resolved.exists():
-        raise LabError(f"no such store: {args.store}")
-    with FleetCoordinator(resolved) as coordinator:
+    with _open_existing(
+        args.store, FleetCoordinator, resolve=ensure_fleet_path
+    ) as coordinator:
         status = coordinator.status()
     if args.json:
-        print(json.dumps(status, indent=2, sort_keys=True))
-        return 0
+        return _print_json(status)
     counts = status["counts"]
     print(f"store: {status['store']}")
     print(
@@ -347,7 +381,7 @@ def _cmd_fleet_status(args: argparse.Namespace) -> int:
         f"{counts['items_queued']}"
     )
     if status["chunks"]:
-        print(_format_rows(
+        print(format_rows(
             ["chunk", "seq", "size", "state", "owner", "attempts", "lease"],
             [
                 [
@@ -364,7 +398,7 @@ def _cmd_fleet_status(args: argparse.Namespace) -> int:
             ],
         ))
     if status["workers"]:
-        print(_format_rows(
+        print(format_rows(
             ["worker", "seen", "chunks", "items"],
             [
                 [
@@ -379,40 +413,17 @@ def _cmd_fleet_status(args: argparse.Namespace) -> int:
     return 0
 
 
-def _progress_printer():
-    """A ``run_sweep(progress=...)`` callback printing one line per tick."""
-
-    def show(tick) -> None:
-        milestones = ",".join(
-            f"{kind.split('-')[0]}={count}"
-            for kind, count in sorted(tick.milestones.items())
-        )
-        note = f" [{milestones}]" if milestones else ""
-        if tick.fresh:
-            print(f"  {tick.completed}/{tick.total} (+{tick.fresh}){note}")
-        else:
-            print(f"  {tick.completed}/{tick.total} ({tick.cached} cached)")
-
-    return show
-
-
-def _check_workloads(args: argparse.Namespace) -> list[Workload]:
-    """The workloads ``lab check`` analyzes (default: every family)."""
-    if args.preset:
-        return list(get_preset(args.preset))
-    if args.family:
-        return [
-            Workload(
-                args.family,
-                _parse_grid(args.grid),
-                mixes=tuple(args.mix) if args.mix else ("all-conforming",),
-                engines=tuple(args.engine) if args.engine else ("herlihy",),
-            )
-        ]
-    return [
-        Workload(name, dict(get_family(name).defaults))
-        for name in list_families()
-    ]
+def _print_progress(tick: Any) -> None:
+    """The ``run_sweep(progress=...)`` callback: one line per tick."""
+    milestones = ",".join(
+        f"{kind.split('-')[0]}={count}"
+        for kind, count in sorted(tick.milestones.items())
+    )
+    note = f" [{milestones}]" if milestones else ""
+    if tick.fresh:
+        print(f"  {tick.completed}/{tick.total} (+{tick.fresh}){note}")
+    else:
+        print(f"  {tick.completed}/{tick.total} ({tick.cached} cached)")
 
 
 def _verify_prediction(
@@ -508,92 +519,59 @@ def _verify_prediction(
     return ("FAIL", mismatches, source) if mismatches else ("ok", [], source)
 
 
-def _check_store(args: argparse.Namespace) -> SqliteStore | None:
-    """The store ``lab check --verify`` reuses reports from, or ``None``.
+def _verify_store(args: argparse.Namespace) -> ContextManager[Any]:
+    """The store ``lab check --verify`` reuses reports from.
 
     A missing *default* store just means a cold verify (check must work
     in a fresh tree); an explicitly named store that does not exist is a
     typo and errors like every read-only subcommand.  ``:memory:`` is
-    always empty, so it degrades to cold too.
+    always empty, so it degrades to cold too.  A cold verify reads from
+    an empty mapping.
     """
-    if args.store == ":memory:":
-        return None
-    if not Path(args.store).exists():
-        if args.store != DEFAULT_STORE:
-            raise LabError(f"no such store: {args.store}")
-        return None
-    return open_store(args.store)
+    cold = args.store == ":memory:" or (
+        args.store == DEFAULT_STORE and not Path(args.store).exists()
+    )
+    if not args.verify or cold:
+        return nullcontext({})
+    return _open_existing(args.store)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     from repro.analysis.protocol import analyze_scenario
 
-    workloads = _check_workloads(args)
-    if args.timing:
-        for name in args.timing:
-            get_timing(name)
-        workloads = [replace(w, timings=tuple(args.timing)) for w in workloads]
-    sweep = build_sweep(workloads, name="check", base_seed=args.seed)
-    rows: list[list[object]] = []
-    payload: list[dict[str, Any]] = []
-    errors = 0
-    failed: list[tuple[str, list[str]]] = []
-    sources: dict[str, int] = {}
-    store = _check_store(args) if args.verify else None
-    try:
+    sweep = _target_sweep(args, check=True)
+    results = []
+    with _verify_store(args) as store:
         for engine, scenario in sweep.items():
             analysis = analyze_scenario(scenario, engine=engine)
-            if not analysis.ok():
-                errors += 1
-            status, mismatches, source = ("-", [], "-")
+            verify: tuple[str, list[str], str] = ("-", [], "-")
             if args.verify:
-                stored = (
-                    store.get(run_key(engine, scenario))
-                    if store is not None
-                    else None
-                )
-                status, mismatches, source = _verify_prediction(
+                verify = _verify_prediction(
                     engine, scenario, analysis,
-                    stored=stored, fast_path=args.fast_path,
+                    stored=store.get(run_key(engine, scenario)),
+                    fast_path=args.fast_path,
                 )
-                if source != "-":
-                    sources[source] = sources.get(source, 0) + 1
-                if status == "FAIL":
-                    failed.append((scenario.label(), mismatches))
-            prediction = analysis.prediction
-            if args.json:
-                entry: dict[str, Any] = {
-                    "engine": engine,
-                    "scenario": scenario.label(),
-                    "analysis": analysis.to_dict(),
-                }
-                if args.verify:
-                    entry["verify"] = {
-                        "status": status,
-                        "mismatches": mismatches,
-                        "source": source,
-                    }
-                payload.append(entry)
-                continue
-            rows.append(
-                [
-                    scenario.label(),
-                    engine,
-                    analysis.coverage,
-                    analysis.verdict,
-                    "-" if prediction is None else prediction.completion_time,
-                    "-"
-                    if prediction is None
-                    else f"{prediction.completion_in_delta():g}Δ",
-                    len(analysis.diagnostics),
-                    *([status] if args.verify else []),
-                ]
-            )
-    finally:
-        if store is not None:
-            store.close()
+            results.append((engine, scenario.label(), analysis, *verify))
+    errors = sum(not analysis.ok() for _, _, analysis, *_ in results)
+    failed = [
+        (label, mismatches)
+        for _, label, _, status, mismatches, _ in results
+        if status == "FAIL"
+    ]
     if args.json:
-        print(json.dumps({"checks": payload}, indent=2, sort_keys=True))
+        _print_json({"checks": [
+            {
+                "engine": engine,
+                "scenario": label,
+                "analysis": analysis.to_dict(),
+                **({"verify": {
+                    "status": status,
+                    "mismatches": mismatches,
+                    "source": source,
+                }} if args.verify else {}),
+            }
+            for engine, label, analysis, status, mismatches, source in results
+        ]})
     else:
         headers = [
             "scenario", "engine", "coverage", "verdict", "t(pred)",
@@ -601,11 +579,27 @@ def _cmd_check(args: argparse.Namespace) -> int:
         ]
         if args.verify:
             headers.append("verify")
-        print(_format_rows(headers, rows))
-        checked = len(rows)
-        note = f"{checked} scenario(s) checked, {errors} with errors"
+        rows = [
+            [
+                label,
+                engine,
+                analysis.coverage,
+                analysis.verdict,
+                "-" if prediction is None else prediction.completion_time,
+                "-"
+                if prediction is None
+                else f"{prediction.completion_in_delta():g}Δ",
+                len(analysis.diagnostics),
+                *([status] if args.verify else []),
+            ]
+            for engine, label, analysis, status, _, _ in results
+            for prediction in [analysis.prediction]
+        ]
+        print(format_rows(headers, rows))
+        note = f"{len(rows)} scenario(s) checked, {errors} with errors"
         if args.verify:
             note += f", {len(failed)} prediction failure(s)"
+            sources = Counter(source for *_, source in results if source != "-")
             detail = ", ".join(
                 f"{count} {source}" for source, count in sorted(sources.items())
             )
@@ -615,11 +609,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         for label, mismatches in failed:
             for mismatch in mismatches:
                 print(f"  FAIL {label}: {mismatch}", file=sys.stderr)
-    if failed:
-        return 1
-    if args.strict and errors:
-        return 1
-    return 0
+    return 1 if failed or (args.strict and errors) else 0
 
 
 #: Families `lab bisect` maps when none are named: small, strongly
@@ -654,11 +644,9 @@ def _cmd_bisect(args: argparse.Namespace) -> int:
         for family in families
     ]
     if args.json:
-        print(json.dumps(
-            {"knob": args.knob, "results": [r.to_dict() for r in results]},
-            indent=2, sort_keys=True,
-        ))
-        return 0
+        return _print_json(
+            {"knob": args.knob, "results": [r.to_dict() for r in results]}
+        )
     rows = []
     for r in results:
         if not r.holds_at_lo:
@@ -672,7 +660,7 @@ def _cmd_bisect(args: argparse.Namespace) -> int:
             f"{r.holds_until:.3f}", f"{r.breaks_from:.3f}",
             verdict, r.evaluations,
         ])
-    print(_format_rows(
+    print(format_rows(
         ["family", "engine", "timing", "holds ≤", "breaks ≥",
          f"{args.knob} boundary", "runs"],
         rows,
@@ -696,12 +684,8 @@ def _cmd_ls(args: argparse.Namespace) -> int:
         rows = [_entry_row(key, store.get(key)) for key in selected]
         total = len(store)
     if not rows:
-        if total:
-            print(f"no runs match the filters ({total} in store)")
-        else:
-            print(f"store {args.store}: empty")
-        return 0
-    print(_format_rows(["key", "engine", "scenario", "verdict", "t"], rows))
+        return _print_no_rows(total, args.store)
+    print(format_rows(["key", "engine", "scenario", "verdict", "t"], rows))
     print(f"{len(rows)} run(s) shown")
     return 0
 
@@ -711,8 +695,7 @@ def _cmd_show(args: argparse.Namespace) -> int:
         key = _resolve_key(store, args.key)
         entry = store.get(key)
     if args.json:
-        print(json.dumps({"key": key, "entry": entry}, indent=2, sort_keys=True))
-        return 0
+        return _print_json({"key": key, "entry": entry})
     print(f"key: {key}")
     if not entry.get("ok"):
         print(
@@ -781,7 +764,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         if a != b:
             differing += 1
         rows.append([field, a, b, "" if a == b else "<-- differs"])
-    print(_format_rows(
+    print(format_rows(
         ["field", entries[0][0][:12], entries[1][0][:12], ""], rows
     ))
     print(f"{differing} field(s) differ")
@@ -810,28 +793,20 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         pivot = next((dim for dim in by if dim != "engine"), "family")
         rows = compare(facts, engine_a, engine_b, by=pivot)
         if args.json:
-            print(json.dumps(
-                {"compare": [engine_a, engine_b], "by": pivot, "rows": rows},
-                indent=2, sort_keys=True,
-            ))
-            return 0
+            return _print_json(
+                {"compare": [engine_a, engine_b], "by": pivot, "rows": rows}
+            )
         headers, table = compare_table(rows, engine_a, engine_b, pivot)
-        print(_format_rows(headers, table))
+        print(format_rows(headers, table))
         print(f"{len(rows)} group(s) over {len(facts)} run(s)")
         return 0
     if args.json:
-        print(json.dumps(stats_payload(facts, by), indent=2, sort_keys=True))
-        return 0
+        return _print_json(stats_payload(facts, by))
     stats = aggregate(facts, by)  # validates --by even when empty
     if not facts:
-        # Distinguish a store with no runs from a filter matching none.
-        if total:
-            print(f"no runs match the filters ({total} in store)")
-        else:
-            print(f"store {args.store}: empty")
-        return 0
+        return _print_no_rows(total, args.store)
     headers, rows = stats_table(stats, by)
-    print(_format_rows(headers, rows))
+    print(format_rows(headers, rows))
     print(f"{len(stats)} group(s) over {len(facts)} run(s)")
     return 0
 
@@ -875,76 +850,290 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_families(args: argparse.Namespace) -> int:
-    rows = []
-    for name in list_families():
-        family = get_family(name)
-        sc = "yes" if family.strongly_connected else "NO (impossibility)"
-        rows.append([name, dict(family.defaults), sc, family.description])
-    print(_format_rows(["family", "params", "strongly connected", "description"], rows))
-    return 0
+def _listing(
+    names: Callable[[], Iterable[str]],
+    get: Callable[[str], Any],
+    headers: list[str],
+    row: Callable[[str, Any], list[object]],
+) -> Callable[[argparse.Namespace], int]:
+    """A discovery subcommand: one table row per registry entry."""
 
+    def handler(args: argparse.Namespace) -> int:
+        print(format_rows(headers, [row(name, get(name)) for name in names()]))
+        return 0
 
-def _cmd_mixes(args: argparse.Namespace) -> int:
-    rows = [[name, get_mix(name).description] for name in list_mixes()]
-    print(_format_rows(["mix", "description"], rows))
-    return 0
-
-
-def _cmd_timings(args: argparse.Namespace) -> int:
-    rows = []
-    for name in list_timings():
-        profile = get_timing(name)
-        spec = "-" if profile.spec is None else json.dumps(
-            profile.spec, sort_keys=True
-        )
-        rows.append([name, spec, profile.description])
-    print(_format_rows(["timing", "spec", "description"], rows))
-    return 0
-
-
-def _cmd_presets(args: argparse.Namespace) -> int:
-    rows = []
-    for name in list_presets():
-        workloads = get_preset(name)
-        families = ", ".join(dict.fromkeys(w.family for w in workloads))
-        runs = len(build_sweep(list(workloads), name=name))
-        rows.append([name, len(workloads), families, runs])
-    print(_format_rows(["preset", "workloads", "families", "runs"], rows))
-    return 0
+    return handler
 
 
 # ---------------------------------------------------------------------------
-# wiring
+# wiring: the subcommand table
 # ---------------------------------------------------------------------------
 
+_AddArgs = Callable[[argparse.ArgumentParser], object]
 
-def _add_store_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--store",
-        default=DEFAULT_STORE,
-        help=f"run-store path (*.sqlite or :memory:); default {DEFAULT_STORE}",
+
+def _arg(*flags: str, **kwargs: Any) -> _AddArgs:
+    return lambda parser: parser.add_argument(*flags, **kwargs)
+
+
+def _workload_args(family_help: str) -> tuple[_AddArgs, ...]:
+    """The workload target ``lab run`` and ``lab check`` share."""
+
+    def target(parser: argparse.ArgumentParser) -> None:
+        group = parser.add_mutually_exclusive_group()
+        group.add_argument("--preset", help="a registered preset (see `lab presets`)")
+        group.add_argument("--family", help=family_help)
+
+    return (
+        target,
+        _arg(
+            "--grid", nargs="*", default=[], metavar="K=V[,V...]",
+            help="family params; comma-separated values are swept",
+        ),
+        _arg("--mix", action="append", help="adversary mix (repeatable)"),
+        _arg("--engine", action="append", help="engine (repeatable)"),
+        _arg(
+            "--timing", action="append",
+            help="timing profile (repeatable; see `lab timings`) — replaces "
+                 "every workload's timing axis",
+        ),
+        _arg(
+            "--seed", type=int, default=None,
+            help="replace every workload's seed (re-rolls topologies and mixes)",
+        ),
     )
 
 
-def _add_lease_args(parser: argparse.ArgumentParser) -> None:
-    """The lease-protocol knobs, identical on driver and worker (the
-    driver forwards them verbatim to every worker it spawns)."""
-    parser.add_argument(
+#: The lease-protocol knobs, identical on driver and worker (the driver
+#: forwards them verbatim to every worker it spawns).
+_LEASE_ARGS = (
+    _arg(
         "--lease-ttl", type=float, default=30.0,
         help="seconds a claimed chunk stays leased without a heartbeat "
              "(workers heartbeat per item, so this bounds one scenario, "
              "not a chunk; default 30)",
-    )
-    parser.add_argument(
+    ),
+    _arg(
         "--skew-grace", type=float, default=5.0,
         help="extra seconds past expiry before a lease is treated as "
              "dead (clock-disagreement allowance; default 5)",
-    )
-    parser.add_argument(
+    ),
+    _arg(
         "--chunk-size", type=int, default=4,
         help="runs per claimable chunk (default 4)",
-    )
+    ),
+)
+
+
+class Command(NamedTuple):
+    """One ``lab`` subcommand.  A row whose ``handler`` is ``None`` is a
+    group; ``"fleet status"`` is the ``status`` subcommand of ``fleet``."""
+
+    name: str
+    help: str
+    handler: Callable[[argparse.Namespace], int] | None
+    store: bool = False  # takes --store (default DEFAULT_STORE)
+    json: str = ""  # the --json flag's help; "" for no --json
+    args: tuple[_AddArgs, ...] = ()  # every other argument, in order
+
+
+COMMANDS: tuple[Command, ...] = (
+    Command("run", "expand and execute a workload", _cmd_run, store=True, args=(
+        *_workload_args("a topology family (see `lab families`)"),
+        _arg(
+            "--progress", action="store_true",
+            help="print per-chunk completion (with milestone counts) as "
+                 "results land",
+        ),
+        _arg(
+            "--fast-path", action="store_true",
+            help="answer fully-covered scenarios from the closed-form "
+                 "analytic engine (byte-identical reports, no simulation); "
+                 "the residue still runs through the workers",
+        ),
+        _arg("--serial", action="store_true", help="skip the process pool"),
+        _arg("--workers", type=int, default=None),
+        _arg(
+            "--fleet", type=int, default=0, metavar="N",
+            help="drain with N local worker processes coordinated by the "
+                 "claim/lease protocol in the SQLite store (requires a "
+                 "*.sqlite --store)",
+        ),
+        *_LEASE_ARGS,
+        _arg(
+            "--no-store", action="store_true",
+            help="execute without reading or writing the store",
+        ),
+    )),
+    Command(
+        "check",
+        "statically verify workloads (diagnostics + closed-form "
+        "predictions) without executing them",
+        _cmd_check, store=True, json="machine-readable", args=(
+            *_workload_args("a topology family (default: every family)"),
+            _arg(
+                "--verify", action="store_true",
+                help="also execute each scenario and cross-check the analysis: "
+                     "full-coverage predictions must byte-match the report, "
+                     "invalid scenarios must be refused by the engine "
+                     "(exit 1 on any mismatch)",
+            ),
+            _arg(
+                "--fast-path", action="store_true",
+                help="with --verify: satisfy full-coverage scenarios from the "
+                     "closed-form synthesizer instead of the simulator",
+            ),
+            _arg(
+                "--strict", action="store_true",
+                help="exit 1 when any scenario has error-severity diagnostics",
+            ),
+        ),
+    ),
+    Command(
+        "bisect",
+        "binary-search a timing knob to the all-Deal boundary per "
+        "topology family",
+        _cmd_bisect, json="machine-readable", args=(
+            _arg(
+                "--knob", default="violation",
+                help="the timing parameter to bisect (currently: violation)",
+            ),
+            _arg(
+                "--family", action="append",
+                help="topology family (repeatable; default: "
+                     + ", ".join(_DEFAULT_BISECT_FAMILIES) + ")",
+            ),
+            _arg(
+                "--grid", nargs="*", default=[], metavar="K=V",
+                help="family params (single values only — the knob is the sweep)",
+            ),
+            _arg("--engine", default="herlihy"),
+            _arg(
+                "--timing-kind", default="stragglers",
+                help="timing model the knob belongs to "
+                     "(stragglers | adaptive-stragglers)",
+            ),
+            _arg(
+                "--seeds", type=int, default=3,
+                help="panel size: seeds 0..N-1 must all reach all-Deal to 'hold'",
+            ),
+            _arg("--lo", type=float, default=1.05),
+            _arg("--hi", type=float, default=6.0),
+            _arg("--iters", type=int, default=8, help="bisection halvings"),
+        ),
+    ),
+    Command("ls", "list stored runs", _cmd_ls, store=True, args=(
+        _arg("--engine", help="only runs of this engine"),
+        _arg("--limit", type=int, default=0, help="show only the last N"),
+    )),
+    Command(
+        "show", "print one stored run", _cmd_show, store=True,
+        json="raw stored entry", args=(_arg("key", help="key prefix (hex)"),),
+    ),
+    Command("diff", "compare two stored runs", _cmd_diff, store=True, args=(
+        _arg("a", help="first key prefix"),
+        _arg("b", help="second key prefix"),
+    )),
+    Command(
+        "stats", "cross-sweep aggregates", _cmd_stats, store=True,
+        json="machine-readable", args=(
+            _arg(
+                "--by", default="engine", metavar="DIM[,DIM...]",
+                help="group-by dimensions: engine, family, mix, params, "
+                     "timing, verdict, path (comma-separated; default engine)",
+            ),
+            _arg(
+                "--engine", action="append",
+                help="only runs of this engine (repeatable)",
+            ),
+            _arg(
+                "--compare", nargs=2, metavar=("A", "B"),
+                help="pivot engines A and B head-to-head over the first "
+                     "non-engine --by dimension (family when --by has "
+                     "none); the safety delta column is B minus A",
+            ),
+        ),
+    ),
+    Command(
+        "work",
+        "run one fleet worker loop (claim → execute → commit) against a "
+        "shared SQLite store",
+        _cmd_work, store=True, json="machine-readable stats", args=(
+            _arg(
+                "--worker-id", default=None,
+                help="this worker's identity in the lease table "
+                     "(default: {hostname}-{pid})",
+            ),
+            _arg(
+                "--fast-path", action="store_true",
+                help="answer fully-covered scenarios from the closed-form "
+                     "analytic engine (same semantics as `lab run "
+                     "--fast-path`)",
+            ),
+            _arg(
+                "--max-chunks", type=int, default=None,
+                help="exit after committing N chunks even if work remains",
+            ),
+            *_LEASE_ARGS,
+        ),
+    ),
+    Command("fleet", "inspect fleet coordination state", None),
+    Command(
+        "fleet status",
+        "the queue snapshot: chunk claim/lease table, worker heartbeat ages",
+        _cmd_fleet_status, store=True, json="machine-readable snapshot",
+    ),
+    Command(
+        "merge",
+        "absorb shard stores and *.jsonl exports into DEST (newest record "
+        "wins)",
+        _cmd_merge, args=(
+            _arg("dest", help="destination store path"),
+            _arg(
+                "sources", nargs="+",
+                help="shard store or *.jsonl export path(s)",
+            ),
+        ),
+    ),
+    Command(
+        "export",
+        "write the store's runs to DEST as JSON lines (import them with "
+        "`lab merge`)",
+        _cmd_export, store=True,
+        args=(_arg("dest", help="output *.jsonl path (overwritten)"),),
+    ),
+    Command("families", "list topology families", _listing(
+        list_families, get_family,
+        ["family", "params", "strongly connected", "description"],
+        lambda name, family: [
+            name, dict(family.defaults),
+            "yes" if family.strongly_connected else "NO (impossibility)",
+            family.description,
+        ],
+    )),
+    Command("mixes", "list adversary mixes", _listing(
+        list_mixes, get_mix, ["mix", "description"],
+        lambda name, mix: [name, mix.description],
+    )),
+    Command("timings", "list timing profiles", _listing(
+        list_timings, get_timing, ["timing", "spec", "description"],
+        lambda name, profile: [
+            name,
+            "-" if profile.spec is None
+            else json.dumps(profile.spec, sort_keys=True),
+            profile.description,
+        ],
+    )),
+    Command("presets", "list workload presets", _listing(
+        list_presets, get_preset, ["preset", "workloads", "families", "runs"],
+        lambda name, workloads: [
+            name,
+            len(workloads),
+            ", ".join(dict.fromkeys(w.family for w in workloads)),
+            len(build_sweep(list(workloads), name=name)),
+        ],
+    )),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -952,244 +1141,27 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro lab",
         description="workload generation + content-addressed run store",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="expand and execute a workload")
-    target = run.add_mutually_exclusive_group()
-    target.add_argument("--preset", help="a registered preset (see `lab presets`)")
-    target.add_argument("--family", help="a topology family (see `lab families`)")
-    run.add_argument(
-        "--grid", nargs="*", default=[], metavar="K=V[,V...]",
-        help="family params; comma-separated values are swept",
-    )
-    run.add_argument("--mix", action="append", help="adversary mix (repeatable)")
-    run.add_argument("--engine", action="append", help="engine (repeatable)")
-    run.add_argument(
-        "--timing", action="append",
-        help="timing profile (repeatable; see `lab timings`) — replaces "
-             "every workload's timing axis",
-    )
-    run.add_argument(
-        "--seed", type=int, default=None,
-        help="replace every workload's seed (re-rolls topologies and mixes)",
-    )
-    run.add_argument(
-        "--progress", action="store_true",
-        help="print per-chunk completion (with milestone counts) as "
-             "results land",
-    )
-    run.add_argument(
-        "--fast-path", action="store_true",
-        help="answer fully-covered scenarios from the closed-form "
-             "analytic engine (byte-identical reports, no simulation); "
-             "the residue still runs through the workers",
-    )
-    run.add_argument("--serial", action="store_true", help="skip the process pool")
-    run.add_argument("--workers", type=int, default=None)
-    run.add_argument(
-        "--fleet", type=int, default=0, metavar="N",
-        help="drain with N local worker processes coordinated by the "
-             "claim/lease protocol in the SQLite store (requires a "
-             "*.sqlite --store)",
-    )
-    _add_lease_args(run)
-    run.add_argument(
-        "--no-store", action="store_true",
-        help="execute without reading or writing the store",
-    )
-    _add_store_arg(run)
-    run.set_defaults(func=_cmd_run)
-
-    check = sub.add_parser(
-        "check",
-        help="statically verify workloads (diagnostics + closed-form "
-             "predictions) without executing them",
-    )
-    check_target = check.add_mutually_exclusive_group()
-    check_target.add_argument(
-        "--preset", help="a registered preset (see `lab presets`)"
-    )
-    check_target.add_argument(
-        "--family", help="a topology family (default: every family)"
-    )
-    check.add_argument(
-        "--grid", nargs="*", default=[], metavar="K=V[,V...]",
-        help="family params; comma-separated values are swept",
-    )
-    check.add_argument("--mix", action="append", help="adversary mix (repeatable)")
-    check.add_argument("--engine", action="append", help="engine (repeatable)")
-    check.add_argument(
-        "--timing", action="append",
-        help="timing profile (repeatable) — replaces every workload's "
-             "timing axis",
-    )
-    check.add_argument(
-        "--seed", type=int, default=None,
-        help="replace every workload's seed",
-    )
-    check.add_argument(
-        "--verify", action="store_true",
-        help="also execute each scenario and cross-check the analysis: "
-             "full-coverage predictions must byte-match the report, "
-             "invalid scenarios must be refused by the engine "
-             "(exit 1 on any mismatch)",
-    )
-    check.add_argument(
-        "--fast-path", action="store_true",
-        help="with --verify: satisfy full-coverage scenarios from the "
-             "closed-form synthesizer instead of the simulator",
-    )
-    check.add_argument(
-        "--strict", action="store_true",
-        help="exit 1 when any scenario has error-severity diagnostics",
-    )
-    check.add_argument("--json", action="store_true", help="machine-readable")
-    _add_store_arg(check)
-    check.set_defaults(func=_cmd_check)
-
-    bisect = sub.add_parser(
-        "bisect",
-        help="binary-search a timing knob to the all-Deal boundary "
-             "per topology family",
-    )
-    bisect.add_argument(
-        "--knob", default="violation",
-        help="the timing parameter to bisect (currently: violation)",
-    )
-    bisect.add_argument(
-        "--family", action="append",
-        help="topology family (repeatable; default: "
-             + ", ".join(_DEFAULT_BISECT_FAMILIES) + ")",
-    )
-    bisect.add_argument(
-        "--grid", nargs="*", default=[], metavar="K=V",
-        help="family params (single values only — the knob is the sweep)",
-    )
-    bisect.add_argument("--engine", default="herlihy")
-    bisect.add_argument(
-        "--timing-kind", default="stragglers",
-        help="timing model the knob belongs to "
-             "(stragglers | adaptive-stragglers)",
-    )
-    bisect.add_argument(
-        "--seeds", type=int, default=3,
-        help="panel size: seeds 0..N-1 must all reach all-Deal to 'hold'",
-    )
-    bisect.add_argument("--lo", type=float, default=1.05)
-    bisect.add_argument("--hi", type=float, default=6.0)
-    bisect.add_argument(
-        "--iters", type=int, default=8, help="bisection halvings"
-    )
-    bisect.add_argument("--json", action="store_true", help="machine-readable")
-    bisect.set_defaults(func=_cmd_bisect)
-
-    ls = sub.add_parser("ls", help="list stored runs")
-    ls.add_argument("--engine", help="only runs of this engine")
-    ls.add_argument("--limit", type=int, default=0, help="show only the last N")
-    _add_store_arg(ls)
-    ls.set_defaults(func=_cmd_ls)
-
-    show = sub.add_parser("show", help="print one stored run")
-    show.add_argument("key", help="key prefix (hex)")
-    show.add_argument("--json", action="store_true", help="raw stored entry")
-    _add_store_arg(show)
-    show.set_defaults(func=_cmd_show)
-
-    diff = sub.add_parser("diff", help="compare two stored runs")
-    diff.add_argument("a", help="first key prefix")
-    diff.add_argument("b", help="second key prefix")
-    _add_store_arg(diff)
-    diff.set_defaults(func=_cmd_diff)
-
-    stats = sub.add_parser("stats", help="cross-sweep aggregates")
-    stats.add_argument(
-        "--by", default="engine", metavar="DIM[,DIM...]",
-        help="group-by dimensions: engine, family, mix, params, timing, "
-             "verdict, path (comma-separated; default engine)",
-    )
-    stats.add_argument(
-        "--engine", action="append",
-        help="only runs of this engine (repeatable)",
-    )
-    stats.add_argument(
-        "--compare", nargs=2, metavar=("A", "B"),
-        help="pivot engines A and B head-to-head over the first "
-             "non-engine --by dimension (family when --by has none); "
-             "the safety delta column is B minus A",
-    )
-    stats.add_argument("--json", action="store_true", help="machine-readable")
-    _add_store_arg(stats)
-    stats.set_defaults(func=_cmd_stats)
-
-    work = sub.add_parser(
-        "work",
-        help="run one fleet worker loop (claim → execute → commit) "
-             "against a shared SQLite store",
-    )
-    work.add_argument(
-        "--worker-id", default=None,
-        help="this worker's identity in the lease table "
-             "(default: {hostname}-{pid})",
-    )
-    work.add_argument(
-        "--fast-path", action="store_true",
-        help="answer fully-covered scenarios from the closed-form "
-             "analytic engine (same semantics as `lab run --fast-path`)",
-    )
-    work.add_argument(
-        "--max-chunks", type=int, default=None,
-        help="exit after committing N chunks even if work remains",
-    )
-    work.add_argument("--json", action="store_true", help="machine-readable stats")
-    _add_lease_args(work)
-    _add_store_arg(work)
-    work.set_defaults(func=_cmd_work)
-
-    fleet = sub.add_parser("fleet", help="inspect fleet coordination state")
-    fleet_sub = fleet.add_subparsers(dest="fleet_command", required=True)
-    fleet_status = fleet_sub.add_parser(
-        "status",
-        help="the queue snapshot: chunk claim/lease table, worker "
-             "heartbeat ages",
-    )
-    fleet_status.add_argument(
-        "--json", action="store_true", help="machine-readable snapshot"
-    )
-    _add_store_arg(fleet_status)
-    fleet_status.set_defaults(func=_cmd_fleet_status)
-
-    merge = sub.add_parser(
-        "merge",
-        help="absorb shard stores and *.jsonl exports into DEST "
-             "(newest record wins)",
-    )
-    merge.add_argument("dest", help="destination store path")
-    merge.add_argument(
-        "sources", nargs="+", help="shard store or *.jsonl export path(s)"
-    )
-    merge.set_defaults(func=_cmd_merge)
-
-    export = sub.add_parser(
-        "export",
-        help="write the store's runs to DEST as JSON lines "
-             "(import them with `lab merge`)",
-    )
-    export.add_argument("dest", help="output *.jsonl path (overwritten)")
-    _add_store_arg(export)
-    export.set_defaults(func=_cmd_export)
-
-    sub.add_parser("families", help="list topology families").set_defaults(
-        func=_cmd_families
-    )
-    sub.add_parser("mixes", help="list adversary mixes").set_defaults(
-        func=_cmd_mixes
-    )
-    sub.add_parser("timings", help="list timing profiles").set_defaults(
-        func=_cmd_timings
-    )
-    sub.add_parser("presets", help="list workload presets").set_defaults(
-        func=_cmd_presets
-    )
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for command in COMMANDS:
+        group, _, name = command.name.rpartition(" ")
+        sub = groups[group].add_parser(name, help=command.help)
+        if command.handler is None:
+            groups[command.name] = sub.add_subparsers(
+                dest=f"{name}_command", required=True
+            )
+            continue
+        for add in command.args:
+            add(sub)
+        if command.json:
+            sub.add_argument("--json", action="store_true", help=command.json)
+        if command.store:
+            sub.add_argument(
+                "--store",
+                default=DEFAULT_STORE,
+                help=f"run-store path (*.sqlite or :memory:); default "
+                     f"{DEFAULT_STORE}",
+            )
+        sub.set_defaults(func=command.handler)
     return parser
 
 

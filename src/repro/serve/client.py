@@ -20,6 +20,7 @@ latency percentiles.
 
 from __future__ import annotations
 
+import argparse
 import http.client
 import json
 import threading
@@ -349,3 +350,59 @@ def run_load(
             )
         },
     }
+
+
+# -- the `python -m repro serve-bench` entry point ----------------------------
+
+
+def bench_main(argv: Sequence[str] | None = None) -> int:
+    """Boot an in-process daemon and measure its service envelope."""
+    from repro.serve.http import add_service_args, make_service
+
+    parser = argparse.ArgumentParser(
+        prog="repro serve-bench",
+        description="load-generate against an in-process repro serve daemon",
+    )
+    parser.add_argument("--scenarios", type=int, default=64)
+    parser.add_argument("--clients", type=int, default=4)
+    add_service_args(parser, 0.0, "per-client rate limit (0 = unlimited)")
+    parser.add_argument("--json", dest="json_path", default="",
+                        help="also write the results document to this path")
+    args = parser.parse_args(argv)
+
+    scenarios = sample_scenarios(args.scenarios)
+    with BackgroundServer(make_service(args)) as bg:
+        results = run_load(
+            bg.host, bg.port, scenarios, engine=args.engine, clients=args.clients
+        )
+        # Warm resubmission: every scenario is now stored, so a second
+        # pass must be served entirely from cache (zero engines).
+        before = bg.client().status()["executed"]
+        warm = run_load(
+            bg.host, bg.port, scenarios, engine=args.engine, clients=args.clients
+        )
+        results["warm"] = {
+            "outcomes": warm["outcomes"],
+            "throughput_per_sec": warm["throughput_per_sec"],
+            "engines_executed": bg.client().status()["executed"] - before,
+        }
+    latency = results["latency_seconds"]
+    print(
+        f"serve-bench: {results['scenarios']} scenarios, "
+        f"{results['clients']} client(s): "
+        f"{results['throughput_per_sec']:.1f}/s sustained, "
+        f"p50 {latency['p50'] * 1000:.1f}ms, p99 {latency['p99'] * 1000:.1f}ms"
+    )
+    print(
+        f"warm resubmission: {warm['outcomes']['cached']} cached, "
+        f"{results['warm']['engines_executed']} engine(s) executed, "
+        f"{results['warm']['throughput_per_sec']:.1f}/s"
+    )
+    if args.json_path:
+        with open(args.json_path, "w", encoding="utf-8") as handle:
+            json.dump(results, handle, indent=2, sort_keys=True)
+        print(f"wrote {args.json_path}")
+    if results["warm"]["engines_executed"] != 0:
+        print("FAILED: warm resubmission executed an engine")
+        return 1
+    return 0

@@ -35,7 +35,7 @@ import base64
 import hashlib
 import json
 import struct
-from typing import Any, Awaitable, Callable, Sequence
+from typing import Any, Sequence
 from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import (
@@ -496,6 +496,37 @@ async def _ws_read_until_close(reader: asyncio.StreamReader) -> None:
 # -- the `python -m repro serve` entry point ---------------------------------
 
 
+def add_service_args(
+    parser: argparse.ArgumentParser, rate: float, rate_help: str
+) -> None:
+    """The options ``serve`` and ``serve-bench`` share (see
+    :func:`make_service`); only the ``--rate`` default differs."""
+    parser.add_argument("--store", default=":memory:",
+                        help="run store path (warm cache); default in-memory")
+    parser.add_argument("--concurrency", type=int, default=4,
+                        help="execution sessions driven simultaneously")
+    parser.add_argument("--queue-depth", type=int, default=64,
+                        help="admission queue bound (429 beyond it)")
+    parser.add_argument("--rate", type=float, default=rate, help=rate_help)
+    parser.add_argument("--engine", default="herlihy",
+                        help="default engine for submissions that omit one")
+
+
+def make_service(args: argparse.Namespace, **config: Any) -> SwapService:
+    """The service :func:`add_service_args`' options describe;
+    ``config`` sets the remaining :class:`ServiceConfig` fields."""
+    return SwapService(
+        ServiceConfig(
+            max_pending=args.queue_depth,
+            max_concurrency=args.concurrency,
+            rate=args.rate,
+            default_engine=args.engine,
+            **config,
+        ),
+        store=open_store(args.store),
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro serve",
@@ -505,20 +536,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8642,
                         help="TCP port (0 picks a free one)")
-    parser.add_argument("--store", default=":memory:",
-                        help="run store path (warm cache); default in-memory")
-    parser.add_argument("--concurrency", type=int, default=4,
-                        help="execution sessions driven simultaneously")
-    parser.add_argument("--queue-depth", type=int, default=64,
-                        help="admission queue bound (429 beyond it)")
-    parser.add_argument("--rate", type=float, default=50.0,
-                        help="per-client submissions/sec (0 disables)")
+    add_service_args(parser, 50.0, "per-client submissions/sec (0 disables)")
     parser.add_argument("--burst", type=float, default=100.0,
                         help="per-client burst capacity")
     parser.add_argument("--max-run-seconds", type=float, default=30.0,
                         help="evict a session running longer than this")
-    parser.add_argument("--engine", default="herlihy",
-                        help="default engine for submissions that omit one")
     parser.add_argument("--fast-path", action="store_true",
                         help="settle fully-covered submissions from the "
                              "closed-form analytic synthesizer without "
@@ -526,24 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def make_service(args: argparse.Namespace) -> SwapService:
-    config = ServiceConfig(
-        max_pending=args.queue_depth,
-        max_concurrency=args.concurrency,
-        rate=args.rate,
-        burst=args.burst,
-        max_run_seconds=args.max_run_seconds,
-        default_engine=args.engine,
-        fast_path=args.fast_path,
-    )
-    return SwapService(config, store=open_store(args.store))
-
-
-async def _amain(
-    args: argparse.Namespace,
-    ready: Callable[[ServeHTTP], Awaitable[None] | None] | None = None,
-) -> int:
-    server = ServeHTTP(make_service(args), host=args.host, port=args.port)
+async def _amain(args: argparse.Namespace, service: SwapService) -> int:
+    server = ServeHTTP(service, host=args.host, port=args.port)
     await server.start()
     print(
         f"repro serve: listening on http://{server.host}:{server.port} "
@@ -551,10 +557,6 @@ async def _amain(
         f"queue {args.queue_depth}, rate {args.rate}/s)",
         flush=True,
     )
-    if ready is not None:
-        maybe = ready(server)
-        if maybe is not None:
-            await maybe
     try:
         await server.serve_forever()
     except asyncio.CancelledError:
@@ -566,8 +568,15 @@ async def _amain(
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # Built before the loop, so a refused config fails fast (ServeError).
+    service = make_service(
+        args,
+        burst=args.burst,
+        max_run_seconds=args.max_run_seconds,
+        fast_path=args.fast_path,
+    )
     try:
-        return asyncio.run(_amain(args))
+        return asyncio.run(_amain(args, service))
     except KeyboardInterrupt:
         print("repro serve: shut down", flush=True)
         return 0
