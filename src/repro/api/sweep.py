@@ -468,6 +468,9 @@ def run_sweep(
     items = sweep.items() if isinstance(sweep, Sweep) else tuple(sweep)
     if not items:
         raise EngineError("run_sweep needs at least one scenario")
+    for name, value in (("max_workers", max_workers), ("chunksize", chunksize)):
+        if value is not None and value < 1:
+            raise EngineError(f"{name} must be >= 1, got {value}")
     start = time.perf_counter()
 
     entries: list[dict | None] = [None] * len(items)

@@ -96,6 +96,21 @@ class ServiceConfig:
     simulate are stamped ``extra["path"] = "simulated"``, as sweeps and
     fleet workers stamp theirs under the same flag."""
 
+    def __post_init__(self) -> None:
+        # Queue(maxsize=0) is unbounded and zero slots never drain it:
+        # either would switch admission control off, not tighten it.
+        run_seconds = self.max_run_seconds
+        for field, bound, bad in (
+            ("max_pending", ">= 1", self.max_pending < 1),
+            ("max_concurrency", ">= 1", self.max_concurrency < 1),
+            ("burst", ">= 1 when rate > 0", self.rate > 0 and self.burst < 1),
+            ("max_run_seconds", "None or >= 0",
+             run_seconds is not None and run_seconds < 0),
+        ):
+            if bad:
+                value = getattr(self, field)
+                raise ServeError(f"{field} must be {bound}, got {value}")
+
 
 class TokenBucket:
     """A classic token bucket: ``rate`` tokens/sec, ``burst`` capacity."""
