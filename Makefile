@@ -4,7 +4,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test smoke bench-smoke bench lab-smoke fleet-smoke serve serve-bench lint check parity
+.PHONY: test smoke bench-smoke bench bench-floors lab-smoke fleet-smoke serve serve-bench lint check parity
 
 test:            ## full tier-1 suite
 	$(PY) -m pytest -x -q
@@ -32,6 +32,9 @@ bench-smoke:     ## same sweep without pytest, via the repro CLI
 
 bench:           ## the full figure-by-figure benchmark suite
 	$(PY) -m pytest benchmarks/bench_*.py -q
+
+bench-floors:    ## the frozen floors of the committed BENCH_E*.json artifacts
+	$(PY) benchmarks/floors.py
 
 lab-smoke:       ## the lab smoke preset through the run store
 	$(PY) -m repro lab run --preset smoke
