@@ -66,7 +66,7 @@ from typing import Any, Callable, Iterator, Sequence, cast
 from repro.api.sweep import SweepItem, run_key
 from repro.crypto.hashing import sha256
 from repro.errors import FleetError, LeaseLostError, UnsafeFleetStoreError
-from repro.lab.store import _JSONL_SUFFIXES, RUNS_SCHEMA, entry_row
+from repro.lab.store import _JSONL_SUFFIXES, connect_runs, entry_row
 
 Clock = Callable[[], float]
 
@@ -209,17 +209,9 @@ class FleetCoordinator:
             # blocks, never sqlite3's implicit ones, so claim/commit
             # atomicity is exactly the statements between BEGIN and
             # COMMIT below.
-            self._db = sqlite3.connect(str(self.path), isolation_level=None)
-            self._db.execute(f"PRAGMA busy_timeout = {int(busy_timeout_ms)}")
-            self._db.execute("PRAGMA journal_mode = WAL")
-            # WAL + NORMAL: commits append to the WAL without an fsync
-            # each (heartbeats are per-item — FULL would pay a disk
-            # flush per scenario).  The weakened durability is exactly
-            # the failure the lease protocol already absorbs: a power
-            # loss may drop the last commit, which re-issues the chunk
-            # and re-executes deterministic runs to identical rows.
-            self._db.execute("PRAGMA synchronous = NORMAL")
-            self._db.execute(RUNS_SCHEMA)
+            self._db, _ = connect_runs(
+                self.path, busy_timeout_ms, isolation_level=None
+            )
             self._db.executescript(self._FLEET_SCHEMA)
         except sqlite3.Error as error:
             raise FleetError(

@@ -23,7 +23,7 @@ import json
 import sqlite3
 import time
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.api.report import RunReport
 from repro.errors import StoreError
@@ -32,10 +32,10 @@ from repro.errors import StoreError
 #: yields and :meth:`SqliteStore.merge_from` absorbs them.
 Record = tuple[str, dict, float | None]
 
-#: The ``runs`` table DDL, shared with :class:`repro.fleet.coordinator.
-#: FleetCoordinator` — the fleet lays its lease tables beside this one
-#: in the same database so chunk commits and lease releases can share a
-#: transaction.
+#: The ``runs`` table DDL, created by :func:`connect_runs` for every
+#: writer: :class:`repro.fleet.coordinator.FleetCoordinator` lays its
+#: lease tables beside this one in the same database so chunk commits
+#: and lease releases can share a transaction.
 RUNS_SCHEMA = """
     CREATE TABLE IF NOT EXISTS runs (
         key           TEXT PRIMARY KEY,
@@ -46,6 +46,50 @@ RUNS_SCHEMA = """
         entry         TEXT NOT NULL
     )
 """
+
+
+def connect_runs(
+    path: str | Path, busy_timeout_ms: int, **connect: Any
+) -> tuple[sqlite3.Connection, str]:
+    """Connect to the run database at ``path`` and create its ``runs``
+    table; returns the connection and the journal mode in force.
+
+    Every writer of a ``runs`` table opens it here — :class:`SqliteStore`
+    and the fleet coordinator, each with its own ``connect`` arguments
+    — so all of them share one durability policy:
+
+    * ``busy_timeout``: a second writer waits its turn instead of
+      failing on the first lock;
+    * WAL, best-effort: ``journal_mode`` answers with the mode actually
+      in force, and a filesystem that refuses WAL (some network mounts)
+      keeps its rollback journal and works single-writer;
+    * ``synchronous = NORMAL``, only under WAL.  A commit appends its
+      frames to the WAL and returns without an fsync; SQLite syncs at
+      checkpoints.  A process crash (SIGKILL) loses nothing committed —
+      the frames are in the OS page cache and the next open replays
+      them.  A power loss or OS crash may roll back the last commits,
+      and that is all it can lose: every stored row is a deterministic
+      function of its run key, so the runs behind a lost commit
+      re-execute to byte-identical rows (a sweep re-runs what its store
+      misses, the fleet's lease sweep re-issues the chunk).  In a
+      rollback journal NORMAL can corrupt the database on power loss,
+      so there — and for ``":memory:"`` — the default ``FULL`` stays.
+
+    :class:`sqlite3.Error` propagates for the caller to wrap in its own
+    domain error.
+    """
+    db = sqlite3.connect(str(path), **connect)
+    try:
+        db.execute(f"PRAGMA busy_timeout = {int(busy_timeout_ms)}")
+        mode = db.execute("PRAGMA journal_mode = WAL").fetchone()[0]
+        if mode == "wal":
+            db.execute("PRAGMA synchronous = NORMAL")
+        db.execute(RUNS_SCHEMA)
+        db.commit()
+    except sqlite3.Error:
+        db.close()
+        raise
+    return db, mode
 
 
 def entry_row(
@@ -72,14 +116,21 @@ class SqliteStore:
     Keys are primary; ``put`` is an upsert.  Commits are batched: at
     most ``commit_every - 1`` puts are ever uncommitted (and ``close``
     / context-manager exit always commits), trading a bounded window of
-    crash loss for an order-of-magnitude fewer fsyncs on bulk writes —
-    ``commit_every=1`` restores commit-per-put durability, and
-    ``run_sweep`` calls :meth:`flush` after every recorded worker
-    chunk, so sweep results are never in the crash window.  The
-    ``engine`` and ``scenario_name`` columns are denormalised out of
-    the entry to keep ``lab ls`` queries from parsing every report
-    blob.  Iteration follows rowid, which ``INSERT OR REPLACE``
-    reassigns on overwrite: recording order, a re-recorded key last.
+    loss on a process crash for one transaction per batch instead of
+    one per put on bulk writes — ``commit_every=1`` restores
+    commit-per-put, and ``run_sweep`` calls :meth:`flush` after every
+    recorded worker chunk (the serve daemon after every settled job),
+    so their results are never in that window.  The ``engine`` and
+    ``scenario_name`` columns are denormalised out of the entry to keep
+    ``lab ls`` queries from parsing every report blob.  Iteration
+    follows rowid, which ``INSERT OR REPLACE`` reassigns on overwrite:
+    recording order, a re-recorded key last.
+
+    Durability is :func:`connect_runs`'s policy, shared with the fleet
+    coordinator: WAL with ``synchronous = NORMAL``.  A committed put
+    survives the writer's crash (SIGKILL included); a power loss or OS
+    crash may roll back the last commits, whose runs re-execute to
+    byte-identical rows.
 
     Concurrency: the store opens in WAL journal mode with a
     ``busy_timeout`` (default 5 s), so a long-lived writer — the
@@ -88,9 +139,10 @@ class SqliteStore:
     each other: WAL readers see the last committed snapshot while a
     write transaction is open, and a second writer waits out the busy
     timeout instead of failing immediately.  Filesystems that cannot
-    take WAL (some network mounts) silently keep the default journal —
-    the store works, just without concurrent readers.  ``":memory:"``
-    is private to this connection, so :mod:`repro.fleet` refuses it.
+    take WAL (some network mounts) silently keep the default journal
+    and ``synchronous = FULL`` — the store works, just without
+    concurrent readers.  ``":memory:"`` is private to this connection,
+    so :mod:`repro.fleet` refuses it.
     """
 
     def __init__(
@@ -112,16 +164,9 @@ class SqliteStore:
             # sqlite3 is built serialized (sqlite3.threadsafety == 3)
             # and each user keeps its store access on one thread at a
             # time — the service on its loop thread.
-            self._db = sqlite3.connect(str(self.path), check_same_thread=False)
-            self._db.execute(f"PRAGMA busy_timeout = {int(busy_timeout_ms)}")
-            # Best-effort: journal_mode returns the mode actually in
-            # force; a filesystem that refuses WAL answers with the
-            # old mode and everything still works single-writer.
-            self.journal_mode = self._db.execute(
-                "PRAGMA journal_mode = WAL"
-            ).fetchone()[0]
-            self._db.execute(RUNS_SCHEMA)
-            self._db.commit()
+            self._db, self.journal_mode = connect_runs(
+                self.path, busy_timeout_ms, check_same_thread=False
+            )
         except sqlite3.Error as error:
             # e.g. an existing file that is not a database; surface it
             # as a domain error so the CLI reports it instead of a
@@ -151,7 +196,8 @@ class SqliteStore:
             self.flush()
 
     def flush(self) -> None:
-        """Make every ``put`` so far crash-durable."""
+        """Commit every ``put`` so far: durable across a crash of this
+        process (see :func:`connect_runs` for a power loss)."""
         if self._uncommitted:
             self._db.commit()
             self._uncommitted = 0
