@@ -369,6 +369,11 @@ def bench_main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--json", dest="json_path", default="",
                         help="also write the results document to this path")
     args = parser.parse_args(argv)
+    # No scenario or no client measures nothing: there is no latency
+    # to report and no warm pass to check.
+    for flag, value in (("--scenarios", args.scenarios), ("--clients", args.clients)):
+        if value < 1:
+            raise ServeError(f"{flag} must be >= 1, got {value}")
 
     scenarios = sample_scenarios(args.scenarios)
     with BackgroundServer(make_service(args)) as bg:

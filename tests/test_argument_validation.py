@@ -122,3 +122,20 @@ class TestRunSweepWorkers:
         assert code == 1
         err = capsys.readouterr().err
         assert err == f"error: max_workers must be >= 1, got {workers}\n"
+
+
+class TestServeBenchInputs:
+    """``serve-bench`` with no scenario or no client has nothing to
+    measure (its p50 latency would be ``None``): refused up front."""
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--scenarios", "0"], "--scenarios must be >= 1, got 0"),
+            (["--scenarios", "-3"], "--scenarios must be >= 1, got -3"),
+            (["--scenarios", "4", "--clients", "0"], "--clients must be >= 1, got 0"),
+        ],
+    )
+    def test_reports_error_and_exits_1(self, flags, message, capsys, no_daemon):
+        assert main(["serve-bench", *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
