@@ -1,13 +1,16 @@
 """E24 — run-store write throughput: SqliteStore commit batching.
 
 ``SqliteStore.put`` used to commit per run, so every stored result paid
-a full sqlite transaction (journal write + fsync).  Commits are now
-deferred and flushed every ``commit_every`` puts (``close`` always
-flushes), bounding crash loss to the last partial batch while removing
-almost all of the fsync traffic large sweeps generate.  This bench
-writes the same batch of entries at several batching levels and tables
-the throughput; ``commit_every=1`` is the old per-put behaviour.
-"""
+a whole sqlite transaction.  Commits are now deferred and flushed every
+``commit_every`` puts (``close`` always flushes), bounding what a
+process crash can lose to the last partial batch while cutting the
+transactions large sweeps run.  Under the store's WAL +
+``synchronous=NORMAL`` policy (:func:`repro.lab.store.connect_runs`) a
+commit pays no fsync, so what batching saves is per-transaction work —
+the WAL frame append, the lock cycle, the commit bookkeeping; E36
+prices the fsync itself.  This bench writes the same batch of entries
+at several batching levels and tables the throughput;
+``commit_every=1`` is the old per-put behaviour."""
 
 from __future__ import annotations
 
@@ -79,9 +82,10 @@ def test_commit_batching(benchmark, tmp_path):
             "commit_every=1 is the old commit-per-put behaviour; the "
             "store default is 8.  Batching trades a bounded crash-loss "
             "window (at most commit_every-1 runs, and close() always "
-            "flushes) for one transaction per batch instead of per run "
-            "— on fsync-bound filesystems the gap is an order of "
-            "magnitude; merge_from() goes further and absorbs a whole "
+            "flushes) for one transaction per batch instead of per run.  "
+            "At the store's WAL + synchronous=NORMAL no commit pays an "
+            "fsync (E36 prices that), so the gap is per-transaction "
+            "overhead; merge_from() goes further and absorbs a whole "
             "shard in a single executemany transaction."
         ),
     )

@@ -137,6 +137,20 @@ def e35(results: Path) -> None:
     print(f"E35 floors ok: {data['speedup']}")
 
 
+def e36(results: Path) -> None:
+    """Store sync: a served job's write (put + flush) >=1.5x faster at
+    the shipped WAL + synchronous=NORMAL than under FULL, with both
+    sides writing identical rows in WAL."""
+    data = _load(results, "E36")
+    assert data["journal_mode"] == {"normal": "wal", "full": "wal"}, data
+    assert data["synchronous"] == {"normal": 1, "full": 2}, data
+    digests = data["rows_digest"]
+    assert digests["normal"] == digests["full"], digests
+    job = data["patterns"]["job_write"]
+    assert job["normal"]["ms_per_job"] <= job["full"]["ms_per_job"] / 1.5, job
+    print(f"E36 floors ok: served-job write {job['speedup']}x")
+
+
 #: Experiment id -> its floor check, in experiment order.
 FLOORS: dict[str, Callable[[Path], None]] = {
     "E28": e28,
@@ -146,6 +160,7 @@ FLOORS: dict[str, Callable[[Path], None]] = {
     "E33": e33,
     "E34": e34,
     "E35": e35,
+    "E36": e36,
 }
 
 
