@@ -107,14 +107,6 @@ def rows(store: SqliteStore) -> list:
     return out
 
 
-def rows_of(entries: list) -> list:
-    """``entries`` as :func:`rows` reads them back."""
-    with SqliteStore(":memory:") as memory:
-        for key, entry in entries:
-            memory.put(key, entry)
-        return rows(memory)
-
-
 def write_jobs(store: SqliteStore, entries: list) -> float:
     """Seconds to write ``entries`` one served job at a time."""
     begun = time.perf_counter()
@@ -154,7 +146,6 @@ def measure() -> dict:
         sweep(store, batch)
         sweep_rows = rows(store)
         store.close()
-        assert job_rows == rows_of(entries), side
         digests[side] = hashlib.sha256(
             json.dumps([job_rows, sweep_rows], sort_keys=True).encode()
         ).hexdigest()

@@ -127,10 +127,9 @@ class SqliteStore:
     recording order, a re-recorded key last.
 
     Durability is :func:`connect_runs`'s policy, shared with the fleet
-    coordinator: WAL with ``synchronous = NORMAL``.  A committed put
-    survives the writer's crash (SIGKILL included); a power loss or OS
-    crash may roll back the last commits, whose runs re-execute to
-    byte-identical rows.
+    coordinator: a committed put survives a crash of the writing
+    process, SIGKILL included; what a power loss may take is set out
+    there.
 
     Concurrency: the store opens in WAL journal mode with a
     ``busy_timeout`` (default 5 s), so a long-lived writer — the
