@@ -22,8 +22,8 @@
   closed-form predictions, no engine execution; ``--verify``
   cross-checks the predictions against the simulator.
 * ``python -m repro lint`` — the repo's own AST lint pass
-  (:mod:`repro.analysis.lint`): determinism, serve thread-safety,
-  milestone-literal hygiene, and wire-schema rules over ``src/``.
+  (:mod:`repro.analysis.lint`): determinism, milestone-literal
+  hygiene, and wire-schema rules over ``src/``.
 * ``python -m repro serve`` — the long-lived swap service
   (:mod:`repro.serve`): HTTP scenario submissions with admission
   control, streaming milestone subscriptions, store-backed warm cache;

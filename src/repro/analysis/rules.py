@@ -221,95 +221,6 @@ class DeterminismRule(LintRule):
             )
 
 
-class ServeThreadSafetyRule(LintRule):
-    """Executor threads must not touch loop-affine ``SwapService`` state.
-
-    The swap service runs protocol executions on worker threads while
-    every piece of shared state — the event streams, the milestone
-    counters, the run store — is owned by the asyncio loop thread.  The
-    sanctioned pattern is ``loop.call_soon_threadsafe(bound_method,
-    ...)``; this rule flags thread-side methods (by convention,
-    ``_drive``) that assign ``self.*`` attributes, call a loop-affine
-    ``self`` method directly, or call into ``self.store``.
-    """
-
-    name = "serve-thread-safety"
-    description = (
-        "executor-thread code must not mutate loop-affine SwapService "
-        "state except via call_soon_threadsafe"
-    )
-
-    SCOPE: tuple[str, ...] = ("repro.serve",)
-    #: Methods that run on executor threads.
-    THREAD_SIDE = frozenset({"_drive"})
-    #: Methods only the loop thread may invoke.
-    LOOP_AFFINE = frozenset(
-        {"_publish", "_publish_milestone", "_remember", "_record", "_settle"}
-    )
-
-    def check(self, module: LintModule) -> Iterator[LintViolation]:
-        if not _in_scope(module.module, self.SCOPE):
-            return
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            for item in node.body:
-                if (
-                    isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and item.name in self.THREAD_SIDE
-                ):
-                    yield from self._check_thread_side(module, item)
-
-    def _check_thread_side(
-        self, module: LintModule, method: ast.FunctionDef | ast.AsyncFunctionDef
-    ) -> Iterator[LintViolation]:
-        for node in ast.walk(method):
-            targets: list[ast.expr] = []
-            if isinstance(node, ast.Assign):
-                targets = list(node.targets)
-            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                targets = [node.target]
-            for target in targets:
-                if (
-                    isinstance(target, ast.Attribute)
-                    and _root_name(target) == "self"
-                ):
-                    yield self.violation(
-                        module,
-                        node,
-                        f"thread-side method {method.name}() mutates "
-                        "loop-affine state "
-                        f"self.{target.attr}; marshal the write through "
-                        "loop.call_soon_threadsafe",
-                    )
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                func = node.func
-                if (
-                    isinstance(func.value, ast.Name)
-                    and func.value.id == "self"
-                    and func.attr in self.LOOP_AFFINE
-                ):
-                    yield self.violation(
-                        module,
-                        node,
-                        f"thread-side method {method.name}() calls "
-                        f"loop-affine self.{func.attr}() directly; pass it "
-                        "to loop.call_soon_threadsafe instead",
-                    )
-                elif (
-                    isinstance(func.value, ast.Attribute)
-                    and _root_name(func.value) == "self"
-                    and func.value.attr == "store"
-                ):
-                    yield self.violation(
-                        module,
-                        node,
-                        f"thread-side method {method.name}() calls "
-                        f"self.store.{func.attr}(); the run store is owned "
-                        "by the loop thread",
-                    )
-
-
 class MilestoneLiteralRule(LintRule):
     """Milestone strings must come from :mod:`repro.sim.milestones`.
 
@@ -478,7 +389,6 @@ class WireSchemaRule(LintRule):
 #: Every built-in rule, in the order the CLI lists them.
 BUILTIN_RULES: tuple[type[LintRule], ...] = (
     DeterminismRule,
-    ServeThreadSafetyRule,
     MilestoneLiteralRule,
     WireSchemaRule,
 )

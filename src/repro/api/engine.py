@@ -89,11 +89,11 @@ class Engine(ABC):
         return self.open(scenario).run_to_completion()
 
 
-def register_engine(engine: Engine, replace: bool = False) -> Engine:
+def register_engine(engine: Engine) -> Engine:
     """Add an engine to the registry; returns it for chaining."""
     if not engine.name:
         raise EngineError(f"{type(engine).__name__} has no name")
-    if engine.name in _REGISTRY and not replace:
+    if engine.name in _REGISTRY:
         raise EngineError(f"engine {engine.name!r} is already registered")
     _REGISTRY[engine.name] = engine
     return engine

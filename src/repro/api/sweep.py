@@ -426,7 +426,6 @@ def run_sweep(
     sweep: Sweep | Sequence[SweepItem],
     parallel: bool = True,
     max_workers: int | None = None,
-    chunksize: int | None = None,
     store: Any | None = None,
     progress: Callable[[SweepProgress], None] | None = None,
     fast_path: bool = False,
@@ -468,9 +467,8 @@ def run_sweep(
     items = sweep.items() if isinstance(sweep, Sweep) else tuple(sweep)
     if not items:
         raise EngineError("run_sweep needs at least one scenario")
-    for name, value in (("max_workers", max_workers), ("chunksize", chunksize)):
-        if value is not None and value < 1:
-            raise EngineError(f"{name} must be >= 1, got {value}")
+    if max_workers is not None and max_workers < 1:
+        raise EngineError(f"max_workers must be >= 1, got {max_workers}")
     start = time.perf_counter()
 
     entries: list[dict | None] = [None] * len(items)
@@ -548,8 +546,7 @@ def run_sweep(
     if payloads and parallel and len(payloads) > 1:
         mode = "process-pool"
         workers = max_workers or min(len(payloads), os.cpu_count() or 2, 8)
-        if chunksize is None:
-            chunksize = max(1, len(payloads) // (workers * 4))
+        chunksize = max(1, len(payloads) // (workers * 4))
         # Only pool-infrastructure failures trigger the serial fallback;
         # exceptions raised by engine code inside a worker propagate
         # unchanged (domain errors were already collected worker-side).

@@ -1,7 +1,7 @@
 """Blockchain substrate: ledgers, assets, contract hosting, multi-chain."""
 
 from repro.chain.assets import Asset, AssetRegistry
-from repro.chain.blockchain import Blockchain, encoded_args_size_bytes
+from repro.chain.blockchain import Blockchain
 from repro.chain.contracts import Contract
 from repro.chain.ledger import Block, Ledger, Record, canonical_encode
 from repro.chain.network import BROADCAST_CHAIN_ID, ChainNetwork, chain_id_for_arc
@@ -10,7 +10,6 @@ __all__ = [
     "Asset",
     "AssetRegistry",
     "Blockchain",
-    "encoded_args_size_bytes",
     "Contract",
     "Block",
     "Ledger",

@@ -21,7 +21,7 @@ from typing import Any, Callable
 
 from repro.chain.assets import Asset, AssetRegistry
 from repro.chain.contracts import Contract
-from repro.chain.ledger import Ledger, Record, canonical_encode
+from repro.chain.ledger import Ledger, Record
 from repro.errors import AssetError, ContractError, ContractStateError
 
 ChainEventCallback = Callable[["Blockchain", Record, int], None]
@@ -231,8 +231,3 @@ class Blockchain:
             f"Blockchain({self.chain_id!r}, blocks={len(self.ledger)}, "
             f"contracts={len(self._contracts)})"
         )
-
-
-def encoded_args_size_bytes(args: dict[str, Any]) -> int:
-    """Size of a call's arguments in canonical encoding (for metrics)."""
-    return len(canonical_encode(args))

@@ -305,7 +305,8 @@ class SimulationError(ReproError):
 
 
 class SchedulerError(SimulationError):
-    """Events were scheduled in the past or after the horizon."""
+    """An event was scheduled in the past, the event budget ran out, or
+    the scheduler was re-entered from a firing event."""
 
 
 class TimingError(SimulationError):

@@ -198,7 +198,6 @@ class FleetCoordinator:
         path: str | Path,
         config: FleetConfig | None = None,
         clock: Clock = time.time,
-        busy_timeout_ms: int = 5000,
     ) -> None:
         self.path = ensure_fleet_path(path)
         self.config = config or FleetConfig()
@@ -209,9 +208,7 @@ class FleetCoordinator:
             # blocks, never sqlite3's implicit ones, so claim/commit
             # atomicity is exactly the statements between BEGIN and
             # COMMIT below.
-            self._db, _ = connect_runs(
-                self.path, busy_timeout_ms, isolation_level=None
-            )
+            self._db, _ = connect_runs(self.path, isolation_level=None)
             self._db.executescript(self._FLEET_SCHEMA)
         except sqlite3.Error as error:
             raise FleetError(

@@ -78,8 +78,8 @@ _TIMINGS: dict[str, TimingProfile] = {}
 _PRESETS: dict[str, tuple[Workload, ...]] = {}
 
 
-def register_family(family: TopologyFamily, replace: bool = False) -> TopologyFamily:
-    if family.name in _FAMILIES and not replace:
+def register_family(family: TopologyFamily) -> TopologyFamily:
+    if family.name in _FAMILIES:
         raise LabError(f"topology family {family.name!r} is already registered")
     _FAMILIES[family.name] = family
     return family
@@ -96,8 +96,8 @@ def list_families() -> tuple[str, ...]:
     return tuple(sorted(_FAMILIES))
 
 
-def register_mix(mix: AdversaryMix, replace: bool = False) -> AdversaryMix:
-    if mix.name in _MIXES and not replace:
+def register_mix(mix: AdversaryMix) -> AdversaryMix:
+    if mix.name in _MIXES:
         raise LabError(f"adversary mix {mix.name!r} is already registered")
     _MIXES[mix.name] = mix
     return mix
@@ -114,8 +114,8 @@ def list_mixes() -> tuple[str, ...]:
     return tuple(sorted(_MIXES))
 
 
-def register_timing(profile: TimingProfile, replace: bool = False) -> TimingProfile:
-    if profile.name in _TIMINGS and not replace:
+def register_timing(profile: TimingProfile) -> TimingProfile:
+    if profile.name in _TIMINGS:
         raise LabError(f"timing profile {profile.name!r} is already registered")
     if profile.spec is not None:
         # Fail at registration, not mid-sweep: the spec must resolve.
@@ -137,8 +137,8 @@ def list_timings() -> tuple[str, ...]:
     return tuple(sorted(_TIMINGS))
 
 
-def register_preset(name: str, *workloads: Workload, replace: bool = False) -> None:
-    if name in _PRESETS and not replace:
+def register_preset(name: str, *workloads: Workload) -> None:
+    if name in _PRESETS:
         raise LabError(f"preset {name!r} is already registered")
     _PRESETS[name] = tuple(workloads)
 

@@ -48,9 +48,11 @@ RUNS_SCHEMA = """
 """
 
 
-def connect_runs(
-    path: str | Path, busy_timeout_ms: int, **connect: Any
-) -> tuple[sqlite3.Connection, str]:
+#: How long a writer waits out another's lock before failing.
+BUSY_TIMEOUT_MS = 5000
+
+
+def connect_runs(path: str | Path, **connect: Any) -> tuple[sqlite3.Connection, str]:
     """Connect to the run database at ``path`` and create its ``runs``
     table; returns the connection and the journal mode in force.
 
@@ -58,8 +60,8 @@ def connect_runs(
     and the fleet coordinator, each with its own ``connect`` arguments
     — so all of them share one durability policy:
 
-    * ``busy_timeout``: a second writer waits its turn instead of
-      failing on the first lock;
+    * ``busy_timeout`` (:data:`BUSY_TIMEOUT_MS`): a second writer waits
+      its turn instead of failing on the first lock;
     * WAL, best-effort: ``journal_mode`` answers with the mode actually
       in force, and a filesystem that refuses WAL (some network mounts)
       keeps its rollback journal and works single-writer;
@@ -80,7 +82,7 @@ def connect_runs(
     """
     db = sqlite3.connect(str(path), **connect)
     try:
-        db.execute(f"PRAGMA busy_timeout = {int(busy_timeout_ms)}")
+        db.execute(f"PRAGMA busy_timeout = {BUSY_TIMEOUT_MS}")
         mode = db.execute("PRAGMA journal_mode = WAL").fetchone()[0]
         if mode == "wal":
             db.execute("PRAGMA synchronous = NORMAL")
@@ -132,24 +134,19 @@ class SqliteStore:
     there.
 
     Concurrency: the store opens in WAL journal mode with a
-    ``busy_timeout`` (default 5 s), so a long-lived writer — the
-    :mod:`repro.serve` daemon recording settled runs — and concurrent
-    ``lab stats`` / ``lab ls`` readers in other processes do not block
-    each other: WAL readers see the last committed snapshot while a
-    write transaction is open, and a second writer waits out the busy
-    timeout instead of failing immediately.  Filesystems that cannot
-    take WAL (some network mounts) silently keep the default journal
-    and ``synchronous = FULL`` — the store works, just without
+    ``busy_timeout`` of :data:`BUSY_TIMEOUT_MS` (5 s), so a long-lived
+    writer — the :mod:`repro.serve` daemon recording settled runs — and
+    concurrent ``lab stats`` / ``lab ls`` readers in other processes do
+    not block each other: WAL readers see the last committed snapshot
+    while a write transaction is open, and a second writer waits out the
+    busy timeout instead of failing immediately.  Filesystems that
+    cannot take WAL (some network mounts) silently keep the default
+    journal and ``synchronous = FULL`` — the store works, just without
     concurrent readers.  ``":memory:"`` is private to this connection,
     so :mod:`repro.fleet` refuses it.
     """
 
-    def __init__(
-        self,
-        path: str | Path,
-        commit_every: int = 8,
-        busy_timeout_ms: int = 5000,
-    ) -> None:
+    def __init__(self, path: str | Path, commit_every: int = 8) -> None:
         if commit_every < 1:
             raise StoreError(f"commit_every must be >= 1, got {commit_every}")
         self.path = Path(path)
@@ -164,7 +161,7 @@ class SqliteStore:
             # and each user keeps its store access on one thread at a
             # time — the service on its loop thread.
             self._db, self.journal_mode = connect_runs(
-                self.path, busy_timeout_ms, check_same_thread=False
+                self.path, check_same_thread=False
             )
         except sqlite3.Error as error:
             # e.g. an existing file that is not a database; surface it

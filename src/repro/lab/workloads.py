@@ -73,7 +73,13 @@ class TopologyFamily:
                 f"accepted: {sorted(merged)}"
             )
         merged.update(params or {})
-        return self.build(merged, Random(seed))
+        try:
+            return self.build(merged, Random(seed))
+        except (TypeError, ValueError) as error:
+            # e.g. ``--grid n=abc``: int("abc") inside the build lambda.
+            raise LabError(
+                f"family {self.name!r} cannot build params {merged}: {error}"
+            ) from error
 
 
 @dataclass(frozen=True)

@@ -249,7 +249,6 @@ def run_load(
     scenarios: Sequence[Mapping[str, Any]],
     engine: str | None = None,
     clients: int = 4,
-    wait_timeout: float = 60.0,
 ) -> dict[str, Any]:
     """Blast ``scenarios`` at a daemon and measure the service envelope.
 
@@ -259,6 +258,8 @@ def run_load(
     Returns sustained scenarios/sec, latency percentiles, and the
     daemon's own ``/v1/status`` counters afterwards.
     """
+    from repro.serve.service import nearest_rank
+
     work: list[tuple[int, Mapping[str, Any]]] = list(enumerate(scenarios))
     lock = threading.Lock()
     latencies: list[float] = []
@@ -292,7 +293,7 @@ def run_load(
                     outcomes["cached"] += 1
                     latencies.append(time.monotonic() - begin)
                 continue
-            final = client.wait_settled(doc["key"], timeout=wait_timeout)
+            final = client.wait_settled(doc["key"])
             with lock:
                 latencies.append(time.monotonic() - begin)
                 outcomes[final["status"]] = outcomes.get(final["status"], 0) + 1
@@ -311,13 +312,6 @@ def run_load(
         raise ServeError("; ".join(errors[:3]))
 
     latencies.sort()
-
-    def pct(q: float) -> float | None:
-        if not latencies:
-            return None
-        rank = max(0, min(len(latencies) - 1, round(q * len(latencies)) - 1))
-        return latencies[rank]
-
     daemon = ServeClient(host, port).status()
     completed = sum(outcomes.values())
     return {
@@ -329,8 +323,8 @@ def run_load(
         "latency_seconds": {
             "count": len(latencies),
             "mean": sum(latencies) / len(latencies) if latencies else None,
-            "p50": pct(0.50),
-            "p99": pct(0.99),
+            "p50": nearest_rank(latencies, 0.50),
+            "p99": nearest_rank(latencies, 0.99),
         },
         "rate_limit_retries": retries,
         "daemon": {

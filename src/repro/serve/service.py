@@ -63,6 +63,14 @@ from repro.serve.events import TERMINAL_EVENTS, WIRE_SCHEMA, envelope, milestone
 JOB_STATES = ("queued", "running", "settled", "failed", "aborted")
 TERMINAL_STATES = frozenset({"settled", "failed", "aborted"})
 
+#: Milestone events retained per job; beyond it they are dropped
+#: (counted in ``dropped_events``) — terminal events always land.
+MAX_EVENTS_PER_JOB = 4096
+#: Terminal jobs kept for late subscribers before eviction.
+MAX_JOBS_RETAINED = 1024
+#: Settled-latency samples kept for the p50/p99 metrics.
+LATENCY_WINDOW = 4096
+
 
 @dataclass
 class ServiceConfig:
@@ -78,14 +86,7 @@ class ServiceConfig:
     """Per-client bucket capacity (the allowed submission burst)."""
     max_run_seconds: float | None = 30.0
     """Wall-clock eviction deadline per job; ``None`` disables."""
-    max_events_per_job: int = 4096
-    """Milestone events retained per job; beyond it they are dropped
-    (counted in ``dropped_events``) — terminal events always land."""
-    max_jobs_retained: int = 1024
-    """Terminal jobs kept for late subscribers before eviction."""
     default_engine: str = "herlihy"
-    latency_window: int = 4096
-    """Settled-latency samples kept for the p50/p99 metrics."""
     fast_path: bool = False
     """Answer fully-covered submissions in closed form
     (:func:`~repro.analysis.engine.synthesize_run`) without occupying
@@ -215,7 +216,7 @@ class SwapService:
         self._jobs: dict[str, Job] = {}
         self._terminal_order: deque[str] = deque()
         self._buckets: dict[str, TokenBucket] = {}
-        self._latencies: deque[float] = deque(maxlen=self.config.latency_window)
+        self._latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
         self._milestone_counts: dict[str, int] = {}
         self._queue: asyncio.Queue[Job] | None = None
         self._workers: list[asyncio.Task] = []
@@ -426,7 +427,7 @@ class SwapService:
         """Track a terminal job, evicting the oldest beyond the cap."""
         self._jobs[job.key] = job
         self._terminal_order.append(job.key)
-        while len(self._terminal_order) > self.config.max_jobs_retained:
+        while len(self._terminal_order) > MAX_JOBS_RETAINED:
             victim = self._terminal_order.popleft()
             held = self._jobs.get(victim)
             if held is not None and held.terminal and held.subscribers == 0:
@@ -543,7 +544,7 @@ class SwapService:
     def _publish_milestone(self, job: Job, wire: dict) -> None:
         kind = wire["kind"]
         self._milestone_counts[kind] = self._milestone_counts.get(kind, 0) + 1
-        if len(job.events) >= self.config.max_events_per_job:
+        if len(job.events) >= MAX_EVENTS_PER_JOB:
             job.dropped_events += 1
             return
         self._publish(job, "milestone", wire)
@@ -645,8 +646,8 @@ class SwapService:
                 "mean_ms": (
                     sum(latencies) / len(latencies) * 1000 if latencies else None
                 ),
-                "p50_ms": _percentile(latencies, 0.50),
-                "p99_ms": _percentile(latencies, 0.99),
+                "p50_ms": _ms(nearest_rank(latencies, 0.50)),
+                "p99_ms": _ms(nearest_rank(latencies, 0.99)),
             },
             "store_entries": len(self.store),
         }
@@ -654,9 +655,15 @@ class SwapService:
         return doc
 
 
-def _percentile(sorted_seconds: list[float], q: float) -> float | None:
-    """Nearest-rank percentile of pre-sorted samples, in milliseconds."""
-    if not sorted_seconds:
+def nearest_rank(sorted_values: list[float], q: float) -> float | None:
+    """Nearest-rank ``q``-quantile (0..1) of pre-sorted samples; ``None``
+    when there are none.  The service's ``/v1/status`` latencies and
+    :func:`repro.serve.client.run_load` both read theirs through it."""
+    if not sorted_values:
         return None
-    rank = max(0, min(len(sorted_seconds) - 1, round(q * len(sorted_seconds)) - 1))
-    return sorted_seconds[rank] * 1000
+    rank = max(0, min(len(sorted_values) - 1, round(q * len(sorted_values)) - 1))
+    return sorted_values[rank]
+
+
+def _ms(seconds: float | None) -> float | None:
+    return None if seconds is None else seconds * 1000

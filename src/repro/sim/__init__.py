@@ -29,7 +29,6 @@ from repro.sim.timing import (
     TimingModel,
     UniformTiming,
     is_default_timing,
-    register_timing_kind,
     resolve_timing,
     timing_to_dict,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "TimingModel",
     "UniformTiming",
     "is_default_timing",
-    "register_timing_kind",
     "resolve_timing",
     "timing_to_dict",
     "DEFAULT_ACTION_FRACTION",

@@ -22,4 +22,4 @@ class Priority(IntEnum):
     """Party observations/reactions happen after chain effects."""
 
     CONTROL = 2
-    """Bookkeeping (horizon checks, trace flushes) runs last."""
+    """Bookkeeping runs last, after the tick's chain effects and reactions."""

@@ -106,10 +106,9 @@ class SimulationHarness:
         chain_delays: Mapping[str, int] | None = None,
         include_broadcast: bool = False,
         asset_values: Mapping[Arc, int] | None = None,
-        require_strongly_connected: bool = True,
         connectivity_message: str | None = None,
     ) -> None:
-        if require_strongly_connected and not is_strongly_connected(digraph):
+        if not is_strongly_connected(digraph):
             raise NotStronglyConnectedError(
                 connectivity_message
                 or "swap digraphs must be strongly connected (Theorem 3.5)"

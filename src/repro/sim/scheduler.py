@@ -100,11 +100,11 @@ class Scheduler:
             self._running = False
         return entry
 
-    def run(self, horizon: int | None = None, watch: Sized | None = None) -> int:
-        """Fire events in order until the queue drains or ``horizon`` passes.
+    def run(self, watch: Sized | None = None) -> int:
+        """Fire events in order until the queue drains.
 
-        Events scheduled exactly at ``horizon`` still fire.  Returns the
-        number of events fired.  New events may be scheduled while running.
+        Returns the number of events fired.  New events may be scheduled
+        while running.
 
         With ``watch`` given, also return right after the first event that
         changes ``len(watch)``, or once :data:`SLICE_EVENTS` events have
@@ -122,13 +122,10 @@ class Scheduler:
         try:
             while queue:
                 tick = queue[0][0]
-                if horizon is not None and tick > horizon:
-                    break
                 # Batched same-tick dispatch: advance the clock once,
-                # then drain every event at this tick without re-checking
-                # the horizon (same tick, already admitted).  An event
-                # fired here may schedule more work at this very tick —
-                # it gets a larger seq, heaps after the current entries,
+                # then drain every event at this tick.  An event fired
+                # here may schedule more work at this very tick — it
+                # gets a larger seq, heaps after the current entries,
                 # and is drained by this same inner loop, so the firing
                 # order is byte-identical to the one-pop-per-iteration
                 # loop (and to a step()-driven session).
@@ -142,8 +139,6 @@ class Scheduler:
                         len(watch) != mark or fired == SLICE_EVENTS
                     ):
                         return fired
-            if horizon is not None and clock.now < horizon and not queue:
-                clock.advance_to(horizon)
         finally:
             self._fired += fired
             self._running = False

@@ -378,27 +378,13 @@ class AdaptiveStragglerTiming(StragglerTiming):
         execution.intervene(self.at, turn_stragglers, once=True)
 
 
-#: kind -> model class; third parties may register their own.
+#: kind -> model class: the timing models a scenario can name.
 TIMING_KINDS: dict[str, type[TimingModel]] = {
     UniformTiming.kind: UniformTiming,
     JitteredTiming.kind: JitteredTiming,
     StragglerTiming.kind: StragglerTiming,
     AdaptiveStragglerTiming.kind: AdaptiveStragglerTiming,
 }
-
-
-def register_timing_kind(
-    model_class: type[TimingModel], replace: bool = False
-) -> type[TimingModel]:
-    """Add a :class:`TimingModel` subclass to the kind registry."""
-    if not model_class.kind:
-        raise TimingError(f"{model_class.__name__} has no kind")
-    if model_class.kind in TIMING_KINDS and not replace:
-        raise TimingError(
-            f"timing kind {model_class.kind!r} is already registered"
-        )
-    TIMING_KINDS[model_class.kind] = model_class
-    return model_class
 
 
 def resolve_timing(spec: Any) -> TimingModel:

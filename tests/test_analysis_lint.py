@@ -25,7 +25,6 @@ from repro.analysis.rules import (
     BUILTIN_RULES,
     DeterminismRule,
     MilestoneLiteralRule,
-    ServeThreadSafetyRule,
     WireSchemaRule,
 )
 from repro.errors import LintError
@@ -38,11 +37,6 @@ SEEDED = {
     "wall_clock.py": ("repro.digraph.fixture", "determinism", 2),
     "set_iteration.py": ("repro.lab.store.fixture", "determinism", 4),
     "trace_nondeterminism.py": ("repro.sim.trace.fixture", "determinism", 4),
-    "thread_unsafe_drive.py": (
-        "repro.serve.fixture",
-        "serve-thread-safety",
-        3,
-    ),
     "milestone_literal.py": ("repro.lab.fixture", "milestone-literals", 2),
     "wire_schema_drift.py": ("repro.serve.events", "wire-schema", 5),
 }
@@ -104,13 +98,11 @@ class TestFramework:
     def test_rule_registry_is_complete(self):
         assert {r.name for r in default_rules()} == {
             "determinism",
-            "serve-thread-safety",
             "milestone-literals",
             "wire-schema",
         }
         assert BUILTIN_RULES == (
             DeterminismRule,
-            ServeThreadSafetyRule,
             MilestoneLiteralRule,
             WireSchemaRule,
         )

@@ -5,10 +5,14 @@
   would queue jobs that never run.  Both (and a sub-token burst under a
   live rate limit, and a negative run deadline) raise ``ServeError``;
   ``repro serve`` and ``serve-bench`` print ``error: ...`` and exit 1.
-* ``run_sweep``: ``max_workers`` and ``chunksize`` below 1 raise
-  ``EngineError`` instead of a ``ProcessPoolExecutor`` traceback (or a
-  silent "auto" for ``max_workers=0``); ``lab run --workers`` reports it
-  like every other CLI error.
+* ``run_sweep``: ``max_workers`` below 1 raises ``EngineError``
+  instead of a ``ProcessPoolExecutor`` traceback (or a silent "auto"
+  for ``max_workers=0``); ``lab run --workers`` reports it like every
+  other CLI error.
+* ``lab run`` / ``lab check --grid``: a family param its ``build``
+  cannot use (``n=abc``) raises ``LabError`` naming the family and its
+  params, so both commands print ``error: ...`` and exit 1 instead of a
+  traceback.
 """
 
 from __future__ import annotations
@@ -101,7 +105,6 @@ class TestRunSweepWorkers:
         [
             ({"max_workers": 0}, "max_workers"),
             ({"max_workers": -2}, "max_workers"),
-            ({"chunksize": 0}, "chunksize"),
         ],
     )
     @pytest.mark.parametrize("parallel", [True, False])
@@ -110,7 +113,7 @@ class TestRunSweepWorkers:
             run_sweep(_sweep(), parallel=parallel, **kwargs)
 
     def test_accepts_one(self):
-        report = run_sweep(_sweep(), max_workers=1, chunksize=1)
+        report = run_sweep(_sweep(), max_workers=1)
         assert len(report.reports) == 2
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
@@ -122,6 +125,22 @@ class TestRunSweepWorkers:
         assert code == 1
         err = capsys.readouterr().err
         assert err == f"error: max_workers must be >= 1, got {workers}\n"
+
+
+class TestFamilyParams:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["lab", "run", "--serial", "--store", ":memory:"],
+            ["lab", "check"],
+        ],
+    )
+    def test_unbuildable_param_reports_error_and_exits_1(self, command, capsys):
+        code = main([*command, "--family", "cycle", "--grid", "n=abc"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: family 'cycle' cannot build params ")
+        assert "'n': 'abc'" in err
 
 
 class TestServeBenchInputs:

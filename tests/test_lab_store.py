@@ -26,7 +26,14 @@ from repro.digraph.digraph import Digraph
 from repro.digraph.generators import cycle_digraph, triangle, two_leader_triangle
 from repro.errors import StoreError
 from repro.lab.analytics import collect_facts, stats_payload
-from repro.lab.store import SqliteStore, open_store, read_jsonl, write_jsonl
+from repro.fleet.coordinator import FleetCoordinator
+from repro.lab.store import (
+    BUSY_TIMEOUT_MS,
+    SqliteStore,
+    open_store,
+    read_jsonl,
+    write_jsonl,
+)
 
 ENTRY = {"ok": False, "engine": "x", "scenario": {"name": "s"},
          "error_type": "E", "message": "m"}
@@ -363,9 +370,12 @@ class TestWalConcurrency:
         reopened.close()
 
     def test_busy_timeout_is_set(self, tmp_path):
-        store = SqliteStore(tmp_path / "runs.sqlite", busy_timeout_ms=1234)
-        assert store._db.execute("PRAGMA busy_timeout").fetchone()[0] == 1234
-        store.close()
+        """Both run-store writers wait out a lock for the one constant."""
+        busy = "PRAGMA busy_timeout"
+        with SqliteStore(tmp_path / "runs.sqlite") as store:
+            assert store._db.execute(busy).fetchone()[0] == BUSY_TIMEOUT_MS
+        with FleetCoordinator(tmp_path / "fleet.sqlite") as coordinator:
+            assert coordinator._db.execute(busy).fetchone()[0] == BUSY_TIMEOUT_MS
 
     def test_concurrent_writer_and_readers(self, tmp_path):
         """A committing writer and same-time readers never see
@@ -524,9 +534,7 @@ class TestOutOfOrderPersistence:
         crash_after = 3
         store = CrashingStore(crash_after, unblock)
         with pytest.raises(SimulatedCrash):
-            run_sweep(
-                sweep, parallel=True, max_workers=2, chunksize=1, store=store
-            )
+            run_sweep(sweep, parallel=True, max_workers=2, store=store)
 
         # Every run completed before the crash was already persisted...
         assert len(store) >= crash_after
@@ -556,9 +564,7 @@ class TestOutOfOrderPersistence:
         monkeypatch.setattr(sweep_mod, "execute_chunk", stall_first_item)
         crashing = CrashingStore(3, unblock)
         with pytest.raises(SimulatedCrash):
-            run_sweep(
-                sweep, parallel=True, max_workers=2, chunksize=1, store=crashing
-            )
+            run_sweep(sweep, parallel=True, max_workers=2, store=crashing)
 
         # Resume into a fresh store seeded with what survived the crash.
         survivor = SqliteStore(":memory:")

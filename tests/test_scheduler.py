@@ -82,6 +82,12 @@ class TestSchedulerOrdering:
         scheduler.run()
         assert times == [15]
 
+    def test_run_returns_count(self):
+        scheduler = Scheduler()
+        for i in range(4):
+            scheduler.at(i, lambda: None)
+        assert scheduler.run() == 4
+
 
 class TestSchedulerGuards:
     def test_no_scheduling_in_past(self):
@@ -222,43 +228,6 @@ class TestSameTickScheduling:
         scheduler.run()
         # The spawned event has a later seq than everything pre-queued.
         assert fired == ["first", "third", "spawned"]
-
-
-class TestHorizon:
-    def test_horizon_stops(self):
-        scheduler = Scheduler()
-        fired = []
-        scheduler.at(10, lambda: fired.append(10))
-        scheduler.at(30, lambda: fired.append(30))
-        scheduler.run(horizon=20)
-        assert fired == [10]
-        assert scheduler.pending() == 1
-
-    def test_events_at_horizon_fire(self):
-        scheduler = Scheduler()
-        fired = []
-        scheduler.at(20, lambda: fired.append(20))
-        scheduler.run(horizon=20)
-        assert fired == [20]
-
-    def test_clock_advances_to_horizon_when_idle(self):
-        scheduler = Scheduler()
-        scheduler.run(horizon=50)
-        assert scheduler.now == 50
-
-    def test_resume_after_horizon(self):
-        scheduler = Scheduler()
-        fired = []
-        scheduler.at(30, lambda: fired.append(30))
-        scheduler.run(horizon=20)
-        scheduler.run()
-        assert fired == [30]
-
-    def test_run_returns_count(self):
-        scheduler = Scheduler()
-        for i in range(4):
-            scheduler.at(i, lambda: None)
-        assert scheduler.run() == 4
 
 
 class TestWatchedRun:

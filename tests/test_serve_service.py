@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+import repro.serve.service as service_mod
 from repro.api.engine import get_engine
 from repro.api.scenario import Scenario
 from repro.api.sweep import run_sweep
@@ -362,9 +363,11 @@ class TestEventStream:
 
         asyncio.run(run())
 
-    def test_event_cap_drops_milestones_never_terminals(self):
+    def test_event_cap_drops_milestones_never_terminals(self, monkeypatch):
+        monkeypatch.setattr(service_mod, "MAX_EVENTS_PER_JOB", 2)
+
         async def run():
-            service = await started(no_rate(max_events_per_job=2))
+            service = await started()
             key = service.submit(scenario()).key
             job = await service.wait(key, timeout=30)
             kinds = [event["event"] for event in job.events]

@@ -49,7 +49,7 @@ class TestPolicy:
     def test_rollback_journal_keeps_full(self):
         # "" opens a private temporary database, which refuses WAL the
         # way some network mounts do: NORMAL would risk corruption.
-        db, mode = connect_runs("", 5000)
+        db, mode = connect_runs("")
         try:
             assert mode == "delete"
             assert pragmas(db) == (FULL, "delete")
