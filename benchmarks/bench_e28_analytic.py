@@ -5,8 +5,9 @@ scenario the analyzer certifies with ``coverage="full"`` (uniform
 timing, no faults, no deviating strategies), the entire ``RunReport``
 is computable in closed form — Fig. 3 end states and the §4.1 deadline
 ladder from :mod:`repro.analysis.predict`, transcript bytes and the
-event census from :mod:`repro.analysis.engine` — and the ``analytic``
-engine synthesizes it **byte-identical** to the ``herlihy`` simulation
+event census from :mod:`repro.analysis.engine` — and ``resolve_report``
+with ``fast_path`` on synthesizes it **byte-identical** to the
+``herlihy`` simulation
 (same run keys, same ``to_dict()`` output, modulo the ``wall_seconds``
 measurement and the ``extra["path"]`` provenance stamp).
 
@@ -38,7 +39,7 @@ from random import Random
 
 from _tables import emit_bench_json, emit_table
 
-from repro.analysis.engine import PATH_ANALYTIC, PATH_KEY
+from repro.analysis.engine import PATH_ANALYTIC, PATH_KEY, resolve_report
 from repro.api import Scenario, get_engine
 from repro.digraph.generators import complete_digraph, random_strongly_connected
 
@@ -79,7 +80,6 @@ def e22_baseline_wall_ms():
 
 
 def measure():
-    analytic = get_engine("analytic")
     herlihy = get_engine("herlihy")
     rows, agg, sim_reports = [], {}, []
     baseline = e22_baseline_wall_ms()
@@ -106,14 +106,14 @@ def measure():
 
         # Parity first (also warms the shape memo): the analytic report
         # must be byte-identical to its own simulation.
-        synthesized = analytic.run(scn(0))
+        synthesized = resolve_report("herlihy", scn(0), fast_path=True)
         assert synthesized.extra[PATH_KEY] == PATH_ANALYTIC, label
         assert comparable(synthesized) == comparable(simulated), label
 
         # Steady state: a seed grid over the warmed shape.
         begin = time.perf_counter()
         for seed in SEED_GRID:
-            report = analytic.run(scn(seed))
+            report = resolve_report("herlihy", scn(seed), fast_path=True)
             assert report.extra[PATH_KEY] == PATH_ANALYTIC, label
         fast_ms = (time.perf_counter() - begin) * 1000 / len(SEED_GRID)
 

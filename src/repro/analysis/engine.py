@@ -1,4 +1,4 @@
-"""The analytic fast-path engine: closed-form ``RunReport`` synthesis.
+"""The analytic fast path: closed-form ``RunReport`` synthesis for ``herlihy``.
 
 E22 measures ~10-30 ms of pure-python event dispatch per warm
 ``herlihy`` run — yet for conforming scenarios every quantity in the
@@ -14,8 +14,11 @@ event, and falls back to the real
 cannot certify the scenario (``coverage="verdict"``/``"none"``) or the
 replay refuses.  That decision is written once, in
 :func:`resolve_report` (with :func:`synthesize_run` as its closed-form
-half): the ``analytic`` engine, sweeps, the fleet worker, the swap
-service and ``lab check --verify --fast-path`` all call it.
+half): sweeps, the fleet worker, the swap service and ``lab check
+--verify --fast-path`` all call it.  The fast path is not an engine of
+its own: a front end asks for it with ``fast_path=True`` and a
+``herlihy`` run, and gets the report ``herlihy`` would have produced,
+under the same run key.
 
 Three report fields are not in :class:`~repro.analysis.predict.
 Prediction` and are reconstructed here by **transcript synthesis** —
@@ -70,8 +73,9 @@ the conforming cascade that mirrors the simulator's same-tick ordering
 rule, and synthesis only reads what that replay recorded.
 
 Parity is CI-gated: ``tests/test_analysis_engine.py`` sweeps every
-registered family and every conforming variant, asserting
-``analytic``-vs-``herlihy`` byte equality of ``to_dict()`` modulo the
+registered family and every conforming variant, asserting byte
+equality of ``to_dict()`` between :func:`resolve_report` with
+``fast_path`` on and the ``herlihy`` simulator, modulo the
 two declared non-deterministic fields (``wall_seconds`` and the
 ``extra["path"]`` provenance stamp, which is excluded from run-key
 hashing so warm stores stay warm).
@@ -92,8 +96,7 @@ from repro.analysis.protocol import (
     analyze_scenario,
     coverage_ceiling,
 )
-from repro.api.engine import Engine, get_engine, register_engine
-from repro.api.execution import Execution, PreparedSimulation
+from repro.api.engine import get_engine
 from repro.api.report import RunReport
 from repro.api.scenario import Scenario
 from repro.chain.assets import Asset
@@ -137,11 +140,10 @@ def fast_path_eligible(analysis: ScenarioAnalysis) -> bool:
 
 def analyze_for_fast_path(scenario: Scenario, engine: str) -> ScenarioAnalysis | None:
     """The analysis gating the fast path, or ``None`` when the closed
-    form can never answer: ``engine`` is not the one it reproduces
-    (non-``herlihy`` engines always simulate), or the scenario's run
-    model is outside it (:func:`~repro.analysis.protocol.coverage_ceiling`
-    below ``full``: non-default timing, strategies, crashes, broadcast).
-    Both are cheaper to test than analyzing what we cannot use.
+    form can never answer: :func:`~repro.analysis.protocol.coverage_ceiling`
+    is below ``full`` for ``engine`` (any engine but ``herlihy``,
+    non-default timing, strategies, crashes, broadcast).  That is cheaper
+    to test than analyzing what we cannot use.
 
     Memoized by scenario *shape* (:meth:`Scenario.shape_text`), so a
     seed grid over one topology analyzes once.  Callers must treat the
@@ -150,14 +152,12 @@ def analyze_for_fast_path(scenario: Scenario, engine: str) -> ScenarioAnalysis |
     same argument the report memo rests on.  Per-scenario diagnostics
     (``lab check``) must call :func:`analyze_scenario` directly.
     """
-    if engine not in (FALLBACK_ENGINE, AnalyticEngine.name):
-        return None
-    if coverage_ceiling(scenario, FALLBACK_ENGINE) != COVERAGE_FULL:
+    if coverage_ceiling(scenario, engine) != COVERAGE_FULL:
         return None
     key = scenario.shape_text()
     analysis = _lru_get(_ANALYSES, key)
     if analysis is None:
-        analysis = analyze_scenario(scenario, engine=FALLBACK_ENGINE)
+        analysis = analyze_scenario(scenario, engine=engine)
         _lru_put(_ANALYSES, key, analysis)
     return analysis
 
@@ -472,41 +472,3 @@ def resolve_report(engine_name: str, scenario: Scenario, fast_path: bool) -> Run
         report.extra[PATH_KEY] = PATH_SIMULATED
     return report
 
-
-# ---------------------------------------------------------------------------
-# the engine
-# ---------------------------------------------------------------------------
-
-
-class AnalyticEngine(Engine):
-    """The ``herlihy`` engine with the fast path always on.
-
-    ``run()`` is :func:`resolve_report` for ``herlihy`` with
-    ``fast_path`` set: the closed form when the analyzer fully covers
-    the scenario, the real simulation otherwise, with the provenance in
-    ``extra["path"]`` either way.  ``open()`` always returns a real
-    (simulated) execution session — stepping, probes, and interventions
-    have no closed form by definition.
-    """
-
-    name = "analytic"
-    description = "closed-form fast path (coverage=full), simulator fallback"
-
-    def prepare(self, scenario: Scenario) -> PreparedSimulation:
-        return get_engine(FALLBACK_ENGINE).prepare(scenario)
-
-    def open(self, scenario: Scenario) -> Execution:
-        # Sessions are simulated even on fully-covered scenarios, and
-        # carry the fallback engine's name so their reports stay
-        # byte-identical with the runs they reproduce.
-        return get_engine(FALLBACK_ENGINE).open(scenario)
-
-    def run(self, scenario: Scenario) -> RunReport:
-        return resolve_report(FALLBACK_ENGINE, scenario, fast_path=True)
-
-
-# Self-registration (rather than construction inside repro.api.engines)
-# keeps the import graph acyclic: this module imports repro.api.engine,
-# and repro.api.engines imports *this module* as its final statement —
-# whichever side is imported first, both finish executing exactly once.
-ANALYTIC: Engine = register_engine(AnalyticEngine())

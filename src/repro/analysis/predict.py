@@ -43,8 +43,8 @@ cascade (:func:`_replay`) yields every time in the profile:
 These formulas are cross-validated byte-for-byte against the full
 simulator over every strongly connected topology family in
 ``tests/test_analysis_parity.py`` (and in CI via ``lab check
---verify``) — that parity is the contract the analytic fast-path
-`Engine` (:mod:`repro.analysis.engine`) must match.
+--verify``) — that parity is the contract the closed-form fast path
+(:mod:`repro.analysis.engine`) must match.
 """
 
 from __future__ import annotations

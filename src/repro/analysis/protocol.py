@@ -27,8 +27,9 @@ characterise without executing it:
     not been validated against.  Verdict ``unsupported`` (or
     ``invalid`` when structural errors were found).
 
-The verdict table is the contract a future analytic fast-path `Engine`
-must match (ROADMAP: analytic engine).
+The closed-form fast path (:mod:`repro.analysis.engine`) answers only
+``coverage="full"`` scenarios, and must match the simulator byte for
+byte on every one of them.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ class ScenarioAnalysis:
 
 #: Engines that sign hashkeys with ``scenario.scheme_name``, and so
 #: refuse a scheme they cannot provision keys for.
-_SIGNING_ENGINES: frozenset[str] = frozenset({"herlihy", "analytic", "multiswap"})
+_SIGNING_ENGINES: frozenset[str] = frozenset({"herlihy", "multiswap"})
 
 
 def _engine_diagnostics(scenario: Scenario, engine: str) -> tuple[Diagnostic, ...]:

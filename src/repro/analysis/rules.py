@@ -53,7 +53,7 @@ class DeterminismRule(LintRule):
     ``repro.sim.trace`` is in every scope because the columnar trace
     buffer is the transcript of record: its rows become the milestone
     counts stored beside each run entry and the event census the
-    ``analytic`` engine must reproduce byte-for-byte, so any
+    closed-form fast path must reproduce byte-for-byte, so any
     nondeterminism here silently breaks analytic/simulated parity.
 
     ``repro.fleet`` is in the random and set-iteration scopes — its

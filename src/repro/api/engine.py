@@ -20,6 +20,12 @@ harness, the protocol start time, and the result classifier).  The
 pre-1.5 ``Engine.execute()`` one-shot hook — deprecated in 1.5.0 — is
 gone; the native result of a run is ``run(scenario).raw``.
 
+Only protocols are engines.  The closed-form answer for a fully covered
+``herlihy`` scenario is not a seventh one: front ends ask for it with
+``fast_path=True`` and get it from
+:func:`repro.analysis.engine.resolve_report`, under the same engine
+name and run key as the simulated ``herlihy`` run.
+
 Engines are looked up by name (:func:`get_engine`), so benchmarks and
 sweeps can treat protocols as interchangeable modules and iterate over
 :func:`list_engines`.  Lookup failures raise

@@ -34,6 +34,10 @@ raises :class:`repro.errors.ScenarioError` on anything it cannot express
 (unknown params, fault plans on baselines with no crash model, strategy
 names on engines with incompatible party classes) — a scenario that runs
 is a scenario that was fully honoured.
+
+The registry holds these six and nothing else.  The closed-form fast
+path (:mod:`repro.analysis.engine`) answers ``herlihy`` runs when a
+front end passes ``fast_path=True``; it is not an engine.
 """
 
 from __future__ import annotations
@@ -284,12 +288,3 @@ ENGINES: tuple[Engine, ...] = tuple(
         TwoPhaseCommitEngine(),
     )
 )
-
-# The seventh engine — the closed-form fast path over the `herlihy`
-# model — lives in repro.analysis.engine (it is built from the static
-# verifier, not from a harness assembly) and registers itself when its
-# module executes.  Importing it last keeps the graph acyclic: that
-# module imports repro.api.engine/execution/report, all loaded by now.
-import repro.analysis.engine as _analytic  # noqa: E402  (deliberate tail import)
-
-ENGINES = ENGINES + (_analytic.ANALYTIC,)

@@ -384,7 +384,7 @@ class Scenario:
     def shape_text(self) -> str:
         """:meth:`canonical_text` with the seed masked out, cached the same way.
 
-        The key of the analytic engine's shape memo
+        The key of the fast path's shape memos
         (:mod:`repro.analysis.engine`): the seed only varies the leader
         secrets, so every seed of one shape shares its analysis and
         report template.

@@ -5,8 +5,8 @@ Subcommands::
     lab run       expand a workload (preset or --family) and execute it
                   through the content-addressed store; warm re-runs
                   execute zero engines; --fast-path answers fully-
-                  covered scenarios from the closed-form analytic
-                  engine without simulating; --fleet N drains the
+                  covered herlihy scenarios in closed form without
+                  simulating; --fleet N drains the
                   workload with N local worker processes coordinated
                   by the claim/lease protocol (repro.fleet) instead of
                   the in-process pool
@@ -947,8 +947,8 @@ COMMANDS: tuple[Command, ...] = (
         ),
         _arg(
             "--fast-path", action="store_true",
-            help="answer fully-covered scenarios from the closed-form "
-                 "analytic engine (byte-identical reports, no simulation); "
+            help="answer fully-covered herlihy scenarios in closed form "
+                 "(byte-identical reports, no simulation); "
                  "the residue still runs through the workers",
         ),
         _arg("--serial", action="store_true", help="skip the process pool"),
@@ -1066,8 +1066,8 @@ COMMANDS: tuple[Command, ...] = (
             ),
             _arg(
                 "--fast-path", action="store_true",
-                help="answer fully-covered scenarios from the closed-form "
-                     "analytic engine (same semantics as `lab run "
+                help="answer fully-covered herlihy scenarios in closed "
+                     "form (same semantics as `lab run "
                      "--fast-path`)",
             ),
             _arg(

@@ -1,9 +1,10 @@
-"""The analytic fast-path engine and the plumbing it rides on.
+"""The analytic fast path and the plumbing it rides on.
 
 The acceptance bar for :mod:`repro.analysis.engine`: for every scenario
-the analyzer certifies with ``coverage="full"``, the ``analytic`` engine
-must produce the **byte-identical** ``RunReport.to_dict()`` the
-``herlihy`` simulator produces — same run keys, same serialized bytes —
+the analyzer certifies with ``coverage="full"``, ``resolve_report`` with
+``fast_path`` on must produce the **byte-identical**
+``RunReport.to_dict()`` the ``herlihy`` simulator produces — same run
+keys, same serialized bytes —
 modulo exactly two declared non-deterministic fields (``wall_seconds``
 and the ``extra["path"]`` provenance stamp).  For everything else it
 must *refuse* the closed form and fall back to the real simulation.
@@ -27,6 +28,7 @@ from repro.analysis.engine import (
     PATH_SIMULATED,
     analyze_for_fast_path,
     fast_path_eligible,
+    resolve_report,
     synthesize_report,
 )
 from repro.analysis.protocol import COVERAGE_FULL, analyze_scenario
@@ -62,7 +64,7 @@ def comparable(report) -> dict:
 
 
 def assert_byte_parity(scenario: Scenario) -> None:
-    analytic = get_engine("analytic").run(scenario)
+    analytic = resolve_report("herlihy", scenario, fast_path=True)
     simulated = get_engine("herlihy").run(scenario)
     assert analytic.extra[PATH_KEY] == PATH_ANALYTIC
     assert comparable(analytic) == comparable(simulated)
@@ -155,7 +157,7 @@ class TestFallback:
     @pytest.mark.parametrize("timing", ["jittered", "stragglers"])
     def test_nondefault_timing_simulates(self, timing):
         scenario = Scenario(cycle_digraph(4), seed=3, timing=timing)
-        report = get_engine("analytic").run(scenario)
+        report = resolve_report("herlihy", scenario, fast_path=True)
         assert report.extra[PATH_KEY] == PATH_SIMULATED
         # ... and the fallback is byte-identical to herlihy directly.
         assert comparable(report) == comparable(get_engine("herlihy").run(scenario))
@@ -164,7 +166,7 @@ class TestFallback:
         scenario = Scenario(
             triangle(), faults=FaultPlan(crashes={"Carol": Crash(at_time=50)})
         )
-        report = get_engine("analytic").run(scenario)
+        report = resolve_report("herlihy", scenario, fast_path=True)
         assert report.extra[PATH_KEY] == PATH_SIMULATED
 
     def test_phase_crash_simulates(self):
@@ -172,41 +174,31 @@ class TestFallback:
             triangle(),
             faults=FaultPlan().crash("Carol", at_point=CrashPoint.BEFORE_PHASE_TWO),
         )
-        report = get_engine("analytic").run(scenario)
+        report = resolve_report("herlihy", scenario, fast_path=True)
         assert report.extra[PATH_KEY] == PATH_SIMULATED
         assert not report.all_deal()
 
     def test_deviating_strategy_simulates(self):
         scenario = Scenario(triangle(), strategies={"Carol": "last-moment-unlock"})
-        report = get_engine("analytic").run(scenario)
+        report = resolve_report("herlihy", scenario, fast_path=True)
         assert report.extra[PATH_KEY] == PATH_SIMULATED
 
     def test_infeasible_deadlines_simulate(self):
         scenario = Scenario(
             triangle(), delta=50, reaction_fraction=0.4, action_fraction=0.5
         )
-        report = get_engine("analytic").run(scenario)
+        report = resolve_report("herlihy", scenario, fast_path=True)
         assert report.extra[PATH_KEY] == PATH_SIMULATED
         assert not report.all_deal()
-
-    def test_open_is_always_a_real_session(self):
-        # Stepping/probes have no closed form: open() must simulate even
-        # on a fully covered scenario, and still match the one-shot run.
-        scenario = Scenario(triangle())
-        execution = get_engine("analytic").open(scenario)
-        report = execution.run_to_completion()
-        simulated = get_engine("herlihy").run(scenario)
-        assert comparable(report) == comparable(simulated)
 
     def test_gate_rejects_other_engines(self):
         # Non-herlihy engines always simulate; we do not even analyze.
         assert analyze_for_fast_path(Scenario(triangle()), "2pc") is None
         assert analyze_for_fast_path(Scenario(triangle()), "multiswap") is None
 
-    def test_gate_accepts_both_fast_path_spellings(self):
-        for engine in ("herlihy", "analytic"):
-            analysis = analyze_for_fast_path(Scenario(triangle()), engine)
-            assert analysis is not None and fast_path_eligible(analysis)
+    def test_gate_accepts_herlihy(self):
+        analysis = analyze_for_fast_path(Scenario(triangle()), "herlihy")
+        assert analysis is not None and fast_path_eligible(analysis)
 
     def test_eligibility_requires_full_coverage(self):
         analysis = analyze_scenario(Scenario(triangle(), timing="jittered"))
@@ -363,13 +355,6 @@ class TestSweepFastPath:
             assert [comparable(r) for r in first.reports] == [
                 comparable(r) for r in second.reports
             ]
-
-    def test_analytic_engine_rides_the_fast_path_too(self):
-        sweep = Sweep("fp").add(
-            "analytic", Scenario(triangle(), name="fp:analytic", seed=1)
-        )
-        report = run_sweep(sweep, parallel=False, fast_path=True)
-        assert report.analytic == 1 and report.executed == 0
 
 
 # ---------------------------------------------------------------------------

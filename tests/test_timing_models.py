@@ -260,11 +260,7 @@ class TestEnginesHonourTiming:
     def test_every_engine_runs_every_model(self, engine_name, timing):
         scenario = Scenario(topology=cycle_digraph(4), seed=3, timing=timing)
         report = get_engine(engine_name).run(scenario)
-        # The analytic engine is a fast path *over* herlihy: its reports
-        # are byte-identical to herlihy's (including the engine label),
-        # whether synthesised or delegated to the simulator.
-        expected = "herlihy" if engine_name == "analytic" else engine_name
-        assert report.engine == expected
+        assert report.engine == engine_name
         assert report.scenario.timing["kind"] == timing
 
     @pytest.mark.parametrize("engine_name", list_engines())
