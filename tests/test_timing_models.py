@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import Scenario, get_engine, list_engines
-from repro.api.sweep import run_key, smoke_sweep
+from repro.api.sweep import derive_seed, run_key, smoke_sweep
 from repro.core.protocol import SwapConfig, run_swap
 from repro.digraph.generators import cycle_digraph, triangle, wheel_digraph
 from repro.errors import (
@@ -222,22 +222,28 @@ class TestSmokeKeysPinned:
     """The entire smoke grid's run keys, pinned.
 
     The smoke grid enumerates every *registered* engine, so the pins
-    move exactly once per deliberate registry growth: re-pinned when
-    the ``analytic`` engine joined (index ``#N`` in the scenario name
-    is the grid enumeration position, so every label after ``2pc``
-    shifted by two).  A scenario whose name is unchanged must keep its
-    historical key — ``test_uniform_run_key_unchanged_by_session_fields``
-    in ``test_execution.py`` guards that invariant independently.
+    move exactly once per deliberate registry change (index ``#N`` in
+    the scenario name is the grid enumeration position, and it feeds
+    the seed).  Re-pinned when the ``analytic`` engine joined (every
+    label after ``2pc`` shifted by two) and again when it was retired
+    (every label after ``2pc`` shifted back by two).  A scenario whose
+    name is unchanged must keep its historical key —
+    ``test_uniform_run_key_unchanged_by_session_fields`` in
+    ``test_execution.py`` guards that invariant independently.
     """
 
-    PINNED = {
+    #: Never re-pinned: ``2pc`` sorts first, so its index never moved.
+    HISTORICAL = {
         "2pc:smoke:2pc:tri#0": "83eefa04cf2cea75bade24795414725fda016635c875338e684a57f7be54d549",
-        "analytic:smoke:analytic:tri#2": "b8b91ddfff868b469705d422aa146148e9e9fafbbe53479f76ee1af49d8c5d7c",
-        "herlihy:smoke:herlihy:tri#4": "21633327fb6bf525143d79a1d0b44a66fcfd9099094c36c7d814c5245108845f",
-        "multiswap:smoke:multiswap:c4#7": "ceef6af03c4c8b59b1260e2240c13f48c028964b0212bf66956eda4985ab76af",
-        "naive-timelock:smoke:naive-timelock:tri#8": "50b845f5bb9cb258f0ed8cda34473db6d874f6f35b3b15a42f816f13b698454a",
-        "sequential-trust:smoke:sequential-trust:c4#11": "f4a0904b5b15c8c4e5cfb74defeb78bcb5a3f84963a2daf68d75613d65edfd49",
-        "single-leader:smoke:single-leader:tri#12": "a9f670bed719ec604657400e106630d0068a781f2e7fbc9c9b3cbf0a972befe7",
+    }
+
+    PINNED = {
+        **HISTORICAL,
+        "herlihy:smoke:herlihy:tri#2": "4450c1f9caea43ae415f6edf6d3b23b35ead1786faea79a052943f28c0d548fc",
+        "multiswap:smoke:multiswap:c4#5": "78c8920230a4ec094b494d0c12ad7238b3d7af26a4bb835d18712519ea088028",
+        "naive-timelock:smoke:naive-timelock:tri#6": "d66deb0ea9228e7a04186a98cfc496285838afed0a1ee82fb12b5298670fb369",
+        "sequential-trust:smoke:sequential-trust:c4#9": "cdd0a68453c61316136f0b8cdf59895cda2129d4ffdaf1bf2a9e4b1433d2652e",
+        "single-leader:smoke:single-leader:tri#10": "50830cd3bd2d12644d9f6b973dbbb69ac650650716f1565a27c0ca27fbd9b893",
     }
 
     def test_smoke_sweep_keys_unchanged(self):
@@ -247,6 +253,22 @@ class TestSmokeKeysPinned:
         }
         for label, pinned in self.PINNED.items():
             assert keys[label] == pinned, label
+
+    def test_pins_are_index_shifts_only(self):
+        # Each pin is the key of its engine and topology at its grid
+        # index, built here without the grid: a re-pin moved the index
+        # (and so the derived seed), never the key recipe.
+        topologies = {"tri": triangle(), "c4": cycle_digraph(4)}
+        base_seed = smoke_sweep().base_seed
+        for label, pinned in self.PINNED.items():
+            engine, name = label.split(":", 1)
+            topology, index = name.rsplit(":", 1)[1].split("#")
+            scenario = Scenario(
+                topology=topologies[topology],
+                name=name,
+                seed=derive_seed(base_seed, engine, int(index)),
+            )
+            assert run_key(engine, scenario) == pinned, label
 
 
 # ---------------------------------------------------------------------------
