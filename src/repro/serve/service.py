@@ -29,7 +29,10 @@ slot.  Settled and failed runs are recorded through
 :func:`~repro.api.sweep.failure_entry`, the ``run_sweep`` entry format,
 so a store warmed by the daemon warms ``lab`` sweeps and vice versa.
 Aborted runs are *never* recorded — a partial report must not poison
-the cache.
+the cache — and neither is a job failed by an exception that is not a
+:class:`~repro.errors.ReproError` (an engine bug, which
+``execute_payload`` lets escape); a later submission of either key runs
+afresh.
 
 Concurrency model: the service lives on one asyncio event loop and
 there is no drive thread.  Each worker slot is a task on that loop that
@@ -321,8 +324,11 @@ class SwapService:
             live.coalesced += 1
             self._counters["coalesced"] += 1
             return SubmitResult("coalesced", key, live, self._queue.qsize())
-        if live is not None and live.terminal:
-            # A retained terminal job is the cache in memory.
+        if live is not None and live.status == "settled":
+            # A retained settled job is the cache in memory: every
+            # settled entry was recorded.  A failed or aborted one falls
+            # through to the store, which holds a failure only if it was
+            # recorded and never holds an aborted run.
             self._counters["cache_hits"] += 1
             return SubmitResult("cached", key, live, self._queue.qsize())
 
@@ -474,9 +480,13 @@ class SwapService:
                     entry, outcome = ended
                     break
                 await asyncio.sleep(0)
-        except Exception as error:  # engine bug: report, don't kill the worker
+            recorded = True
+        except ReproError as error:  # refused by open(), as run_sweep records it
             entry = failure_entry(job.engine, job.scenario.to_dict(), error)
-            outcome = "failed"
+            outcome, recorded = "failed", True
+        except Exception as error:  # engine bug: fail the job, keep the worker
+            entry = failure_entry(job.engine, job.scenario.to_dict(), error)
+            outcome, recorded = "failed", False
         job.settled_at = time.monotonic()
         self._counters[outcome] += 1
         if outcome == "aborted":
@@ -484,11 +494,13 @@ class SwapService:
             job.entry, job.status = entry, outcome
             self._publish(job, "aborted", {"reason": job.abort_reason or "evicted"})
         else:
-            # Failures are cacheable knowledge, exactly as in run_sweep.
+            # Failures are cacheable knowledge, exactly as in run_sweep;
+            # a bug's exception is not, as execute_payload lets it escape.
             self._counters["executed"] += 1
             if outcome == "settled":
                 self._latencies.append(job.settled_at - job.submitted_at)
-            self._record(job.key, entry)
+            if recorded:
+                self._record(job.key, entry)
             self._settle(job, entry, {"cached": False})
         self._remember(job)
 

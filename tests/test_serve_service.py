@@ -16,7 +16,7 @@ from repro.api.engine import get_engine
 from repro.api.scenario import Scenario
 from repro.api.sweep import run_sweep
 from repro.digraph.generators import triangle, two_leader_triangle
-from repro.errors import AdmissionError, ReproError, ServeError, WireError
+from repro.errors import AdmissionError, ReproError, ScenarioError, ServeError, WireError
 from repro.lab.store import SqliteStore
 from repro.lab.workloads import Workload, build_sweep
 from repro.serve.events import check_envelope, milestone_to_wire
@@ -302,6 +302,84 @@ class TestAbort:
             service = await started()
             with pytest.raises(ServeError, match="no such job"):
                 service.abort("feedface")
+            await service.stop()
+
+        asyncio.run(run())
+
+
+class TestUnrecordedOutcomes:
+    """No cache answer for an outcome the store never recorded."""
+
+    def test_resubmission_after_a_deadline_abort_runs_afresh(self):
+        async def run():
+            service = await started(no_rate(max_run_seconds=0.0))
+            key = service.submit(scenario()).key
+            assert (await service.wait(key, timeout=30)).status == "aborted"
+            service.config.max_run_seconds = None
+            again = service.submit(scenario())
+            assert again.status == "accepted"
+            job = await service.wait(key, timeout=30)
+            assert job is again.job and job.status == "settled"
+            assert service._counters["cache_hits"] == 0
+            assert service.store.get(key)["ok"] is True
+            await service.stop()
+
+        asyncio.run(run())
+
+    def test_resubmission_after_a_queued_abort_runs_afresh(self):
+        async def run():
+            service = await started()
+            key = service.submit(scenario()).key
+            service.abort(key)
+            assert (await service.wait(key, timeout=30)).status == "aborted"
+            again = service.submit(scenario())
+            assert again.status == "accepted"
+            assert (await service.wait(key, timeout=30)).status == "settled"
+            assert service._counters["cache_hits"] == 0
+            await service.stop()
+
+        asyncio.run(run())
+
+    def test_engine_bug_fails_the_job_but_is_not_stored(self, monkeypatch):
+        engine_class = type(get_engine("herlihy"))
+
+        def bug(self, scenario):
+            raise RuntimeError("engine bug")
+
+        async def run():
+            service = await started(no_rate(max_concurrency=1))
+            with monkeypatch.context() as patch:
+                patch.setattr(engine_class, "prepare", bug)
+                key = service.submit(scenario()).key
+                job = await service.wait(key, timeout=30)
+            assert job.status == "failed"
+            assert job.entry["error_type"] == "RuntimeError"
+            assert service.store.get(key) is None
+            # The one worker slot survived, and the key runs afresh.
+            again = service.submit(scenario())
+            assert again.status == "accepted"
+            assert (await service.wait(key, timeout=30)).status == "settled"
+            assert service._counters["cache_hits"] == 0
+            await service.stop()
+
+        asyncio.run(run())
+
+    def test_refusal_at_open_stays_a_stored_failure(self, monkeypatch):
+        engine_class = type(get_engine("herlihy"))
+
+        def refuse(self, scenario):
+            raise ScenarioError("refused at prepare")
+
+        async def run():
+            service = await started()
+            with monkeypatch.context() as patch:
+                patch.setattr(engine_class, "prepare", refuse)
+                key = service.submit(scenario()).key
+                assert (await service.wait(key, timeout=30)).status == "failed"
+            assert service.store.get(key)["error_type"] == "ScenarioError"
+            again = service.submit(scenario())
+            assert again.status == "cached" and not again.job.entry["ok"]
+            assert service._counters["executed"] == 1
             await service.stop()
 
         asyncio.run(run())
