@@ -17,7 +17,6 @@ equality, since it cannot cross a process boundary.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -200,15 +199,3 @@ class RunReport:
             wall_seconds=data["wall_seconds"],
             extra=data.get("extra", {}),
         )
-
-
-class wall_clock:
-    """Tiny context manager: ``with wall_clock() as w: ...; w.seconds``."""
-
-    def __enter__(self) -> "wall_clock":
-        self._start = time.perf_counter()
-        self.seconds = 0.0
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.seconds = time.perf_counter() - self._start

@@ -344,9 +344,6 @@ class SweepReport:
             grouped.setdefault(report.engine, []).append(report)
         return grouped
 
-    def select(self, predicate: Callable[[RunReport], bool]) -> list[RunReport]:
-        return [r for r in self.reports if predicate(r)]
-
     def all_deal_rate(self, engine: str | None = None) -> float:
         pool = [r for r in self.reports if engine is None or r.engine == engine]
         if not pool:

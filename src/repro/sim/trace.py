@@ -100,15 +100,6 @@ class Trace:
             return [self._row(i) for i in range(len(self._times))]
         return [self._row(i) for i, k in enumerate(self._kinds) if k == kind]
 
-    def events_since(self, index: int) -> list[TraceEvent]:
-        """Events appended at or after position ``index``.
-
-        Cost proportional to the *new* events, so incremental consumers
-        stay linear overall; prefer :meth:`columns_since` where the
-        event objects themselves are not needed.
-        """
-        return [self._row(i) for i in range(index, len(self._times))]
-
     def columns_since(
         self, index: int
     ) -> tuple[Sequence[int], Sequence[str], Sequence[str], Sequence[dict[str, Any]]]:
