@@ -13,6 +13,10 @@
   cannot use (``n=abc``) raises ``LabError`` naming the family and its
   params, so both commands print ``error: ...`` and exit 1 instead of a
   traceback.
+* The retired ``analytic`` engine name: the closed form is the
+  ``fast_path`` tier of ``herlihy``, so ``Sweep().add("analytic", ...)``
+  raises ``UnknownEngineError`` and ``lab run`` / ``lab check --engine
+  analytic`` print ``error: ...`` naming the six engines and exit 1.
 """
 
 from __future__ import annotations
@@ -20,9 +24,9 @@ from __future__ import annotations
 import pytest
 
 from repro.__main__ import main
-from repro.api import Scenario, Sweep, run_sweep
+from repro.api import Scenario, Sweep, get_engine, list_engines, run_sweep
 from repro.digraph.generators import triangle
-from repro.errors import EngineError, ServeError
+from repro.errors import EngineError, ServeError, UnknownEngineError
 from repro.serve.service import ServiceConfig
 
 
@@ -158,3 +162,31 @@ class TestServeBenchInputs:
     def test_reports_error_and_exits_1(self, flags, message, capsys, no_daemon):
         assert main(["serve-bench", *flags]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+class TestRetiredAnalyticEngine:
+    ENGINES = "2pc, herlihy, multiswap, naive-timelock, sequential-trust, single-leader"
+
+    def test_registry_holds_the_six_protocols(self):
+        assert ", ".join(list_engines()) == self.ENGINES
+        with pytest.raises(UnknownEngineError):
+            get_engine("analytic")
+
+    def test_sweep_add_refuses_it(self):
+        with pytest.raises(UnknownEngineError, match="unknown engine 'analytic'"):
+            Sweep().add("analytic", Scenario(triangle()))
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["lab", "run", "--serial", "--store", ":memory:"],
+            ["lab", "check"],
+        ],
+    )
+    def test_lab_reports_error_and_exits_1(self, command, capsys):
+        code = main([*command, "--family", "cycle", "--grid", "n=3",
+                     "--engine", "analytic"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: unknown engine 'analytic'; registered engines: {self.ENGINES}\n"
+        )
