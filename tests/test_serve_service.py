@@ -16,7 +16,7 @@ from repro.api.engine import get_engine
 from repro.api.scenario import Scenario
 from repro.api.sweep import run_sweep
 from repro.digraph.generators import triangle, two_leader_triangle
-from repro.errors import AdmissionError, ReproError, ScenarioError, ServeError, WireError
+from repro.errors import AdmissionError, ReproError, ServeError, WireError
 from repro.lab.store import SqliteStore
 from repro.lab.workloads import Workload, build_sweep
 from repro.serve.events import check_envelope, milestone_to_wire
@@ -364,21 +364,16 @@ class TestUnrecordedOutcomes:
 
         asyncio.run(run())
 
-    def test_refusal_at_open_stays_a_stored_failure(self, monkeypatch):
-        engine_class = type(get_engine("herlihy"))
-
-        def refuse(self, scenario):
-            raise ScenarioError("refused at prepare")
+    def test_resubmitted_refusal_is_served_from_the_store(self):
+        refused = Scenario(topology=two_leader_triangle(), seed=7, name="serve-test:refused")
 
         async def run():
             service = await started()
-            with monkeypatch.context() as patch:
-                patch.setattr(engine_class, "prepare", refuse)
-                key = service.submit(scenario()).key
-                assert (await service.wait(key, timeout=30)).status == "failed"
-            assert service.store.get(key)["error_type"] == "ScenarioError"
-            again = service.submit(scenario())
+            key = service.submit(refused, engine="single-leader").key
+            assert (await service.wait(key, timeout=30)).status == "failed"
+            again = service.submit(refused, engine="single-leader")
             assert again.status == "cached" and not again.job.entry["ok"]
+            assert again.job.entry == service.store.get(key)
             assert service._counters["executed"] == 1
             await service.stop()
 
