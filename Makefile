@@ -4,7 +4,7 @@
 PY ?= python
 export PYTHONPATH := $(CURDIR)/src
 
-.PHONY: test smoke bench-smoke bench bench-floors lab-smoke lab-check fleet-smoke fleet-check serve serve-bench serve-check lint check parity
+.PHONY: test smoke bench-smoke bench bench-floors perf-pairs lab-smoke lab-check fleet-smoke fleet-check serve serve-bench serve-check lint check parity
 
 test:            ## full tier-1 suite
 	$(PY) -m pytest -x -q
@@ -35,6 +35,16 @@ bench:           ## the full figure-by-figure benchmark suite
 
 bench-floors:    ## the frozen floors of the committed BENCH_E*.json artifacts
 	$(PY) benchmarks/floors.py
+
+BASE ?= HEAD~1
+HEAD ?= HEAD
+WORKLOAD ?= fleet-drain
+N ?= 10
+SEED ?= 3
+
+perf-pairs:      ## N alternating perfbench runs of revisions BASE and HEAD on WORKLOAD
+	$(PY) benchmarks/perf_pairs.py --base $(BASE) --head $(HEAD) \
+	  --workload $(WORKLOAD) --n $(N) --seed $(SEED)
 
 lab-smoke:       ## the lab smoke preset through the run store
 	$(PY) -m repro lab run --preset smoke

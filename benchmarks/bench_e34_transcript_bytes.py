@@ -4,9 +4,10 @@ First-sight synthesis (``repro.analysis.engine._synthesize``) reproduces
 the conforming run's ``published_bytes`` and ``stored_bytes``.  The
 reference (``tests/transcript_reference.py``) builds all
 ``|A|·(|L| + 4)`` ledger records, one contract state view each, and
-encodes them in one pass; the new code encodes four records and one
-unlock skeleton per arc and derives the ``|L|`` unlocks from the
-skeleton.  This bench times one uncached synthesis per shape on the
+encodes them in one pass; the new code sizes every record with the
+chain layer's sizing functions, encoding one state view per arc (its
+contract's fixed members) and nothing else.  This bench times one
+uncached synthesis per shape on the
 four fully covered shapes ``perfbench``'s ``sweep-analytic`` workload
 sweeps, plus an 8-clique (``|L| = 7``), after their analysis has run
 (as on a first sight in a sweep).
@@ -110,8 +111,8 @@ def test_transcript_bytes_meet_their_floor():
         rows,
         notes=(
             "One uncached _synthesize per shape: every record built and "
-            "encoded (reference) vs four records and one unlock skeleton "
-            "per arc (new), equal reports.  Floor: >= "
+            "encoded (reference) vs every record sized by the chain layer's "
+            "functions (new), equal reports.  Floor: >= "
             f"{CLIQUE_FLOOR}x on {', '.join(FLOORED)}."
         ),
     )

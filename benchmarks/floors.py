@@ -151,6 +151,16 @@ def e36(results: Path) -> None:
     print(f"E36 floors ok: served-job write {job['speedup']}x")
 
 
+def e37(results: Path) -> None:
+    """Stored bytes: on fleet-drain's 96 simulated draws, a full-encode
+    pass after each run would cost >= 1.08x the shipped run, whose
+    running byte totals the bench checked against that pass first."""
+    agg = _load(results, "E37")["aggregates"]
+    assert agg["runs"] == 96 and agg["records"] > 0 and agg["record_bytes"] > 0, agg
+    assert agg["ratio"] >= 1.08, agg
+    print(f"E37 floors ok: full-encode / shipped {agg['ratio']}x")
+
+
 #: Experiment id -> its floor check, in experiment order.
 FLOORS: dict[str, Callable[[Path], None]] = {
     "E28": e28,
@@ -161,6 +171,7 @@ FLOORS: dict[str, Callable[[Path], None]] = {
     "E34": e34,
     "E35": e35,
     "E36": e36,
+    "E37": e37,
 }
 
 

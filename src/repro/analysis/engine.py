@@ -23,10 +23,11 @@ under the same run key.
 Three report fields are not in :class:`~repro.analysis.predict.
 Prediction` and are reconstructed here by **transcript synthesis** —
 taking every state view from a real
-:class:`~repro.core.contract.SwapContract` and every encoding from the
-ledger's encoder instead of re-deriving them as byte formulas (so any
-change to ``state_view()`` or the canonical record encoding is picked
-up automatically, not silently diverged from):
+:class:`~repro.core.contract.SwapContract` and every record size from
+the chain layer's own sizing functions instead of re-deriving them as
+byte formulas of its own (so any change to ``state_view()``, a record's
+shape or the canonical encoding is picked up automatically, not
+silently diverged from):
 
 ``published_bytes`` / ``stored_bytes``
     Per arc, the chain appends exactly ``asset_registered``,
@@ -35,27 +36,26 @@ up automatically, not silently diverged from):
     ``contract_call`` and one ``asset_transfer``.  Payload bytes are
     independent of tick values (no timestamps inside payloads), and
     every registered signature scheme has a fixed ``signature_size``.
-    Four records per arc are built for real — registration,
-    publication and claim carry state views of a real contract, and
-    the transfer — and one ``canonical_encoded_total`` pass counts
-    them.  A second pass counts one unlock *skeleton* per arc (lock 0,
-    a marked secret, empty path and signature lists, the
-    unlocked-nothing state), ``|L|`` times.  The ``|L|`` unlocks
-    follow from the skeleton, because compact sorted-key JSON
-    is compositional and their keys never change: the ``k``-th unlock
-    to land (lock ``i``, path ``p``) encodes to ``len(skeleton) +
-    (len(str(i)) - 1) + Σ_{w∈p} enc(w) + (|p| - 1) + |p|·enc(sig) +
-    (|p| - 1) - k``, where ``enc`` is the ledger's own encoded length
-    (so escaped and non-ASCII names count right), every secret has the
-    same width, and ``- k`` is the ``k`` flipped ``unlocked`` flags
-    (``true`` is a byte shorter than ``false``).  Secrets and the
-    placeholder signature are wrapped by
-    :func:`~repro.chain.ledger.bytes_marker`, which the ledger encodes
-    byte-identically to the raw ``bytes`` (the format stays the
-    ledger's).  Stored bytes add one 80-byte block header per record
-    (the ledger seals one record per block).
-    ``tests/test_transcript_bytes.py`` holds the count to the full
-    record list (``tests/transcript_reference.py``) and the simulator.
+    Each record is sized by the function the simulator's
+    :class:`~repro.chain.blockchain.Blockchain` sizes it with
+    (:func:`~repro.chain.blockchain.registration_size`,
+    :func:`~repro.chain.blockchain.publication_size`,
+    :func:`~repro.chain.blockchain.call_size`,
+    :func:`~repro.chain.blockchain.transfer_size`), each built on the
+    ledger's size identity: compact sorted-key JSON is compositional,
+    so a record's length is a fixed frame plus its parts' lengths.  An
+    unlock's arguments are :func:`~repro.core.hashkey.unlock_args_size`
+    of its lock index, the secret's width, its path's encoded names and
+    one ``signature_size`` per hop; its state view is the contract's
+    :meth:`~repro.chain.contracts.Contract.state_size` after the
+    contract's ``unlocked`` flags are set in landing order (the view's
+    fixed members are measured once with the ledger's encoder, and
+    ``true`` is a byte shorter than ``false``).  Names are measured
+    once per synthesis, so escaped and non-ASCII names count right.
+    Stored bytes add one 80-byte block header per record (the ledger
+    seals one record per block).  ``tests/test_transcript_bytes.py``
+    holds the count to the full record list
+    (``tests/transcript_reference.py``) and the simulator.
 
 ``events_fired``
     A census of the conforming schedule: ``|V|`` party starts,
@@ -100,14 +100,16 @@ from repro.api.engine import get_engine
 from repro.api.report import RunReport
 from repro.api.scenario import Scenario
 from repro.chain.assets import Asset
-from repro.chain.ledger import (
-    _BLOCK_HEADER_BYTES,
-    bytes_marker,
-    canonical_encode,
-    canonical_encoded_total,
+from repro.chain.blockchain import (
+    call_size,
+    publication_size,
+    registration_size,
+    transfer_size,
 )
+from repro.chain.ledger import _BLOCK_HEADER_BYTES, EncodedSizes
 from repro.chain.network import chain_id_for_arc
 from repro.core.contract import SwapContract
+from repro.core.hashkey import unlock_args_size
 from repro.core.spec import SwapSpec
 from repro.crypto.hashing import hash_secret
 from repro.crypto.signatures import get_scheme
@@ -231,11 +233,6 @@ def synthesize_report(scenario: Scenario, prediction: Prediction) -> RunReport:
     )
 
 
-def _record(kind: str, author: str, payload: dict[str, Any]) -> dict[str, Any]:
-    """One ledger record body, as :meth:`~repro.chain.ledger.Record.body`."""
-    return {"kind": kind, "author": author, "payload": payload}
-
-
 def _synthesize(scenario: Scenario, prediction: Prediction) -> RunReport:
     """The uncached transcript synthesis behind :func:`synthesize_report`."""
     if not prediction.deadline_feasible:
@@ -251,10 +248,6 @@ def _synthesize(scenario: Scenario, prediction: Prediction) -> RunReport:
     scheme = get_scheme(scenario.scheme_name)
 
     secrets = [derive_secret("secret", scenario.seed, leader) for leader in leaders]
-    # Every secret has the same width, so one stands in for all of them
-    # in the unlock skeleton; it goes in pre-marked, so the encoder never
-    # calls back into Python for it.
-    marked_secret = bytes_marker(secrets[0])
     spec = SwapSpec(
         digraph=digraph,
         leaders=leaders,
@@ -272,21 +265,12 @@ def _synthesize(scenario: Scenario, prediction: Prediction) -> RunReport:
                 spec.lock_final_timeout(arc, i) for i in range(nlock)
             }
 
-    # Unlock bytes follow from each arc's skeleton by the identity in the
-    # module docstring.  Every arc unlocks each lock once, so the index
-    # and flag terms are the same on every arc; per hop, a path adds its
-    # name, one signature and two commas.
-    name_bytes = {v: len(canonical_encode(v)) for v in digraph.vertices}
-    hop_bytes = len(canonical_encode(bytes_marker(b"\x00" * scheme.signature_size))) + 2
-    arc_unlock_bytes = (
-        sum(len(str(i)) - 1 for i in range(nlock))
-        - nlock * (nlock + 1) // 2
-        - 2 * nlock
-    )
-
-    fixed: list[dict[str, Any]] = []
-    skeletons: list[dict[str, Any]] = []
-    path_bytes = 0
+    # Every record is sized by the chain layer's own functions, as the
+    # simulator's chains size the records they build (see the module
+    # docstring); every secret has the same width.
+    names = EncodedSizes()
+    secret_size = len(secrets[0])
+    published_bytes = 0
     refund_watches = 0
     escrow_milestones: list[Milestone] = []
     release_times: list[tuple[int, Arc, Vertex]] = []
@@ -296,20 +280,8 @@ def _synthesize(scenario: Scenario, prediction: Prediction) -> RunReport:
         asset_id = f"asset@{u}->{v}"
         asset = Asset(asset_id=asset_id, description=f"asset {u} owes {v}", value=1)
         contract = SwapContract(spec, arc, asset)
-        state0 = contract.state_view()
-        fixed.append(_record("asset_registered", u, {"asset_id": asset_id, "owner": u}))
-        fixed.append(
-            _record(
-                "contract_published",
-                u,
-                {
-                    "contract_id": contract_id,
-                    "contract_type": "SwapContract",
-                    "asset_id": asset_id,
-                    "storage_bytes": contract.storage_size_bytes(),
-                    "state": state0,
-                },
-            )
+        published_bytes += registration_size(names, asset_id, u) + publication_size(
+            names, u, contract_id, contract, contract.storage_size_bytes(), contract.state_size()
         )
         escrow_milestones.append(
             Milestone(
@@ -317,59 +289,28 @@ def _synthesize(scenario: Scenario, prediction: Prediction) -> RunReport:
                 kind=CONTRACT_ESCROWED, party=u, arc=arc,
             )
         )
-        skeletons.append(
-            _record(
-                "contract_call",
-                v,
-                {
-                    "contract_id": contract_id,
-                    "method": "unlock",
-                    "args": {
-                        "lock_index": 0,
-                        "secret": marked_secret,
-                        "path": [],
-                        "sig_layers": [],
-                    },
-                    "ok": True,
-                    "state": state0,
-                },
+        for lock, path, landed in prediction.unlock_schedule[arc]:
+            contract.unlocked[lock] = True
+            args_size = unlock_args_size(
+                lock,
+                secret_size,
+                sum(names[w] for w in path),
+                len(path),
+                scheme.signature_size * len(path),
             )
-        )
-        for _, path, landed in prediction.unlock_schedule[arc]:
-            path_bytes += sum(name_bytes[w] for w in path) + hop_bytes * len(path)
+            published_bytes += call_size(
+                names, v, contract_id, "unlock", args_size, contract.state_size()
+            )
             release_times.append((landed, arc, v))
-        contract.unlocked = [True] * nlock
         contract.claimed = True
         contract._halt()
-        fixed.append(
-            _record(
-                "contract_call",
-                v,
-                {
-                    "contract_id": contract_id,
-                    "method": "claim",
-                    "args": {},
-                    "ok": True,
-                    "state": contract.state_view(),
-                },
-            )
-        )
-        fixed.append(
-            _record(
-                "asset_transfer",
-                contract_id,
-                {"asset_id": asset_id, "from": contract_id, "to": v},
-            )
-        )
+        published_bytes += call_size(
+            names, v, contract_id, "claim", contract.args_size("claim", {}, names),
+            contract.state_size(),
+        ) + transfer_size(names, contract_id, asset_id, contract_id, v)
         refund_watches += len(final_timeouts[v])
 
     arc_count = digraph.arc_count()
-    published_bytes = (
-        canonical_encoded_total(fixed)
-        + nlock * canonical_encoded_total(skeletons)
-        + arc_count * arc_unlock_bytes
-        + path_bytes
-    )
 
     # Event census of the conforming schedule (see the module docstring).
     vertex_count = len(digraph.vertices)

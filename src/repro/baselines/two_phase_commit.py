@@ -25,7 +25,7 @@ from typing import Any
 from repro.chain.assets import Asset
 from repro.chain.blockchain import Blockchain
 from repro.chain.contracts import Contract
-from repro.chain.ledger import Record
+from repro.chain.ledger import Record, bools_size, encoded_size
 from repro.chain.network import ChainNetwork
 from repro.core.protocol import SwapConfig
 from repro.digraph.digraph import Arc, Digraph, Vertex
@@ -120,6 +120,10 @@ class CoordinatedEscrowContract(Contract):
             "decision": self.decision,
             "halted": self.is_halted,
         }
+
+    def flags_size(self) -> int:
+        # ``decision`` is null until decided, then whatever ``commit`` was.
+        return encoded_size(self.decision) + bools_size(self.is_halted)
 
     def storage_size_bytes(self) -> int:
         endpoints = len(self.party.encode()) + len(self.counterparty.encode())

@@ -13,6 +13,17 @@ It provides:
   who sees what when is imposed by the simulator, not here;
 * **accounting** — stored bytes (Theorem 4.10) and published bytes
   (communication complexity) are tracked separately.
+
+Every record is sized as it is built: the functions below add a record
+shape's fixed frame (:func:`~repro.chain.ledger.record_frame`) to the
+encoded lengths of its parts — names from the run's
+:class:`~repro.chain.ledger.EncodedSizes`, a contract's state view from
+:meth:`~repro.chain.contracts.Contract.state_size`, call arguments from
+:meth:`~repro.chain.contracts.Contract.args_size` — and the record
+carries that length to the ledger's running total.  Only a free-form
+payload (:meth:`Blockchain.publish_data`, a failed call's error text) is
+measured with the encoder, once, as its record is built.  The analytic
+fast path sizes its synthesized transcript with the same functions.
 """
 
 from __future__ import annotations
@@ -21,17 +32,90 @@ from typing import Any, Callable
 
 from repro.chain.assets import Asset, AssetRegistry
 from repro.chain.contracts import Contract
-from repro.chain.ledger import Ledger, Record
+from repro.chain.ledger import (
+    EncodedSizes,
+    Ledger,
+    Record,
+    bools_size,
+    encoded_size,
+    int_size,
+    record_frame,
+    record_size,
+)
 from repro.errors import AssetError, ContractError, ContractStateError
 
 ChainEventCallback = Callable[["Blockchain", Record, int], None]
+
+# Fixed bytes of each record shape the chain builds: the record's frame,
+# its kind and its payload's keys (plus the constant ``ok`` flag).
+_REGISTERED = record_frame("asset_registered", "asset_id", "owner")
+_TRANSFER = record_frame("asset_transfer", "asset_id", "from", "to")
+_PUBLISHED = record_frame(
+    "contract_published", "asset_id", "contract_id", "contract_type", "state", "storage_bytes"
+)
+_CALL_OK = record_frame(
+    "contract_call", "args", "contract_id", "method", "ok", "state"
+) + bools_size(True)
+_CALL_FAILED = record_frame(
+    "contract_call", "args", "contract_id", "error", "method", "ok"
+) + bools_size(False)
+
+
+def registration_size(names: EncodedSizes, asset_id: str, owner: str) -> int:
+    """Encoded length of an ``asset_registered`` record."""
+    return _REGISTERED + 2 * names[owner] + names[asset_id]
+
+
+def transfer_size(
+    names: EncodedSizes, author: str, asset_id: str, sender: str, recipient: str
+) -> int:
+    """Encoded length of an ``asset_transfer`` record."""
+    return _TRANSFER + names[author] + names[asset_id] + names[sender] + names[recipient]
+
+
+def publication_size(
+    names: EncodedSizes,
+    sender: str,
+    contract_id: str,
+    contract: Contract,
+    storage_bytes: int,
+    state_size: int,
+) -> int:
+    """Encoded length of the ``contract_published`` record of ``contract``,
+    given its ``storage_size_bytes()`` and its state view's length."""
+    return (
+        _PUBLISHED
+        + names[sender]
+        + names[contract.asset.asset_id]
+        + names[contract_id]
+        + names[type(contract).__name__]
+        + int_size(storage_bytes)
+        + state_size
+    )
+
+
+def call_size(
+    names: EncodedSizes,
+    sender: str,
+    contract_id: str,
+    method: str,
+    args_size: int,
+    state_size: int,
+) -> int:
+    """Encoded length of a successful ``contract_call`` record, given
+    its arguments' and the resulting state view's encoded lengths."""
+    return (
+        _CALL_OK + names[sender] + names[contract_id] + names[method] + args_size + state_size
+    )
 
 
 class Blockchain:
     """A publicly readable, tamper-proof ledger hosting contracts and assets."""
 
-    def __init__(self, chain_id: str) -> None:
+    def __init__(self, chain_id: str, names: EncodedSizes | None = None) -> None:
         self.chain_id = chain_id
+        self.names = EncodedSizes() if names is None else names
+        """Encoded name lengths; a network shares one among its chains."""
         self.ledger = Ledger(chain_id)
         self.assets = AssetRegistry(chain_id)
         self._contracts: dict[str, Contract] = {}
@@ -62,6 +146,7 @@ class Blockchain:
                 kind="asset_registered",
                 author=owner,
                 payload={"asset_id": asset.asset_id, "owner": owner},
+                size=registration_size(self.names, asset.asset_id, owner),
             ),
             now,
         )
@@ -78,6 +163,7 @@ class Blockchain:
                 kind="asset_transfer",
                 author=sender,
                 payload={"asset_id": asset_id, "from": sender, "to": recipient},
+                size=transfer_size(self.names, sender, asset_id, sender, recipient),
             ),
             now,
         )
@@ -89,7 +175,9 @@ class Blockchain:
         the shared chain) and for the market-clearing service's spec
         publication.
         """
-        record = Record(kind=kind, author=author, payload=payload)
+        names = self.names
+        size = record_size(names[kind], names[author], encoded_size(payload))
+        record = Record(kind=kind, author=author, payload=payload, size=size)
         self._record(record, now)
         return record
 
@@ -112,6 +200,11 @@ class Blockchain:
         self.assets.transfer(contract.asset.asset_id, sender, contract_id)
         contract.bind(self, contract_id, sender, now)
         self._contracts[contract_id] = contract
+        storage_bytes = contract.storage_size_bytes()
+        state = contract.state_view()
+        size = publication_size(
+            self.names, sender, contract_id, contract, storage_bytes, contract.state_size(state)
+        )
         self._record(
             Record(
                 kind="contract_published",
@@ -120,9 +213,10 @@ class Blockchain:
                     "contract_id": contract_id,
                     "contract_type": type(contract).__name__,
                     "asset_id": contract.asset.asset_id,
-                    "storage_bytes": contract.storage_size_bytes(),
-                    "state": contract.state_view(),
+                    "storage_bytes": storage_bytes,
+                    "state": state,
                 },
+                size=size,
             ),
             now,
         )
@@ -153,16 +247,35 @@ class Blockchain:
             "method": method,
             "args": args,
         }
+        names = self.names
         try:
             result = getattr(contract, method)(caller=sender, now=now, **args)
         except ContractError as error:
             payload["ok"] = False
-            payload["error"] = f"{type(error).__name__}: {error}"
-            self._record(Record(kind="contract_call", author=sender, payload=payload), now)
+            payload["error"] = text = f"{type(error).__name__}: {error}"
+            size = (
+                _CALL_FAILED
+                + names[sender]
+                + names[contract_id]
+                + names[method]
+                + contract.args_size(method, args, names)
+                + encoded_size(text)
+            )
+            self._record(
+                Record(kind="contract_call", author=sender, payload=payload, size=size), now
+            )
             raise
         payload["ok"] = True
         payload["state"] = contract.state_view()
-        self._record(Record(kind="contract_call", author=sender, payload=payload), now)
+        size = call_size(
+            names,
+            sender,
+            contract_id,
+            method,
+            contract.args_size(method, args, names),
+            contract.state_size(),
+        )
+        self._record(Record(kind="contract_call", author=sender, payload=payload, size=size), now)
         return result
 
     def contract(self, contract_id: str) -> Contract:
@@ -204,6 +317,13 @@ class Blockchain:
                     "from": contract.contract_id,
                     "to": recipient,
                 },
+                size=transfer_size(
+                    self.names,
+                    contract.contract_id,
+                    contract.asset.asset_id,
+                    contract.contract_id,
+                    recipient,
+                ),
             ),
             now,
         )

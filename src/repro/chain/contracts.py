@@ -18,6 +18,7 @@ from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Any
 
 from repro.chain.assets import Asset
+from repro.chain.ledger import EncodedSizes, encoded_size
 from repro.errors import ContractError, ContractStateError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -49,6 +50,7 @@ class Contract(ABC):
         self.published_at: int | None = None
         self.creator: str | None = None
         self._halted = False
+        self._fixed_state_size: int | None = None
 
     # -- publication lifecycle -------------------------------------------------
 
@@ -87,6 +89,43 @@ class Contract(ABC):
     @abstractmethod
     def state_view(self) -> dict[str, Any]:
         """A JSON-compatible snapshot of public state, as a reader sees it."""
+
+    def state_size(self, view: dict[str, Any] | None = None) -> int:
+        """``len(canonical_encode(self.state_view()))``: the size the chain
+        layer gives every record that carries the view.
+
+        When the contract declares its mutable values' bytes
+        (:meth:`flags_size`), the rest of the view is measured once with
+        the ledger's encoder and the flags are added by identity;
+        otherwise the whole view is encoded on every read.  ``view`` is
+        the current :meth:`state_view` when the caller has built it.
+        """
+        flags = self.flags_size()
+        if flags is None:
+            return encoded_size(self.state_view() if view is None else view)
+        fixed = self._fixed_state_size
+        if fixed is None:
+            measured = encoded_size(self.state_view() if view is None else view)
+            fixed = self._fixed_state_size = measured - flags
+        return fixed + flags
+
+    def flags_size(self) -> int | None:
+        """Encoded bytes of the state view's mutable values, or ``None``
+        when the contract does not declare them.  A contract that
+        overrides this promises that every other value of its view is
+        fixed from construction on."""
+        return None
+
+    def args_size(self, method: str, args: dict[str, Any], names: EncodedSizes) -> int:
+        """``len(canonical_encode(args))`` for a call of ``method``.
+
+        The default measures ``args`` with the ledger's encoder; a
+        contract sizes the argument shapes it knows by the identity
+        (``names`` holds the run's encoded name lengths) and defers to
+        this for anything else, so a malformed call is still sized
+        exactly.
+        """
+        return encoded_size(args) if args else 2
 
     @abstractmethod
     def storage_size_bytes(self) -> int:

@@ -8,12 +8,21 @@ wrapped in blocks whose headers chain by SHA-256, so any retroactive
 mutation is detectable by :meth:`Ledger.verify_integrity`.
 
 Blocks are sealed on first read, not on append: :meth:`Ledger.append`
-only checks the timestamp and queues the record, and the first call to
+only checks the timestamp, adds the record's size to the byte total and
+queues the record, and the first call to
 :meth:`Ledger.blocks`, iteration or :meth:`Ledger.verify_integrity`
 seals every queued record into its block (index, ``prev_hash``, SHA-256
-``block_hash``) in append order.  A simulated run reads records and
-byte totals, never blocks, so it encodes each record once for the byte
-count and hashes nothing.
+``block_hash``) in append order.
+
+Byte totals are kept as records arrive.  Compact sorted-key JSON is
+compositional (:func:`object_frame`), so the chain layer
+(:mod:`repro.chain.blockchain`) computes each record's encoded length
+as it builds the record, from the sizes of its parts, and hands it over
+as :attr:`Record.size`; :meth:`Ledger.append` adds it to a running
+total.  A simulated run reads records and byte totals, never blocks, so
+it encodes no whole record and hashes nothing.  The analytic fast path
+(:mod:`repro.analysis.engine`) sums the same helpers, so the simulator
+and the closed form share one byte model.
 
 Visibility timing is *not* the ledger's job — the discrete-event simulator
 (:mod:`repro.sim`) delivers observations with the configured delays.
@@ -66,12 +75,87 @@ def canonical_encode(payload: object) -> bytes:
     exactly that one key and a hex string encodes to the same bytes, so
     the marker is only injective over the shapes the library produces.
     That same equality lets a caller pre-mark values with
-    :func:`bytes_marker` (the analytic transcript synthesis does) and
-    skip the per-value ``default=`` call; the ledger stays the one owner
-    of the format.  Any other unsupported value raises
-    :class:`LedgerError`.
+    :func:`bytes_marker` and skip the per-value ``default=`` call; the
+    ledger stays the one owner of the format, and of the size identity
+    below (:func:`object_frame` and its siblings), which sizes a record
+    from its parts without encoding it.  Any other unsupported value
+    raises :class:`LedgerError`.
     """
     return _ENCODER.encode(payload).encode()
+
+
+def encoded_size(value: object) -> int:
+    """``len(canonical_encode(value))``: the encoder's own measure."""
+    return len(_ENCODER.encode(value))
+
+
+class EncodedSizes(dict[str, int]):
+    """Encoded lengths of the strings one run names, each measured once.
+
+    ``sizes[text]`` is ``len(canonical_encode(text))`` (quotes, escapes
+    and ``\\uXXXX`` widening included); a miss measures it with the
+    encoder.  A cache lives as long as its network (or one synthesis),
+    so a long-lived process keeps no names of runs it has finished.
+    """
+
+    def __missing__(self, text: str) -> int:
+        size = self[text] = len(_ENCODER.encode(text))
+        return size
+
+
+def object_frame(*keys: str) -> int:
+    """Bytes a JSON object with ``keys`` encodes to besides its values.
+
+    The compact sorted-key encoding is compositional: for ``n >= 1``
+    members, ``len(enc({k: v, ...})) = 1 + n + Σ (len(enc(k)) + 1 +
+    len(enc(v)))`` (two braces, ``n - 1`` commas, ``n`` colons).  So an
+    object's encoded length is this frame plus its values' lengths,
+    whatever order the keys are given in.  ``{}`` is 2 bytes.
+    """
+    if not keys:
+        return 2
+    return 1 + len(keys) + sum(len(_ENCODER.encode(key)) + 1 for key in keys)
+
+
+def array_size(items_size: int, count: int) -> int:
+    """Encoded length of a JSON array of ``count`` items whose encodings
+    total ``items_size`` bytes."""
+    return items_size + count + 1 if count else 2
+
+
+def bools_size(*flags: bool) -> int:
+    """Encoded length of the values ``flags``: ``true`` is 4 bytes, one
+    fewer than ``false``."""
+    return 5 * len(flags) - sum(flags)
+
+
+def int_size(value: int) -> int:
+    """Encoded length of an ``int`` (never a ``bool``)."""
+    return len(str(value))
+
+
+_BYTES_FRAME = len(_ENCODER.encode(bytes_marker(b"")))
+
+
+def bytes_size(length: int, count: int = 1) -> int:
+    """Encoded length of ``count`` ``bytes`` values totalling ``length``
+    bytes: one :func:`bytes_marker` each, two hex digits per byte."""
+    return _BYTES_FRAME * count + 2 * length
+
+
+_RECORD_FRAME = object_frame("author", "kind", "payload")
+
+
+def record_frame(kind: str, *payload_keys: str) -> int:
+    """Bytes of a ``kind`` record whose payload has ``payload_keys``,
+    besides its author and its payload's values: add those encoded
+    lengths to get ``len(canonical_encode(record.body()))``."""
+    return _RECORD_FRAME + len(_ENCODER.encode(kind)) + object_frame(*payload_keys)
+
+
+def record_size(kind_size: int, author_size: int, payload_size: int) -> int:
+    """Encoded length of a record body from its three members' lengths."""
+    return _RECORD_FRAME + kind_size + author_size + payload_size
 
 
 def canonical_encoded_total(payloads: list[dict]) -> int:
@@ -95,16 +179,22 @@ class Record:
         author: Address of the party that submitted the record.
         payload: JSON-compatible body with ``str`` keys (bytes values
             allowed, hex-encoded; see :func:`canonical_encode`).
+        size: ``len(self.encoded())`` when the producer knows it (the
+            chain layer computes it as it builds the record), else
+            ``None`` and the ledger measures the body at append.  A copy
+            with a changed payload must not carry the old size.
     """
 
     kind: str
     author: str
     payload: dict
+    size: int | None = field(default=None, compare=False, repr=False)
 
     def encoded(self) -> bytes:
         """The record's canonical encoding, computed once and cached.
 
-        The block hash, block sizing and ledger accounting all read it.
+        The block hash and block sizing read it; the ledger's byte total
+        does not (it adds :attr:`size`).
         A record is logically immutable (the dataclass is frozen and the
         ledger never rewrites payloads), so the cache rides on the
         instance via ``object.__setattr__``; a forged record is a fresh
@@ -170,16 +260,19 @@ class Ledger:
         self._blocks: list[Block] = []
         self._pending: list[tuple[Record, int]] = []
         self._tip_timestamp: int | None = None
-        self._counted = 0
         self._record_bytes = 0
 
     def append(self, record: Record, timestamp: int) -> None:
-        """Queue ``record`` for its own block at ``timestamp``."""
+        """Queue ``record`` for its own block at ``timestamp`` and add its
+        encoded length (:attr:`Record.size`, or the encoder's measure of
+        its body when that is unknown) to the ledger's byte total."""
         tip = self._tip_timestamp
         if tip is not None and timestamp < tip:
             raise LedgerError(
                 f"timestamp {timestamp} is earlier than the chain tip ({tip})"
             )
+        size = record.size
+        self._record_bytes += encoded_size(record.body()) if size is None else size
         self._tip_timestamp = timestamp
         self._pending.append((record, timestamp))
 
@@ -242,16 +335,9 @@ class Ledger:
             prev_hash = block.block_hash
 
     def record_bytes(self) -> int:
-        """Total canonical-encoding bytes of every record on this ledger.
-
-        One :func:`canonical_encoded_total` pass over the records not yet
-        counted; the ledger is append-only, so the running total is
-        cached by record count.  Reads no block.
-        """
-        if len(self) > self._counted:
-            fresh = self.records()[self._counted:]
-            self._record_bytes += canonical_encoded_total([record.body() for record in fresh])
-            self._counted += len(fresh)
+        """Total canonical-encoding bytes of every record on this ledger:
+        the running total :meth:`append` keeps.  Encodes nothing and
+        reads no block."""
         return self._record_bytes
 
     def total_size_bytes(self) -> int:

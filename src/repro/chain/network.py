@@ -13,7 +13,7 @@ from typing import Callable, Iterable
 
 from repro.chain.assets import Asset
 from repro.chain.blockchain import Blockchain, ChainEventCallback
-from repro.chain.ledger import Record
+from repro.chain.ledger import EncodedSizes, Record
 from repro.digraph.digraph import Arc, Digraph
 from repro.errors import SimulationError
 
@@ -33,8 +33,11 @@ class ChainNetwork:
         self._chains: dict[str, Blockchain] = {}
         self._arc_chain: dict[Arc, str] = {}
         self.include_broadcast = include_broadcast
+        # One name-length cache per network: every chain of a run names
+        # the same parties, and none outlives the run.
+        self._names = EncodedSizes()
         if include_broadcast:
-            self._chains[BROADCAST_CHAIN_ID] = Blockchain(BROADCAST_CHAIN_ID)
+            self._chains[BROADCAST_CHAIN_ID] = Blockchain(BROADCAST_CHAIN_ID, self._names)
 
     @classmethod
     def for_digraph(cls, digraph: Digraph, include_broadcast: bool = True) -> "ChainNetwork":
@@ -50,7 +53,7 @@ class ChainNetwork:
         if arc not in self._arc_chain:
             if chain_id in self._chains:
                 raise SimulationError(f"chain id collision for {arc!r}")
-            self._chains[chain_id] = Blockchain(chain_id)
+            self._chains[chain_id] = Blockchain(chain_id, self._names)
             self._arc_chain[arc] = chain_id
         return self._chains[self._arc_chain[arc]]
 

@@ -23,7 +23,8 @@ from typing import Any
 
 from repro.chain.assets import Asset
 from repro.chain.contracts import Contract
-from repro.core.hashkey import Hashkey
+from repro.chain.ledger import EncodedSizes, bools_size
+from repro.core.hashkey import Hashkey, wire_args_size
 from repro.core.spec import SwapSpec
 from repro.digraph.digraph import Arc
 from repro.errors import (
@@ -167,6 +168,18 @@ class SwapContract(Contract):
             "refunded": self.refunded,
             "halted": self.is_halted,
         }
+
+    def flags_size(self) -> int:
+        """The ``unlocked`` flags, ``claimed``, ``refunded`` and
+        ``halted``: the only values of the view that change."""
+        return bools_size(*self.unlocked, self.claimed, self.refunded, self.is_halted)
+
+    def args_size(self, method: str, args: dict[str, Any], names: EncodedSizes) -> int:
+        if method == "unlock":
+            size = wire_args_size(args, names)
+            if size is not None:
+                return size
+        return super().args_size(method, args, names)
 
     def storage_size_bytes(self) -> int:
         """Fig. 4's long-lived fields, in bytes (Theorem 4.10 accounting).

@@ -12,7 +12,15 @@ Figure 6.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
+from repro.chain.ledger import (
+    EncodedSizes,
+    array_size,
+    bytes_size,
+    int_size,
+    object_frame,
+)
 from repro.crypto.hashing import matches
 from repro.crypto.keys import KeyPair
 from repro.crypto.sigchain import (
@@ -24,6 +32,58 @@ from repro.crypto.sigchain import (
 from repro.crypto.signatures import SignatureScheme
 from repro.core.spec import SwapSpec
 from repro.errors import InvalidHashkeyError
+
+_UNLOCK_ARGS_FRAME = object_frame("lock_index", "path", "secret", "sig_layers")
+
+
+def unlock_args_size(
+    lock_index: int, secret_size: int, names_size: int, hops: int, signatures_size: int
+) -> int:
+    """``len(canonical_encode(args))`` for :meth:`Hashkey.to_args` ``args``.
+
+    Follows, by the ledger's size identity, from the lock index, the
+    secret's width, the path's ``hops`` names (their encoded lengths
+    summing to ``names_size``) and its ``hops`` signatures (their widths
+    summing to ``signatures_size``: a scheme's fixed ``signature_size``
+    per hop).
+    """
+    return (
+        _UNLOCK_ARGS_FRAME
+        + int_size(lock_index)
+        + bytes_size(secret_size)
+        + array_size(names_size, hops)
+        + array_size(bytes_size(signatures_size, hops), hops)
+    )
+
+
+def wire_args_size(args: dict[str, Any], names: EncodedSizes) -> int | None:
+    """:func:`unlock_args_size` of ``args`` when they have the shape
+    :meth:`Hashkey.to_args` gives (names sized through ``names``), else
+    ``None``: the caller measures any other shape with the encoder."""
+    lock_index = args.get("lock_index")
+    secret = args.get("secret")
+    path = args.get("path")
+    layers = args.get("sig_layers")
+    if not (
+        len(args) == 4
+        and type(lock_index) is int
+        and type(secret) is bytes
+        and type(path) is list
+        and type(layers) is list
+        and len(path) == len(layers)
+    ):
+        return None
+    names_size = 0
+    for name in path:
+        if type(name) is not str:
+            return None
+        names_size += names[name]
+    signatures_size = 0
+    for layer in layers:
+        if type(layer) is not bytes:
+            return None
+        signatures_size += len(layer)
+    return unlock_args_size(lock_index, len(secret), names_size, len(path), signatures_size)
 
 
 @dataclass(frozen=True)

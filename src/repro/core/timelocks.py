@@ -34,7 +34,7 @@ from typing import Any, Iterable
 from repro.chain.assets import Asset
 from repro.chain.blockchain import Blockchain
 from repro.chain.contracts import Contract
-from repro.chain.ledger import Record
+from repro.chain.ledger import Record, bools_size
 from repro.chain.network import ChainNetwork
 from repro.core.party import HTLCParty
 from repro.core.protocol import HTLCSimulation, SwapConfig, SwapResult
@@ -233,6 +233,9 @@ class SimpleTimelockContract(Contract):
             "refunded": self.refunded,
             "halted": self.is_halted,
         }
+
+    def flags_size(self) -> int:
+        return bools_size(self.unlocked, self.claimed, self.refunded, self.is_halted)
 
     def storage_size_bytes(self) -> int:
         """No digraph copy, no hashlock vector: O(1) storage per contract."""

@@ -4,17 +4,15 @@
 ``repro.chain.ledger.canonical_encode`` performed before it became one
 C-backed ``json.JSONEncoder``: every value rebuilt into plain JSON types,
 then a sorted ``json.dumps``.  The parity tests and bench E31 hold the
-shipped encoder to its bytes.  :func:`record_corpus` collects every
-payload the library encodes while each registered engine runs a small
-families x adversary-mix grid.
+shipped encoder to its bytes.  :func:`record_corpus` collects the body
+of every record on every ledger while each registered engine runs a
+small families x adversary-mix grid.
 """
 
 from __future__ import annotations
 
 import json
-import sys
-from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import Any
 
 from repro.errors import LedgerError
 
@@ -39,48 +37,6 @@ def _reference_value(value: Any) -> Any:
     raise LedgerError(f"cannot encode {type(value).__name__} in a ledger record")
 
 
-@contextmanager
-def capturing_encodes() -> Iterator[list[dict]]:
-    """Record every payload passed to ``canonical_encode`` in the block,
-    and every item of a list passed to ``canonical_encoded_total``.
-
-    The wrappers replace the functions in every loaded ``repro`` module
-    that holds them by name, so ledger records (encoded by the ledger's
-    byte total, or one at a time when a block is sealed), contract-call
-    sizing and the analytic synthesizer's byte counts are all seen.
-    """
-    import repro.chain.ledger as ledger
-
-    seen: list[dict] = []
-    original_encode = ledger.canonical_encode
-    original_total = ledger.canonical_encoded_total
-
-    def capture(payload: dict) -> bytes:
-        seen.append(payload)
-        return original_encode(payload)
-
-    def capture_total(payloads: list[dict]) -> int:
-        seen.extend(payloads)
-        return original_total(payloads)
-
-    patches = [
-        (module, name, original, wrapper)
-        for name, original, wrapper in (
-            ("canonical_encode", original_encode, capture),
-            ("canonical_encoded_total", original_total, capture_total),
-        )
-        for module_name, module in list(sys.modules.items())
-        if module_name.startswith("repro") and getattr(module, name, None) is original
-    ]
-    for module, name, _, wrapper in patches:
-        setattr(module, name, wrapper)
-    try:
-        yield seen
-    finally:
-        for module, name, original, _ in patches:
-            setattr(module, name, original)
-
-
 def corpus_sweep():
     """Every registered engine over cycle, wheel and erdos-renyi digraphs
     crossed with :data:`CORPUS_MIXES` (plus a multigraph for multiswap)."""
@@ -100,17 +56,20 @@ def corpus_sweep():
 
 
 def record_corpus() -> tuple[list[dict], set[str]]:
-    """The payloads encoded while running :func:`corpus_sweep`, and the
-    names of the engines that ran at least one scenario to a report."""
+    """The body of every record on every ledger of each run of
+    :func:`corpus_sweep`, and the names of the engines that ran at least
+    one scenario to a report."""
     from repro.api import get_engine
     from repro.errors import ReproError
 
     ran: set[str] = set()
-    with capturing_encodes() as seen:
-        for engine, scenario in corpus_sweep().items():
-            try:
-                get_engine(engine).run(scenario)
-            except ReproError:
-                continue
-            ran.add(engine)
-    return seen, ran
+    bodies: list[dict] = []
+    for engine, scenario in corpus_sweep().items():
+        try:
+            execution = get_engine(engine).open(scenario)
+            execution.run_to_completion()
+        except ReproError:
+            continue
+        ran.add(engine)
+        bodies.extend(record.body() for _, record in execution.harness.network.all_records())
+    return bodies, ran

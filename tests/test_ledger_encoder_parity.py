@@ -1,7 +1,7 @@
 """The C-backed canonical encoder against the recursive reference.
 
-Every payload the library encodes while each registered engine runs a
-families x adversary-mix grid must come out byte-identical to
+The body of every record on every ledger, while each registered engine
+runs a families x adversary-mix grid, must come out byte-identical to
 :func:`ledger_reference.reference_encode`, the encoding the ledger used
 before it switched to one module-level ``json.JSONEncoder``.
 """

@@ -1,8 +1,9 @@
-"""Lazily counted ledger bytes against bytes counted at append time.
+"""Ledger byte totals against the records' encodings at append time.
 
-A ledger encodes its records only when a byte total or a block is read,
-so a payload mutated after :meth:`Ledger.append` would change the
-reported bytes.  For every item of
+A ledger adds each record's size, computed by the chain layer as it
+builds the record, to a running total, and encodes a record only when a
+block is sealed; a size that disagreed with the record's encoding would
+make the reported bytes differ from the encodings.  For every item of
 :func:`ledger_reference.corpus_sweep` (every registered engine), the
 report's ``published_bytes`` must equal the encodings summed at append
 time, ``stored_bytes`` that sum plus one block header per record, and
