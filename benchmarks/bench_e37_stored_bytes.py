@@ -14,15 +14,22 @@ rounds (16 runs a round, 96 in all) — and:
   encoded, ``canonical_encoded_total``), that each record's size equals
   its own encoding, that every ledger seals into a chain that verifies,
   and that the closed form declines every run (all are simulated);
-* times ms per simulated run two ways, interleaved, minimum over
-  :data:`ROUNDS` rounds: ``shipped`` (the run as the library does it)
-  and ``full_encode`` (the same run followed by a full-encode pass over
-  every ledger — what a report's byte count cost when it was read off
-  the ledgers after the run).
+* times ms per simulated run three ways, back to back in each of
+  :data:`ROUNDS` rounds (the order rotating round by round): ``shipped`` (the run as the library does it);
+  ``encode_after`` (the run with the build-time sizing stubbed out —
+  the blockchain's record-size functions and every contract's
+  ``state_size``/``args_size`` return 0 — followed by a full-encode
+  pass over every ledger: how the byte count was taken before records
+  were sized as they were built); and ``unsized`` (the stubbed run
+  alone, no byte count at all).
 
-The build-time sizing is inside both times, so ``full_encode /
-shipped`` is the share of a run a post-run encode pass would add back.
-The floor (ratio >= :data:`FLOOR`) is frozen in ``benchmarks/floors.py``.
+Each ratio is the median over rounds of the ratio within a round, so
+the machine's drift between rounds cancels.  Two ratios carry frozen
+bounds in ``benchmarks/floors.py``:
+``encode_after / shipped >= FLOOR`` (sizing at build time beats
+encoding after the run) and ``shipped / unsized <= SIZING_CEILING``
+(what the build-time sizing itself costs a run stays small, so a
+slower size identity shows here even while it still beats the encoder).
 
 Run from the repository root::
 
@@ -31,7 +38,9 @@ Run from the repository root::
 
 from __future__ import annotations
 
+import statistics
 import time
+from contextlib import contextmanager, nullcontext
 from random import Random
 
 from _tables import emit_bench_json, emit_table
@@ -39,11 +48,15 @@ from _tables import emit_bench_json, emit_table
 from repro.analysis.engine import resolve_report
 from repro.api import get_engine
 from repro.api.sweep import derive_seed
+from repro.chain import blockchain
+from repro.chain.contracts import Contract
 from repro.chain.ledger import canonical_encode, canonical_encoded_total
+from repro.core.contract import SwapContract
 from repro.lab.workloads import Workload, build_sweep
 
-ROUNDS = 15
-FLOOR = 1.08
+ROUNDS = 21
+FLOOR = 1.0
+SIZING_CEILING = 1.3
 SEED = 3
 DRAWS = 6
 #: ``perfbench/workloads.py``'s ``SIM_FAMILIES`` and ``ANALYTIC_FAMILIES``,
@@ -126,51 +139,109 @@ def check(scenarios: list) -> dict:
     return {"runs": runs, "records": records, "record_bytes": record_bytes}
 
 
-def _round(scenarios: list, encode: bool) -> float:
-    """Mean seconds per run over one pass, with or without the encode pass."""
+#: Everything that sizes a record as it is built, as ``(owner, name)``.
+SIZING = (
+    (blockchain, "registration_size"),
+    (blockchain, "transfer_size"),
+    (blockchain, "publication_size"),
+    (blockchain, "call_size"),
+    (blockchain, "record_size"),
+    (blockchain, "encoded_size"),
+    (Contract, "state_size"),
+    (Contract, "args_size"),
+    (SwapContract, "args_size"),
+)
+
+
+@contextmanager
+def sizing_stubbed():
+    """Every build-time size helper returns 0 (records carry size 0)."""
+    saved = [(owner, name, owner.__dict__[name]) for owner, name in SIZING]
+    try:
+        for owner, name, _ in saved:
+            setattr(owner, name, lambda *args, **kwargs: 0)
+        yield
+    finally:
+        for owner, name, original in saved:
+            setattr(owner, name, original)
+
+
+def check_stubbed(scenarios: list) -> None:
+    """Under :func:`sizing_stubbed` no record is sized, so the stubbed
+    arms carry none of the build-time sizing."""
     engine = get_engine("herlihy")
-    start = time.perf_counter()
-    for scenario in scenarios:
-        execution = engine.open(scenario)
-        execution.run_to_completion()
-        if encode:
-            full_encode_pass(execution.harness.network)
-    return (time.perf_counter() - start) / len(scenarios)
+    with sizing_stubbed():
+        for scenario in scenarios:
+            execution = engine.open(scenario)
+            execution.run_to_completion()
+            for chain in execution.harness.network.chains():
+                assert chain.ledger.record_bytes() == 0, (scenario.name, chain.chain_id)
 
 
-def measure(scenarios: list) -> tuple[float, float]:
-    """Min-of-rounds ms per run: shipped, and with the full-encode pass;
-    the side that goes first alternates round by round."""
-    best = {False: float("inf"), True: float("inf")}
+def _round(scenarios: list, arm: str) -> float:
+    """Mean seconds per run over one pass of ``arm`` (see :data:`ARMS`)."""
+    engine = get_engine("herlihy")
+    with nullcontext() if arm == "shipped" else sizing_stubbed():
+        start = time.perf_counter()
+        for scenario in scenarios:
+            execution = engine.open(scenario)
+            execution.run_to_completion()
+            if arm == "encode_after":
+                full_encode_pass(execution.harness.network)
+        return (time.perf_counter() - start) / len(scenarios)
+
+
+ARMS = ("shipped", "encode_after", "unsized")
+
+
+def measure(scenarios: list) -> dict[str, list[float]]:
+    """Ms per run of each arm, one value a round; the arms' order
+    rotates round by round, so a round's arms run back to back."""
+    times: dict[str, list[float]] = {arm: [] for arm in ARMS}
     for index in range(ROUNDS):
-        for encode in ((False, True) if index % 2 == 0 else (True, False)):
-            best[encode] = min(best[encode], _round(scenarios, encode))
-    return best[False] * 1e3, best[True] * 1e3
+        shift = index % len(ARMS)
+        for arm in ARMS[shift:] + ARMS[:shift]:
+            times[arm].append(_round(scenarios, arm) * 1e3)
+    return times
+
+
+def paired_ratio(times: dict[str, list[float]], over: str, under: str) -> float:
+    """Median over rounds of ``over / under`` within each round: the
+    machine's drift between rounds cancels in each round's ratio."""
+    return statistics.median(a / b for a, b in zip(times[over], times[under]))
 
 
 def test_running_byte_totals():
     scenarios = fleet_drain_simulated()
     assert len(scenarios) == DRAWS * PER_KIND
     counts = check(scenarios)
-    shipped_ms, full_ms = measure(scenarios)
-    ratio = full_ms / shipped_ms
+    check_stubbed(scenarios)
+    times = measure(scenarios)
+    ms = {arm: statistics.median(values) for arm, values in times.items()}
+    ratio = paired_ratio(times, "encode_after", "shipped")
+    sizing_ratio = paired_ratio(times, "shipped", "unsized")
     emit_table(
         "E37",
-        f"Byte accounting per simulated run (min of {ROUNDS} rounds)",
-        ["runs", "records/run", "bytes/run", "shipped", "full-encode", "ratio"],
+        f"Byte accounting per simulated run (median of {ROUNDS} rounds)",
+        ["runs", "records/run", "bytes/run", "shipped", "encode-after", "unsized",
+         "encode-after/shipped", "shipped/unsized"],
         [[
             counts["runs"],
             f"{counts['records'] / counts['runs']:.1f}",
             f"{counts['record_bytes'] / counts['runs']:.0f}",
-            f"{shipped_ms:.3f} ms",
-            f"{full_ms:.3f} ms",
+            f"{ms['shipped']:.3f} ms",
+            f"{ms['encode_after']:.3f} ms",
+            f"{ms['unsized']:.3f} ms",
             f"{ratio:.3f}x",
+            f"{sizing_ratio:.3f}x",
         ]],
         notes=(
             "fleet-drain's simulated draws (seed 3, rounds 0-5).  Shipped: "
             "records sized as they are built, running ledger totals.  "
-            "Full-encode: the same run plus every record encoded after it.  "
-            f"Floor: ratio >= {FLOOR}x."
+            "Encode-after: build-time sizing stubbed out, every record "
+            "encoded after the run.  Unsized: sizing stubbed out, no count.  "
+            f"Bounds: encode-after/shipped >= {FLOOR}x, "
+            f"shipped/unsized <= {SIZING_CEILING}x."
         ),
     )
     emit_bench_json(
@@ -179,13 +250,16 @@ def test_running_byte_totals():
         aggregates={
             "rounds": ROUNDS,
             "floor": FLOOR,
+            "sizing_ceiling": SIZING_CEILING,
             "seed": SEED,
             "draws": DRAWS,
             **counts,
-            "shipped_ms_per_run": round(shipped_ms, 4),
-            "full_encode_ms_per_run": round(full_ms, 4),
-            "encode_pass_ms_per_run": round(full_ms - shipped_ms, 4),
+            "shipped_ms_per_run": round(ms["shipped"], 4),
+            "encode_after_ms_per_run": round(ms["encode_after"], 4),
+            "unsized_ms_per_run": round(ms["unsized"], 4),
             "ratio": round(ratio, 3),
+            "sizing_ratio": round(sizing_ratio, 3),
         },
     )
-    assert ratio >= FLOOR, (shipped_ms, full_ms)
+    assert ratio >= FLOOR, ms
+    assert sizing_ratio <= SIZING_CEILING, ms

@@ -152,13 +152,19 @@ def e36(results: Path) -> None:
 
 
 def e37(results: Path) -> None:
-    """Stored bytes: on fleet-drain's 96 simulated draws, a full-encode
-    pass after each run would cost >= 1.08x the shipped run, whose
-    running byte totals the bench checked against that pass first."""
+    """Stored bytes: on fleet-drain's 96 simulated draws, whose running
+    byte totals the bench checked against a full encode first, a run
+    with the build-time sizing stubbed out and every ledger encoded
+    after it costs >= 1.0x the shipped run, and the sizing itself
+    costs the shipped run <= 1.3x the stubbed run alone."""
     agg = _load(results, "E37")["aggregates"]
     assert agg["runs"] == 96 and agg["records"] > 0 and agg["record_bytes"] > 0, agg
-    assert agg["ratio"] >= 1.08, agg
-    print(f"E37 floors ok: full-encode / shipped {agg['ratio']}x")
+    assert agg["ratio"] >= 1.0, agg
+    assert agg["sizing_ratio"] <= 1.3, agg
+    print(
+        f"E37 floors ok: encode-after / shipped {agg['ratio']}x, "
+        f"shipped / unsized {agg['sizing_ratio']}x"
+    )
 
 
 #: Experiment id -> its floor check, in experiment order.

@@ -3,17 +3,19 @@
 Exports both revisions with ``git archive`` into fresh temporary
 directories, then runs ``perfbench/run.py --trace 0`` from each, ``N``
 pairs, alternating which side runs first, so drift of the machine's
-speed falls on both sides alike.  For every end-to-end metric of
-``BENCHMARK.json`` it prints each side's median and quartiles, the
-pairs each side won (by the metric's ``better`` direction) and whether
-the median gap exceeds the base side's interquartile spread.  The exit
+speed falls on both sides alike.  Every run lasts ``BENCHMARK.json``'s
+``run_seconds``, the length the benchmark itself runs.  For every
+end-to-end metric of ``BENCHMARK.json`` it prints each side's median
+and quartiles, the pairs each side won (by the metric's ``better``
+direction; a tie counts for neither) and whether the median gap
+exceeds the base side's interquartile spread.  The exit
 status is 1 if any run is not ``correct``.
 
 Run from the repository root::
 
     make perf-pairs BASE=<rev> HEAD=<rev> WORKLOAD=fleet-drain N=10
     python benchmarks/perf_pairs.py --base <rev> --head <rev> --workload fleet-drain \\
-        [--n 10] [--seed 3] [--seconds 25]
+        [--n 10] [--seed 3]
 """
 
 from __future__ import annotations
@@ -81,9 +83,9 @@ def report(metrics: list[dict], runs: dict[str, list[dict]]) -> None:
         if len(values["base"]) != pairs or len(values["head"]) != pairs or not pairs:
             print(f"{name}: not reported on every run")
             continue
-        won = sum(
-            (h > b) if higher else (h < b) for b, h in zip(values["base"], values["head"])
-        )
+        paired = list(zip(values["base"], values["head"]))
+        head_won = sum((h > b) if higher else (h < b) for b, h in paired)
+        base_won = sum((b > h) if higher else (b < h) for b, h in paired)
         base_q, head_q = quartiles(values["base"]), quartiles(values["head"])
         gap = head_q[1] - base_q[1]
         spread = base_q[2] - base_q[0]
@@ -91,7 +93,8 @@ def report(metrics: list[dict], runs: dict[str, list[dict]]) -> None:
             f"{name} ({metric['unit']}, {metric['better']} is better): "
             f"base median {base_q[1]:.4g} [q1 {base_q[0]:.4g}, q3 {base_q[2]:.4g}]; "
             f"head median {head_q[1]:.4g} [q1 {head_q[0]:.4g}, q3 {head_q[2]:.4g}]; "
-            f"head won {won}/{pairs}, base won {pairs - won}/{pairs}; "
+            f"head won {head_won}/{pairs}, base won {base_won}/{pairs}, "
+            f"tied {pairs - head_won - base_won}; "
             f"median gap {gap:+.4g} vs base IQR {spread:.4g}"
             f" ({'beyond' if abs(gap) > spread else 'within'} the spread)"
         )
@@ -104,13 +107,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--n", type=int, default=10, help="pairs of runs")
     parser.add_argument("--seed", type=int, default=3)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="seconds per run (default: BENCHMARK.json's run_seconds)")
     args = parser.parse_args(argv)
     if args.n < 1:
         parser.error("--n must be at least 1")
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else declared["run_seconds"]
+    seconds = declared["run_seconds"]
 
     scratch = Path(tempfile.mkdtemp(prefix="perf-pairs-"))
     try:

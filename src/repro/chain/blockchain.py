@@ -201,9 +201,8 @@ class Blockchain:
         contract.bind(self, contract_id, sender, now)
         self._contracts[contract_id] = contract
         storage_bytes = contract.storage_size_bytes()
-        state = contract.state_view()
         size = publication_size(
-            self.names, sender, contract_id, contract, storage_bytes, contract.state_size(state)
+            self.names, sender, contract_id, contract, storage_bytes, contract.state_size()
         )
         self._record(
             Record(
@@ -214,7 +213,7 @@ class Blockchain:
                     "contract_type": type(contract).__name__,
                     "asset_id": contract.asset.asset_id,
                     "storage_bytes": storage_bytes,
-                    "state": state,
+                    "state": contract.state_view(),
                 },
                 size=size,
             ),

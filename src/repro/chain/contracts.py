@@ -90,23 +90,21 @@ class Contract(ABC):
     def state_view(self) -> dict[str, Any]:
         """A JSON-compatible snapshot of public state, as a reader sees it."""
 
-    def state_size(self, view: dict[str, Any] | None = None) -> int:
+    def state_size(self) -> int:
         """``len(canonical_encode(self.state_view()))``: the size the chain
         layer gives every record that carries the view.
 
         When the contract declares its mutable values' bytes
         (:meth:`flags_size`), the rest of the view is measured once with
         the ledger's encoder and the flags are added by identity;
-        otherwise the whole view is encoded on every read.  ``view`` is
-        the current :meth:`state_view` when the caller has built it.
+        otherwise the whole view is encoded on every read.
         """
         flags = self.flags_size()
         if flags is None:
-            return encoded_size(self.state_view() if view is None else view)
+            return encoded_size(self.state_view())
         fixed = self._fixed_state_size
         if fixed is None:
-            measured = encoded_size(self.state_view() if view is None else view)
-            fixed = self._fixed_state_size = measured - flags
+            fixed = self._fixed_state_size = encoded_size(self.state_view()) - flags
         return fixed + flags
 
     def flags_size(self) -> int | None:

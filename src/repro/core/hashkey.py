@@ -211,12 +211,3 @@ class Hashkey:
             path=tuple(args["path"]),
             sig_chain=SignatureChain(layers=tuple(args["sig_layers"])),
         )
-
-    def encoded_size_bytes(self) -> int:
-        """Bytes this hashkey occupies in an unlock transaction."""
-        return (
-            8
-            + len(self.secret)
-            + sum(len(v.encode()) for v in self.path)
-            + self.sig_chain.encoded_size_bytes()
-        )

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.hashkey import Hashkey
+from repro.chain.ledger import EncodedSizes, canonical_encode
+from repro.core.hashkey import Hashkey, wire_args_size
 from repro.core.spec import SwapSpec, compute_diameter_for_spec
 from repro.crypto.hashing import hash_secret
 from repro.crypto.keys import KeyDirectory
@@ -163,4 +164,9 @@ class TestWireFormat:
         spec, pairs, scheme = env
         base = originate(env)
         extended = base.extend(pairs["Carol"], scheme)
-        assert extended.encoded_size_bytes() > base.encoded_size_bytes()
+        sizes = {
+            key: wire_args_size(key.to_args(), EncodedSizes()) for key in (base, extended)
+        }
+        for key, size in sizes.items():
+            assert size == len(canonical_encode(key.to_args()))
+        assert sizes[extended] > sizes[base]
