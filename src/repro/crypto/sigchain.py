@@ -61,10 +61,6 @@ class SignatureChain:
         """The most recent signature — what the next signer signs over."""
         return self.layers[0]
 
-    def encoded_size_bytes(self) -> int:
-        """Total bytes a blockchain would store for this chain."""
-        return sum(len(layer) for layer in self.layers)
-
 
 def sign_secret(secret: bytes, keypair: KeyPair, scheme: SignatureScheme) -> SignatureChain:
     """Create the innermost layer: the leader signs its own secret."""

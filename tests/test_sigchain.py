@@ -56,7 +56,7 @@ class TestConstruction:
     def test_encoded_size(self, env):
         scheme, pairs, _ = env
         chain = build_chain(scheme, pairs, ("Bob", "Alice"))
-        assert chain.encoded_size_bytes() == 2 * scheme.signature_size
+        assert sum(map(len, chain.layers)) == 2 * scheme.signature_size
 
 
 class TestVerification:
