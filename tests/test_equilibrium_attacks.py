@@ -1,5 +1,8 @@
 """Tests for the equilibrium checker and the canned attack constructions."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.analysis.attacks import (
@@ -58,6 +61,57 @@ class TestStrongNashSearch:
         sample = triangle_report.explored[0]
         assert set(sample.outcomes) == {"Alice", "Bob", "Carol"}
         assert isinstance(sample.gain, int)
+
+
+def _canonical_dump(report) -> str:
+    """Every field of every explored deviation, in search order, as
+    canonical JSON (sets sorted, outcomes by value)."""
+    return json.dumps(
+        [
+            {
+                "coalition": sorted(d.coalition),
+                "assignment": sorted(d.assignment.items()),
+                "payoff": d.payoff,
+                "deal_payoff": d.deal_payoff,
+                "gain": d.gain,
+                "conforming_underwater": sorted(d.conforming_underwater),
+                "outcomes": sorted((v, o.value) for v, o in d.outcomes.items()),
+                "triggered": sorted(d.triggered),
+            }
+            for d in report.explored
+        ],
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+
+
+class TestDeviationParityPin:
+    """The search's findings, byte for byte: a change to how deviations
+    are run must not change a single explored outcome."""
+
+    @pytest.mark.parametrize(
+        "digraph, k, explored, digest",
+        [
+            (
+                triangle(), 2, 120,
+                "2a9a309b712162ef949e2094f58672e957f968dca22767f2fbd41835c65b5eee",
+            ),
+            (
+                two_leader_triangle(), 1, 15,
+                "3acc2628c5cebe71544092616801f170cb449563a9070cf81707313bd4f978f8",
+            ),
+            (
+                two_leader_triangle(), 2, 120,
+                "3326568b5a491d41aa8297f2a18d8f676e7031d8df26e771f65ffbaf13f18592",
+            ),
+        ],
+        ids=["triangle-k2", "two-leader-k1", "two-leader-k2"],
+    )
+    def test_every_deviation_outcome_pinned(self, digraph, k, explored, digest):
+        report = check_strong_nash(digraph, max_coalition_size=k)
+        assert report.deviations_explored() == explored
+        dump = _canonical_dump(report)
+        assert hashlib.sha256(dump.encode()).hexdigest() == digest
 
 
 class TestFreeRidePartition:
