@@ -19,7 +19,7 @@ becomes (almost) independent of ``diam(D)`` with the broadcast enabled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core.protocol import SwapConfig, SwapResult, run_swap
 from repro.digraph.digraph import Digraph
@@ -58,23 +58,9 @@ def compare_broadcast(
     all-Deal or a :class:`ValueError` propagates.
     """
     base = config or SwapConfig()
-    without = run_swap(digraph, config=_with_broadcast(base, False))
-    with_bc = run_swap(digraph, config=_with_broadcast(base, True))
+    without = run_swap(digraph, config=replace(base, use_broadcast=False))
+    with_bc = run_swap(digraph, config=replace(base, use_broadcast=True))
     if not (without.all_deal() and with_bc.all_deal()):
         raise ValueError("comparison requires both runs to complete")
     return phase_two_timing(without), phase_two_timing(with_bc)
 
-
-def _with_broadcast(config: SwapConfig, enabled: bool) -> SwapConfig:
-    return SwapConfig(
-        delta=config.delta,
-        timeout_slack=config.timeout_slack,
-        scheme_name=config.scheme_name,
-        start_time=config.start_time,
-        use_broadcast=enabled,
-        reaction_fraction=config.reaction_fraction,
-        action_fraction=config.action_fraction,
-        seed=config.seed,
-        exact_limit=config.exact_limit,
-        diam_override=config.diam_override,
-    )

@@ -34,6 +34,23 @@ class TestBroadcastOptimisation:
             durations.append(without.duration)
         assert durations[0] < durations[1] < durations[2]
 
+    @pytest.mark.parametrize(
+        "config",
+        [SwapConfig(chain_delays={"broadcast": 700}), SwapConfig(timing="jittered")],
+        ids=["chain-delays", "timing"],
+    )
+    def test_compare_keeps_every_config_field(self, config):
+        # Only use_broadcast differs between the two runs: the timing
+        # model and per-chain delays of the caller's config stay in both.
+        d = cycle_digraph(6)
+        without, with_bc = compare_broadcast(d, config)
+        assert without == phase_two_timing(run_swap(d, config=config))
+        reference = SwapConfig(
+            chain_delays=config.chain_delays, timing=config.timing, use_broadcast=True
+        )
+        assert with_bc == phase_two_timing(run_swap(d, config=reference))
+        assert with_bc != compare_broadcast(d)[1]
+
     def test_broadcast_still_all_deal(self):
         result = run_swap(cycle_digraph(6), config=SwapConfig(use_broadcast=True))
         assert result.all_deal()
