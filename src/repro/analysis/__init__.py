@@ -4,7 +4,8 @@ Three layers share this package:
 
 * **Game-theoretic analysis** (§3 of the paper): outcome
   classification, payoffs, the strong-Nash equilibrium checker, and the
-  attack constructions.
+  attack constructions; whatever of it simulates goes through
+  ``Scenario → Engine → RunReport``.
 * **The static scenario verifier** (:mod:`repro.analysis.protocol`):
   structural diagnostics plus closed-form Fig. 3 predictions for a
   :class:`~repro.api.scenario.Scenario` without executing it — surfaced

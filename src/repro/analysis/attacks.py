@@ -1,7 +1,8 @@
 """Canned attack constructions from the paper.
 
-Each function builds (and where possible *runs*) one of the adversarial
-scenarios the paper uses to motivate or delimit the protocol:
+Two functions evaluate an impossibility result directly, without
+running the swap protocol; two build a :class:`~repro.api.scenario.Scenario`
+for any engine to run (``get_engine("herlihy").run(...)``):
 
 * :func:`free_ride_partition` — Lemma 3.4's constructive impossibility:
   on a non-strongly-connected digraph, the coalition that cannot be
@@ -12,7 +13,7 @@ scenarios the paper uses to motivate or delimit the protocol:
 * :func:`premature_reveal_scenario` — §1's "if Alice irrationally reveals
   s early": combined with a crashing counterparty, only the deviator is
   harmed;
-* :func:`last_moment_scenario` — the §1 timelock warning, run against the
+* :func:`last_moment_scenario` — the §1 timelock warning, aimed at the
   *hashkey* protocol to confirm Lemma 4.8 defuses it (contrast with
   :mod:`repro.baselines.naive_timelock`, where it succeeds).
 """
@@ -23,9 +24,8 @@ from dataclasses import dataclass
 
 from repro.analysis.game import SwapGame
 from repro.analysis.outcomes import Outcome, classify_all, classify_coalition
+from repro.api.scenario import Scenario
 from repro.core.pebble import PebbleGameResult, lazy_pebble_game
-from repro.core.protocol import SwapConfig, SwapResult, run_swap
-from repro.core.strategies import LastMomentUnlockParty, PrematureRevealParty
 from repro.digraph.digraph import Arc, Digraph, Vertex
 from repro.digraph.paths import is_strongly_connected, reachable_from
 from repro.errors import DigraphError
@@ -144,16 +144,13 @@ def non_fvs_deadlock(digraph: Digraph, leaders: set[Vertex]) -> DeadlockDemo:
 
 
 # ---------------------------------------------------------------------------
-# §1 scenarios, run against the real protocol
+# §1 scenarios, as scenarios for the real protocol
 # ---------------------------------------------------------------------------
 
 
 def premature_reveal_scenario(
-    digraph: Digraph,
-    revealer: Vertex,
-    crasher: Vertex,
-    config: SwapConfig | None = None,
-) -> SwapResult:
+    digraph: Digraph, revealer: Vertex, crasher: Vertex
+) -> Scenario:
     """"Alice irrationally reveals s early" while another party halts.
 
     The revealer must be a leader for premature revelation to mean
@@ -162,22 +159,16 @@ def premature_reveal_scenario(
     the other parties even though contracts are missing.  The paper's
     claim (checked by callers): only the revealer can end up worse off.
     """
-    if config is None:
-        config = SwapConfig(use_broadcast=True)
-    faults = FaultPlan().crash(crasher, at_point=CrashPoint.AT_START)
-    return run_swap(
-        digraph,
-        config=config,
-        strategies={revealer: PrematureRevealParty},
-        faults=faults,
+    return Scenario(
+        topology=digraph,
+        name="premature-reveal",
+        use_broadcast=True,
+        strategies={revealer: "premature-reveal"},
+        faults=FaultPlan().crash(crasher, at_point=CrashPoint.AT_START),
     )
 
 
-def last_moment_scenario(
-    digraph: Digraph,
-    attacker: Vertex,
-    config: SwapConfig | None = None,
-) -> SwapResult:
+def last_moment_scenario(digraph: Digraph, attacker: Vertex) -> Scenario:
     """The equal-timeout attack, aimed at the hashkey protocol.
 
     The attacker delays every unlock to just before its hashkey deadline.
@@ -185,8 +176,8 @@ def last_moment_scenario(
     deadline is one Δ later), so the attack gains nothing here; the naive
     baseline shows it succeeding.
     """
-    return run_swap(
-        digraph,
-        config=config,
-        strategies={attacker: LastMomentUnlockParty},
+    return Scenario(
+        topology=digraph,
+        name="last-moment",
+        strategies={attacker: "last-moment-unlock"},
     )

@@ -12,6 +12,10 @@ The strategy menu covers: refuse-to-publish (Lemma 4.11's primitive),
 withholding secrets, pure free-riding (claim-only), crash-at-milestone
 halts, and last-moment unlocking.  Coalitions up to a configurable size
 try every joint assignment from the menu.
+
+The search is one serial ``herlihy`` sweep: each joint assignment is a
+:class:`~repro.api.scenario.Scenario` of registered strategy names plus
+milestone crashes.
 """
 
 from __future__ import annotations
@@ -21,32 +25,32 @@ from itertools import product
 
 from repro.analysis.game import SwapGame, proper_coalitions
 from repro.analysis.outcomes import Outcome
-from repro.core.protocol import StrategySpec, SwapConfig, SwapResult, run_swap
-from repro.core.strategies import (
-    GreedyClaimOnlyParty,
-    LastMomentUnlockParty,
-    RefuseToPublishParty,
-    WithholdSecretParty,
-)
+from repro.api.report import RunReport
+from repro.api.scenario import Scenario, resolve_strategy
+from repro.api.sweep import Sweep, run_sweep
+from repro.core.protocol import SwapSimulation
 from repro.digraph.digraph import Arc, Digraph, Vertex
+from repro.digraph.paths import is_strongly_connected
+from repro.errors import AnalysisError, NotStronglyConnectedError
 from repro.sim.faults import CrashPoint, FaultPlan
 
 
 @dataclass(frozen=True)
 class MenuEntry:
-    """One deviating behaviour a coalition member can adopt."""
+    """One deviating behaviour a coalition member can adopt: a
+    registered ``Scenario.strategies`` name and/or a milestone crash."""
 
     name: str
-    strategy: StrategySpec | None = None
+    strategy: str | None = None
     crash_point: CrashPoint | None = None
 
 
 DEFAULT_MENU: tuple[MenuEntry, ...] = (
     MenuEntry("conform"),
-    MenuEntry("refuse_publish", strategy=RefuseToPublishParty),
-    MenuEntry("withhold_secret", strategy=WithholdSecretParty),
-    MenuEntry("claim_only", strategy=GreedyClaimOnlyParty),
-    MenuEntry("last_moment", strategy=LastMomentUnlockParty),
+    MenuEntry("refuse_publish", strategy="refuse-to-publish"),
+    MenuEntry("withhold_secret", strategy="withhold-secret"),
+    MenuEntry("claim_only", strategy="greedy-claim-only"),
+    MenuEntry("last_moment", strategy="last-moment-unlock"),
     MenuEntry("halt_before_phase_two", crash_point=CrashPoint.BEFORE_PHASE_TWO),
 )
 
@@ -97,61 +101,72 @@ def check_strong_nash(
     values: dict[Arc, int] | None = None,
     max_coalition_size: int = 2,
     menu: tuple[MenuEntry, ...] = DEFAULT_MENU,
-    config: SwapConfig | None = None,
-    include_conform_only: bool = False,
 ) -> EquilibriumReport:
     """Search joint deviations for profitable ones.
 
     Exhaustive over coalitions up to ``max_coalition_size`` and all joint
-    menu assignments (skipping the all-conform assignment unless
-    ``include_conform_only``).  Intended for the small digraphs the paper's
-    examples use — cost grows as ``|menu|^{|coalition|}`` per coalition.
+    menu assignments except the all-conform one.  Intended for the small
+    digraphs the paper's examples use — cost grows as
+    ``|menu|^{|coalition|}`` per coalition.  An unknown strategy name, a
+    digraph that is not strongly connected and a search that explores no
+    deviation (it would support nothing) are refused before any run.
     """
-    game = SwapGame(digraph, values or {})
-    report = EquilibriumReport(digraph=digraph)
-    deviating_entries = [entry for entry in menu]
+    for entry in menu:
+        if entry.strategy is not None:
+            resolve_strategy(entry.strategy)
+    if not is_strongly_connected(digraph):
+        raise NotStronglyConnectedError(SwapSimulation.connectivity_message)
+    grid = [
+        (coalition, dict(zip(sorted(coalition), combo)))
+        for coalition in proper_coalitions(digraph, max_coalition_size)
+        for combo in product(menu, repeat=len(coalition))
+        if any(entry.name != "conform" for entry in combo)
+    ]
+    if not grid:
+        raise AnalysisError(
+            f"the search explores no deviation: max_coalition_size="
+            f"{max_coalition_size}, menu {[entry.name for entry in menu]}"
+        )
 
-    for coalition in proper_coalitions(digraph, max_coalition_size):
-        members = sorted(coalition)
-        for combo in product(deviating_entries, repeat=len(members)):
-            if all(entry.name == "conform" for entry in combo) and not include_conform_only:
-                continue
-            strategies: dict[Vertex, StrategySpec] = {}
-            faults = FaultPlan()
-            assignment: dict[Vertex, str] = {}
-            for member, entry in zip(members, combo):
-                assignment[member] = entry.name
-                if entry.strategy is not None:
-                    strategies[member] = entry.strategy
-                if entry.crash_point is not None:
-                    faults.crash(member, at_point=entry.crash_point)
-            result = run_swap(
-                digraph, config=config, strategies=strategies, faults=faults
-            )
-            report.explored.append(_evaluate(game, coalition, assignment, result))
-    return report
+    sweep = Sweep("strong-nash")
+    for _, plan in grid:
+        faults = FaultPlan()
+        for member, entry in plan.items():
+            if entry.crash_point is not None:
+                faults.crash(member, at_point=entry.crash_point)
+        strategies = {m: e.strategy for m, e in plan.items() if e.strategy is not None}
+        sweep.add("herlihy", Scenario(digraph, faults=faults, strategies=strategies))
+    results = run_sweep(sweep, parallel=False)
+    # SweepReport.reports leaves failed runs out, so it lines up with
+    # the grid only when nothing failed.
+    results.raise_failures()
+    game = SwapGame(digraph, values or {})
+    explored = [
+        _evaluate(game, coalition, plan, run)
+        for (coalition, plan), run in zip(grid, results.reports)
+    ]
+    return EquilibriumReport(digraph=digraph, explored=explored)
 
 
 def _evaluate(
     game: SwapGame,
     coalition: set[Vertex],
-    assignment: dict[Vertex, str],
-    result: SwapResult,
+    plan: dict[Vertex, MenuEntry],
+    run: RunReport,
 ) -> DeviationOutcome:
-    payoff = game.coalition_payoff(coalition, result.triggered)
+    triggered = frozenset(run.triggered)
+    payoff = game.coalition_payoff(coalition, triggered)
     deal = game.coalition_deal_payoff(coalition)
     underwater = {
-        v
-        for v in result.conforming
-        if result.outcomes[v] is Outcome.UNDERWATER
+        v for v in run.conforming if run.outcomes[v] is Outcome.UNDERWATER
     }
     return DeviationOutcome(
         coalition=frozenset(coalition),
-        assignment=assignment,
+        assignment={member: entry.name for member, entry in plan.items()},
         payoff=payoff,
         deal_payoff=deal,
         gain=payoff - deal,
         conforming_underwater=underwater,
-        outcomes=dict(result.outcomes),
-        triggered=result.triggered,
+        outcomes=dict(run.outcomes),
+        triggered=triggered,
     )

@@ -11,12 +11,16 @@ from repro.analysis.attacks import (
     non_fvs_deadlock,
     premature_reveal_scenario,
 )
+from repro.analysis import equilibrium
 from repro.analysis.equilibrium import (
     DEFAULT_MENU,
     MenuEntry,
     check_strong_nash,
 )
 from repro.analysis.outcomes import Outcome
+from repro.api.engine import get_engine
+from repro.core.protocol import SwapConfig, run_swap
+from repro.core.strategies import LastMomentUnlockParty, PrematureRevealParty
 from repro.digraph.digraph import Digraph
 from repro.digraph.generators import (
     chain_digraph,
@@ -24,7 +28,13 @@ from repro.digraph.generators import (
     triangle,
     two_leader_triangle,
 )
-from repro.errors import DigraphError
+from repro.errors import (
+    AnalysisError,
+    DigraphError,
+    NotStronglyConnectedError,
+    UnknownStrategyError,
+)
+from repro.sim.faults import CrashPoint, FaultPlan
 
 
 class TestStrongNashSearch:
@@ -61,6 +71,39 @@ class TestStrongNashSearch:
         sample = triangle_report.explored[0]
         assert set(sample.outcomes) == {"Alice", "Bob", "Carol"}
         assert isinstance(sample.gain, int)
+
+
+class TestStrongNashRefusals:
+    """Searches that cannot support the equilibrium refuse before any run."""
+
+    @pytest.fixture
+    def no_runs(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the search ran a deviation")
+
+        monkeypatch.setattr(equilibrium, "run_sweep", refuse)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_no_coalition_explores_nothing(self, no_runs, k):
+        with pytest.raises(AnalysisError, match="explores no deviation"):
+            check_strong_nash(triangle(), max_coalition_size=k)
+
+    def test_conform_only_menu_explores_nothing(self, no_runs):
+        with pytest.raises(AnalysisError, match="explores no deviation"):
+            check_strong_nash(triangle(), menu=(MenuEntry("conform"),))
+
+    def test_not_strongly_connected(self, no_runs):
+        # One connectivity error, worded as the simulator words it — not
+        # one failed run per deviation.
+        with pytest.raises(
+            NotStronglyConnectedError, match="requires a strongly connected"
+        ):
+            check_strong_nash(not_strongly_connected_example(), max_coalition_size=1)
+
+    def test_unknown_strategy_name(self, no_runs):
+        menu = (MenuEntry("conform"), MenuEntry("typo", strategy="refuse-to-publsh"))
+        with pytest.raises(UnknownStrategyError, match="refuse-to-publsh"):
+            check_strong_nash(triangle(), max_coalition_size=1, menu=menu)
 
 
 def _canonical_dump(report) -> str:
@@ -168,10 +211,45 @@ class TestNonFvsDeadlock:
 
 class TestScenarios:
     def test_premature_reveal(self):
-        result = premature_reveal_scenario(triangle(), "Alice", "Carol")
-        assert result.outcomes["Alice"] is Outcome.UNDERWATER
-        assert result.conforming_acceptable()
+        report = get_engine("herlihy").run(
+            premature_reveal_scenario(triangle(), "Alice", "Carol")
+        )
+        assert report.outcomes["Alice"] is Outcome.UNDERWATER
+        assert report.conforming_acceptable()
 
     def test_last_moment_defused(self):
-        result = last_moment_scenario(two_leader_triangle(), "C")
-        assert result.all_deal()
+        report = get_engine("herlihy").run(
+            last_moment_scenario(two_leader_triangle(), "C")
+        )
+        assert report.all_deal()
+
+    @pytest.mark.parametrize(
+        "scenario, reference",
+        [
+            (
+                premature_reveal_scenario(triangle(), "Alice", "Carol"),
+                lambda: run_swap(
+                    triangle(),
+                    config=SwapConfig(use_broadcast=True),
+                    strategies={"Alice": PrematureRevealParty},
+                    faults=FaultPlan().crash("Carol", at_point=CrashPoint.AT_START),
+                ),
+            ),
+            (
+                last_moment_scenario(two_leader_triangle(), "C"),
+                lambda: run_swap(
+                    two_leader_triangle(), strategies={"C": LastMomentUnlockParty}
+                ),
+            ),
+        ],
+        ids=["premature-reveal", "last-moment"],
+    )
+    def test_engine_run_matches_direct_run(self, scenario, reference):
+        # The scenarios describe exactly the runs the party classes and
+        # fault plans hand-wired into run_swap describe.
+        report = get_engine("herlihy").run(scenario)
+        result = reference()
+        assert report.outcomes == result.outcomes
+        assert frozenset(report.triggered) == result.triggered
+        assert report.completion_time == result.completion_time
+        assert report.stored_bytes == result.stored_bytes
