@@ -18,10 +18,10 @@ rounds (16 runs a round, 96 in all) — and:
   :data:`ROUNDS` rounds (the order rotating round by round): ``shipped`` (the run as the library does it);
   ``encode_after`` (the run with the build-time sizing stubbed out —
   the blockchain's record-size functions and every contract's
-  ``state_size``/``args_size`` return 0 — followed by a full-encode
-  pass over every ledger: how the byte count was taken before records
-  were sized as they were built); and ``unsized`` (the stubbed run
-  alone, no byte count at all).
+  ``state_size``/``fixed_state_size``/``args_size`` return 0 —
+  followed by a full-encode pass over every ledger: how the byte count
+  was taken before records were sized as they were built); and
+  ``unsized`` (the stubbed run alone, no byte count at all).
 
 Each ratio is the median over rounds of the ratio within a round, so
 the machine's drift between rounds cancels.  Two ratios carry frozen
@@ -148,7 +148,9 @@ SIZING = (
     (blockchain, "record_size"),
     (blockchain, "encoded_size"),
     (Contract, "state_size"),
+    (Contract, "fixed_state_size"),
     (Contract, "args_size"),
+    (SwapContract, "fixed_state_size"),
     (SwapContract, "args_size"),
 )
 

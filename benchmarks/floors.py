@@ -81,7 +81,9 @@ def e31(results: Path) -> None:
 def e32(results: Path) -> None:
     """Cold shapes: a cold diam(D) + minimum FVS + full D(u, v) table
     >=1.2x the per-pair reference on every lab family with |V| >= 5,
-    and >=3x on an 8-clique.  Smaller families are recorded unfloored."""
+    and >=3x on an 8-clique.  Smaller families are recorded unfloored.
+    First-sight synthesis with contract views sized by the identity
+    >=1.1x one encode per contract, median over the four shapes."""
     agg = _load(results, "E32")["aggregates"]
     families = agg["invariants"]
     floored = {n: f for n, f in families.items() if f["vertices"] >= 5}
@@ -90,7 +92,12 @@ def e32(results: Path) -> None:
         floor = 3.0 if name == "clique-8" else 1.2
         assert family["speedup"] >= floor, (name, family)
     assert len(agg["synthesis_us"]) == 4, agg["synthesis_us"]
-    print(f"E32 floors ok: { {n: f['speedup'] for n, f in floored.items()} }")
+    sizing = agg["sizing_speedup"]
+    assert len(sizing) == 4 and agg["sizing_median_speedup"] >= 1.1, sizing
+    print(
+        f"E32 floors ok: { {n: f['speedup'] for n, f in floored.items()} }, "
+        f"sizing {agg['sizing_median_speedup']}x"
+    )
 
 
 def e33(results: Path) -> None:

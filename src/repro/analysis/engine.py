@@ -49,9 +49,11 @@ silently diverged from):
     one ``signature_size`` per hop; its state view is the contract's
     :meth:`~repro.chain.contracts.Contract.state_size` after the
     contract's ``unlocked`` flags are set in landing order (the view's
-    fixed members are measured once with the ledger's encoder, and
-    ``true`` is a byte shorter than ``false``).  Names are measured
-    once per synthesis, so escaped and non-ASCII names count right.
+    fixed bytes come from the size identity, with the members every
+    contract copies from the spec measured once per
+    :class:`~repro.core.spec.SwapSpec`, and ``true`` is a byte shorter
+    than ``false``).  Names are measured once per synthesis, so escaped
+    and non-ASCII names count right.
     Stored bytes add one 80-byte block header per record (the ledger
     seals one record per block).  ``tests/test_transcript_bytes.py``
     holds the count to the full record list
@@ -281,7 +283,8 @@ def _synthesize(scenario: Scenario, prediction: Prediction) -> RunReport:
         asset = Asset(asset_id=asset_id, description=f"asset {u} owes {v}", value=1)
         contract = SwapContract(spec, arc, asset)
         published_bytes += registration_size(names, asset_id, u) + publication_size(
-            names, u, contract_id, contract, contract.storage_size_bytes(), contract.state_size()
+            names, u, contract_id, contract, contract.storage_size_bytes(),
+            contract.state_size(names),
         )
         escrow_milestones.append(
             Milestone(
@@ -299,14 +302,14 @@ def _synthesize(scenario: Scenario, prediction: Prediction) -> RunReport:
                 scheme.signature_size * len(path),
             )
             published_bytes += call_size(
-                names, v, contract_id, "unlock", args_size, contract.state_size()
+                names, v, contract_id, "unlock", args_size, contract.state_size(names)
             )
             release_times.append((landed, arc, v))
         contract.claimed = True
         contract._halt()
         published_bytes += call_size(
             names, v, contract_id, "claim", contract.args_size("claim", {}, names),
-            contract.state_size(),
+            contract.state_size(names),
         ) + transfer_size(names, contract_id, asset_id, contract_id, v)
         refund_watches += len(final_timeouts[v])
 

@@ -56,6 +56,7 @@ from typing import Any
 
 from repro.analysis.diagnostics import Diagnostic, warning
 from repro.api.scenario import Scenario
+from repro.core.spec import stored_fields_size
 from repro.digraph.digraph import Arc, Digraph, Vertex
 from repro.digraph.feedback import feedback_vertex_set
 from repro.digraph.paths import diameter
@@ -131,19 +132,6 @@ def resolve_leaders(scenario: Scenario, digraph: Digraph) -> tuple[Vertex, ...]:
         return tuple(scenario.leaders)
     chosen = feedback_vertex_set(digraph, exact_limit=scenario.exact_limit)
     return tuple(v for v in digraph.vertices if v in chosen)
-
-
-def _stored_fields_bytes(
-    digraph: Digraph, leaders: tuple[Vertex, ...]
-) -> int:
-    """Fig. 4's long-lived per-contract fields (one hashlock and one
-    timelock per leader, plus the digraph copy and scalar timing)."""
-    digraph_bytes = digraph.encoded_size_bytes()
-    leaders_bytes = sum(len(leader.encode()) for leader in leaders)
-    hashlock_bytes = 32 * len(leaders)
-    timelock_bytes = 8 * len(leaders)
-    scalars = 8 * 4  # start, delta, diam, slack
-    return digraph_bytes + leaders_bytes + hashlock_bytes + timelock_bytes + scalars
 
 
 def _replay(
@@ -328,7 +316,7 @@ def predict(scenario: Scenario) -> tuple[Prediction, tuple[Diagnostic, ...]]:
     )
 
     arc_count = digraph.arc_count()
-    base = _stored_fields_bytes(digraph, leaders)
+    base = stored_fields_size(digraph, leaders)
     # Endpoint and asset names count as UTF-8 bytes, as the contract does.
     storage = sum(
         base + len(u.encode()) + len(v.encode()) + len(f"asset@{u}->{v}".encode())

@@ -240,16 +240,28 @@ def execute_payload(payload: tuple[str, dict], fast_path: bool = False) -> dict:
     :func:`failure_entry` records instead of killing the whole batch;
     genuine bugs still propagate.
     """
+    engine_name, scenario_dict = payload
+    entry, _ = execute_scenario(engine_name, Scenario.from_dict(scenario_dict), fast_path)
+    return entry
+
+
+def execute_scenario(
+    engine_name: str, scenario: Scenario, fast_path: bool = False
+) -> tuple[dict, RunReport | None]:
+    """:func:`execute_payload` on a scenario this process already holds:
+    the store entry, and the report it was made from (``None`` for a
+    :func:`failure_entry`).  The report's :attr:`~RunReport.raw` is
+    dropped, so it matches the entry's decoding and holds no live
+    simulation."""
     from repro.analysis.engine import resolve_report
     from repro.errors import ReproError
 
-    engine_name, scenario_dict = payload
-    scenario = Scenario.from_dict(scenario_dict)
     try:
         report = resolve_report(engine_name, scenario, fast_path)
     except ReproError as error:
-        return failure_entry(engine_name, scenario_dict, error)
-    return store_entry(report)
+        return failure_entry(engine_name, scenario.to_dict(), error), None
+    report.raw = None
+    return store_entry(report), report
 
 
 def execute_chunk(
@@ -511,7 +523,7 @@ def run_sweep(
             store.flush()
 
     analytic_total = 0
-    # Reports synthesized in this process, handed to _assemble as is.
+    # Reports made in this process, handed to _assemble as is.
     inline: dict[int, RunReport] = {}
     if fast_path and pending:
         from repro.analysis.engine import synthesize_run
@@ -536,14 +548,12 @@ def run_sweep(
         analytic_total = len(synthesized)
         pending = residue
 
-    payloads = [(items[i][0], items[i][1].to_dict()) for i in pending]
-
     mode = "cached"
     workers = 0
-    if payloads and parallel and len(payloads) > 1:
+    if len(pending) > 1 and parallel:
         mode = "process-pool"
-        workers = max_workers or min(len(payloads), os.cpu_count() or 2, 8)
-        chunksize = max(1, len(payloads) // (workers * 4))
+        workers = max_workers or min(len(pending), os.cpu_count() or 2, 8)
+        chunksize = max(1, len(pending) // (workers * 4))
         # Only pool-infrastructure failures trigger the serial fallback;
         # exceptions raised by engine code inside a worker propagate
         # unchanged (domain errors were already collected worker-side).
@@ -557,6 +567,7 @@ def run_sweep(
             # submission order, so a result completed out of order would
             # sit unrecorded (and unpersisted) until every earlier chunk
             # finished — an interrupted sweep would lose completed work.
+            payloads = [(items[i][0], items[i][1].to_dict()) for i in pending]
             chunks = [
                 (pending[i : i + chunksize], payloads[i : i + chunksize])
                 for i in range(0, len(payloads), chunksize)
@@ -578,17 +589,22 @@ def run_sweep(
                 # get a correct (serial) sweep; anything recorded before
                 # the pool broke is kept, not re-run.
                 mode, workers = "serial-fallback", 1
-    elif payloads:
+    elif pending:
         mode, workers = "serial", 1
 
     if mode in ("serial", "serial-fallback"):
-        for index, payload in zip(pending, payloads):
+        # Nothing leaves the process: run the scenarios the sweep holds
+        # and keep the reports, as for the synthesized ones above.
+        for index in pending:
             if entries[index] is None:
-                record(index, execute_payload(payload, fast_path))
+                entry, report = execute_scenario(*items[index], fast_path)
+                record(index, entry)
+                if report is not None:
+                    inline[index] = report
                 flush_store()
                 notify((index,))
 
-    if not payloads and analytic_total:
+    if not pending and analytic_total:
         mode = "analytic"
 
     return _assemble(
@@ -610,8 +626,9 @@ def _assemble(
     """The :class:`SweepReport` over every entry, in sweep order.
 
     Entries from the store or a worker process are decoded; the
-    reports in ``inline`` (synthesized here, already equal to their
-    entries' decoding) are used as they are.
+    reports in ``inline`` (made in this process — synthesized, or run
+    serially — and already equal to their entries' decoding) are used
+    as they are.
     """
     reports: list[RunReport] = []
     failures: list[FailedRun] = []

@@ -202,7 +202,8 @@ class Blockchain:
         self._contracts[contract_id] = contract
         storage_bytes = contract.storage_size_bytes()
         size = publication_size(
-            self.names, sender, contract_id, contract, storage_bytes, contract.state_size()
+            self.names, sender, contract_id, contract, storage_bytes,
+            contract.state_size(self.names),
         )
         self._record(
             Record(
@@ -272,7 +273,7 @@ class Blockchain:
             contract_id,
             method,
             contract.args_size(method, args, names),
-            contract.state_size(),
+            contract.state_size(names),
         )
         self._record(Record(kind="contract_call", author=sender, payload=payload, size=size), now)
         return result

@@ -90,29 +90,44 @@ class Contract(ABC):
     def state_view(self) -> dict[str, Any]:
         """A JSON-compatible snapshot of public state, as a reader sees it."""
 
-    def state_size(self) -> int:
+    def state_size(self, names: EncodedSizes) -> int:
         """``len(canonical_encode(self.state_view()))``: the size the chain
         layer gives every record that carries the view.
 
-        When the contract declares its mutable values' bytes
-        (:meth:`flags_size`), the rest of the view is measured once with
-        the ledger's encoder and the flags are added by identity;
-        otherwise the whole view is encoded on every read.
+        The one sizing entry point for a contract's view.  When the
+        contract declares its mutable values' bytes (:meth:`flags_size`),
+        the rest of the view is sized once, by :meth:`fixed_state_size`,
+        and the flags are added by identity; otherwise the whole view is
+        encoded on every read.  ``names`` holds the run's encoded name
+        lengths, as for :meth:`args_size`.
         """
         flags = self.flags_size()
         if flags is None:
             return encoded_size(self.state_view())
         fixed = self._fixed_state_size
         if fixed is None:
-            fixed = self._fixed_state_size = encoded_size(self.state_view()) - flags
+            fixed = self._fixed_state_size = self.fixed_state_size(names)
         return fixed + flags
 
     def flags_size(self) -> int | None:
         """Encoded bytes of the state view's mutable values, or ``None``
         when the contract does not declare them.  A contract that
-        overrides this promises that every other value of its view is
-        fixed from construction on."""
+        overrides this promises that every other byte of its view —
+        keys, frames and values — is fixed from construction on."""
         return None
+
+    def fixed_state_size(self, names: EncodedSizes) -> int:
+        """Encoded bytes of the state view besides :meth:`flags_size`,
+        read once per contract by :meth:`state_size`.
+
+        The default measures the view with the ledger's encoder; a
+        contract that knows its view's shape declares the bytes by the
+        ledger's size identity instead (``names`` holds the run's
+        encoded name lengths).
+        """
+        flags = self.flags_size()
+        assert flags is not None
+        return encoded_size(self.state_view()) - flags
 
     def args_size(self, method: str, args: dict[str, Any], names: EncodedSizes) -> int:
         """``len(canonical_encode(args))`` for a call of ``method``.

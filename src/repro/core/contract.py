@@ -23,7 +23,7 @@ from typing import Any
 
 from repro.chain.assets import Asset
 from repro.chain.contracts import Contract
-from repro.chain.ledger import EncodedSizes, bools_size
+from repro.chain.ledger import EncodedSizes, array_size, bools_size, object_frame
 from repro.core.hashkey import Hashkey, wire_args_size
 from repro.core.spec import SwapSpec
 from repro.digraph.digraph import Arc
@@ -31,6 +31,12 @@ from repro.errors import (
     AuthorizationError,
     ContractStateError,
     InvalidHashkeyError,
+)
+
+#: The frame of a :meth:`SwapContract.state_view`: its 14 keys.
+_VIEW_FRAME = object_frame(
+    "arc", "party", "counterparty", "asset_id", "hashlocks", "leaders", "start_time",
+    "delta", "diam", "timeout_slack", "unlocked", "claimed", "refunded", "halted",
 )
 
 
@@ -157,12 +163,7 @@ class SwapContract(Contract):
             "party": self.party,
             "counterparty": self.counterparty,
             "asset_id": self.asset.asset_id,
-            "hashlocks": [h.hex() for h in self.spec.hashlocks],
-            "leaders": list(self.spec.leaders),
-            "start_time": self.spec.start_time,
-            "delta": self.spec.delta,
-            "diam": self.spec.diam,
-            "timeout_slack": self.spec.timeout_slack,
+            **self.spec.shared_contract_view(),
             "unlocked": list(self.unlocked),
             "claimed": self.claimed,
             "refunded": self.refunded,
@@ -173,6 +174,24 @@ class SwapContract(Contract):
         """The ``unlocked`` flags, ``claimed``, ``refunded`` and
         ``halted``: the only values of the view that change."""
         return bools_size(*self.unlocked, self.claimed, self.refunded, self.is_halted)
+
+    def fixed_state_size(self, names: EncodedSizes) -> int:
+        """The view's fixed bytes by the ledger's size identity, no
+        encode: its 14 keys' frame, the ``unlocked`` array's brackets
+        and commas, the spec-shared members
+        (:meth:`~repro.core.spec.SwapSpec.shared_view_size`, measured
+        once per spec), and this contract's ``arc``, ``party``,
+        ``counterparty`` and ``asset_id`` from ``names``."""
+        party, counterparty = names[self.party], names[self.counterparty]
+        return (
+            _VIEW_FRAME
+            + array_size(0, len(self.unlocked))
+            + self.spec.shared_view_size()
+            + array_size(party + counterparty, 2)
+            + party
+            + counterparty
+            + names[self.asset.asset_id]
+        )
 
     def args_size(self, method: str, args: dict[str, Any], names: EncodedSizes) -> int:
         if method == "unlock":
@@ -212,12 +231,7 @@ def expected_contract_state(spec: SwapSpec, arc: Arc, asset_id: str) -> dict[str
         "party": head,
         "counterparty": tail,
         "asset_id": asset_id,
-        "hashlocks": [h.hex() for h in spec.hashlocks],
-        "leaders": list(spec.leaders),
-        "start_time": spec.start_time,
-        "delta": spec.delta,
-        "diam": spec.diam,
-        "timeout_slack": spec.timeout_slack,
+        **spec.shared_contract_view(),
     }
 
 

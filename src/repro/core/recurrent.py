@@ -17,7 +17,7 @@ remark, reproduced by bench E18.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.protocol import SwapConfig, SwapResult, SwapSimulation
 from repro.crypto.hashing import hash_secret, sha256
@@ -75,18 +75,7 @@ class RecurrentSwapCoordinator:
         # Distinct seeds per round give distinct secrets/keys; time restarts
         # per round (each round is its own simulation epoch).
         base = self.config
-        return SwapConfig(
-            delta=base.delta,
-            timeout_slack=base.timeout_slack,
-            scheme_name=base.scheme_name,
-            start_time=base.start_time,
-            use_broadcast=base.use_broadcast,
-            reaction_fraction=base.reaction_fraction,
-            action_fraction=base.action_fraction,
-            seed=base.seed * 1000 + round_index,
-            exact_limit=base.exact_limit,
-            diam_override=base.diam_override,
-        )
+        return replace(base, seed=base.seed * 1000 + round_index)
 
     def run(self) -> RecurrentOutcome:
         """Execute every round; stop early if a round fails to complete.

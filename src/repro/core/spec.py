@@ -15,7 +15,9 @@ of) it, which is what Theorem 4.10's ``O(|A|^2)`` space bound charges for.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
+from repro.chain.ledger import encoded_size, object_frame
 from repro.crypto.keys import KeyDirectory
 from repro.crypto.signatures import SignatureScheme
 from repro.digraph.digraph import Arc, Digraph, Vertex
@@ -63,6 +65,12 @@ class SwapSpec:
 
     _longest_cache: dict[tuple[Vertex, Vertex], int] = field(
         default_factory=dict, repr=False, compare=False
+    )
+    _shared_view_size: int | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _stored_fields_size: int | None = field(
+        default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -196,6 +204,31 @@ class SwapSpec:
             return True
         return False
 
+    # -- the contracts' copy (Fig. 4) ------------------------------------------------
+
+    def shared_contract_view(self) -> dict[str, Any]:
+        """The members every swap contract's state view copies from this
+        spec: the hashlock vector (hex), the leader vector, ``T``, ``Δ``,
+        ``diam(D)`` and the timeout slack.  A fresh dict each call."""
+        return {
+            "hashlocks": [h.hex() for h in self.hashlocks],
+            "leaders": list(self.leaders),
+            "start_time": self.start_time,
+            "delta": self.delta,
+            "diam": self.diam,
+            "timeout_slack": self.timeout_slack,
+        }
+
+    def shared_view_size(self) -> int:
+        """Encoded bytes of :meth:`shared_contract_view`'s values (its
+        keys and frame excluded), measured with the ledger's encoder
+        once per spec: all ``|A|`` contracts of the swap share them."""
+        size = self._shared_view_size
+        if size is None:
+            view = self.shared_contract_view()
+            size = self._shared_view_size = encoded_size(view) - object_frame(*view)
+        return size
+
     # -- storage accounting -------------------------------------------------------------
 
     def stored_fields_size_bytes(self) -> int:
@@ -203,14 +236,25 @@ class SwapSpec:
 
         Fig. 4's long-lived fields: the digraph, the leader vector, the
         hashlock vector, and the timelock vector (one final timeout per
-        lock), plus the scalar timing fields.
+        lock), plus the scalar timing fields.  Computed once per spec.
         """
-        digraph_bytes = self.digraph.encoded_size_bytes()
-        leaders_bytes = sum(len(l.encode()) for l in self.leaders)
-        hashlock_bytes = 32 * len(self.hashlocks)
-        timelock_bytes = 8 * len(self.leaders)
-        scalars = 8 * 4  # start, delta, diam, slack
-        return digraph_bytes + leaders_bytes + hashlock_bytes + timelock_bytes + scalars
+        size = self._stored_fields_size
+        if size is None:
+            size = self._stored_fields_size = stored_fields_size(self.digraph, self.leaders)
+        return size
+
+
+def stored_fields_size(digraph: Digraph, leaders: tuple[Vertex, ...]) -> int:
+    """Fig. 4's long-lived per-contract fields for a swap on ``digraph``
+    led by ``leaders`` (Theorem 4.10's accounting): one digraph copy,
+    the leader vector, one 32-byte hashlock and one 8-byte timelock per
+    leader, and four 8-byte timing scalars (start, Δ, diam, slack)."""
+    return (
+        digraph.encoded_size_bytes()
+        + sum(len(leader.encode()) for leader in leaders)
+        + (32 + 8) * len(leaders)
+        + 8 * 4
+    )
 
 
 def compute_diameter_for_spec(

@@ -21,10 +21,11 @@ analyzer each ask for ``diam(D)``, ``D(u, v)`` and the leader FVS again,
 so :func:`topology_memo` keeps one compact :class:`TopologyInvariants`
 entry per ordered ``(vertices, arcs)`` pair
 (:meth:`~repro.digraph.digraph.Digraph.topology_key`): the exact
-diameter, the exact ``D(u, v)`` table, and the exact and greedy FVS
-(:mod:`repro.digraph.feedback`).  Vertex order is part of the key
-because the exact FVS is the first minimum subset in vertex order.  The
-memo is one LRU of at most :data:`TOPOLOGY_MEMO_LIMIT` entries.
+diameter, the exact ``D(u, v)`` table, the exact and greedy FVS
+(:mod:`repro.digraph.feedback`) and strong connectivity.  Vertex order
+is part of the key because the exact FVS is the first minimum subset in
+vertex order.  The memo is one LRU of at most
+:data:`TOPOLOGY_MEMO_LIMIT` entries.
 """
 
 from __future__ import annotations
@@ -68,15 +69,20 @@ def is_strongly_connected(digraph: Digraph) -> bool:
     """True iff every vertex reaches every other (§2.1).
 
     The empty digraph and single-vertex digraph are strongly connected by
-    convention.
+    convention.  Answered once per topology (:func:`topology_memo`).
     """
     vertices = digraph.vertices
     if len(vertices) <= 1:
         return True
-    root = vertices[0]
-    if len(reachable_from(digraph, root)) != len(vertices):
-        return False
-    return len(reachable_from(digraph.transpose(), root)) == len(vertices)
+    entry = topology_memo(digraph)
+    connected = entry.strongly_connected
+    if connected is None:
+        root = vertices[0]
+        connected = entry.strongly_connected = (
+            len(reachable_from(digraph, root)) == len(vertices)
+            and len(reachable_from(digraph.transpose(), root)) == len(vertices)
+        )
+    return connected
 
 
 def strongly_connected_components(digraph: Digraph) -> list[set[Vertex]]:
@@ -225,18 +231,21 @@ class TopologyInvariants:
     then, :data:`_UNREACHABLE` where no path exists.
     ``fvs_exact``/``fvs_greedy`` are bitmasks over vertex positions of
     :func:`~repro.digraph.feedback.feedback_vertex_set`'s answer on each
-    branch; callers get a fresh ``set`` built from them.  Nothing here
-    refers to a digraph or its vertex strings, so an entry stays a few
-    hundred bytes.
+    branch; callers get a fresh ``set`` built from them.
+    ``strongly_connected`` is :func:`is_strongly_connected`'s answer,
+    which the analyzer, every :class:`~repro.core.spec.SwapSpec` and
+    every simulation harness ask for.  Nothing here refers to a digraph
+    or its vertex strings, so an entry stays a few hundred bytes.
     """
 
-    __slots__ = ("diameter", "longest", "fvs_exact", "fvs_greedy")
+    __slots__ = ("diameter", "longest", "fvs_exact", "fvs_greedy", "strongly_connected")
 
     def __init__(self) -> None:
         self.diameter: int | None = None
         self.longest: array[int] | None = None
         self.fvs_exact: int | None = None
         self.fvs_greedy: int | None = None
+        self.strongly_connected: bool | None = None
 
 
 _MEMO: OrderedDict[str, TopologyInvariants] = OrderedDict()

@@ -1,5 +1,7 @@
 """Tests for the §4.5/§5 extensions: broadcast, multigraph, recurrent swaps."""
 
+from dataclasses import replace
+
 import pytest
 
 from tests.conftest import assert_no_conforming_underwater
@@ -134,6 +136,31 @@ class TestRecurrentSwaps:
     def test_zero_rounds_rejected(self):
         with pytest.raises(SimulationError):
             RecurrentSwapCoordinator(triangle(), rounds=0)
+
+    @pytest.mark.parametrize(
+        "config",
+        [SwapConfig(), SwapConfig(chain_delays={"P00->P01": 700}), SwapConfig(timing="jittered")],
+        ids=["default", "chain-delays", "timing"],
+    )
+    def test_rounds_keep_every_config_field(self, config):
+        # Only the seed differs from round to round: the timing model and
+        # per-chain delays of the caller's config reach every round.
+        d = cycle_digraph(6)
+        outcome = RecurrentSwapCoordinator(d, rounds=2, config=config).run()
+        for index, round_ in enumerate(outcome.rounds):
+            seeded = replace(config, seed=config.seed * 1000 + index)
+            assert round_.result.completion_time == run_swap(d, config=seeded).completion_time
+
+    def test_round_completion_follows_the_config(self):
+        times = {
+            RecurrentSwapCoordinator(cycle_digraph(6), rounds=1, config=config)
+            .run().rounds[0].result.completion_time
+            for config in (
+                SwapConfig(), SwapConfig(chain_delays={"P00->P01": 700}),
+                SwapConfig(timing="jittered"),
+            )
+        }
+        assert len(times) == 3
 
     def test_broadcast_records_next_round_hashlocks(self):
         outcome = RecurrentSwapCoordinator(triangle(), rounds=2).run()

@@ -435,10 +435,10 @@ class TestSweepStoreIntegration:
         store = SqliteStore(tmp_path / "runs.sqlite")
         cold = run_sweep(_sweep(), parallel=False, store=store)
 
-        def explode(payload, fast_path=False):
+        def explode(engine_name, scenario, fast_path=False):
             raise AssertionError("an engine executed on a warm store")
 
-        monkeypatch.setattr(sweep_mod, "execute_payload", explode)
+        monkeypatch.setattr(sweep_mod, "execute_scenario", explode)
         warm = run_sweep(_sweep(), parallel=False, store=store)
         assert warm.mode == "cached"
         assert warm.executed == 0 and warm.cached == 4
@@ -446,19 +446,29 @@ class TestSweepStoreIntegration:
             r.to_dict() for r in cold.reports
         ]
 
+    def test_serial_reports_are_their_stored_entries(self):
+        store = SqliteStore(":memory:")
+        items = _sweep().items()
+        report = run_sweep(items, parallel=False, store=store)
+        assert report.mode == "serial" and len(report.reports) == len(items)
+        for (engine, scenario), run in zip(items, report.reports):
+            assert run.scenario is scenario and run.raw is None
+            assert run.to_dict() == store.get(run_key(engine, scenario))["report"]
+
     def test_interrupted_sweep_resumes_incrementally(self, tmp_path, monkeypatch):
         store = SqliteStore(tmp_path / "runs.sqlite")
         items = _sweep().items()
         run_sweep(items[:2], parallel=False, store=store)  # "interrupted" half
 
         executed = []
-        real = sweep_mod.execute_payload
+        real = sweep_mod.execute_scenario
 
-        def counting(payload, fast_path=False):
-            executed.append(payload[0])
-            return real(payload, fast_path)
+        def counting(engine_name, scenario, fast_path=False):
+            executed.append(engine_name)
+            return real(engine_name, scenario, fast_path)
 
-        monkeypatch.setattr(sweep_mod, "execute_payload", counting)
+        # A serial sweep runs the scenarios it holds, not their dicts.
+        monkeypatch.setattr(sweep_mod, "execute_scenario", counting)
         resumed = run_sweep(items, parallel=False, store=store)
         assert len(executed) == 2  # only the missing half ran
         assert resumed.executed == 2 and resumed.cached == 2
@@ -472,7 +482,7 @@ class TestSweepStoreIntegration:
         assert len(cold.failures) == 1 and len(store) == 1
 
         monkeypatch.setattr(
-            sweep_mod, "execute_payload",
+            sweep_mod, "execute_scenario",
             lambda *args: (_ for _ in ()).throw(AssertionError("executed")),
         )
         warm = run_sweep(items, parallel=False, store=store)

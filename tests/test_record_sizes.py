@@ -8,16 +8,26 @@ successful and failed contract calls, ``publish_data`` — and for every
 contract class, every registered signature scheme, escaped and
 non-ASCII party names and two-digit lock indices, the supplied size must
 equal ``len(canonical_encode(record.body()))`` and the ledger's total
-the sum of the encodings.
+the sum of the encodings.  A swap contract's view is sized without
+encoding it: its size must equal the view's encoding at every flag
+state, and the spec-shared members are measured once per spec.
 """
 
 from __future__ import annotations
 
+import itertools
+from random import Random
+
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.engine import _synthesize
+from repro.analysis.protocol import analyze_scenario
+from repro.api.engine import get_engine
+from repro.api.scenario import Scenario
 from repro.baselines.two_phase_commit import COORDINATOR, CoordinatedEscrowContract
+from repro.chain import ledger
 from repro.chain.assets import Asset
 from repro.chain.blockchain import Blockchain
 from repro.chain.contracts import Contract
@@ -26,6 +36,7 @@ from repro.chain.ledger import (
     Record,
     canonical_encode,
     canonical_encoded_total,
+    encoded_size,
     object_frame,
 )
 from repro.core.contract import SwapContract
@@ -303,3 +314,108 @@ def test_unlock_args_identity_matches_a_hashkey():
     )
     assert size == len(canonical_encode(hashkey.to_args()))
     assert object_frame() == len(canonical_encode({}))
+
+
+#: Scalars of the spec: zero where the spec allows it, and multi-digit.
+scalar_st = st.sampled_from([0, 1, 9, 10, 1234, 10**12])
+
+
+@SAMPLE
+@given(
+    names=st.lists(names_st, min_size=2, max_size=12, unique=True),
+    start_time=scalar_st,
+    delta=scalar_st.map(lambda value: value or 1),
+    diam=scalar_st.map(lambda value: value or 1),
+    timeout_slack=scalar_st,
+    pick=st.integers(0, 2**32),
+)
+@example(names=["a", "b"], start_time=0, delta=1, diam=1, timeout_slack=0, pick=0)
+@example(
+    names=EDGE_NAMES + [f"v{index}" for index in range(9)],
+    start_time=10**12, delta=1234, diam=10, timeout_slack=9, pick=7,
+)
+def test_swap_view_size_at_every_flag_state(
+    names, start_time, delta, diam, timeout_slack, pick
+):
+    """1-11 locks: every vertex of a complete digraph but the last leads.
+    ``pick`` chooses the arc and the order its locks open in."""
+    digraph = complete_digraph(names)
+    leaders = tuple(names[:-1])
+    spec = SwapSpec(
+        digraph=digraph,
+        leaders=leaders,
+        hashlocks=tuple(hash_secret(leader.encode()) for leader in leaders),
+        start_time=start_time,
+        delta=delta,
+        diam=diam,
+        timeout_slack=timeout_slack,
+    )
+    rng = Random(pick)
+    arc = rng.choice(digraph.arcs)
+    asset = Asset(f"asset@{arc[0]}->{arc[1]}")
+    chain = Blockchain(f"chain:{arc[0]}->{arc[1]}")
+    chain.register_asset(asset, arc[0], now=0)
+    bound = SwapContract(spec, arc, asset)
+    chain.publish_contract(bound, arc[0], now=start_time)
+    unbound = SwapContract(spec, arc, asset)
+    order = rng.sample(range(len(leaders)), len(leaders))
+    for contract, names_cache in ((bound, chain.names), (unbound, EncodedSizes())):
+        for lock in [None] + order:
+            if lock is not None:
+                contract.unlocked[lock] = True
+            for claimed, refunded, halted in itertools.product((False, True), repeat=3):
+                contract.claimed, contract.refunded = claimed, refunded
+                contract._halted = halted
+                view = contract.state_view()
+                assert contract.state_size(names_cache) == encoded_size(view), view
+    assert_sized(chain)
+
+
+class CountingEncoder:
+    """The ledger's encoder, counting every encode of a contract view
+    (or of the spec-shared members a view copies)."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.views = 0
+
+    def encode(self, value):
+        if isinstance(value, dict) and "hashlocks" in value:
+            self.views += 1
+        return self.inner.encode(value)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """``(encoder, specs)``: the counting encoder in the ledger's place,
+    and every :class:`SwapSpec` built while it is installed."""
+    encoder = CountingEncoder(ledger._ENCODER)
+    monkeypatch.setattr(ledger, "_ENCODER", encoder)
+    specs: list[SwapSpec] = []
+    post_init = SwapSpec.__post_init__
+
+    def recording(self):
+        post_init(self)
+        specs.append(self)
+
+    monkeypatch.setattr(SwapSpec, "__post_init__", recording)
+    return encoder, specs
+
+
+def test_k4_run_encodes_the_view_once_per_spec(counted):
+    encoder, specs = counted
+    report = get_engine("herlihy").run(Scenario(complete_digraph(4), seed=5))
+    assert report.published_bytes > 0
+    assert len(specs) == 1
+    assert encoder.views <= len(specs)
+
+
+def test_first_sight_synthesis_encodes_the_view_once_per_spec(counted):
+    encoder, specs = counted
+    scenario = Scenario(complete_digraph(4), seed=5)
+    prediction = analyze_scenario(scenario).prediction
+    assert prediction is not None
+    report = _synthesize(scenario, prediction)
+    assert report.published_bytes > 0
+    assert len(specs) == 1
+    assert encoder.views <= len(specs)

@@ -26,8 +26,10 @@ from repro.digraph.generators import (
 from repro.digraph.paths import (
     TOPOLOGY_MEMO_LIMIT,
     diameter,
+    is_strongly_connected,
     longest_path,
     longest_path_length,
+    strongly_connected_components,
     topology_memo,
 )
 from repro.errors import DigraphError
@@ -56,6 +58,25 @@ def test_memoised_answers_equal_uncached(digraph):
         assert feedback_vertex_set(digraph) == minimum_feedback_vertex_set(digraph)
         assert feedback_vertex_set(digraph, exact_limit=2) == greedy_feedback_vertex_set(digraph)
         assert diameter(digraph, exact_limit=2) == len(digraph.vertices) - 1
+
+
+CONNECTIVITY = SEEDED + [
+    not_strongly_connected_example(),
+    Digraph(["a", "b", "c"], [("a", "b"), ("b", "c")]),  # a reaches all, none reach a
+    Digraph(["a", "b", "c"], [("b", "a"), ("c", "b")]),  # all reach a, a reaches none
+    Digraph(["a", "b", "c", "d"], [("a", "b"), ("b", "a"), ("c", "d"), ("d", "c")]),
+]
+
+
+@pytest.mark.parametrize("digraph", CONNECTIVITY, ids=lambda d: d.topology_key()[:24])
+def test_memoised_strong_connectivity_equals_fresh(digraph):
+    paths._MEMO.pop(digraph.topology_key(), None)
+    fresh = len(strongly_connected_components(digraph)) == 1
+    for _ in range(2):  # cold, then served from the memo
+        assert is_strongly_connected(digraph) is fresh
+        assert topology_memo(digraph).strongly_connected is fresh
+    rebuilt = Digraph(list(digraph.vertices), list(digraph.arcs))
+    assert is_strongly_connected(rebuilt) is fresh
 
 
 def test_vertex_order_is_part_of_the_key():
