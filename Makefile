@@ -4,7 +4,7 @@
 PY ?= python
 export PYTHONPATH := $(CURDIR)/src
 
-.PHONY: test smoke bench-smoke bench bench-floors perf-pairs lab-smoke lab-check fleet-smoke fleet-check serve serve-bench serve-check lint check parity
+.PHONY: test smoke bench-smoke bench bench-floors census perf-pairs lab-smoke lab-check fleet-smoke fleet-check serve serve-bench serve-check lint check parity
 
 test:            ## full tier-1 suite
 	$(PY) -m pytest -x -q
@@ -36,6 +36,9 @@ bench:           ## the full figure-by-figure benchmark suite
 
 bench-floors:    ## the frozen floors of the committed BENCH_E*.json artifacts
 	$(PY) benchmarks/floors.py
+
+census:          ## src/ line count and the defaulted public parameter + dataclass field census
+	$(PY) benchmarks/census.py
 
 BASE ?= HEAD~1
 HEAD ?= HEAD

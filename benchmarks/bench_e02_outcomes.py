@@ -8,7 +8,7 @@ against §3's stated preferences.
 from _tables import emit_table
 
 from repro.analysis.outcomes import Outcome, classify_party, strictly_prefers
-from repro.core.protocol import SwapConfig, run_swap
+from repro.core.protocol import run_swap
 from repro.core.strategies import PrematureRevealParty
 from repro.digraph.generators import triangle
 from repro.sim.faults import CrashPoint, FaultPlan
@@ -29,7 +29,7 @@ def scenario_for_each_outcome():
     # Premature reveal + crash: Alice Underwater, Bob FreeRide.
     scenario = run_swap(
         triangle(),
-        config=SwapConfig(use_broadcast=True),
+        use_broadcast=True,
         strategies={"Alice": PrematureRevealParty},
         faults=FaultPlan().crash("Carol", at_point=CrashPoint.AT_START),
     )

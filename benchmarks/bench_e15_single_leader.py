@@ -8,7 +8,7 @@ storage, published bytes, and completion time.
 
 from _tables import delta_units, emit_table
 
-from repro.core.protocol import SwapConfig, run_swap
+from repro.core.protocol import run_swap
 from repro.core.timelocks import run_single_leader_swap
 from repro.digraph.generators import cycle_digraph, petal_digraph, triangle
 
@@ -25,10 +25,10 @@ WORKLOADS = [
 def sweep():
     rows = []
     for label, digraph in WORKLOADS:
-        general = run_swap(digraph, config=SwapConfig(seed=5))
-        scheme = general.spec.schemes[general.config.scheme_name]
+        general = run_swap(digraph, seed=5)
+        scheme = general.spec.schemes[general.scenario.scheme_name]
         general_sigs = scheme.sign_count + scheme.verify_count
-        single = run_single_leader_swap(digraph, config=SwapConfig(seed=5))
+        single = run_single_leader_swap(digraph, seed=5)
         assert general.all_deal() and single.all_deal()
         rows.append(
             [

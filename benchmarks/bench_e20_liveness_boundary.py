@@ -13,7 +13,7 @@ refunds/NoDeal, never to a conforming Underwater.
 
 from _tables import emit_table
 
-from repro.core.protocol import SwapConfig, run_swap
+from repro.core.protocol import run_swap
 from repro.digraph.digraph import Digraph
 from repro.digraph.generators import triangle
 
@@ -32,12 +32,12 @@ def sweep():
     ]:
         for rho in FRACTIONS:
             for slack in [0, 1]:
-                config = SwapConfig(
+                result = run_swap(
+                    digraph,
                     reaction_fraction=rho * 5 / 9,
                     action_fraction=rho * 4 / 9,
                     timeout_slack=slack,
                 )
-                result = run_swap(digraph, config=config)
                 assert result.conforming_acceptable(), (label, rho, slack)
                 rows.append(
                     [

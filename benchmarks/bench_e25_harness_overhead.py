@@ -26,7 +26,7 @@ from _tables import emit_bench_json, emit_table
 from repro.api import Scenario, get_engine
 from repro.chain.network import BROADCAST_CHAIN_ID, ChainNetwork
 from repro.core.party import SwapParty
-from repro.core.protocol import SwapConfig, SwapSimulation, collect_result
+from repro.core.protocol import SwapSimulation, collect_result
 from repro.core.spec import SwapSpec, compute_diameter_for_spec
 from repro.crypto.hashing import hash_secret, sha256
 from repro.crypto.keys import KeyDirectory
@@ -43,47 +43,48 @@ ROUNDS = 9
 OVERHEAD_BUDGET = 1.05
 
 
-def _seed_style_run(digraph: Digraph, config: SwapConfig):
+def _seed_style_run(digraph: Digraph, scenario: Scenario):
     """The pre-harness SwapSimulation assembly, inlined verbatim.
 
     This is the duplicated code the refactor deleted from the runners,
-    kept here (only) as the measurement baseline.
+    kept here (only) as the measurement baseline.  It reads the run's
+    :class:`Scenario` field by field, as the seed read its config.
     """
     leaders = tuple(
         v
         for v in digraph.vertices
-        if v in feedback_vertex_set(digraph, exact_limit=config.exact_limit)
+        if v in feedback_vertex_set(digraph, exact_limit=scenario.exact_limit)
     )
-    scheme = get_scheme(config.scheme_name)
+    scheme = get_scheme(scenario.scheme_name)
     directory = KeyDirectory()
     keypairs = {}
     for vertex in digraph.vertices:
-        key_seed = sha256(f"keyseed:{config.seed}:{vertex}".encode())
+        key_seed = sha256(f"keyseed:{scenario.seed}:{vertex}".encode())
         keypair = scheme.keygen(seed=key_seed).renamed(vertex)
         directory.register(keypair)
         keypairs[vertex] = keypair
     secrets = {
-        leader: sha256(f"secret:{config.seed}:{leader}".encode())
+        leader: sha256(f"secret:{scenario.seed}:{leader}".encode())
         for leader in leaders
     }
     spec = SwapSpec(
         digraph=digraph,
         leaders=leaders,
         hashlocks=tuple(hash_secret(secrets[l]) for l in leaders),
-        start_time=config.resolved_start(),
-        delta=config.delta,
-        diam=compute_diameter_for_spec(digraph, config.exact_limit),
-        timeout_slack=config.timeout_slack,
+        start_time=scenario.delta if scenario.start_time is None else scenario.start_time,
+        delta=scenario.delta,
+        diam=compute_diameter_for_spec(digraph, scenario.exact_limit),
+        timeout_slack=scenario.timeout_slack,
         directory=directory,
         schemes={scheme.name: scheme},
-        broadcast_unlock_enabled=config.use_broadcast,
+        broadcast_unlock_enabled=scenario.use_broadcast,
     )
     network = ChainNetwork.for_digraph(digraph, include_broadcast=True)
     assets = network.register_arc_assets(digraph, now=0)
     scheduler = Scheduler()
     trace = Trace()
     profile = ReactionProfile.fractions(
-        config.delta, config.reaction_fraction, config.action_fraction
+        scenario.delta, scenario.reaction_fraction, scenario.action_fraction
     )
     parties = {
         vertex: SwapParty(
@@ -95,7 +96,7 @@ def _seed_style_run(digraph: Digraph, config: SwapConfig):
             scheduler=scheduler,
             profile=profile,
             secret=secrets.get(vertex),
-            use_broadcast=config.use_broadcast,
+            use_broadcast=scenario.use_broadcast,
         )
         for vertex in digraph.vertices
     }
@@ -123,7 +124,7 @@ def _seed_style_run(digraph: Digraph, config: SwapConfig):
     events = scheduler.run()
     return collect_result(
         spec=spec,
-        config=config,
+        scenario=scenario,
         network=network,
         trace=trace,
         parties=parties,
@@ -132,11 +133,11 @@ def _seed_style_run(digraph: Digraph, config: SwapConfig):
     )
 
 
-def _harness_run(digraph: Digraph, config: SwapConfig):
-    return SwapSimulation(digraph, config=config).run()
+def _harness_run(digraph: Digraph, scenario: Scenario):
+    return SwapSimulation(scenario).run()
 
 
-def _min_times(digraph: Digraph, config: SwapConfig) -> dict:
+def _min_times(digraph: Digraph, scenario: Scenario) -> dict:
     """Min-of-rounds wall time and last result for each path.
 
     Every round times the seed path and then the harness path, so
@@ -148,19 +149,18 @@ def _min_times(digraph: Digraph, config: SwapConfig) -> dict:
     for _ in range(ROUNDS):
         for fn in best:
             start = time.perf_counter()
-            results[fn] = fn(digraph, config)
+            results[fn] = fn(digraph, scenario)
             best[fn] = min(best[fn], time.perf_counter() - start)
     return {fn: (best[fn], results[fn]) for fn in best}
 
 
 def test_harness_overhead_within_budget():
-    config = SwapConfig()
     rows = []
     per_n = {}
     seed_total = harness_total = 0.0
     for n in CYCLE_GRID:
         digraph = cycle_digraph(n)
-        timed = _min_times(digraph, config)
+        timed = _min_times(digraph, Scenario(digraph))
         seed_t, seed_result = timed[_seed_style_run]
         harness_t, harness_result = timed[_harness_run]
         # Identical simulations first — otherwise the timing is vacuous.

@@ -20,7 +20,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro import CrashPoint, FaultPlan, SwapConfig, run_swap
+from repro import CrashPoint, FaultPlan, run_swap
 from repro.core.broadcast import compare_broadcast
 from repro.core.recurrent import RecurrentSwapCoordinator
 from repro.digraph.generators import cycle_digraph
@@ -57,9 +57,7 @@ def main() -> None:
     print(f"  with broadcast chain : {with_bc.duration} ticks")
 
     print("\nNightly rotations via recurrent swaps (§5):")
-    outcome = RecurrentSwapCoordinator(
-        shards, rounds=3, config=SwapConfig(use_broadcast=True)
-    ).run()
+    outcome = RecurrentSwapCoordinator(shards, rounds=3, use_broadcast=True).run()
     for round_ in outcome.rounds:
         print(f"  night {round_.index}: "
               f"{'rotated' if round_.result.all_deal() else 'FAILED'}, "

@@ -1,12 +1,16 @@
 """repro: a reproduction of "Atomic Cross-Chain Swaps" (Herlihy, PODC 2018).
 
-Quickstart (legacy one-liner)::
+Quickstart (direct runner)::
 
     from repro import run_swap, triangle
 
     result = run_swap(triangle())   # Alice/Bob/Carol's three-way swap (§1)
     assert result.all_deal()
     print(result.summary())
+
+A direct runner takes the :class:`Scenario` fields as keywords
+(``run_swap(triangle(), seed=5, use_broadcast=True)``) and builds one
+``Scenario`` from them, so it runs exactly what an engine runs.
 
 Quickstart (unified engine API) — every protocol variant behind one
 ``Scenario -> Engine -> RunReport`` pipeline::
@@ -70,7 +74,7 @@ from repro.api import (
 )
 from repro.core.clearing import MarketClearingService, Offer, ProposedTransfer
 from repro.core.hashkey import Hashkey
-from repro.core.protocol import SwapConfig, SwapResult, SwapSimulation, run_swap
+from repro.core.protocol import SwapResult, SwapSimulation, run_swap
 from repro.core.spec import SwapSpec
 from repro.core.timelocks import run_single_leader_swap
 from repro.digraph.digraph import Digraph
@@ -107,7 +111,6 @@ __all__ = [
     "Offer",
     "ProposedTransfer",
     "Hashkey",
-    "SwapConfig",
     "SwapResult",
     "SwapSimulation",
     "run_swap",

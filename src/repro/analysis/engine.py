@@ -112,13 +112,12 @@ from repro.chain.ledger import _BLOCK_HEADER_BYTES, EncodedSizes
 from repro.chain.network import chain_id_for_arc
 from repro.core.contract import SwapContract
 from repro.core.hashkey import unlock_args_size
-from repro.core.spec import SwapSpec
+from repro.core.spec import SwapSpec, leader_secret
 from repro.crypto.hashing import hash_secret
 from repro.crypto.signatures import get_scheme
 from repro.digraph.digraph import Arc, Vertex
 from repro.errors import AnalysisError
 from repro.sim.clock import ticks
-from repro.sim.harness import derive_secret
 from repro.sim.milestones import (
     CONTRACT_ESCROWED,
     PHASE1_START,
@@ -249,7 +248,7 @@ def _synthesize(scenario: Scenario, prediction: Prediction) -> RunReport:
     action = ticks(scenario.delta, scenario.action_fraction)
     scheme = get_scheme(scenario.scheme_name)
 
-    secrets = [derive_secret("secret", scenario.seed, leader) for leader in leaders]
+    secrets = [leader_secret(scenario.seed, leader) for leader in leaders]
     spec = SwapSpec(
         digraph=digraph,
         leaders=leaders,

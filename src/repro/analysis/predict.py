@@ -56,10 +56,13 @@ from typing import Any
 
 from repro.analysis.diagnostics import Diagnostic, warning
 from repro.api.scenario import Scenario
-from repro.core.spec import stored_fields_size
+from repro.core.spec import (
+    resolve_diam,
+    resolve_leaders,
+    resolve_start,
+    stored_fields_size,
+)
 from repro.digraph.digraph import Arc, Digraph, Vertex
-from repro.digraph.feedback import feedback_vertex_set
-from repro.digraph.paths import diameter
 from repro.errors import AnalysisError
 from repro.sim.clock import ticks
 from repro.sim.milestones import (
@@ -124,14 +127,6 @@ class Prediction:
             "contract_storage_bytes": self.contract_storage_bytes,
             "deadline_feasible": self.deadline_feasible,
         }
-
-
-def resolve_leaders(scenario: Scenario, digraph: Digraph) -> tuple[Vertex, ...]:
-    """The leader set an engine would use, in vertex order."""
-    if scenario.leaders is not None:
-        return tuple(scenario.leaders)
-    chosen = feedback_vertex_set(digraph, exact_limit=scenario.exact_limit)
-    return tuple(v for v in digraph.vertices if v in chosen)
 
 
 def _replay(
@@ -281,10 +276,8 @@ def predict(scenario: Scenario) -> tuple[Prediction, tuple[Diagnostic, ...]]:
     delta = scenario.delta
     reaction = ticks(delta, scenario.reaction_fraction)
     action = ticks(delta, scenario.action_fraction)
-    start = scenario.start_time if scenario.start_time is not None else delta
-    diam = scenario.diam_override or diameter(
-        digraph, exact_limit=scenario.exact_limit
-    )
+    start = resolve_start(scenario)
+    diam = resolve_diam(scenario, digraph)
     slack = scenario.timeout_slack
     bound = start + (2 * diam + slack) * delta
     ladder = {

@@ -38,9 +38,10 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.analysis.diagnostics import Diagnostic, error, has_errors
-from repro.analysis.predict import Prediction, predict, resolve_leaders
+from repro.analysis.predict import Prediction, predict
 from repro.analysis.structure import check_payload, check_scenario
 from repro.api.scenario import Scenario
+from repro.core.spec import resolve_leaders
 from repro.crypto.signatures import scheme_names
 from repro.digraph.multigraph import MultiDigraph
 from repro.errors import ReproError

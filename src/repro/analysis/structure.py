@@ -217,34 +217,35 @@ def _check_topology(data: Any, out: list[Diagnostic]) -> tuple[set[str], set[tup
     return vertices, pairs, multi
 
 
+#: The scalar spec parameters both layers check: field -> (code, lowest
+#: valid value, what the value counts).  ``start_time`` and
+#: ``diam_override`` may also be ``None`` (unset).
+_SCALAR_RULES: dict[str, tuple[str, int, str]] = {
+    "delta": ("timing/bad-delta", 1, "a positive tick count"),
+    "timeout_slack": ("timing/bad-slack", 0, "a non-negative Δ count"),
+    "start_time": ("timing/bad-start", 0, "a non-negative tick"),
+    "diam_override": ("timing/bad-diam", 1, "a diameter of at least 1"),
+}
+
+
+def _check_scalar_fields(data: Mapping[str, Any], out: list[Diagnostic]) -> None:
+    """Δ, the timeout slack, the start time and the ``diam`` override,
+    each an integer no lower than the engines accept (an absent field
+    takes its valid default)."""
+    for name, (code, lowest, meaning) in _SCALAR_RULES.items():
+        if name not in data:
+            continue
+        value = data[name]
+        if value is None and name in ("start_time", "diam_override"):
+            continue
+        if not _is_int(value) or value < lowest:
+            out.append(
+                error(code, f"/{name}", f"{name} must be {meaning}, got {value!r}")
+            )
+
+
 def _check_timing_fields(data: Mapping[str, Any], out: list[Diagnostic]) -> None:
-    delta = data.get("delta", 1)
-    if not _is_int(delta) or delta <= 0:
-        out.append(
-            error(
-                "timing/bad-delta",
-                "/delta",
-                f"delta must be a positive tick count, got {delta!r}",
-            )
-        )
-    slack = data.get("timeout_slack", 0)
-    if not _is_int(slack) or slack < 0:
-        out.append(
-            error(
-                "timing/bad-slack",
-                "/timeout_slack",
-                f"timeout_slack must be a non-negative Δ count, got {slack!r}",
-            )
-        )
-    start = data.get("start_time")
-    if start is not None and (not _is_int(start) or start < 0):
-        out.append(
-            error(
-                "timing/bad-start",
-                "/start_time",
-                f"start_time must be a non-negative tick, got {start!r}",
-            )
-        )
+    _check_scalar_fields(data, out)
     total = 0.0
     for name in ("reaction_fraction", "action_fraction"):
         value = data.get(name, 0.25)
@@ -511,12 +512,15 @@ def check_payload(data: Any) -> tuple[Diagnostic, ...]:
 def check_scenario(scenario: Scenario) -> tuple[Diagnostic, ...]:
     """Diagnose the graph-level structure of a constructed scenario.
 
-    Covers the facts the payload layer cannot see: Theorem 3.5's strong
-    connectivity precondition, leader sets that are empty or fail to be
-    feedback vertex sets, ``diam_override`` underestimates, and
-    broadcast delays configured on a non-broadcast run.
+    Covers the scalar spec parameters the engines refuse (the same
+    rules :func:`check_payload` applies to a raw payload) and the facts
+    the payload layer cannot see: Theorem 3.5's strong connectivity
+    precondition, leader sets that are empty or fail to be feedback
+    vertex sets, ``diam_override`` underestimates, and broadcast delays
+    configured on a non-broadcast run.
     """
     out: list[Diagnostic] = []
+    _check_scalar_fields({name: getattr(scenario, name) for name in _SCALAR_RULES}, out)
     digraph: Digraph = scenario.digraph()
     if digraph.arc_count() == 0:
         out.append(
@@ -582,7 +586,7 @@ def check_scenario(scenario: Scenario) -> tuple[Diagnostic, ...]:
                     "no non-empty feedback vertex set was found",
                 )
             )
-    if connected and scenario.diam_override is not None:
+    if connected and _is_int(scenario.diam_override) and scenario.diam_override >= 1:
         true_diam = diameter(digraph, exact_limit=scenario.exact_limit)
         if scenario.diam_override < true_diam:
             out.append(

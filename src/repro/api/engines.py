@@ -1,12 +1,19 @@
 """The six protocol adapters, registered at import time.
 
-Each adapter implements :meth:`~repro.api.engine.Engine.prepare`,
-assembling its simulation through the shared
-:class:`~repro.sim.harness.SimulationHarness` and handing the prepared
-run to the execution-session layer (:mod:`repro.api.execution`) — so
-``Engine.run``, ``Engine.open``, probes, and milestone interventions
-all drive the very same assembly a direct runner (``run_swap``,
-``run_single_leader_swap``, ``run_multigraph_swap``) runs.
+Each adapter implements :meth:`~repro.api.engine.Engine.prepare`: it
+checks what its protocol cannot express, then passes the scenario
+itself to its simulation (:class:`~repro.core.protocol.SwapSimulation`,
+:class:`~repro.core.timelocks.SingleLeaderSimulation`,
+:func:`~repro.core.multiswap.prepare_multigraph_swap` or a baseline's
+``_prepare_*``), which reads every run parameter from it, assembles the
+run through the shared :class:`~repro.sim.harness.SimulationHarness`,
+and hands it to the execution-session layer (:mod:`repro.api.execution`).
+So ``Engine.run``, ``Engine.open``, probes, and milestone interventions
+all drive the very same assembly a direct runner runs: ``run_swap(d,
+**fields)``, ``run_single_leader_swap(d, leader, **fields)`` and
+``run_multigraph_swap(m, **fields)`` take the :class:`Scenario` fields
+as keywords (``seed=5``, ``leaders=...``, ``faults=...``) and build one
+``Scenario`` from them.
 
 ================ ==================================================== ==============================
 name             protocol                                             ``Scenario.timing`` applies to
@@ -42,7 +49,6 @@ front end passes ``fast_path=True``; it is not an engine.
 
 from __future__ import annotations
 
-from typing import Any
 
 from repro.api.engine import Engine, register_engine
 from repro.api.execution import PreparedSimulation
@@ -53,7 +59,7 @@ from repro.baselines.two_phase_commit import _prepare_two_phase_commit_swap
 from repro.core.multiswap import prepare_multigraph_swap
 from repro.core.protocol import SwapSimulation
 from repro.core.timelocks import SingleLeaderSimulation
-from repro.digraph.digraph import Arc, Digraph, Vertex
+from repro.digraph.digraph import Vertex
 from repro.digraph.multigraph import MultiDigraph
 from repro.errors import ScenarioError
 
@@ -87,11 +93,6 @@ def _require_no_strategies(engine: "Engine", scenario: Scenario) -> None:
         )
 
 
-def _arc_set(value: Any) -> set[Arc]:
-    """Coerce a JSON-shaped arc collection ([["u","v"], ...]) to arcs."""
-    return {tuple(arc) for arc in value}
-
-
 def _single_leader(engine: "Engine", scenario: Scenario) -> Vertex | None:
     if scenario.leaders is not None and len(scenario.leaders) > 1:
         raise ScenarioError(
@@ -105,9 +106,9 @@ def _single_leader(engine: "Engine", scenario: Scenario) -> Vertex | None:
     return leader
 
 
-def _simple_digraph(engine: "Engine", scenario: Scenario) -> Digraph:
-    """The scenario's topology as a simple digraph — refusing to silently
-    drop parallel arcs a multigraph scenario actually asked for."""
+def _require_simple(engine: "Engine", scenario: Scenario) -> None:
+    """Refuse to silently drop parallel arcs a multigraph scenario
+    actually asked for (the simulations run ``scenario.digraph()``)."""
     topology = scenario.topology
     if isinstance(topology, MultiDigraph):
         simple = topology.underlying_simple()
@@ -118,8 +119,6 @@ def _simple_digraph(engine: "Engine", scenario: Scenario) -> Digraph:
                 f"{simple.arc_count()} vertex pairs — use the 'multiswap' "
                 "engine to honour parallel arcs"
             )
-        return simple
-    return topology
 
 
 # ---------------------------------------------------------------------------
@@ -139,14 +138,8 @@ class HerlihyEngine(Engine):
 
     def prepare(self, scenario: Scenario) -> PreparedSimulation:
         _check_params(self, scenario, frozenset())
-        simulation = SwapSimulation(
-            _simple_digraph(self, scenario),
-            leaders=scenario.leaders,
-            config=scenario.config(),
-            faults=scenario.faults,
-            strategies=scenario.resolved_strategies(),
-        )
-        return PreparedSimulation(*simulation.prepared())
+        _require_simple(self, scenario)
+        return PreparedSimulation(*SwapSimulation(scenario).prepared())
 
 
 class SingleLeaderEngine(Engine):
@@ -163,11 +156,9 @@ class SingleLeaderEngine(Engine):
     def prepare(self, scenario: Scenario) -> PreparedSimulation:
         _check_params(self, scenario, frozenset({"leader"}))
         _require_no_strategies(self, scenario)
+        _require_simple(self, scenario)
         simulation = SingleLeaderSimulation(
-            _simple_digraph(self, scenario),
-            leader=_single_leader(self, scenario),
-            config=scenario.config(),
-            faults=scenario.faults,
+            scenario, leader=_single_leader(self, scenario)
         )
         return PreparedSimulation(*simulation.prepared())
 
@@ -185,16 +176,7 @@ class MultiswapEngine(Engine):
 
     def prepare(self, scenario: Scenario) -> PreparedSimulation:
         _check_params(self, scenario, frozenset())
-        topology = scenario.topology
-        if isinstance(topology, Digraph):
-            topology = MultiDigraph(topology.vertices, topology.arcs)
-        return PreparedSimulation(*prepare_multigraph_swap(
-            topology,
-            leaders=scenario.leaders,
-            config=scenario.config(),
-            faults=scenario.faults,
-            strategies=scenario.resolved_strategies(),
-        ))
+        return PreparedSimulation(*prepare_multigraph_swap(scenario))
 
 
 class NaiveTimelockEngine(Engine):
@@ -214,13 +196,9 @@ class NaiveTimelockEngine(Engine):
             self, scenario, frozenset({"leader", "attacker", "timeout_multiple"})
         )
         _require_no_strategies(self, scenario)
+        _require_simple(self, scenario)
         simulation = _prepare_naive_timelock_swap(
-            _simple_digraph(self, scenario),
-            leader=_single_leader(self, scenario),
-            attacker=scenario.params.get("attacker"),
-            config=scenario.config(),
-            faults=scenario.faults,
-            timeout_multiple=scenario.params.get("timeout_multiple"),
+            scenario, leader=_single_leader(self, scenario)
         )
         return PreparedSimulation(*simulation.prepared())
 
@@ -241,13 +219,8 @@ class SequentialTrustEngine(Engine):
         _check_params(self, scenario, frozenset({"first_mover", "defectors"}))
         _require_no_strategies(self, scenario)
         _require_no_faults(self, scenario)
-        defectors = scenario.params.get("defectors")
-        return PreparedSimulation(*_prepare_sequential_trust_swap(
-            _simple_digraph(self, scenario),
-            first_mover=scenario.params.get("first_mover"),
-            defectors=set(defectors) if defectors else None,
-            config=scenario.config(),
-        ))
+        _require_simple(self, scenario)
+        return PreparedSimulation(*_prepare_sequential_trust_swap(scenario))
 
 
 class TwoPhaseCommitEngine(Engine):
@@ -268,13 +241,8 @@ class TwoPhaseCommitEngine(Engine):
         )
         _require_no_strategies(self, scenario)
         _require_no_faults(self, scenario)
-        commit_only = scenario.params.get("byzantine_commit_only")
-        return PreparedSimulation(*_prepare_two_phase_commit_swap(
-            _simple_digraph(self, scenario),
-            config=scenario.config(),
-            byzantine_commit_only=_arc_set(commit_only) if commit_only else None,
-            coordinator_crashes=bool(scenario.params.get("coordinator_crashes", False)),
-        ))
+        _require_simple(self, scenario)
+        return PreparedSimulation(*_prepare_two_phase_commit_swap(scenario))
 
 
 ENGINES: tuple[Engine, ...] = tuple(

@@ -20,7 +20,6 @@ import json
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Mapping
 
-from repro.core.protocol import SwapConfig
 from repro.core.strategies import (
     GreedyClaimOnlyParty,
     LastMomentUnlockParty,
@@ -143,10 +142,12 @@ def _faults_from_dict(data: dict) -> FaultPlan:
 class Scenario:
     """A frozen description of one protocol run.
 
-    Engine-agnostic fields mirror :class:`repro.core.protocol.SwapConfig`;
-    engine-specific knobs (attacker, defectors, Byzantine commit subsets,
-    ...) ride in ``params`` — see each adapter in
-    :mod:`repro.api.engines` for its recognised keys.
+    Engine-agnostic fields are the run parameters every protocol reads
+    (the simulations take the scenario itself, and the direct runners
+    such as :func:`repro.core.protocol.run_swap` build one from their
+    keyword arguments); engine-specific knobs (attacker, defectors,
+    Byzantine commit subsets, ...) ride in ``params`` — see each adapter
+    in :mod:`repro.api.engines` for its recognised keys.
     """
 
     topology: Digraph | MultiDigraph
@@ -246,23 +247,6 @@ class Scenario:
         if isinstance(self.topology, MultiDigraph):
             return self.topology.underlying_simple()
         return self.topology
-
-    def config(self) -> SwapConfig:
-        """The equivalent legacy :class:`SwapConfig`."""
-        return SwapConfig(
-            delta=self.delta,
-            timeout_slack=self.timeout_slack,
-            scheme_name=self.scheme_name,
-            start_time=self.start_time,
-            use_broadcast=self.use_broadcast,
-            reaction_fraction=self.reaction_fraction,
-            action_fraction=self.action_fraction,
-            seed=self.seed,
-            exact_limit=self.exact_limit,
-            diam_override=self.diam_override,
-            timing=self.timing,
-            chain_delays=dict(self.chain_delays) or None,
-        )
 
     def timing_model(self) -> TimingModel:
         """The resolved :class:`~repro.sim.timing.TimingModel` (uniform

@@ -18,14 +18,15 @@ with the hashkey protocol, where the same behaviour is harmless
 
 from __future__ import annotations
 
-from repro.core.protocol import SwapConfig
+from typing import Any
+
+from repro.core.spec import resolve_start
 from repro.core.timelocks import (
     SingleLeaderParty,
     SingleLeaderSimulation,
     equal_timeouts,
 )
-from repro.digraph.digraph import Arc, Digraph, Vertex
-from repro.sim.faults import FaultPlan
+from repro.digraph.digraph import Arc, Vertex
 
 
 class LastMomentSingleLeaderParty(SingleLeaderParty):
@@ -38,27 +39,21 @@ class LastMomentSingleLeaderParty(SingleLeaderParty):
 
 
 def _prepare_naive_timelock_swap(
-    digraph: Digraph,
-    leader: Vertex | None = None,
-    attacker: Vertex | None = None,
-    config: SwapConfig | None = None,
-    faults: FaultPlan | None = None,
-    timeout_multiple: int | None = None,
+    scenario: Any, leader: Vertex | None = None
 ) -> SingleLeaderSimulation:
-    """Assemble (without running) the equal-timeout swap simulation."""
-    config = config or SwapConfig()
-    start = config.resolved_start()
+    """Assemble (without running) the equal-timeout swap simulation of
+    ``scenario``, whose ``params`` may name an ``attacker`` and a shared
+    ``timeout_multiple``."""
     timeouts = equal_timeouts(
-        digraph, config.delta, start_time=start, multiple=timeout_multiple
+        scenario.digraph(),
+        scenario.delta,
+        start_time=resolve_start(scenario),
+        multiple=scenario.params.get("timeout_multiple"),
     )
+    attacker = scenario.params.get("attacker")
     strategies = {}
     if attacker is not None:
         strategies[attacker] = LastMomentSingleLeaderParty
     return SingleLeaderSimulation(
-        digraph,
-        leader=leader,
-        config=config,
-        faults=faults,
-        strategies=strategies,
-        timeouts=timeouts,
+        scenario, leader=leader, strategies=strategies, timeouts=timeouts
     )

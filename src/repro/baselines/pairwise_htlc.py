@@ -20,11 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import Any
 
 from repro.chain.blockchain import Blockchain
 from repro.chain.ledger import Record
 from repro.chain.network import ChainNetwork
-from repro.core.protocol import SwapConfig
+from repro.core.spec import resolve_start
 from repro.digraph.digraph import Arc, Digraph, Vertex
 from repro.errors import AssetError, SimulationError
 from repro.sim import trace as tr
@@ -114,25 +115,23 @@ class SequentialParty(Process):
             self.trace.record(now, tr.ARC_TRIGGERED, self.address, arc=list(arc))
 
 
-def _prepare_sequential_trust_swap(
-    digraph: Digraph,
-    first_mover: Vertex | None = None,
-    defectors: set[Vertex] | None = None,
-    config: SwapConfig | None = None,
-):
+def _prepare_sequential_trust_swap(scenario: Any):
     """``(harness, start_time, finalize)``: the assembled trust-chain
-    simulation for the execution-session layer."""
-    config = config or SwapConfig()
-    defectors = defectors or set()
+    simulation of ``scenario`` for the execution-session layer.  Its
+    ``params`` may name the ``first_mover`` (default: the first vertex)
+    and the ``defectors``, who take the money and run."""
+    digraph = scenario.digraph()
+    defectors = set(scenario.params.get("defectors") or ())
     harness = SimulationHarness.for_config(
         digraph,
-        config,
+        scenario,
         include_broadcast=False,
         connectivity_message="baseline still needs a strongly connected swap",
     )
     for v in defectors:
         if not digraph.has_vertex(v):
             raise SimulationError(f"unknown defector {v!r}")
+    first_mover = scenario.params.get("first_mover")
     if first_mover is None:
         first_mover = digraph.vertices[0]
 
@@ -150,13 +149,13 @@ def _prepare_sequential_trust_swap(
     )
     harness.wire_observations()
 
-    start = config.resolved_start()
+    start = resolve_start(scenario)
     spec = BaselineSpec(
         digraph=digraph,
         leaders=(first_mover,),
         start_time=start,
-        delta=config.delta,
+        delta=scenario.delta,
         diam=len(digraph.vertices) - 1,
     )
     conforming = frozenset(v for v in digraph.vertices if v not in defectors)
-    return harness, start, partial(harness.collect, spec, config, conforming)
+    return harness, start, partial(harness.collect, spec, scenario, conforming)

@@ -27,7 +27,7 @@ from repro.chain.blockchain import Blockchain
 from repro.chain.contracts import Contract
 from repro.chain.ledger import Record, bools_size, encoded_size
 from repro.chain.network import ChainNetwork
-from repro.core.protocol import SwapConfig
+from repro.core.spec import resolve_start
 from repro.digraph.digraph import Arc, Digraph, Vertex
 from repro.errors import (
     AssetError,
@@ -267,23 +267,21 @@ class TwoPhaseCommitSpec:
         return self.start_time + 3 * self.delta
 
 
-def _prepare_two_phase_commit_swap(
-    digraph: Digraph,
-    config: SwapConfig | None = None,
-    byzantine_commit_only: set[Arc] | None = None,
-    coordinator_crashes: bool = False,
-):
-    """``(harness, start_time, finalize)``: the assembled 2PC exchange
-    for the execution-session layer."""
-    config = config or SwapConfig()
+def _prepare_two_phase_commit_swap(scenario: Any):
+    """``(harness, start_time, finalize)``: the assembled 2PC exchange of
+    ``scenario`` for the execution-session layer.  Its ``params`` may
+    name ``byzantine_commit_only`` (the arcs a Byzantine coordinator
+    commits, aborting the rest) and ``coordinator_crashes``."""
+    digraph = scenario.digraph()
+    commit_only = scenario.params.get("byzantine_commit_only")
     harness = SimulationHarness.for_config(
         digraph,
-        config,
+        scenario,
         include_broadcast=False,
         connectivity_message="baseline still needs a strongly connected swap",
     )
-    start = config.resolved_start()
-    timeout = start + 4 * config.delta
+    start = resolve_start(scenario)
+    timeout = start + 4 * scenario.delta
 
     harness.build_parties(
         lambda vertex, profile: EscrowParty(
@@ -305,8 +303,8 @@ def _prepare_two_phase_commit_swap(
         trace=harness.trace,
         scheduler=harness.scheduler,
         profile=harness.base_profile,
-        commit_only=byzantine_commit_only,
-        crash_before_decide=coordinator_crashes,
+        commit_only={tuple(arc) for arc in commit_only} if commit_only else None,
+        crash_before_decide=bool(scenario.params.get("coordinator_crashes", False)),
     )
     harness.wire_observations(extra_watchers=(coordinator,))
 
@@ -314,8 +312,8 @@ def _prepare_two_phase_commit_swap(
         digraph=digraph,
         leaders=(COORDINATOR,),
         start_time=start,
-        delta=config.delta,
+        delta=scenario.delta,
         diam=1,
     )
     conforming = frozenset(digraph.vertices)
-    return harness, start, partial(harness.collect, spec, config, conforming)
+    return harness, start, partial(harness.collect, spec, scenario, conforming)

@@ -37,7 +37,6 @@ from repro.core.multiswap import MultiSwapResult, run_multigraph_swap
 from repro.core.party import SwapParty
 from repro.core.pebble import PebbleGameResult, eager_pebble_game, lazy_pebble_game
 from repro.core.protocol import (
-    SwapConfig,
     SwapResult,
     SwapSimulation,
     collect_result,
@@ -97,7 +96,6 @@ __all__ = [
     "PebbleGameResult",
     "eager_pebble_game",
     "lazy_pebble_game",
-    "SwapConfig",
     "SwapResult",
     "SwapSimulation",
     "collect_result",

@@ -10,8 +10,8 @@ create an arc from each follower directly to that leader.)  Unfortunately
 refrain from publishing the secret on that blockchain, but publish it on
 others."
 
-The mechanics live inside the core protocol (``SwapConfig.use_broadcast``
-turns them on; parties both broadcast *and* run the normal relay, exactly
+The mechanics live inside the core protocol (the scenario's
+``use_broadcast`` turns them on; parties both broadcast *and* run the normal relay, exactly
 because the broadcast cannot be relied upon).  This module provides the
 measurement helpers bench E14 uses to show the effect: Phase-Two latency
 becomes (almost) independent of ``diam(D)`` with the broadcast enabled.
@@ -19,9 +19,10 @@ becomes (almost) independent of ``diam(D)`` with the broadcast enabled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Any
 
-from repro.core.protocol import SwapConfig, SwapResult, run_swap
+from repro.core.protocol import SwapResult, SwapSimulation, scenario_for
 from repro.digraph.digraph import Digraph
 from repro.sim import trace as tr
 
@@ -50,17 +51,18 @@ def phase_two_timing(result: SwapResult) -> PhaseTwoTiming:
 
 
 def compare_broadcast(
-    digraph: Digraph, config: SwapConfig | None = None
+    digraph: Digraph, **fields: Any
 ) -> tuple[PhaseTwoTiming, PhaseTwoTiming]:
     """Run the same swap with and without the broadcast optimisation.
 
-    Returns ``(without, with)`` Phase-Two timings; both runs must end
-    all-Deal or a :class:`ValueError` propagates.
+    ``fields`` are :class:`~repro.api.scenario.Scenario` fields shared
+    by both runs (``use_broadcast`` is set per run).  Returns
+    ``(without, with)`` Phase-Two timings; both runs must end all-Deal
+    or a :class:`ValueError` propagates.
     """
-    base = config or SwapConfig()
-    without = run_swap(digraph, config=replace(base, use_broadcast=False))
-    with_bc = run_swap(digraph, config=replace(base, use_broadcast=True))
+    base = scenario_for(digraph, **fields)
+    without = SwapSimulation(base.with_(use_broadcast=False)).run()
+    with_bc = SwapSimulation(base.with_(use_broadcast=True)).run()
     if not (without.all_deal() and with_bc.all_deal()):
         raise ValueError("comparison requires both runs to complete")
     return phase_two_timing(without), phase_two_timing(with_bc)
-

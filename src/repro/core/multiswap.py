@@ -23,21 +23,20 @@ arc on its own chain; since all parallel contracts share every input of
 their state machines, their states coincide step for step — the bundle is
 an execution-level optimisation, not a semantic change.)
 
-Timing models ride along for free: the scenario's ``config.timing``
-reaches the underlying :class:`SwapSimulation` (and so the shared
-harness), and per-vertex profiles apply uniformly to all of a party's
-parallel arcs.
+Timing models ride along for free: the scenario's ``timing`` reaches
+the underlying :class:`SwapSimulation` (and so the shared harness), and
+per-vertex profiles apply uniformly to all of a party's parallel arcs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 from repro.analysis.outcomes import Outcome
-from repro.core.protocol import SwapConfig, SwapResult, SwapSimulation
-from repro.digraph.digraph import Arc, Vertex
+from repro.core.protocol import SwapResult, SwapSimulation, scenario_for
+from repro.digraph.digraph import Arc, Digraph, Vertex
 from repro.digraph.multigraph import MultiArc, MultiDigraph
-from repro.sim.faults import FaultPlan
 
 
 @dataclass
@@ -98,22 +97,16 @@ def project_result(multigraph: MultiDigraph, base: SwapResult) -> MultiSwapResul
 
 
 def prepare_multigraph_swap(
-    multigraph: MultiDigraph,
-    leaders: tuple[Vertex, ...] | list[Vertex] | None = None,
-    config: SwapConfig | None = None,
-    faults: FaultPlan | None = None,
-    strategies: dict | None = None,
-    multiarc_values: dict[MultiArc, int] | None = None,
+    scenario: Any, multiarc_values: dict[MultiArc, int] | None = None
 ):
     """``(harness, start_time, finalize)`` for the execution-session
-    layer; ``finalize`` yields the projected :class:`MultiSwapResult`."""
+    layer; ``finalize`` yields the projected :class:`MultiSwapResult`.
+    A simple-digraph topology runs as a multigraph of multiplicity 1."""
+    multigraph = scenario.topology
+    if isinstance(multigraph, Digraph):
+        multigraph = MultiDigraph(multigraph.vertices, multigraph.arcs)
     simulation = SwapSimulation(
-        multigraph.underlying_simple(),
-        leaders=leaders,
-        config=config,
-        faults=faults,
-        strategies=strategies,
-        asset_values=bundle_values(multigraph, multiarc_values),
+        scenario, asset_values=bundle_values(multigraph, multiarc_values)
     )
     harness, start_time, collect = simulation.prepared()
 
@@ -125,23 +118,18 @@ def prepare_multigraph_swap(
 
 def run_multigraph_swap(
     multigraph: MultiDigraph,
-    leaders: tuple[Vertex, ...] | list[Vertex] | None = None,
-    config: SwapConfig | None = None,
-    faults: FaultPlan | None = None,
-    strategies: dict | None = None,
+    *,
     multiarc_values: dict[MultiArc, int] | None = None,
+    **fields: Any,
 ) -> MultiSwapResult:
     """Execute a multigraph swap via the bundled simple-digraph protocol.
 
     ``multiarc_values`` prices each keyed arc; a pair's bundle value is
-    the sum over its parallel arcs.
+    the sum over its parallel arcs.  ``fields`` are
+    :class:`~repro.api.scenario.Scenario` fields (``leaders``,
+    ``faults``, ``seed``, ...).
     """
     harness, start_time, finalize = prepare_multigraph_swap(
-        multigraph,
-        leaders=leaders,
-        config=config,
-        faults=faults,
-        strategies=strategies,
-        multiarc_values=multiarc_values,
+        scenario_for(multigraph, **fields), multiarc_values
     )
     return finalize(harness.run_to_quiescence(start_time))

@@ -33,68 +33,23 @@ from repro.analysis.outcomes import (
 from repro.chain.assets import Asset
 from repro.chain.network import ChainNetwork
 from repro.core.party import HTLCParty, SwapParty
-from repro.core.spec import SwapSpec, compute_diameter_for_spec
+from repro.core.spec import (
+    SwapSpec,
+    leader_secret,
+    resolve_diam,
+    resolve_leaders,
+    resolve_start,
+)
 from repro.crypto.hashing import hash_secret
-from repro.crypto.signatures import DEFAULT_SCHEME_NAME, get_scheme
+from repro.crypto.signatures import get_scheme
 from repro.digraph.digraph import Arc, Digraph, Vertex
-from repro.digraph.feedback import feedback_vertex_set
-from repro.digraph.paths import EXACT_LONGEST_PATH_LIMIT
 from repro.errors import SignatureError, SimulationError
 from repro.sim import trace as tr
-from repro.sim.clock import DEFAULT_DELTA
-from repro.sim.faults import FaultPlan
-from repro.sim.harness import (
-    SimulationHarness,
-    derive_secret,
-    provision_keypairs,
-)
-from repro.sim.process import (
-    DEFAULT_ACTION_FRACTION,
-    DEFAULT_REACTION_FRACTION,
-    ReactionProfile,
-)
+from repro.sim.harness import SimulationHarness, provision_keypairs
+from repro.sim.process import ReactionProfile
 from repro.sim.trace import Trace
 
 StrategySpec = type[SwapParty] | tuple[type[SwapParty], dict[str, Any]]
-
-
-@dataclass(frozen=True)
-class SwapConfig:
-    """Tunable parameters of a swap simulation.
-
-    Defaults reproduce the paper's setting: strict Fig. 5 deadlines
-    (``timeout_slack = 0``) with conforming parties whose observe+act round
-    trip is ``0.45·Δ`` (see :mod:`repro.sim.process`).
-    """
-
-    delta: int = DEFAULT_DELTA
-    timeout_slack: int = 0
-    scheme_name: str = DEFAULT_SCHEME_NAME
-    start_time: int | None = None
-    """Protocol start ``T``; defaults to ``delta`` (§4.2: "at least Δ in
-    the future")."""
-    use_broadcast: bool = False
-    """Enable the §4.5 Phase-Two broadcast optimisation."""
-    reaction_fraction: float = DEFAULT_REACTION_FRACTION
-    action_fraction: float = DEFAULT_ACTION_FRACTION
-    seed: int = 7
-    exact_limit: int = EXACT_LONGEST_PATH_LIMIT
-    diam_override: int | None = None
-    """Force a ``diam`` value (safe if >= the true diameter)."""
-    timing: Any = None
-    """Timing-model spec (``None``/``"uniform"``/``"jittered"``/
-    ``"stragglers"``/``"adaptive-stragglers"`` or a
-    ``{"kind": ..., **params}`` dict) — see :mod:`repro.sim.timing`.
-    ``None`` keeps the historical uniform profile, making old configs
-    behave identically."""
-    chain_delays: Any = None
-    """Per-chain confirmation lag: ``{"head->tail" | "broadcast": ticks}``
-    added to every observation of that chain's records (the chain-side
-    Δ).  ``None``/empty keeps the historical instant-confirmation
-    behaviour."""
-
-    def resolved_start(self) -> int:
-        return self.start_time if self.start_time is not None else self.delta
 
 
 @dataclass
@@ -102,7 +57,8 @@ class SwapResult:
     """Everything observable after a swap simulation has quiesced."""
 
     spec: SwapSpec
-    config: SwapConfig
+    scenario: Any
+    """The :class:`~repro.api.scenario.Scenario` the run was built from."""
     network: ChainNetwork
     trace: Trace
     parties: dict[Vertex, SwapParty]
@@ -191,13 +147,16 @@ class SwapResult:
 class HTLCSimulation:
     """The assembly both hashed-timelock runners share (§4.5, §4.6).
 
-    Owns the config/fault/strategy defaults, the harness, the
-    unknown-party checks, strategy resolution, party wiring and the run
-    itself.  A subclass builds its published ``spec`` and then calls
-    :meth:`_wire_parties`; it supplies :attr:`party_class` (the
-    conforming party), :attr:`include_broadcast` (whether the shared
-    broadcast chain exists and reaches every party), and
+    Reads the run's parameters from its ``scenario`` (a
+    :class:`~repro.api.scenario.Scenario`, read by field) and owns the
+    harness, the unknown-party checks, strategy resolution, party wiring
+    and the run itself.  A subclass builds its published ``spec`` and
+    then calls :meth:`_wire_parties`; it supplies :attr:`party_class`
+    (the conforming party), :attr:`include_broadcast` (whether the
+    shared broadcast chain exists and reaches every party), and
     :meth:`_party_kwargs` (each party's identity and secret).
+    ``strategies`` adds deviating party classes to the scenario's named
+    ones.
     """
 
     party_class: type[HTLCParty] = HTLCParty
@@ -207,23 +166,21 @@ class HTLCSimulation:
 
     def __init__(
         self,
-        digraph: Digraph,
-        config: SwapConfig | None = None,
-        faults: FaultPlan | None = None,
+        scenario: Any,
         strategies: dict[Vertex, Any] | None = None,
         asset_values: dict[Arc, int] | None = None,
     ) -> None:
-        self.config = config or SwapConfig()
-        self.faults = faults or FaultPlan.none()
-        self.strategies = strategies or {}
+        self.scenario = scenario
+        self.digraph = digraph = scenario.digraph()
+        self.faults = scenario.faults
+        self.strategies = {**scenario.resolved_strategies(), **(strategies or {})}
         self.harness = SimulationHarness.for_config(
             digraph,
-            self.config,
+            scenario,
             include_broadcast=self.include_broadcast,
             asset_values=asset_values,
             connectivity_message=self.connectivity_message,
         )
-        self.digraph = digraph
         self.network = self.harness.network
         self.assets: dict[Arc, Asset] = self.harness.assets
         self.scheduler = self.harness.scheduler
@@ -290,7 +247,7 @@ class HTLCSimulation:
         )
         return self.harness.collect(
             spec=self.spec,
-            config=self.config,
+            scenario=self.scenario,
             conforming=conforming,
             events_fired=events_fired,
         )
@@ -309,26 +266,17 @@ class SwapSimulation(HTLCSimulation):
 
     def __init__(
         self,
-        digraph: Digraph,
-        leaders: tuple[Vertex, ...] | list[Vertex] | None = None,
-        config: SwapConfig | None = None,
-        faults: FaultPlan | None = None,
+        scenario: Any,
         strategies: dict[Vertex, StrategySpec] | None = None,
         profiles: dict[Vertex, ReactionProfile] | None = None,
         asset_values: dict[Arc, int] | None = None,
     ) -> None:
-        super().__init__(digraph, config, faults, strategies, asset_values)
-
-        # -- leaders ---------------------------------------------------------
-        if leaders is None:
-            chosen = feedback_vertex_set(digraph, exact_limit=self.config.exact_limit)
-            ordered = tuple(v for v in digraph.vertices if v in chosen)
-        else:
-            ordered = tuple(leaders)
-        self.leaders = ordered
+        super().__init__(scenario, strategies, asset_values)
+        digraph = self.digraph
+        self.leaders = resolve_leaders(scenario, digraph)
 
         # -- keys and secrets (deterministic in the seed) ----------------------
-        scheme = get_scheme(self.config.scheme_name)
+        scheme = get_scheme(scenario.scheme_name)
         if scheme.name == "lamport" and len(self.leaders) > 1:
             raise SignatureError(
                 "Lamport keys are one-time, but a multi-leader swap makes "
@@ -338,31 +286,25 @@ class SwapSimulation(HTLCSimulation):
             )
         self.scheme = scheme
         directory, self.keypairs = provision_keypairs(
-            scheme, digraph.vertices, self.config.seed
+            scheme, digraph.vertices, scenario.seed
         )
         self.secrets: dict[Vertex, bytes] = {
-            leader: derive_secret("secret", self.config.seed, leader)
-            for leader in self.leaders
+            leader: leader_secret(scenario.seed, leader) for leader in self.leaders
         }
         hashlocks = tuple(hash_secret(self.secrets[l]) for l in self.leaders)
 
         # -- the published spec -------------------------------------------------
-        diam = (
-            self.config.diam_override
-            if self.config.diam_override is not None
-            else compute_diameter_for_spec(digraph, self.config.exact_limit)
-        )
         self.spec = SwapSpec(
             digraph=digraph,
             leaders=self.leaders,
             hashlocks=hashlocks,
-            start_time=self.config.resolved_start(),
-            delta=self.config.delta,
-            diam=diam,
-            timeout_slack=self.config.timeout_slack,
+            start_time=resolve_start(scenario),
+            delta=scenario.delta,
+            diam=resolve_diam(scenario, digraph),
+            timeout_slack=scenario.timeout_slack,
             directory=directory,
             schemes={scheme.name: scheme},
-            broadcast_unlock_enabled=self.config.use_broadcast,
+            broadcast_unlock_enabled=scenario.use_broadcast,
         )
         self._wire_parties(profiles)
 
@@ -370,13 +312,13 @@ class SwapSimulation(HTLCSimulation):
         return {
             "keypair": self.keypairs[vertex],
             "secret": self.secrets.get(vertex),
-            "use_broadcast": self.config.use_broadcast,
+            "use_broadcast": self.scenario.use_broadcast,
         }
 
 
 def collect_result(
     spec: Any,
-    config: SwapConfig,
+    scenario: Any,
     network: ChainNetwork,
     trace: Trace,
     parties: dict[Vertex, Any],
@@ -408,7 +350,7 @@ def collect_result(
     outcomes = classify_all(spec.digraph, triggered)
     return SwapResult(
         spec=spec,
-        config=config,
+        scenario=scenario,
         network=network,
         trace=trace,
         parties=parties,
@@ -421,21 +363,29 @@ def collect_result(
     )
 
 
+def scenario_for(topology: Any, **fields: Any) -> Any:
+    """The :class:`~repro.api.scenario.Scenario` a direct runner's
+    keyword arguments describe (``seed=5``, ``leaders=...``,
+    ``faults=...``, any other ``Scenario`` field).  Imported here because
+    :mod:`repro.api` builds on this module."""
+    from repro.api.scenario import Scenario
+
+    return Scenario(topology, **fields)
+
+
 def run_swap(
     digraph: Digraph,
-    leaders: tuple[Vertex, ...] | list[Vertex] | None = None,
-    config: SwapConfig | None = None,
-    faults: FaultPlan | None = None,
+    *,
     strategies: dict[Vertex, StrategySpec] | None = None,
     profiles: dict[Vertex, ReactionProfile] | None = None,
     asset_values: dict[Arc, int] | None = None,
+    **fields: Any,
 ) -> SwapResult:
-    """One-call convenience wrapper: build a :class:`SwapSimulation`, run it."""
+    """One-call convenience wrapper: build a :class:`SwapSimulation` on
+    ``digraph`` with the :class:`~repro.api.scenario.Scenario` fields in
+    ``fields`` (``leaders``, ``faults``, ``seed``, ...) and run it."""
     return SwapSimulation(
-        digraph,
-        leaders=leaders,
-        config=config,
-        faults=faults,
+        scenario_for(digraph, **fields),
         strategies=strategies,
         profiles=profiles,
         asset_values=asset_values,

@@ -17,10 +17,12 @@ remark, reproduced by bench E18.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import Any
 
-from repro.core.protocol import SwapConfig, SwapResult, SwapSimulation
-from repro.crypto.hashing import hash_secret, sha256
+from repro.core.protocol import SwapResult, SwapSimulation, scenario_for
+from repro.core.spec import leader_secret
+from repro.crypto.hashing import hash_secret
 from repro.digraph.digraph import Digraph, Vertex
 from repro.errors import SimulationError
 
@@ -55,27 +57,24 @@ class RecurrentOutcome:
 
 
 class RecurrentSwapCoordinator:
-    """Runs ``rounds`` swaps, chaining hashlock distribution across rounds."""
+    """Runs ``rounds`` swaps, chaining hashlock distribution across rounds.
 
-    def __init__(
-        self,
-        digraph: Digraph,
-        rounds: int,
-        leaders: tuple[Vertex, ...] | None = None,
-        config: SwapConfig | None = None,
-    ) -> None:
+    ``fields`` are the :class:`~repro.api.scenario.Scenario` fields every
+    round shares (``leaders``, ``seed``, ``timing``, ...); round ``k``
+    runs with seed ``seed·1000 + k``.
+    """
+
+    def __init__(self, digraph: Digraph, rounds: int, **fields: Any) -> None:
         if rounds < 1:
             raise SimulationError("need at least one round")
         self.digraph = digraph
         self.rounds = rounds
-        self.leaders = leaders
-        self.config = config or SwapConfig()
+        self.scenario = scenario_for(digraph, **fields)
 
-    def _round_config(self, round_index: int) -> SwapConfig:
+    def _round_scenario(self, round_index: int) -> Any:
         # Distinct seeds per round give distinct secrets/keys; time restarts
         # per round (each round is its own simulation epoch).
-        base = self.config
-        return replace(base, seed=base.seed * 1000 + round_index)
+        return self.scenario.with_(seed=self.scenario.seed * 1000 + round_index)
 
     def run(self) -> RecurrentOutcome:
         """Execute every round; stop early if a round fails to complete.
@@ -86,11 +85,7 @@ class RecurrentSwapCoordinator:
         """
         outcome = RecurrentOutcome()
         for index in range(self.rounds):
-            simulation = SwapSimulation(
-                self.digraph,
-                leaders=self.leaders,
-                config=self._round_config(index),
-            )
+            simulation = SwapSimulation(self._round_scenario(index))
             # Leaders distribute the *next* round's hashlocks during this
             # round's Phase Two: piggyback them on the broadcast chain the
             # moment each leader reveals its current secret.
@@ -126,10 +121,8 @@ class RecurrentSwapCoordinator:
         self, next_index: int, simulation: SwapSimulation
     ) -> dict[Vertex, bytes]:
         """The hashlocks round ``next_index`` will use (pre-derivable)."""
-        next_config = self._round_config(next_index)
+        seed = self._round_scenario(next_index).seed
         return {
-            leader: hash_secret(
-                sha256(f"secret:{next_config.seed}:{leader}".encode())
-            )
+            leader: hash_secret(leader_secret(seed, leader))
             for leader in simulation.leaders
         }

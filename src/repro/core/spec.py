@@ -21,7 +21,7 @@ from repro.chain.ledger import encoded_size, object_frame
 from repro.crypto.keys import KeyDirectory
 from repro.crypto.signatures import SignatureScheme
 from repro.digraph.digraph import Arc, Digraph, Vertex
-from repro.digraph.feedback import require_feedback_vertex_set
+from repro.digraph.feedback import feedback_vertex_set, require_feedback_vertex_set
 from repro.digraph.paths import (
     EXACT_LONGEST_PATH_LIMIT,
     diameter,
@@ -29,6 +29,7 @@ from repro.digraph.paths import (
     longest_path_length,
 )
 from repro.errors import ClearingError, NotStronglyConnectedError
+from repro.sim.harness import derive_secret
 
 
 @dataclass
@@ -262,3 +263,43 @@ def compute_diameter_for_spec(
 ) -> int:
     """The ``diam`` value a clearing service publishes for ``digraph``."""
     return diameter(digraph, exact_limit=exact_limit)
+
+
+# ---------------------------------------------------------------------------
+# The spec a scenario publishes
+# ---------------------------------------------------------------------------
+#
+# A run's scenario (a :class:`repro.api.scenario.Scenario`, read by field:
+# ``repro.core`` does not import ``repro.api``) may leave the leader
+# vector, the start time and ``diam`` unset.  The simulator
+# (:class:`repro.core.protocol.SwapSimulation`) and the closed form
+# (:mod:`repro.analysis.predict`) resolve them with these functions alone.
+
+
+def resolve_leaders(scenario: Any, digraph: Digraph) -> tuple[Vertex, ...]:
+    """The leader vector ``L``: the scenario's own, else a feedback
+    vertex set of ``digraph`` in vertex order."""
+    if scenario.leaders is not None:
+        return tuple(scenario.leaders)
+    chosen = feedback_vertex_set(digraph, exact_limit=scenario.exact_limit)
+    return tuple(v for v in digraph.vertices if v in chosen)
+
+
+def resolve_start(scenario: Any) -> int:
+    """The starting time ``T``: ``start_time``, else Δ (§4.2: "at least
+    Δ in the future")."""
+    return scenario.start_time if scenario.start_time is not None else scenario.delta
+
+
+def resolve_diam(scenario: Any, digraph: Digraph) -> int:
+    """The published ``diam``: ``diam_override`` when set (safe if at
+    least the true diameter), else ``diam(D)``."""
+    if scenario.diam_override is not None:
+        return scenario.diam_override
+    return diameter(digraph, exact_limit=scenario.exact_limit)
+
+
+def leader_secret(seed: int, leader: Vertex) -> bytes:
+    """The secret ``leader`` locks its hashlock with, deterministic in the
+    run's seed."""
+    return derive_secret("secret", seed, leader)

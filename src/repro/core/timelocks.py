@@ -37,7 +37,8 @@ from repro.chain.contracts import Contract
 from repro.chain.ledger import Record, bools_size
 from repro.chain.network import ChainNetwork
 from repro.core.party import HTLCParty
-from repro.core.protocol import HTLCSimulation, SwapConfig, SwapResult
+from repro.core.protocol import HTLCSimulation, SwapResult, scenario_for
+from repro.core.spec import resolve_start
 from repro.crypto.hashing import hash_secret, matches
 from repro.digraph.digraph import Arc, Digraph, Vertex
 from repro.digraph.paths import (
@@ -55,7 +56,7 @@ from repro.errors import (
     TimeoutAssignmentError,
 )
 from repro.sim import trace as tr
-from repro.sim.faults import CrashPoint, FaultPlan
+from repro.sim.faults import CrashPoint
 from repro.sim.harness import derive_secret
 from repro.sim.process import ReactionProfile
 from repro.sim.scheduler import Scheduler
@@ -432,25 +433,27 @@ class SingleLeaderParty(HTLCParty):
 
 
 class SingleLeaderSimulation(HTLCSimulation):
-    """Build and run a §4.6 single-leader, signature-free swap.
+    """Build and run a §4.6 single-leader, signature-free swap of a
+    :class:`~repro.api.scenario.Scenario` (read by field).
 
-    ``timeouts`` defaults to the safe §4.6 assignment; baselines pass a
-    different (broken) assignment to reproduce the attacks.
+    ``leader`` defaults to the first vertex that alone is a feedback
+    vertex set; ``timeouts`` defaults to the safe §4.6 assignment, and
+    baselines pass a different (broken) assignment to reproduce the
+    attacks.
     """
 
     party_class = SingleLeaderParty
 
     def __init__(
         self,
-        digraph: Digraph,
+        scenario: Any,
         leader: Vertex | None = None,
-        config: SwapConfig | None = None,
-        faults: FaultPlan | None = None,
         strategies: dict[Vertex, Any] | None = None,
         timeouts: dict[Arc, int] | None = None,
     ) -> None:
-        super().__init__(digraph, config, faults, strategies)
-        start = self.config.resolved_start()
+        super().__init__(scenario, strategies)
+        digraph = self.digraph
+        start = resolve_start(scenario)
 
         if leader is None:
             leader = _find_single_leader(digraph)
@@ -458,17 +461,17 @@ class SingleLeaderSimulation(HTLCSimulation):
 
         if timeouts is None:
             timeouts = assign_timeouts(
-                digraph, leader, self.config.delta, start, self.config.exact_limit
+                digraph, leader, scenario.delta, start, scenario.exact_limit
             )
-        diam = diameter(digraph, exact_limit=self.config.exact_limit)
-        self.secret = derive_secret("sl-secret", self.config.seed, leader)
+        diam = diameter(digraph, exact_limit=scenario.exact_limit)
+        self.secret = derive_secret("sl-secret", scenario.seed, leader)
         self.spec = SingleLeaderSpec(
             digraph=digraph,
             leader=leader,
             hashlock=hash_secret(self.secret),
             timeouts=timeouts,
             start_time=start,
-            delta=self.config.delta,
+            delta=scenario.delta,
             diam=diam,
         )
         self._wire_parties()
@@ -496,17 +499,16 @@ def _find_single_leader(digraph: Digraph) -> Vertex:
 def run_single_leader_swap(
     digraph: Digraph,
     leader: Vertex | None = None,
-    config: SwapConfig | None = None,
-    faults: FaultPlan | None = None,
+    *,
     strategies: dict[Vertex, Any] | None = None,
     timeouts: dict[Arc, int] | None = None,
+    **fields: Any,
 ) -> SwapResult:
-    """Convenience wrapper mirroring :func:`repro.core.protocol.run_swap`."""
+    """Convenience wrapper mirroring :func:`repro.core.protocol.run_swap`:
+    ``fields`` are :class:`~repro.api.scenario.Scenario` fields."""
     return SingleLeaderSimulation(
-        digraph,
+        scenario_for(digraph, **fields),
         leader=leader,
-        config=config,
-        faults=faults,
         strategies=strategies,
         timeouts=timeouts,
     ).run()

@@ -452,6 +452,12 @@ def _verify_prediction(
     the closed form refuses, as every other front end does.  ``source``
     says which route produced the evidence: ``stored``, ``analytic``,
     ``executed``, or ``-`` (nothing ran).
+
+    An ``analytic`` report is synthesized from the very prediction it is
+    compared with, so that check shows only that the closed-form route
+    is taken and agrees with itself; byte parity with the simulator is
+    asserted by ``make parity`` and the plain ``make check``, which
+    execute the engine.
     """
     from repro.analysis.engine import PATH_ANALYTIC, PATH_KEY, resolve_report
     from repro.analysis.protocol import (

@@ -22,13 +22,13 @@ finalize)`` to the execution-session layer (:mod:`repro.api.execution`),
 which drives the scheduler and calls ``finalize(events_fired)`` once the
 run quiesces (a direct run is ``finalize(harness.run_to_quiescence(T))``)::
 
-    harness = SimulationHarness.for_config(digraph, config)
+    harness = SimulationHarness.for_config(scenario.digraph(), scenario)
     harness.build_parties(
         lambda vertex, profile: MyParty(..., profile=profile))
-    harness.install_faults(faults)
+    harness.install_faults(scenario.faults)
     harness.wire_observations()
     return harness, spec.start_time, partial(
-        harness.collect, spec, config, conforming)
+        harness.collect, spec, scenario, conforming)
 """
 
 from __future__ import annotations
@@ -183,19 +183,18 @@ class SimulationHarness:
 
     @classmethod
     def for_config(
-        cls, digraph: Digraph, config: Any, **kwargs: Any
+        cls, digraph: Digraph, scenario: Any, **kwargs: Any
     ) -> "SimulationHarness":
-        """Build from anything shaped like
-        :class:`repro.core.protocol.SwapConfig` (delta, fractions, seed,
-        and an optional ``timing`` spec)."""
+        """Build from a :class:`~repro.api.scenario.Scenario` (read by
+        field: delta, fractions, seed, timing, chain_delays)."""
         return cls(
             digraph,
-            delta=config.delta,
-            reaction_fraction=config.reaction_fraction,
-            action_fraction=config.action_fraction,
-            seed=config.seed,
-            timing=getattr(config, "timing", None),
-            chain_delays=getattr(config, "chain_delays", None),
+            delta=scenario.delta,
+            reaction_fraction=scenario.reaction_fraction,
+            action_fraction=scenario.action_fraction,
+            seed=scenario.seed,
+            timing=scenario.timing,
+            chain_delays=scenario.chain_delays,
             **kwargs,
         )
 
@@ -312,7 +311,7 @@ class SimulationHarness:
     def collect(
         self,
         spec: Any,
-        config: Any,
+        scenario: Any,
         conforming: frozenset[Vertex],
         events_fired: int,
     ):
@@ -323,7 +322,7 @@ class SimulationHarness:
 
         return collect_result(
             spec=spec,
-            config=config,
+            scenario=scenario,
             network=self.network,
             trace=self.trace,
             parties=self.parties,

@@ -12,21 +12,12 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-from repro.core.protocol import SwapConfig  # noqa: E402
 from repro.digraph.generators import (  # noqa: E402
     cycle_digraph,
     random_strongly_connected,
     triangle,
     two_leader_triangle,
 )
-
-DELTA = 1000
-
-
-@pytest.fixture
-def fast_config() -> SwapConfig:
-    """The default simulation configuration used across protocol tests."""
-    return SwapConfig(delta=DELTA, seed=11)
 
 
 @pytest.fixture

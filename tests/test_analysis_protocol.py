@@ -26,6 +26,7 @@ from repro.analysis.protocol import (
 )
 from repro.analysis.structure import check_payload, check_scenario
 from repro.api.scenario import Scenario
+from repro.api.sweep import Sweep, run_sweep
 from repro.digraph.digraph import Digraph
 from repro.digraph.generators import cycle_digraph, triangle
 from repro.digraph.multigraph import MultiDigraph
@@ -88,6 +89,11 @@ class TestPayloadDiagnostics:
         diags = check_payload(payload(timeout_slack=-1, start_time=-5))
         assert "timing/bad-slack" in codes(diags)
         assert "timing/bad-start" in codes(diags)
+
+    @pytest.mark.parametrize("diam", [0, -1, 2.5, "two"])
+    def test_diam_override_below_one_or_non_integer(self, diam):
+        diags = check_payload(payload(diam_override=diam))
+        assert by_path(diags, "timing/bad-diam") == ["/diam_override"]
 
     def test_nonconforming_fractions_warn_but_do_not_error(self):
         diags = check_payload(
@@ -213,6 +219,33 @@ class TestScenarioDiagnostics:
 
     def test_conforming_scenario_is_clean(self):
         assert check_scenario(Scenario(triangle())) == ()
+
+    @pytest.mark.parametrize(
+        "field, value, code",
+        [
+            ("diam_override", 0, "timing/bad-diam"),
+            ("diam_override", -1, "timing/bad-diam"),
+            ("delta", 0, "timing/bad-delta"),
+            ("delta", -3, "timing/bad-delta"),
+            ("start_time", -5, "timing/bad-start"),
+            ("timeout_slack", -1, "timing/bad-slack"),
+        ],
+    )
+    def test_out_of_range_scalar_is_invalid_on_every_path(self, field, value, code):
+        # The engines refuse these values, so the analyzer must not
+        # certify (or crash on) them: the fast path then simulates and
+        # records the engine's own failure, as a plain sweep does.
+        scenario = Scenario(triangle(), **{field: value})
+        analysis = analyze_scenario(scenario)
+        assert analysis.verdict == "invalid"
+        assert by_path(analysis.diagnostics, code) == [f"/{field}"]
+        entries = []
+        for fast_path in (False, True):
+            report = run_sweep(Sweep("bad").add("herlihy", scenario), fast_path=fast_path)
+            assert report.reports == []
+            (failure,) = report.failures
+            entries.append((failure.error_type, failure.message))
+        assert entries[0] == entries[1]
 
 
 class TestCoverageTaxonomy:

@@ -24,7 +24,6 @@ from repro import (
     ReproError,
     Scenario,
     Sweep,
-    SwapConfig,
     get_engine,
     list_engines,
     run_swap,
@@ -175,7 +174,7 @@ class TestLegacyParity:
 
         legacy = run_swap(
             triangle(),
-            config=SwapConfig(seed=23),
+            seed=23,
             strategies={"Carol": LastMomentUnlockParty},
         )
         self.assert_parity(report, legacy)
@@ -187,7 +186,7 @@ class TestLegacyParity:
         )
         legacy = run_swap(
             triangle(),
-            config=SwapConfig(seed=5),
+            seed=5,
             faults=FaultPlan().crash("Carol", at_point=CrashPoint.BEFORE_PHASE_TWO),
         )
         self.assert_parity(report, legacy)
@@ -199,7 +198,7 @@ class TestLegacyParity:
             Scenario(topology=triangle(), seed=23, params={"leader": "Alice"})
         )
         legacy = run_single_leader_swap(
-            triangle(), leader="Alice", config=SwapConfig(seed=23)
+            triangle(), leader="Alice", seed=23
         )
         self.assert_parity(report, legacy)
 
@@ -212,7 +211,7 @@ class TestLegacyParity:
         report = get_engine("multiswap").run(
             Scenario(topology=multigraph, seed=23)
         )
-        legacy = run_multigraph_swap(multigraph, config=SwapConfig(seed=23))
+        legacy = run_multigraph_swap(multigraph, seed=23)
         assert report.outcomes == legacy.outcomes
         assert report.extra["triggered_multiarcs"] == sorted(
             list(a) for a in legacy.triggered_multiarcs
@@ -224,7 +223,7 @@ class TestLegacyParity:
             Scenario(topology=triangle(), seed=23, params={"attacker": "Carol"})
         )
         legacy = _prepare_naive_timelock_swap(
-            triangle(), attacker="Carol", config=SwapConfig(seed=23)
+            Scenario(topology=triangle(), seed=23, params={"attacker": "Carol"})
         ).run()
         self.assert_parity(report, legacy)
         assert not report.conforming_acceptable()  # the §1 attack lands
@@ -237,8 +236,10 @@ class TestLegacyParity:
             )
         )
         legacy = _run_to_quiescence(_prepare_sequential_trust_swap(
-            triangle(), first_mover="Alice", defectors={"Carol"},
-            config=SwapConfig(seed=23),
+            Scenario(
+                topology=triangle(), seed=23,
+                params={"first_mover": "Alice", "defectors": ["Carol"]},
+            )
         ))
         self.assert_parity(report, legacy)
         assert not report.conforming_acceptable()
@@ -251,11 +252,54 @@ class TestLegacyParity:
             )
         )
         legacy = _run_to_quiescence(_prepare_two_phase_commit_swap(
-            triangle(), byzantine_commit_only={("Alice", "Bob")},
-            config=SwapConfig(seed=23),
+            Scenario(
+                topology=triangle(), seed=23,
+                params={"byzantine_commit_only": [["Alice", "Bob"]]},
+            )
         ))
         self.assert_parity(report, legacy)
         assert not report.conforming_acceptable()
+
+
+#: One value per run parameter a direct runner takes as a keyword; each
+#: changes the compared quantities except ``seed`` (fixed-width secrets
+#: leave every count and time unchanged).
+RUN_PARAMETERS = {
+    "delta": 500,
+    "timeout_slack": 10,
+    "start_time": 5000,
+    "use_broadcast": True,
+    "reaction_fraction": 0.3,
+    "action_fraction": 0.4,
+    "seed": 99,
+    "diam_override": 12,
+    "scheme_name": "lamport",
+    "timing": "jittered",
+    "chain_delays": {"Alice->Bob": 300},
+}
+
+
+class TestFrontDoors:
+    """Each run parameter reaches a direct runner and an engine alike."""
+
+    @staticmethod
+    def observed(result):
+        return (
+            dict(result.outcomes),
+            sorted(result.triggered),
+            result.completion_time,
+            result.events_fired,
+            result.stored_bytes,
+        )
+
+    @pytest.mark.parametrize("field", sorted(RUN_PARAMETERS))
+    def test_run_parameter_reaches_both_front_doors(self, field):
+        value = RUN_PARAMETERS[field]
+        direct = self.observed(run_swap(triangle(), **{field: value}))
+        engine = get_engine("herlihy").run(Scenario(triangle(), **{field: value}))
+        assert direct == self.observed(engine)
+        if field != "seed":
+            assert direct != self.observed(run_swap(triangle()))
 
 
 # ---------------------------------------------------------------------------

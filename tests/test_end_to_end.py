@@ -10,7 +10,8 @@ from repro.core.clearing import (
     check_spec_against_offer,
     match_barter,
 )
-from repro.core.protocol import SwapConfig, SwapSimulation, run_swap
+from repro.api import Scenario
+from repro.core.protocol import SwapSimulation, run_swap
 from repro.crypto.hashing import hash_secret
 from repro.crypto.keys import KeyDirectory
 from repro.crypto.signatures import get_scheme
@@ -96,7 +97,7 @@ class TestCrossChainConsistency:
         from repro.digraph.generators import complete_digraph
 
         digraph = complete_digraph(4)
-        sim = SwapSimulation(digraph, config=SwapConfig(seed=42))
+        sim = SwapSimulation(Scenario(digraph, seed=42))
         result = sim.run()
         assert result.all_deal()
         # Each arc's chain saw exactly one contract and its asset moved to

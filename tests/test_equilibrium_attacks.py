@@ -19,7 +19,7 @@ from repro.analysis.equilibrium import (
 )
 from repro.analysis.outcomes import Outcome
 from repro.api.engine import get_engine
-from repro.core.protocol import SwapConfig, run_swap
+from repro.core.protocol import run_swap
 from repro.core.strategies import LastMomentUnlockParty, PrematureRevealParty
 from repro.digraph.digraph import Digraph
 from repro.digraph.generators import (
@@ -230,7 +230,7 @@ class TestScenarios:
                 premature_reveal_scenario(triangle(), "Alice", "Carol"),
                 lambda: run_swap(
                     triangle(),
-                    config=SwapConfig(use_broadcast=True),
+                    use_broadcast=True,
                     strategies={"Alice": PrematureRevealParty},
                     faults=FaultPlan().crash("Carol", at_point=CrashPoint.AT_START),
                 ),

@@ -34,7 +34,7 @@ from repro.api import (
 )
 from repro.api.engine import Engine
 from repro.api.sweep import SweepProgress
-from repro.core.protocol import SwapConfig, run_swap
+from repro.core.protocol import run_swap
 from repro.digraph.generators import cycle_digraph, triangle, wheel_digraph
 from repro.errors import (
     EngineError,
@@ -350,7 +350,7 @@ class TestInterventions:
     def test_adaptive_stragglers_refuses_legacy_runner(self):
         with pytest.raises(TimingError, match="execution-session API"):
             run_swap(
-                triangle(), config=SwapConfig(timing="adaptive-stragglers")
+                triangle(), timing="adaptive-stragglers"
             )
 
     def test_adaptive_more_damaging_than_static_at_same_budget(self):

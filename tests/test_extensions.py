@@ -1,13 +1,12 @@
 """Tests for the §4.5/§5 extensions: broadcast, multigraph, recurrent swaps."""
 
-from dataclasses import replace
-
 import pytest
 
 from tests.conftest import assert_no_conforming_underwater
 from repro.core.broadcast import compare_broadcast, phase_two_timing
 from repro.core.multiswap import run_multigraph_swap
-from repro.core.protocol import SwapConfig, run_swap
+from repro.api import Scenario
+from repro.core.protocol import run_swap
 from repro.core.recurrent import RecurrentSwapCoordinator
 from repro.digraph.generators import cycle_digraph, triangle, two_leader_triangle
 from repro.digraph.multigraph import MultiDigraph
@@ -37,30 +36,28 @@ class TestBroadcastOptimisation:
         assert durations[0] < durations[1] < durations[2]
 
     @pytest.mark.parametrize(
-        "config",
-        [SwapConfig(chain_delays={"broadcast": 700}), SwapConfig(timing="jittered")],
+        "fields",
+        [{"chain_delays": {"broadcast": 700}}, {"timing": "jittered"}],
         ids=["chain-delays", "timing"],
     )
-    def test_compare_keeps_every_config_field(self, config):
+    def test_compare_keeps_every_config_field(self, fields):
         # Only use_broadcast differs between the two runs: the timing
-        # model and per-chain delays of the caller's config stay in both.
+        # model and per-chain delays of the caller's fields stay in both.
         d = cycle_digraph(6)
-        without, with_bc = compare_broadcast(d, config)
-        assert without == phase_two_timing(run_swap(d, config=config))
-        reference = SwapConfig(
-            chain_delays=config.chain_delays, timing=config.timing, use_broadcast=True
-        )
-        assert with_bc == phase_two_timing(run_swap(d, config=reference))
+        without, with_bc = compare_broadcast(d, **fields)
+        assert without == phase_two_timing(run_swap(d, **fields))
+        reference = run_swap(d, use_broadcast=True, **fields)
+        assert with_bc == phase_two_timing(reference)
         assert with_bc != compare_broadcast(d)[1]
 
     def test_broadcast_still_all_deal(self):
-        result = run_swap(cycle_digraph(6), config=SwapConfig(use_broadcast=True))
+        result = run_swap(cycle_digraph(6), use_broadcast=True)
         assert result.all_deal()
 
     def test_broadcast_safe_under_crash(self):
         result = run_swap(
             cycle_digraph(5),
-            config=SwapConfig(use_broadcast=True),
+            use_broadcast=True,
             faults=FaultPlan().crash("P02", at_point=CrashPoint.BEFORE_PHASE_TWO),
         )
         assert_no_conforming_underwater(result)
@@ -138,26 +135,26 @@ class TestRecurrentSwaps:
             RecurrentSwapCoordinator(triangle(), rounds=0)
 
     @pytest.mark.parametrize(
-        "config",
-        [SwapConfig(), SwapConfig(chain_delays={"P00->P01": 700}), SwapConfig(timing="jittered")],
+        "fields",
+        [{}, {"chain_delays": {"P00->P01": 700}}, {"timing": "jittered"}],
         ids=["default", "chain-delays", "timing"],
     )
-    def test_rounds_keep_every_config_field(self, config):
+    def test_rounds_keep_every_config_field(self, fields):
         # Only the seed differs from round to round: the timing model and
-        # per-chain delays of the caller's config reach every round.
+        # per-chain delays of the caller's fields reach every round.
         d = cycle_digraph(6)
-        outcome = RecurrentSwapCoordinator(d, rounds=2, config=config).run()
+        outcome = RecurrentSwapCoordinator(d, rounds=2, **fields).run()
+        base_seed = Scenario(d, **fields).seed
         for index, round_ in enumerate(outcome.rounds):
-            seeded = replace(config, seed=config.seed * 1000 + index)
-            assert round_.result.completion_time == run_swap(d, config=seeded).completion_time
+            seeded = run_swap(d, **fields, seed=base_seed * 1000 + index)
+            assert round_.result.completion_time == seeded.completion_time
 
     def test_round_completion_follows_the_config(self):
         times = {
-            RecurrentSwapCoordinator(cycle_digraph(6), rounds=1, config=config)
+            RecurrentSwapCoordinator(cycle_digraph(6), rounds=1, **fields)
             .run().rounds[0].result.completion_time
-            for config in (
-                SwapConfig(), SwapConfig(chain_delays={"P00->P01": 700}),
-                SwapConfig(timing="jittered"),
+            for fields in (
+                {}, {"chain_delays": {"P00->P01": 700}}, {"timing": "jittered"},
             )
         }
         assert len(times) == 3

@@ -11,7 +11,7 @@ import pytest
 
 from tests.conftest import assert_no_conforming_underwater
 from repro.analysis.outcomes import Outcome
-from repro.core.protocol import SwapConfig, run_swap
+from repro.core.protocol import run_swap
 from repro.core.strategies import (
     GreedyClaimOnlyParty,
     LastMomentUnlockParty,
@@ -120,7 +120,7 @@ class TestSpecificSignatures:
         # The §1 scenario, end to end.
         result = run_swap(
             triangle(),
-            config=SwapConfig(use_broadcast=True),
+            use_broadcast=True,
             strategies={"Alice": PrematureRevealParty},
             faults=FaultPlan().crash("Carol", at_point=CrashPoint.AT_START),
         )
@@ -150,11 +150,11 @@ class TestBroadcastUnderAdversaries:
         # may skip broadcasting.  Everyone still ends acceptably.
         result = run_swap(
             two_leader_triangle(),
-            config=SwapConfig(use_broadcast=True),
+            use_broadcast=True,
             strategies={"A": WithholdSecretParty},
         )
         assert_no_conforming_underwater(result)
 
     def test_broadcast_conforming_all_deal(self):
-        result = run_swap(two_leader_triangle(), config=SwapConfig(use_broadcast=True))
+        result = run_swap(two_leader_triangle(), use_broadcast=True)
         assert result.all_deal()

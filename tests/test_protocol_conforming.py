@@ -13,7 +13,7 @@ from repro.analysis.outcomes import Outcome
 from repro.api import Scenario
 from repro.api.sweep import execute_payload
 from repro.baselines.naive_timelock import LastMomentSingleLeaderParty
-from repro.core.protocol import SwapConfig, SwapSimulation, run_swap
+from repro.core.protocol import SwapSimulation, run_swap
 from repro.core.strategies import RefuseToPublishParty
 from repro.core.timelocks import run_single_leader_swap
 from repro.digraph.generators import (
@@ -146,14 +146,14 @@ class TestRandomGraphs:
         assert result.all_deal()
 
     def test_determinism(self):
-        a = run_swap(cycle_digraph(5), config=SwapConfig(seed=3))
-        b = run_swap(cycle_digraph(5), config=SwapConfig(seed=3))
+        a = run_swap(cycle_digraph(5), seed=3)
+        b = run_swap(cycle_digraph(5), seed=3)
         assert a.completion_time == b.completion_time
         assert a.published_bytes == b.published_bytes
 
     def test_seed_changes_secrets_not_outcome(self):
-        a = run_swap(triangle(), config=SwapConfig(seed=1))
-        b = run_swap(triangle(), config=SwapConfig(seed=2))
+        a = run_swap(triangle(), seed=1)
+        b = run_swap(triangle(), seed=2)
         assert a.spec.hashlocks != b.spec.hashlocks
         assert a.all_deal() and b.all_deal()
 
@@ -206,13 +206,13 @@ class TestGuards:
         assert entry["error_type"] == "SimulationError"
 
     def test_simulation_runs_once(self):
-        sim = SwapSimulation(triangle())
+        sim = SwapSimulation(Scenario(triangle()))
         sim.run()
         with pytest.raises(SimulationError):
             sim.run()
 
     def test_diam_override_safe_upper_bound(self):
-        result = run_swap(triangle(), config=SwapConfig(diam_override=5))
+        result = run_swap(triangle(), diam_override=5)
         assert result.all_deal()
         assert result.spec.diam == 5
 
@@ -220,14 +220,14 @@ class TestGuards:
 class TestSchemes:
     @pytest.mark.parametrize("scheme", ["hmac-registry", "ecdsa-secp256k1"])
     def test_swap_with_real_schemes(self, scheme):
-        result = run_swap(triangle(), config=SwapConfig(scheme_name=scheme))
+        result = run_swap(triangle(), scheme_name=scheme)
         assert result.all_deal()
 
     def test_lamport_single_leader_works(self):
         # With one lock, every party signs exactly one message, so one-time
         # Lamport keys suffice — the paper's "fewer signatures?" question
         # has a hash-only answer for single-leader swaps.
-        result = run_swap(triangle(), config=SwapConfig(scheme_name="lamport"))
+        result = run_swap(triangle(), scheme_name="lamport")
         assert result.all_deal()
 
     def test_lamport_multi_leader_rejected(self):
@@ -235,4 +235,4 @@ class TestSchemes:
         from repro.errors import SignatureError
 
         with pytest.raises(SignatureError, match="one-time"):
-            run_swap(two_leader_triangle(), config=SwapConfig(scheme_name="lamport"))
+            run_swap(two_leader_triangle(), scheme_name="lamport")

@@ -12,7 +12,7 @@ import pytest
 
 from tests.conftest import assert_no_conforming_underwater
 from repro.analysis.outcomes import Outcome
-from repro.core.protocol import SwapConfig, run_swap
+from repro.core.protocol import run_swap
 from repro.digraph.generators import (
     complete_digraph,
     cycle_digraph,
@@ -149,7 +149,7 @@ class TestSlowButConformingParties:
         result = run_swap(
             triangle(),
             profiles={"Bob": ReactionProfile.sluggish(DELTA)},
-            config=SwapConfig(timeout_slack=1),
+            timeout_slack=1,
         )
         assert result.outcomes["Bob"] is not Outcome.UNDERWATER
         assert_no_conforming_underwater(result)

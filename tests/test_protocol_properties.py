@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.outcomes import ACCEPTABLE_OUTCOMES
-from repro.core.protocol import SwapConfig, run_swap
+from repro.core.protocol import run_swap
 from repro.digraph.feedback import is_feedback_vertex_set, minimum_feedback_vertex_set
 from repro.digraph.generators import random_strongly_connected
 from repro.sim.faults import CrashPoint, FaultPlan
@@ -93,7 +93,7 @@ def test_timed_crashes_random_times(instance, times):
 @given(swap_instances(max_vertices=5), st.integers(min_value=0, max_value=2))
 def test_timeout_slack_preserves_guarantees(instance, slack):
     digraph, leaders = instance
-    result = run_swap(digraph, leaders=leaders, config=SwapConfig(timeout_slack=slack))
+    result = run_swap(digraph, leaders=leaders, timeout_slack=slack)
     assert result.all_deal()
 
 
@@ -102,7 +102,7 @@ def test_timeout_slack_preserves_guarantees(instance, slack):
 def test_broadcast_mode_equivalent_outcomes(instance):
     digraph, leaders = instance
     plain = run_swap(digraph, leaders=leaders)
-    broadcast = run_swap(digraph, leaders=leaders, config=SwapConfig(use_broadcast=True))
+    broadcast = run_swap(digraph, leaders=leaders, use_broadcast=True)
     assert plain.all_deal() and broadcast.all_deal()
     # Broadcast never slows Phase Two down.
     assert broadcast.completion_time <= plain.completion_time

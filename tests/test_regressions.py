@@ -12,7 +12,7 @@ import repro.analysis.engine as analysis_engine
 from repro.__main__ import main
 from repro.api import RunReport, Scenario, Sweep, run_sweep
 from repro.api.sweep import run_key
-from repro.core.protocol import SwapConfig, run_swap
+from repro.core.protocol import run_swap
 from repro.core.timelocks import run_single_leader_swap
 from repro.digraph.digraph import Digraph
 from repro.digraph.generators import random_strongly_connected, triangle
@@ -89,7 +89,7 @@ class TestLargeGraphFallbacks:
         from random import Random
 
         digraph = random_strongly_connected(18, 0.12, Random(99))
-        result = run_swap(digraph, config=SwapConfig(exact_limit=10))
+        result = run_swap(digraph, exact_limit=10)
         assert result.all_deal(), result.summary()
         assert result.spec.diam == 17  # the |V|-1 fallback
 
@@ -97,7 +97,7 @@ class TestLargeGraphFallbacks:
         from random import Random
 
         digraph = random_strongly_connected(16, 0.15, Random(5))
-        result = run_swap(digraph, config=SwapConfig(exact_limit=8))
+        result = run_swap(digraph, exact_limit=8)
         assert result.within_time_bound()
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.api import Scenario, get_engine
 from repro.chain.network import ChainNetwork
-from repro.core.protocol import SwapConfig, run_swap
+from repro.core.protocol import run_swap
 from repro.core.timelocks import SingleLeaderSimulation
 from repro.digraph.generators import triangle, two_leader_triangle
 from repro.errors import SimulationError
@@ -71,7 +71,7 @@ class TestNetworkGuards:
 
 class TestRunnerGuards:
     def test_single_leader_simulation_runs_once(self):
-        sim = SingleLeaderSimulation(triangle())
+        sim = SingleLeaderSimulation(Scenario(triangle()))
         sim.run()
         with pytest.raises(SimulationError):
             sim.run()
@@ -90,12 +90,12 @@ class TestRunnerGuards:
 
 class TestConfigVariants:
     def test_custom_delta(self):
-        result = run_swap(triangle(), config=SwapConfig(delta=500))
+        result = run_swap(triangle(), delta=500)
         assert result.all_deal()
         assert result.spec.delta == 500
 
     def test_custom_start_time(self):
-        result = run_swap(triangle(), config=SwapConfig(start_time=5000))
+        result = run_swap(triangle(), start_time=5000)
         assert result.all_deal()
         assert result.spec.start_time == 5000
         first_publish = result.trace.times_by_arc("contract_published")

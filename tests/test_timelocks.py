@@ -4,7 +4,7 @@ import pytest
 
 from tests.conftest import assert_no_conforming_underwater
 from repro.analysis.outcomes import Outcome
-from repro.core.protocol import SwapConfig
+from repro.api import Scenario
 from repro.core.timelocks import (
     SimpleTimelockContract,
     SingleLeaderSimulation,
@@ -150,7 +150,7 @@ class TestSingleLeaderProtocol:
 
     def test_no_signature_operations(self):
         # §4.6's whole point: no digital signatures at all.
-        sim = SingleLeaderSimulation(triangle())
+        sim = SingleLeaderSimulation(Scenario(triangle()))
         result = sim.run()
         assert result.all_deal()
         assert result.unlock_calls == 3  # plain secrets, no sig chains

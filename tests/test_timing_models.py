@@ -12,7 +12,7 @@ import pytest
 
 from repro.api import Scenario, get_engine, list_engines
 from repro.api.sweep import derive_seed, run_key, smoke_sweep
-from repro.core.protocol import SwapConfig, run_swap
+from repro.core.protocol import run_swap
 from repro.digraph.generators import cycle_digraph, triangle, wheel_digraph
 from repro.errors import (
     NotStronglyConnectedError,
@@ -212,8 +212,12 @@ class TestScenarioTiming:
         )
 
     def test_config_carries_timing(self):
+        # The harness every simulation builds reads the scenario's own
+        # (normalised) timing spec.
         scenario = Scenario(topology=triangle(), timing="stragglers")
-        assert scenario.config().timing == {
+        harness = SimulationHarness.for_config(scenario.digraph(), scenario)
+        assert harness.timing.kind == "stragglers"
+        assert scenario.timing == {
             "kind": "stragglers", "count": 1, "violation": 3.0, "parties": None,
         }
 
@@ -356,12 +360,11 @@ class TestSimulationHarness:
             harness.run_to_quiescence(0)
 
     def test_swap_config_timing_reaches_run_swap(self):
-        config = SwapConfig(timing="stragglers")
-        result = run_swap(cycle_digraph(4), config=config)
+        result = run_swap(cycle_digraph(4), timing="stragglers")
         slow = [
             party
             for party in result.parties.values()
-            if party.profile.round_trip > config.delta
+            if party.profile.round_trip > result.scenario.delta
         ]
         assert len(slow) == 1  # default stragglers count
 
