@@ -19,7 +19,8 @@ PARITY_TESTS = tests/test_analysis_parity.py tests/test_analysis_protocol.py \
 	tests/test_golden_check.py tests/test_analysis_differential.py \
 	tests/test_ledger_lazy_bytes.py tests/test_transcript_bytes.py \
 	tests/test_golden_corpus.py tests/test_store_entry_parity.py \
-	tests/test_equilibrium_attacks.py tests/test_record_sizes.py
+	tests/test_equilibrium_attacks.py tests/test_record_sizes.py \
+	tests/test_engine_refusals.py
 
 parity:          ## the byte-parity suites: analyzer vs simulator, golden corpus, stored entries
 	$(PY) -m pytest $(PARITY_TESTS) -q

@@ -13,11 +13,12 @@ from repro.chain.assets import Asset
 from repro.chain.blockchain import Blockchain
 from repro.core.contract import SwapContract
 from repro.core.hashkey import Hashkey
-from repro.core.spec import SwapSpec, compute_diameter_for_spec
+from repro.core.spec import SwapSpec
 from repro.crypto.hashing import hash_secret
 from repro.crypto.keys import KeyDirectory
 from repro.crypto.signatures import get_scheme
 from repro.digraph.generators import triangle
+from repro.digraph.paths import diameter
 from repro.errors import ContractError
 
 DELTA = 1000
@@ -40,7 +41,7 @@ def build_world(scheme_name="ecdsa-secp256k1"):
         hashlocks=(hash_secret(SECRET),),
         start_time=DELTA,
         delta=DELTA,
-        diam=compute_diameter_for_spec(digraph),
+        diam=diameter(digraph),
         directory=directory,
         schemes={scheme.name: scheme},
     )

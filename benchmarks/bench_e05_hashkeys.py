@@ -9,10 +9,10 @@ s_A, path B→C→A), and cross-checks the counts and timeouts.
 
 from _tables import delta_units, emit_table
 
-from repro.core.spec import SwapSpec, compute_diameter_for_spec
+from repro.core.spec import SwapSpec
 from repro.crypto.hashing import hash_secret
 from repro.digraph.generators import two_leader_triangle
-from repro.digraph.paths import all_simple_paths
+from repro.digraph.paths import all_simple_paths, diameter
 
 DELTA = 1000
 
@@ -26,7 +26,7 @@ def enumerate_hashkeys():
         hashlocks=tuple(hash_secret(l.encode()) for l in leaders),
         start_time=0,
         delta=DELTA,
-        diam=compute_diameter_for_spec(digraph),
+        diam=diameter(digraph),
     )
     rows = []
     for arc in digraph.arcs:

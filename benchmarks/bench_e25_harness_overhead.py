@@ -27,13 +27,14 @@ from repro.api import Scenario, get_engine
 from repro.chain.network import BROADCAST_CHAIN_ID, ChainNetwork
 from repro.core.party import SwapParty
 from repro.core.protocol import SwapSimulation, collect_result
-from repro.core.spec import SwapSpec, compute_diameter_for_spec
+from repro.core.spec import SwapSpec
 from repro.crypto.hashing import hash_secret, sha256
 from repro.crypto.keys import KeyDirectory
 from repro.crypto.signatures import get_scheme
 from repro.digraph.digraph import Digraph
 from repro.digraph.feedback import feedback_vertex_set
 from repro.digraph.generators import cycle_digraph
+from repro.digraph.paths import diameter
 from repro.sim.process import ReactionProfile
 from repro.sim.scheduler import Scheduler
 from repro.sim.trace import Trace
@@ -73,7 +74,7 @@ def _seed_style_run(digraph: Digraph, scenario: Scenario):
         hashlocks=tuple(hash_secret(secrets[l]) for l in leaders),
         start_time=scenario.delta if scenario.start_time is None else scenario.start_time,
         delta=scenario.delta,
-        diam=compute_diameter_for_spec(digraph, scenario.exact_limit),
+        diam=diameter(digraph, exact_limit=scenario.exact_limit),
         timeout_slack=scenario.timeout_slack,
         directory=directory,
         schemes={scheme.name: scheme},

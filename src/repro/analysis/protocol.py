@@ -27,6 +27,12 @@ characterise without executing it:
     not been validated against.  Verdict ``unsupported`` (or
     ``invalid`` when structural errors were found).
 
+Verdict ``invalid`` means an ``error`` diagnostic: a structural one,
+or one of :meth:`Engine.refusals <repro.api.engine.Engine.refusals>`,
+the very diagnostics ``Engine.open`` raises on (what the engine does
+not honour).  So the analyzer, the fast path and the serve gate refuse
+exactly what the engine refuses, with the engine's message.
+
 The closed-form fast path (:mod:`repro.analysis.engine`) answers only
 ``coverage="full"`` scenarios, and must match the simulator byte for
 byte on every one of them.
@@ -40,11 +46,11 @@ from typing import Any
 from repro.analysis.diagnostics import Diagnostic, error, has_errors
 from repro.analysis.predict import Prediction, predict
 from repro.analysis.structure import check_payload, check_scenario
+from repro.api.engine import get_engine
 from repro.api.scenario import Scenario
 from repro.core.spec import resolve_leaders
 from repro.crypto.signatures import scheme_names
-from repro.digraph.multigraph import MultiDigraph
-from repro.errors import ReproError
+from repro.errors import ReproError, UnknownEngineError
 from repro.sim.timing import is_default_timing
 
 COVERAGE_FULL = "full"
@@ -96,48 +102,34 @@ class ScenarioAnalysis:
         }
 
 
-#: Engines that sign hashkeys with ``scenario.scheme_name``, and so
-#: refuse a scheme they cannot provision keys for.
-_SIGNING_ENGINES: frozenset[str] = frozenset({"herlihy", "multiswap"})
-
-
 def _engine_diagnostics(scenario: Scenario, engine: str) -> tuple[Diagnostic, ...]:
-    """Structural facts that are only problems for a specific engine."""
-    out: list[Diagnostic] = []
-    if engine != "multiswap" and isinstance(scenario.topology, MultiDigraph):
-        if scenario.topology.arc_count() > scenario.digraph().arc_count():
-            out.append(
-                error(
-                    "engine/parallel-arcs",
-                    "/topology/arcs",
-                    f"engine {engine!r} runs on simple digraphs; this "
-                    "multigraph has parallel arcs — use the 'multiswap' "
-                    "engine (§5)",
-                )
-            )
-    if engine in _SIGNING_ENGINES:
-        if scenario.scheme_name not in scheme_names():
-            out.append(
-                error(
-                    "engine/unknown-scheme",
-                    "/scheme_name",
-                    f"unknown signature scheme {scenario.scheme_name!r}; "
-                    f"known schemes: {', '.join(scheme_names())}",
-                )
-            )
-        elif (
-            scenario.scheme_name == "lamport"
-            and len(resolve_leaders(scenario, scenario.digraph())) > 1
-        ):
-            out.append(
-                error(
-                    "engine/one-time-scheme",
-                    "/scheme_name",
-                    "Lamport keys are one-time, but a multi-leader swap "
-                    "makes each party sign one hashkey extension per lock; "
-                    "use a multi-use scheme or a single-leader digraph",
-                )
-            )
+    """What ``engine`` refuses to run (its
+    :meth:`~repro.api.engine.Engine.refusals`), then the signature-scheme
+    facts for an engine that honours ``scheme_name``.  An unregistered
+    engine adds nothing: its lookup fails when the run is submitted."""
+    try:
+        adapter = get_engine(engine)
+    except UnknownEngineError:
+        return ()
+    out = list(adapter.refusals(scenario))
+    if "scheme_name" not in adapter.honours:
+        return tuple(out)
+    if scenario.scheme_name not in scheme_names():
+        out.append(error(
+            "engine/unknown-scheme", "/scheme_name",
+            f"unknown signature scheme {scenario.scheme_name!r}; "
+            f"known schemes: {', '.join(scheme_names())}",
+        ))
+    elif (
+        scenario.scheme_name == "lamport"
+        and len(resolve_leaders(scenario, scenario.digraph())) > 1
+    ):
+        out.append(error(
+            "engine/one-time-scheme", "/scheme_name",
+            "Lamport keys are one-time, but a multi-leader swap "
+            "makes each party sign one hashkey extension per lock; "
+            "use a multi-use scheme or a single-leader digraph",
+        ))
     return tuple(out)
 
 
@@ -168,6 +160,11 @@ def coverage_ceiling(scenario: Scenario, engine: str = "herlihy") -> str:
     return COVERAGE_NONE
 
 
+def _diagnose(scenario: Scenario, engine: str) -> list[Diagnostic]:
+    """The structural checks, then what ``engine`` refuses."""
+    return [*check_scenario(scenario), *_engine_diagnostics(scenario, engine)]
+
+
 def analyze_scenario(scenario: Scenario, engine: str = "herlihy") -> ScenarioAnalysis:
     """Statically analyze ``scenario`` as ``engine`` would run it.
 
@@ -175,53 +172,32 @@ def analyze_scenario(scenario: Scenario, engine: str = "herlihy") -> ScenarioAna
     and the verdict degrades (see the module docstring for the
     coverage/verdict taxonomy).
     """
-    diagnostics = list(check_scenario(scenario))
-    diagnostics.extend(_engine_diagnostics(scenario, engine))
+    diagnostics = _diagnose(scenario, engine)
+    prediction = None
     if has_errors(diagnostics):
-        return ScenarioAnalysis(
-            engine=engine,
-            coverage=COVERAGE_NONE,
-            verdict=VERDICT_INVALID,
-            diagnostics=tuple(diagnostics),
-            prediction=None,
-        )
-    ceiling = coverage_ceiling(scenario, engine)
-    if ceiling == COVERAGE_NONE:
-        return ScenarioAnalysis(
-            engine=engine,
-            coverage=COVERAGE_NONE,
-            verdict=VERDICT_UNSUPPORTED,
-            diagnostics=tuple(diagnostics),
-            prediction=None,
-        )
-    if ceiling == COVERAGE_VERDICT:
+        coverage, verdict = COVERAGE_NONE, VERDICT_INVALID
+    elif (ceiling := coverage_ceiling(scenario, engine)) == COVERAGE_NONE:
+        coverage, verdict = COVERAGE_NONE, VERDICT_UNSUPPORTED
+    elif ceiling == COVERAGE_VERDICT:
         # A party that halts at a protocol milestone can never end Deal,
         # so the all-Deal verdict is decidable even though event times
         # depend on which milestone the victim dies at.
-        return ScenarioAnalysis(
-            engine=engine,
-            coverage=COVERAGE_VERDICT,
-            verdict=VERDICT_NOT_ALL_DEAL,
-            diagnostics=tuple(diagnostics),
-            prediction=None,
-        )
-    prediction, advisories = predict(scenario)
-    diagnostics.extend(advisories)
-    if not prediction.deadline_feasible:
-        # The profile is still the best static estimate, but the replay
-        # sends an unlock at or past its hashkey's expiry, where the
-        # simulator refunds instead — don't certify the verdict.
-        return ScenarioAnalysis(
-            engine=engine,
-            coverage=COVERAGE_NONE,
-            verdict=VERDICT_UNSUPPORTED,
-            diagnostics=tuple(diagnostics),
-            prediction=prediction,
-        )
+        coverage, verdict = COVERAGE_VERDICT, VERDICT_NOT_ALL_DEAL
+    else:
+        prediction, advisories = predict(scenario)
+        diagnostics.extend(advisories)
+        if prediction.deadline_feasible:
+            coverage, verdict = COVERAGE_FULL, VERDICT_ALL_DEAL
+        else:
+            # The profile is still the best static estimate, but the
+            # replay sends an unlock at or past its hashkey's expiry,
+            # where the simulator refunds instead — don't certify the
+            # verdict.
+            coverage, verdict = COVERAGE_NONE, VERDICT_UNSUPPORTED
     return ScenarioAnalysis(
         engine=engine,
-        coverage=COVERAGE_FULL,
-        verdict=VERDICT_ALL_DEAL,
+        coverage=coverage,
+        verdict=verdict,
         diagnostics=tuple(diagnostics),
         prediction=prediction,
     )
@@ -246,6 +222,4 @@ def check_submission(data: Any, engine: str = "herlihy") -> tuple[Diagnostic, ..
         return diagnostics + (
             error("payload/invalid", "", str(exc)),
         )
-    more = list(check_scenario(scenario))
-    more.extend(_engine_diagnostics(scenario, engine))
-    return diagnostics + tuple(more)
+    return diagnostics + tuple(_diagnose(scenario, engine))

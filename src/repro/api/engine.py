@@ -16,9 +16,15 @@ points:
 
 Engines implement :meth:`Engine.prepare`, returning a
 :class:`~repro.api.execution.PreparedSimulation` (the assembled
-harness, the protocol start time, and the result classifier).  The
-pre-1.5 ``Engine.execute()`` one-shot hook — deprecated in 1.5.0 — is
-gone; the native result of a run is ``run(scenario).raw``.
+harness, the protocol start time, and the result classifier), and
+declare what they accept: :attr:`Engine.params` (the ``params`` keys
+the protocol reads) and :attr:`Engine.honours` (the optional scenario
+features it implements).  :meth:`Engine.refusals` turns that into error
+diagnostics; ``open`` raises the first as a
+:class:`~repro.errors.ScenarioError`, and the static analyzer
+(:mod:`repro.analysis.protocol`), hence the fast path and the serve
+gate, reports the same ones.  The native result of a run is
+``run(scenario).raw``.
 
 Only protocols are engines.  The closed-form answer for a fully covered
 ``herlihy`` scenario is not a seventh one: front ends ask for it with
@@ -37,13 +43,24 @@ from __future__ import annotations
 
 import time
 from abc import ABC
+from dataclasses import fields
 
+from repro.analysis.diagnostics import Diagnostic, error
 from repro.api.execution import Execution, PreparedSimulation
 from repro.api.report import RunReport
 from repro.api.scenario import Scenario
-from repro.errors import EngineError, UnknownEngineError
+from repro.digraph.multigraph import MultiDigraph
+from repro.errors import EngineError, ScenarioError, UnknownEngineError
 
 _REGISTRY: dict[str, "Engine"] = {}
+
+#: The run parameters only some protocols have (the §4.5 hashkey
+#: timeouts, the broadcast unlock, the signature scheme): an engine that
+#: does not honour one refuses any value but the ``Scenario`` default.
+PROTOCOL_FIELDS: tuple[str, ...] = (
+    "diam_override", "timeout_slack", "use_broadcast", "scheme_name",
+)
+_FIELD_DEFAULTS = {f.name: f.default for f in fields(Scenario) if f.name in PROTOCOL_FIELDS}
 
 
 class Engine(ABC):
@@ -61,6 +78,77 @@ class Engine(ABC):
     #: One-line human description for tables and ``list_engines`` docs.
     description: str = ""
 
+    #: The ``Scenario.params`` keys the protocol reads; any other is refused.
+    params: frozenset[str] = frozenset()
+
+    #: The optional scenario features the protocol implements: named
+    #: ``strategies``, crash ``faults``, ``parallel-arcs`` (a multigraph's
+    #: keyed arcs), a leader set (``leaders``, or ``one-leader`` for at
+    #: most one) and each of :data:`PROTOCOL_FIELDS`.  A scenario using
+    #: any other is refused.
+    honours: frozenset[str] = frozenset()
+
+    def refusals(self, scenario: Scenario) -> tuple[Diagnostic, ...]:
+        """Error diagnostics for what in ``scenario`` this engine cannot
+        honour (empty when it runs as described), checked in order:
+        params, strategies, faults, parallel arcs, leaders, then the
+        :data:`PROTOCOL_FIELDS`.  :meth:`open` raises the first."""
+        out: list[Diagnostic] = []
+        name = self.name
+        unknown = set(scenario.params) - self.params
+        if unknown:
+            out.append(error(
+                "engine/unknown-params", "/params",
+                f"engine {name!r} does not recognise params "
+                f"{sorted(unknown)}; allowed: {sorted(self.params) or 'none'}",
+            ))
+        if scenario.strategies and "strategies" not in self.honours:
+            out.append(error(
+                "engine/strategies", "/strategies",
+                f"engine {name!r} does not accept named strategies "
+                f"(its parties are not SwapParty subclasses); use params instead",
+            ))
+        if scenario.faults.crashes and "faults" not in self.honours:
+            out.append(error(
+                "engine/faults", "/faults",
+                f"engine {name!r} has no crash-fault model; "
+                f"drop the fault plan for {sorted(scenario.faults.crashes)}",
+            ))
+        topology = scenario.topology
+        if isinstance(topology, MultiDigraph) and "parallel-arcs" not in self.honours:
+            simple = scenario.digraph()
+            if topology.arc_count() != simple.arc_count():
+                out.append(error(
+                    "engine/parallel-arcs", "/topology/arcs",
+                    f"engine {name!r} runs on simple digraphs; the "
+                    f"topology has {topology.arc_count()} keyed arcs over "
+                    f"{simple.arc_count()} vertex pairs — use the 'multiswap' "
+                    "engine to honour parallel arcs",
+                ))
+        leaders = scenario.leaders
+        if leaders is not None and "leaders" not in self.honours:
+            if "one-leader" not in self.honours:
+                out.append(self._unhonoured("leaders", list(leaders)))
+            elif len(leaders) > 1:
+                out.append(error(
+                    "engine/one-leader", "/leaders",
+                    f"engine {name!r} supports exactly one leader; got "
+                    f"{list(leaders)} — use the 'herlihy' engine for "
+                    "multi-leader swaps",
+                ))
+        for field in PROTOCOL_FIELDS:
+            value = getattr(scenario, field)
+            if field not in self.honours and value != _FIELD_DEFAULTS[field]:
+                out.append(self._unhonoured(field, value))
+        return tuple(out)
+
+    def _unhonoured(self, field: str, value: object) -> Diagnostic:
+        return error(
+            "engine/unhonoured-field", f"/{field}",
+            f"engine {self.name!r} does not honour {field} (its protocol "
+            f"has no such parameter); drop {field}={value!r}",
+        )
+
     def prepare(self, scenario: Scenario) -> PreparedSimulation:
         """Assemble the simulation for ``scenario`` without running it."""
         raise NotImplementedError(
@@ -70,6 +158,8 @@ class Engine(ABC):
     def open(self, scenario: Scenario) -> Execution:
         """Prepare ``scenario`` and return the execution session.
 
+        Raises :class:`~repro.errors.ScenarioError` with the first of
+        :meth:`refusals` when the engine cannot honour ``scenario``.
         The session owns the prepared harness; drive it with ``step()``
         / ``run_until()`` / ``run_to_completion()``, register probes and
         interventions before the first step.  One session runs once.
@@ -82,6 +172,9 @@ class Engine(ABC):
                 "1.6.0)"
             )
         started = time.perf_counter()
+        refusals = self.refusals(scenario)
+        if refusals:
+            raise ScenarioError(refusals[0].message)
         return Execution(self.name, scenario, self.prepare(scenario), started)
 
     def run(self, scenario: Scenario) -> RunReport:

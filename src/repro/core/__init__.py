@@ -47,7 +47,7 @@ from repro.core.recurrent import (
     RecurrentRound,
     RecurrentSwapCoordinator,
 )
-from repro.core.spec import SwapSpec, compute_diameter_for_spec
+from repro.core.spec import SwapSpec
 from repro.core.strategies import (
     GreedyClaimOnlyParty,
     LastMomentUnlockParty,
@@ -104,7 +104,6 @@ __all__ = [
     "RecurrentRound",
     "RecurrentSwapCoordinator",
     "SwapSpec",
-    "compute_diameter_for_spec",
     "GreedyClaimOnlyParty",
     "LastMomentUnlockParty",
     "PrematureRevealParty",

@@ -27,13 +27,14 @@ work discusses — and returns them as swap digraphs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from repro.chain.blockchain import Blockchain
-from repro.core.spec import SwapSpec, compute_diameter_for_spec
+from repro.core.spec import SwapSpec, resolve_diam, resolve_leaders
 from repro.crypto.keys import KeyDirectory
 from repro.crypto.signatures import SignatureScheme
 from repro.digraph.digraph import Arc, Digraph, Vertex
-from repro.digraph.feedback import feedback_vertex_set, is_feedback_vertex_set
+from repro.digraph.feedback import is_feedback_vertex_set
 from repro.digraph.paths import is_strongly_connected
 from repro.errors import ClearingError
 
@@ -147,11 +148,14 @@ class MarketClearingService:
                 "no atomic protocol exists for them (Theorem 3.5)"
             )
 
-        if leaders is None:
-            chosen = feedback_vertex_set(digraph, exact_limit=self.exact_limit)
-            leaders = tuple(v for v in digraph.vertices if v in chosen)
-        elif not is_feedback_vertex_set(digraph, set(leaders)):
+        if leaders is not None and not is_feedback_vertex_set(digraph, set(leaders)):
             raise ClearingError("proposed leaders are not a feedback vertex set")
+        # Leaders and diam resolve by the rule every run uses
+        # (repro.core.spec), read from the fields a Scenario would carry.
+        run = SimpleNamespace(
+            leaders=leaders, exact_limit=self.exact_limit, diam_override=None
+        )
+        leaders = resolve_leaders(run, digraph)
 
         hashlocks = tuple(self._offers[l].hashlock for l in leaders)
         spec = SwapSpec(
@@ -160,7 +164,7 @@ class MarketClearingService:
             hashlocks=hashlocks,
             start_time=now + self.delta,
             delta=self.delta,
-            diam=compute_diameter_for_spec(digraph, self.exact_limit),
+            diam=resolve_diam(run, digraph),
             timeout_slack=self.timeout_slack,
             directory=self.directory,
             schemes=self.schemes,

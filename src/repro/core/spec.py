@@ -23,7 +23,6 @@ from repro.crypto.signatures import SignatureScheme
 from repro.digraph.digraph import Arc, Digraph, Vertex
 from repro.digraph.feedback import feedback_vertex_set, require_feedback_vertex_set
 from repro.digraph.paths import (
-    EXACT_LONGEST_PATH_LIMIT,
     diameter,
     is_strongly_connected,
     longest_path_length,
@@ -256,13 +255,6 @@ def stored_fields_size(digraph: Digraph, leaders: tuple[Vertex, ...]) -> int:
         + (32 + 8) * len(leaders)
         + 8 * 4
     )
-
-
-def compute_diameter_for_spec(
-    digraph: Digraph, exact_limit: int = EXACT_LONGEST_PATH_LIMIT
-) -> int:
-    """The ``diam`` value a clearing service publishes for ``digraph``."""
-    return diameter(digraph, exact_limit=exact_limit)
 
 
 # ---------------------------------------------------------------------------

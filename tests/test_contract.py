@@ -16,11 +16,12 @@ from repro.core.contract import (
     is_correct_contract_state,
 )
 from repro.core.hashkey import Hashkey
-from repro.core.spec import SwapSpec, compute_diameter_for_spec
+from repro.core.spec import SwapSpec
 from repro.crypto.hashing import hash_secret
 from repro.crypto.keys import KeyDirectory
 from repro.crypto.signatures import get_scheme
 from repro.digraph.generators import triangle
+from repro.digraph.paths import diameter
 from repro.errors import (
     AuthorizationError,
     ContractStateError,
@@ -50,7 +51,7 @@ def world():
         hashlocks=(hash_secret(SECRET),),
         start_time=DELTA,
         delta=DELTA,
-        diam=compute_diameter_for_spec(digraph),
+        diam=diameter(digraph),
         directory=directory,
         schemes={scheme.name: scheme},
     )

@@ -4,11 +4,12 @@ import pytest
 
 from repro.chain.ledger import EncodedSizes, canonical_encode
 from repro.core.hashkey import Hashkey, wire_args_size
-from repro.core.spec import SwapSpec, compute_diameter_for_spec
+from repro.core.spec import SwapSpec
 from repro.crypto.hashing import hash_secret
 from repro.crypto.keys import KeyDirectory
 from repro.crypto.signatures import get_scheme
 from repro.digraph.generators import triangle
+from repro.digraph.paths import diameter
 from repro.errors import InvalidHashkeyError
 
 DELTA = 1000
@@ -33,7 +34,7 @@ def env():
         hashlocks=(hash_secret(SECRET),),
         start_time=DELTA,
         delta=DELTA,
-        diam=compute_diameter_for_spec(digraph),
+        diam=diameter(digraph),
         directory=directory,
         schemes={scheme.name: scheme},
     )

@@ -41,12 +41,13 @@ from repro.chain.ledger import (
 )
 from repro.core.contract import SwapContract
 from repro.core.hashkey import Hashkey, unlock_args_size
-from repro.core.spec import SwapSpec, compute_diameter_for_spec
+from repro.core.spec import SwapSpec
 from repro.core.timelocks import SimpleTimelockContract
 from repro.crypto.hashing import hash_secret
 from repro.crypto.keys import KeyDirectory
 from repro.crypto.signatures import get_scheme, scheme_names
 from repro.digraph.generators import complete_digraph
+from repro.digraph.paths import diameter
 from repro.errors import ContractError
 
 SAMPLE = settings(
@@ -122,7 +123,7 @@ def swap_world(names: list[str], scheme_name: str):
         hashlocks=tuple(hash_secret(secret) for secret in secrets),
         start_time=START,
         delta=DELTA,
-        diam=compute_diameter_for_spec(digraph),
+        diam=diameter(digraph),
         directory=directory,
         schemes={scheme.name: scheme, relay.name: relay},
     )

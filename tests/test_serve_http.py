@@ -14,12 +14,16 @@ import socket
 
 import pytest
 
-from repro.errors import ServeError
+from repro.api.engine import get_engine
+from repro.api.scenario import Scenario
+from repro.digraph.generators import triangle
+from repro.errors import ScenarioError, ServeError
 from repro.lab.store import SqliteStore
 from repro.lab.workloads import Workload, build_sweep
 from repro.serve.client import BackgroundServer, ServeClient, sample_scenarios
 from repro.serve.events import TERMINAL_EVENTS, check_envelope
 from repro.serve.service import ServiceConfig, SwapService
+from repro.sim.faults import FaultPlan
 from repro.sim.milestones import MILESTONE_KINDS
 
 
@@ -121,6 +125,27 @@ class TestRoutes:
         assert status == 400 and doc["error"] == "invalid-scenario"
         codes = {d["code"] for d in doc["diagnostics"]}
         assert "digraph/not-strongly-connected" in codes
+
+    @pytest.mark.parametrize(
+        "engine, fields",
+        [
+            ("2pc", {"faults": FaultPlan().crash("Carol", at_time=100)}),
+            ("single-leader", {"diam_override": 12}),
+        ],
+    )
+    def test_what_the_engine_does_not_honour_is_gated(self, server, engine, fields):
+        """A crash plan on a baseline with no crash model, or a §4.5
+        parameter on a protocol without it, is refused at the gate with
+        the engine's own diagnostic, before an execution slot is claimed."""
+        scenario = Scenario(triangle(), **fields)
+        with pytest.raises(ScenarioError) as refused:
+            get_engine(engine).run(scenario)
+        status, _, doc = server.client().request(
+            "POST", "/v1/runs", {"engine": engine, "scenario": scenario.to_dict()}
+        )
+        assert status == 400 and doc["error"] == "invalid-scenario"
+        assert str(refused.value) in [d["message"] for d in doc["diagnostics"]]
+        assert server.client().status()["submitted"] == 0
 
     def test_unknown_engine_is_400(self, server):
         status, _, _ = server.client().request(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.spec import SwapSpec, compute_diameter_for_spec
+from repro.core.spec import SwapSpec
 from repro.crypto.hashing import hash_secret
 from repro.crypto.keys import KeyDirectory
 from repro.digraph.generators import (
@@ -12,6 +12,7 @@ from repro.digraph.generators import (
     triangle,
     two_leader_triangle,
 )
+from repro.digraph.paths import diameter
 from repro.errors import (
     ClearingError,
     NotFeedbackVertexSetError,
@@ -29,7 +30,7 @@ def make_spec(digraph, leaders, **overrides):
         hashlocks=hashlocks,
         start_time=DELTA,
         delta=DELTA,
-        diam=compute_diameter_for_spec(digraph),
+        diam=diameter(digraph),
         directory=KeyDirectory(),
         schemes={},
     )
@@ -185,4 +186,4 @@ class TestStorage:
         assert big.stored_fields_size_bytes() > small.stored_fields_size_bytes()
 
     def test_diameter_helper(self):
-        assert compute_diameter_for_spec(cycle_digraph(5)) == 4
+        assert diameter(cycle_digraph(5)) == 4
