@@ -123,7 +123,9 @@ def _digest(entry: dict) -> str:
     return sha256(json.dumps(entry, sort_keys=True).encode()).hex()
 
 
-def _run(items, labels) -> dict:
+def _run(items, labels) -> tuple[dict, dict[str, list[dict]]]:
+    """The corpus section of ``items`` (run keys, then one digest per
+    entry under each label) and the stored entries themselves."""
     keys = [run_key(engine, scenario) for engine, scenario in items]
     corpus: dict = {
         "items": [
@@ -131,27 +133,32 @@ def _run(items, labels) -> dict:
             for (_, scenario), key in zip(items, keys)
         ],
     }
+    entries = {}
     for label, fast_path in labels:
         store = SqliteStore(":memory:")
         run_sweep(items, parallel=False, store=store, fast_path=fast_path)
-        corpus[label] = [_digest(store.get(key)) for key in keys]
-    return corpus
+        entries[label] = [store.get(key) for key in keys]
+        corpus[label] = [_digest(entry) for entry in entries[label]]
+    return corpus, entries
 
 
-def build_corpus() -> dict:
+def build_corpus() -> tuple[dict, dict[str, list[dict]]]:
     """Run the corpus sweep plain and with the fast path, then the
-    timelock sweep plain."""
-    herlihy = _run(_sweep().items(), (("plain", False), ("fast_path", True)))
-    return {
-        "base_seed": BASE_SEED,
-        **herlihy,
-        "timelock": _run(_timelock_sweep().items(), (("plain", False),)),
-    }
+    timelock sweep plain; returns the corpus and the ``herlihy`` sweep's
+    stored entries by label."""
+    herlihy, entries = _run(_sweep().items(), (("plain", False), ("fast_path", True)))
+    timelock, _ = _run(_timelock_sweep().items(), (("plain", False),))
+    return {"base_seed": BASE_SEED, **herlihy, "timelock": timelock}, entries
 
 
 @pytest.fixture(scope="module")
-def observed() -> dict:
+def built() -> tuple[dict, dict[str, list[dict]]]:
     return build_corpus()
+
+
+@pytest.fixture(scope="module")
+def observed(built) -> dict:
+    return built[0]
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +184,21 @@ def test_stored_entries_match(observed, golden, label):
         if seen != pinned
     ]
     assert not shifted, f"{len(shifted)} {label} entries shifted: {shifted[:5]}"
+
+
+def test_fast_path_never_turns_a_refusal_into_a_success(built, golden):
+    """Where the engine refuses an item (its plain entry is a failure),
+    the fast-path sweep stores that very failure, byte for byte."""
+    entries = built[1]
+    refused = [i for i, entry in enumerate(entries["plain"]) if not entry["ok"]]
+    assert refused
+    differ = [
+        golden["items"][i]["name"]
+        for i in refused
+        if entries["fast_path"][i] != entries["plain"][i]
+        or golden["fast_path"][i] != golden["plain"][i]
+    ]
+    assert not differ, f"{len(differ)} refusals answered otherwise: {differ[:5]}"
 
 
 def test_timelock_corpus_covers_grid_crashes_and_attackers(golden):
@@ -209,5 +231,5 @@ def test_timelock_stored_entries_match(observed, golden):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: test_golden_corpus.py --write")
-    CORPUS.write_text(json.dumps(build_corpus(), indent=1) + "\n")
+    CORPUS.write_text(json.dumps(build_corpus()[0], indent=1) + "\n")
     print(f"wrote {CORPUS}")
