@@ -55,8 +55,8 @@ _LAZY_DIAGNOSTICS = {
     "has_errors",
 }
 _LAZY_STRUCTURE = {
-    "check_payload",
     "check_scenario",
+    "decode_scenario",
 }
 # NB: the predict() *function* is deliberately not re-exported — its
 # name collides with the submodule's, and the import system pins the

@@ -87,7 +87,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from dataclasses import replace
+from copy import copy
 from typing import Any
 
 from repro.analysis.outcomes import Outcome
@@ -225,13 +225,12 @@ def synthesize_report(scenario: Scenario, prediction: Prediction) -> RunReport:
     if template is None:
         template = _synthesize(scenario, prediction)
         _lru_put(_TEMPLATES, key, template)
-    return replace(
-        template,
-        scenario=scenario,
-        outcomes=dict(template.outcomes),
-        extra={},
-        wall_seconds=0.0,
-    )
+    report = copy(template)
+    report.scenario = scenario
+    report.outcomes = dict(template.outcomes)
+    report.extra = {}
+    report.wall_seconds = 0.0
+    return report
 
 
 def _synthesize(scenario: Scenario, prediction: Prediction) -> RunReport:

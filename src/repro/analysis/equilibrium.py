@@ -25,10 +25,10 @@ from itertools import product
 
 from repro.analysis.game import SwapGame, proper_coalitions
 from repro.analysis.outcomes import Outcome
+from repro.analysis.structure import NOT_STRONGLY_CONNECTED
 from repro.api.report import RunReport
 from repro.api.scenario import Scenario, resolve_strategy
 from repro.api.sweep import Sweep, run_sweep
-from repro.core.protocol import SwapSimulation
 from repro.digraph.digraph import Arc, Digraph, Vertex
 from repro.digraph.paths import is_strongly_connected
 from repro.errors import AnalysisError, NotStronglyConnectedError
@@ -115,7 +115,7 @@ def check_strong_nash(
         if entry.strategy is not None:
             resolve_strategy(entry.strategy)
     if not is_strongly_connected(digraph):
-        raise NotStronglyConnectedError(SwapSimulation.connectivity_message)
+        raise NotStronglyConnectedError(NOT_STRONGLY_CONNECTED)
     grid = [
         (coalition, dict(zip(sorted(coalition), combo)))
         for coalition in proper_coalitions(digraph, max_coalition_size)

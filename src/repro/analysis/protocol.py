@@ -27,11 +27,14 @@ characterise without executing it:
     not been validated against.  Verdict ``unsupported`` (or
     ``invalid`` when structural errors were found).
 
-Verdict ``invalid`` means an ``error`` diagnostic: a structural one,
-or one of :meth:`Engine.refusals <repro.api.engine.Engine.refusals>`,
-the very diagnostics ``Engine.open`` raises on (what the engine does
-not honour).  So the analyzer, the fast path and the serve gate refuse
-exactly what the engine refuses, with the engine's message.
+Verdict ``invalid`` means an ``error`` diagnostic: one of
+:meth:`Engine.refusals <repro.api.engine.Engine.refusals>` — what the
+engine does not honour, then the errors of the
+:mod:`repro.analysis.structure` rules that bind it — which are the very
+refusals ``Engine.open`` raises.  The diagnostics list the table's
+warnings first and then those refusals, so the first error is the
+exception the engine raises, word for word, and the analyzer, the fast
+path and the serve gate refuse exactly what the engine refuses.
 
 The closed-form fast path (:mod:`repro.analysis.engine`) answers only
 ``coverage="full"`` scenarios, and must match the simulator byte for
@@ -41,16 +44,20 @@ byte on every one of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Any
 
-from repro.analysis.diagnostics import Diagnostic, error, has_errors
+from repro.analysis.diagnostics import Diagnostic, has_errors
 from repro.analysis.predict import Prediction, predict
-from repro.analysis.structure import check_payload, check_scenario
+from repro.analysis.structure import (
+    check_scenario,
+    construction_refusals,
+    decode_scenario,
+    rule_warnings,
+)
 from repro.api.engine import get_engine
 from repro.api.scenario import Scenario
-from repro.core.spec import resolve_leaders
-from repro.crypto.signatures import scheme_names
-from repro.errors import ReproError, UnknownEngineError
+from repro.errors import UnknownEngineError
 from repro.sim.timing import is_default_timing
 
 COVERAGE_FULL = "full"
@@ -102,37 +109,6 @@ class ScenarioAnalysis:
         }
 
 
-def _engine_diagnostics(scenario: Scenario, engine: str) -> tuple[Diagnostic, ...]:
-    """What ``engine`` refuses to run (its
-    :meth:`~repro.api.engine.Engine.refusals`), then the signature-scheme
-    facts for an engine that honours ``scheme_name``.  An unregistered
-    engine adds nothing: its lookup fails when the run is submitted."""
-    try:
-        adapter = get_engine(engine)
-    except UnknownEngineError:
-        return ()
-    out = list(adapter.refusals(scenario))
-    if "scheme_name" not in adapter.honours:
-        return tuple(out)
-    if scenario.scheme_name not in scheme_names():
-        out.append(error(
-            "engine/unknown-scheme", "/scheme_name",
-            f"unknown signature scheme {scenario.scheme_name!r}; "
-            f"known schemes: {', '.join(scheme_names())}",
-        ))
-    elif (
-        scenario.scheme_name == "lamport"
-        and len(resolve_leaders(scenario, scenario.digraph())) > 1
-    ):
-        out.append(error(
-            "engine/one-time-scheme", "/scheme_name",
-            "Lamport keys are one-time, but a multi-leader swap "
-            "makes each party sign one hashkey extension per lock; "
-            "use a multi-use scheme or a single-leader digraph",
-        ))
-    return tuple(out)
-
-
 def coverage_ceiling(scenario: Scenario, engine: str = "herlihy") -> str:
     """The best coverage :func:`analyze_scenario` can give ``scenario``.
 
@@ -161,8 +137,16 @@ def coverage_ceiling(scenario: Scenario, engine: str = "herlihy") -> str:
 
 
 def _diagnose(scenario: Scenario, engine: str) -> list[Diagnostic]:
-    """The structural checks, then what ``engine`` refuses."""
-    return [*check_scenario(scenario), *_engine_diagnostics(scenario, engine)]
+    """The table's warnings, then what ``engine`` refuses
+    (:meth:`~repro.api.engine.Engine.refusals`: its declared refusals,
+    then the table's errors) — so the first error is the one the engine
+    raises.  An unregistered engine name gets the whole table: its
+    lookup fails when the run is submitted."""
+    try:
+        adapter = get_engine(engine)
+    except UnknownEngineError:
+        return list(check_scenario(scenario))
+    return [*rule_warnings(scenario, adapter.honours), *adapter.refusals(scenario)]
 
 
 def analyze_scenario(scenario: Scenario, engine: str = "herlihy") -> ScenarioAnalysis:
@@ -206,20 +190,21 @@ def analyze_scenario(scenario: Scenario, engine: str = "herlihy") -> ScenarioAna
 def check_submission(data: Any, engine: str = "herlihy") -> tuple[Diagnostic, ...]:
     """Diagnose a raw submission payload end to end (the serve gate).
 
-    Runs the payload-shape checks first; when they pass, constructs the
-    scenario and adds the graph-level checks.  Returns every diagnostic
-    found — the caller rejects on any ``error`` severity.
+    Decodes the payload (:func:`~repro.analysis.structure.decode_scenario`),
+    then checks what decoded against the construction rules and, when
+    it constructs, diagnoses the scenario as :func:`analyze_scenario`
+    does.  Returns every diagnostic found — the caller rejects on any
+    ``error`` severity.
     """
-    diagnostics = check_payload(data)
-    if has_errors(diagnostics):
-        return diagnostics
-    try:
-        scenario = Scenario.from_dict(dict(data))
-    except ReproError as exc:
-        # The payload layer aims to catch everything from_dict would
-        # reject, but stays conservative: surface any residue as a
-        # whole-payload diagnostic rather than an unstructured failure.
-        return diagnostics + (
-            error("payload/invalid", "", str(exc)),
-        )
-    return diagnostics + tuple(_diagnose(scenario, engine))
+    fields, problems = decode_scenario(data)
+    if fields is None:
+        return tuple(problems)
+    scenario = SimpleNamespace(
+        topology=fields["topology"],
+        chain_delays=fields.get("chain_delays", {}),
+        strategies=fields.get("strategies", {}),
+    )
+    refused = [d for d, _ in construction_refusals(scenario)]
+    if refused:
+        return (*problems, *refused)
+    return (*problems, *_diagnose(Scenario(**fields), engine))

@@ -19,12 +19,16 @@ Engines implement :meth:`Engine.prepare`, returning a
 harness, the protocol start time, and the result classifier), and
 declare what they accept: :attr:`Engine.params` (the ``params`` keys
 the protocol reads) and :attr:`Engine.honours` (the optional scenario
-features it implements).  :meth:`Engine.refusals` turns that into error
-diagnostics; ``open`` raises the first as a
-:class:`~repro.errors.ScenarioError`, and the static analyzer
-(:mod:`repro.analysis.protocol`), hence the fast path and the serve
-gate, reports the same ones.  The native result of a run is
-``run(scenario).raw``.
+features it implements).  :meth:`Engine.refusals` lists, in order, what
+the engine does not honour (as :class:`~repro.errors.ScenarioError`
+diagnostics) and then the errors of the scenario rule table
+(:mod:`repro.analysis.structure`) that bind it; ``open`` and the direct
+runners raise the first, as the exception its rule names (a
+:class:`~repro.errors.SimulationError` for ``delta=0``, a
+:class:`~repro.errors.ClearingError` for a duplicated leader, ...).
+The static analyzer (:mod:`repro.analysis.protocol`), hence the fast
+path and the serve gate, reports the same refusals in the same order.
+The native result of a run is ``run(scenario).raw``.
 
 Only protocols are engines.  The closed-form answer for a fully covered
 ``herlihy`` scenario is not a seventh one: front ends ask for it with
@@ -44,13 +48,15 @@ from __future__ import annotations
 import time
 from abc import ABC
 from dataclasses import fields
+from typing import Iterator
 
 from repro.analysis.diagnostics import Diagnostic, error
+from repro.analysis.structure import rule_refusals
 from repro.api.execution import Execution, PreparedSimulation
 from repro.api.report import RunReport
 from repro.api.scenario import Scenario
 from repro.digraph.multigraph import MultiDigraph
-from repro.errors import EngineError, ScenarioError, UnknownEngineError
+from repro.errors import EngineError, ReproError, ScenarioError, UnknownEngineError
 
 _REGISTRY: dict[str, "Engine"] = {}
 
@@ -89,10 +95,28 @@ class Engine(ABC):
     honours: frozenset[str] = frozenset()
 
     def refusals(self, scenario: Scenario) -> tuple[Diagnostic, ...]:
-        """Error diagnostics for what in ``scenario`` this engine cannot
-        honour (empty when it runs as described), checked in order:
-        params, strategies, faults, parallel arcs, leaders, then the
-        :data:`PROTOCOL_FIELDS`.  :meth:`open` raises the first."""
+        """Error diagnostics for everything that stops this engine running
+        ``scenario`` (empty when it runs as described): first what it
+        does not honour — params, strategies, faults, parallel arcs,
+        leaders, then the :data:`PROTOCOL_FIELDS` — then the errors of
+        the :mod:`repro.analysis.structure` rules that bind it.
+        :meth:`open` raises the first."""
+        return tuple(diagnostic for diagnostic, _ in self._refusals(scenario))
+
+    def refuse(self, scenario: Scenario) -> None:
+        """Raise the first of :meth:`refusals`, as the exception its rule
+        names (a :class:`~repro.errors.ScenarioError` for a feature the
+        engine does not honour); return when there is none.  Only error
+        rules are evaluated, and only up to the first refusal."""
+        for _, exception in self._refusals(scenario):
+            raise exception
+
+    def _refusals(self, scenario: Scenario) -> Iterator[tuple[Diagnostic, ReproError]]:
+        for diagnostic in self._unhonoured_features(scenario):
+            yield diagnostic, ScenarioError(diagnostic.message)
+        yield from rule_refusals(scenario, self.honours)
+
+    def _unhonoured_features(self, scenario: Scenario) -> list[Diagnostic]:
         out: list[Diagnostic] = []
         name = self.name
         unknown = set(scenario.params) - self.params
@@ -140,7 +164,7 @@ class Engine(ABC):
             value = getattr(scenario, field)
             if field not in self.honours and value != _FIELD_DEFAULTS[field]:
                 out.append(self._unhonoured(field, value))
-        return tuple(out)
+        return out
 
     def _unhonoured(self, field: str, value: object) -> Diagnostic:
         return error(
@@ -158,8 +182,8 @@ class Engine(ABC):
     def open(self, scenario: Scenario) -> Execution:
         """Prepare ``scenario`` and return the execution session.
 
-        Raises :class:`~repro.errors.ScenarioError` with the first of
-        :meth:`refusals` when the engine cannot honour ``scenario``.
+        Raises the first of :meth:`refusals` (see :meth:`refuse`) when
+        the engine cannot run ``scenario``.
         The session owns the prepared harness; drive it with ``step()``
         / ``run_until()`` / ``run_to_completion()``, register probes and
         interventions before the first step.  One session runs once.
@@ -172,9 +196,7 @@ class Engine(ABC):
                 "1.6.0)"
             )
         started = time.perf_counter()
-        refusals = self.refusals(scenario)
-        if refusals:
-            raise ScenarioError(refusals[0].message)
+        self.refuse(scenario)
         return Execution(self.name, scenario, self.prepare(scenario), started)
 
     def run(self, scenario: Scenario) -> RunReport:

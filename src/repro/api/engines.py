@@ -37,10 +37,13 @@ The four protocol fields are :data:`~repro.api.engine.PROTOCOL_FIELDS`
 ``scheme_name``).  :meth:`~repro.api.engine.Engine.refusals` refuses any
 other ``params`` key, named strategies, a fault plan, parallel arcs, a
 leader set (or more than one leader) and a non-default protocol field
-wherever the table does not list it; ``Engine.open`` raises the first
-refusal as a :class:`repro.errors.ScenarioError`, and the analyzer, the
-fast path and the serve gate report the same diagnostics — a scenario
-that runs is a scenario that was fully honoured, field by field.
+wherever the table does not list it, as a
+:class:`repro.errors.ScenarioError`, and then whatever the scenario
+rule table (:mod:`repro.analysis.structure`) finds wrong with the
+scenario itself; ``Engine.open`` raises the first refusal, and the
+analyzer, the fast path and the serve gate report the same diagnostics
+— a scenario that runs is a valid scenario that was fully honoured,
+field by field.
 
 Every engine honours ``timing`` (:mod:`repro.sim.timing`), applied by
 the shared :class:`repro.sim.harness.SimulationHarness` to every party

@@ -17,8 +17,10 @@ boundaries without pickling live simulation objects.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
-from typing import Any, Mapping
+from collections.abc import Mapping
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from typing import Any
 
 from repro.core.strategies import (
     GreedyClaimOnlyParty,
@@ -36,7 +38,7 @@ from repro.digraph.multigraph import MultiDigraph
 from repro.digraph.paths import EXACT_LONGEST_PATH_LIMIT
 from repro.errors import ScenarioError, UnknownStrategyError
 from repro.sim.clock import DEFAULT_DELTA
-from repro.sim.faults import Crash, CrashPoint, FaultPlan
+from repro.sim.faults import FaultPlan
 from repro.sim.process import DEFAULT_ACTION_FRACTION, DEFAULT_REACTION_FRACTION
 from repro.sim.timing import (
     TimingModel,
@@ -108,12 +110,20 @@ def _topology_to_dict(topology: Digraph | MultiDigraph) -> dict:
     return {"kind": "digraph", **topology.to_dict()}
 
 
-def _topology_from_dict(data: dict) -> Digraph | MultiDigraph:
-    if data.get("kind") == "multigraph":
-        return MultiDigraph(
-            data["vertices"], [tuple(arc) for arc in data["arcs"]]
-        )
-    return Digraph(data["vertices"], [tuple(arc) for arc in data["arcs"]])
+def _canonical_topology(topology: Digraph | MultiDigraph) -> dict:
+    """:func:`_topology_to_dict` with vertices and arcs sorted."""
+    data = _topology_to_dict(topology)
+    data["vertices"] = sorted(data["vertices"])
+    data["arcs"] = sorted(data["arcs"])
+    return data
+
+
+@lru_cache(maxsize=32)
+def _topology_text(topology: Digraph | MultiDigraph) -> str:
+    """The canonical JSON of ``topology``, once per topology (equal
+    topologies — same vertex and arc sets — share it).  A seed grid
+    revisits few topologies; a small bound keeps few of them alive."""
+    return canonical_json(_canonical_topology(topology))
 
 
 def _faults_to_dict(faults: FaultPlan) -> dict:
@@ -124,18 +134,6 @@ def _faults_to_dict(faults: FaultPlan) -> dict:
         }
         for party, crash in faults.crashes.items()
     }
-
-
-def _faults_from_dict(data: dict) -> FaultPlan:
-    plan = FaultPlan()
-    for party, crash in data.items():
-        point = crash.get("at_point")
-        plan.crash(
-            party,
-            at_time=crash.get("at_time"),
-            at_point=CrashPoint(point) if point else None,
-        )
-    return plan
 
 
 @dataclass(frozen=True)
@@ -198,47 +196,16 @@ class Scenario:
             object.__setattr__(self, "timing", timing_to_dict(self.timing))
         except TimingError as error:
             raise ScenarioError(str(error)) from None
-        if not isinstance(self.chain_delays, Mapping):
-            raise ScenarioError(
-                "chain_delays must map 'head->tail' (or 'broadcast') arc "
-                f"labels to tick counts, got {type(self.chain_delays).__name__}"
-            )
-        # The arc set (and, for multigraphs, the simple projection) is
-        # only needed when delays are actually present — which is never
-        # the default-constructed case, so don't tax every Scenario.
-        arcs = set(self.digraph().arcs) if self.chain_delays else set()
-        delays: dict[str, int] = {}
-        for key, delay in self.chain_delays.items():
-            if not isinstance(key, str) or (
-                key != "broadcast" and "->" not in key
-            ):
-                raise ScenarioError(
-                    f"chain_delays key {key!r} is not an arc label; use "
-                    "'head->tail' or 'broadcast'"
-                )
-            if key != "broadcast":
-                # Fail at construction, not per-run: a typo'd arc in a
-                # big sweep would otherwise persist a store full of
-                # failure records before anyone notices.
-                head, _, tail = key.partition("->")
-                if (head, tail) not in arcs:
-                    raise ScenarioError(
-                        f"chain_delays key {key!r} names no arc of the "
-                        f"topology; arcs: {sorted(arcs)}"
-                    )
-            if isinstance(delay, bool) or not isinstance(delay, int) or delay < 0:
-                raise ScenarioError(
-                    f"chain delay for {key!r} must be a non-negative tick "
-                    f"count, got {delay!r}"
-                )
-            delays[key] = delay
-        object.__setattr__(self, "chain_delays", delays)
-        for vertex, strategy in self.strategies.items():
-            if not isinstance(strategy, str):
-                raise ScenarioError(
-                    f"strategy for {vertex!r} must be a registered name "
-                    f"(one of {sorted(STRATEGIES)}), got {strategy!r}"
-                )
+        if (
+            not isinstance(self.chain_delays, Mapping)
+            or self.chain_delays
+            or self.strategies
+        ):
+            from repro.analysis.structure import construction_refusals
+
+            for _, refusal in construction_refusals(self):
+                raise refusal
+        object.__setattr__(self, "chain_delays", dict(self.chain_delays))
 
     # -- derived views -------------------------------------------------------
 
@@ -295,16 +262,16 @@ class Scenario:
         it did before the field existed, so stored entries — not just
         run keys — stay byte-identical.
         """
-        data = self._to_dict_full()
+        data = {"topology": _topology_to_dict(self.topology), **self._fields_dict()}
         if data["timing"] is None:
             del data["timing"]
         if not data["chain_delays"]:
             del data["chain_delays"]
         return data
 
-    def _to_dict_full(self) -> dict:
+    def _fields_dict(self) -> dict:
+        """Every field but the topology, JSON-compatible."""
         return {
-            "topology": _topology_to_dict(self.topology),
             "name": self.name,
             "leaders": list(self.leaders) if self.leaders is not None else None,
             "delta": self.delta,
@@ -324,6 +291,16 @@ class Scenario:
             "chain_delays": dict(self.chain_delays),
         }
 
+    def _canonical_fields(self) -> dict:
+        """:meth:`canonical_dict` without its topology."""
+        data = self._fields_dict()
+        del data["name"]
+        if is_default_timing(data["timing"]):
+            del data["timing"]
+        if not data["chain_delays"]:
+            del data["chain_delays"]
+        return data
+
     def canonical_dict(self) -> dict:
         """The content of this scenario, normalised for hashing.
 
@@ -336,16 +313,7 @@ class Scenario:
         existed, so pre-timing run stores stay warm.  Not an input
         format — use :meth:`to_dict` for round-trips.
         """
-        data = self._to_dict_full()
-        del data["name"]
-        if is_default_timing(data["timing"]):
-            del data["timing"]
-        if not data["chain_delays"]:
-            del data["chain_delays"]
-        topology = data["topology"]
-        topology["vertices"] = sorted(topology["vertices"])
-        topology["arcs"] = sorted(topology["arcs"])
-        return data
+        return {**self._canonical_fields(), "topology": _canonical_topology(self.topology)}
 
     def canonical_text(self) -> str:
         """The canonical JSON encoding of :meth:`canonical_dict`, cached.
@@ -366,18 +334,20 @@ class Scenario:
         return cached
 
     def shape_text(self) -> str:
-        """:meth:`canonical_text` with the seed masked out, cached the same way.
+        """:meth:`canonical_text`'s content with the seed masked out, cached
+        the same way.
 
         The key of the fast path's shape memos
         (:mod:`repro.analysis.engine`): the seed only varies the leader
         secrets, so every seed of one shape shares its analysis and
-        report template.
+        report template.  An in-memory key, never stored: the topology's
+        canonical text is encoded once per topology and appended.
         """
         cached: str | None = getattr(self, "_shape_text", None)
         if cached is None:
-            data = self.canonical_dict()
-            data.pop("seed", None)
-            cached = canonical_json(data)
+            data = self._canonical_fields()
+            del data["seed"]
+            cached = canonical_json(data) + _topology_text(self.topology)
             object.__setattr__(self, "_shape_text", cached)
         return cached
 
@@ -392,13 +362,12 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ScenarioError(f"unknown scenario fields: {sorted(unknown)}")
-        kwargs = dict(data)
-        kwargs["topology"] = _topology_from_dict(data["topology"])
-        if data.get("leaders") is not None:
-            kwargs["leaders"] = tuple(data["leaders"])
-        kwargs["faults"] = _faults_from_dict(data.get("faults", {}))
-        return cls(**kwargs)
+        """The scenario a :meth:`to_dict` payload describes; raises the
+        first problem :func:`repro.analysis.structure.decode_scenario`
+        finds as a :class:`~repro.errors.ScenarioError`."""
+        from repro.analysis.structure import decode_scenario
+
+        fields, problems = decode_scenario(data)
+        for problem in problems:
+            raise ScenarioError(problem.message)
+        return cls(**fields)

@@ -126,7 +126,6 @@ def _prepare_sequential_trust_swap(scenario: Any):
         digraph,
         scenario,
         include_broadcast=False,
-        connectivity_message="baseline still needs a strongly connected swap",
     )
     for v in defectors:
         if not digraph.has_vertex(v):

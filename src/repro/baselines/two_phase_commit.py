@@ -278,7 +278,6 @@ def _prepare_two_phase_commit_swap(scenario: Any):
         digraph,
         scenario,
         include_broadcast=False,
-        connectivity_message="baseline still needs a strongly connected swap",
     )
     start = resolve_start(scenario)
     timeout = start + 4 * scenario.delta

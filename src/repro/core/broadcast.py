@@ -60,7 +60,7 @@ def compare_broadcast(
     ``(without, with)`` Phase-Two timings; both runs must end all-Deal
     or a :class:`ValueError` propagates.
     """
-    base = scenario_for(digraph, **fields)
+    base = scenario_for("herlihy", digraph, **fields)
     without = SwapSimulation(base.with_(use_broadcast=False)).run()
     with_bc = SwapSimulation(base.with_(use_broadcast=True)).run()
     if not (without.all_deal() and with_bc.all_deal()):

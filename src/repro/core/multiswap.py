@@ -130,6 +130,6 @@ def run_multigraph_swap(
     ``faults``, ``seed``, ...).
     """
     harness, start_time, finalize = prepare_multigraph_swap(
-        scenario_for(multigraph, **fields), multiarc_values
+        scenario_for("multiswap", multigraph, **fields), multiarc_values
     )
     return finalize(harness.run_to_quiescence(start_time))

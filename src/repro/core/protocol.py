@@ -43,7 +43,7 @@ from repro.core.spec import (
 from repro.crypto.hashing import hash_secret
 from repro.crypto.signatures import get_scheme
 from repro.digraph.digraph import Arc, Digraph, Vertex
-from repro.errors import SignatureError, SimulationError
+from repro.errors import SimulationError
 from repro.sim import trace as tr
 from repro.sim.harness import SimulationHarness, provision_keypairs
 from repro.sim.process import ReactionProfile
@@ -148,9 +148,11 @@ class HTLCSimulation:
     """The assembly both hashed-timelock runners share (§4.5, §4.6).
 
     Reads the run's parameters from its ``scenario`` (a
-    :class:`~repro.api.scenario.Scenario`, read by field) and owns the
-    harness, the unknown-party checks, strategy resolution, party wiring
-    and the run itself.  A subclass builds its published ``spec`` and
+    :class:`~repro.api.scenario.Scenario`, read by field, which
+    ``Engine.open`` or the direct runner has already held to the
+    :mod:`repro.analysis.structure` rules) and owns the harness,
+    strategy resolution, party wiring and the run itself.  A subclass
+    builds its published ``spec`` and
     then calls :meth:`_wire_parties`; it supplies :attr:`party_class`
     (the conforming party), :attr:`include_broadcast` (whether the
     shared broadcast chain exists and reaches every party), and
@@ -161,7 +163,6 @@ class HTLCSimulation:
 
     party_class: type[HTLCParty] = HTLCParty
     include_broadcast = False
-    connectivity_message = "swap digraphs must be strongly connected"
     spec: Any
 
     def __init__(
@@ -179,19 +180,19 @@ class HTLCSimulation:
             scenario,
             include_broadcast=self.include_broadcast,
             asset_values=asset_values,
-            connectivity_message=self.connectivity_message,
         )
         self.network = self.harness.network
         self.assets: dict[Arc, Asset] = self.harness.assets
         self.scheduler = self.harness.scheduler
         self.trace: Trace = self.harness.trace
 
-        for vertex in self.strategies:
+        for vertex in strategies or ():
             if not digraph.has_vertex(vertex):
-                raise SimulationError(f"strategy for unknown party {vertex!r}")
-        for vertex in self.faults.crashes:
-            if not digraph.has_vertex(vertex):
-                raise SimulationError(f"fault for unknown party {vertex!r}")
+                # Named strategies are the rule table's to check; party
+                # classes passed in directly are not in the scenario.
+                from repro.analysis.structure import unknown_party
+
+                raise SimulationError(unknown_party("strategy", vertex))
 
     # -- construction helpers --------------------------------------------------------
 
@@ -258,11 +259,6 @@ class SwapSimulation(HTLCSimulation):
 
     party_class = SwapParty
     include_broadcast = True
-    connectivity_message = (
-        "SwapSimulation requires a strongly connected digraph "
-        "(Theorem 3.5; see repro.analysis.attacks for the "
-        "impossibility constructions)"
-    )
 
     def __init__(
         self,
@@ -276,15 +272,7 @@ class SwapSimulation(HTLCSimulation):
         self.leaders = resolve_leaders(scenario, digraph)
 
         # -- keys and secrets (deterministic in the seed) ----------------------
-        scheme = get_scheme(scenario.scheme_name)
-        if scheme.name == "lamport" and len(self.leaders) > 1:
-            raise SignatureError(
-                "Lamport keys are one-time, but a multi-leader swap makes "
-                "each party sign one hashkey extension per lock; use a "
-                "multi-use scheme (ecdsa-secp256k1 or hmac-registry) or a "
-                "single-leader digraph"
-            )
-        self.scheme = scheme
+        self.scheme = scheme = get_scheme(scenario.scheme_name)
         directory, self.keypairs = provision_keypairs(
             scheme, digraph.vertices, scenario.seed
         )
@@ -363,14 +351,17 @@ def collect_result(
     )
 
 
-def scenario_for(topology: Any, **fields: Any) -> Any:
+def scenario_for(engine: str, topology: Any, **fields: Any) -> Any:
     """The :class:`~repro.api.scenario.Scenario` a direct runner's
     keyword arguments describe (``seed=5``, ``leaders=...``,
-    ``faults=...``, any other ``Scenario`` field).  Imported here because
-    :mod:`repro.api` builds on this module."""
-    from repro.api.scenario import Scenario
+    ``faults=...``, any other ``Scenario`` field), refused exactly as
+    ``engine``'s :meth:`~repro.api.engine.Engine.open` refuses it.
+    Imported here because :mod:`repro.api` builds on this module."""
+    from repro.api import Scenario, get_engine
 
-    return Scenario(topology, **fields)
+    scenario = Scenario(topology, **fields)
+    get_engine(engine).refuse(scenario)
+    return scenario
 
 
 def run_swap(
@@ -385,7 +376,7 @@ def run_swap(
     ``digraph`` with the :class:`~repro.api.scenario.Scenario` fields in
     ``fields`` (``leaders``, ``faults``, ``seed``, ...) and run it."""
     return SwapSimulation(
-        scenario_for(digraph, **fields),
+        scenario_for("herlihy", digraph, **fields),
         strategies=strategies,
         profiles=profiles,
         asset_values=asset_values,

@@ -69,7 +69,7 @@ class RecurrentSwapCoordinator:
             raise SimulationError("need at least one round")
         self.digraph = digraph
         self.rounds = rounds
-        self.scenario = scenario_for(digraph, **fields)
+        self.scenario = scenario_for("herlihy", digraph, **fields)
 
     def _round_scenario(self, round_index: int) -> Any:
         # Distinct seeds per round give distinct secrets/keys; time restarts

@@ -44,14 +44,12 @@ from repro.digraph.digraph import Arc, Digraph, Vertex
 from repro.digraph.paths import (
     diameter,
     find_cycle,
-    is_strongly_connected,
     longest_path_length,
 )
 from repro.errors import (
     AuthorizationError,
     ContractError,
     ContractStateError,
-    NotStronglyConnectedError,
     SimulationError,
     TimeoutAssignmentError,
 )
@@ -263,10 +261,6 @@ class SingleLeaderSpec:
     diam: int
 
     def __post_init__(self) -> None:
-        if not is_strongly_connected(self.digraph):
-            raise NotStronglyConnectedError(
-                "swap digraphs must be strongly connected (Theorem 3.5)"
-            )
         missing = [a for a in self.digraph.arcs if a not in self.timeouts]
         if missing:
             raise TimeoutAssignmentError(f"arcs without timeouts: {missing}")
@@ -507,7 +501,7 @@ def run_single_leader_swap(
     """Convenience wrapper mirroring :func:`repro.core.protocol.run_swap`:
     ``fields`` are :class:`~repro.api.scenario.Scenario` fields."""
     return SingleLeaderSimulation(
-        scenario_for(digraph, **fields),
+        scenario_for("single-leader", digraph, **fields),
         leader=leader,
         strategies=strategies,
         timeouts=timeouts,

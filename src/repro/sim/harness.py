@@ -38,12 +38,11 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 from repro.chain.blockchain import Blockchain
 from repro.chain.ledger import Record
-from repro.chain.network import BROADCAST_CHAIN_ID, ChainNetwork
+from repro.chain.network import BROADCAST_CHAIN_ID, ChainNetwork, chain_id_for_arc
 from repro.crypto.hashing import sha256
 from repro.crypto.keys import KeyDirectory, KeyPair
 from repro.digraph.digraph import Arc, Digraph, Vertex
-from repro.digraph.paths import is_strongly_connected
-from repro.errors import NotStronglyConnectedError, SimulationError, TimingError
+from repro.errors import SimulationError, TimingError
 from repro.sim import trace as tr
 from repro.sim.process import Process, ReactionProfile
 from repro.sim.scheduler import Scheduler
@@ -88,7 +87,9 @@ class SimulationHarness:
     """Chains, assets, scheduler, trace, timing, wiring, and the run loop.
 
     One harness builds and runs exactly one simulation.  Construction
-    validates the topology and provisions the substrate; the runner then
+    provisions the substrate for a scenario the engine (or direct runner)
+    has already checked against :mod:`repro.analysis.structure`'s rules
+    — including its ``chain_delays`` labels; the runner then
     calls :meth:`build_parties`, :meth:`install_faults`,
     :meth:`wire_observations`, and finally :meth:`run_to_quiescence` /
     :meth:`collect`.
@@ -106,13 +107,7 @@ class SimulationHarness:
         chain_delays: Mapping[str, int] | None = None,
         include_broadcast: bool = False,
         asset_values: Mapping[Arc, int] | None = None,
-        connectivity_message: str | None = None,
     ) -> None:
-        if not is_strongly_connected(digraph):
-            raise NotStronglyConnectedError(
-                connectivity_message
-                or "swap digraphs must be strongly connected (Theorem 3.5)"
-            )
         self.digraph = digraph
         self.delta = delta
         self.seed = seed
@@ -151,35 +146,13 @@ class SimulationHarness:
         #: the party-side latencies timing models draw.  Keys are arc
         #: labels (``"head->tail"``) or ``"broadcast"``.
         self.chain_delays: dict[str, int] = dict(chain_delays or {})
-        self._chain_lag = self._resolve_chain_delays(self.chain_delays)
+        self._chain_lag = {
+            key if key == BROADCAST_CHAIN_ID else chain_id_for_arc(key.split("->", 1)): delay
+            for key, delay in self.chain_delays.items()
+        }
 
         self.parties: dict[Vertex, Any] = {}
         self._ran = False
-
-    def _resolve_chain_delays(self, delays: Mapping[str, int]) -> dict[str, int]:
-        """Map ``"head->tail"``/``"broadcast"`` keys to chain ids."""
-        from repro.chain.network import chain_id_for_arc
-
-        known_arcs = set(self.digraph.arcs)
-        lag: dict[str, int] = {}
-        for key, delay in delays.items():
-            if not isinstance(delay, int) or delay < 0:
-                raise SimulationError(
-                    f"chain delay for {key!r} must be a non-negative tick "
-                    f"count, got {delay!r}"
-                )
-            if key == BROADCAST_CHAIN_ID:
-                lag[BROADCAST_CHAIN_ID] = delay
-                continue
-            head, sep, tail = key.partition("->")
-            if not sep or (head, tail) not in known_arcs:
-                raise SimulationError(
-                    f"chain delay key {key!r} names no arc of the topology; "
-                    f"use 'head->tail' for one of {sorted(known_arcs)} "
-                    f"or 'broadcast'"
-                )
-            lag[chain_id_for_arc((head, tail))] = delay
-        return lag
 
     @classmethod
     def for_config(

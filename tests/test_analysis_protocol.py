@@ -24,7 +24,7 @@ from repro.analysis.protocol import (
     analyze_scenario,
     check_submission,
 )
-from repro.analysis.structure import check_payload, check_scenario
+from repro.analysis.structure import check_scenario
 from repro.api.scenario import Scenario
 from repro.api.sweep import Sweep, run_sweep
 from repro.digraph.digraph import Digraph
@@ -56,25 +56,34 @@ def by_path(diagnostics: tuple[Diagnostic, ...], code: str) -> list[str]:
 
 class TestPayloadDiagnostics:
     def test_clean_payload_has_no_diagnostics(self):
-        assert check_payload(payload()) == ()
+        assert check_submission(payload()) == ()
 
     def test_non_dict_payload(self):
-        (diag,) = check_payload(["not", "a", "dict"])
+        (diag,) = check_submission(["not", "a", "dict"])
         assert diag.code == "payload/not-a-dict" and diag.severity == "error"
 
     def test_unknown_field_names_its_path(self):
-        diags = check_payload(payload(nonsense=True))
+        diags = check_submission(payload(nonsense=True))
         assert by_path(diags, "payload/unknown-field") == ["/nonsense"]
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("scheme_name", ["x"]), ("name", 5), ("seed", "x"), ("exact_limit", True),
+         ("use_broadcast", "yes")],
+    )
+    def test_mistyped_field_names_its_path(self, field, value):
+        diags = check_submission(payload(**{field: value}))
+        assert by_path(diags, "payload/bad-type") == [f"/{field}"]
+
     def test_self_loop_arc(self):
-        diags = check_payload(
+        diags = check_submission(
             payload(topology={"vertices": ["A", "B"],
                               "arcs": [["A", "B"], ["B", "B"]]})
         )
         assert by_path(diags, "topology/self-loop") == ["/topology/arcs/1"]
 
     def test_duplicate_arc_in_simple_digraph(self):
-        diags = check_payload(
+        diags = check_submission(
             payload(topology={"vertices": ["A", "B"],
                               "arcs": [["A", "B"], ["A", "B"], ["B", "A"]]})
         )
@@ -82,36 +91,36 @@ class TestPayloadDiagnostics:
 
     @pytest.mark.parametrize("delta", [0, -3, 1.5, True, "fast"])
     def test_zero_negative_or_non_tick_delta(self, delta):
-        diags = check_payload(payload(delta=delta))
+        diags = check_submission(payload(delta=delta))
         assert by_path(diags, "timing/bad-delta") == ["/delta"]
 
     def test_negative_slack_and_start(self):
-        diags = check_payload(payload(timeout_slack=-1, start_time=-5))
+        diags = check_submission(payload(timeout_slack=-1, start_time=-5))
         assert "timing/bad-slack" in codes(diags)
         assert "timing/bad-start" in codes(diags)
 
     @pytest.mark.parametrize("diam", [0, -1, 2.5, "two"])
     def test_diam_override_below_one_or_non_integer(self, diam):
-        diags = check_payload(payload(diam_override=diam))
+        diags = check_submission(payload(diam_override=diam))
         assert by_path(diags, "timing/bad-diam") == ["/diam_override"]
 
     def test_nonconforming_fractions_warn_but_do_not_error(self):
-        diags = check_payload(
+        diags = check_submission(
             payload(reaction_fraction=0.7, action_fraction=0.6)
         )
         assert codes(diags) == {"timing/nonconforming-fractions"}
         assert not has_errors(diags)
 
     def test_empty_leader_list(self):
-        diags = check_payload(payload(leaders=[]))
+        diags = check_submission(payload(leaders=[]))
         assert "leaders/empty" in codes(diags)
 
     def test_unknown_leader_has_indexed_path(self):
-        diags = check_payload(payload(leaders=["A", "Z"]))
+        diags = check_submission(payload(leaders=["A", "Z"]))
         assert by_path(diags, "leaders/unknown-vertex") == ["/leaders/1"]
 
     def test_chain_delay_label_edge_cases(self):
-        diags = check_payload(
+        diags = check_submission(
             payload(chain_delays={
                 "A->B": 100,        # fine
                 "A=>B": 10,         # not an arc label
@@ -124,7 +133,7 @@ class TestPayloadDiagnostics:
         assert by_path(diags, "chain-delays/unknown-arc") == ["/chain_delays/A->C"]
 
     def test_parallel_arc_chain_delay_label_is_ambiguous(self):
-        diags = check_payload(
+        diags = check_submission(
             payload(
                 topology={
                     "kind": "multigraph",
@@ -139,7 +148,7 @@ class TestPayloadDiagnostics:
         assert ambiguous[0].severity == "warning"
 
     def test_non_integer_parallel_arc_key(self):
-        diags = check_payload(
+        diags = check_submission(
             payload(topology={
                 "kind": "multigraph",
                 "vertices": ["A", "B"],
@@ -149,7 +158,7 @@ class TestPayloadDiagnostics:
         assert by_path(diags, "topology/bad-arc-key") == ["/topology/arcs/0/2"]
 
     def test_fault_spec_validation(self):
-        diags = check_payload(
+        diags = check_submission(
             payload(faults={
                 "Z": {"at_point": "before_phase_two"},
                 "A": {},
@@ -173,7 +182,7 @@ class TestPayloadDiagnostics:
             payload(faults={"A": {"at_point": CrashPoint.BEFORE_PHASE_TWO.value}}),
         ]
         for data in candidates:
-            assert not has_errors(check_payload(data))
+            assert not has_errors(check_submission(data))
             Scenario.from_dict(dict(data))
 
 
@@ -384,19 +393,3 @@ class TestCheckSubmission:
 
     def test_clean_submission_has_no_diagnostics(self):
         assert check_submission(payload()) == ()
-
-    def test_residual_constructor_errors_become_payload_invalid(self, monkeypatch):
-        # Nothing known slips past the payload layer today; the fallback
-        # is exercised directly so a future from_dict tightening cannot
-        # turn into an unstructured 500 at the serve gate.
-        from repro.analysis import protocol as protocol_module
-        from repro.errors import ScenarioError
-
-        def failing_from_dict(data):
-            raise ScenarioError("synthetic residue")
-
-        fake = type("FailingScenario",
-                    (), {"from_dict": staticmethod(failing_from_dict)})
-        monkeypatch.setattr(protocol_module, "Scenario", fake)
-        diags = protocol_module.check_submission(payload())
-        assert codes(diags) == {"payload/invalid"}

@@ -451,17 +451,9 @@ class TestChainDelays:
             Scenario(topology=triangle(), chain_delays={"nope": 1})
         with pytest.raises(ScenarioError, match="non-negative"):
             Scenario(topology=triangle(), chain_delays={"Alice->Bob": -1})
-        # Arc typos fail at construction (before any sweep executes)...
+        # Arc typos fail at construction (before any sweep executes).
         with pytest.raises(ScenarioError, match="names no arc"):
             Scenario(topology=triangle(), chain_delays={"X->Y": 1})
-        # ...and the harness still defends its own direct callers.
-        from repro.sim.harness import SimulationHarness
-
-        with pytest.raises(SimulationError, match="names no arc"):
-            SimulationHarness(
-                triangle(), delta=1000, reaction_fraction=0.25,
-                action_fraction=0.2, chain_delays={"X->Y": 1},
-            )
 
 
 # ---------------------------------------------------------------------------

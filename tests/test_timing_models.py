@@ -15,7 +15,6 @@ from repro.api.sweep import derive_seed, run_key, smoke_sweep
 from repro.core.protocol import run_swap
 from repro.digraph.generators import cycle_digraph, triangle, wheel_digraph
 from repro.errors import (
-    NotStronglyConnectedError,
     ScenarioError,
     SimulationError,
     TimingError,
@@ -338,15 +337,6 @@ class TestSimulationHarness:
         return SimulationHarness(
             cycle_digraph(3), delta=DELTA, seed=7, **FRACTIONS, **kwargs
         )
-
-    def test_rejects_disconnected_with_custom_message(self):
-        from repro.digraph.generators import chain_digraph
-
-        with pytest.raises(NotStronglyConnectedError, match="custom msg"):
-            SimulationHarness(
-                chain_digraph(3), delta=DELTA, **FRACTIONS,
-                connectivity_message="custom msg",
-            )
 
     def test_profile_for_unknown_vertex_falls_back_to_base(self):
         harness = self._harness(timing="stragglers")
