@@ -174,6 +174,18 @@ def e37(results: Path) -> None:
     )
 
 
+def e38(results: Path) -> None:
+    """The warm path: a memo-hit scenario's run key and stored row, as
+    the swap service and the fleet worker make them, >= 1.5x the
+    encodings they replaced (median of per-round ratios, equal bytes
+    asserted first); the serial sweep's recorded entry is recorded
+    unfloored."""
+    agg = _load(results, "E38")["aggregates"]
+    assert set(agg["us_per_scenario"]) == {"reference", "entry", "recorded"}, agg
+    assert agg["speedup"]["entry"] >= 1.5, agg
+    print(f"E38 floors ok: {agg['speedup']}")
+
+
 #: Experiment id -> its floor check, in experiment order.
 FLOORS: dict[str, Callable[[Path], None]] = {
     "E28": e28,
@@ -185,6 +197,7 @@ FLOORS: dict[str, Callable[[Path], None]] = {
     "E35": e35,
     "E36": e36,
     "E37": e37,
+    "E38": e38,
 }
 
 

@@ -42,7 +42,11 @@ def build_sweep() -> Sweep:
 
 
 def main() -> None:
-    tmp = Path(tempfile.mkdtemp(prefix="fleet-demo-"))
+    with tempfile.TemporaryDirectory(prefix="fleet-demo-") as tmp:
+        demo(Path(tmp))
+
+
+def demo(tmp: Path) -> None:
     sweep = build_sweep()
     print(f"Sweep: {len(sweep)} runs (herlihy over two small topologies)")
 

@@ -88,7 +88,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from copy import copy
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.analysis.outcomes import Outcome
 from repro.analysis.predict import Prediction
@@ -101,6 +101,7 @@ from repro.analysis.protocol import (
 from repro.api.engine import get_engine
 from repro.api.report import RunReport
 from repro.api.scenario import Scenario
+from repro.api.sweep import split_entry_text
 from repro.chain.assets import Asset
 from repro.chain.blockchain import (
     call_size,
@@ -157,6 +158,16 @@ def analyze_for_fast_path(scenario: Scenario, engine: str) -> ScenarioAnalysis |
     """
     if coverage_ceiling(scenario, engine) != COVERAGE_FULL:
         return None
+    seed = scenario.seed
+    if (
+        not isinstance(scenario.name, str)
+        or not isinstance(seed, int)
+        or isinstance(seed, bool)
+    ):
+        # The memo key leaves the name and the seed out, so one of the
+        # wrong type (refused by the rule table) must not find its
+        # shape's analysis.
+        return None
     key = scenario.shape_text()
     analysis = _lru_get(_ANALYSES, key)
     if analysis is None:
@@ -179,11 +190,37 @@ def analyze_for_fast_path(scenario: Scenario, engine: str) -> ScenarioAnalysis |
 # with cross-seed byte-parity cases.  Memoizing analysis + synthesis by
 # shape is what makes seed grids — the ROADMAP's million-scenario sweep
 # workload — amortize to a dictionary probe per scenario (bench E28).
+#
+# A template also fixes most of a synthesized run's stored entry: its
+# milestone counts (equal to ``Prediction.milestone_counts``, counted
+# once per shape from the template's own milestones) and every byte of
+# the entry's text but the scenario's ``name``, ``seed``, ``timing``
+# member and declaration-order topology, and ``wall_seconds``.  So each
+# memo entry keeps the counts and that text split at those holes
+# (:func:`repro.api.sweep.split_entry_text`), and ``store_entry`` fills
+# the holes of an untouched copy (:func:`shape_template`) instead of
+# recounting and re-encoding it (bench E38).
+
+
+class ShapeTemplate(NamedTuple):
+    """One shape memo entry."""
+
+    report: RunReport
+    """The report every seed of the shape shares (``wall_seconds`` 0)."""
+    milestones: dict[str, int]
+    """Its milestone counts by kind."""
+    entry: tuple[str, ...] | None
+    """Its stored entry's text split at the holes, or ``None`` when it
+    cannot be split (see :func:`~repro.api.sweep.split_entry_text`)."""
+
 
 #: LRU bound for the shape memos (a serve process lives for days).
 _MEMO_LIMIT = 256
 _ANALYSES: OrderedDict[str, ScenarioAnalysis] = OrderedDict()
-_TEMPLATES: OrderedDict[str, RunReport] = OrderedDict()
+_TEMPLATES: OrderedDict[str, ShapeTemplate] = OrderedDict()
+
+#: ``extra`` of a synthesized report as :func:`synthesize_run` stamps it.
+_ANALYTIC_EXTRA = {PATH_KEY: PATH_ANALYTIC}
 
 
 def _lru_get(memo: OrderedDict[str, Any], key: str) -> Any | None:
@@ -197,6 +234,31 @@ def _lru_put(memo: OrderedDict[str, Any], key: str, value: Any) -> None:
     memo[key] = value
     if len(memo) > _MEMO_LIMIT:
         memo.popitem(last=False)
+
+
+def shape_template(report: RunReport) -> ShapeTemplate | None:
+    """The memo entry ``report`` is an untouched synthesized copy of, or
+    ``None``.
+
+    Untouched: stamped ``extra == {"path": "analytic"}`` and nothing
+    else, and every member but ``scenario``, ``extra`` and
+    ``wall_seconds`` still equal to the template's, for the template of
+    its scenario's own shape.  Anything else — a simulated report, a
+    decoded one, a copy someone edited — gets ``None``.
+    """
+    if report.extra != _ANALYTIC_EXTRA:
+        return None
+    template = _TEMPLATES.get(report.scenario.shape_text())
+    if template is None:
+        return None
+    mine = vars(report)
+    expected = {
+        **vars(template.report),
+        "scenario": report.scenario,
+        "extra": report.extra,
+        "wall_seconds": report.wall_seconds,
+    }
+    return template if mine == expected else None
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +285,14 @@ def synthesize_report(scenario: Scenario, prediction: Prediction) -> RunReport:
     key = scenario.shape_text()
     template = _lru_get(_TEMPLATES, key)
     if template is None:
-        template = _synthesize(scenario, prediction)
+        report = _synthesize(scenario, prediction)
+        template = ShapeTemplate(
+            report, report.milestone_counts() or {}, split_entry_text(report)
+        )
         _lru_put(_TEMPLATES, key, template)
-    report = copy(template)
+    report = copy(template.report)
     report.scenario = scenario
-    report.outcomes = dict(template.outcomes)
+    report.outcomes = dict(template.report.outcomes)
     report.extra = {}
     report.wall_seconds = 0.0
     return report

@@ -1,7 +1,7 @@
 """Scenario validity: one payload decoder and one ordered rule table.
 
 Every precondition a scenario must meet is stated once, here, as a row
-of :data:`RULES` (or of :data:`CONSTRUCTION_RULES`).  A row maps a
+of :data:`RULES` (or of :data:`TYPE_RULES` or :data:`CONSTRUCTION_RULES`).  A row maps a
 scenario to :class:`~repro.analysis.diagnostics.Diagnostic`\\ s and
 carries:
 
@@ -18,10 +18,15 @@ carries:
   engines refuse an empty, duplicated, unknown or non-FVS leader set
   exactly as ``herlihy`` does.
 
-The table has three readers and no copy:
+The table has these readers and no copy:
 
 * :func:`check_scenario` returns every finding of the whole table (the
   engine-free view, in ``herlihy``'s words);
+* :func:`type_refusals` returns the :data:`TYPE_RULES` findings — the
+  payload decoder's ``payload/bad-type`` checks, in its words, for a
+  scenario built in Python — which every engine raises before anything
+  else it refuses, so the engine, the analyzer and the serve gate name
+  the same mistyped field first;
 * :meth:`Engine.refusals <repro.api.engine.Engine.refusals>` returns
   the engine's declared refusals, then :func:`rule_refusals` — the
   errors of the rows that bind it — and ``Engine.open`` and the direct
@@ -99,6 +104,22 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+#: Fields whose value must be of one JSON type (the tick fields and Δ
+#: fractions have rules of their own).
+_FIELD_TYPES: dict[str, type] = {
+    "name": str, "scheme_name": str, "use_broadcast": bool, "seed": int, "exact_limit": int,
+}
+
+
+def _type_problems(values: Mapping[str, Any]) -> Iterator[tuple[str, str]]:
+    """``(field, message)`` for each of :data:`_FIELD_TYPES` whose value
+    in ``values`` (a default when absent) is not of its type."""
+    for key, kind in _FIELD_TYPES.items():
+        value = values.get(key, kind())
+        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+            yield key, f"{key} must be a {kind.__name__}, got {value!r}"
+
+
 # ---------------------------------------------------------------------------
 # the rule table
 # ---------------------------------------------------------------------------
@@ -149,6 +170,10 @@ RULES: list[Rule] = []
 
 #: The rules ``Scenario.__post_init__`` enforces (every one an error).
 CONSTRUCTION_RULES: list[Rule] = []
+
+#: The field-type rules (every one an error), met before anything else
+#: an engine refuses.
+TYPE_RULES: list[Rule] = []
 
 
 def _rule(
@@ -233,6 +258,17 @@ def _strategy_names_are_strings(f: _Facts) -> Iterator[Finding]:
             yield f"/strategies/{party}", ScenarioError(
                 f"strategy for {party!r} must be a registered name, got {name!r}"
             )
+
+
+# -- field types -------------------------------------------------------------
+
+
+@_rule("payload/bad-type", table=TYPE_RULES)
+def _field_types(f: _Facts) -> Iterator[Finding]:
+    """The payload decoder's type checks, for a scenario built in Python."""
+    values = {key: getattr(f.scenario, key) for key in _FIELD_TYPES}
+    for key, message in _type_problems(values):
+        yield f"/{key}", ScenarioError(message)
 
 
 # -- the scenario ------------------------------------------------------------
@@ -324,10 +360,11 @@ def _fault_parties(f: _Facts) -> Iterator[Finding]:
 
 @_rule("engine/unknown-scheme", binds={"scheme_name"})
 def _scheme_known(f: _Facts) -> Iterator[Finding]:
-    try:
-        get_scheme(f.scenario.scheme_name)
-    except SignatureError as exc:
-        yield "/scheme_name", exc
+    if isinstance(f.scenario.scheme_name, str):  # else a type finding
+        try:
+            get_scheme(f.scenario.scheme_name)
+        except SignatureError as exc:
+            yield "/scheme_name", exc
 
 
 @_rule("engine/one-time-scheme", binds={"scheme_name"})
@@ -414,9 +451,9 @@ def _conforming_fractions(f: _Facts) -> Iterator[Finding]:
 
 @_rule("timing/diam-underestimate", WARNING, binds={"diam_override"})
 def _diam_covers_the_digraph(f: _Facts) -> Iterator[Finding]:
-    override = f.scenario.diam_override
-    if _is_int(override) and override >= 1 and f.connected:
-        true_diam = diameter(f.digraph, exact_limit=f.scenario.exact_limit)
+    override, limit = f.scenario.diam_override, f.scenario.exact_limit
+    if _is_int(override) and override >= 1 and _is_int(limit) and f.connected:
+        true_diam = diameter(f.digraph, exact_limit=limit)
         if override < true_diam:
             yield "/diam_override", (
                 f"diam_override={override} is below the digraph's diameter "
@@ -460,7 +497,13 @@ def _no_parallel_arcs(f: _Facts) -> Iterator[Finding]:
 def check_scenario(scenario: Scenario) -> tuple[Diagnostic, ...]:
     """Every finding of the whole table on a constructed scenario, in
     table order and in ``herlihy``'s words — the engine-free view."""
-    return tuple(d for d, _ in _findings(RULES, _Facts(scenario)))
+    return tuple(d for d, _ in _findings([*TYPE_RULES, *RULES], _Facts(scenario)))
+
+
+def type_refusals(scenario: Scenario) -> Iterator[tuple[Diagnostic, ReproError]]:
+    """The field-type errors of ``scenario``, each with the
+    :class:`~repro.errors.ScenarioError` every engine raises for it."""
+    return _findings(TYPE_RULES, _Facts(scenario))
 
 
 def rule_refusals(
@@ -490,13 +533,6 @@ def construction_refusals(scenario: Any) -> list[tuple[Diagnostic, ReproError]]:
 _SCENARIO_FIELDS: frozenset[str] = frozenset(Scenario.__dataclass_fields__)
 
 _CRASH_POINTS: frozenset[str] = frozenset(p.value for p in CrashPoint)
-
-#: Fields whose value must be of one JSON type (the tick fields and Δ
-#: fractions are the rule table's).
-_FIELD_TYPES: dict[str, type] = {
-    "name": str, "scheme_name": str, "use_broadcast": bool, "seed": int, "exact_limit": int,
-}
-
 
 def _decode_topology(data: Any, out: list[Diagnostic]) -> Digraph | MultiDigraph | None:
     """The topology of ``payload["topology"]``, or ``None`` after
@@ -658,13 +694,9 @@ def decode_scenario(data: Any) -> tuple[dict[str, Any] | None, list[Diagnostic]]
         return None, problems
     fields = {k: v for k, v in data.items() if k in _SCENARIO_FIELDS}
     fields["topology"] = topology
-    for key, kind in _FIELD_TYPES.items():
-        value = fields.get(key, kind())
-        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-            problems.append(error(
-                "payload/bad-type", f"/{key}", f"{key} must be a {kind.__name__}, got {value!r}"
-            ))
-            del fields[key]
+    for key, message in list(_type_problems(fields)):
+        problems.append(error("payload/bad-type", f"/{key}", message))
+        del fields[key]
     leaders = data.get("leaders")
     if leaders is not None:
         if isinstance(leaders, (list, tuple)) and all(isinstance(v, str) for v in leaders):

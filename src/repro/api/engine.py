@@ -19,9 +19,10 @@ Engines implement :meth:`Engine.prepare`, returning a
 harness, the protocol start time, and the result classifier), and
 declare what they accept: :attr:`Engine.params` (the ``params`` keys
 the protocol reads) and :attr:`Engine.honours` (the optional scenario
-features it implements).  :meth:`Engine.refusals` lists, in order, what
-the engine does not honour (as :class:`~repro.errors.ScenarioError`
-diagnostics) and then the errors of the scenario rule table
+features it implements).  :meth:`Engine.refusals` lists, in order, a
+field of the wrong type, what the engine does not honour (both as
+:class:`~repro.errors.ScenarioError` diagnostics) and then the errors
+of the scenario rule table
 (:mod:`repro.analysis.structure`) that bind it; ``open`` and the direct
 runners raise the first, as the exception its rule names (a
 :class:`~repro.errors.SimulationError` for ``delta=0``, a
@@ -51,7 +52,7 @@ from dataclasses import fields
 from typing import Iterator
 
 from repro.analysis.diagnostics import Diagnostic, error
-from repro.analysis.structure import rule_refusals
+from repro.analysis.structure import rule_refusals, type_refusals
 from repro.api.execution import Execution, PreparedSimulation
 from repro.api.report import RunReport
 from repro.api.scenario import Scenario
@@ -96,8 +97,9 @@ class Engine(ABC):
 
     def refusals(self, scenario: Scenario) -> tuple[Diagnostic, ...]:
         """Error diagnostics for everything that stops this engine running
-        ``scenario`` (empty when it runs as described): first what it
-        does not honour — params, strategies, faults, parallel arcs,
+        ``scenario`` (empty when it runs as described): first a field of
+        the wrong type (:func:`~repro.analysis.structure.type_refusals`),
+        then what it does not honour — params, strategies, faults, parallel arcs,
         leaders, then the :data:`PROTOCOL_FIELDS` — then the errors of
         the :mod:`repro.analysis.structure` rules that bind it.
         :meth:`open` raises the first."""
@@ -112,6 +114,7 @@ class Engine(ABC):
             raise exception
 
     def _refusals(self, scenario: Scenario) -> Iterator[tuple[Diagnostic, ReproError]]:
+        yield from type_refusals(scenario)
         for diagnostic in self._unhonoured_features(scenario):
             yield diagnostic, ScenarioError(diagnostic.message)
         yield from rule_refusals(scenario, self.honours)

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Any
@@ -98,6 +100,24 @@ def canonical_json(value: Any) -> str:
     return json.dumps(
         value, sort_keys=True, separators=(",", ":"), ensure_ascii=True
     )
+
+
+def scalar_json(value: Any) -> str | None:
+    """The JSON text of an exact ``bool``, ``int``, finite ``float`` or
+    ``str`` — what the ``json`` encoder writes for it in any of this
+    project's encodings (all ASCII-only) — or ``None`` for any other
+    value, which needs the encoder itself.  Cheaper than an encoder call
+    for the seeds, flags and names spliced into cached texts."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float and isfinite(value):
+        return float.__repr__(value)
+    return None
 
 
 def _topology_to_dict(topology: Digraph | MultiDigraph) -> dict:
@@ -322,15 +342,17 @@ class Scenario:
         after construction — but re-canonicalizing it is measurable at
         sweep scale (every :func:`repro.api.sweep.run_key`, store
         lookup, sweep dedup pass, and serve warm-cache probe needs it).
-        The encoding is computed on first use and the *identical string
-        object* is returned ever after; :func:`repro.api.sweep.run_key`,
-        :meth:`content_hash`, and the serve admission path all build on
-        this one cache.
+        The encoding is computed on first use, together with
+        :meth:`shape_text` and from the same fields, and the *identical
+        string object* is returned ever after.  The topology's canonical
+        text is encoded once per topology and spliced in at its sorted
+        place — ``"topology"`` is the second-last key, before
+        ``use_broadcast`` — so the text equals
+        ``canonical_json(canonical_dict())`` byte for byte.
         """
         cached: str | None = getattr(self, "_canonical_text", None)
         if cached is None:
-            cached = canonical_json(self.canonical_dict())
-            object.__setattr__(self, "_canonical_text", cached)
+            cached = self._encode_canonical()[0]
         return cached
 
     def shape_text(self) -> str:
@@ -340,16 +362,34 @@ class Scenario:
         The key of the fast path's shape memos
         (:mod:`repro.analysis.engine`): the seed only varies the leader
         secrets, so every seed of one shape shares its analysis and
-        report template.  An in-memory key, never stored: the topology's
-        canonical text is encoded once per topology and appended.
+        report template.  An in-memory key, never stored: the fields
+        without the seed, then the topology's canonical text.
         """
         cached: str | None = getattr(self, "_shape_text", None)
         if cached is None:
-            data = self._canonical_fields()
-            del data["seed"]
-            cached = canonical_json(data) + _topology_text(self.topology)
-            object.__setattr__(self, "_shape_text", cached)
+            cached = self._encode_canonical()[1]
         return cached
+
+    def _encode_canonical(self) -> tuple[str, str]:
+        """Cache and return :meth:`canonical_text` and :meth:`shape_text`,
+        built from one :meth:`_canonical_fields`.
+
+        The fields sort around ``seed``: the members before it and those
+        after it (up to ``topology``) are encoded as two objects, and the
+        seed, the topology and ``use_broadcast`` are joined in between.
+        """
+        fields = self._canonical_fields()
+        seed, broadcast = fields.pop("seed"), fields.pop("use_broadcast")
+        seed = scalar_json(seed) or canonical_json(seed)
+        tail = f',"use_broadcast":{scalar_json(broadcast) or canonical_json(broadcast)}}}'
+        head = canonical_json({k: v for k, v in fields.items() if k < "seed"})[:-1]
+        rest = canonical_json({k: v for k, v in fields.items() if k > "seed"})[1:-1]
+        topology = _topology_text(self.topology)
+        canonical = f'{head},"seed":{seed},{rest},"topology":{topology}{tail}'
+        shape = f"{head},{rest}{tail}{topology}"
+        object.__setattr__(self, "_canonical_text", canonical)
+        object.__setattr__(self, "_shape_text", shape)
+        return canonical, shape
 
     def content_hash(self) -> str:
         """A stable SHA-256 hex digest of :meth:`canonical_dict`.

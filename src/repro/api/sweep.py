@@ -35,14 +35,17 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
+from copy import copy
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.api.engine import get_engine
 from repro.api.report import RunReport
-from repro.api.scenario import Scenario
+from repro.api.scenario import Scenario, scalar_json
 from repro.crypto.hashing import sha256
 from repro.digraph.digraph import Digraph
 from repro.digraph.multigraph import MultiDigraph
@@ -73,21 +76,24 @@ def run_key(engine: str, scenario: Scenario) -> str:
     same physical run derive the same key, which is what lets
     :mod:`repro.lab.store` serve warm results instead of re-executing.
 
-    The scenario's canonical JSON comes from the cached
-    :meth:`Scenario.canonical_text` — computed once per scenario object
-    no matter how many engines, stores, or dedup passes key on it — and
-    the payload is composed textually.  The composition reproduces
-    ``canonical_json({"schema": ..., "engine": ..., "scenario": ...})``
-    byte for byte (keys emitted in sorted order), so keys are identical
-    to every previously stored run.
+    The payload is composed textually from cached parts: the engine's
+    JSON prefix (once per engine name) and the scenario's
+    :meth:`Scenario.canonical_text` (once per scenario object, itself
+    spliced from the topology's text, encoded once per topology).  The
+    composition reproduces ``canonical_json({"schema": ..., "engine":
+    ..., "scenario": ...})`` byte for byte (keys emitted in sorted
+    order), so keys are identical to every previously stored run.
     """
-    engine_json = json.dumps(engine, ensure_ascii=True)
-    payload = (
-        f'{{"engine":{engine_json},'
-        f'"scenario":{scenario.canonical_text()},'
-        f'"schema":{RUN_KEY_SCHEMA}}}'
-    )
+    payload = f"{_run_key_head(engine)}{scenario.canonical_text()}{_RUN_KEY_TAIL}"
     return sha256(payload.encode()).hex()
+
+
+@lru_cache(maxsize=16)
+def _run_key_head(engine: str) -> str:
+    return f'{{"engine":{json.dumps(engine, ensure_ascii=True)},"scenario":'
+
+
+_RUN_KEY_TAIL = f',"schema":{RUN_KEY_SCHEMA}}}'
 
 
 class Sweep:
@@ -188,14 +194,164 @@ def store_entry(report: RunReport, path: str | None = None) -> dict:
     store still learns the lifecycle shape of every fresh run; a report
     with no milestone sequence (one that crossed a process boundary)
     gets no ``milestones`` key.
+
+    An untouched copy of a shape's synthesized report
+    (:func:`~repro.analysis.engine.shape_template`) comes back as an
+    :class:`EncodedEntry`: its milestone counts and stored text are the
+    shape's, with this run's holes filled in, so nothing is recounted
+    and :func:`entry_text` encodes nothing.  :func:`run_sweep`'s serial
+    fast path records such an entry without its ``report`` member
+    (:func:`_recorded_entry`); every entry handed out is made here.
     """
     if path is not None:
         report.extra.setdefault("path", path)
+    encoded = _template_text(report)
+    if encoded is not None:
+        text, counts = encoded
+        return EncodedEntry(
+            text, report, ok=True, report=report.to_dict(), milestones=counts
+        )
     entry = {"ok": True, "report": report.to_dict()}
     counts = report.milestone_counts()
     if counts is not None:
         entry["milestones"] = counts
     return entry
+
+
+class EncodedEntry(dict):
+    """A success entry that carries its stored text, ``text``: equal to
+    ``json.dumps(entry, sort_keys=True)`` as :func:`store_entry` made it,
+    and its run's ``engine`` and scenario ``name``.
+
+    An entry is recorded as it was made.  To change one, change a plain
+    copy (``dict(entry)``), whose text is encoded afresh.
+    """
+
+    __slots__ = ("text", "engine", "name")
+
+    def __init__(self, text: str, run: RunReport, /, **members: Any) -> None:
+        super().__init__(members)
+        self.text = text
+        self.engine = run.engine
+        self.name = run.scenario.name
+
+
+def entry_text(entry: dict) -> str:
+    """The stored JSON text of ``entry``: the text an :class:`EncodedEntry`
+    carries, else ``json.dumps(entry, sort_keys=True)``."""
+    if isinstance(entry, EncodedEntry):
+        return entry.text
+    return json.dumps(entry, sort_keys=True)
+
+
+def _template_text(report: RunReport) -> tuple[str, dict[str, int]] | None:
+    """The stored text and milestone counts of an untouched synthesized
+    copy, from its shape's template; ``None`` for any other report."""
+    from repro.analysis.engine import shape_template
+
+    template = shape_template(report)
+    if template is None or template.entry is None:
+        return None
+    text = fill_entry_text(template.entry, report.scenario, report.wall_seconds)
+    return text, dict(template.milestones)
+
+
+def _recorded_entry(report: RunReport) -> dict:
+    """:func:`store_entry` for a synthesized report the caller keeps: an
+    untouched copy's entry without the ``report`` member, which nothing
+    reads when the store writes the entry's text and the caller holds
+    the report itself.  Never handed out: only :func:`run_sweep`'s
+    serial fast path records it."""
+    encoded = _template_text(report)
+    if encoded is None:
+        return store_entry(report)
+    text, counts = encoded
+    return EncodedEntry(text, report, ok=True, milestones=counts)
+
+
+#: Stand-ins for the members of a synthesized entry that vary within a
+#: shape, in the order the stored text holds them.
+_HOLES = ("\x00name", "\x00seed", "\x00topology", "\x00wall_seconds")
+_TOPOLOGY_MEMBER = '"topology": '
+
+
+def split_entry_text(report: RunReport) -> tuple[str, ...] | None:
+    """The stored text of ``report``'s entry, split at the members that
+    vary among the synthesized reports of its shape: the scenario's
+    ``name``, ``seed``, ``timing`` and ``topology`` (declaration order)
+    and ``wall_seconds``.  Every other member is fixed by the shape.
+
+    ``report`` is a shape's template; its entry is made by
+    :func:`store_entry` with the fast path's ``extra`` stamp.  ``None``
+    when a stand-in does not occur exactly once (a name that spells
+    one), or the topology is not a simple digraph; such a shape's
+    entries are encoded in full.
+    """
+    from repro.analysis.engine import PATH_ANALYTIC, PATH_KEY
+
+    if not isinstance(report.scenario.topology, Digraph):
+        return None
+    stamped = copy(report)
+    stamped.extra = {PATH_KEY: PATH_ANALYTIC}
+    entry = store_entry(stamped)
+    data = entry["report"]
+    scenario = data["scenario"]
+    scenario.pop("timing", None)
+    scenario["name"], scenario["seed"], scenario["topology"] = _HOLES[:3]
+    data["wall_seconds"] = _HOLES[3]
+    text = entry_text(dict(entry))
+    pieces = []
+    for hole in _HOLES:
+        mark = json.dumps(hole)
+        if text.count(mark) != 1:
+            return None
+        piece, _, text = text.partition(mark)
+        pieces.append(piece)
+    if not pieces[2].endswith(_TOPOLOGY_MEMBER):
+        return None
+    pieces[2] = pieces[2][: -len(_TOPOLOGY_MEMBER)]
+    return (*pieces, text)
+
+
+def fill_entry_text(pieces: tuple[str, ...], scenario: Scenario, wall_seconds: float) -> str:
+    """:func:`split_entry_text`'s pieces joined around the holes of
+    ``scenario`` (of the pieces' shape, so a simple digraph), each hole
+    encoded as the ``json`` encoder writes it."""
+    timing = scenario.timing
+    if timing is not None:
+        timing = f'"timing": {json.dumps(timing, sort_keys=True)}, '
+    name, seed, topology_at, wall, end = pieces
+    return (
+        f"{name}{_hole_text(scenario.name)}{seed}{_hole_text(scenario.seed)}"
+        f"{topology_at}{timing or ''}{_TOPOLOGY_MEMBER}"
+        f"{_declared_topology_text(scenario.topology)}"
+        f"{wall}{_hole_text(wall_seconds)}{end}"
+    )
+
+
+def _hole_text(value: Any) -> str:
+    """``value`` as ``json.dumps(entry, sort_keys=True)`` writes it."""
+    return scalar_json(value) or json.dumps(value, sort_keys=True)
+
+
+#: Declaration-order topology texts by :meth:`Digraph.topology_key`
+#: (order-sensitive: equal digraphs listed in another order differ),
+#: bounded like the canonical topology texts.
+_DECLARED_TOPOLOGIES: OrderedDict[str, str] = OrderedDict()
+_DECLARED_LIMIT = 32
+
+
+def _declared_topology_text(topology: Digraph) -> str:
+    key = topology.topology_key()
+    text = _DECLARED_TOPOLOGIES.get(key)
+    if text is None:
+        text = json.dumps({"kind": "digraph", **topology.to_dict()}, sort_keys=True)
+        _DECLARED_TOPOLOGIES[key] = text
+        if len(_DECLARED_TOPOLOGIES) > _DECLARED_LIMIT:
+            _DECLARED_TOPOLOGIES.popitem(last=False)
+    else:
+        _DECLARED_TOPOLOGIES.move_to_end(key)
+    return text
 
 
 def failure_entry(engine_name: str, scenario_dict: dict, error: BaseException) -> dict:
@@ -539,7 +695,7 @@ def run_sweep(
             if report is None:
                 residue.append(index)
                 continue
-            record(index, store_entry(report))
+            record(index, _recorded_entry(report))
             inline[index] = report
             synthesized.append(index)
         if synthesized:

@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator
 
 from repro.api.report import RunReport
+from repro.api.sweep import EncodedEntry, entry_text
 from repro.errors import StoreError
 
 #: One ``(key, entry, recorded_at)`` triple, as :meth:`SqliteStore.records`
@@ -100,7 +101,9 @@ def entry_row(
     """One ``runs`` row (the :data:`RUNS_SCHEMA` column order) for an
     entry dict.  Shared by :meth:`SqliteStore.put` and the fleet
     coordinator's atomic chunk commit, so both write byte-identical
-    rows."""
+    rows.  The ``entry`` column is :func:`~repro.api.sweep.entry_text`:
+    the text a synthesized entry carries from its shape's template,
+    else ``json.dumps(entry, sort_keys=True)``."""
     engine, name = _entry_identity(entry)
     return (
         key,
@@ -108,7 +111,7 @@ def entry_row(
         name,
         1 if entry.get("ok") else 0,
         time.time() if recorded_at is None else recorded_at,
-        json.dumps(entry, sort_keys=True),
+        entry_text(entry),
     )
 
 
@@ -330,6 +333,8 @@ def _tiebreak_wins(incoming: dict, current: dict | None) -> bool:
 
 def _entry_identity(entry: dict) -> tuple[str, str]:
     """(engine, scenario name) of a stored entry, success or failure."""
+    if isinstance(entry, EncodedEntry):
+        return entry.engine, entry.name
     if entry.get("ok"):
         report = entry.get("report", {})
         return (

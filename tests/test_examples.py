@@ -7,6 +7,7 @@ module) so failures carry full tracebacks.
 
 import runpy
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -17,9 +18,13 @@ EXAMPLES = sorted(EXAMPLES_DIR.glob("*.py"))
 
 @pytest.mark.parametrize("script", EXAMPLES, ids=lambda p: p.stem)
 def test_example_runs(script, capsys):
+    temp = Path(tempfile.gettempdir())
+    left_before = set(temp.glob("fleet-demo-*"))
     runpy.run_path(str(script), run_name="__main__")
     out = capsys.readouterr().out
     assert out.strip(), f"{script.name} produced no output"
+    # An example cleans up after itself: no new scratch directory stays.
+    assert set(temp.glob("fleet-demo-*")) <= left_before
 
 
 def test_expected_examples_present():

@@ -14,7 +14,9 @@ each error rule and holds every engine to it:
   refuse with the same message;
 * ``analyze_scenario`` never raises.
 
-The construction rules (what ``Scenario`` itself refuses) are held the
+The type rules (the payload decoder's field types, for a scenario built
+in Python) are cases of the same matrix: every engine refuses them
+first.  The construction rules (what ``Scenario`` itself refuses) are held the
 same way against ``Scenario.from_dict`` and the gate.  ``CASES`` is
 written out here, not read from the table, so a changed rule shows up
 as a failing case.
@@ -33,6 +35,7 @@ from repro.analysis.structure import (
     NOT_STRONGLY_CONNECTED,
     ONE_LEADER_NOT_STRONGLY_CONNECTED,
     RULES,
+    TYPE_RULES,
     check_scenario,
 )
 from repro.api.engine import get_engine, list_engines
@@ -152,6 +155,28 @@ CASES: dict[str, tuple[Scenario, str, type[ReproError], str]] = {
         Scenario(triangle(), timeout_slack=-1),
         "timing/bad-slack", ClearingError, r"timeout_slack must be non-negative$",
     ),
+    # Built in Python with a type the payload decoder refuses: refused in
+    # the decoder's words, before anything else, by every engine.
+    "list-scheme": (
+        Scenario(triangle(), scheme_name=["x"]),
+        "payload/bad-type", ScenarioError, r"scheme_name must be a str, got \['x'\]$",
+    ),
+    "text-exact-limit": (
+        Scenario(triangle(), exact_limit="x", diam_override=3),
+        "payload/bad-type", ScenarioError, r"exact_limit must be a int, got 'x'$",
+    ),
+    "boolean-seed": (
+        Scenario(triangle(), seed=True),
+        "payload/bad-type", ScenarioError, r"seed must be a int, got True$",
+    ),
+    "number-name": (
+        Scenario(triangle(), name=5),
+        "payload/bad-type", ScenarioError, r"name must be a str, got 5$",
+    ),
+    "integer-broadcast": (
+        Scenario(triangle(), use_broadcast=1),
+        "payload/bad-type", ScenarioError, r"use_broadcast must be a bool, got 1$",
+    ),
 }
 
 #: label -> (a raw payload ``Scenario`` refuses, the rule's code, a regex
@@ -193,7 +218,7 @@ def first_error(diagnostics):
 
 
 def test_every_error_rule_has_a_case():
-    codes = {rule.code for rule in RULES if rule.severity == "error"}
+    codes = {rule.code for rule in (*TYPE_RULES, *RULES) if rule.severity == "error"}
     assert codes == {code for _, code, _, _ in CASES.values()}
     assert {rule.code for rule in CONSTRUCTION_RULES} == {
         code for _, code, _ in CONSTRUCTION_CASES.values()
@@ -283,6 +308,16 @@ def test_fast_path_sweep_stores_each_refusal_and_finishes_the_rest():
     assert [kind for kind, _ in failures[True]] == [
         CASES[label][2].__name__ for label in refused
     ]
+
+
+@pytest.mark.parametrize("label", ["boolean-seed", "number-name"])
+def test_fast_path_refuses_a_mistyped_field_with_its_shape_warm(label):
+    """The shape memo's key leaves the name and the seed out: a warm
+    shape must not answer a value the engine refuses."""
+    scenario, _, expected, pattern = CASES[label]
+    resolve_report("herlihy", Scenario(triangle(), seed=1), fast_path=True)
+    with pytest.raises(expected, match=pattern):
+        resolve_report("herlihy", scenario, fast_path=True)
 
 
 def test_fast_path_service_runs_what_the_analyzer_refuses():
