@@ -1,9 +1,9 @@
 """Scenario validity: one payload decoder and one ordered rule table.
 
 Every precondition a scenario must meet is stated once, here, as a row
-of :data:`RULES` (or of :data:`TYPE_RULES` or :data:`CONSTRUCTION_RULES`).  A row maps a
-scenario to :class:`~repro.analysis.diagnostics.Diagnostic`\\ s and
-carries:
+of :data:`RULES` (or of :data:`TYPE_RULES` or :data:`CONSTRUCTION_RULES`).
+A row maps a scenario to :class:`~repro.analysis.diagnostics.Diagnostic`\\ s
+and carries:
 
 * its diagnostic ``code`` — one per fact;
 * the JSON path of each finding, indexed where the field is a list or

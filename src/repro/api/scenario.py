@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
-from json.encoder import encode_basestring_ascii
-from math import isfinite
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 from typing import Any
 
 from repro.core.strategies import (

@@ -199,9 +199,10 @@ def store_entry(report: RunReport, path: str | None = None) -> dict:
     (:func:`~repro.analysis.engine.shape_template`) comes back as an
     :class:`EncodedEntry`: its milestone counts and stored text are the
     shape's, with this run's holes filled in, so nothing is recounted
-    and :func:`entry_text` encodes nothing.  :func:`run_sweep`'s serial
-    fast path records such an entry without its ``report`` member
-    (:func:`_recorded_entry`); every entry handed out is made here.
+    and :func:`entry_text` encodes nothing.  :func:`run_sweep` records
+    such an entry for a report it synthesized inline without its
+    ``report`` member (:func:`_recorded_entry`); every entry handed out
+    is made here.
     """
     if path is not None:
         report.extra.setdefault("path", path)
@@ -252,7 +253,7 @@ def _template_text(report: RunReport) -> tuple[str, dict[str, int]] | None:
     template = shape_template(report)
     if template is None or template.entry is None:
         return None
-    text = fill_entry_text(template.entry, report.scenario, report.wall_seconds)
+    text = _fill_entry_text(template.entry, report.scenario, report.wall_seconds)
     return text, dict(template.milestones)
 
 
@@ -260,8 +261,8 @@ def _recorded_entry(report: RunReport) -> dict:
     """:func:`store_entry` for a synthesized report the caller keeps: an
     untouched copy's entry without the ``report`` member, which nothing
     reads when the store writes the entry's text and the caller holds
-    the report itself.  Never handed out: only :func:`run_sweep`'s
-    serial fast path records it."""
+    the report itself.  Never handed out: only :func:`run_sweep` records
+    it, for the reports its fast path synthesizes inline."""
     encoded = _template_text(report)
     if encoded is None:
         return store_entry(report)
@@ -313,7 +314,7 @@ def split_entry_text(report: RunReport) -> tuple[str, ...] | None:
     return (*pieces, text)
 
 
-def fill_entry_text(pieces: tuple[str, ...], scenario: Scenario, wall_seconds: float) -> str:
+def _fill_entry_text(pieces: tuple[str, ...], scenario: Scenario, wall_seconds: float) -> str:
     """:func:`split_entry_text`'s pieces joined around the holes of
     ``scenario`` (of the pieces' shape, so a simple digraph), each hole
     encoded as the ``json`` encoder writes it."""

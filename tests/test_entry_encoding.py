@@ -87,6 +87,9 @@ def _scenarios() -> list[Scenario]:
     # Vertex names that spell the template's stand-ins: encoded in full.
     spelled = Digraph(["\x00name", "\x00seed"], [("\x00name", "\x00seed"), ("\x00seed", "\x00name")])
     out += [Scenario(spelled, seed=seed, name="enc:spelled") for seed in SEEDS]
+    # A multigraph without parallel arcs is synthesized, but not from text.
+    single = get_family("multigraph-cycle").generate({"copies": 1}, seed=1)
+    out += [Scenario(single, seed=seed, name="enc:multigraph") for seed in SEEDS]
     return out
 
 
@@ -112,8 +115,9 @@ def test_the_variants_cover_both_paths(resolved):
     encoded = [e for _, _, e, _ in resolved if isinstance(e, EncodedEntry)]
     refused = [e for _, _, e, _ in resolved if not e["ok"]]
     assert len(encoded) > len(SCENARIOS) // 2 and refused
-    spelled = [e for s, _, e, _ in resolved if s.name == "enc:spelled"]
-    assert spelled and not any(isinstance(e, EncodedEntry) for e in spelled)
+    for name in ("enc:spelled", "enc:multigraph"):
+        entries = [e for s, _, e, _ in resolved if s.name == name]
+        assert entries and all(e["ok"] and not isinstance(e, EncodedEntry) for e in entries)
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.name)
