@@ -88,7 +88,8 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from copy import copy
-from typing import Any, NamedTuple
+from dataclasses import dataclass
+from typing import Any
 
 from repro.analysis.outcomes import Outcome
 from repro.analysis.predict import Prediction
@@ -101,7 +102,6 @@ from repro.analysis.protocol import (
 from repro.api.engine import get_engine
 from repro.api.report import RunReport
 from repro.api.scenario import Scenario
-from repro.api.sweep import split_entry_text
 from repro.chain.assets import Asset
 from repro.chain.blockchain import (
     call_size,
@@ -196,22 +196,25 @@ def analyze_for_fast_path(scenario: Scenario, engine: str) -> ScenarioAnalysis |
 # once per shape from the template's own milestones) and every byte of
 # the entry's text but the scenario's ``name``, ``seed``, ``timing``
 # member and declaration-order topology, and ``wall_seconds``.  So each
-# memo entry keeps the counts and that text split at those holes
-# (:func:`repro.api.sweep.split_entry_text`), and ``store_entry`` fills
-# the holes of an untouched copy (:func:`shape_template`) instead of
-# recounting and re-encoding it (bench E38).
+# memo entry keeps the counts, and the first untouched copy
+# (:func:`shape_template`) that ``store_entry`` stores splits its text at
+# those holes (:func:`repro.api.sweep.split_entry_text`) in place of
+# encoding it; every later copy fills the holes instead of recounting
+# and re-encoding (bench E38).
 
 
-class ShapeTemplate(NamedTuple):
+@dataclass
+class ShapeTemplate:
     """One shape memo entry."""
 
     report: RunReport
     """The report every seed of the shape shares (``wall_seconds`` 0)."""
     milestones: dict[str, int]
     """Its milestone counts by kind."""
-    entry: tuple[str, ...] | None
-    """Its stored entry's text split at the holes, or ``None`` when it
-    cannot be split (see :func:`~repro.api.sweep.split_entry_text`)."""
+    entry: tuple[str, ...] | None = None
+    """Its stored entry's text split at the holes, set when the first
+    untouched copy is stored: ``None`` until then, ``()`` when it cannot
+    be split (see :func:`~repro.api.sweep.split_entry_text`)."""
 
 
 #: LRU bound for the shape memos (a serve process lives for days).
@@ -286,9 +289,7 @@ def synthesize_report(scenario: Scenario, prediction: Prediction) -> RunReport:
     template = _lru_get(_TEMPLATES, key)
     if template is None:
         report = _synthesize(scenario, prediction)
-        template = ShapeTemplate(
-            report, report.milestone_counts() or {}, split_entry_text(report)
-        )
+        template = ShapeTemplate(report, report.milestone_counts() or {})
         _lru_put(_TEMPLATES, key, template)
     report = copy(template.report)
     report.scenario = scenario

@@ -38,7 +38,6 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from copy import copy
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Callable, Iterable, Sequence
@@ -196,27 +195,32 @@ def store_entry(report: RunReport, path: str | None = None) -> dict:
     gets no ``milestones`` key.
 
     An untouched copy of a shape's synthesized report
-    (:func:`~repro.analysis.engine.shape_template`) comes back as an
-    :class:`EncodedEntry`: its milestone counts and stored text are the
-    shape's, with this run's holes filled in, so nothing is recounted
-    and :func:`entry_text` encodes nothing.  :func:`run_sweep` records
+    (:func:`~repro.analysis.engine.shape_template`) takes its milestone
+    counts from the shape and comes back as an :class:`EncodedEntry`,
+    whose text is the shape's stored text with this run's holes filled
+    in (the shape's first stored copy splits it, :func:`split_entry_text`),
+    so :func:`entry_text` encodes nothing.  :func:`run_sweep` records
     such an entry for a report it synthesized inline without its
     ``report`` member (:func:`_recorded_entry`); every entry handed out
     is made here.
     """
+    from repro.analysis.engine import shape_template
+
     if path is not None:
         report.extra.setdefault("path", path)
-    encoded = _template_text(report)
-    if encoded is not None:
-        text, counts = encoded
-        return EncodedEntry(
-            text, report, ok=True, report=report.to_dict(), milestones=counts
-        )
+    template = shape_template(report)
     entry = {"ok": True, "report": report.to_dict()}
-    counts = report.milestone_counts()
-    if counts is not None:
-        entry["milestones"] = counts
-    return entry
+    if template is None:
+        counts = report.milestone_counts()
+        if counts is not None:
+            entry["milestones"] = counts
+        return entry
+    entry["milestones"] = dict(template.milestones)
+    if template.entry is None:
+        template.entry = split_entry_text(entry) or ()
+    if not template.entry:
+        return entry
+    return EncodedEntry(_fill_entry_text(template.entry, report), report, entry)
 
 
 class EncodedEntry(dict):
@@ -230,7 +234,7 @@ class EncodedEntry(dict):
 
     __slots__ = ("text", "engine", "name")
 
-    def __init__(self, text: str, run: RunReport, /, **members: Any) -> None:
+    def __init__(self, text: str, run: RunReport, members: dict) -> None:
         super().__init__(members)
         self.text = text
         self.engine = run.engine
@@ -245,29 +249,20 @@ def entry_text(entry: dict) -> str:
     return json.dumps(entry, sort_keys=True)
 
 
-def _template_text(report: RunReport) -> tuple[str, dict[str, int]] | None:
-    """The stored text and milestone counts of an untouched synthesized
-    copy, from its shape's template; ``None`` for any other report."""
+def _recorded_entry(report: RunReport) -> dict:
+    """:func:`store_entry` for a synthesized report the caller keeps: once
+    its shape's text is split, an untouched copy's entry without the
+    ``report`` member, which nothing reads when the store writes the
+    entry's text and the caller holds the report itself.  Never handed
+    out: only :func:`run_sweep` records it, for the reports its fast
+    path synthesizes inline."""
     from repro.analysis.engine import shape_template
 
     template = shape_template(report)
-    if template is None or template.entry is None:
-        return None
-    text = _fill_entry_text(template.entry, report.scenario, report.wall_seconds)
-    return text, dict(template.milestones)
-
-
-def _recorded_entry(report: RunReport) -> dict:
-    """:func:`store_entry` for a synthesized report the caller keeps: an
-    untouched copy's entry without the ``report`` member, which nothing
-    reads when the store writes the entry's text and the caller holds
-    the report itself.  Never handed out: only :func:`run_sweep` records
-    it, for the reports its fast path synthesizes inline."""
-    encoded = _template_text(report)
-    if encoded is None:
+    if template is None or not template.entry:
         return store_entry(report)
-    text, counts = encoded
-    return EncodedEntry(text, report, ok=True, milestones=counts)
+    members = {"ok": True, "milestones": dict(template.milestones)}
+    return EncodedEntry(_fill_entry_text(template.entry, report), report, members)
 
 
 #: Stand-ins for the members of a synthesized entry that vary within a
@@ -276,31 +271,24 @@ _HOLES = ("\x00name", "\x00seed", "\x00topology", "\x00wall_seconds")
 _TOPOLOGY_MEMBER = '"topology": '
 
 
-def split_entry_text(report: RunReport) -> tuple[str, ...] | None:
-    """The stored text of ``report``'s entry, split at the members that
-    vary among the synthesized reports of its shape: the scenario's
-    ``name``, ``seed``, ``timing`` and ``topology`` (declaration order)
-    and ``wall_seconds``.  Every other member is fixed by the shape.
+def split_entry_text(entry: dict) -> tuple[str, ...] | None:
+    """The stored text of a synthesized run's ``entry``, split at the
+    members that vary among the synthesized runs of its shape: the
+    scenario's ``name``, ``seed``, ``timing`` and ``topology``
+    (declaration order) and ``wall_seconds``.  Every other member is
+    fixed by the shape.
 
-    ``report`` is a shape's template; its entry is made by
-    :func:`store_entry` with the fast path's ``extra`` stamp.  ``None``
-    when a stand-in does not occur exactly once (a name that spells
-    one), or the topology is not a simple digraph; such a shape's
-    entries are encoded in full.
+    ``None`` when the topology is not a simple digraph, or a stand-in
+    does not occur exactly once (a vertex name that spells one); such a
+    shape's entries are encoded in full.
     """
-    from repro.analysis.engine import PATH_ANALYTIC, PATH_KEY
-
-    if not isinstance(report.scenario.topology, Digraph):
+    report = entry["report"]
+    scenario = {k: v for k, v in report["scenario"].items() if k != "timing"}
+    if scenario["topology"]["kind"] != "digraph":
         return None
-    stamped = copy(report)
-    stamped.extra = {PATH_KEY: PATH_ANALYTIC}
-    entry = store_entry(stamped)
-    data = entry["report"]
-    scenario = data["scenario"]
-    scenario.pop("timing", None)
     scenario["name"], scenario["seed"], scenario["topology"] = _HOLES[:3]
-    data["wall_seconds"] = _HOLES[3]
-    text = entry_text(dict(entry))
+    holed = {**entry, "report": {**report, "scenario": scenario, "wall_seconds": _HOLES[3]}}
+    text = json.dumps(holed, sort_keys=True)
     pieces = []
     for hole in _HOLES:
         mark = json.dumps(hole)
@@ -314,10 +302,11 @@ def split_entry_text(report: RunReport) -> tuple[str, ...] | None:
     return (*pieces, text)
 
 
-def _fill_entry_text(pieces: tuple[str, ...], scenario: Scenario, wall_seconds: float) -> str:
+def _fill_entry_text(pieces: tuple[str, ...], report: RunReport) -> str:
     """:func:`split_entry_text`'s pieces joined around the holes of
-    ``scenario`` (of the pieces' shape, so a simple digraph), each hole
+    ``report`` (of the pieces' shape, so on a simple digraph), each hole
     encoded as the ``json`` encoder writes it."""
+    scenario = report.scenario
     timing = scenario.timing
     if timing is not None:
         timing = f'"timing": {json.dumps(timing, sort_keys=True)}, '
@@ -326,7 +315,7 @@ def _fill_entry_text(pieces: tuple[str, ...], scenario: Scenario, wall_seconds: 
         f"{name}{_hole_text(scenario.name)}{seed}{_hole_text(scenario.seed)}"
         f"{topology_at}{timing or ''}{_TOPOLOGY_MEMBER}"
         f"{_declared_topology_text(scenario.topology)}"
-        f"{wall}{_hole_text(wall_seconds)}{end}"
+        f"{wall}{_hole_text(report.wall_seconds)}{end}"
     )
 
 
