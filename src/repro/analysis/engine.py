@@ -211,7 +211,7 @@ class ShapeTemplate:
     """The report every seed of the shape shares (``wall_seconds`` 0)."""
     milestones: dict[str, int]
     """Its milestone counts by kind."""
-    entry: tuple[str, ...] | None = None
+    entry: tuple[str, ...] | None
     """Its stored entry's text split at the holes, set when the first
     untouched copy is stored: ``None`` until then, ``()`` when it cannot
     be split (see :func:`~repro.api.sweep.split_entry_text`)."""
@@ -289,7 +289,7 @@ def synthesize_report(scenario: Scenario, prediction: Prediction) -> RunReport:
     template = _lru_get(_TEMPLATES, key)
     if template is None:
         report = _synthesize(scenario, prediction)
-        template = ShapeTemplate(report, report.milestone_counts() or {})
+        template = ShapeTemplate(report, report.milestone_counts() or {}, None)
         _lru_put(_TEMPLATES, key, template)
     report = copy(template.report)
     report.scenario = scenario
