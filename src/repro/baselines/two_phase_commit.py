@@ -24,17 +24,12 @@ from typing import Any
 
 from repro.chain.assets import Asset
 from repro.chain.blockchain import Blockchain
-from repro.chain.contracts import Contract
+from repro.chain.contracts import EscrowContract
 from repro.chain.ledger import Record, bools_size, encoded_size
 from repro.chain.network import ChainNetwork
 from repro.core.spec import resolve_start
 from repro.digraph.digraph import Arc, Digraph, Vertex
-from repro.errors import (
-    AssetError,
-    AuthorizationError,
-    ContractError,
-    ContractStateError,
-)
+from repro.errors import AssetError, ContractError
 from repro.sim import trace as tr
 from repro.sim.harness import SimulationHarness
 from repro.sim.process import Process, ReactionProfile
@@ -44,13 +39,15 @@ from repro.sim.trace import Trace
 COORDINATOR = "coordinator"
 
 
-class CoordinatedEscrowContract(Contract):
+class CoordinatedEscrowContract(EscrowContract):
     """Escrow that only the named coordinator can resolve.
 
     ``decide(commit=True)`` pays the counterparty; ``decide(commit=False)``
     refunds the party; after ``timeout`` with no decision the party may
     ``refund`` unilaterally (so a crashed coordinator cannot lock funds
     forever — the classic 2PC blocking problem, softened with a deadline).
+    A decision releases the asset at once, so the contract is halted
+    after any decision and the counterparty never calls ``claim``.
     """
 
     CALLABLE = frozenset({"decide", "refund"})
@@ -58,56 +55,24 @@ class CoordinatedEscrowContract(Contract):
     def __init__(
         self, arc: Arc, asset: Asset, coordinator: str, timeout: int
     ) -> None:
-        super().__init__(asset)
-        self.arc = arc
-        self.party, self.counterparty = arc
+        super().__init__(arc, asset)
         self.coordinator = coordinator
         self.timeout = timeout
         self.decision: bool | None = None
-        self.refunded = False
-        self.committed = False
 
     def decide(self, caller: str, now: int, commit: bool) -> bool:
-        if caller != self.coordinator:
-            raise AuthorizationError(
-                f"decide is coordinator-only ({self.coordinator}); called by {caller}"
-            )
-        self._require_live()
-        if self.decision is not None:
-            raise ContractStateError("already decided")
+        self._admit("decide", "coordinator", self.coordinator, caller)
         self.decision = commit
-        assert self.chain is not None
-        if commit:
-            self.committed = True
-            self._halt()
-            self.chain.release_escrow(self, self.counterparty, now)
-        else:
-            self.refunded = True
-            self._halt()
-            self.chain.release_escrow(self, self.party, now)
+        self._release(bool(commit), now)
         return True
 
-    def refund(self, caller: str, now: int) -> bool:
-        if caller != self.party:
-            raise AuthorizationError(
-                f"refund is party-only ({self.party}); called by {caller}"
-            )
-        self._require_live()
-        if self.decision is not None:
-            raise ContractStateError("coordinator already decided")
+    def _claim_refusal(self) -> str | None:
+        return "only the coordinator's decision pays the counterparty"
+
+    def _refund_refusal(self, now: int) -> str | None:
         if now < self.timeout:
-            raise ContractStateError(
-                f"coordinator still has until {self.timeout} (now {now})"
-            )
-        self.refunded = True
-        self._halt()
-        assert self.chain is not None
-        self.chain.release_escrow(self, self.party, now)
-        return True
-
-    @property
-    def triggered(self) -> bool:
-        return self.committed
+            return f"coordinator still has until {self.timeout} (now {now})"
+        return None
 
     def state_view(self) -> dict[str, Any]:
         return {
@@ -126,10 +91,7 @@ class CoordinatedEscrowContract(Contract):
         return encoded_size(self.decision) + bools_size(self.is_halted)
 
     def storage_size_bytes(self) -> int:
-        endpoints = len(self.party.encode()) + len(self.counterparty.encode())
-        return endpoints + len(self.coordinator.encode()) + 8 + 1 + len(
-            self.asset.asset_id.encode()
-        )
+        return self._arc_bytes() + len(self.coordinator.encode()) + 8 + 1
 
 
 class EscrowParty(Process):
@@ -178,8 +140,7 @@ class EscrowParty(Process):
 
     def _try_refund(self, arc: Arc, contract_id: str) -> None:
         chain = self.network.chain_for_arc(arc)
-        contract = chain.contract(contract_id)
-        if contract.is_halted:
+        if not chain.contract(contract_id).refundable(self.scheduler.now):
             return
         try:
             chain.call(contract_id, "refund", self.address, self.scheduler.now)

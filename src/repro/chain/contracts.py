@@ -8,8 +8,16 @@ which records every invocation on the ledger (the record *is* the
 transaction).  This mirrors §2.2: "Once a contract is published, it is
 irrevocable."
 
-The base class is protocol-agnostic so both the paper's Swap contract
-(:mod:`repro.core.contract`) and the baseline protocols' contracts plug in.
+The base class is protocol-agnostic.  :class:`EscrowContract` adds the
+one lifecycle every arc contract shares — the counterparty takes the
+escrow once the lock is open, the party takes it back once the lock can
+no longer open — so the paper's Swap contract
+(:class:`~repro.core.contract.SwapContract`), §4.6's plain hashed
+timelock (:class:`~repro.core.timelocks.SimpleTimelockContract`) and the
+2PC baseline's escrow
+(:class:`~repro.baselines.two_phase_commit.CoordinatedEscrowContract`)
+supply only their lock.  Parties read :meth:`EscrowContract.claimable`
+and :meth:`EscrowContract.refundable` instead of restating the rule.
 """
 
 from __future__ import annotations
@@ -19,7 +27,8 @@ from typing import TYPE_CHECKING, Any
 
 from repro.chain.assets import Asset
 from repro.chain.ledger import EncodedSizes, encoded_size
-from repro.errors import ContractError, ContractStateError
+from repro.digraph.digraph import Arc
+from repro.errors import AuthorizationError, ContractError, ContractStateError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.chain.blockchain import Blockchain
@@ -149,3 +158,96 @@ class Contract(ABC):
 
     def describe(self) -> str:
         return f"{type(self).__name__}({self.contract_id or 'unpublished'})"
+
+
+class EscrowContract(Contract):
+    """One arc's escrow: the party ``arc[0]`` locks the asset for the
+    counterparty ``arc[1]``.
+
+    The counterparty takes it (:meth:`claim`) once the lock is open; the
+    party takes it back (:meth:`refund`) once the lock can no longer
+    open; either release halts the contract for good.  A subclass
+    supplies only its lock — the methods that open or decide it, and the
+    refusal :meth:`_claim_refusal` and :meth:`_refund_refusal` give while
+    the lock says no — plus its view and sizing.  Every method checks
+    its caller, then that the contract is live (:meth:`_admit`), then the
+    lock, and mutates nothing before all three pass.
+    """
+
+    def __init__(self, arc: Arc, asset: Asset) -> None:
+        super().__init__(asset)
+        self.arc: Arc = arc
+        self.party, self.counterparty = arc
+        self.claimed = False
+        self.refunded = False
+
+    @property
+    def triggered(self) -> bool:
+        """The paper's "arc was triggered": the counterparty took the asset."""
+        return self.claimed
+
+    def claimable(self) -> bool:
+        """Would the counterparty's :meth:`claim` succeed now?  A free read."""
+        return not self.is_halted and self._claim_refusal() is None
+
+    def refundable(self, now: int) -> bool:
+        """Would the party's :meth:`refund` succeed at ``now``?  A free read."""
+        return not self.is_halted and self._refund_refusal(now) is None
+
+    def claim(self, caller: str, now: int) -> bool:
+        """Transfer the asset to the counterparty once the lock is open."""
+        self._admit("claim", "counterparty", self.counterparty, caller)
+        refusal = self._claim_refusal()
+        if refusal is not None:
+            raise ContractStateError(refusal)
+        self._release(True, now)
+        return True
+
+    def refund(self, caller: str, now: int) -> bool:
+        """Return the asset to the party once the lock can no longer open."""
+        self._admit("refund", "party", self.party, caller)
+        refusal = self._refund_refusal(now)
+        if refusal is not None:
+            raise ContractStateError(refusal)
+        self._release(False, now)
+        return True
+
+    @abstractmethod
+    def _claim_refusal(self) -> str | None:
+        """Why the lock refuses a claim now, or ``None`` when it is open."""
+
+    @abstractmethod
+    def _refund_refusal(self, now: int) -> str | None:
+        """Why the lock refuses a refund at ``now``, or ``None`` once it
+        can no longer open."""
+
+    def _admit(self, method: str, role: str, address: str, caller: str) -> None:
+        """Refuse a caller other than ``role``'s ``address``, then a
+        contract that is not live."""
+        if caller != address:
+            raise AuthorizationError(
+                f"{method} is {role}-only ({address}); called by {caller}"
+            )
+        self._require_live()
+
+    def _release(self, to_counterparty: bool, now: int) -> None:
+        """Halt, and hand the asset to the counterparty (a claim) or back
+        to the party (a refund)."""
+        if to_counterparty:
+            self.claimed = True
+            recipient = self.counterparty
+        else:
+            self.refunded = True
+            recipient = self.party
+        self._halt()
+        assert self.chain is not None
+        self.chain.release_escrow(self, recipient, now)
+
+    def _arc_bytes(self) -> int:
+        """Storage bytes of the two endpoint addresses and the asset id,
+        which every arc contract keeps."""
+        return (
+            len(self.party.encode())
+            + len(self.counterparty.encode())
+            + len(self.asset.asset_id.encode())
+        )

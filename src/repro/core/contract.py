@@ -13,8 +13,11 @@ starting time.  Its three functions mirror Fig. 5:
 * ``claim()`` — counterparty-only; transfers the asset once every
   hashlock is unlocked.
 
-``claim`` and ``refund`` are mutually exclusive by construction: refund
-requires a locked hashlock, claim requires none.
+``claim`` and ``refund`` — their role checks, the halt and the release —
+are :class:`~repro.chain.contracts.EscrowContract`'s; this contract
+states only when its hashlocks refuse them.  The two are mutually
+exclusive by construction: refund requires a locked hashlock, claim
+requires none.
 """
 
 from __future__ import annotations
@@ -22,16 +25,12 @@ from __future__ import annotations
 from typing import Any
 
 from repro.chain.assets import Asset
-from repro.chain.contracts import Contract
+from repro.chain.contracts import EscrowContract
 from repro.chain.ledger import EncodedSizes, array_size, bools_size, object_frame
 from repro.core.hashkey import Hashkey, wire_args_size
 from repro.core.spec import SwapSpec
 from repro.digraph.digraph import Arc
-from repro.errors import (
-    AuthorizationError,
-    ContractStateError,
-    InvalidHashkeyError,
-)
+from repro.errors import ContractStateError, InvalidHashkeyError
 
 #: The frame of a :meth:`SwapContract.state_view`: its 14 keys.
 _VIEW_FRAME = object_frame(
@@ -40,25 +39,19 @@ _VIEW_FRAME = object_frame(
 )
 
 
-class SwapContract(Contract):
+class SwapContract(EscrowContract):
     """The hashed-timelock swap contract (Figs. 4-5), hosted on one chain."""
 
     CALLABLE = frozenset({"unlock", "refund", "claim"})
 
     def __init__(self, spec: SwapSpec, arc: Arc, asset: Asset) -> None:
-        super().__init__(asset)
-        head, tail = arc
-        if not spec.digraph.has_arc(head, tail):
+        super().__init__(arc, asset)
+        if not spec.digraph.has_arc(*arc):
             raise ContractStateError(f"{arc!r} is not an arc of the swap digraph")
         self.spec = spec
-        self.arc: Arc = arc
-        self.party = head
-        self.counterparty = tail
         self.unlocked: list[bool] = [False] * spec.lock_count()
         self.unlock_times: list[int | None] = [None] * spec.lock_count()
         self.unlock_hashkeys: list[Hashkey | None] = [None] * spec.lock_count()
-        self.claimed = False
-        self.refunded = False
 
     # -- Fig. 5 line 26: unlock ---------------------------------------------------
 
@@ -70,12 +63,7 @@ class SwapContract(Contract):
         hashlock is (now) unlocked; raises on any failed check so the chain
         records the reverted transaction.
         """
-        if caller != self.counterparty:
-            raise AuthorizationError(
-                f"unlock is counterparty-only ({self.counterparty}); "
-                f"called by {caller}"
-            )
-        self._require_live()
+        self._admit("unlock", "counterparty", self.counterparty, caller)
         try:
             hashkey = Hashkey.from_args(args)
         except (KeyError, TypeError) as error:
@@ -88,66 +76,25 @@ class SwapContract(Contract):
         self.unlock_hashkeys[hashkey.lock_index] = hashkey
         return True
 
-    # -- Fig. 5 line 35: refund ------------------------------------------------------
+    # -- Fig. 5 line 35: refund -------------------------------------------------------
 
-    def refund(self, caller: str, now: int) -> bool:
-        """Refund the asset to the party once the contract can never trigger.
-
-        Refundable iff some hashlock is still locked and all of its
+    def _refund_refusal(self, now: int) -> str | None:
+        """Refundable iff some hashlock is still locked and all of its
         possible hashkeys have timed out (§4.1's hashlock timeout; see
-        DESIGN.md §2 for the reading of Fig. 5 line 37).
-        """
-        if caller != self.party:
-            raise AuthorizationError(
-                f"refund is party-only ({self.party}); called by {caller}"
-            )
-        self._require_live()
-        if not self._refundable(now):
-            raise ContractStateError(
-                "refund unavailable: no hashlock is both locked and timed out"
-            )
-        assert self.chain is not None
-        self.refunded = True
-        self._halt()
-        self.chain.release_escrow(self, self.party, now)
-        return True
-
-    def _refundable(self, now: int) -> bool:
+        DESIGN.md §2 for the reading of Fig. 5 line 37)."""
         for index, is_open in enumerate(self.unlocked):
-            if is_open:
-                continue
-            if now >= self.spec.lock_final_timeout(self.arc, index):
-                return True
-        return False
+            if not is_open and now >= self.spec.lock_final_timeout(self.arc, index):
+                return None
+        return "refund unavailable: no hashlock is both locked and timed out"
 
     # -- Fig. 5 line 42: claim ----------------------------------------------------------
 
-    def claim(self, caller: str, now: int) -> bool:
-        """Transfer the asset to the counterparty once fully unlocked."""
-        if caller != self.counterparty:
-            raise AuthorizationError(
-                f"claim is counterparty-only ({self.counterparty}); "
-                f"called by {caller}"
-            )
-        self._require_live()
-        if not all(self.unlocked):
-            locked = [i for i, open_ in enumerate(self.unlocked) if not open_]
-            raise ContractStateError(f"hashlocks still locked: {locked}")
-        assert self.chain is not None
-        self.claimed = True
-        self._halt()
-        self.chain.release_escrow(self, self.counterparty, now)
-        return True
+    def _claim_refusal(self) -> str | None:
+        """Claimable once every hashlock is unlocked."""
+        locked = [i for i, open_ in enumerate(self.unlocked) if not open_]
+        return f"hashlocks still locked: {locked}" if locked else None
 
     # -- state of the world ------------------------------------------------------------
-
-    @property
-    def triggered(self) -> bool:
-        """The paper's "arc was triggered": the transfer happened."""
-        return self.claimed
-
-    def all_unlocked(self) -> bool:
-        return all(self.unlocked)
 
     def revealed_hashkey(self, lock_index: int) -> Hashkey | None:
         """The hashkey that opened ``lock_index``, visible to all observers.
@@ -206,15 +153,7 @@ class SwapContract(Contract):
         Dominated by the per-contract copy of the digraph — the source of
         the ``O(|A|^2)`` total across ``|A|`` contracts.
         """
-        endpoint_bytes = len(self.party.encode()) + len(self.counterparty.encode())
-        asset_bytes = len(self.asset.asset_id.encode())
-        flags = len(self.unlocked)
-        return (
-            self.spec.stored_fields_size_bytes()
-            + endpoint_bytes
-            + asset_bytes
-            + flags
-        )
+        return self.spec.stored_fields_size_bytes() + self._arc_bytes() + len(self.unlocked)
 
 
 def expected_contract_state(spec: SwapSpec, arc: Arc, asset_id: str) -> dict[str, Any]:

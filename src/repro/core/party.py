@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.chain.assets import Asset
 from repro.chain.blockchain import Blockchain
-from repro.chain.contracts import Contract
+from repro.chain.contracts import EscrowContract
 from repro.chain.ledger import Record
 from repro.chain.network import BROADCAST_CHAIN_ID, ChainNetwork
 from repro.core.contract import SwapContract, is_correct_contract_state
@@ -60,12 +60,14 @@ class HTLCParty(Process):
     contract is published (:meth:`make_contract`), how an entering
     contract is checked (:meth:`_is_correct_contract`), what a verified
     entering arc triggers (:meth:`_on_entering_verified`), how the leader
-    opens Phase Two (:meth:`_begin_phase_two`), when refunds are watched
-    (:meth:`refund_deadlines`), and when a contract is claimable or
-    refundable (:meth:`_claimable`, :meth:`_refundable`).  Everything
-    else — crash hooks, start, publication, the Phase One follower step,
-    claim and refund — lives here once.  Subclasses supply their own
-    unlock paths and ``on_chain_record``.
+    opens Phase Two (:meth:`_begin_phase_two`), and when refunds are
+    watched (:meth:`refund_deadlines`).  Everything else — crash hooks,
+    start, publication, the Phase One follower step, claim and refund —
+    lives here once.  Whether a claim or refund would succeed is not the
+    party's to restate: it reads the contract's own
+    :meth:`~repro.chain.contracts.EscrowContract.claimable` and
+    :meth:`~repro.chain.contracts.EscrowContract.refundable`.  Subclasses
+    supply their own unlock paths and ``on_chain_record``.
     """
 
     def __init__(
@@ -161,7 +163,7 @@ class HTLCParty(Process):
         """Strategy hook: conforming parties publish on every leaving arc."""
         return True
 
-    def make_contract(self, arc: Arc) -> Contract:
+    def make_contract(self, arc: Arc) -> EscrowContract:
         raise NotImplementedError
 
     # -- Phase One: observing entering contracts -------------------------------------------
@@ -220,8 +222,7 @@ class HTLCParty(Process):
             return
         now = self.scheduler.now
         chain = self.network.chain_for_arc(arc)
-        contract = chain.contract(contract_id)
-        if contract.is_halted or not self._claimable(contract):
+        if not chain.contract(contract_id).claimable():
             return
         try:
             chain.call(contract_id, "claim", self.address, now)
@@ -229,9 +230,6 @@ class HTLCParty(Process):
             return
         self.claimed.add(arc)
         self.trace.record(now, tr.ARC_TRIGGERED, self.address, arc=list(arc))
-
-    def _claimable(self, contract: Contract) -> bool:
-        raise NotImplementedError
 
     # -- refunds -------------------------------------------------------------------
 
@@ -253,8 +251,7 @@ class HTLCParty(Process):
             return
         now = self.scheduler.now
         chain = self.network.chain_for_arc(arc)
-        contract = chain.contract(contract_id)
-        if contract.is_halted or not self._refundable(contract, arc, now):
+        if not chain.contract(contract_id).refundable(now):
             return
         try:
             chain.call(contract_id, "refund", self.address, now)
@@ -262,9 +259,6 @@ class HTLCParty(Process):
             return
         self.refunded.add(arc)
         self.trace.record(now, tr.ARC_REFUNDED, self.address, arc=list(arc))
-
-    def _refundable(self, contract: Contract, arc: Arc, now: int) -> bool:
-        raise NotImplementedError
 
 
 class SwapParty(HTLCParty):
@@ -491,9 +485,6 @@ class SwapParty(HTLCParty):
                 lambda a=arc, cid=contract_id: self._send_claim(a, cid),
             )
 
-    def _claimable(self, contract: Contract) -> bool:
-        return isinstance(contract, SwapContract) and contract.all_unlocked()
-
     # -- refunds -------------------------------------------------------------------
 
     def refund_deadlines(self, arc: Arc) -> Iterable[int]:
@@ -504,10 +495,6 @@ class SwapParty(HTLCParty):
                 for i in range(self.spec.lock_count())
             }
         )
-
-    def _refundable(self, contract: Contract, arc: Arc, now: int) -> bool:
-        # A free public read of the contract's own refund rule.
-        return isinstance(contract, SwapContract) and contract._refundable(now)  # noqa: SLF001
 
     def __repr__(self) -> str:
         role = "leader" if self.is_leader else "follower"

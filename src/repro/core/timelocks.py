@@ -19,8 +19,10 @@ the §4.5 escrow lifecycle (:class:`~repro.core.party.HTLCParty`,
 :class:`~repro.core.protocol.HTLCSimulation`) with a plain secret in place
 of hashkeys.  What stays independent of the hashkey machinery is what
 bench E15 compares head-to-head: the contract
-(:class:`SimpleTimelockContract`), the spec (:class:`SingleLeaderSpec`)
-and the absence of signatures.  The runner additionally accepts an
+(:class:`SimpleTimelockContract`, whose claim, refund and release are
+:class:`~repro.chain.contracts.EscrowContract`'s, so it states only its
+one hashlock and deadline), the spec (:class:`SingleLeaderSpec`) and the
+absence of signatures.  The runner additionally accepts an
 arbitrary timeout assignment, which the *naive* baseline abuses to
 demonstrate the attack that motivates hashkeys (see
 :mod:`repro.baselines.naive_timelock`).
@@ -33,7 +35,7 @@ from typing import Any, Iterable
 
 from repro.chain.assets import Asset
 from repro.chain.blockchain import Blockchain
-from repro.chain.contracts import Contract
+from repro.chain.contracts import EscrowContract
 from repro.chain.ledger import Record, bools_size
 from repro.chain.network import ChainNetwork
 from repro.core.party import HTLCParty
@@ -47,7 +49,6 @@ from repro.digraph.paths import (
     longest_path_length,
 )
 from repro.errors import (
-    AuthorizationError,
     ContractError,
     ContractStateError,
     SimulationError,
@@ -135,7 +136,7 @@ def equal_timeouts(
 # ---------------------------------------------------------------------------
 
 
-class SimpleTimelockContract(Contract):
+class SimpleTimelockContract(EscrowContract):
     """The two-party HTLC of §4.1's opening: ``(h, t)`` plus an asset.
 
     ``unlock(secret)`` (counterparty, before ``t``) reveals the secret
@@ -153,24 +154,16 @@ class SimpleTimelockContract(Contract):
         timeout: int,
         start_time: int,
     ) -> None:
-        super().__init__(asset)
-        self.arc = arc
-        self.party, self.counterparty = arc
+        super().__init__(arc, asset)
         self.hashlock = hashlock
         self.timeout = timeout
         self.start_time = start_time
         self.unlocked = False
         self.revealed_secret: bytes | None = None
         self.unlock_time: int | None = None
-        self.claimed = False
-        self.refunded = False
 
     def unlock(self, caller: str, now: int, secret: bytes) -> bool:
-        if caller != self.counterparty:
-            raise AuthorizationError(
-                f"unlock is counterparty-only ({self.counterparty}); called by {caller}"
-            )
-        self._require_live()
+        self._admit("unlock", "counterparty", self.counterparty, caller)
         if self.unlocked:
             return True
         if now >= self.timeout:
@@ -182,41 +175,15 @@ class SimpleTimelockContract(Contract):
         self.unlock_time = now
         return True
 
-    def claim(self, caller: str, now: int) -> bool:
-        if caller != self.counterparty:
-            raise AuthorizationError(
-                f"claim is counterparty-only ({self.counterparty}); called by {caller}"
-            )
-        self._require_live()
-        if not self.unlocked:
-            raise ContractStateError("hashlock still locked")
-        assert self.chain is not None
-        self.claimed = True
-        self._halt()
-        self.chain.release_escrow(self, self.counterparty, now)
-        return True
+    def _claim_refusal(self) -> str | None:
+        return None if self.unlocked else "hashlock still locked"
 
-    def refund(self, caller: str, now: int) -> bool:
-        if caller != self.party:
-            raise AuthorizationError(
-                f"refund is party-only ({self.party}); called by {caller}"
-            )
-        self._require_live()
+    def _refund_refusal(self, now: int) -> str | None:
         if self.unlocked:
-            raise ContractStateError("hashlock already unlocked; refund impossible")
+            return "hashlock already unlocked; refund impossible"
         if now < self.timeout:
-            raise ContractStateError(
-                f"not yet timed out (timeout {self.timeout}, now {now})"
-            )
-        assert self.chain is not None
-        self.refunded = True
-        self._halt()
-        self.chain.release_escrow(self, self.party, now)
-        return True
-
-    @property
-    def triggered(self) -> bool:
-        return self.claimed
+            return f"not yet timed out (timeout {self.timeout}, now {now})"
+        return None
 
     def state_view(self) -> dict[str, Any]:
         return {
@@ -238,9 +205,7 @@ class SimpleTimelockContract(Contract):
 
     def storage_size_bytes(self) -> int:
         """No digraph copy, no hashlock vector: O(1) storage per contract."""
-        endpoint_bytes = len(self.party.encode()) + len(self.counterparty.encode())
-        asset_bytes = len(self.asset.asset_id.encode())
-        return 32 + 8 + 8 + 1 + endpoint_bytes + asset_bytes
+        return 32 + 8 + 8 + 1 + self._arc_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -409,16 +374,10 @@ class SingleLeaderParty(HTLCParty):
             lambda a=arc, cid=contract_id: self._send_claim(a, cid),
         )
 
-    def _claimable(self, contract: Contract) -> bool:
-        return getattr(contract, "unlocked", False)
-
     # -- refunds -------------------------------------------------------------------
 
     def refund_deadlines(self, arc: Arc) -> Iterable[int]:
         return (self.spec.timeouts[arc],)
-
-    def _refundable(self, contract: Contract, arc: Arc, now: int) -> bool:
-        return not getattr(contract, "unlocked", False) and now >= self.spec.timeouts[arc]
 
 
 # ---------------------------------------------------------------------------
