@@ -579,7 +579,7 @@ def _decode_topology(data: Any, out: list[Diagnostic]) -> Digraph | MultiDigraph
         ))
         raw_arcs = []
     width = 3 if multi else 2
-    arcs: list[tuple[Any, ...]] = []
+    arcs: list[Any] = []
     seen: set[tuple[Any, ...]] = set()
     for i, arc in enumerate(raw_arcs):
         if isinstance(arc, (list, tuple)) and len(arc) == width:
@@ -596,7 +596,10 @@ def _decode_topology(data: Any, out: list[Diagnostic]) -> Digraph | MultiDigraph
         out.append(_arc_problem(arc, f"/topology/arcs/{i}", multi, vertices))
     if len(out) > problems:
         return None
-    return MultiDigraph(raw_vertices, arcs) if multi else Digraph(raw_vertices, arcs)
+    # Every check the constructors make was made above: build in one walk.
+    if multi:
+        return MultiDigraph.from_checked(raw_vertices, arcs)
+    return Digraph.from_checked(raw_vertices, arcs)
 
 
 def _arc_problem(arc: Any, path: str, multi: bool, vertices: set[str]) -> Diagnostic:

@@ -41,8 +41,6 @@ class Digraph:
 
         arc_list: list[Arc] = []
         arc_set: set[Arc] = set()
-        out: dict[Vertex, list[Vertex]] = {v: [] for v in vertex_list}
-        in_: dict[Vertex, list[Vertex]] = {v: [] for v in vertex_list}
         for arc in arcs:
             try:
                 u, v = arc
@@ -59,12 +57,29 @@ class Digraph:
                 )
             arc_set.add((u, v))
             arc_list.append((u, v))
+        self._assemble(vertex_list, arc_list, frozenset(arc_set))
+
+    @classmethod
+    def from_checked(cls, vertices: list[Vertex], arcs: list[Arc]) -> "Digraph":
+        """The digraph of names and arcs that already pass the
+        constructor's checks — distinct string vertices, distinct
+        ``(head, tail)`` tuples of two different declared vertices —
+        built without walking them again (the scenario decoder has)."""
+        digraph = cls.__new__(cls)
+        digraph._assemble(vertices, arcs, frozenset(arcs))
+        return digraph
+
+    def _assemble(
+        self, vertices: list[Vertex], arcs: list[Arc], arc_set: frozenset[Arc]
+    ) -> None:
+        out: dict[Vertex, list[Vertex]] = {v: [] for v in vertices}
+        in_: dict[Vertex, list[Vertex]] = {v: [] for v in vertices}
+        for u, v in arcs:
             out[u].append(v)
             in_[v].append(u)
-
-        self._vertices: tuple[Vertex, ...] = tuple(vertex_list)
-        self._arcs: tuple[Arc, ...] = tuple(arc_list)
-        self._arc_set = frozenset(arc_set)
+        self._vertices: tuple[Vertex, ...] = tuple(vertices)
+        self._arcs: tuple[Arc, ...] = tuple(arcs)
+        self._arc_set = arc_set
         self._out = {v: tuple(ws) for v, ws in out.items()}
         self._in = {v: tuple(ws) for v, ws in in_.items()}
         self._hash: int | None = None

@@ -58,17 +58,28 @@ class MultiDigraph:
             used.add((u, v, key))
             keyed.append((u, v, key))
             next_key[(u, v)] = max(next_key.get((u, v), 0), key + 1)
+        # The projection's vertices are not checked above.
+        simple = Digraph(vertex_list, _pairs(keyed))
+        self._assemble(simple, keyed, frozenset(used))
 
-        self._vertices: tuple[Vertex, ...] = tuple(vertex_list)
-        self._arcs: tuple[MultiArc, ...] = tuple(keyed)
-        self._arc_set = frozenset(used)
-        simple_arcs: list[tuple[Vertex, Vertex]] = []
-        seen_pairs: set[tuple[Vertex, Vertex]] = set()
-        for (u, v, _key) in keyed:
-            if (u, v) not in seen_pairs:
-                seen_pairs.add((u, v))
-                simple_arcs.append((u, v))
-        self._simple = Digraph(self._vertices, simple_arcs)
+    @classmethod
+    def from_checked(cls, vertices: list[Vertex], arcs: list[MultiArc]) -> "MultiDigraph":
+        """The multigraph of names and keyed arcs that already pass the
+        constructor's checks — distinct string vertices, distinct
+        ``(head, tail, key)`` tuples of two different declared vertices —
+        built without walking them again (the scenario decoder has)."""
+        multigraph = cls.__new__(cls)
+        simple = Digraph.from_checked(vertices, _pairs(arcs))
+        multigraph._assemble(simple, arcs, frozenset(arcs))
+        return multigraph
+
+    def _assemble(
+        self, simple: Digraph, arcs: list[MultiArc], arc_set: frozenset[MultiArc]
+    ) -> None:
+        self._vertices: tuple[Vertex, ...] = simple.vertices
+        self._arcs: tuple[MultiArc, ...] = tuple(arcs)
+        self._arc_set = arc_set
+        self._simple = simple
 
     @property
     def vertices(self) -> tuple[Vertex, ...]:
@@ -124,3 +135,8 @@ class MultiDigraph:
         return (
             f"MultiDigraph(|V|={len(self._vertices)}, |A|={len(self._arcs)})"
         )
+
+
+def _pairs(arcs: list[MultiArc]) -> list[tuple[Vertex, Vertex]]:
+    """The distinct ``(head, tail)`` pairs of ``arcs``, in first-seen order."""
+    return list(dict.fromkeys((u, v) for (u, v, _key) in arcs))

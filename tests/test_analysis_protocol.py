@@ -11,6 +11,8 @@ Closed-form *exactness* is asserted separately in
 
 from __future__ import annotations
 
+from random import Random
+
 import pytest
 
 from repro.analysis.diagnostics import Diagnostic, has_errors
@@ -28,7 +30,7 @@ from repro.analysis.structure import check_scenario
 from repro.api.scenario import Scenario
 from repro.api.sweep import Sweep, run_sweep
 from repro.digraph.digraph import Digraph
-from repro.digraph.generators import cycle_digraph, triangle
+from repro.digraph.generators import cycle_digraph, random_strongly_connected, triangle
 from repro.digraph.multigraph import MultiDigraph
 from repro.sim.faults import CrashPoint, FaultPlan
 
@@ -170,6 +172,25 @@ class TestPayloadDiagnostics:
         assert by_path(diags, "faults/unknown-crash-point") == [
             "/faults/B/at_point"
         ]
+
+    @pytest.mark.parametrize("topology", [
+        triangle(),
+        random_strongly_connected(9, 0.3, rng=Random(4)),
+        MultiDigraph(["A", "B", "C"], [("A", "B", 0), ("A", "B", 3), ("B", "C", 0),
+                                       ("C", "A", 1), ("B", "A", 0)]),
+    ])
+    def test_decoded_topology_is_the_constructed_one(self, topology):
+        # The decoder checks once and builds without the constructor's
+        # checks; what it builds must be what the constructor builds.
+        decoded = Scenario.from_dict(Scenario(topology=topology).to_dict()).topology
+        assert type(decoded) is type(topology) and decoded == topology
+        assert decoded.vertices == topology.vertices and decoded.arcs == topology.arcs
+        simple = getattr(topology, "underlying_simple", lambda: topology)()
+        decoded_simple = getattr(decoded, "underlying_simple", lambda: decoded)()
+        assert decoded_simple.arcs == simple.arcs
+        for v in simple.vertices:
+            assert decoded_simple.out_neighbors(v) == simple.out_neighbors(v)
+            assert decoded_simple.in_neighbors(v) == simple.in_neighbors(v)
 
     def test_error_free_payload_always_constructs(self):
         # The module contract: no error-severity diagnostics implies
