@@ -47,7 +47,7 @@ registered name.
 from __future__ import annotations
 
 import time
-from abc import ABC
+from abc import ABC, abstractmethod
 from dataclasses import fields
 from typing import Iterator
 
@@ -73,8 +73,9 @@ _FIELD_DEFAULTS = {f.name: f.default for f in fields(Scenario) if f.name in PROT
 class Engine(ABC):
     """A registered protocol adapter with a uniform run contract.
 
-    Subclasses implement :meth:`prepare`, assembling (but not running)
-    their simulation; :meth:`open` wraps the result in an
+    Subclasses implement :meth:`prepare` (abstract, so an engine without
+    it cannot be instantiated), assembling (but not running) their
+    simulation; :meth:`open` wraps the result in an
     :class:`~repro.api.execution.Execution` session and :meth:`run`
     drives that session to a :class:`RunReport`.
     """
@@ -176,11 +177,9 @@ class Engine(ABC):
             f"has no such parameter); drop {field}={value!r}",
         )
 
+    @abstractmethod
     def prepare(self, scenario: Scenario) -> PreparedSimulation:
         """Assemble the simulation for ``scenario`` without running it."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement prepare()"
-        )
 
     def open(self, scenario: Scenario) -> Execution:
         """Prepare ``scenario`` and return the execution session.
@@ -191,13 +190,6 @@ class Engine(ABC):
         / ``run_until()`` / ``run_to_completion()``, register probes and
         interventions before the first step.  One session runs once.
         """
-        if type(self).prepare is Engine.prepare:
-            raise EngineError(
-                f"engine {self.name!r} does not implement prepare(); "
-                "every engine must support the execution-session API "
-                "(the pre-1.5 execute()-only contract was removed in "
-                "1.6.0)"
-            )
         started = time.perf_counter()
         self.refuse(scenario)
         return Execution(self.name, scenario, self.prepare(scenario), started)

@@ -37,7 +37,6 @@ from repro.api.sweep import SweepProgress
 from repro.core.protocol import run_swap
 from repro.digraph.generators import cycle_digraph, triangle, wheel_digraph
 from repro.errors import (
-    EngineError,
     ExecutionError,
     ReproError,
     ScenarioError,
@@ -473,10 +472,8 @@ class TestEngineContract:
         class LegacyEngine(Engine):
             name = "legacy-test"
 
-        with pytest.raises(EngineError, match="does not implement prepare"):
-            LegacyEngine().open(Scenario(topology=triangle()))
-        with pytest.raises(EngineError, match="does not implement prepare"):
-            LegacyEngine().run(Scenario(topology=triangle()))
+        with pytest.raises(TypeError, match="abstract method.*prepare"):
+            LegacyEngine()
 
 
 # ---------------------------------------------------------------------------
