@@ -392,11 +392,14 @@ class Scenario:
         return canonical, shape
 
     def content_hash(self) -> str:
-        """A stable SHA-256 hex digest of :meth:`canonical_dict`.
+        """A stable SHA-256 hex digest of :meth:`canonical_text`, the
+        scenario alone.
 
         Equal for any two scenarios describing the same run, regardless
-        of construction order or display name; the basis of the
-        :mod:`repro.lab.store` content addressing.
+        of construction order or display name.  It is not a store key:
+        :mod:`repro.lab.store` addresses a run by
+        :func:`repro.api.sweep.run_key`, which hashes the engine name and
+        the run-key schema beside the same canonical text.
         """
         return sha256(self.canonical_text().encode()).hex()
 
