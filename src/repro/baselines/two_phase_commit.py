@@ -43,9 +43,10 @@ class CoordinatedEscrowContract(EscrowContract):
     """Escrow that only the named coordinator can resolve.
 
     ``decide(commit=True)`` pays the counterparty; ``decide(commit=False)``
-    refunds the party; after ``timeout`` with no decision the party may
-    ``refund`` unilaterally (so a crashed coordinator cannot lock funds
-    forever — the classic 2PC blocking problem, softened with a deadline).
+    refunds the party; a ``commit`` that is not a bool is refused.  After
+    ``timeout`` with no decision the party may ``refund`` unilaterally
+    (so a crashed coordinator cannot lock funds forever — the classic 2PC
+    blocking problem, softened with a deadline).
     A decision releases the asset at once, so the contract is halted
     after any decision and the counterparty never calls ``claim``.
     """
@@ -62,8 +63,10 @@ class CoordinatedEscrowContract(EscrowContract):
 
     def decide(self, caller: str, now: int, commit: bool) -> bool:
         self._admit("decide", "coordinator", self.coordinator, caller)
+        if type(commit) is not bool:
+            raise ContractError(f"decide needs a true or false commit, got {commit!r}")
         self.decision = commit
-        self._release(bool(commit), now)
+        self._release(commit, now)
         return True
 
     def _claim_refusal(self) -> str | None:
@@ -87,7 +90,7 @@ class CoordinatedEscrowContract(EscrowContract):
         }
 
     def flags_size(self) -> int:
-        # ``decision`` is null until decided, then whatever ``commit`` was.
+        # ``decision`` is null until decided, then the bool ``commit`` was.
         return encoded_size(self.decision) + bools_size(self.is_halted)
 
     def storage_size_bytes(self) -> int:

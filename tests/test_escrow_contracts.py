@@ -381,6 +381,22 @@ class TestCoordinatedEscrowContract:
     @pytest.mark.parametrize("commit", [True, False, None, 1])
     def test_refund_and_decide_after_a_decision(self, escrow, commit):
         chain, contract, cid = escrow
+        if type(commit) is not bool:
+            # Only a bool decides; anything else is refused and leaves
+            # the escrow live and undecided.
+            owner = chain.assets.owner("asset@Alice->Bob")
+            assert refusal(chain, cid, "decide", COORDINATOR, START, {"commit": commit}) == (
+                ContractError,
+                f"ContractError: decide needs a true or false commit, got {commit!r}",
+            )
+            assert contract.decision is None and not contract.is_halted
+            assert not contract.triggered and not contract.refunded
+            assert chain.assets.owner("asset@Alice->Bob") == owner
+            assert refusal(chain, cid, "refund", "Alice", START) == (
+                ContractStateError,
+                "ContractStateError: coordinator still has until 1100 (now 1000)",
+            )
+            return
         chain.call(cid, "decide", COORDINATOR, START, {"commit": commit})
         assert contract.decision == commit and contract.is_halted
         assert contract.triggered is bool(commit)
