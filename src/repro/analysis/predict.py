@@ -50,7 +50,6 @@ simulator over every strongly connected topology family in
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -159,21 +158,34 @@ def _replay(
     the simulator keeps whichever observation its scheduler fires
     first, and that order recurses through the whole cascade back to
     the iteration order of ``_schedule_unlocks`` over entering arcs.
-    Replaying with the scheduler's own rule (FIFO by insertion within a
-    tick — all protocol steps share the WAKE priority band) reproduces
-    those choices by construction.  Deliveries the parties ignore (a
-    head observing its own published contract, a tail observing its
-    own unlock, claim observations) shift insertion sequence numbers
-    uniformly and never change relative order, so they are skipped.
+    Replaying with the scheduler's own rule reproduces those choices by
+    construction: all protocol steps share the WAKE priority band, so
+    events fire by ``(when, insertion order)``.  The queue keeps that
+    rule with one FIFO bucket per tick and a heap over the distinct
+    ticks only: a bucket fires in insertion order, and an event
+    scheduled at the tick being fired joins the end of its bucket, as
+    its insertion order puts it after everything already queued there.
+    (``tests/replay_reference.py`` is the one-heap-entry-per-event
+    replay this must equal.)  An event that would change nothing never
+    changes the order of the others, so none is queued: deliveries the
+    parties ignore (a head observing its own published contract, a tail
+    observing its own unlock, claim observations, an unlock whose head
+    already knows the secret or is on its path) and a second unlock of
+    a lock on an arc (the first one queued always fires first).
     """
     lead = set(leaders)
     lock_of = {leader: i for i, leader in enumerate(leaders)}
-    heap: list[tuple[Any, ...]] = []
-    order = itertools.count()
+    #: tick -> the events due then, in insertion order; ``due`` heaps
+    #: the ticks that have a bucket.
+    buckets: dict[int, list[tuple[Any, tuple[Any, ...]]]] = {}
+    due: list[int] = []
 
     def at(when: int, fn: Any, *args: Any) -> None:
-        # (when, insertion order) is unique, so fn is never compared.
-        heapq.heappush(heap, (when, next(order), fn, args))
+        bucket = buckets.get(when)
+        if bucket is None:
+            bucket = buckets[when] = []
+            heapq.heappush(due, when)
+        bucket.append((fn, args))
 
     entering = {v: digraph.in_arcs(v) for v in digraph.vertices}
     leaving = {v: digraph.out_arcs(v) for v in digraph.vertices}
@@ -182,7 +194,8 @@ def _replay(
     known: dict[Vertex, dict[int, tuple[Vertex, ...]]] = {
         v: {} for v in digraph.vertices
     }
-    unlocked: dict[Arc, set[int]] = {arc: set() for arc in digraph.arcs}
+    #: arc -> the locks whose unlock is queued or sent on it.
+    unlocking: dict[Arc, set[int]] = {arc: set() for arc in digraph.arcs}
     publish: dict[Vertex, int] = {}
     phase_two: dict[Vertex, int] = {}
     schedule: dict[Arc, list[Unlock]] = {arc: [] for arc in digraph.arcs}
@@ -216,25 +229,30 @@ def _replay(
             schedule_unlock(v, arc, i, now)
 
     def schedule_unlock(v: Vertex, arc: Arc, i: int, now: int) -> None:
-        if arc not in seen[v] or i in unlocked[arc]:
+        # The first unlock queued for a lock on an arc is the one that
+        # lands: a later one fires later (or after it at the same tick)
+        # and would find the lock open, so it is never queued.
+        if arc not in seen[v] or i in unlocking[arc]:
             return
+        unlocking[arc].add(i)
         at(now + action, send_unlock, v, arc, i)
 
     def send_unlock(v: Vertex, arc: Arc, i: int, now: int) -> None:
-        if i in unlocked[arc]:
-            return
         path = known[v][i]
         expires = expiry + (len(path) - 1) * delta
         if now >= expires:
             # A rational party does not submit an expired hashkey: the
             # simulator refunds here instead of reaching all-Deal.
             late.setdefault((v, i), (now, expires))
-        unlocked[arc].add(i)
         schedule[arc].append((i, path, now))
-        at(now + latency[arc], observe_unlock, arc[0], i, path)
+        w = arc[0]
+        # The head ignores an unlock it already knows the secret of, or
+        # whose path it is on; neither changes before the delivery.
+        if i not in known[w] and w not in path:
+            at(now + latency[arc], observe_unlock, w, i, path)
 
     def observe_unlock(w: Vertex, i: int, path: tuple[Vertex, ...], now: int) -> None:
-        if i in known[w] or w in path:
+        if i in known[w]:
             return
         known[w][i] = (w, *path)
         for arc in entering[w]:
@@ -243,9 +261,13 @@ def _replay(
     for v in digraph.vertices:
         if v in lead:
             at(start, publish_outgoing, v)
-    while heap:
-        when, _, fn, args = heapq.heappop(heap)
-        fn(*args, when)
+    while due:
+        now = heapq.heappop(due)
+        # The bucket may grow while it fires (an event due now); list
+        # iteration reaches the appended events in order.
+        for fn, args in buckets[now]:
+            fn(*args, now)
+        del buckets[now]
 
     if any(len(schedule[arc]) != len(leaders) for arc in digraph.arcs):
         raise AnalysisError(
