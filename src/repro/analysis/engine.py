@@ -65,14 +65,21 @@ silently diverged from):
     observation deliveries (each arc's chain has two watchers; the
     asset-registration record predates subscription so it delivers
     nothing), ``|A|·|L|`` unlock wakes, ``|A|`` claim wakes, and one
-    refund watch per *distinct* lock timeout per arc.
+    refund watch per *distinct* lock timeout per arc.  A lock's final
+    timeout depends on the arc only through its counterparty, so the
+    timeouts are read per party from
+    :meth:`~repro.core.spec.SwapSpec.final_timeouts` (one
+    ``D(party, ·)`` row), as the simulator's refund watches read them.
 
 The key-propagation schedule (which lock unlocks when, in what order,
 and the hashkey path it carries) is
 :attr:`~repro.analysis.predict.Prediction.unlock_schedule`: ``predict``
 derives every time, and deadline feasibility, from one FIFO replay of
 the conforming cascade that mirrors the simulator's same-tick ordering
-rule, and synthesis only reads what that replay recorded.
+rule, and synthesis only reads what that replay recorded.  Each escrow
+and each unlock landing becomes one milestone row; the rows are sorted
+once and every :class:`~repro.sim.milestones.Milestone` is built once,
+already numbered (:func:`_number_milestones`).
 
 Parity is CI-gated: ``tests/test_analysis_engine.py`` sweeps every
 registered family and every conforming variant, asserting byte
@@ -201,6 +208,16 @@ def analyze_for_fast_path(scenario: Scenario, engine: str) -> ScenarioAnalysis |
 # those holes (:func:`repro.api.sweep.split_entry_text`) in place of
 # encoding it; every later copy fills the holes instead of recounting
 # and re-encoding (bench E38).
+#
+# What the memo cannot save is a shape's first sight, and a stream of
+# new work (perfbench's workloads draw a new start time every round) is
+# mostly first sights: one analysis, whose replay queues events in one
+# bucket per tick, one transcript synthesis, which sizes |A| real
+# contracts and builds each of its 1 + |A| + |A|·|L| + 2 milestones once
+# as a slotted tuple, and the first stored copy's split.  Bench E39
+# times those three layers.  Nothing is memoised on less than the shape
+# text: a key without the start time would answer a new shape from an
+# old one.
 
 
 @dataclass
@@ -269,6 +286,11 @@ def shape_template(report: RunReport) -> ShapeTemplate | None:
 # ---------------------------------------------------------------------------
 
 
+#: One synthesized milestone before numbering: ``(time, rank, arc, kind,
+#: party)``, rank 0 for an escrow and 1 for a release.
+MilestoneRow = tuple[int, int, Arc, str, Vertex]
+
+
 def synthesize_report(scenario: Scenario, prediction: Prediction) -> RunReport:
     """Build the simulator's all-Deal ``RunReport`` in closed form.
 
@@ -311,7 +333,7 @@ def _synthesize(scenario: Scenario, prediction: Prediction) -> RunReport:
     leaders = prediction.leaders
     nlock = len(leaders)
     action = ticks(scenario.delta, scenario.action_fraction)
-    scheme = get_scheme(scenario.scheme_name)
+    signature_size = get_scheme(scenario.scheme_name).signature_size
 
     secrets = [leader_secret(scenario.seed, leader) for leader in leaders]
     spec = SwapSpec(
@@ -323,60 +345,51 @@ def _synthesize(scenario: Scenario, prediction: Prediction) -> RunReport:
         diam=prediction.diam,
         timeout_slack=scenario.timeout_slack,
     )
-    # A lock's final timeout on an arc depends only on its counterparty.
-    final_timeouts: dict[Vertex, set[int]] = {}
-    for arc in digraph.arcs:
-        if arc[1] not in final_timeouts:
-            final_timeouts[arc[1]] = {
-                spec.lock_final_timeout(arc, i) for i in range(nlock)
-            }
 
     # Every record is sized by the chain layer's own functions, as the
     # simulator's chains size the records they build (see the module
     # docstring); every secret has the same width.
     names = EncodedSizes()
+    name_size = names.__getitem__
     secret_size = len(secrets[0])
+    publish_times = prediction.publish_times
+    unlock_schedule = prediction.unlock_schedule
     published_bytes = 0
-    refund_watches = 0
-    escrow_milestones: list[Milestone] = []
-    release_times: list[tuple[int, Arc, Vertex]] = []
+    # One row per escrow and per unlock landing (see MilestoneRow).
+    rows: list[MilestoneRow] = []
     for arc in digraph.arcs:
         u, v = arc
         contract_id = f"{chain_id_for_arc(arc)}/contract-0"
         asset_id = f"asset@{u}->{v}"
-        asset = Asset(asset_id=asset_id, description=f"asset {u} owes {v}", value=1)
-        contract = SwapContract(spec, arc, asset)
+        contract = SwapContract(spec, arc, Asset(asset_id))
+        state_size = contract.state_size
         published_bytes += registration_size(names, asset_id, u) + publication_size(
             names, u, contract_id, contract, contract.storage_size_bytes(),
-            contract.state_size(names),
+            state_size(names),
         )
-        escrow_milestones.append(
-            Milestone(
-                index=0, time=prediction.publish_times[u],
-                kind=CONTRACT_ESCROWED, party=u, arc=arc,
-            )
-        )
-        for lock, path, landed in prediction.unlock_schedule[arc]:
-            contract.unlocked[lock] = True
+        rows.append((publish_times[u], 0, arc, CONTRACT_ESCROWED, u))
+        unlocked = contract.unlocked
+        for lock, path, landed in unlock_schedule[arc]:
+            unlocked[lock] = True
+            hops = len(path)
             args_size = unlock_args_size(
-                lock,
-                secret_size,
-                sum(names[w] for w in path),
-                len(path),
-                scheme.signature_size * len(path),
+                lock, secret_size, sum(map(name_size, path)), hops, signature_size * hops
             )
             published_bytes += call_size(
-                names, v, contract_id, "unlock", args_size, contract.state_size(names)
+                names, v, contract_id, "unlock", args_size, state_size(names)
             )
-            release_times.append((landed, arc, v))
-        contract.claimed = True
-        contract._halt()
+            rows.append((landed, 1, arc, SECRET_RELEASED, v))
+        contract.mark_released(True)
         published_bytes += call_size(
             names, v, contract_id, "claim", contract.args_size("claim", {}, names),
-            contract.state_size(names),
+            state_size(names),
         ) + transfer_size(names, contract_id, asset_id, contract_id, v)
-        refund_watches += len(final_timeouts[v])
 
+    # Each arc's counterparty watches one refund per distinct lock
+    # timeout.  A lock's final timeout depends only on the counterparty,
+    # and every party is one (the swap digraph is strongly connected).
+    watched = {v: len(set(spec.final_timeouts(v))) for v in digraph.vertices}
+    settled_time = max(map(max, map(spec.final_timeouts, digraph.vertices))) + action
     arc_count = digraph.arc_count()
 
     # Event census of the conforming schedule (see the module docstring).
@@ -387,31 +400,8 @@ def _synthesize(scenario: Scenario, prediction: Prediction) -> RunReport:
         + 2 * arc_count * (nlock + 3)     # observation deliveries
         + arc_count * nlock               # unlock wakes
         + arc_count                       # claim wakes
-        + refund_watches
+        + sum(watched[v] for _, v in digraph.arcs)  # refund watches
     )
-
-    settled_time = max(max(row) for row in final_timeouts.values()) + action
-    milestones: list[Milestone] = [
-        Milestone(index=0, time=prediction.start_time, kind=PHASE1_START)
-    ]
-    timeline: list[Milestone] = sorted(
-        escrow_milestones, key=lambda m: (m.time, m.arc or ())
-    ) + [
-        Milestone(index=0, time=when, kind=SECRET_RELEASED, party=party, arc=arc)
-        for when, arc, party in sorted(release_times)
-    ]
-    timeline.sort(key=lambda m: m.time)
-    timeline.append(
-        Milestone(index=0, time=prediction.completion_time, kind=PHASE2_COMPLETE)
-    )
-    timeline.append(Milestone(index=0, time=settled_time, kind=SETTLED))
-    for event in timeline:
-        milestones.append(
-            Milestone(
-                index=len(milestones), time=event.time, kind=event.kind,
-                party=event.party, arc=event.arc,
-            )
-        )
 
     return RunReport(
         engine=FALLBACK_ENGINE,
@@ -431,8 +421,29 @@ def _synthesize(scenario: Scenario, prediction: Prediction) -> RunReport:
         unlock_calls=prediction.unlock_calls,
         wall_seconds=0.0,
         extra={},
-        milestones=tuple(milestones),
+        milestones=_number_milestones(
+            prediction.start_time, rows, prediction.completion_time, settled_time
+        ),
     )
+
+
+def _number_milestones(
+    start: int, rows: list[MilestoneRow], completion: int, settled: int
+) -> tuple[Milestone, ...]:
+    """The synthesized run's milestones, each built once and numbered as
+    built: ``phase1-start``, then ``rows`` sorted (by time; at a tick
+    escrows before releases, each in arc order, as the simulator's
+    tracker sees them), then ``phase2-complete`` and ``settled``."""
+    rows.sort()
+    milestones = [Milestone(0, start, PHASE1_START)]
+    milestones += [
+        Milestone(index, when, kind, party, arc)
+        for index, (when, _, arc, kind, party) in enumerate(rows, 1)
+    ]
+    last = len(milestones)
+    milestones.append(Milestone(last, completion, PHASE2_COMPLETE))
+    milestones.append(Milestone(last + 1, settled, SETTLED))
+    return tuple(milestones)
 
 
 # ---------------------------------------------------------------------------

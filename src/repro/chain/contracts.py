@@ -169,9 +169,9 @@ class EscrowContract(Contract):
     open; either release halts the contract for good.  A subclass
     supplies only its lock — the methods that open or decide it, and the
     refusal :meth:`_claim_refusal` and :meth:`_refund_refusal` give while
-    the lock says no — plus its view and sizing.  Every method checks
-    its caller, then that the contract is live (:meth:`_admit`), then the
-    lock, and mutates nothing before all three pass.
+    the lock says no — plus its view and sizing.  Every on-chain method
+    checks its caller, then that the contract is live (:meth:`_admit`),
+    then the lock, and mutates nothing before all three pass.
     """
 
     def __init__(self, arc: Arc, asset: Asset) -> None:
@@ -230,9 +230,13 @@ class EscrowContract(Contract):
             )
         self._require_live()
 
-    def _release(self, to_counterparty: bool, now: int) -> None:
-        """Halt, and hand the asset to the counterparty (a claim) or back
-        to the party (a refund)."""
+    def mark_released(self, to_counterparty: bool) -> str:
+        """The chain-free half of a release: set ``claimed`` (the
+        counterparty takes the asset) or ``refunded`` (the party takes it
+        back), halt, and return the recipient.  Moves no asset: a call
+        that releases on a chain does that next (:meth:`_release`);
+        report synthesis reads the released contract's view without a
+        chain."""
         if to_counterparty:
             self.claimed = True
             recipient = self.counterparty
@@ -240,6 +244,12 @@ class EscrowContract(Contract):
             self.refunded = True
             recipient = self.party
         self._halt()
+        return recipient
+
+    def _release(self, to_counterparty: bool, now: int) -> None:
+        """Halt, and hand the asset to the counterparty (a claim) or back
+        to the party (a refund) on the hosting chain."""
+        recipient = self.mark_released(to_counterparty)
         assert self.chain is not None
         self.chain.release_escrow(self, recipient, now)
 

@@ -82,8 +82,9 @@ class SwapContract(EscrowContract):
         """Refundable iff some hashlock is still locked and all of its
         possible hashkeys have timed out (§4.1's hashlock timeout; see
         DESIGN.md §2 for the reading of Fig. 5 line 37)."""
-        for index, is_open in enumerate(self.unlocked):
-            if not is_open and now >= self.spec.lock_final_timeout(self.arc, index):
+        timeouts = self.spec.final_timeouts(self.counterparty)
+        for is_open, timeout in zip(self.unlocked, timeouts):
+            if not is_open and now >= timeout:
                 return None
         return "refund unavailable: no hashlock is both locked and timed out"
 

@@ -489,12 +489,7 @@ class SwapParty(HTLCParty):
 
     def refund_deadlines(self, arc: Arc) -> Iterable[int]:
         """Each lock's final timeout on ``arc`` (Fig. 5)."""
-        return sorted(
-            {
-                self.spec.lock_final_timeout(arc, i)
-                for i in range(self.spec.lock_count())
-            }
-        )
+        return sorted(set(self.spec.final_timeouts(arc[1])))
 
     def __repr__(self) -> str:
         role = "leader" if self.is_leader else "follower"

@@ -26,6 +26,7 @@ from repro.digraph.paths import (
     diameter,
     is_strongly_connected,
     longest_path_length,
+    longest_path_lengths,
 )
 from repro.errors import ClearingError, NotStronglyConnectedError
 from repro.sim.harness import derive_secret
@@ -71,6 +72,9 @@ class SwapSpec:
     )
     _stored_fields_size: int | None = field(
         default=None, init=False, repr=False, compare=False
+    )
+    _final_timeouts: dict[Vertex, tuple[int, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -155,20 +159,36 @@ class SwapSpec:
         leader, so the final timeout is
         ``start + (diam + D(counterparty, leader_i) + slack)·Δ``.
         """
-        _, counterparty = arc
-        leader = self.leader_of_lock(lock_index)
-        longest = self.longest_path_to(counterparty, leader)
-        if self.broadcast_unlock_enabled and counterparty != leader:
-            # The logical follower→leader arc adds a path of length 1, which
-            # is never the longest unless the graph is tiny; max for safety.
-            longest = max(longest, 1)
-        return self.start_time + (self.diam + longest + self.timeout_slack) * self.delta
+        self.leader_of_lock(lock_index)
+        return self.final_timeouts(arc[1])[lock_index]
+
+    def final_timeouts(self, counterparty: Vertex) -> tuple[int, ...]:
+        """Every lock's :meth:`lock_final_timeout` on the arcs entering
+        ``counterparty``, in lock order.  A lock's final timeout depends
+        on the arc only through its counterparty, so one
+        ``D(counterparty, ·)`` row answers them all; memoised per spec
+        (the contracts' refund checks and the parties' refund watches
+        read it)."""
+        timeouts = self._final_timeouts.get(counterparty)
+        if timeouts is None:
+            lengths = longest_path_lengths(self.digraph, counterparty, self.leaders)
+            if self.broadcast_unlock_enabled:
+                # The logical follower→leader arc adds a path of length
+                # 1, which is never the longest unless the graph is
+                # tiny; max for safety.
+                lengths = tuple(
+                    length if leader == counterparty else max(length, 1)
+                    for leader, length in zip(self.leaders, lengths)
+                )
+            base = self.diam + self.timeout_slack
+            timeouts = self._final_timeouts[counterparty] = tuple(
+                self.start_time + (base + length) * self.delta for length in lengths
+            )
+        return timeouts
 
     def latest_timeout(self, arc: Arc) -> int:
         """The latest final timeout across all hashlocks on ``arc``."""
-        return max(
-            self.lock_final_timeout(arc, i) for i in range(self.lock_count())
-        )
+        return max(self.final_timeouts(arc[1]))
 
     def phase_two_bound(self) -> int:
         """Theorem 4.7's bound: all triggers by ``start + 2·diam·Δ``.

@@ -38,12 +38,19 @@ tracker never touches simulation state, so observing milestones cannot
 perturb a run (the same trace always yields the same milestone
 sequence, which is what makes ``Engine.open()`` byte-compatible with
 the one-shot ``Engine.run()``).
+
+A :class:`Milestone` is an immutable record kept as a slotted tuple
+(a run holds ``1 + |A| + |A|·|L| + 2`` of them, and the analytic
+fast path's shape memo keeps up to 256 runs' worth): assignment raises
+:class:`dataclasses.FrozenInstanceError`, it equals only another
+``Milestone`` with the same fields, it hashes as its fields, and
+:meth:`Milestone.to_dict` is the wire form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import FrozenInstanceError
+from typing import Any, NamedTuple
 
 from repro.errors import SimulationError
 from repro.sim import trace as tr
@@ -77,14 +84,15 @@ def check_milestone_kind(kind: str) -> str:
     return kind
 
 
-@dataclass(frozen=True)
-class Milestone:
+class Milestone(NamedTuple):
     """One typed protocol event observed during an execution session.
 
     ``index`` is the position in the session's milestone sequence (dense,
     starting at 0); ``time`` is model time (ticks).  ``party``/``arc``
     are ``None`` for run-level milestones (``phase1-start``,
     ``phase2-complete``, ``settled``, and broadcast secret reveals).
+    A slotted tuple that behaves as a frozen record (see the module
+    notes).
     """
 
     index: int
@@ -101,6 +109,20 @@ class Milestone:
             "party": self.party,
             "arc": list(self.arc) if self.arc is not None else None,
         }
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is Milestone and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
 #: trace kinds that settle an escrowed arc (Phase Two resolution).

@@ -133,6 +133,28 @@ class TestDeadlines:
         per_lock = [spec.lock_final_timeout(arc, i) for i in range(2)]
         assert spec.latest_timeout(arc) == max(per_lock)
 
+    @pytest.mark.parametrize("broadcast", [False, True])
+    def test_final_timeouts_are_each_locks_timeout(self, broadcast):
+        """One D(counterparty, ·) row per party gives every lock's final
+        timeout on every arc entering it."""
+        digraph = complete_digraph(4)
+        spec = make_spec(
+            digraph, ["P03", "P00", "P02"], timeout_slack=1,
+            broadcast_unlock_enabled=broadcast,
+        )
+        for arc in digraph.arcs:
+            timeouts = spec.final_timeouts(arc[1])
+            assert spec.final_timeouts(arc[1]) is timeouts  # memoised per spec
+            for i, leader in enumerate(spec.leaders):
+                longest = spec.longest_path_to(arc[1], leader)
+                if broadcast and arc[1] != leader:
+                    longest = max(longest, 1)
+                expected = DELTA + (spec.diam + longest + 1) * DELTA
+                assert timeouts[i] == spec.lock_final_timeout(arc, i) == expected
+            assert spec.latest_timeout(arc) == max(timeouts)
+        with pytest.raises(ClearingError):
+            spec.lock_final_timeout(("P00", "P01"), 3)
+
     def test_phase_two_bound(self):
         spec = make_spec(triangle(), ["Alice"])
         assert spec.phase_two_bound() == DELTA + 4 * DELTA
