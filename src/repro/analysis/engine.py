@@ -388,7 +388,7 @@ def _synthesize(scenario: Scenario, prediction: Prediction) -> RunReport:
     # Each arc's counterparty watches one refund per distinct lock
     # timeout.  A lock's final timeout depends only on the counterparty,
     # and every party is one (the swap digraph is strongly connected).
-    watched = {v: len(set(spec.final_timeouts(v))) for v in digraph.vertices}
+    watches = {v: len(set(spec.final_timeouts(v))) for v in digraph.vertices}
     settled_time = max(map(max, map(spec.final_timeouts, digraph.vertices))) + action
     arc_count = digraph.arc_count()
 
@@ -400,7 +400,7 @@ def _synthesize(scenario: Scenario, prediction: Prediction) -> RunReport:
         + 2 * arc_count * (nlock + 3)     # observation deliveries
         + arc_count * nlock               # unlock wakes
         + arc_count                       # claim wakes
-        + sum(watched[v] for _, v in digraph.arcs)  # refund watches
+        + sum(watches[v] for _, v in digraph.arcs)  # refund watches
     )
 
     return RunReport(

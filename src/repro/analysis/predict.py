@@ -246,8 +246,8 @@ def _replay(
             late.setdefault((v, i), (now, expires))
         schedule[arc].append((i, path, now))
         w = arc[0]
-        # The head ignores an unlock it already knows the secret of, or
-        # whose path it is on; neither changes before the delivery.
+        # The head ignores an unlock whose secret it already knows or
+        # whose path it is on; both stay true until the delivery.
         if i not in known[w] and w not in path:
             at(now + latency[arc], observe_unlock, w, i, path)
 

@@ -64,9 +64,6 @@ class SwapSpec:
     """When True, contracts accept the §4.5 broadcast short-circuit paths
     (a logical arc from every follower directly to each leader)."""
 
-    _longest_cache: dict[tuple[Vertex, Vertex], int] = field(
-        default_factory=dict, repr=False, compare=False
-    )
     _shared_view_size: int | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -142,13 +139,9 @@ class SwapSpec:
         return self.start_time + (self.diam + path_length + self.timeout_slack) * self.delta
 
     def longest_path_to(self, source: Vertex, leader: Vertex) -> int:
-        """Cached ``D(source, leader)`` (longest simple path length)."""
-        key = (source, leader)
-        if key not in self._longest_cache:
-            self._longest_cache[key] = longest_path_length(
-                self.digraph, source, leader
-            )
-        return self._longest_cache[key]
+        """``D(source, leader)`` (longest simple path length), from the
+        topology's memoised table."""
+        return longest_path_length(self.digraph, source, leader)
 
     def lock_final_timeout(self, arc: Arc, lock_index: int) -> int:
         """When hashlock ``lock_index`` has timed out *on this arc*.

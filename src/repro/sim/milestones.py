@@ -122,7 +122,8 @@ class Milestone(NamedTuple):
     def __ne__(self, other: object) -> bool:
         return not self == other
 
-    __hash__ = tuple.__hash__
+    def __hash__(self) -> int:
+        return tuple.__hash__(self)
 
 
 #: trace kinds that settle an escrowed arc (Phase Two resolution).

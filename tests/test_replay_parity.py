@@ -10,7 +10,9 @@ deliveries land on the same tick (zero included, so events join the
 bucket being fired), and expiries near the cascade's length so that
 some sends are late, the two must return the same publish times, Phase
 Two starts, unlock schedules (lock, path and landing tick, in landing
-order) and late sends (in the order they were found).
+order) and late sends (in the order they were found); and ``predict``
+must give the same prediction and late-send warnings with either
+replay on scenarios whose ``chain_delays`` tie deliveries.
 """
 
 from random import Random
@@ -18,7 +20,9 @@ from random import Random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import predict
 from repro.analysis.predict import _replay
+from repro.api.scenario import Scenario
 from repro.digraph.feedback import feedback_vertex_set
 from repro.digraph.generators import complete_digraph, random_strongly_connected
 from replay_reference import reference_replay
@@ -70,8 +74,48 @@ def test_bucket_replay_equals_heap_replay(case):
     assert _ordered(_replay(*case)) == _ordered(reference_replay(*case))
 
 
+DELTA = 1000
+
+
+@st.composite
+def tied_scenarios(draw):
+    """Scenarios whose chain delays are a few multiples of the action
+    delay, so that relayed secrets reach parties on the same tick."""
+    n = draw(st.integers(min_value=3, max_value=6))
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    digraph = random_strongly_connected(n, draw(st.sampled_from([0.2, 0.5])), Random(seed))
+    labels = [f"{u}->{v}" for u, v in digraph.arcs]
+    delays = draw(st.dictionaries(st.sampled_from(labels), st.sampled_from([0, 250, 500])))
+    return Scenario(
+        digraph, seed=1, delta=DELTA, reaction_fraction=0.25, action_fraction=0.25,
+        chain_delays=delays,
+    )
+
+
+def _prediction_view(result):
+    prediction, diagnostics = result
+    return (
+        prediction.to_dict(),
+        list(prediction.unlock_schedule.items()),
+        [diagnostic.message for diagnostic in diagnostics],
+    )
+
+
+@PARITY
+@given(tied_scenarios())
+def test_predict_is_unchanged_by_the_bucket_replay(scenario):
+    shipped = _prediction_view(predict.predict(scenario))
+    original = predict._replay
+    predict._replay = reference_replay
+    try:
+        reference = _prediction_view(predict.predict(scenario))
+    finally:
+        predict._replay = original
+    assert shipped == reference
+
+
 def test_same_tick_ties_are_exercised():
-    """A zero-latency cascade with two leaders on a 4-clique: every
+    """A zero-latency cascade with three leaders on a 4-clique: every
     delivery lands on the tick it was sent, so the order inside a
     bucket decides which path each party learns first."""
     digraph = complete_digraph(4)
