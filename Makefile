@@ -21,7 +21,8 @@ PARITY_TESTS = tests/test_analysis_parity.py tests/test_analysis_protocol.py \
 	tests/test_golden_corpus.py tests/test_store_entry_parity.py \
 	tests/test_equilibrium_attacks.py tests/test_record_sizes.py \
 	tests/test_engine_refusals.py tests/test_scenario_rules.py \
-	tests/test_entry_encoding.py tests/test_escrow_contracts.py
+	tests/test_entry_encoding.py tests/test_escrow_contracts.py \
+	tests/test_replay_parity.py tests/test_milestone_record.py
 
 parity:          ## the byte-parity suites: analyzer vs simulator, golden corpus, stored entries
 	$(PY) -m pytest $(PARITY_TESTS) -q

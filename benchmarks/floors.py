@@ -186,6 +186,26 @@ def e38(results: Path) -> None:
     print(f"E38 floors ok: {agg['speedup']}")
 
 
+def e39(results: Path) -> None:
+    """First sight, layer by layer: over the four perfbench analytic
+    shapes, predict's bucket replay >= 1.1x the heap replay and the
+    synthesis >= 1.2x the one building every milestone twice (medians
+    of per-round ratios, outputs asserted equal first); µs per shape
+    for predict, synthesis and the first stored entry recorded."""
+    agg = _load(results, "E39")["aggregates"]
+    shapes = agg["shapes"]
+    assert len(shapes) == 4, shapes
+    for name, shape in shapes.items():
+        for layer in ("predict_us", "synthesize_us", "first_entry_us"):
+            assert shape[layer] > 0, (name, shape)
+    assert agg["predict_median_speedup"] >= 1.1, agg
+    assert agg["synthesize_median_speedup"] >= 1.2, agg
+    print(
+        f"E39 floors ok: predict {agg['predict_median_speedup']}x, "
+        f"synthesize {agg['synthesize_median_speedup']}x"
+    )
+
+
 #: Experiment id -> its floor check, in experiment order.
 FLOORS: dict[str, Callable[[Path], None]] = {
     "E28": e28,
@@ -198,6 +218,7 @@ FLOORS: dict[str, Callable[[Path], None]] = {
     "E36": e36,
     "E37": e37,
     "E38": e38,
+    "E39": e39,
 }
 
 
