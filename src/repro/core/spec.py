@@ -152,7 +152,7 @@ class SwapSpec:
         leader, so the final timeout is
         ``start + (diam + D(counterparty, leader_i) + slack)·Δ``.
         """
-        self.leader_of_lock(lock_index)
+        self.leader_of_lock(lock_index)  # refuses an index with no hashlock
         return self.final_timeouts(arc[1])[lock_index]
 
     def final_timeouts(self, counterparty: Vertex) -> tuple[int, ...]:
