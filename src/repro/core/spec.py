@@ -26,7 +26,6 @@ from repro.digraph.paths import (
     diameter,
     is_strongly_connected,
     longest_path_length,
-    longest_path_lengths,
 )
 from repro.errors import ClearingError, NotStronglyConnectedError
 from repro.sim.harness import derive_secret
@@ -158,26 +157,27 @@ class SwapSpec:
     def final_timeouts(self, counterparty: Vertex) -> tuple[int, ...]:
         """Every lock's :meth:`lock_final_timeout` on the arcs entering
         ``counterparty``, in lock order.  A lock's final timeout depends
-        on the arc only through its counterparty, so one
-        ``D(counterparty, ·)`` row answers them all; memoised per spec
-        (the contracts' refund checks and the parties' refund watches
-        read it)."""
+        on the arc only through its counterparty, so they are computed
+        once per counterparty and memoised per spec (the contracts'
+        refund checks and the parties' refund watches read it)."""
         timeouts = self._final_timeouts.get(counterparty)
         if timeouts is None:
-            lengths = longest_path_lengths(self.digraph, counterparty, self.leaders)
-            if self.broadcast_unlock_enabled:
-                # The logical follower→leader arc adds a path of length
-                # 1, which is never the longest unless the graph is
-                # tiny; max for safety.
-                lengths = tuple(
-                    length if leader == counterparty else max(length, 1)
-                    for leader, length in zip(self.leaders, lengths)
-                )
             base = self.diam + self.timeout_slack
             timeouts = self._final_timeouts[counterparty] = tuple(
-                self.start_time + (base + length) * self.delta for length in lengths
+                self.start_time
+                + (base + self._final_path_length(counterparty, leader)) * self.delta
+                for leader in self.leaders
             )
         return timeouts
+
+    def _final_path_length(self, counterparty: Vertex, leader: Vertex) -> int:
+        """``D(counterparty, leader)``, at least 1 through a broadcast arc."""
+        longest = self.longest_path_to(counterparty, leader)
+        if self.broadcast_unlock_enabled and counterparty != leader:
+            # The logical follower→leader arc adds a path of length 1, which
+            # is never the longest unless the graph is tiny; max for safety.
+            longest = max(longest, 1)
+        return longest
 
     def latest_timeout(self, arc: Arc) -> int:
         """The latest final timeout across all hashlocks on ``arc``."""

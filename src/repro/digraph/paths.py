@@ -297,35 +297,6 @@ def longest_path_length(
     return _longest_exact(digraph, source, target)
 
 
-def longest_path_lengths(
-    digraph: Digraph,
-    source: Vertex,
-    targets: Iterable[Vertex],
-    exact_limit: int = EXACT_LONGEST_PATH_LIMIT,
-) -> tuple[int, ...]:
-    """:func:`longest_path_length` from ``source`` to each of ``targets``,
-    read from one ``D(source, ·)`` row of the memoised table (the same
-    answers and errors, one table lookup for the row)."""
-    vertices = digraph.vertices
-    if len(vertices) > exact_limit or not digraph.has_vertex(source):
-        return tuple(
-            longest_path_length(digraph, source, target, exact_limit)
-            for target in targets
-        )
-    row = vertices.index(source)
-    offset = row * len(vertices)
-    table = _longest_table(digraph, (row,))
-    lengths = []
-    for target in targets:
-        if not digraph.has_vertex(target):
-            raise DigraphError("unknown vertex")
-        length = table[offset + vertices.index(target)]
-        if length == _UNREACHABLE:
-            raise DigraphError(f"{target!r} is not reachable from {source!r}")
-        lengths.append(length)
-    return tuple(lengths)
-
-
 def _longest_exact(digraph: Digraph, source: Vertex, target: Vertex) -> int:
     """Exact ``D(source, target)`` for ``source != target``, from the
     memoised table; unreachability is read from the same row."""

@@ -129,27 +129,6 @@ class TestLongestPath:
         assert exact == 3
         assert bounded == 5  # |V| - 1
 
-    @pytest.mark.parametrize("exact_limit", [12, 3])
-    def test_row_read_equals_pairwise(self, exact_limit):
-        for d in (triangle(), complete_digraph(5), cycle_digraph(6), chain_digraph(4)):
-            for source in d.vertices:
-                for target in d.vertices:
-                    try:
-                        expected = paths.longest_path_length(d, source, target, exact_limit)
-                    except DigraphError as error:
-                        with pytest.raises(DigraphError, match=str(error)):
-                            paths.longest_path_lengths(d, source, (target,), exact_limit)
-                        continue
-                    assert paths.longest_path_lengths(
-                        d, source, (target, target), exact_limit
-                    ) == (expected, expected)
-
-    def test_row_read_refuses_unknown_vertices(self):
-        d = triangle()
-        for source, target in (("Zoe", "Alice"), ("Alice", "Zoe")):
-            with pytest.raises(DigraphError, match="unknown vertex"):
-                paths.longest_path_lengths(d, source, (target,))
-
     def test_longest_path_concrete(self):
         d = complete_digraph(["A", "B", "C"])
         path = paths.longest_path(d, "A", "B")
