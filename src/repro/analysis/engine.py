@@ -431,9 +431,13 @@ def _number_milestones(
     start: int, rows: list[MilestoneRow], completion: int, settled: int
 ) -> tuple[Milestone, ...]:
     """The synthesized run's milestones, each built once and numbered as
-    built: ``phase1-start``, then ``rows`` sorted (by time; at a tick
-    escrows before releases, each in arc order, as the simulator's
-    tracker sees them), then ``phase2-complete`` and ``settled``."""
+    built: ``phase1-start``, then ``rows`` sorted, then
+    ``phase2-complete`` and ``settled``.  The row order is the
+    synthesis's own: by time, then escrows before releases, each by arc.
+    Within a tick it is not the simulator's tracker order (the tracker
+    follows the scheduler's firing order), so a tick's milestones may
+    carry other indices than a simulated run's; the tick multisets
+    agree (``tests/test_milestone_record.py``)."""
     rows.sort()
     milestones = [Milestone(0, start, PHASE1_START)]
     milestones += [

@@ -44,7 +44,13 @@ A :class:`Milestone` is an immutable record kept as a slotted tuple
 fast path's shape memo keeps up to 256 runs' worth): assignment raises
 :class:`dataclasses.FrozenInstanceError`, it equals only another
 ``Milestone`` with the same fields, it hashes as its fields, and
-:meth:`Milestone.to_dict` is the wire form.
+:meth:`Milestone.to_dict` is the wire form.  Against another type
+``==`` answers ``False`` rather than ``NotImplemented``: a tuple
+subclass that deferred would let a plain tuple's ``__eq__`` call it
+equal.  Unlike a frozen dataclass it is a tuple underneath, so it
+orders (``<`` compares fields in order), indexes, unpacks, has a
+``len`` of 5 and a ``_replace``; nothing in the package relies on
+those.
 """
 
 from __future__ import annotations

@@ -75,6 +75,24 @@ def test_equality_and_hash_follow_the_field_values(fields):
     assert milestone != plain and plain != milestone and not milestone == plain
     assert milestone != old
     assert {milestone: 1}[Milestone(**fields)] == 1
+    assert milestone.__eq__(plain) is False  # not NotImplemented
+
+
+def test_tuple_behaviour_beyond_the_dataclass():
+    """What the tuple record adds over the frozen dataclass (the module
+    notes list it): field-order comparison, indexing, unpacking, len and
+    ``_replace``."""
+    early = Milestone(**FIELDS[1])
+    late = Milestone(**FIELDS[2])
+    assert early < late and sorted([late, early]) == [early, late]
+    assert len(early) == 5 and early[1] == early.time
+    index, time, kind, party, arc = early
+    assert (index, time, kind, party, arc) == (3, 1250, CONTRACT_ESCROWED, "Alice",
+                                               ("Alice", "Bob"))
+    moved = early._replace(time=1300)
+    assert type(moved) is Milestone and moved.time == 1300 and early.time == 1250
+    with pytest.raises(TypeError):
+        DataclassMilestone(**FIELDS[1]) < DataclassMilestone(**FIELDS[2])
 
 
 @pytest.mark.parametrize("fields", FIELDS)
