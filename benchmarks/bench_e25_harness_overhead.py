@@ -11,14 +11,23 @@ to carry — and times it against today's harness-backed
 
 Both paths execute identical simulations (same keys, same events, same
 results), so any wall-time difference is pure harness overhead.  The
-assertion allows 5% on the summed min-of-rounds times (min is the
-stable estimator for "how fast can this go"; means absorb scheduler
-noise).  Each round runs the seed path and then the harness path, so
-drift across the rounds lands on both sides.
+assertion allows 5% on the median over :data:`ROUNDS` rounds of the
+harness/seed ratio of one round's whole-grid times (E37's paired
+estimator): each round runs both paths, in alternating order, so the
+machine's drift between rounds cancels in each round's ratio.  The
+summed best-of-rounds ratio the budget used to read, which compares
+best times taken at different moments, is recorded beside it.
+
+Profiled (cProfile, 300 passes over the grid), the harness path's
+extra time is split between per-record dispatch (the harness's
+``on_record`` adds a chain-lag lookup and a ``partial`` per watcher)
+and assembly (the timing model's per-party profiles, the party-builder
+and collection layers), each a few per cent of a 1-5 ms run.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 from _tables import emit_bench_json, emit_table
@@ -40,7 +49,7 @@ from repro.sim.scheduler import Scheduler
 from repro.sim.trace import Trace
 
 CYCLE_GRID = (3, 4, 6, 8)
-ROUNDS = 9
+ROUNDS = 21
 OVERHEAD_BUDGET = 1.05
 
 
@@ -138,62 +147,87 @@ def _harness_run(digraph: Digraph, scenario: Scenario):
     return SwapSimulation(scenario).run()
 
 
-def _min_times(digraph: Digraph, scenario: Scenario) -> dict:
-    """Min-of-rounds wall time and last result for each path.
+def _paired_rounds(cases: list[tuple[Digraph, Scenario]]) -> tuple[dict, dict]:
+    """Per-round wall times of each path over the whole grid, and each
+    path's last results.
 
-    Every round times the seed path and then the harness path, so
-    cache, frequency and allocator drift over the rounds hits both
-    alike instead of landing on whichever path ran second.
+    Every round runs the grid on both paths, the order alternating
+    round by round, so drift within the rounds lands on both sides.
+    ``times[fn]`` holds one list per grid size (seconds per round).
     """
-    best = {fn: float("inf") for fn in (_seed_style_run, _harness_run)}
-    results = {}
-    for _ in range(ROUNDS):
-        for fn in best:
-            start = time.perf_counter()
-            results[fn] = fn(digraph, scenario)
-            best[fn] = min(best[fn], time.perf_counter() - start)
-    return {fn: (best[fn], results[fn]) for fn in best}
+    paths = (_seed_style_run, _harness_run)
+    times = {fn: [[] for _ in cases] for fn in paths}
+    results = {fn: [None] * len(cases) for fn in paths}
+    for index in range(ROUNDS):
+        for fn in paths if index % 2 == 0 else paths[::-1]:
+            for position, (digraph, scenario) in enumerate(cases):
+                start = time.perf_counter()
+                results[fn][position] = fn(digraph, scenario)
+                times[fn][position].append(time.perf_counter() - start)
+    return times, results
+
+
+def paired_median(over: list[float], under: list[float]) -> float:
+    """The median over rounds of ``over / under`` within a round (E37's
+    estimator): the machine's drift between rounds cancels in each
+    round's ratio."""
+    return statistics.median(a / b for a, b in zip(over, under))
 
 
 def test_harness_overhead_within_budget():
+    cases = [(cycle_digraph(n), Scenario(cycle_digraph(n))) for n in CYCLE_GRID]
+    times, results = _paired_rounds(cases)
+    seed_times, harness_times = times[_seed_style_run], times[_harness_run]
     rows = []
     per_n = {}
-    seed_total = harness_total = 0.0
-    for n in CYCLE_GRID:
-        digraph = cycle_digraph(n)
-        timed = _min_times(digraph, Scenario(digraph))
-        seed_t, seed_result = timed[_seed_style_run]
-        harness_t, harness_result = timed[_harness_run]
+    for position, n in enumerate(CYCLE_GRID):
+        seed_result = results[_seed_style_run][position]
+        harness_result = results[_harness_run][position]
         # Identical simulations first — otherwise the timing is vacuous.
         assert harness_result.all_deal() and seed_result.all_deal()
         assert harness_result.events_fired == seed_result.events_fired
         assert harness_result.triggered == seed_result.triggered
         assert harness_result.stored_bytes == seed_result.stored_bytes
-        seed_total += seed_t
-        harness_total += harness_t
-        per_n[n] = {"seed_ms": seed_t * 1000, "harness_ms": harness_t * 1000}
+        seed_t, harness_t = min(seed_times[position]), min(harness_times[position])
+        paired = paired_median(harness_times[position], seed_times[position])
+        per_n[n] = {
+            "seed_ms": seed_t * 1000,
+            "harness_ms": harness_t * 1000,
+            "paired_ratio": paired,
+        }
         rows.append(
             [
                 n,
                 f"{seed_t * 1000:.2f}",
                 f"{harness_t * 1000:.2f}",
                 f"{(harness_t / seed_t - 1) * 100:+.1f}%",
+                f"{(paired - 1) * 100:+.1f}%",
             ]
         )
 
-    ratio = harness_total / seed_total
-    rows.append(["total", f"{seed_total * 1000:.2f}",
-                 f"{harness_total * 1000:.2f}", f"{(ratio - 1) * 100:+.1f}%"])
+    seed_rounds = [sum(column) for column in zip(*seed_times)]
+    harness_rounds = [sum(column) for column in zip(*harness_times)]
+    seed_total = sum(min(column) for column in seed_times)
+    harness_total = sum(min(column) for column in harness_times)
+    best_of_ratio = harness_total / seed_total
+    ratio = paired_median(harness_rounds, seed_rounds)
+    rows.append(["total", f"{seed_total * 1000:.2f}", f"{harness_total * 1000:.2f}",
+                 f"{(best_of_ratio - 1) * 100:+.1f}%", f"{(ratio - 1) * 100:+.1f}%"])
     emit_table(
         "E25",
         "Harness overhead: seed-style inline assembly vs SimulationHarness "
-        f"(E01 cycle grid, min of {ROUNDS} alternating rounds)",
-        ["cycle n", "seed ms", "harness ms", "overhead"],
+        f"(E01 cycle grid, {ROUNDS} alternating rounds)",
+        ["cycle n", "seed ms (best)", "harness ms (best)", "best-of overhead",
+         "paired overhead"],
         rows,
         notes=(
             "Both columns run byte-identical simulations; the delta is the "
-            "price of the shared harness + timing-model indirection.  The "
-            f"budget is {OVERHEAD_BUDGET:.0%} of seed time."
+            "price of the shared harness + timing-model indirection.  "
+            "Paired: the median over rounds of the harness/seed ratio within "
+            "a round (the total row: of the whole grid's round times), which "
+            "the budget reads.  Best-of: the ratio of best round times (the "
+            "total row: summed), recorded beside it.  The budget is "
+            f"{OVERHEAD_BUDGET:.0%} of seed time."
         ),
     )
 
@@ -208,6 +242,8 @@ def test_harness_overhead_within_budget():
         reports,
         aggregates={
             "overhead_ratio": ratio,
+            "estimator": "median of per-round paired ratios over the grid",
+            "best_of_ratio": best_of_ratio,
             "budget": OVERHEAD_BUDGET,
             "rounds": ROUNDS,
             "per_n": per_n,
@@ -215,5 +251,6 @@ def test_harness_overhead_within_budget():
     )
     assert ratio <= OVERHEAD_BUDGET, (
         f"harness path is {(ratio - 1) * 100:.1f}% slower than seed-style "
-        f"assembly (budget {(OVERHEAD_BUDGET - 1) * 100:.0f}%)"
+        f"assembly (median of per-round ratios; budget "
+        f"{(OVERHEAD_BUDGET - 1) * 100:.0f}%)"
     )

@@ -100,6 +100,8 @@ def _reference(digraph: Digraph):
 
 
 def _new(digraph: Digraph):
+    """The shipped invariants on a cold memo: call with a digraph object
+    that has not probed it (an object keeps the entry it probed)."""
     paths._MEMO.clear()
     diam = paths.diameter(digraph)
     fvs = feedback_vertex_set(digraph)
@@ -117,10 +119,16 @@ def _cold_pair(digraph: Digraph) -> tuple[float, float]:
         start = time.perf_counter()
         _reference(digraph)
         reference_s = min(reference_s, time.perf_counter() - start)
+        cold = _unprobed(digraph)
         start = time.perf_counter()
-        _new(digraph)
+        _new(cold)
         new_s = min(new_s, time.perf_counter() - start)
     return reference_s, new_s
+
+
+def _unprobed(digraph: Digraph) -> Digraph:
+    """A digraph object of the same declaration that has not probed the memo."""
+    return Digraph(list(digraph.vertices), list(digraph.arcs))
 
 
 def _topologies() -> list[tuple[str, Digraph]]:
@@ -188,7 +196,7 @@ def test_first_sight_meets_its_floors():
     families = {}
     rows = []
     for name, digraph in _topologies():
-        assert _new(digraph) == _reference(digraph), name
+        assert _new(_unprobed(digraph)) == _reference(digraph), name
         reference_s, new_s = _cold_pair(digraph)
         n = len(digraph.vertices)
         floor = (

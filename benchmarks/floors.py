@@ -206,6 +206,26 @@ def e39(results: Path) -> None:
     )
 
 
+def e40(results: Path) -> None:
+    """A new scenario's first touch: over the four perfbench analytic
+    shapes, a fresh scenario's spliced canonical text >= 1.5x
+    ``canonical_json(canonical_dict())`` and a fresh digraph object's
+    topology lookups >= 4x the per-object path (medians of per-round
+    ratios, outputs asserted equal first); µs per object recorded."""
+    agg = _load(results, "E40")["aggregates"]
+    shapes = agg["shapes"]
+    assert len(shapes) == 4, shapes
+    for name, shape in shapes.items():
+        for layer in ("canonical_us", "topology_us"):
+            assert shape[layer] > 0, (name, shape)
+    assert agg["canonical_median_speedup"] >= 1.5, agg
+    assert agg["topology_median_speedup"] >= 4.0, agg
+    print(
+        f"E40 floors ok: canonical text {agg['canonical_median_speedup']}x, "
+        f"topology lookups {agg['topology_median_speedup']}x"
+    )
+
+
 #: Experiment id -> its floor check, in experiment order.
 FLOORS: dict[str, Callable[[Path], None]] = {
     "E28": e28,
@@ -219,6 +239,7 @@ FLOORS: dict[str, Callable[[Path], None]] = {
     "E37": e37,
     "E38": e38,
     "E39": e39,
+    "E40": e40,
 }
 
 

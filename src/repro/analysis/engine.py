@@ -76,10 +76,15 @@ and the hashkey path it carries) is
 :attr:`~repro.analysis.predict.Prediction.unlock_schedule`: ``predict``
 derives every time, and deadline feasibility, from one FIFO replay of
 the conforming cascade that mirrors the simulator's same-tick ordering
-rule, and synthesis only reads what that replay recorded.  Each escrow
-and each unlock landing becomes one milestone row; the rows are sorted
-once and every :class:`~repro.sim.milestones.Milestone` is built once,
-already numbered (:func:`_number_milestones`).
+rule, and synthesis only reads what that replay recorded.  The replay
+also records one milestone row per escrow it publishes and per unlock
+it sends, in firing order
+(:attr:`~repro.analysis.predict.Prediction.milestone_rows`), which is
+the order the simulator's milestone tracker reads them off its trace;
+synthesis numbers the rows as they stand, building every
+:class:`~repro.sim.milestones.Milestone` once (:func:`_number_milestones`),
+so a synthesized run's milestones are the simulated run's, same-tick
+order and indices included.
 
 Parity is CI-gated: ``tests/test_analysis_engine.py`` sweeps every
 registered family and every conforming variant, asserting byte
@@ -99,7 +104,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.analysis.outcomes import Outcome
-from repro.analysis.predict import Prediction
+from repro.analysis.predict import MilestoneRow, Prediction
 from repro.analysis.protocol import (
     COVERAGE_FULL,
     ScenarioAnalysis,
@@ -123,17 +128,9 @@ from repro.core.hashkey import unlock_args_size
 from repro.core.spec import SwapSpec, leader_secret
 from repro.crypto.hashing import hash_secret
 from repro.crypto.signatures import get_scheme
-from repro.digraph.digraph import Arc, Vertex
 from repro.errors import AnalysisError
 from repro.sim.clock import ticks
-from repro.sim.milestones import (
-    CONTRACT_ESCROWED,
-    PHASE1_START,
-    PHASE2_COMPLETE,
-    SECRET_RELEASED,
-    SETTLED,
-    Milestone,
-)
+from repro.sim.milestones import PHASE1_START, PHASE2_COMPLETE, SETTLED, Milestone
 
 #: ``RunReport.extra`` key recording which path produced the report.
 PATH_KEY = "path"
@@ -211,13 +208,20 @@ def analyze_for_fast_path(scenario: Scenario, engine: str) -> ScenarioAnalysis |
 #
 # What the memo cannot save is a shape's first sight, and a stream of
 # new work (perfbench's workloads draw a new start time every round) is
-# mostly first sights: one analysis, whose replay queues events in one
-# bucket per tick, one transcript synthesis, which sizes |A| real
-# contracts and builds each of its 1 + |A| + |A|·|L| + 2 milestones once
-# as a slotted tuple, and the first stored copy's split.  Bench E39
-# times those three layers.  Nothing is memoised on less than the shape
-# text: a key without the start time would answer a new shape from an
-# old one.
+# mostly first sights: one analysis (the rule table, read through one
+# ``ScenarioFacts``, and a replay that queues events in one bucket per
+# tick and records the milestone rows in firing order), one transcript
+# synthesis, which sizes |A| real contracts and numbers the replay's
+# 1 + |A| + |A|·|L| + 2 milestones without sorting, each built once as a
+# slotted tuple, and the first stored copy's split.  Bench E39 times
+# those three layers.  Nor can it save a new scenario's first touch,
+# paid by every scenario, memo hits included: its canonical text (the
+# memo key), spliced from its fields with the encoder called only for
+# non-empty containers, and its topology's facts and texts, found by one
+# probe of the topology memo per digraph object (bench E40).  Nothing
+# is memoised on less than the shape text: a key without the start time
+# would answer a new shape from an old one; the topology memo keeps
+# only facts of the topology itself.
 
 
 @dataclass
@@ -286,11 +290,6 @@ def shape_template(report: RunReport) -> ShapeTemplate | None:
 # ---------------------------------------------------------------------------
 
 
-#: One synthesized milestone before numbering: ``(time, rank, arc, kind,
-#: party)``, rank 0 for an escrow and 1 for a release.
-MilestoneRow = tuple[int, int, Arc, str, Vertex]
-
-
 def synthesize_report(scenario: Scenario, prediction: Prediction) -> RunReport:
     """Build the simulator's all-Deal ``RunReport`` in closed form.
 
@@ -352,11 +351,8 @@ def _synthesize(scenario: Scenario, prediction: Prediction) -> RunReport:
     names = EncodedSizes()
     name_size = names.__getitem__
     secret_size = len(secrets[0])
-    publish_times = prediction.publish_times
     unlock_schedule = prediction.unlock_schedule
     published_bytes = 0
-    # One row per escrow and per unlock landing (see MilestoneRow).
-    rows: list[MilestoneRow] = []
     for arc in digraph.arcs:
         u, v = arc
         contract_id = f"{chain_id_for_arc(arc)}/contract-0"
@@ -367,9 +363,8 @@ def _synthesize(scenario: Scenario, prediction: Prediction) -> RunReport:
             names, u, contract_id, contract, contract.storage_size_bytes(),
             state_size(names),
         )
-        rows.append((publish_times[u], 0, arc, CONTRACT_ESCROWED, u))
         unlocked = contract.unlocked
-        for lock, path, landed in unlock_schedule[arc]:
+        for lock, path, _ in unlock_schedule[arc]:
             unlocked[lock] = True
             hops = len(path)
             args_size = unlock_args_size(
@@ -378,7 +373,6 @@ def _synthesize(scenario: Scenario, prediction: Prediction) -> RunReport:
             published_bytes += call_size(
                 names, v, contract_id, "unlock", args_size, state_size(names)
             )
-            rows.append((landed, 1, arc, SECRET_RELEASED, v))
         contract.mark_released(True)
         published_bytes += call_size(
             names, v, contract_id, "claim", contract.args_size("claim", {}, names),
@@ -422,7 +416,8 @@ def _synthesize(scenario: Scenario, prediction: Prediction) -> RunReport:
         wall_seconds=0.0,
         extra={},
         milestones=_number_milestones(
-            prediction.start_time, rows, prediction.completion_time, settled_time
+            prediction.start_time, prediction.milestone_rows,
+            prediction.completion_time, settled_time,
         ),
     )
 
@@ -431,18 +426,14 @@ def _number_milestones(
     start: int, rows: list[MilestoneRow], completion: int, settled: int
 ) -> tuple[Milestone, ...]:
     """The synthesized run's milestones, each built once and numbered as
-    built: ``phase1-start``, then ``rows`` sorted, then
-    ``phase2-complete`` and ``settled``.  The row order is the
-    synthesis's own: by time, then escrows before releases, each by arc.
-    Within a tick it is not the simulator's tracker order (the tracker
-    follows the scheduler's firing order), so a tick's milestones may
-    carry other indices than a simulated run's; the tick multisets
-    agree (``tests/test_milestone_record.py``)."""
-    rows.sort()
+    built: ``phase1-start``, then the replay's escrow and unlock
+    ``rows`` as they stand (its firing order, the simulator's tracker
+    order), then ``phase2-complete`` and ``settled`` — the simulated
+    run's sequence, indices included (``tests/test_milestone_record.py``)."""
     milestones = [Milestone(0, start, PHASE1_START)]
     milestones += [
         Milestone(index, when, kind, party, arc)
-        for index, (when, _, arc, kind, party) in enumerate(rows, 1)
+        for index, (when, kind, party, arc) in enumerate(rows, 1)
     ]
     last = len(milestones)
     milestones.append(Milestone(last, completion, PHASE2_COMPLETE))

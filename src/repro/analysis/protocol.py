@@ -50,6 +50,7 @@ from typing import Any
 from repro.analysis.diagnostics import Diagnostic, has_errors
 from repro.analysis.predict import Prediction, predict
 from repro.analysis.structure import (
+    ScenarioFacts,
     check_scenario,
     construction_refusals,
     decode_scenario,
@@ -140,13 +141,15 @@ def _diagnose(scenario: Scenario, engine: str) -> list[Diagnostic]:
     """The table's warnings, then what ``engine`` refuses
     (:meth:`~repro.api.engine.Engine.refusals`: its declared refusals,
     then the table's errors) — so the first error is the one the engine
-    raises.  An unregistered engine name gets the whole table: its
-    lookup fails when the run is submitted."""
+    raises.  Both read one :class:`~repro.analysis.structure.ScenarioFacts`,
+    so each graph fact is asked for once.  An unregistered engine name
+    gets the whole table: its lookup fails when the run is submitted."""
     try:
         adapter = get_engine(engine)
     except UnknownEngineError:
         return list(check_scenario(scenario))
-    return [*rule_warnings(scenario, adapter.honours), *adapter.refusals(scenario)]
+    facts = ScenarioFacts(scenario, adapter.honours)
+    return [*rule_warnings(facts), *(d for d, _ in adapter.findings(facts))]
 
 
 def analyze_scenario(scenario: Scenario, engine: str = "herlihy") -> ScenarioAnalysis:

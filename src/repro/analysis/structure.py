@@ -125,12 +125,15 @@ def _type_problems(values: Mapping[str, Any]) -> Iterator[tuple[str, str]]:
 # ---------------------------------------------------------------------------
 
 
-class _Facts:
+class ScenarioFacts:
     """What the rules read of one scenario, each graph fact computed at
     most once.  ``honours`` is the evaluating engine's declaration
-    (``None``: the engine-free view of :func:`check_scenario`)."""
+    (``None``: the engine-free view of :func:`check_scenario`).  One
+    analysis builds one and hands it to every reader
+    (:func:`type_refusals`, :func:`rule_refusals`, :func:`rule_warnings`,
+    :meth:`~repro.api.engine.Engine.findings`)."""
 
-    def __init__(self, scenario: Any, honours: frozenset[str] | None = None) -> None:
+    def __init__(self, scenario: Any, honours: frozenset[str] | None) -> None:
         self.scenario = scenario
         self.honours = honours
         topology = scenario.topology
@@ -162,7 +165,7 @@ class Rule:
     code: str
     severity: str
     binds: frozenset[str]
-    find: Callable[[_Facts], Iterable[Finding]]
+    find: Callable[[ScenarioFacts], Iterable[Finding]]
 
 
 #: The scenario rules, in the order an engine meets them.
@@ -178,8 +181,8 @@ TYPE_RULES: list[Rule] = []
 
 def _rule(
     code: str, severity: str = ERROR, binds: Iterable[str] = (), table: list[Rule] = RULES
-) -> Callable[[Callable[[_Facts], Iterable[Finding]]], Any]:
-    def register(find: Callable[[_Facts], Iterable[Finding]]) -> Any:
+) -> Callable[[Callable[[ScenarioFacts], Iterable[Finding]]], Any]:
+    def register(find: Callable[[ScenarioFacts], Iterable[Finding]]) -> Any:
         table.append(Rule(code, severity, frozenset(binds), find))
         return find
 
@@ -196,7 +199,7 @@ def _binding(honours: frozenset[str], severity: str) -> tuple[Rule, ...]:
     )
 
 
-def _findings(rules: Iterable[Rule], facts: _Facts) -> Iterator[tuple[Diagnostic, Any]]:
+def _findings(rules: Iterable[Rule], facts: ScenarioFacts) -> Iterator[tuple[Diagnostic, Any]]:
     for rule in rules:
         for path, found in rule.find(facts):
             yield Diagnostic(rule.code, path, rule.severity, str(found)), found
@@ -206,7 +209,7 @@ def _findings(rules: Iterable[Rule], facts: _Facts) -> Iterator[tuple[Diagnostic
 
 
 @_rule("chain-delays/not-a-dict", table=CONSTRUCTION_RULES)
-def _delays_are_a_mapping(f: _Facts) -> Iterator[Finding]:
+def _delays_are_a_mapping(f: ScenarioFacts) -> Iterator[Finding]:
     delays = f.scenario.chain_delays
     if not isinstance(delays, Mapping):
         yield "/chain_delays", ScenarioError(
@@ -220,7 +223,7 @@ def _is_label(key: Any) -> bool:
 
 
 @_rule("chain-delays/bad-label", table=CONSTRUCTION_RULES)
-def _delay_labels(f: _Facts) -> Iterator[Finding]:
+def _delay_labels(f: ScenarioFacts) -> Iterator[Finding]:
     for key in f.delays:
         if not _is_label(key):
             yield f"/chain_delays/{key}", ScenarioError(
@@ -230,7 +233,7 @@ def _delay_labels(f: _Facts) -> Iterator[Finding]:
 
 
 @_rule("chain-delays/unknown-arc", table=CONSTRUCTION_RULES)
-def _delay_arcs(f: _Facts) -> Iterator[Finding]:
+def _delay_arcs(f: ScenarioFacts) -> Iterator[Finding]:
     for key in f.delays:
         if _is_label(key) and key != "broadcast":
             head, _, tail = key.partition("->")
@@ -242,7 +245,7 @@ def _delay_arcs(f: _Facts) -> Iterator[Finding]:
 
 
 @_rule("chain-delays/bad-delay", table=CONSTRUCTION_RULES)
-def _delay_values(f: _Facts) -> Iterator[Finding]:
+def _delay_values(f: ScenarioFacts) -> Iterator[Finding]:
     for key, delay in f.delays.items():
         if not _is_int(delay) or delay < 0:
             yield f"/chain_delays/{key}", ScenarioError(
@@ -252,7 +255,7 @@ def _delay_values(f: _Facts) -> Iterator[Finding]:
 
 
 @_rule("strategies/not-a-name", table=CONSTRUCTION_RULES)
-def _strategy_names_are_strings(f: _Facts) -> Iterator[Finding]:
+def _strategy_names_are_strings(f: ScenarioFacts) -> Iterator[Finding]:
     for party, name in f.scenario.strategies.items():
         if not isinstance(name, str):
             yield f"/strategies/{party}", ScenarioError(
@@ -264,7 +267,7 @@ def _strategy_names_are_strings(f: _Facts) -> Iterator[Finding]:
 
 
 @_rule("payload/bad-type", table=TYPE_RULES)
-def _field_types(f: _Facts) -> Iterator[Finding]:
+def _field_types(f: ScenarioFacts) -> Iterator[Finding]:
     """The payload decoder's type checks, for a scenario built in Python."""
     values = {key: getattr(f.scenario, key) for key in _FIELD_TYPES}
     for key, message in _type_problems(values):
@@ -275,7 +278,7 @@ def _field_types(f: _Facts) -> Iterator[Finding]:
 
 
 @_rule("strategies/unknown-name", binds={"strategies"})
-def _strategy_names(f: _Facts) -> Iterator[Finding]:
+def _strategy_names(f: ScenarioFacts) -> Iterator[Finding]:
     for party, name in f.scenario.strategies.items():
         try:
             resolve_strategy(name)
@@ -284,13 +287,13 @@ def _strategy_names(f: _Facts) -> Iterator[Finding]:
 
 
 @_rule("topology/no-arcs")
-def _has_arcs(f: _Facts) -> Iterator[Finding]:
+def _has_arcs(f: ScenarioFacts) -> Iterator[Finding]:
     if f.digraph.arc_count() == 0:
         yield "/topology/arcs", DigraphError("a swap digraph needs at least one arc")
 
 
 @_rule("digraph/not-strongly-connected")
-def _strongly_connected(f: _Facts) -> Iterator[Finding]:
+def _strongly_connected(f: ScenarioFacts) -> Iterator[Finding]:
     if f.digraph.arc_count() > 0 and not f.connected:
         one_leader = f.honours is not None and "one-leader" in f.honours
         yield "/topology", NotStronglyConnectedError(
@@ -298,12 +301,12 @@ def _strongly_connected(f: _Facts) -> Iterator[Finding]:
         )
 
 
-def _integer_ticks(name: str) -> Callable[[_Facts], Iterator[Finding]]:
+def _integer_ticks(name: str) -> Callable[[ScenarioFacts], Iterator[Finding]]:
     """The rule that field ``name`` holds an integer tick count (or
     ``None``, unset, where that is the field's default)."""
     unset_allowed = Scenario.__dataclass_fields__[name].default is None
 
-    def find(f: _Facts) -> Iterator[Finding]:
+    def find(f: ScenarioFacts) -> Iterator[Finding]:
         value = getattr(f.scenario, name)
         if not _is_int(value) and not (unset_allowed and value is None):
             yield f"/{name}", ScenarioError(
@@ -319,13 +322,13 @@ _rule("timing/bad-start")(_integer_ticks("start_time"))
 _rule("timing/bad-diam", binds={"diam_override"})(_integer_ticks("diam_override"))
 
 
-def _below(f: _Facts, name: str, lowest: int) -> bool:
+def _below(f: ScenarioFacts, name: str, lowest: int) -> bool:
     value = getattr(f.scenario, name)
     return _is_int(value) and value < lowest
 
 
 @_rule("timing/bad-delta")
-def _positive_delta(f: _Facts) -> Iterator[Finding]:
+def _positive_delta(f: ScenarioFacts) -> Iterator[Finding]:
     if _below(f, "delta", 1):
         yield "/delta", SimulationError("delta must be positive")
 
@@ -335,7 +338,7 @@ def _fraction_is_bad(value: Any) -> bool:
 
 
 @_rule("timing/bad-fraction")
-def _fractions(f: _Facts) -> Iterator[Finding]:
+def _fractions(f: ScenarioFacts) -> Iterator[Finding]:
     for name in ("reaction_fraction", "action_fraction"):
         value = getattr(f.scenario, name)
         if _fraction_is_bad(value):
@@ -345,21 +348,21 @@ def _fractions(f: _Facts) -> Iterator[Finding]:
 
 
 @_rule("strategies/unknown-party", binds={"strategies"})
-def _strategy_parties(f: _Facts) -> Iterator[Finding]:
+def _strategy_parties(f: ScenarioFacts) -> Iterator[Finding]:
     for party in f.scenario.strategies:
         if not f.digraph.has_vertex(party):
             yield f"/strategies/{party}", SimulationError(unknown_party("strategy", party))
 
 
 @_rule("faults/unknown-party", binds={"faults"})
-def _fault_parties(f: _Facts) -> Iterator[Finding]:
+def _fault_parties(f: ScenarioFacts) -> Iterator[Finding]:
     for party in f.scenario.faults.crashes:
         if not f.digraph.has_vertex(party):
             yield f"/faults/{party}", SimulationError(unknown_party("fault", party))
 
 
 @_rule("engine/unknown-scheme", binds={"scheme_name"})
-def _scheme_known(f: _Facts) -> Iterator[Finding]:
+def _scheme_known(f: ScenarioFacts) -> Iterator[Finding]:
     if isinstance(f.scenario.scheme_name, str):  # else a type finding
         try:
             get_scheme(f.scenario.scheme_name)
@@ -368,7 +371,7 @@ def _scheme_known(f: _Facts) -> Iterator[Finding]:
 
 
 @_rule("engine/one-time-scheme", binds={"scheme_name"})
-def _one_time_scheme(f: _Facts) -> Iterator[Finding]:
+def _one_time_scheme(f: ScenarioFacts) -> Iterator[Finding]:
     if (
         f.scenario.scheme_name == "lamport"
         and len(resolve_leaders(f.scenario, f.digraph)) > 1
@@ -385,7 +388,7 @@ _LEADER_SETS = {"leaders", "one-leader"}
 
 
 @_rule("leaders/duplicate", binds=_LEADER_SETS)
-def _distinct_leaders(f: _Facts) -> Iterator[Finding]:
+def _distinct_leaders(f: ScenarioFacts) -> Iterator[Finding]:
     seen: set[Any] = set()
     for i, leader in enumerate(f.leaders):
         if leader in seen:
@@ -395,20 +398,20 @@ def _distinct_leaders(f: _Facts) -> Iterator[Finding]:
 
 
 @_rule("leaders/empty", binds=_LEADER_SETS)
-def _some_leader(f: _Facts) -> Iterator[Finding]:
+def _some_leader(f: ScenarioFacts) -> Iterator[Finding]:
     if f.scenario.leaders is not None and not f.leaders:
         yield "/leaders", ClearingError("at least one leader is required")
 
 
 @_rule("leaders/unknown-vertex", binds=_LEADER_SETS)
-def _leaders_are_parties(f: _Facts) -> Iterator[Finding]:
+def _leaders_are_parties(f: ScenarioFacts) -> Iterator[Finding]:
     for i, leader in enumerate(f.leaders):
         if not f.digraph.has_vertex(leader):
             yield f"/leaders/{i}", ClearingError(f"leader {leader!r} is not a party")
 
 
 @_rule("leaders/not-feedback-vertex-set", binds=_LEADER_SETS)
-def _leaders_break_every_cycle(f: _Facts) -> Iterator[Finding]:
+def _leaders_break_every_cycle(f: ScenarioFacts) -> Iterator[Finding]:
     leaders = f.leaders
     if f.connected and leaders and all(f.digraph.has_vertex(v) for v in leaders):
         try:
@@ -418,19 +421,19 @@ def _leaders_break_every_cycle(f: _Facts) -> Iterator[Finding]:
 
 
 @_rule("timing/bad-start")
-def _start_not_negative(f: _Facts) -> Iterator[Finding]:
+def _start_not_negative(f: ScenarioFacts) -> Iterator[Finding]:
     if _below(f, "start_time", 0):
         yield "/start_time", ClearingError("start_time must be non-negative")
 
 
 @_rule("timing/bad-diam", binds={"diam_override"})
-def _diam_at_least_one(f: _Facts) -> Iterator[Finding]:
+def _diam_at_least_one(f: ScenarioFacts) -> Iterator[Finding]:
     if _below(f, "diam_override", 1):
         yield "/diam_override", ClearingError("diam must be at least 1")
 
 
 @_rule("timing/bad-slack", binds={"timeout_slack"})
-def _slack_not_negative(f: _Facts) -> Iterator[Finding]:
+def _slack_not_negative(f: ScenarioFacts) -> Iterator[Finding]:
     if _below(f, "timeout_slack", 0):
         yield "/timeout_slack", ClearingError("timeout_slack must be non-negative")
 
@@ -439,7 +442,7 @@ def _slack_not_negative(f: _Facts) -> Iterator[Finding]:
 
 
 @_rule("timing/nonconforming-fractions", WARNING)
-def _conforming_fractions(f: _Facts) -> Iterator[Finding]:
+def _conforming_fractions(f: ScenarioFacts) -> Iterator[Finding]:
     values = (f.scenario.reaction_fraction, f.scenario.action_fraction)
     if not any(map(_fraction_is_bad, values)) and sum(values) > 1.0:
         yield "/reaction_fraction", (
@@ -450,7 +453,7 @@ def _conforming_fractions(f: _Facts) -> Iterator[Finding]:
 
 
 @_rule("timing/diam-underestimate", WARNING, binds={"diam_override"})
-def _diam_covers_the_digraph(f: _Facts) -> Iterator[Finding]:
+def _diam_covers_the_digraph(f: ScenarioFacts) -> Iterator[Finding]:
     override, limit = f.scenario.diam_override, f.scenario.exact_limit
     if _is_int(override) and override >= 1 and _is_int(limit) and f.connected:
         true_diam = diameter(f.digraph, exact_limit=limit)
@@ -463,7 +466,7 @@ def _diam_covers_the_digraph(f: _Facts) -> Iterator[Finding]:
 
 
 @_rule("chain-delays/broadcast-unused", WARNING)
-def _broadcast_delay_applies(f: _Facts) -> Iterator[Finding]:
+def _broadcast_delay_applies(f: ScenarioFacts) -> Iterator[Finding]:
     if "broadcast" in f.delays and not f.scenario.use_broadcast:
         yield "/chain_delays/broadcast", (
             "a 'broadcast' chain delay is configured but use_broadcast is "
@@ -472,7 +475,7 @@ def _broadcast_delay_applies(f: _Facts) -> Iterator[Finding]:
 
 
 @_rule("chain-delays/ambiguous-label", WARNING)
-def _delay_names_one_arc(f: _Facts) -> Iterator[Finding]:
+def _delay_names_one_arc(f: ScenarioFacts) -> Iterator[Finding]:
     for key in f.delays if f.multi else ():
         if _is_label(key) and f.scenario.topology.multiplicity(*key.partition("->")[::2]) > 1:
             yield f"/chain_delays/{key}", (
@@ -483,7 +486,7 @@ def _delay_names_one_arc(f: _Facts) -> Iterator[Finding]:
 
 
 @_rule("topology/parallel-arcs", WARNING)
-def _no_parallel_arcs(f: _Facts) -> Iterator[Finding]:
+def _no_parallel_arcs(f: ScenarioFacts) -> Iterator[Finding]:
     if f.multi and f.scenario.topology.arc_count() > f.digraph.arc_count():
         yield "/topology/arcs", (
             "the multigraph has parallel arcs: only the 'multiswap' engine "
@@ -497,32 +500,34 @@ def _no_parallel_arcs(f: _Facts) -> Iterator[Finding]:
 def check_scenario(scenario: Scenario) -> tuple[Diagnostic, ...]:
     """Every finding of the whole table on a constructed scenario, in
     table order and in ``herlihy``'s words — the engine-free view."""
-    return tuple(d for d, _ in _findings([*TYPE_RULES, *RULES], _Facts(scenario)))
+    facts = ScenarioFacts(scenario, None)
+    return tuple(d for d, _ in _findings([*TYPE_RULES, *RULES], facts))
 
 
-def type_refusals(scenario: Scenario) -> Iterator[tuple[Diagnostic, ReproError]]:
-    """The field-type errors of ``scenario``, each with the
+def type_refusals(facts: ScenarioFacts) -> Iterator[tuple[Diagnostic, ReproError]]:
+    """The field-type errors of the scenario, each with the
     :class:`~repro.errors.ScenarioError` every engine raises for it."""
-    return _findings(TYPE_RULES, _Facts(scenario))
+    return _findings(TYPE_RULES, facts)
 
 
-def rule_refusals(
-    scenario: Scenario, honours: frozenset[str]
-) -> Iterator[tuple[Diagnostic, ReproError]]:
-    """The table's errors that bind an engine honouring ``honours``, each
-    with the exception that engine raises for it, lazily in table order."""
-    return _findings(_binding(honours, ERROR), _Facts(scenario, honours))
+def rule_refusals(facts: ScenarioFacts) -> Iterator[tuple[Diagnostic, ReproError]]:
+    """The table's errors that bind an engine honouring ``facts.honours``,
+    each with the exception that engine raises for it, lazily in table
+    order."""
+    assert facts.honours is not None
+    return _findings(_binding(facts.honours, ERROR), facts)
 
 
-def rule_warnings(scenario: Scenario, honours: frozenset[str]) -> list[Diagnostic]:
-    """The table's warnings that bind an engine honouring ``honours``."""
-    return [d for d, _ in _findings(_binding(honours, WARNING), _Facts(scenario, honours))]
+def rule_warnings(facts: ScenarioFacts) -> list[Diagnostic]:
+    """The table's warnings that bind an engine honouring ``facts.honours``."""
+    assert facts.honours is not None
+    return [d for d, _ in _findings(_binding(facts.honours, WARNING), facts)]
 
 
 def construction_refusals(scenario: Any) -> list[tuple[Diagnostic, ReproError]]:
     """What ``Scenario.__post_init__`` refuses in ``scenario`` (anything
     with the ``topology``, ``chain_delays`` and ``strategies`` fields)."""
-    return list(_findings(CONSTRUCTION_RULES, _Facts(scenario)))
+    return list(_findings(CONSTRUCTION_RULES, ScenarioFacts(scenario, None)))
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ from dataclasses import fields
 from typing import Iterator
 
 from repro.analysis.diagnostics import Diagnostic, error
-from repro.analysis.structure import rule_refusals, type_refusals
+from repro.analysis.structure import ScenarioFacts, rule_refusals, type_refusals
 from repro.api.execution import Execution, PreparedSimulation
 from repro.api.report import RunReport
 from repro.api.scenario import Scenario
@@ -104,21 +104,24 @@ class Engine(ABC):
         leaders, then the :data:`PROTOCOL_FIELDS` — then the errors of
         the :mod:`repro.analysis.structure` rules that bind it.
         :meth:`open` raises the first."""
-        return tuple(diagnostic for diagnostic, _ in self._refusals(scenario))
+        return tuple(d for d, _ in self.findings(ScenarioFacts(scenario, self.honours)))
 
     def refuse(self, scenario: Scenario) -> None:
         """Raise the first of :meth:`refusals`, as the exception its rule
         names (a :class:`~repro.errors.ScenarioError` for a feature the
         engine does not honour); return when there is none.  Only error
         rules are evaluated, and only up to the first refusal."""
-        for _, exception in self._refusals(scenario):
+        for _, exception in self.findings(ScenarioFacts(scenario, self.honours)):
             raise exception
 
-    def _refusals(self, scenario: Scenario) -> Iterator[tuple[Diagnostic, ReproError]]:
-        yield from type_refusals(scenario)
-        for diagnostic in self._unhonoured_features(scenario):
+    def findings(self, facts: ScenarioFacts) -> Iterator[tuple[Diagnostic, ReproError]]:
+        """:meth:`refusals` read from ``facts`` (built with this engine's
+        ``honours``, and shareable with the table's warnings), each with
+        the exception :meth:`refuse` raises for it, lazily in order."""
+        yield from type_refusals(facts)
+        for diagnostic in self._unhonoured_features(facts.scenario):
             yield diagnostic, ScenarioError(diagnostic.message)
-        yield from rule_refusals(scenario, self.honours)
+        yield from rule_refusals(facts)
 
     def _unhonoured_features(self, scenario: Scenario) -> list[Diagnostic]:
         out: list[Diagnostic] = []

@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from math import isfinite
 from typing import Any
@@ -35,7 +34,7 @@ from repro.core.strategies import (
 )
 from repro.crypto.hashing import sha256
 from repro.crypto.signatures import DEFAULT_SCHEME_NAME
-from repro.digraph.digraph import Digraph, Vertex
+from repro.digraph.digraph import Digraph, Vertex, topology_memo
 from repro.digraph.multigraph import MultiDigraph
 from repro.digraph.paths import EXACT_LONGEST_PATH_LIMIT
 from repro.errors import ScenarioError, UnknownStrategyError
@@ -120,6 +119,21 @@ def scalar_json(value: Any) -> str | None:
     return None
 
 
+def _json_text(value: Any) -> str:
+    """``canonical_json(value)``, with the encoder called only for a
+    non-empty container (or a value :func:`scalar_json` leaves alone):
+    a scalar is :func:`scalar_json`'s text, ``None`` is ``null`` and an
+    empty dict or list ``{}`` or ``[]``."""
+    text = scalar_json(value)
+    if text is not None:
+        return text
+    if value is None:
+        return "null"
+    if type(value) in (dict, list) and not value:
+        return "{}" if type(value) is dict else "[]"
+    return canonical_json(value)
+
+
 def _topology_to_dict(topology: Digraph | MultiDigraph) -> dict:
     if isinstance(topology, MultiDigraph):
         return {
@@ -138,12 +152,18 @@ def _canonical_topology(topology: Digraph | MultiDigraph) -> dict:
     return data
 
 
-@lru_cache(maxsize=32)
 def _topology_text(topology: Digraph | MultiDigraph) -> str:
-    """The canonical JSON of ``topology``, once per topology (equal
-    topologies — same vertex and arc sets — share it).  A seed grid
-    revisits few topologies; a small bound keeps few of them alive."""
-    return canonical_json(_canonical_topology(topology))
+    """The canonical JSON of ``topology``: for a digraph, encoded once
+    per topology and kept in its memo entry
+    (:func:`~repro.digraph.digraph.topology_memo`, read with one probe
+    per digraph object); a multigraph's is encoded each time."""
+    if isinstance(topology, MultiDigraph):
+        return canonical_json(_canonical_topology(topology))
+    entry = topology_memo(topology)
+    text = entry.canonical_text
+    if text is None:
+        text = entry.canonical_text = canonical_json(_canonical_topology(topology))
+    return text
 
 
 def _faults_to_dict(faults: FaultPlan) -> dict:
@@ -343,12 +363,17 @@ class Scenario:
         sweep scale (every :func:`repro.api.sweep.run_key`, store
         lookup, sweep dedup pass, and serve warm-cache probe needs it).
         The encoding is computed on first use, together with
-        :meth:`shape_text` and from the same fields, and the *identical
-        string object* is returned ever after.  The topology's canonical
-        text is encoded once per topology and spliced in at its sorted
-        place — ``"topology"`` is the second-last key, before
-        ``use_broadcast`` — so the text equals
-        ``canonical_json(canonical_dict())`` byte for byte.
+        :meth:`shape_text`, and the *identical string object* is
+        returned ever after.  It is spliced from the fields in their
+        sorted key order, so the JSON encoder runs only for a non-empty
+        container field (params, strategies, a crash plan, chain delays,
+        a timing dict, a leader vector); the topology's canonical text
+        is encoded once per topology, kept in its memo entry
+        (:func:`~repro.digraph.digraph.topology_memo`, one probe per
+        digraph object) and spliced in at its sorted place —
+        ``"topology"`` is the second-last key, before ``use_broadcast``.
+        The text equals ``canonical_json(canonical_dict())`` byte for
+        byte (``tests/test_canonical_text.py``).
         """
         cached: str | None = getattr(self, "_canonical_text", None)
         if cached is None:
@@ -372,20 +397,39 @@ class Scenario:
 
     def _encode_canonical(self) -> tuple[str, str]:
         """Cache and return :meth:`canonical_text` and :meth:`shape_text`,
-        built from one :meth:`_canonical_fields`.
+        spliced from the fields without building :meth:`canonical_dict`.
 
-        The fields sort around ``seed``: the members before it and those
-        after it (up to ``topology``) are encoded as two objects, and the
-        seed, the topology and ``use_broadcast`` are joined in between.
+        The members are written in their sorted key order, the order
+        ``canonical_json`` writes them, each value as the encoder writes
+        it (:func:`_json_text`).  ``head`` holds the members before
+        ``seed`` and ``rest`` those after it up to ``topology``; the
+        canonical text joins the seed, the topology's text and
+        ``use_broadcast`` in between, the shape text drops the seed and
+        appends the topology's text.
         """
-        fields = self._canonical_fields()
-        seed, broadcast = fields.pop("seed"), fields.pop("use_broadcast")
-        seed = scalar_json(seed) or canonical_json(seed)
-        tail = f',"use_broadcast":{scalar_json(broadcast) or canonical_json(broadcast)}}}'
-        head = canonical_json({k: v for k, v in fields.items() if k < "seed"})[:-1]
-        rest = canonical_json({k: v for k, v in fields.items() if k > "seed"})[1:-1]
+        head = f'{{"action_fraction":{_json_text(self.action_fraction)}'
+        if self.chain_delays:
+            head += f',"chain_delays":{canonical_json(self.chain_delays)}'
+        head += (
+            f',"delta":{_json_text(self.delta)}'
+            f',"diam_override":{_json_text(self.diam_override)}'
+            f',"exact_limit":{_json_text(self.exact_limit)}'
+            f',"faults":{_json_text(_faults_to_dict(self.faults))}'
+            f',"leaders":{_json_text(self.leaders)}'
+            f',"params":{_json_text(self.params)}'
+            f',"reaction_fraction":{_json_text(self.reaction_fraction)}'
+            f',"scheme_name":{_json_text(self.scheme_name)}'
+        )
+        rest = (
+            f'"start_time":{_json_text(self.start_time)}'
+            f',"strategies":{_json_text(self.strategies)}'
+            f',"timeout_slack":{_json_text(self.timeout_slack)}'
+        )
+        if not is_default_timing(self.timing):
+            rest += f',"timing":{_json_text(self.timing)}'
+        tail = f',"use_broadcast":{_json_text(self.use_broadcast)}}}'
         topology = _topology_text(self.topology)
-        canonical = f'{head},"seed":{seed},{rest},"topology":{topology}{tail}'
+        canonical = f'{head},"seed":{_json_text(self.seed)},{rest},"topology":{topology}{tail}'
         shape = f"{head},{rest}{tail}{topology}"
         object.__setattr__(self, "_canonical_text", canonical)
         object.__setattr__(self, "_shape_text", shape)

@@ -35,7 +35,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -46,7 +45,7 @@ from repro.api.engine import get_engine
 from repro.api.report import RunReport
 from repro.api.scenario import Scenario, scalar_json
 from repro.crypto.hashing import sha256
-from repro.digraph.digraph import Digraph
+from repro.digraph.digraph import Digraph, topology_memo
 from repro.digraph.multigraph import MultiDigraph
 from repro.errors import EngineError
 from repro.sim.faults import FaultPlan
@@ -324,23 +323,19 @@ def _hole_text(value: Any) -> str:
     return scalar_json(value) or json.dumps(value, sort_keys=True)
 
 
-#: Declaration-order topology texts by :meth:`Digraph.topology_key`
-#: (order-sensitive: equal digraphs listed in another order differ),
-#: bounded like the canonical topology texts.
-_DECLARED_TOPOLOGIES: OrderedDict[str, str] = OrderedDict()
-_DECLARED_LIMIT = 32
-
-
 def _declared_topology_text(topology: Digraph) -> str:
-    key = topology.topology_key()
-    text = _DECLARED_TOPOLOGIES.get(key)
+    """The topology member of a stored entry, in declaration order, as
+    ``json.dumps(entry, sort_keys=True)`` writes it: encoded once per
+    topology and kept in its memo entry
+    (:func:`~repro.digraph.digraph.topology_memo`; the memo's key is the
+    declaration order, so equal digraphs listed in another order get
+    their own)."""
+    entry = topology_memo(topology)
+    text = entry.declared_text
     if text is None:
-        text = json.dumps({"kind": "digraph", **topology.to_dict()}, sort_keys=True)
-        _DECLARED_TOPOLOGIES[key] = text
-        if len(_DECLARED_TOPOLOGIES) > _DECLARED_LIMIT:
-            _DECLARED_TOPOLOGIES.popitem(last=False)
-    else:
-        _DECLARED_TOPOLOGIES.move_to_end(key)
+        text = entry.declared_text = json.dumps(
+            {"kind": "digraph", **topology.to_dict()}, sort_keys=True
+        )
     return text
 
 

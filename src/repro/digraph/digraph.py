@@ -12,6 +12,9 @@ insertion order, which keeps every simulation deterministic.
 from __future__ import annotations
 
 import json
+import threading
+from array import array
+from collections import OrderedDict
 from typing import Iterable, Iterator
 
 from repro.errors import DigraphError
@@ -19,13 +22,21 @@ from repro.errors import DigraphError
 Vertex = str
 Arc = tuple[Vertex, Vertex]
 
+#: The declaration-order vertex and arc tuples of a digraph.
+TopologyKey = tuple[tuple[Vertex, ...], tuple[Arc, ...]]
+
+TOPOLOGY_MEMO_LIMIT = 256
+"""LRU bound of the per-topology memo (a serve process lives for days)."""
+
+FEEDBACK_SETS_LIMIT = 8
+"""Leader sets whose feedback-vertex-set check one memo entry keeps."""
+
 
 class Digraph:
     """An immutable simple digraph with deterministic iteration order."""
 
     __slots__ = (
-        "_vertices", "_arcs", "_out", "_in", "_arc_set", "_hash", "_topology_key",
-        "_encoded_size",
+        "_vertices", "_arcs", "_out", "_in", "_arc_set", "_hash", "_invariants",
     )
 
     def __init__(self, vertices: Iterable[Vertex], arcs: Iterable[Arc]) -> None:
@@ -83,8 +94,7 @@ class Digraph:
         self._out = {v: tuple(ws) for v, ws in out.items()}
         self._in = {v: tuple(ws) for v, ws in in_.items()}
         self._hash: int | None = None
-        self._topology_key: str | None = None
-        self._encoded_size: int | None = None
+        self._invariants: TopologyInvariants | None = None
 
     # -- basic accessors ----------------------------------------------------
 
@@ -198,30 +208,28 @@ class Digraph:
 
         Theorem 4.10's ``O(|A|^2)`` space bound counts one digraph copy per
         contract; this canonical encoding makes the bound measurable.
-        Computed once: every contract published on this digraph asks.
+        Computed once per topology (:func:`topology_memo`): every
+        contract published on this digraph asks.
         """
-        if self._encoded_size is None:
-            self._encoded_size = len(
+        entry = topology_memo(self)
+        if entry.encoded_size is None:
+            entry.encoded_size = len(
                 json.dumps(self.to_dict(), separators=(",", ":")).encode()
             )
-        return self._encoded_size
+        return entry.encoded_size
 
-    def topology_key(self) -> str:
-        """The ordered vertex and arc lists as one short string, computed once.
+    def topology_key(self) -> TopologyKey:
+        """The declaration-order vertex and arc tuples, the key of
+        :func:`topology_memo`.
 
         ``==`` and ``hash`` compare vertex and arc *sets*; two digraphs
         share this key only when they list the same vertices and arcs in
         the same order, which order-sensitive results (the first minimum
-        FVS in vertex order) need.  The vertex tuple's ``repr`` is followed
-        by the arcs as vertex-index pairs, so the key is injective and
-        holds no reference to this digraph.
+        FVS in vertex order, the declared JSON text) need.  Built from
+        the digraph's own tuples, so it costs nothing to make and holds
+        no reference to the digraph.
         """
-        if self._topology_key is None:
-            index = {v: i for i, v in enumerate(self._vertices)}
-            self._topology_key = repr(self._vertices) + "".join(
-                f"{index[u]}>{index[v]};" for u, v in self._arcs
-            )
-        return self._topology_key
+        return self._vertices, self._arcs
 
     # -- dunder --------------------------------------------------------------
 
@@ -253,3 +261,83 @@ class Digraph:
             f"Digraph(|V|={len(self._vertices)}, |A|={len(self._arcs)}, "
             f"vertices={list(self._vertices)!r})"
         )
+
+
+# ---------------------------------------------------------------------------
+# The per-topology memo
+# ---------------------------------------------------------------------------
+
+
+class TopologyInvariants:
+    """The facts of one topology, filled in as they are asked for.
+
+    One entry per :meth:`Digraph.topology_key`, shared by every digraph
+    object that declares the same vertices and arcs in the same order
+    (every scenario of a sweep builds its own).  The graph facts are
+    :mod:`repro.digraph.paths`' and :mod:`repro.digraph.feedback`'s:
+
+    ``longest`` is the row-major ``|V| x |V|`` table of exact ``D(u, v)``
+    in vertex order, allocated on the first exact query.  A row is
+    filled whole by one sweep from its source (``-2`` until then, ``-1``
+    where no path exists).  ``diameter`` is the exact ``diam(D)``.
+    ``fvs_exact``/``fvs_greedy`` are bitmasks over vertex positions of
+    :func:`~repro.digraph.feedback.feedback_vertex_set`'s answer on each
+    branch; callers get a fresh ``set`` built from them.
+    ``feedback_sets`` maps a candidate set's bitmask to whether it is a
+    feedback vertex set (at most :data:`FEEDBACK_SETS_LIMIT` of them),
+    which every :class:`~repro.core.spec.SwapSpec` checks of its leaders.
+    ``strongly_connected`` is
+    :func:`~repro.digraph.paths.is_strongly_connected`'s answer, which
+    the analyzer, every spec and every simulation harness ask for.
+
+    The texts are the bytes callers make of the declaration:
+    ``encoded_size`` is :meth:`Digraph.encoded_size_bytes`, and
+    ``canonical_text``/``declared_text`` are the scenario's canonical
+    and stored JSON texts of the topology, which
+    :mod:`repro.api.scenario` and :mod:`repro.api.sweep` fill.  Nothing
+    here refers to a digraph, so an entry stays small.
+    """
+
+    __slots__ = (
+        "diameter", "longest", "fvs_exact", "fvs_greedy", "feedback_sets",
+        "strongly_connected", "encoded_size", "canonical_text", "declared_text",
+    )
+
+    def __init__(self) -> None:
+        self.diameter: int | None = None
+        self.longest: array[int] | None = None
+        self.fvs_exact: int | None = None
+        self.fvs_greedy: int | None = None
+        self.feedback_sets: dict[int, bool] = {}
+        self.strongly_connected: bool | None = None
+        self.encoded_size: int | None = None
+        self.canonical_text: str | None = None
+        self.declared_text: str | None = None
+
+
+_MEMO: OrderedDict[TopologyKey, TopologyInvariants] = OrderedDict()
+_MEMO_LOCK = threading.Lock()
+
+
+def topology_memo(digraph: Digraph) -> TopologyInvariants:
+    """The memo entry for ``digraph``'s :meth:`~Digraph.topology_key`.
+
+    A digraph object probes the memo once and keeps the entry it got, so
+    every later fact it is asked for is an attribute read.  The memo is
+    one LRU of at most :data:`TOPOLOGY_MEMO_LIMIT` entries, in the order
+    of those probes; an evicted entry stays valid for the objects that
+    hold it."""
+    entry = digraph._invariants
+    if entry is not None:
+        return entry
+    key = digraph.topology_key()
+    with _MEMO_LOCK:
+        entry = _MEMO.get(key)
+        if entry is not None:
+            _MEMO.move_to_end(key)
+        else:
+            entry = _MEMO[key] = TopologyInvariants()
+            if len(_MEMO) > TOPOLOGY_MEMO_LIMIT:
+                _MEMO.popitem(last=False)
+    digraph._invariants = entry
+    return entry

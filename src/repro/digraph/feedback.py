@@ -12,15 +12,15 @@ FVS (Theorem 4.12) and remarks that finding a *minimum* FVS is NP-complete
   with maximum in-degree x out-degree product until acyclic, then prune to a
   minimal set), benchmarked against the exact algorithm in E16;
 * :func:`feedback_vertex_set` — picks exact vs greedy by graph size and
-  remembers the answer per topology (:func:`repro.digraph.paths.topology_memo`).
+  remembers the answer per topology (:func:`repro.digraph.digraph.topology_memo`).
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from repro.digraph.digraph import Digraph, Vertex
-from repro.digraph.paths import is_acyclic, out_masks, topology_memo
+from repro.digraph.digraph import FEEDBACK_SETS_LIMIT, Digraph, Vertex, topology_memo
+from repro.digraph.paths import is_acyclic, out_masks
 from repro.errors import DigraphError, NotFeedbackVertexSetError
 
 EXACT_FVS_LIMIT = 14
@@ -36,8 +36,26 @@ def is_feedback_vertex_set(digraph: Digraph, candidates: set[Vertex] | frozenset
 
 
 def require_feedback_vertex_set(digraph: Digraph, candidates: set[Vertex]) -> None:
-    """Raise :class:`NotFeedbackVertexSetError` unless ``candidates`` is an FVS."""
-    if not is_feedback_vertex_set(digraph, candidates):
+    """Raise :class:`NotFeedbackVertexSetError` unless ``candidates`` is an FVS.
+
+    Answered once per topology and candidate set: every
+    :class:`~repro.core.spec.SwapSpec` checks its leaders, so the answer
+    is kept in the topology's memo entry (``feedback_sets``: at most
+    :data:`~repro.digraph.digraph.FEEDBACK_SETS_LIMIT` sets, and a full
+    one starts over)."""
+    vertices = digraph.vertices
+    if not all(digraph.has_vertex(v) for v in candidates):
+        is_feedback_vertex_set(digraph, candidates)  # raises for the unknown vertex
+    answers = topology_memo(digraph).feedback_sets
+    chosen = _mask(vertices, candidates)
+    breaks = answers.get(chosen)
+    if breaks is None:
+        everyone = (1 << len(vertices)) - 1
+        breaks = _acyclic_within(out_masks(digraph), everyone ^ chosen)
+        if len(answers) >= FEEDBACK_SETS_LIMIT:
+            answers.clear()
+        answers[chosen] = breaks
+    if not breaks:
         raise NotFeedbackVertexSetError(
             f"{sorted(candidates)!r} is not a feedback vertex set: the "
             "follower subdigraph still contains a cycle (Theorem 4.12 "
@@ -141,5 +159,5 @@ def feedback_vertex_set(digraph: Digraph, exact_limit: int = EXACT_FVS_LIMIT) ->
     return {v for i, v in enumerate(vertices) if mask >> i & 1}
 
 
-def _mask(vertices: tuple[Vertex, ...], chosen: set[Vertex]) -> int:
+def _mask(vertices: tuple[Vertex, ...], chosen: set[Vertex] | frozenset[Vertex]) -> int:
     return sum(1 << i for i, v in enumerate(vertices) if v in chosen)

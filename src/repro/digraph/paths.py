@@ -18,31 +18,37 @@ search runs; only the ``|V| > exact_limit`` branch keeps a BFS.
 Exact answers are also remembered per topology.  Every scenario of a
 sweep rebuilds its digraph, and the harness, the timelock ladder and the
 analyzer each ask for ``diam(D)``, ``D(u, v)`` and the leader FVS again,
-so :func:`topology_memo` keeps one compact :class:`TopologyInvariants`
-entry per ordered ``(vertices, arcs)`` pair
+so :func:`~repro.digraph.digraph.topology_memo` (defined beside
+:class:`~repro.digraph.digraph.Digraph`, re-exported here) keeps one
+compact :class:`~repro.digraph.digraph.TopologyInvariants` entry per
+declaration-order ``(vertices, arcs)`` pair
 (:meth:`~repro.digraph.digraph.Digraph.topology_key`): the exact
-diameter, the exact ``D(u, v)`` table, the exact and greedy FVS
-(:mod:`repro.digraph.feedback`) and strong connectivity.  Vertex order
-is part of the key because the exact FVS is the first minimum subset in
-vertex order.  The memo is one LRU of at most
-:data:`TOPOLOGY_MEMO_LIMIT` entries.
+diameter, the exact ``D(u, v)`` table, the exact and greedy FVS and the
+leader sets checked to be one (:mod:`repro.digraph.feedback`), strong
+connectivity, and the digraph's encoded size and JSON texts.  Vertex
+order is part of the key because the exact FVS is the first minimum
+subset in vertex order.  A digraph object probes the memo once and
+keeps its entry.  The memo is one LRU of at most
+:data:`~repro.digraph.digraph.TOPOLOGY_MEMO_LIMIT` entries.
 """
 
 from __future__ import annotations
 
-import threading
 from array import array
-from collections import OrderedDict
 from typing import Iterable, Iterator
 
-from repro.digraph.digraph import Arc, Digraph, Vertex
+from repro.digraph.digraph import (  # noqa: F401 - the memo is re-exported here
+    _MEMO,
+    TOPOLOGY_MEMO_LIMIT,
+    Arc,
+    Digraph,
+    Vertex,
+    topology_memo,
+)
 from repro.errors import DigraphError
 
 EXACT_LONGEST_PATH_LIMIT = 14
 """Largest vertex count for which longest paths are computed exactly."""
-
-TOPOLOGY_MEMO_LIMIT = 256
-"""LRU bound of the per-topology memo (a serve process lives for days)."""
 
 
 # ---------------------------------------------------------------------------
@@ -215,56 +221,11 @@ def shortest_path_length(digraph: Digraph, source: Vertex, target: Vertex) -> in
 
 
 # ---------------------------------------------------------------------------
-# The per-topology memo
+# The per-topology memo's table markers
 # ---------------------------------------------------------------------------
 
 _UNKNOWN = -2
 _UNREACHABLE = -1
-
-
-class TopologyInvariants:
-    """The exact invariants of one topology, filled in as they are asked for.
-
-    ``longest`` is the row-major ``|V| x |V|`` table of exact ``D(u, v)``
-    in vertex order, allocated on the first exact query.  A row is
-    filled whole by one sweep from its source: :data:`_UNKNOWN` until
-    then, :data:`_UNREACHABLE` where no path exists.
-    ``fvs_exact``/``fvs_greedy`` are bitmasks over vertex positions of
-    :func:`~repro.digraph.feedback.feedback_vertex_set`'s answer on each
-    branch; callers get a fresh ``set`` built from them.
-    ``strongly_connected`` is :func:`is_strongly_connected`'s answer,
-    which the analyzer, every :class:`~repro.core.spec.SwapSpec` and
-    every simulation harness ask for.  Nothing here refers to a digraph
-    or its vertex strings, so an entry stays a few hundred bytes.
-    """
-
-    __slots__ = ("diameter", "longest", "fvs_exact", "fvs_greedy", "strongly_connected")
-
-    def __init__(self) -> None:
-        self.diameter: int | None = None
-        self.longest: array[int] | None = None
-        self.fvs_exact: int | None = None
-        self.fvs_greedy: int | None = None
-        self.strongly_connected: bool | None = None
-
-
-_MEMO: OrderedDict[str, TopologyInvariants] = OrderedDict()
-_MEMO_LOCK = threading.Lock()
-
-
-def topology_memo(digraph: Digraph) -> TopologyInvariants:
-    """The memo entry for ``digraph``'s :meth:`~Digraph.topology_key`
-    (LRU order)."""
-    key = digraph.topology_key()
-    with _MEMO_LOCK:
-        entry = _MEMO.get(key)
-        if entry is not None:
-            _MEMO.move_to_end(key)
-            return entry
-        entry = _MEMO[key] = TopologyInvariants()
-        if len(_MEMO) > TOPOLOGY_MEMO_LIMIT:
-            _MEMO.popitem(last=False)
-        return entry
 
 
 # ---------------------------------------------------------------------------

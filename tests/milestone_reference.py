@@ -5,7 +5,7 @@
 tuple: same fields, defaults and ``to_dict``.
 :func:`twice_built_milestones` numbers a synthesized run's milestone rows
 the way ``repro.analysis.engine`` did with it: every escrow and release
-built once with ``index=0``, sorted, then built again renumbered.
+built once with ``index=0``, sorted by time, then built again renumbered.
 ``tests/test_milestone_record.py`` holds the record to the dataclass's
 values, and bench E39 times the synthesis against this numbering.
 """
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.sim.milestones import PHASE1_START, PHASE2_COMPLETE, SECRET_RELEASED, SETTLED
+from repro.sim.milestones import PHASE1_START, PHASE2_COMPLETE, SETTLED
 
 Arc = tuple[str, str]
 
@@ -41,21 +41,16 @@ class DataclassMilestone:
 def twice_built_milestones(
     start: int, rows: list[tuple], completion: int, settled: int
 ) -> tuple[DataclassMilestone, ...]:
-    """``repro.analysis.engine._number_milestones``'s sequence, as the
-    synthesis built it before: escrow records built in the arc loop and
-    sorted by ``(time, arc)``, releases built from their sorted
-    ``(time, arc, party)`` triples, a stable sort by time, then every
-    record built again with its index."""
-    escrows = [
-        DataclassMilestone(index=0, time=when, kind=kind, party=party, arc=arc)
-        for when, rank, arc, kind, party in rows
-        if rank == 0
-    ]
-    releases = sorted((when, arc, party) for when, rank, arc, _, party in rows if rank == 1)
+    """``repro.analysis.engine._number_milestones``'s sequence from the
+    replay's firing-order ``(time, kind, party, arc)`` rows, numbered the
+    way the synthesis did before each milestone was built once: every
+    record built with ``index=0``, a stable sort by time (firing order
+    is already time order, so it keeps the rows as they stand), then
+    every record built again with its index."""
     milestones = [DataclassMilestone(index=0, time=start, kind=PHASE1_START)]
-    timeline = sorted(escrows, key=lambda m: (m.time, m.arc or ())) + [
-        DataclassMilestone(index=0, time=when, kind=SECRET_RELEASED, party=party, arc=arc)
-        for when, arc, party in releases
+    timeline = [
+        DataclassMilestone(index=0, time=when, kind=kind, party=party, arc=arc)
+        for when, kind, party, arc in rows
     ]
     timeline.sort(key=lambda m: m.time)
     timeline.append(DataclassMilestone(index=0, time=completion, kind=PHASE2_COMPLETE))

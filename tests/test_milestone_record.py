@@ -7,7 +7,9 @@ dataclass it replaced.
 with the same field values (and nothing else), hash as the dataclass
 did, survive pickling, and encode to the same ``to_dict``/wire form.
 The synthesized milestones, each built once, must be the simulator's
-milestones and the ones the twice-built numbering gave.
+milestone sequence, same-tick order and indices included (also on
+random digraphs whose chain delays tie escrows and unlocks on a tick),
+and the ones the twice-built numbering gave.
 """
 
 from __future__ import annotations
@@ -17,15 +19,23 @@ import dataclasses
 import json
 import pickle
 from collections import Counter
+from random import Random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from milestone_reference import DataclassMilestone, twice_built_milestones
 from repro.analysis.engine import _synthesize
 from repro.analysis.protocol import COVERAGE_FULL, analyze_scenario
 from repro.api.engine import get_engine
 from repro.api.scenario import Scenario
-from repro.digraph.generators import complete_digraph, cycle_digraph, triangle
+from repro.digraph.generators import (
+    complete_digraph,
+    cycle_digraph,
+    random_strongly_connected,
+    triangle,
+)
 from repro.lab.registry import get_family, list_families
 from repro.serve.events import milestone_from_wire, milestone_to_wire
 from repro.sim.milestones import (
@@ -135,30 +145,54 @@ def _covered_scenarios() -> list[Scenario]:
     return [s for s in scenarios if analyze_scenario(s).coverage == COVERAGE_FULL]
 
 
-def _content(milestone: Milestone) -> tuple:
-    return milestone.time, milestone.kind, milestone.party, milestone.arc
+def _assert_simulators_sequence(scenario: Scenario) -> tuple[Milestone, ...]:
+    prediction = analyze_scenario(scenario).prediction
+    synthesized = _synthesize(scenario, prediction).milestones
+    simulated = get_engine("herlihy").run(scenario).milestones
+    assert [m.to_dict() for m in synthesized] == [m.to_dict() for m in simulated]
+    assert synthesized == simulated
+    return synthesized
 
 
 @pytest.mark.parametrize("scenario", _covered_scenarios(), ids=lambda s: s.name)
 def test_synthesized_milestones_are_the_simulators_per_tick(scenario):
-    """The same milestones at the same ticks as the simulator, numbered
-    densely in time order.  Within one tick the synthesis orders
-    escrows before releases, each by arc, where the tracker follows
-    the scheduler's firing order, so the two sequences may order a
-    tick's milestones differently."""
-    prediction = analyze_scenario(scenario).prediction
-    synthesized = _synthesize(scenario, prediction).milestones
-    simulated = get_engine("herlihy").run(scenario).milestones
-    assert Counter(map(_content, synthesized)) == Counter(map(_content, simulated))
-    assert [m.index for m in synthesized] == list(range(len(synthesized)))
-    times = [m.time for m in synthesized]
-    assert times == sorted(times)
+    """The simulator's milestone sequence, same-tick order and indices
+    included: the synthesis numbers the replay's rows in firing order,
+    which is the order the tracker reads the trace in."""
+    synthesized = _assert_simulators_sequence(scenario)
     # ... and the numbering that built every record twice gave the same.
-    rows = [
-        (m.time, 0 if m.kind == CONTRACT_ESCROWED else 1, m.arc, m.kind, m.party)
-        for m in synthesized[1:-2]
-    ]
+    rows = [(m.time, m.kind, m.party, m.arc) for m in synthesized[1:-2]]
     reference = twice_built_milestones(
         synthesized[0].time, rows, synthesized[-2].time, synthesized[-1].time
     )
     assert [m.to_dict() for m in reference] == [m.to_dict() for m in synthesized]
+
+
+DELTA = 1000
+
+
+@st.composite
+def tied_scenarios(draw):
+    """Random strongly connected digraphs whose chain delays are a few
+    multiples of the action delay, so escrows and unlocks of several
+    arcs land on one tick, and whose start times vary."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    digraph = random_strongly_connected(n, draw(st.sampled_from([0.0, 0.3, 0.6])), Random(seed))
+    labels = [f"{u}->{v}" for u, v in digraph.arcs]
+    delays = draw(st.dictionaries(st.sampled_from(labels), st.sampled_from([0, 250, 500])))
+    return Scenario(
+        digraph, seed=seed, delta=DELTA, reaction_fraction=0.25, action_fraction=0.25,
+        chain_delays=delays, start_time=draw(st.sampled_from([None, 0, 7, 1250])),
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(tied_scenarios())
+def test_synthesized_milestones_equal_the_simulators_under_ties(scenario):
+    if analyze_scenario(scenario).coverage != COVERAGE_FULL:
+        return
+    milestones = _assert_simulators_sequence(scenario)
+    ticks = Counter(m.time for m in milestones)
+    assert len(ticks) < len(milestones)  # some tick holds several milestones

@@ -68,15 +68,28 @@ CONNECTIVITY = SEEDED + [
 ]
 
 
-@pytest.mark.parametrize("digraph", CONNECTIVITY, ids=lambda d: d.topology_key()[:24])
+def _label(digraph):
+    """The vertex tuple's repr, then the arcs as vertex-index pairs."""
+    index = {v: i for i, v in enumerate(digraph.vertices)}
+    return repr(digraph.vertices) + "".join(f"{index[u]}>{index[v]};" for u, v in digraph.arcs)
+
+
+def _rebuilt(digraph):
+    """A new object of the same declaration: it has not probed the memo."""
+    return Digraph(list(digraph.vertices), list(digraph.arcs))
+
+
+@pytest.mark.parametrize("digraph", CONNECTIVITY, ids=lambda d: _label(d)[:24])
 def test_memoised_strong_connectivity_equals_fresh(digraph):
     paths._MEMO.pop(digraph.topology_key(), None)
+    cold = _rebuilt(digraph)
     fresh = len(strongly_connected_components(digraph)) == 1
     for _ in range(2):  # cold, then served from the memo
-        assert is_strongly_connected(digraph) is fresh
-        assert topology_memo(digraph).strongly_connected is fresh
-    rebuilt = Digraph(list(digraph.vertices), list(digraph.arcs))
+        assert is_strongly_connected(cold) is fresh
+        assert topology_memo(cold).strongly_connected is fresh
+    rebuilt = _rebuilt(digraph)
     assert is_strongly_connected(rebuilt) is fresh
+    assert topology_memo(rebuilt) is topology_memo(cold)
 
 
 def test_vertex_order_is_part_of_the_key():
@@ -122,9 +135,17 @@ def test_memo_never_grows_past_its_bound():
         feedback_vertex_set(digraph)
         assert len(paths._MEMO) <= TOPOLOGY_MEMO_LIMIT
         if i % 16 == 0:
-            diameter(keep)  # recently used entries survive eviction
+            # Recently probed entries survive eviction (an object probes
+            # once, so a new one of the same declaration does).
+            diameter(_rebuilt(keep))
     assert keep.topology_key() in paths._MEMO
     assert len(paths._MEMO) == TOPOLOGY_MEMO_LIMIT
+    # An object keeps its entry after the memo evicted it.
+    entry = topology_memo(digraph)
+    for i in range(TOPOLOGY_MEMO_LIMIT):
+        diameter(cycle_digraph(3, prefix=f"churn{i}-"))
+    assert digraph.topology_key() not in paths._MEMO
+    assert topology_memo(digraph) is entry and diameter(digraph) == 2
 
 
 def test_topology_key_is_injective_over_awkward_names():
