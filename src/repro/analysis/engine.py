@@ -77,14 +77,14 @@ and the hashkey path it carries) is
 derives every time, and deadline feasibility, from one FIFO replay of
 the conforming cascade that mirrors the simulator's same-tick ordering
 rule, and synthesis only reads what that replay recorded.  The replay
-also records one milestone row per escrow it publishes and per unlock
-it sends, in firing order
-(:attr:`~repro.analysis.predict.Prediction.milestone_rows`), which is
-the order the simulator's milestone tracker reads them off its trace;
-synthesis numbers the rows as they stand, building every
-:class:`~repro.sim.milestones.Milestone` once (:func:`_number_milestones`),
-so a synthesized run's milestones are the simulated run's, same-tick
-order and indices included.
+also records one :class:`~repro.sim.milestones.Milestone` per escrow it
+publishes and per unlock it sends, numbered in firing order
+(:attr:`~repro.analysis.predict.Prediction.milestones`), which is the
+order the simulator's milestone tracker reads them off its trace;
+synthesis adds the run-level milestones around them, unsorted
+(:func:`_number_milestones`), so a synthesized run's milestones are the
+simulated run's, same-tick order and indices included, and the report
+shares the prediction's records.
 
 Parity is CI-gated: ``tests/test_analysis_engine.py`` sweeps every
 registered family and every conforming variant, asserting byte
@@ -104,7 +104,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.analysis.outcomes import Outcome
-from repro.analysis.predict import MilestoneRow, Prediction
+from repro.analysis.predict import Prediction
 from repro.analysis.protocol import (
     COVERAGE_FULL,
     ScenarioAnalysis,
@@ -210,10 +210,11 @@ def analyze_for_fast_path(scenario: Scenario, engine: str) -> ScenarioAnalysis |
 # new work (perfbench's workloads draw a new start time every round) is
 # mostly first sights: one analysis (the rule table, read through one
 # ``ScenarioFacts``, and a replay that queues events in one bucket per
-# tick and records the milestone rows in firing order), one transcript
-# synthesis, which sizes |A| real contracts and numbers the replay's
-# 1 + |A| + |A|·|L| + 2 milestones without sorting, each built once as a
-# slotted tuple, and the first stored copy's split.  Bench E39 times
+# tick and builds the |A| + |A|·|L| escrow and release milestones, each
+# once as a slotted tuple numbered in firing order), one transcript
+# synthesis, which sizes |A| real contracts and adds the three run-level
+# milestones around the replay's without sorting, and the first stored
+# copy's split.  Bench E39 times
 # those three layers.  Nor can it save a new scenario's first touch,
 # paid by every scenario, memo hits included: its canonical text (the
 # memo key), spliced from its fields with the encoder called only for
@@ -416,29 +417,27 @@ def _synthesize(scenario: Scenario, prediction: Prediction) -> RunReport:
         wall_seconds=0.0,
         extra={},
         milestones=_number_milestones(
-            prediction.start_time, prediction.milestone_rows,
+            prediction.start_time, prediction.milestones,
             prediction.completion_time, settled_time,
         ),
     )
 
 
 def _number_milestones(
-    start: int, rows: list[MilestoneRow], completion: int, settled: int
+    start: int, replayed: list[Milestone], completion: int, settled: int
 ) -> tuple[Milestone, ...]:
-    """The synthesized run's milestones, each built once and numbered as
-    built: ``phase1-start``, then the replay's escrow and unlock
-    ``rows`` as they stand (its firing order, the simulator's tracker
-    order), then ``phase2-complete`` and ``settled`` — the simulated
-    run's sequence, indices included (``tests/test_milestone_record.py``)."""
-    milestones = [Milestone(0, start, PHASE1_START)]
-    milestones += [
-        Milestone(index, when, kind, party, arc)
-        for index, (when, kind, party, arc) in enumerate(rows, 1)
-    ]
-    last = len(milestones)
-    milestones.append(Milestone(last, completion, PHASE2_COMPLETE))
-    milestones.append(Milestone(last + 1, settled, SETTLED))
-    return tuple(milestones)
+    """The synthesized run's milestones: ``phase1-start``, then the
+    replay's escrow and release milestones as they stand (numbered from
+    1 in its firing order, the simulator's tracker order), then
+    ``phase2-complete`` and ``settled`` — the simulated run's sequence,
+    indices included (``tests/test_milestone_record.py``)."""
+    last = len(replayed) + 1
+    return (
+        Milestone(0, start, PHASE1_START),
+        *replayed,
+        Milestone(last, completion, PHASE2_COMPLETE),
+        Milestone(last + 1, settled, SETTLED),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -70,14 +70,11 @@ from repro.sim.milestones import (
     PHASE2_COMPLETE,
     SECRET_RELEASED,
     SETTLED,
+    Milestone,
 )
 
 #: One replayed unlock: (lock index, hashkey path, landing tick).
 Unlock = tuple[int, tuple[Vertex, ...], int]
-
-#: One replayed escrow or unlock as the milestone it is, before
-#: numbering: ``(time, kind, party, arc)``.
-MilestoneRow = tuple[int, str, Vertex, Arc]
 
 
 @dataclass(frozen=True)
@@ -88,11 +85,12 @@ class Prediction:
     quantities mirror :class:`repro.api.report.RunReport` so parity is
     a field-by-field comparison.  ``unlock_schedule`` holds, per arc,
     the unlocks that land on its chain in landing order with the
-    hashkey path each carries, and ``milestone_rows`` every escrow
-    published and unlock sent as a ``contract-escrowed`` or
-    ``secret-released`` row, in the replay's firing order; report
-    synthesis reads both, and they stay out of :meth:`to_dict` and
-    equality.
+    hashkey path each carries, and ``milestones`` one
+    ``contract-escrowed`` or ``secret-released`` milestone per escrow
+    published and unlock sent, in the replay's firing order and
+    numbered in it from 1 (``phase1-start`` is 0); report synthesis
+    reads both (a synthesized report shares the milestone records), and
+    they stay out of :meth:`to_dict` and equality.
     """
 
     leaders: tuple[Vertex, ...]
@@ -110,7 +108,7 @@ class Prediction:
     contract_storage_bytes: int
     deadline_feasible: bool
     unlock_schedule: dict[Arc, list[Unlock]] = field(compare=False, repr=False)
-    milestone_rows: list[MilestoneRow] = field(compare=False, repr=False)
+    milestones: list[Milestone] = field(compare=False, repr=False)
 
     def completion_in_delta(self) -> float:
         """Completion time expressed in Δ units past the start."""
@@ -149,7 +147,7 @@ def _replay(
     dict[Vertex, int],
     dict[Arc, list[Unlock]],
     dict[tuple[Vertex, int], tuple[int, int]],
-    list[MilestoneRow],
+    list[Milestone],
 ]:
     """Replay the conforming two-phase cascade on a FIFO event queue.
 
@@ -159,16 +157,16 @@ def _replay(
     party, the Phase Two start of every leader, per arc the unlocks that
     land on it (in landing order, with the hashkey path each carries),
     the first late send per ``(party, lock)`` with the expiry it
-    missed, and one :data:`MilestoneRow` per escrow published and per
-    unlock sent, in firing order.  A late send is recorded and the
-    replay carries on, so an infeasible profile still gets every time
-    as a best static estimate.
+    missed, and one milestone per escrow published and per unlock sent,
+    in firing order and numbered in it from 1.  A late send is recorded
+    and the replay carries on, so an infeasible profile still gets
+    every time as a best static estimate.
 
     Firing order is the order the simulator's milestone tracker reads
-    the same escrows and unlocks off its trace, so the rows, numbered
-    as they stand, are the simulated run's ``contract-escrowed`` and
-    ``secret-released`` milestones, same-tick order and indices
-    included (``tests/test_milestone_record.py``).
+    the same escrows and unlocks off its trace, so these are the
+    simulated run's ``contract-escrowed`` and ``secret-released``
+    milestones, same-tick order and indices included
+    (``tests/test_milestone_record.py``).
 
     Times, paths and same-tick order only; no contracts, signatures or
     ledger records.  When two routes deliver a secret at the same tick,
@@ -217,12 +215,12 @@ def _replay(
     phase_two: dict[Vertex, int] = {}
     schedule: dict[Arc, list[Unlock]] = {arc: [] for arc in digraph.arcs}
     late: dict[tuple[Vertex, int], tuple[int, int]] = {}
-    rows: list[MilestoneRow] = []
+    milestones: list[Milestone] = []
 
     def publish_outgoing(v: Vertex, now: int) -> None:
         publish[v] = now
         for arc in leaving[v]:
-            rows.append((now, CONTRACT_ESCROWED, v, arc))
+            milestones.append(Milestone(len(milestones) + 1, now, CONTRACT_ESCROWED, v, arc))
             at(now + latency[arc], observe_contract, arc[1], arc)
 
     def observe_contract(v: Vertex, arc: Arc, now: int) -> None:
@@ -264,7 +262,7 @@ def _replay(
             # simulator refunds here instead of reaching all-Deal.
             late.setdefault((v, i), (now, expires))
         schedule[arc].append((i, path, now))
-        rows.append((now, SECRET_RELEASED, v, arc))
+        milestones.append(Milestone(len(milestones) + 1, now, SECRET_RELEASED, v, arc))
         w = arc[0]
         # The head ignores an unlock whose secret it already knows or
         # whose path it is on; both stay true until the delivery.
@@ -294,7 +292,7 @@ def _replay(
             "analytic replay: conforming cascade quiesced with locked "
             "hashlocks remaining"
         )
-    return publish, phase_two, schedule, late, rows
+    return publish, phase_two, schedule, late, milestones
 
 
 def predict(scenario: Scenario) -> tuple[Prediction, tuple[Diagnostic, ...]]:
@@ -333,7 +331,7 @@ def predict(scenario: Scenario) -> tuple[Prediction, tuple[Diagnostic, ...]]:
         arc: reaction + scenario.chain_delays.get(f"{arc[0]}->{arc[1]}", 0)
         for arc in digraph.arcs
     }
-    publish, phase_two_start, schedule, late, rows = _replay(
+    publish, phase_two_start, schedule, late, milestones = _replay(
         digraph, leaders, latency, action, start, delta, ladder[0]
     )
     # Each arc is claimed one action after its last unlock lands.
@@ -381,6 +379,6 @@ def predict(scenario: Scenario) -> tuple[Prediction, tuple[Diagnostic, ...]]:
         contract_storage_bytes=storage,
         deadline_feasible=not late,
         unlock_schedule=schedule,
-        milestone_rows=rows,
+        milestones=milestones,
     )
     return prediction, diagnostics

@@ -32,8 +32,10 @@ The table has these readers and no copy:
   errors of the rows that bind it — and ``Engine.open`` and the direct
   runners raise the first one; the analyzer
   (:mod:`repro.analysis.protocol`) reports :func:`rule_warnings` and
-  then those same refusals, so the analyzer, the fast path and the
-  serve gate refuse what the engine refuses, with its message;
+  then those same refusals, read from one :class:`ScenarioFacts`
+  (:meth:`Engine.findings <repro.api.engine.Engine.findings>`), so the
+  analyzer, the fast path and the serve gate refuse what the engine
+  refuses, with its message;
 * ``Scenario.__post_init__`` raises the first of
   :func:`construction_refusals` — chain-delay labels, arcs and values,
   and strategy names that must be strings — as a

@@ -39,18 +39,18 @@ class DataclassMilestone:
 
 
 def twice_built_milestones(
-    start: int, rows: list[tuple], completion: int, settled: int
+    start: int, replayed: list[Any], completion: int, settled: int
 ) -> tuple[DataclassMilestone, ...]:
     """``repro.analysis.engine._number_milestones``'s sequence from the
-    replay's firing-order ``(time, kind, party, arc)`` rows, numbered the
+    replay's firing-order escrow and release milestones, numbered the
     way the synthesis did before each milestone was built once: every
     record built with ``index=0``, a stable sort by time (firing order
-    is already time order, so it keeps the rows as they stand), then
-    every record built again with its index."""
+    is already time order, so it keeps them as they stand), then every
+    record built again with its index."""
     milestones = [DataclassMilestone(index=0, time=start, kind=PHASE1_START)]
     timeline = [
-        DataclassMilestone(index=0, time=when, kind=kind, party=party, arc=arc)
-        for when, kind, party, arc in rows
+        DataclassMilestone(index=0, time=m.time, kind=m.kind, party=m.party, arc=m.arc)
+        for m in replayed
     ]
     timeline.sort(key=lambda m: m.time)
     timeline.append(DataclassMilestone(index=0, time=completion, kind=PHASE2_COMPLETE))

@@ -5,9 +5,9 @@ ran before it queued events in one FIFO bucket per tick: every event is
 its own heap entry, ordered by ``(when, insertion order)``.  The
 bucket replay keeps that order by construction;
 ``tests/test_replay_parity.py`` holds the two to equal publish times,
-Phase Two starts, unlock schedules, late sends and milestone rows (one
-per escrow published and unlock sent, in firing order), and bench E39
-times them against each other.
+Phase Two starts, unlock schedules, late sends and milestones (one per
+escrow published and unlock sent, numbered in firing order), and bench
+E39 times them against each other.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ import heapq
 import itertools
 from typing import Any
 
-from repro.analysis.predict import MilestoneRow, Unlock
+from repro.analysis.predict import Unlock
 from repro.digraph.digraph import Arc, Digraph, Vertex
 from repro.errors import AnalysisError
-from repro.sim.milestones import CONTRACT_ESCROWED, SECRET_RELEASED
+from repro.sim.milestones import CONTRACT_ESCROWED, SECRET_RELEASED, Milestone
 
 
 def reference_replay(
@@ -35,7 +35,7 @@ def reference_replay(
     dict[Vertex, int],
     dict[Arc, list[Unlock]],
     dict[tuple[Vertex, int], tuple[int, int]],
-    list[MilestoneRow],
+    list[Milestone],
 ]:
     """The FIFO replay with one heap entry per event, keyed by
     ``(when, insertion order)``: ``repro.analysis.predict._replay`` as
@@ -62,12 +62,12 @@ def reference_replay(
     phase_two: dict[Vertex, int] = {}
     schedule: dict[Arc, list[Unlock]] = {arc: [] for arc in digraph.arcs}
     late: dict[tuple[Vertex, int], tuple[int, int]] = {}
-    rows: list[MilestoneRow] = []
+    milestones: list[Milestone] = []
 
     def publish_outgoing(v: Vertex, now: int) -> None:
         publish[v] = now
         for arc in leaving[v]:
-            rows.append((now, CONTRACT_ESCROWED, v, arc))
+            milestones.append(Milestone(len(milestones) + 1, now, CONTRACT_ESCROWED, v, arc))
             at(now + latency[arc], observe_contract, arc[1], arc)
 
     def observe_contract(v: Vertex, arc: Arc, now: int) -> None:
@@ -108,7 +108,7 @@ def reference_replay(
             late.setdefault((v, i), (now, expires))
         unlocked[arc].add(i)
         schedule[arc].append((i, path, now))
-        rows.append((now, SECRET_RELEASED, v, arc))
+        milestones.append(Milestone(len(milestones) + 1, now, SECRET_RELEASED, v, arc))
         at(now + latency[arc], observe_unlock, arc[0], i, path)
 
     def observe_unlock(w: Vertex, i: int, path: tuple[Vertex, ...], now: int) -> None:
@@ -130,4 +130,4 @@ def reference_replay(
             "analytic replay: conforming cascade quiesced with locked "
             "hashlocks remaining"
         )
-    return publish, phase_two, schedule, late, rows
+    return publish, phase_two, schedule, late, milestones

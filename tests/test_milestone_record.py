@@ -157,13 +157,13 @@ def _assert_simulators_sequence(scenario: Scenario) -> tuple[Milestone, ...]:
 @pytest.mark.parametrize("scenario", _covered_scenarios(), ids=lambda s: s.name)
 def test_synthesized_milestones_are_the_simulators_per_tick(scenario):
     """The simulator's milestone sequence, same-tick order and indices
-    included: the synthesis numbers the replay's rows in firing order,
-    which is the order the tracker reads the trace in."""
+    included: the replay numbers its escrows and unlocks in firing
+    order, which is the order the tracker reads the trace in."""
     synthesized = _assert_simulators_sequence(scenario)
     # ... and the numbering that built every record twice gave the same.
-    rows = [(m.time, m.kind, m.party, m.arc) for m in synthesized[1:-2]]
     reference = twice_built_milestones(
-        synthesized[0].time, rows, synthesized[-2].time, synthesized[-1].time
+        synthesized[0].time, list(synthesized[1:-2]), synthesized[-2].time,
+        synthesized[-1].time,
     )
     assert [m.to_dict() for m in reference] == [m.to_dict() for m in synthesized]
 

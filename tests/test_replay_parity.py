@@ -10,8 +10,8 @@ deliveries land on the same tick (zero included, so events join the
 bucket being fired), and expiries near the cascade's length so that
 some sends are late, the two must return the same publish times, Phase
 Two starts, unlock schedules (lock, path and landing tick, in landing
-order), late sends (in the order they were found) and milestone rows
-(in firing order); and ``predict``
+order), late sends (in the order they were found) and milestones
+(numbered in firing order); and ``predict``
 must give the same prediction and late-send warnings with either
 replay on scenarios whose ``chain_delays`` tie deliveries.
 """
@@ -60,13 +60,13 @@ def cascades(draw):
 
 
 def _ordered(result):
-    publish, phase_two, schedule, late, rows = result
+    publish, phase_two, schedule, late, milestones = result
     return (
         list(publish.items()),
         list(phase_two.items()),
         list(schedule.items()),
         list(late.items()),
-        rows,
+        milestones,
     )
 
 
@@ -99,7 +99,7 @@ def _prediction_view(result):
     return (
         prediction.to_dict(),
         list(prediction.unlock_schedule.items()),
-        prediction.milestone_rows,
+        prediction.milestones,
         [diagnostic.message for diagnostic in diagnostics],
     )
 
