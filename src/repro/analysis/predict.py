@@ -202,8 +202,13 @@ def _replay(
             heapq.heappush(due, when)
         bucket.append((fn, args))
 
-    entering = {v: digraph.in_arcs(v) for v in digraph.vertices}
-    leaving = {v: digraph.out_arcs(v) for v in digraph.vertices}
+    # The digraph's own arc tuples (in_arcs/out_arcs order), which the
+    # milestones keep: a shape memo holds no copies of them.
+    entering: dict[Vertex, list[Arc]] = {v: [] for v in digraph.vertices}
+    leaving: dict[Vertex, list[Arc]] = {v: [] for v in digraph.vertices}
+    for arc in digraph.arcs:
+        leaving[arc[0]].append(arc)
+        entering[arc[1]].append(arc)
     seen: dict[Vertex, set[Arc]] = {v: set() for v in digraph.vertices}
     #: lock -> hashkey path, in learn order (dict preserves insertion).
     known: dict[Vertex, dict[int, tuple[Vertex, ...]]] = {

@@ -5,6 +5,7 @@ digraphs that differ only in vertex order, survive callers mutating
 what they were handed, and never hold more than the LRU bound.
 """
 
+import json
 import sys
 import threading
 from random import Random
@@ -12,11 +13,12 @@ from random import Random
 import pytest
 
 from repro.digraph import paths
-from repro.digraph.digraph import Digraph
+from repro.digraph.digraph import FEEDBACK_SETS_LIMIT, Digraph
 from repro.digraph.feedback import (
     feedback_vertex_set,
     greedy_feedback_vertex_set,
     minimum_feedback_vertex_set,
+    require_feedback_vertex_set,
 )
 from repro.digraph.generators import (
     cycle_digraph,
@@ -26,13 +28,14 @@ from repro.digraph.generators import (
 from repro.digraph.paths import (
     TOPOLOGY_MEMO_LIMIT,
     diameter,
+    is_acyclic,
     is_strongly_connected,
     longest_path,
     longest_path_length,
     strongly_connected_components,
     topology_memo,
 )
-from repro.errors import DigraphError
+from repro.errors import DigraphError, NotFeedbackVertexSetError
 
 SEEDED = [
     random_strongly_connected(n, p, Random(seed))
@@ -103,6 +106,29 @@ def test_vertex_order_is_part_of_the_key():
     assert topology_memo(forward) is not topology_memo(shuffled)
 
 
+@pytest.mark.parametrize("digraph", SEEDED, ids=lambda d: f"n{len(d.vertices)}a{d.arc_count()}")
+def test_memoised_fvs_checks_equal_fresh(digraph):
+    """Every candidate set of up to two vertices, checked twice (cold,
+    then from the entry's feedback sets, which keep only a few), gets
+    the answer of removing it and testing the rest for a cycle."""
+    vertices = digraph.vertices
+    candidates = [set()] + [{v} for v in vertices] + [
+        {u, v} for i, u in enumerate(vertices) for v in vertices[i + 1:]
+    ]
+    for candidate in candidates * 2:
+        fresh = is_acyclic(digraph.remove_vertices(candidate))
+        for holder in (digraph, _rebuilt(digraph)):
+            try:
+                require_feedback_vertex_set(holder, candidate)
+            except NotFeedbackVertexSetError:
+                assert not fresh, candidate
+            else:
+                assert fresh, candidate
+        assert len(topology_memo(digraph).feedback_sets) <= FEEDBACK_SETS_LIMIT
+    with pytest.raises(DigraphError, match="unknown vertex"):
+        require_feedback_vertex_set(digraph, {vertices[0], "nobody"})
+
+
 def test_mutating_a_returned_fvs_does_not_poison_the_memo():
     digraph = SEEDED[4]
     first = feedback_vertex_set(digraph)
@@ -171,10 +197,21 @@ def test_concurrent_callers_under_constant_eviction():
         try:
             for i in range(len(graphs)):
                 digraph = graphs[(i * 7 + offset) % len(graphs)]
+                if i % 3 == 0:  # a fresh object probes the memo itself
+                    digraph = Digraph(list(digraph.vertices), list(digraph.arcs))
                 n = len(digraph.vertices)
                 assert diameter(digraph) == n - 1
                 assert longest_path_length(digraph, digraph.vertices[0], digraph.vertices[-1]) == n - 1
                 assert feedback_vertex_set(digraph) == {digraph.vertices[0]}
+                # More leader sets than an entry keeps, so checks and
+                # resets of its feedback sets interleave.
+                leaders = {digraph.vertices[(i + offset) % n], digraph.vertices[offset % n]}
+                require_feedback_vertex_set(digraph, leaders)
+                with pytest.raises(NotFeedbackVertexSetError):
+                    require_feedback_vertex_set(digraph, set())
+                assert digraph.encoded_size_bytes() == len(
+                    json.dumps(digraph.to_dict(), separators=(",", ":")).encode()
+                )
         except BaseException as error:  # noqa: BLE001 - reported below
             errors.append(error)
 
