@@ -159,5 +159,5 @@ def feedback_vertex_set(digraph: Digraph, exact_limit: int = EXACT_FVS_LIMIT) ->
     return {v for i, v in enumerate(vertices) if mask >> i & 1}
 
 
-def _mask(vertices: tuple[Vertex, ...], chosen: set[Vertex] | frozenset[Vertex]) -> int:
+def _mask(vertices: tuple[Vertex, ...], chosen: set[Vertex]) -> int:
     return sum(1 << i for i, v in enumerate(vertices) if v in chosen)

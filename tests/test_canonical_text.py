@@ -138,15 +138,6 @@ def test_spliced_texts_equal_the_encoders(scenario):
     assert rebuilt.shape_text() == scenario.shape_text()
 
 
-def test_a_renamed_or_reseeded_scenario_keeps_its_shape():
-    topology = random_strongly_connected(5, 0.3, Random(2))
-    base = Scenario(topology, name="x", seed=1)
-    assert base.with_(name="y").canonical_text() == base.canonical_text()
-    reseeded = base.with_(seed=2)
-    assert reseeded.canonical_text() != base.canonical_text()
-    assert reseeded.shape_text() == base.shape_text()
-
-
 @PROPERTY
 @given(topologies().filter(lambda t: isinstance(t, Digraph)), st.randoms(use_true_random=False))
 def test_declaration_order_splits_the_declared_text_only(digraph, rng):
