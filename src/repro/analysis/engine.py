@@ -214,15 +214,15 @@ def analyze_for_fast_path(scenario: Scenario, engine: str) -> ScenarioAnalysis |
 # once as a slotted tuple numbered in firing order), one transcript
 # synthesis, which sizes |A| real contracts and adds the three run-level
 # milestones around the replay's without sorting, and the first stored
-# copy's split.  Bench E39 times
-# those three layers.  Nor can it save a new scenario's first touch,
-# paid by every scenario, memo hits included: its canonical text (the
-# memo key), spliced from its fields with the encoder called only for
-# non-empty containers, and its topology's facts and texts, found by one
-# probe of the topology memo per digraph object (bench E40).  Nothing
-# is memoised on less than the shape text: a key without the start time
-# would answer a new shape from an old one; the topology memo keeps
-# only facts of the topology itself.
+# copy's split.  Bench E39 times those three layers.  Nor can it save a
+# new scenario's first touch, paid by every scenario, memo hits
+# included: its canonical text (the memo key), spliced from its fields
+# with the encoder called only for non-empty containers, and its
+# topology's facts and texts, found by one probe of the topology memo
+# per digraph object (bench E40).  Nothing is memoised on less than the
+# shape text: a key without the start time would answer a new shape
+# from an old one; the topology memo keeps only facts of the topology
+# itself.
 
 
 @dataclass
