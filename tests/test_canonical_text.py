@@ -80,9 +80,8 @@ def topologies(draw):
 def scenarios(draw):
     topology = draw(topologies())
     vertices = list(topology.vertices)
-    labels = [f"{u}->{v}" for u, v in topology.underlying_simple().arcs] if isinstance(
-        topology, MultiDigraph
-    ) else [f"{u}->{v}" for u, v in topology.arcs]
+    simple = topology.underlying_simple() if isinstance(topology, MultiDigraph) else topology
+    labels = [f"{u}->{v}" for u, v in simple.arcs]
     faults = FaultPlan()
     for party in draw(st.lists(st.sampled_from(vertices), max_size=2, unique=True)):
         point = draw(st.sampled_from([None, *CrashPoint]))
