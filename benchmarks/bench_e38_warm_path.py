@@ -105,7 +105,7 @@ ARMS: dict[str, tuple[Callable, Callable]] = {
     ),
     "recorded": (
         lambda scenario: run_key(ENGINE, scenario),
-        lambda key, report: entry_row(key, _recorded_entry(report), 0.0),
+        lambda key, report: entry_row(key, _recorded_entry(report, {"ok": True}), 0.0),
     ),
 }
 

@@ -21,6 +21,8 @@ depend on :mod:`repro.core` (which itself uses the outcome classifier),
 the verifier and lint because most callers never need them.
 """
 
+import importlib
+
 from repro.analysis.game import RECEIVER_VALUE_PERCENT, SwapGame, proper_coalitions
 from repro.analysis.outcomes import (
     ACCEPTABLE_OUTCOMES,
@@ -34,54 +36,43 @@ from repro.analysis.outcomes import (
     uniform_for,
 )
 
-_LAZY_ATTACKS = {
-    "DeadlockDemo",
-    "FreeRideDemo",
-    "free_ride_partition",
-    "last_moment_scenario",
-    "non_fvs_deadlock",
-    "premature_reveal_scenario",
-}
-_LAZY_EQUILIBRIUM = {
-    "DEFAULT_MENU",
-    "DeviationOutcome",
-    "EquilibriumReport",
-    "MenuEntry",
-    "check_strong_nash",
-}
-_LAZY_DIAGNOSTICS = {
-    "Diagnostic",
-    "SEVERITIES",
-    "has_errors",
-}
-_LAZY_STRUCTURE = {
-    "check_scenario",
-    "decode_scenario",
-}
 # NB: the predict() *function* is deliberately not re-exported — its
 # name collides with the submodule's, and the import system pins the
 # submodule onto the package after first import; reach it as
 # ``repro.analysis.predict.predict``.
-_LAZY_PREDICT = {
-    "Prediction",
+_LAZY: dict[str, tuple[str, ...]] = {
+    "attacks": (
+        "DeadlockDemo",
+        "FreeRideDemo",
+        "free_ride_partition",
+        "last_moment_scenario",
+        "non_fvs_deadlock",
+        "premature_reveal_scenario",
+    ),
+    "equilibrium": (
+        "DEFAULT_MENU",
+        "DeviationOutcome",
+        "EquilibriumReport",
+        "MenuEntry",
+        "check_strong_nash",
+    ),
+    "diagnostics": ("Diagnostic", "SEVERITIES", "has_errors"),
+    "structure": ("check_scenario", "decode_scenario"),
+    "predict": ("Prediction",),
+    "protocol": (
+        "COVERAGE_FULL",
+        "COVERAGE_NONE",
+        "COVERAGE_VERDICT",
+        "PREDICTABLE_ENGINES",
+        "ScenarioAnalysis",
+        "VERDICTS",
+        "analyze_scenario",
+        "check_submission",
+    ),
+    "lint": ("LintModule", "LintRule", "LintViolation", "lint_file", "run_lint"),
 }
-_LAZY_PROTOCOL = {
-    "COVERAGE_FULL",
-    "COVERAGE_NONE",
-    "COVERAGE_VERDICT",
-    "PREDICTABLE_ENGINES",
-    "ScenarioAnalysis",
-    "VERDICTS",
-    "analyze_scenario",
-    "check_submission",
-}
-_LAZY_LINT = {
-    "LintModule",
-    "LintRule",
-    "LintViolation",
-    "lint_file",
-    "run_lint",
-}
+#: The module each lazily loaded name lives in.
+_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
 
 __all__ = [
     "RECEIVER_VALUE_PERCENT",
@@ -96,43 +87,12 @@ __all__ = [
     "comparable",
     "strictly_prefers",
     "uniform_for",
-    *sorted(_LAZY_ATTACKS),
-    *sorted(_LAZY_EQUILIBRIUM),
-    *sorted(_LAZY_DIAGNOSTICS),
-    *sorted(_LAZY_STRUCTURE),
-    *sorted(_LAZY_PREDICT),
-    *sorted(_LAZY_PROTOCOL),
-    *sorted(_LAZY_LINT),
+    *_LAZY_MODULE,
 ]
 
 
 def __getattr__(name: str):
-    if name in _LAZY_ATTACKS:
-        from repro.analysis import attacks
-
-        return getattr(attacks, name)
-    if name in _LAZY_EQUILIBRIUM:
-        from repro.analysis import equilibrium
-
-        return getattr(equilibrium, name)
-    if name in _LAZY_DIAGNOSTICS:
-        from repro.analysis import diagnostics
-
-        return getattr(diagnostics, name)
-    if name in _LAZY_STRUCTURE:
-        from repro.analysis import structure
-
-        return getattr(structure, name)
-    if name in _LAZY_PREDICT:
-        from repro.analysis import predict
-
-        return getattr(predict, name)
-    if name in _LAZY_PROTOCOL:
-        from repro.analysis import protocol
-
-        return getattr(protocol, name)
-    if name in _LAZY_LINT:
-        from repro.analysis import lint
-
-        return getattr(lint, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _LAZY_MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

@@ -141,11 +141,6 @@ PATH_SIMULATED = "simulated"
 FALLBACK_ENGINE = "herlihy"
 
 
-def fast_path_eligible(analysis: ScenarioAnalysis) -> bool:
-    """Can a report be synthesized from this analysis without running?"""
-    return analysis.coverage == COVERAGE_FULL and analysis.prediction is not None
-
-
 def analyze_for_fast_path(scenario: Scenario, engine: str) -> ScenarioAnalysis | None:
     """The analysis gating the fast path, or ``None`` when the closed
     form can never answer: :func:`~repro.analysis.protocol.coverage_ceiling`
@@ -453,10 +448,9 @@ def synthesize_run(engine_name: str, scenario: Scenario) -> RunReport | None:
     on the submit path and queues the rest) call this directly; the rest
     go through :func:`resolve_report`."""
     analysis = analyze_for_fast_path(scenario, engine_name)
-    if analysis is None or not fast_path_eligible(analysis):
+    if analysis is None or analysis.coverage != COVERAGE_FULL or analysis.prediction is None:
         return None
     started = time.perf_counter()
-    assert analysis.prediction is not None
     try:
         report = synthesize_report(scenario, analysis.prediction)
     except AnalysisError:

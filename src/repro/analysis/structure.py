@@ -59,7 +59,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Any
 
 from repro.analysis.diagnostics import ERROR, WARNING, Diagnostic, error
@@ -144,16 +144,11 @@ class ScenarioFacts:
         delays = scenario.chain_delays
         self.delays: Mapping[Any, Any] = delays if isinstance(delays, Mapping) else {}
         self.leaders: tuple[Any, ...] = getattr(scenario, "leaders", None) or ()
-        self._connected: bool | None = None
 
-    @property
+    @cached_property
     def connected(self) -> bool:
         """Strongly connected with at least one arc."""
-        if self._connected is None:
-            self._connected = self.digraph.arc_count() > 0 and is_strongly_connected(
-                self.digraph
-            )
-        return self._connected
+        return self.digraph.arc_count() > 0 and is_strongly_connected(self.digraph)
 
 
 Finding = tuple[str, Any]
@@ -271,8 +266,7 @@ def _strategy_names_are_strings(f: ScenarioFacts) -> Iterator[Finding]:
 @_rule("payload/bad-type", table=TYPE_RULES)
 def _field_types(f: ScenarioFacts) -> Iterator[Finding]:
     """The payload decoder's type checks, for a scenario built in Python."""
-    values = {key: getattr(f.scenario, key) for key in _FIELD_TYPES}
-    for key, message in _type_problems(values):
+    for key, message in _type_problems(vars(f.scenario)):
         yield f"/{key}", ScenarioError(message)
 
 
@@ -324,15 +318,21 @@ _rule("timing/bad-start")(_integer_ticks("start_time"))
 _rule("timing/bad-diam", binds={"diam_override"})(_integer_ticks("diam_override"))
 
 
-def _below(f: ScenarioFacts, name: str, lowest: int) -> bool:
-    value = getattr(f.scenario, name)
-    return _is_int(value) and value < lowest
+def _at_least(
+    name: str, lowest: int, refusal: type[ReproError], message: str
+) -> Callable[[ScenarioFacts], Iterator[Finding]]:
+    """The rule that field ``name``, where it is an integer, is at least
+    ``lowest``; it finds ``refusal(message)`` otherwise."""
+
+    def find(f: ScenarioFacts) -> Iterator[Finding]:
+        value = getattr(f.scenario, name)
+        if _is_int(value) and value < lowest:
+            yield f"/{name}", refusal(message)
+
+    return find
 
 
-@_rule("timing/bad-delta")
-def _positive_delta(f: ScenarioFacts) -> Iterator[Finding]:
-    if _below(f, "delta", 1):
-        yield "/delta", SimulationError("delta must be positive")
+_rule("timing/bad-delta")(_at_least("delta", 1, SimulationError, "delta must be positive"))
 
 
 def _fraction_is_bad(value: Any) -> bool:
@@ -422,22 +422,15 @@ def _leaders_break_every_cycle(f: ScenarioFacts) -> Iterator[Finding]:
             yield "/leaders", exc
 
 
-@_rule("timing/bad-start")
-def _start_not_negative(f: ScenarioFacts) -> Iterator[Finding]:
-    if _below(f, "start_time", 0):
-        yield "/start_time", ClearingError("start_time must be non-negative")
-
-
-@_rule("timing/bad-diam", binds={"diam_override"})
-def _diam_at_least_one(f: ScenarioFacts) -> Iterator[Finding]:
-    if _below(f, "diam_override", 1):
-        yield "/diam_override", ClearingError("diam must be at least 1")
-
-
-@_rule("timing/bad-slack", binds={"timeout_slack"})
-def _slack_not_negative(f: ScenarioFacts) -> Iterator[Finding]:
-    if _below(f, "timeout_slack", 0):
-        yield "/timeout_slack", ClearingError("timeout_slack must be non-negative")
+_rule("timing/bad-start")(
+    _at_least("start_time", 0, ClearingError, "start_time must be non-negative")
+)
+_rule("timing/bad-diam", binds={"diam_override"})(
+    _at_least("diam_override", 1, ClearingError, "diam must be at least 1")
+)
+_rule("timing/bad-slack", binds={"timeout_slack"})(
+    _at_least("timeout_slack", 0, ClearingError, "timeout_slack must be non-negative")
+)
 
 
 # -- warnings ----------------------------------------------------------------

@@ -32,7 +32,6 @@ from repro.core.strategies import (
     WithholdSecretParty,
     WrongContractParty,
 )
-from repro.crypto.hashing import sha256
 from repro.crypto.signatures import DEFAULT_SCHEME_NAME
 from repro.digraph.digraph import Digraph, Vertex, topology_memo
 from repro.digraph.multigraph import MultiDigraph
@@ -434,18 +433,6 @@ class Scenario:
         object.__setattr__(self, "_canonical_text", canonical)
         object.__setattr__(self, "_shape_text", shape)
         return canonical, shape
-
-    def content_hash(self) -> str:
-        """A stable SHA-256 hex digest of :meth:`canonical_text`, the
-        scenario alone.
-
-        Equal for any two scenarios describing the same run, regardless
-        of construction order or display name.  It is not a store key:
-        :mod:`repro.lab.store` addresses a run by
-        :func:`repro.api.sweep.run_key`, which hashes the engine name and
-        the run-key schema beside the same canonical text.
-        """
-        return sha256(self.canonical_text().encode()).hex()
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":

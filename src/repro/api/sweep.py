@@ -191,24 +191,35 @@ def store_entry(report: RunReport, path: str | None = None) -> dict:
     stays byte-identical to releases that predate milestones while the
     store still learns the lifecycle shape of every fresh run; a report
     with no milestone sequence (one that crossed a process boundary)
-    gets no ``milestones`` key.
+    gets no ``milestones`` key.  The entry is built by
+    :func:`_recorded_entry` from the report's dict; for an untouched
+    synthesized copy it is an :class:`EncodedEntry`.
+    """
+    if path is not None:
+        report.extra.setdefault("path", path)
+    return _recorded_entry(report, {"ok": True, "report": report.to_dict()})
+
+
+def _recorded_entry(report: RunReport, entry: dict) -> dict:
+    """The success entry of ``report`` from ``entry``, its first members:
+    ``{"ok": True}`` and, from :func:`store_entry`, the report's dict.
 
     An untouched copy of a shape's synthesized report
     (:func:`~repro.analysis.engine.shape_template`) takes its milestone
     counts from the shape and comes back as an :class:`EncodedEntry`,
     whose text is the shape's stored text with this run's holes filled
     in (the shape's first stored copy splits it, :func:`split_entry_text`),
-    so :func:`entry_text` encodes nothing.  :func:`run_sweep` records
-    such an entry for a report it synthesized inline without its
-    ``report`` member (:func:`_recorded_entry`); every entry handed out
-    is made here.
+    so :func:`entry_text` encodes nothing.  Once the text is split, such
+    an entry keeps no ``report`` member it was not given: nothing reads
+    it when the store writes the entry's text and the caller holds the
+    report, as :func:`run_sweep` does for the reports its fast path
+    synthesizes inline.  Any other entry gets the report's dict.
     """
     from repro.analysis.engine import shape_template
 
-    if path is not None:
-        report.extra.setdefault("path", path)
     template = shape_template(report)
-    entry = {"ok": True, "report": report.to_dict()}
+    if (template is None or not template.entry) and "report" not in entry:
+        entry["report"] = report.to_dict()
     if template is None:
         counts = report.milestone_counts()
         if counts is not None:
@@ -224,8 +235,8 @@ def store_entry(report: RunReport, path: str | None = None) -> dict:
 
 class EncodedEntry(dict):
     """A success entry that carries its stored text, ``text``: equal to
-    ``json.dumps(entry, sort_keys=True)`` as :func:`store_entry` made it,
-    and its run's ``engine`` and scenario ``name``.
+    ``json.dumps(entry, sort_keys=True)`` of the entry :func:`store_entry`
+    makes for its run, and its run's ``engine`` and scenario ``name``.
 
     An entry is recorded as it was made.  To change one, change a plain
     copy (``dict(entry)``), whose text is encoded afresh.
@@ -246,22 +257,6 @@ def entry_text(entry: dict) -> str:
     if isinstance(entry, EncodedEntry):
         return entry.text
     return json.dumps(entry, sort_keys=True)
-
-
-def _recorded_entry(report: RunReport) -> dict:
-    """:func:`store_entry` for a synthesized report the caller keeps: once
-    its shape's text is split, an untouched copy's entry without the
-    ``report`` member, which nothing reads when the store writes the
-    entry's text and the caller holds the report itself.  Never handed
-    out: only :func:`run_sweep` records it, for the reports its fast
-    path synthesizes inline."""
-    from repro.analysis.engine import shape_template
-
-    template = shape_template(report)
-    if template is None or not template.entry:
-        return store_entry(report)
-    members = {"ok": True, "milestones": dict(template.milestones)}
-    return EncodedEntry(_fill_entry_text(template.entry, report), report, members)
 
 
 #: Stand-ins for the members of a synthesized entry that vary within a
@@ -503,32 +498,6 @@ class SweepReport:
             return 0.0
         return sum(r.all_deal() for r in pool) / len(pool)
 
-    def table_rows(self) -> list[list[object]]:
-        """Per-engine aggregate rows for :func:`benchmarks._tables.emit_table`:
-        ``[engine, runs, all-Deal, safe, mean completion, mean stored
-        bytes, total wall ms]``."""
-        rows: list[list[object]] = []
-        for engine, reports in sorted(self.by_engine().items()):
-            completions = [
-                r.completion_time for r in reports if r.completion_time is not None
-            ]
-            rows.append(
-                [
-                    engine,
-                    len(reports),
-                    sum(r.all_deal() for r in reports),
-                    sum(r.conforming_acceptable() for r in reports),
-                    (
-                        f"{sum(completions) / len(completions):.0f}"
-                        if completions
-                        else "-"
-                    ),
-                    f"{sum(r.stored_bytes for r in reports) / len(reports):.0f}",
-                    f"{sum(r.wall_seconds for r in reports) * 1000:.0f}",
-                ]
-            )
-        return rows
-
     def summary(self) -> str:
         cache_note = f", {self.cached} cached" if self.cached else ""
         if self.analytic:
@@ -680,7 +649,7 @@ def run_sweep(
             if report is None:
                 residue.append(index)
                 continue
-            record(index, _recorded_entry(report))
+            record(index, _recorded_entry(report, {"ok": True}))
             inline[index] = report
             synthesized.append(index)
         if synthesized:

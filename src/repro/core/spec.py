@@ -137,11 +137,6 @@ class SwapSpec:
             raise ClearingError("path length cannot be negative")
         return self.start_time + (self.diam + path_length + self.timeout_slack) * self.delta
 
-    def longest_path_to(self, source: Vertex, leader: Vertex) -> int:
-        """``D(source, leader)`` (longest simple path length), from the
-        topology's memoised table."""
-        return longest_path_length(self.digraph, source, leader)
-
     def lock_final_timeout(self, arc: Arc, lock_index: int) -> int:
         """When hashlock ``lock_index`` has timed out *on this arc*.
 
@@ -158,30 +153,22 @@ class SwapSpec:
         """Every lock's :meth:`lock_final_timeout` on the arcs entering
         ``counterparty``, in lock order.  A lock's final timeout depends
         on the arc only through its counterparty, so they are computed
-        once per counterparty and memoised per spec (the contracts'
-        refund checks and the parties' refund watches read it)."""
+        once per counterparty, one ``D(counterparty, leader)`` read of
+        the topology's memoised table each, and kept per spec (the
+        contracts' refund checks and the parties' refund watches read
+        them).  The §4.5 broadcast arc adds a path of length 1 to every
+        leader, which never lengthens ``D``: the digraph is strongly
+        connected, so ``D(u, v) >= 1`` for every ``u != v``."""
         timeouts = self._final_timeouts.get(counterparty)
         if timeouts is None:
             base = self.diam + self.timeout_slack
             timeouts = self._final_timeouts[counterparty] = tuple(
                 self.start_time
-                + (base + self._final_path_length(counterparty, leader)) * self.delta
+                + (base + longest_path_length(self.digraph, counterparty, leader))
+                * self.delta
                 for leader in self.leaders
             )
         return timeouts
-
-    def _final_path_length(self, counterparty: Vertex, leader: Vertex) -> int:
-        """``D(counterparty, leader)``, at least 1 through a broadcast arc."""
-        longest = self.longest_path_to(counterparty, leader)
-        if self.broadcast_unlock_enabled and counterparty != leader:
-            # The logical follower→leader arc adds a path of length 1, which
-            # is never the longest unless the graph is tiny; max for safety.
-            longest = max(longest, 1)
-        return longest
-
-    def latest_timeout(self, arc: Arc) -> int:
-        """The latest final timeout across all hashlocks on ``arc``."""
-        return max(self.final_timeouts(arc[1]))
 
     def phase_two_bound(self) -> int:
         """Theorem 4.7's bound: all triggers by ``start + 2·diam·Δ``.

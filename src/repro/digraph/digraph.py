@@ -218,19 +218,6 @@ class Digraph:
             )
         return entry.encoded_size
 
-    def topology_key(self) -> TopologyKey:
-        """The declaration-order vertex and arc tuples, the key of
-        :func:`topology_memo`.
-
-        ``==`` and ``hash`` compare vertex and arc *sets*; two digraphs
-        share this key only when they list the same vertices and arcs in
-        the same order, which order-sensitive results (the first minimum
-        FVS in vertex order, the declared JSON text) need.  Built from
-        the digraph's own tuples, so it costs nothing to make and holds
-        no reference to the digraph.
-        """
-        return self._vertices, self._arcs
-
     # -- dunder --------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -271,9 +258,9 @@ class Digraph:
 class TopologyInvariants:
     """The facts of one topology, filled in as they are asked for.
 
-    One entry per :meth:`Digraph.topology_key`, shared by every digraph
-    object that declares the same vertices and arcs in the same order
-    (every scenario of a sweep builds its own).  The graph facts are
+    One entry per :data:`TopologyKey`, shared by every digraph object
+    that declares the same vertices and arcs in the same order (every
+    scenario of a sweep builds its own).  The graph facts are
     :mod:`repro.digraph.paths`' and :mod:`repro.digraph.feedback`'s:
 
     ``longest`` is the row-major ``|V| x |V|`` table of exact ``D(u, v)``
@@ -320,17 +307,22 @@ _MEMO_LOCK = threading.Lock()
 
 
 def topology_memo(digraph: Digraph) -> TopologyInvariants:
-    """The memo entry for ``digraph``'s :meth:`~Digraph.topology_key`.
+    """The memo entry for ``digraph``'s declaration-order vertex and arc
+    tuples (a :data:`TopologyKey`).
 
-    A digraph object probes the memo once and keeps the entry it got, so
-    every later fact it is asked for is an attribute read.  The memo is
-    one LRU of at most :data:`TOPOLOGY_MEMO_LIMIT` entries, in the order
-    of those probes; an evicted entry stays valid for the objects that
-    hold it."""
+    ``==`` and ``hash`` compare vertex and arc *sets*; the key is the
+    declaration itself, because some facts depend on the order (the
+    first minimum FVS in vertex order, the declared JSON text).  The
+    digraph's own tuples cost nothing to make and hold no reference to
+    the digraph.  A digraph object probes the memo once and keeps the
+    entry it got, so every later fact it is asked for is an attribute
+    read.  The memo is one LRU of at most :data:`TOPOLOGY_MEMO_LIMIT`
+    entries, in the order of those probes; an evicted entry stays valid
+    for the objects that hold it."""
     entry = digraph._invariants
     if entry is not None:
         return entry
-    key = digraph.topology_key()
+    key = digraph._vertices, digraph._arcs
     with _MEMO_LOCK:
         entry = _MEMO.get(key)
         if entry is not None:

@@ -21,8 +21,7 @@ analyzer each ask for ``diam(D)``, ``D(u, v)`` and the leader FVS again,
 so :func:`~repro.digraph.digraph.topology_memo` (defined beside
 :class:`~repro.digraph.digraph.Digraph`, re-exported here) keeps one
 compact :class:`~repro.digraph.digraph.TopologyInvariants` entry per
-declaration-order ``(vertices, arcs)`` pair
-(:meth:`~repro.digraph.digraph.Digraph.topology_key`): the exact
+declaration-order ``(digraph.vertices, digraph.arcs)`` pair: the exact
 diameter, the exact ``D(u, v)`` table, the exact and greedy FVS and the
 leader sets checked to be one (:mod:`repro.digraph.feedback`), strong
 connectivity, and the digraph's encoded size and JSON texts.  Vertex
@@ -251,19 +250,13 @@ def longest_path_length(
     if source == target:
         return 0
     vertices = digraph.vertices
-    if len(vertices) > exact_limit:
-        if shortest_path_length(digraph, source, target) is None:
-            raise DigraphError(f"{target!r} is not reachable from {source!r}")
-        return len(vertices) - 1
-    return _longest_exact(digraph, source, target)
-
-
-def _longest_exact(digraph: Digraph, source: Vertex, target: Vertex) -> int:
-    """Exact ``D(source, target)`` for ``source != target``, from the
-    memoised table; unreachability is read from the same row."""
-    vertices = digraph.vertices
-    row = vertices.index(source)
-    length = _longest_table(digraph, (row,))[row * len(vertices) + vertices.index(target)]
+    n = len(vertices)
+    if n > exact_limit:
+        reached = shortest_path_length(digraph, source, target) is not None
+        length = n - 1 if reached else _UNREACHABLE
+    else:
+        row = vertices.index(source)
+        length = _longest_table(digraph, (row,))[row * n + vertices.index(target)]
     if length == _UNREACHABLE:
         raise DigraphError(f"{target!r} is not reachable from {source!r}")
     return length

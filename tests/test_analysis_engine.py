@@ -27,7 +27,6 @@ from repro.analysis.engine import (
     PATH_KEY,
     PATH_SIMULATED,
     analyze_for_fast_path,
-    fast_path_eligible,
     resolve_report,
     synthesize_report,
 )
@@ -61,6 +60,11 @@ def comparable(report) -> dict:
     data.pop("wall_seconds", None)
     (data.get("extra") or {}).pop(PATH_KEY, None)
     return data
+
+
+def eligible(analysis) -> bool:
+    """Would ``synthesize_run`` synthesize from this analysis?"""
+    return analysis.coverage == COVERAGE_FULL and analysis.prediction is not None
 
 
 def assert_byte_parity(scenario: Scenario) -> None:
@@ -198,11 +202,11 @@ class TestFallback:
 
     def test_gate_accepts_herlihy(self):
         analysis = analyze_for_fast_path(Scenario(triangle()), "herlihy")
-        assert analysis is not None and fast_path_eligible(analysis)
+        assert analysis is not None and eligible(analysis)
 
     def test_eligibility_requires_full_coverage(self):
         analysis = analyze_scenario(Scenario(triangle(), timing="jittered"))
-        assert not fast_path_eligible(analysis)
+        assert not eligible(analysis)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +241,7 @@ class TestRefusedSchemes:
         assert codes == [["engine/one-time-scheme"], ["engine/unknown-scheme"]]
         for scenario in self.REFUSED:
             assert analyze_for_fast_path(scenario, "herlihy").coverage != COVERAGE_FULL
-        assert fast_path_eligible(analyze_scenario(self.ALLOWED))
+        assert eligible(analyze_scenario(self.ALLOWED))
 
     def test_sweep_records_the_same_entries_either_way(self):
         entries = []

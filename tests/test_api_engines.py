@@ -462,8 +462,8 @@ class TestSweep:
         report = run_sweep(sweep, parallel=False)
         assert report.all_deal_rate() == 1.0
         assert report.all_deal_rate("herlihy") == 1.0
-        rows = report.table_rows()
-        assert [row[0] for row in rows] == ["2pc", "herlihy"]
-        assert all(row[1] == 1 for row in rows)
+        grouped = report.by_engine()
+        assert sorted(grouped) == ["2pc", "herlihy"]
+        assert all(len(runs) == 1 for runs in grouped.values())
         wire = report.to_dict()
         assert len(wire["reports"]) == 2

@@ -12,19 +12,23 @@ crash plans, strategies, nested ``params`` and multigraphs.
 The topology facts are found by the declaration-order ``(vertices,
 arcs)`` key: two digraphs with equal sets declared in other orders
 share the canonical text but not the declared text, nor the memo entry.
+They share a run key too, but not yet a run: a strict expected failure
+pins that the engines still read the declaration order.
 """
 
 import json
 from random import Random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from first_touch_reference import PerObjectTopologyPath, reference_canonical_text
 from repro.api.scenario import STRATEGIES, Scenario, _topology_text, canonical_json
-from repro.api.sweep import _declared_topology_text
+from repro.api.engine import get_engine
+from repro.api.sweep import _declared_topology_text, run_key
 from repro.digraph.digraph import Digraph, topology_memo
-from repro.digraph.generators import random_strongly_connected
+from repro.digraph.generators import complete_digraph, random_strongly_connected
 from repro.digraph.multigraph import MultiDigraph
 from repro.sim.faults import CrashPoint, FaultPlan
 
@@ -155,7 +159,6 @@ def test_declaration_order_splits_the_declared_text_only(digraph, rng):
     else:
         assert _declared_topology_text(other) != _declared_topology_text(digraph)
         assert topology_memo(other) is not topology_memo(digraph)
-        assert other.topology_key() != digraph.topology_key()
 
 
 def test_equal_sets_in_other_orders():
@@ -165,6 +168,20 @@ def test_equal_sets_in_other_orders():
     assert Scenario(forward).canonical_text() == Scenario(shuffled).canonical_text()
     assert _declared_topology_text(forward) != _declared_topology_text(shuffled)
     assert topology_memo(forward) is not topology_memo(shuffled)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="with leaders=None the leader vector is a feedback vertex set taken "
+    "in declaration order, so one run key names two runs",
+)
+def test_declaration_order_does_not_change_a_run():
+    forward = complete_digraph(4)
+    backward = Digraph(forward.vertices[::-1], forward.arcs[::-1])
+    runs = [Scenario(topology, seed=3) for topology in (forward, backward)]
+    assert run_key("herlihy", runs[0]) == run_key("herlihy", runs[1])
+    leaders = [get_engine("herlihy").run(scenario).leaders for scenario in runs]
+    assert leaders[0] == leaders[1]
 
 
 def test_a_fresh_object_finds_the_facts_the_per_object_path_found():

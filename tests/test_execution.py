@@ -404,7 +404,7 @@ class TestChainDelays:
         )
         again = Scenario.from_dict(scenario.to_dict())
         assert again.chain_delays == {"Alice->Bob": 250}
-        assert again.content_hash() == scenario.content_hash()
+        assert again.canonical_text() == scenario.canonical_text()
         assert "chain_delays" in scenario.canonical_dict()
 
     def test_non_default_changes_run_key(self):

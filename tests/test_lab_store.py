@@ -616,7 +616,7 @@ class TestContentAddressing:
     def test_name_does_not_change_key(self):
         a = Scenario(topology=triangle(), name="alpha")
         b = Scenario(topology=triangle(), name="beta")
-        assert a.content_hash() == b.content_hash()
+        assert a.canonical_text() == b.canonical_text()
         assert run_key("herlihy", a) == run_key("herlihy", b)
 
     def test_topology_order_does_not_change_key(self):
@@ -624,32 +624,32 @@ class TestContentAddressing:
         shuffled = Digraph(["C", "A", "B"], [("C", "A"), ("A", "B"), ("B", "C")])
         assert forward == shuffled
         assert (
-            Scenario(topology=forward).content_hash()
-            == Scenario(topology=shuffled).content_hash()
+            Scenario(topology=forward).canonical_text()
+            == Scenario(topology=shuffled).canonical_text()
         )
 
     def test_engine_and_fields_change_key(self):
         scenario = Scenario(topology=triangle())
         assert run_key("herlihy", scenario) != run_key("multiswap", scenario)
         assert (
-            scenario.content_hash()
-            != scenario.with_(seed=scenario.seed + 1).content_hash()
+            scenario.canonical_text()
+            != scenario.with_(seed=scenario.seed + 1).canonical_text()
         )
         assert (
-            scenario.content_hash()
-            != scenario.with_(delta=scenario.delta + 1).content_hash()
+            scenario.canonical_text()
+            != scenario.with_(delta=scenario.delta + 1).canonical_text()
         )
         assert (
-            scenario.content_hash()
+            scenario.canonical_text()
             != scenario.with_(
                 strategies={"Carol": "last-moment-unlock"}
-            ).content_hash()
+            ).canonical_text()
         )
 
     def test_key_is_stable_json(self):
         scenario = Scenario(topology=triangle(), params={"b": 1, "a": 2})
         reordered = Scenario(topology=triangle(), params={"a": 2, "b": 1})
-        assert scenario.content_hash() == reordered.content_hash()
+        assert scenario.canonical_text() == reordered.canonical_text()
         # and the key is a 64-hex sha256 digest
         key = run_key("herlihy", scenario)
         assert len(key) == 64 and int(key, 16) >= 0
@@ -661,4 +661,4 @@ class TestContentAddressing:
             params={"x": [1, 2]},
         )
         clone = Scenario.from_dict(json.loads(json.dumps(scenario.to_dict())))
-        assert clone.content_hash() == scenario.content_hash()
+        assert clone.canonical_text() == scenario.canonical_text()

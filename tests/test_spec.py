@@ -12,7 +12,7 @@ from repro.digraph.generators import (
     triangle,
     two_leader_triangle,
 )
-from repro.digraph.paths import diameter
+from repro.digraph.paths import EXACT_LONGEST_PATH_LIMIT, diameter, longest_path_length
 from repro.errors import (
     ClearingError,
     NotFeedbackVertexSetError,
@@ -131,38 +131,37 @@ class TestDeadlines:
         spec = make_spec(two_leader_triangle(), ["A", "B"])
         arc = ("A", "C")
         per_lock = [spec.lock_final_timeout(arc, i) for i in range(2)]
-        assert spec.latest_timeout(arc) == max(per_lock)
+        assert spec.final_timeouts(arc[1]) == tuple(per_lock)
 
     @pytest.mark.parametrize("broadcast", [False, True])
     def test_final_timeouts_are_each_locks_timeout(self, broadcast):
         """One D(counterparty, ·) row per party gives every lock's final
-        timeout on every arc entering it."""
-        digraph = complete_digraph(4)
-        spec = make_spec(
-            digraph, ["P03", "P00", "P02"], timeout_slack=1,
-            broadcast_unlock_enabled=broadcast,
+        timeout on every arc entering it; the broadcast arc never
+        lengthens D.  Past the exact limit D(u, v) is |V| - 1; there
+        every chord runs forward, so every cycle enters P00."""
+        past_limit = cycle_digraph(EXACT_LONGEST_PATH_LIMIT + 2).with_arcs(
+            [("P00", "P05"), ("P03", "P09"), ("P07", "P12")]
         )
-        for arc in digraph.arcs:
-            timeouts = spec.final_timeouts(arc[1])
-            assert spec.final_timeouts(arc[1]) is timeouts  # memoised per spec
-            for i, leader in enumerate(spec.leaders):
-                longest = spec.longest_path_to(arc[1], leader)
-                if broadcast and arc[1] != leader:
-                    longest = max(longest, 1)
-                expected = DELTA + (spec.diam + longest + 1) * DELTA
-                assert timeouts[i] == spec.lock_final_timeout(arc, i) == expected
-            assert spec.latest_timeout(arc) == max(timeouts)
-        with pytest.raises(ClearingError):
-            spec.lock_final_timeout(("P00", "P01"), 3)
+        for digraph, leaders in (
+            (complete_digraph(4), ["P03", "P00", "P02"]),
+            (past_limit, ["P00", "P08"]),
+        ):
+            spec = make_spec(
+                digraph, leaders, timeout_slack=1, broadcast_unlock_enabled=broadcast,
+            )
+            for arc in digraph.arcs:
+                timeouts = spec.final_timeouts(arc[1])
+                assert spec.final_timeouts(arc[1]) is timeouts  # memoised per spec
+                for i, leader in enumerate(spec.leaders):
+                    longest = longest_path_length(digraph, arc[1], leader)
+                    expected = DELTA + (spec.diam + longest + 1) * DELTA
+                    assert timeouts[i] == spec.lock_final_timeout(arc, i) == expected
+            with pytest.raises(ClearingError):
+                spec.lock_final_timeout(arc, len(leaders))
 
     def test_phase_two_bound(self):
         spec = make_spec(triangle(), ["Alice"])
         assert spec.phase_two_bound() == DELTA + 4 * DELTA
-
-    def test_longest_path_cached(self):
-        spec = make_spec(triangle(), ["Alice"])
-        first = spec.longest_path_to("Bob", "Alice")
-        assert spec.longest_path_to("Bob", "Alice") == first == 2
 
 
 class TestPathValidation:
