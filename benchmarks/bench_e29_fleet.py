@@ -2,15 +2,17 @@
 
 ``repro.fleet`` drains one sweep with N claim/lease workers sharing a
 SQLite store.  The coordination is not free: every chunk costs a
-``BEGIN IMMEDIATE`` claim, a per-item heartbeat, and an atomic
-commit+release transaction.  This bench prices that protocol against
-the ideal a perfectly-coordinated worker would achieve — the bare
-:func:`repro.api.sweep.execute_payload` loop with zero coordination —
-on E22-style workloads, and freezes the budget:
+``BEGIN IMMEDIATE`` claim, a heartbeat after any item that ends once
+the lease is ``HEARTBEAT_AGE`` of its TTL old (none, for a chunk of
+bench-sized items), and an atomic commit+release transaction.  This
+bench prices that protocol against the ideal a perfectly-coordinated
+worker would achieve — the bare :func:`repro.api.sweep.execute_payload`
+loop with zero coordination — on E22-style workloads, and freezes the
+budget:
 
 * **coordination overhead** — wall time of a single in-process
   :class:`~repro.fleet.worker.FleetWorker` draining the queue
-  (enqueue + claims + heartbeats + atomic commits included) over the
+  (enqueue + claims + any heartbeats + atomic commits included) over the
   bare execution loop on the same payloads, asserted ``<=
   OVERHEAD_CEILING`` per workload (the acceptance budget; CI re-asserts
   it from the committed ``BENCH_E29.json``).
@@ -205,7 +207,8 @@ def test_fleet_overhead(benchmark):
             "perfectly-coordinated worker would cost.  'fleet' adds the "
             "whole claim/lease protocol on the shared SQLite store: "
             "enqueue (run-key content addressing), BEGIN IMMEDIATE "
-            "claims, a heartbeat per item, and the atomic "
+            "claims, a heartbeat once a lease is a quarter of its TTL "
+            "old, and the atomic "
             "commit+release transaction.  Every drained store is "
             "asserted key-for-key byte-identical (modulo wall_seconds) "
             "to the ideal loop's entries before timing is trusted.  "

@@ -226,6 +226,20 @@ def e40(results: Path) -> None:
     )
 
 
+def e41(results: Path) -> None:
+    """Run garbage: on fleet-drain's 96 simulated draws, no finished
+    run leaves an object for the cycle collector (exactly 0 each)."""
+    after = _load(results, "E41")["after"]
+    runs = after["runs"]
+    assert len(runs) == after["summary"]["runs"] == 96, after["summary"]
+    leaking = {run["name"]: run["garbage"] for run in runs if run["garbage"] != 0}
+    assert not leaking, leaking
+    print(
+        f"E41 floor ok: 0 objects left by each of {len(runs)} runs, "
+        f"collector on/off {after['summary']['gc_on_over_off_median']}x"
+    )
+
+
 #: Experiment id -> its floor check, in experiment order.
 FLOORS: dict[str, Callable[[Path], None]] = {
     "E28": e28,
@@ -240,6 +254,7 @@ FLOORS: dict[str, Callable[[Path], None]] = {
     "E38": e38,
     "E39": e39,
     "E40": e40,
+    "E41": e41,
 }
 
 

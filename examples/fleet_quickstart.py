@@ -57,7 +57,8 @@ def demo(tmp: Path) -> None:
 
     # Drain the same grid with a 2-worker local fleet.  Workers are
     # separate OS processes; the SQLite store is the only coordination
-    # channel (lease TTL 30 s, heartbeat per item, chunks of 4 runs).
+    # channel (lease TTL 30 s, renewed once a quarter of it has passed,
+    # chunks of 4 runs).
     store = tmp / "fleet.sqlite"
     report = run_fleet(
         sweep, store, workers=2, config=FleetConfig(chunk_size=4)

@@ -128,6 +128,11 @@ class Execution:
     for the lifecycle.  The underlying harness is reachable as
     :attr:`harness` (interventions use it to reach parties, scheduler,
     and chains); :attr:`scenario` and :attr:`engine` identify the run.
+
+    A finalised session (completed or aborted) holds no reference
+    cycle, so reference counting frees it.  One dropped mid-run keeps
+    its queued events, whose methods reach the parties that reach the
+    scheduler: only the cycle collector frees it.
     """
 
     def __init__(

@@ -138,7 +138,7 @@ class EscrowParty(Process):
             self.trace.record(now, tr.CONTRACT_PUBLISHED, self.address, arc=list(arc))
             self.wake_after(
                 max(0, self.timeout - now) + self.profile.action_delay,
-                lambda a=arc, cid=contract_id: self._try_refund(a, cid),
+                self._try_refund, arc, contract_id,
             )
 
     def _try_refund(self, arc: Arc, contract_id: str) -> None:

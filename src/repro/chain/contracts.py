@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Any
+from weakref import ref
 
 from repro.chain.assets import Asset
 from repro.chain.ledger import EncodedSizes, encoded_size
@@ -45,7 +46,8 @@ class Contract(ABC):
 
     Attributes (assigned by the chain at publication):
         contract_id: Stable on-chain identifier; also the escrow owner id.
-        chain: The hosting blockchain.
+        chain: The hosting blockchain, held weakly: the chain holds its
+            contracts, and a strong link back would make a cycle.
         published_at: Ledger timestamp of the publication block.
         creator: Address that published (and escrowed the asset).
     """
@@ -55,7 +57,7 @@ class Contract(ABC):
     def __init__(self, asset: Asset) -> None:
         self.asset = asset
         self.contract_id: str | None = None
-        self.chain: "Blockchain | None" = None
+        self._host: "ref[Blockchain] | None" = None
         self.published_at: int | None = None
         self.creator: str | None = None
         self._halted = False
@@ -70,10 +72,15 @@ class Contract(ABC):
                 f"contract already published as {self.contract_id} "
                 "(contracts are irrevocable and single-use)"
             )
-        self.chain = chain
+        self._host = ref(chain)
         self.contract_id = contract_id
         self.creator = creator
         self.published_at = now
+
+    @property
+    def chain(self) -> "Blockchain | None":
+        """The hosting blockchain (``None`` before publication)."""
+        return None if self._host is None else self._host()
 
     @property
     def is_published(self) -> bool:

@@ -237,10 +237,7 @@ class HTLCParty(Process):
         """Wake at each refund deadline to refund if still locked."""
         for deadline in self.refund_deadlines(arc):
             delay = max(0, deadline - self.scheduler.now) + self.profile.action_delay
-            self.wake_after(
-                delay,
-                lambda a=arc, cid=contract_id: self._try_refund(a, cid),
-            )
+            self.wake_after(delay, self._try_refund, arc, contract_id)
 
     def refund_deadlines(self, arc: Arc) -> Iterable[int]:
         """Ascending times after which a leaving arc may be refundable."""
@@ -338,10 +335,7 @@ class SwapParty(HTLCParty):
             self.scheduler.now, tr.PHASE_STARTED, self.address, phase=2, lock_index=lock_index
         )
         if self.use_broadcast:
-            self.wake_after(
-                self.profile.action_delay,
-                lambda: self._broadcast_secret(hashkey),
-            )
+            self.wake_after(self.profile.action_delay, self._broadcast_secret, hashkey)
         self._schedule_unlocks(lock_index)
 
     def _broadcast_secret(self, hashkey: Hashkey) -> None:
@@ -438,7 +432,7 @@ class SwapParty(HTLCParty):
                 continue
             self.wake_after(
                 self.unlock_delay(arc, lock_index),
-                lambda a=arc, cid=contract_id, hk=hashkey: self._send_unlock(a, cid, hk),
+                self._send_unlock, arc, contract_id, hashkey,
             )
 
     def should_unlock(self, arc: Arc, lock_index: int) -> bool:
@@ -480,10 +474,7 @@ class SwapParty(HTLCParty):
         if first and self._maybe_crash(CrashPoint.AFTER_FIRST_UNLOCK):
             return
         if len(self.unlocked_incoming[arc]) == self.spec.lock_count():
-            self.wake_after(
-                self.profile.action_delay,
-                lambda a=arc, cid=contract_id: self._send_claim(a, cid),
-            )
+            self.wake_after(self.profile.action_delay, self._send_claim, arc, contract_id)
 
     # -- refunds -------------------------------------------------------------------
 

@@ -337,10 +337,7 @@ class SingleLeaderParty(HTLCParty):
     def _schedule_unlock(self, arc: Arc) -> None:
         if not self.should_unlock(arc):
             return
-        self.wake_after(
-            self.unlock_delay(arc),
-            lambda a=arc: self._send_unlock(a),
-        )
+        self.wake_after(self.unlock_delay(arc), self._send_unlock, arc)
 
     def should_unlock(self, arc: Arc) -> bool:
         return True
@@ -369,10 +366,7 @@ class SingleLeaderParty(HTLCParty):
                 )
         except ContractError:
             return
-        self.wake_after(
-            self.profile.action_delay,
-            lambda a=arc, cid=contract_id: self._send_claim(a, cid),
-        )
+        self.wake_after(self.profile.action_delay, self._send_claim, arc, contract_id)
 
     # -- refunds -------------------------------------------------------------------
 

@@ -98,8 +98,10 @@ class FleetConfig:
     """Lease parameters shared by coordinator, workers, and driver.
 
     ``lease_ttl`` must comfortably exceed the slowest single scenario a
-    chunk can contain — workers heartbeat after every item, so the TTL
-    only has to outlive one execution, not a whole chunk.
+    chunk can contain — a worker heartbeats after an item once its
+    lease is :data:`~repro.fleet.worker.HEARTBEAT_AGE` of the TTL old,
+    so the TTL only has to outlive one execution plus that age, not a
+    whole chunk.
     ``skew_grace`` is the clock-disagreement allowance: a lease is
     re-issued only once it is expired by more than the grace on the
     *observer's* clock, so workers whose clocks differ by less than the

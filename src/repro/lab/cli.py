@@ -916,8 +916,8 @@ _LEASE_ARGS = (
     _arg(
         "--lease-ttl", type=float, default=30.0,
         help="seconds a claimed chunk stays leased without a heartbeat "
-             "(workers heartbeat per item, so this bounds one scenario, "
-             "not a chunk; default 30)",
+             "(workers heartbeat once a lease is a quarter of this old, "
+             "so this bounds one scenario, not a chunk; default 30)",
     ),
     _arg(
         "--skew-grace", type=float, default=5.0,

@@ -33,8 +33,8 @@ run quiesces (a direct run is ``finalize(harness.run_to_quiescence(T))``)::
 
 from __future__ import annotations
 
-from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
+from weakref import WeakMethod
 
 from repro.chain.blockchain import Blockchain
 from repro.chain.ledger import Record
@@ -76,6 +76,25 @@ def provision_keypairs(
         directory.register(keypair)
         keypairs[vertex] = keypair
     return directory, keypairs
+
+
+def _held_weakly(method: Callable[..., None]) -> Callable[..., None]:
+    """A callback that calls ``method`` while its object lives, holding
+    the object weakly.
+
+    The chains hold the harness's record observer, the harness reaches
+    the parties, and the parties reach the chains: a strong hold would
+    make every run one reference cycle, which only the cycle collector
+    frees.  Once the harness is gone the callback does nothing.
+    """
+    ref = WeakMethod(method)
+
+    def callback(*args: Any) -> None:
+        bound = ref()
+        if bound is not None:
+            bound(*args)
+
+    return callback
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +171,9 @@ class SimulationHarness:
         }
 
         self.parties: dict[Vertex, Any] = {}
+        #: chain id -> the processes that observe its records, in
+        #: notification order (filled by :meth:`wire_observations`).
+        self._watchers: dict[str, list[Any]] = {}
         self._ran = False
 
     @classmethod
@@ -200,16 +222,16 @@ class SimulationHarness:
             party = self.parties[vertex]
             party.crash_plan = crash
             if crash.at_time is not None:
-                when = crash.at_time
+                self.scheduler.wake(
+                    party, crash.at_time - self.scheduler.now, self._crash, (party,)
+                )
 
-                def crash_now(p: Any = party, t: int = when) -> None:
-                    if not p.is_halted:
-                        p.halt()
-                        self.trace.record(
-                            t, tr.PARTY_CRASHED, p.address, at_time=t
-                        )
-
-                self.scheduler.at(when, crash_now)
+    def _crash(self, party: Any) -> None:
+        """An ``at_time`` crash firing (its entry is skipped if the party
+        already halted)."""
+        party.halt()
+        now = self.scheduler.now
+        self.trace.record(now, tr.PARTY_CRASHED, party.address, at_time=now)
 
     # -- observation wiring -----------------------------------------------------------
 
@@ -231,28 +253,32 @@ class SimulationHarness:
         confirmation depth rather than per-party sluggishness.
         """
         extra = list(extra_watchers)
-        relevant: dict[str, list[Any]] = {}
+        watchers = self._watchers
         for arc in self.digraph.arcs:
             chain = self.network.chain_for_arc(arc)
             head, tail = arc
-            relevant.setdefault(chain.chain_id, []).extend(
+            watchers.setdefault(chain.chain_id, []).extend(
                 [self.parties[head], self.parties[tail], *extra]
             )
         if broadcast_to_all:
-            relevant[BROADCAST_CHAIN_ID] = list(self.parties.values())
-        chain_lag = self._chain_lag
+            watchers[BROADCAST_CHAIN_ID] = list(self.parties.values())
+        self.network.subscribe_all(_held_weakly(self._on_record))
 
-        def on_record(chain: Blockchain, record: Record, now: int) -> None:
-            lag = chain_lag.get(chain.chain_id, 0)
-            for watcher in relevant.get(chain.chain_id, ()):
-                if watcher.is_halted:
-                    continue
-                watcher.wake_after(
-                    watcher.profile.reaction_delay + lag,
-                    partial(watcher.on_chain_record, chain, record, now),
-                )
-
-        self.network.subscribe_all(on_record)
+    def _on_record(self, chain: Blockchain, record: Record, now: int) -> None:
+        """Queue ``watcher.on_chain_record(chain, record, now)`` for each
+        live watcher of ``chain``, one reaction delay plus the chain's
+        lag from now."""
+        lag = self._chain_lag.get(chain.chain_id, 0)
+        wake = self.scheduler.wake
+        for watcher in self._watchers.get(chain.chain_id, ()):
+            if watcher.is_halted:
+                continue
+            wake(
+                watcher,
+                watcher.profile.reaction_delay + lag,
+                watcher.on_chain_record,
+                (chain, record, now),
+            )
 
     # -- running ------------------------------------------------------------------------
 
@@ -263,8 +289,9 @@ class SimulationHarness:
         if self._ran:
             raise SimulationError("a SimulationHarness instance runs once")
         self._ran = True
+        delay = start_time - self.scheduler.now
         for party in self.parties.values():
-            self.scheduler.at(start_time, lambda p=party: None if p.is_halted else p.start())
+            self.scheduler.wake(party, delay, party.start, ())
 
     def run_to_quiescence(self, start_time: int) -> int:
         """Schedule every party's ``start`` at ``start_time`` and drain

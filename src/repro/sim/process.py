@@ -20,6 +20,7 @@ DESIGN.md §2 and bench E20 for the boundary sweep).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable
 
 from repro.errors import SimulationError
 from repro.sim.clock import ticks
@@ -72,8 +73,10 @@ class Process:
     """Base class for simulated parties and services.
 
     Subclasses receive the shared scheduler and use :meth:`wake_after` /
-    :meth:`observe_after` to schedule their own callbacks with the right
-    latency semantics.  A halted process never fires queued callbacks.
+    :meth:`observe_after` to schedule their own methods, with their
+    arguments, at the right latency.  A halted process never runs a
+    queued call: the scheduler checks :attr:`is_halted`, the one
+    attribute every scheduled owner provides.
     """
 
     def __init__(self, name: str, scheduler: Scheduler, profile: ReactionProfile) -> None:
@@ -97,18 +100,14 @@ class Process:
 
     # -- scheduling helpers --------------------------------------------------------
 
-    def wake_after(self, delay: int, action) -> None:
-        """Schedule ``action`` after ``delay`` ticks unless halted by then."""
+    def wake_after(self, delay: int, fn: Callable[..., None], *args: Any) -> None:
+        """Schedule ``fn(*args)`` after ``delay`` ticks unless halted by
+        then: an entry owned by this process (:meth:`Scheduler.wake`)."""
+        self.scheduler.wake(self, delay, fn, args)
 
-        def run() -> None:
-            if not self._halted:
-                action()
-
-        self.scheduler.after(delay, run)
-
-    def observe_after(self, action) -> None:
-        """Schedule ``action`` one reaction delay from now."""
-        self.wake_after(self.profile.reaction_delay, action)
+    def observe_after(self, fn: Callable[..., None], *args: Any) -> None:
+        """Schedule ``fn(*args)`` one reaction delay from now."""
+        self.scheduler.wake(self, self.profile.reaction_delay, fn, args)
 
     def __repr__(self) -> str:
         status = "halted" if self._halted else "live"

@@ -3,8 +3,14 @@
 A thin, deterministic priority-queue engine: callers schedule callbacks at
 absolute times or after delays, and :meth:`Scheduler.run` fires them in
 ``(time, priority, seq)`` order, advancing the shared :class:`Clock`.
-Queue entries are plain ``(time, priority, seq, action)`` tuples; ``seq``
-is unique, so the heap's tuple comparison never reaches ``action``.
+An event is data, not a closure: a queue entry is the plain tuple
+``(time, priority, seq, fn, args, owner)``, fired as ``fn(*args)``.
+``seq`` is unique, so the heap's tuple comparison never reaches ``fn``.
+A process's wake (:meth:`Scheduler.wake`) names the process as its
+``owner``: once the owner ``is_halted``, the entry still fires — it is
+popped and counted, so ``events_fired`` does not depend on who halted
+when — but its call is skipped.  :meth:`Scheduler.at` and
+:meth:`Scheduler.after` queue ownerless entries, which always call.
 An event budget guards against runaway simulations (a deviating-strategy
 bug could otherwise loop forever).
 
@@ -19,19 +25,22 @@ event.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Callable, Sized
+from typing import Any, Callable, Sized
 
 from repro.errors import SchedulerError
 from repro.sim.clock import Clock
 from repro.sim.events import Priority
 
-#: One queued event: ``(time, priority, seq, action)``.
-Entry = tuple[int, int, int, Callable[[], None]]
+#: One queued event: ``(time, priority, seq, fn, args, owner)``; it
+#: calls ``fn(*args)`` unless ``owner`` is set and halted.
+Entry = tuple[int, int, int, Callable[..., None], tuple[Any, ...], Any]
 
 #: The most events one watched :meth:`Scheduler.run` call fires.  A
 #: stretch of events that never grows the watched sequence still hands
 #: control back this often, so a caller's deadline and abort checks run.
 SLICE_EVENTS = 256
+
+_WAKE = Priority.WAKE
 
 
 class Scheduler:
@@ -56,7 +65,7 @@ class Scheduler:
                 f"cannot schedule an event at tick {when} in priority band "
                 f"{Priority(priority).name}: the clock is already at {self.clock.now}"
             )
-        heappush(self._queue, (when, priority, self._seq, action))
+        heappush(self._queue, (when, priority, self._seq, action, (), None))
         self._seq += 1
 
     def after(
@@ -65,7 +74,19 @@ class Scheduler:
         """Schedule ``action`` ``delay`` ticks from now."""
         if delay < 0:
             raise SchedulerError("delay must be non-negative")
-        heappush(self._queue, (self.clock.now + delay, priority, self._seq, action))
+        heappush(self._queue, (self.clock.now + delay, priority, self._seq, action, (), None))
+        self._seq += 1
+
+    def wake(
+        self, owner: Any, delay: int, fn: Callable[..., None], args: tuple[Any, ...]
+    ) -> None:
+        """Schedule ``fn(*args)`` ``delay`` ticks from now, in the
+        :attr:`~repro.sim.events.Priority.WAKE` band, on behalf of
+        ``owner``: the entry fires either way, but calls nothing if
+        ``owner.is_halted`` by then (``None``: no owner, always calls)."""
+        if delay < 0:
+            raise SchedulerError("delay must be non-negative")
+        heappush(self._queue, (self.clock.now + delay, _WAKE, self._seq, fn, args, owner))
         self._seq += 1
 
     # -- running -----------------------------------------------------------------
@@ -95,7 +116,9 @@ class Scheduler:
             entry = heappop(self._queue)
             self.clock.advance_to(entry[0])
             self._fired += 1
-            entry[3]()
+            _, _, _, fn, args, owner = entry
+            if owner is None or not owner.is_halted:
+                fn(*args)
         finally:
             self._running = False
         return entry
@@ -134,7 +157,9 @@ class Scheduler:
                     if fired == budget:
                         raise self._budget_exceeded()
                     fired += 1
-                    heappop(queue)[3]()
+                    _, _, _, fn, args, owner = heappop(queue)
+                    if owner is None or not owner.is_halted:
+                        fn(*args)
                     if watch is not None and (
                         len(watch) != mark or fired == SLICE_EVENTS
                     ):

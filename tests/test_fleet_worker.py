@@ -232,6 +232,105 @@ class TestLeaseLoss:
         assert stats.items_committed == 2
 
 
+class TestHeartbeatByLeaseAge:
+    """A worker renews its lease only once the lease is
+    ``HEARTBEAT_AGE`` of the TTL old; a lost lease is still caught at
+    the commit."""
+
+    config = FleetConfig(lease_ttl=40.0, skew_grace=2.0, chunk_size=3)
+
+    def drain(self, tmp_path, monkeypatch, item_seconds):
+        """Drain one 3-item chunk whose items take ``item_seconds[i]``
+        on the fake clock; returns the stats and the event log."""
+        clock = FakeClock()
+        path = tmp_path / "fleet.sqlite"
+        with FleetCoordinator(path, self.config, clock=clock) as enqueuer:
+            enqueuer.enqueue(small_sweep(3).items())
+        log: list[str] = []
+        real_execute = worker_mod.execute_payload
+        durations = iter(item_seconds)
+
+        def timed_execute(payload, fast_path=False):
+            entry = real_execute(payload, fast_path)
+            clock.advance(next(durations, 0.0))
+            log.append("item")
+            return entry
+
+        monkeypatch.setattr(worker_mod, "execute_payload", timed_execute)
+        worker = FleetWorker(
+            path, self.config, worker_id="w", clock=clock, sleep=lambda _: None
+        )
+        real_heartbeat = worker.coordinator.heartbeat
+
+        def logged_heartbeat(chunk_id, worker_id):
+            log.append("beat")
+            return real_heartbeat(chunk_id, worker_id)
+
+        worker.coordinator.heartbeat = logged_heartbeat
+        with worker:
+            return worker.run(), log
+
+    def test_a_fast_chunk_makes_no_heartbeat(self, tmp_path, monkeypatch):
+        stats, log = self.drain(tmp_path, monkeypatch, [0.5, 0.5, 0.5])
+        assert log == ["item", "item", "item"]
+        assert stats.chunks_committed == 1 and stats.items_committed == 3
+
+    def test_an_item_past_the_age_is_followed_by_one(self, tmp_path, monkeypatch):
+        age = worker_mod.HEARTBEAT_AGE * self.config.lease_ttl
+        stats, log = self.drain(tmp_path, monkeypatch, [1.0, age, 1.0])
+        # The lease is renewed after the second item, so the third,
+        # one second later, is young again.
+        assert log == ["item", "item", "beat", "item"]
+        assert stats.chunks_committed == 1
+
+    def test_ages_add_up_across_items(self, tmp_path, monkeypatch):
+        age = worker_mod.HEARTBEAT_AGE * self.config.lease_ttl
+        stats, log = self.drain(tmp_path, monkeypatch, [age / 2] * 3)
+        assert log == ["item", "item", "beat", "item"]
+        assert stats.chunks_committed == 1
+
+    def test_a_lease_lost_meanwhile_raises_at_commit(self, tmp_path, monkeypatch):
+        """A thief whose clock runs ahead re-issues the lease while the
+        worker's items are fast: no heartbeat notices, the commit does,
+        and the worker's entries are discarded."""
+        clock = FakeClock()
+        config = self.config
+        thief_clock = FakeClock(clock.now + config.lease_ttl + config.skew_grace + 1.0)
+        path = tmp_path / "fleet.sqlite"
+        thief = FleetCoordinator(path, config, clock=thief_clock)
+        stolen: list[str] = []
+        real_execute = worker_mod.execute_payload
+
+        def stealing_execute(payload, fast_path=False):
+            entry = real_execute(payload, fast_path)
+            if not stolen:
+                claim = thief.claim("thief")
+                assert claim is not None
+                stolen.append(claim.chunk_id)
+                thief.release(claim.chunk_id, "thief")
+            return entry
+
+        with FleetCoordinator(path, config, clock=clock) as enqueuer:
+            enqueuer.enqueue(small_sweep(3).items())
+        monkeypatch.setattr(worker_mod, "execute_payload", stealing_execute)
+        heartbeats: list[str] = []
+        with FleetWorker(
+            path, config, worker_id="victim", clock=clock, sleep=lambda _: None
+        ) as worker:
+            real_heartbeat = worker.coordinator.heartbeat
+            worker.coordinator.heartbeat = lambda *args: (
+                heartbeats.append("beat"), real_heartbeat(*args)
+            )[1]
+            stats = worker.run()
+        thief.close()
+        assert heartbeats == []
+        assert stats.leases_lost == 1 and len(stolen) == 1
+        # Re-claimed and re-executed after the loss, committed once.
+        assert stats.items_executed == 6 and stats.items_committed == 3
+        with open_store(str(path)) as drained:
+            assert len(drained) == 3
+
+
 class TestWorkerStats:
     def test_to_dict_round_trips_json(self, tmp_path):
         path = tmp_path / "fleet.sqlite"

@@ -56,6 +56,15 @@ class TestProcess:
         assert fired == []
         assert process.is_halted
 
+    def test_wake_after_passes_its_arguments(self):
+        scheduler = Scheduler()
+        process = Process("p", scheduler, ReactionProfile.conforming(DELTA))
+        fired = []
+        process.wake_after(10, fired.append, "x")
+        process.observe_after(fired.append, "y")
+        assert scheduler.run() == 2
+        assert fired == ["x", "y"]
+
     def test_observe_after_uses_reaction_delay(self):
         scheduler = Scheduler()
         process = Process("p", scheduler, ReactionProfile(reaction_delay=7, action_delay=3))

@@ -262,3 +262,46 @@ class TestWatchedRun:
         assert scheduler.run(watch=[]) == SLICE_EVENTS
         assert scheduler.pending() == 10
         assert scheduler.run(watch=[]) == 10
+
+
+class _Owner:
+    """An owner with only the attribute the scheduler reads, as a test
+    double or a non-``Process`` party provides it: no ``_halted``."""
+
+    def __init__(self):
+        self.is_halted = False
+
+
+class TestEventsAsData:
+    def test_entries_call_fn_with_args_in_order(self):
+        scheduler = Scheduler()
+        owner, fired = _Owner(), []
+        scheduler.wake(owner, 5, fired.append, ("b",))
+        scheduler.wake(owner, 0, fired.append, ("a",))
+        scheduler.wake(None, 5, fired.append, ("c",))
+        assert scheduler.run() == 3
+        assert fired == ["a", "b", "c"] and scheduler.now == 5
+
+    def test_halted_owner_entries_count_but_do_not_call(self):
+        scheduler = Scheduler()
+        owner, fired = _Owner(), []
+        scheduler.wake(owner, 1, fired.append, ("before",))
+        scheduler.at(2, lambda: setattr(owner, "is_halted", True))
+        scheduler.wake(owner, 3, fired.append, ("after",))
+        scheduler.wake(owner, 3, fired.append, ("after, too",))
+        assert scheduler.run() == 4
+        assert fired == ["before"]
+        assert scheduler.now == 3 and scheduler.pending() == 0
+
+    def test_step_skips_a_halted_owner_entry_too(self):
+        scheduler = Scheduler()
+        owner, fired = _Owner(), []
+        owner.is_halted = True
+        scheduler.wake(owner, 4, fired.append, ("never",))
+        entry = scheduler.step()
+        assert entry is not None and entry[0] == 4 and entry[5] is owner
+        assert fired == [] and scheduler.step() is None
+
+    def test_negative_wake_delay_rejected(self):
+        with pytest.raises(SchedulerError):
+            Scheduler().wake(None, -1, print, ())

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.api import Scenario
+from repro.core.protocol import SwapSimulation
 from repro.core.spec import SwapSpec
 from repro.crypto.hashing import hash_secret
 from repro.crypto.keys import KeyDirectory
@@ -158,6 +160,27 @@ class TestDeadlines:
                     assert timeouts[i] == spec.lock_final_timeout(arc, i) == expected
             with pytest.raises(ClearingError):
                 spec.lock_final_timeout(arc, len(leaders))
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="final_timeouts reads D(u, v) under the default "
+        "EXACT_LONGEST_PATH_LIMIT, not the scenario's exact_limit that "
+        "resolve_diam honours; the mend moves report bytes",
+    )
+    def test_final_timeouts_honour_the_scenario_exact_limit(self):
+        """A 16-vertex cycle with forward chords is past the default
+        exact limit (14).  With ``exact_limit=20`` the published
+        ``diam`` is exact, so ``D(P05, P00)`` should be the exact 11,
+        not the ``|V| - 1 = 15`` fallback: today the final timeout is
+        ``T + (15 + 15)·Δ = 31000``."""
+        digraph = cycle_digraph(EXACT_LONGEST_PATH_LIMIT + 2).with_arcs(
+            [("P00", "P05"), ("P03", "P09"), ("P07", "P12")]
+        )
+        scenario = Scenario(digraph, exact_limit=20, leaders=("P00",))
+        spec = SwapSimulation(scenario).spec
+        exact = longest_path_length(digraph, "P05", "P00", exact_limit=20)
+        assert spec.diam == diameter(digraph, exact_limit=20) == 15 and exact == 11
+        assert spec.final_timeouts("P05") == (DELTA + (spec.diam + exact) * DELTA,)
 
     def test_phase_two_bound(self):
         spec = make_spec(triangle(), ["Alice"])
