@@ -10,7 +10,7 @@ the cycle collector switched off, a finished run followed by
 Not covered, on purpose: a session abandoned mid-run and never
 finalised.  Its queued entries still hold parties' bound methods, and
 the parties reach the scheduler that holds them, so such a run stays a
-cycle (about 200 objects on a 4-cycle) until the collector frees it.
+cycle (about 180 objects on a 4-cycle) until the collector frees it.
 ``Execution.abort()`` drops the queue, which is why an aborted run is
 covered.
 """
